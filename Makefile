@@ -1,6 +1,6 @@
 # Convenience targets; the canonical CI entry point is `make check`.
 
-.PHONY: all check test bench profile-smoke heap-smoke clean
+.PHONY: all check test gate bench profile-smoke heap-smoke clean
 
 all:
 	dune build
@@ -30,6 +30,15 @@ heap-smoke:
 	dune exec bin/satbelim.exe -- heap --workload db --top 5 \
 	  --snapshot HEAP_db.json
 	dune exec bin/satbelim.exe -- heap diff HEAP_db.json HEAP_db.json
+
+# regression gate (what CI runs): regenerate every BENCH_*.json artifact,
+# then diff each committed baseline in bench/baseline/ against its fresh
+# counterpart; the first failing diff fails the target
+gate:
+	dune exec bench/main.exe -- table1 quick --json
+	for f in bench/baseline/BENCH_*.json; do \
+	  dune exec bench/main.exe -- diff $$f $$(basename $$f) || exit 1; \
+	done
 
 # full reproduction: every table/figure plus the bechamel timings
 bench:

@@ -1240,14 +1240,14 @@ let heap_report_term =
           (Satb_core.Driver.site_assumptions compiled
              { sk_class = c; sk_method = m; sk_pc = pc })
       in
+      let choice = function
+        | `Satb -> Jrt.Runner.make_satb ~pacing ()
+        | `Incr -> Jrt.Runner.make_incr ~pacing ()
+        | `Retrace -> Jrt.Runner.make_retrace ~pacing ()
+        | `Hybrid -> Jrt.Runner.make_hybrid ~pacing ()
+      in
       let run_one gcv =
-        let gc_choice =
-          match gcv with
-          | `Satb -> Jrt.Runner.make_satb ~pacing ()
-          | `Incr -> Jrt.Runner.make_incr ~pacing ()
-          | `Retrace -> Jrt.Runner.make_retrace ~pacing ()
-          | `Hybrid -> Jrt.Runner.make_hybrid ~pacing ()
-        in
+        let gc_choice = choice gcv in
         let cfg =
           {
             Jrt.Interp.default_config with
@@ -1273,12 +1273,7 @@ let heap_report_term =
           r.Jrt.Runner.thread_errors;
         (obs, r)
       in
-      let label = function
-        | `Satb -> "satb"
-        | `Incr -> "incremental-update"
-        | `Retrace -> "retrace"
-        | `Hybrid -> "hybrid"
-      in
+      let label g = Jrt.Runner.gc_name (choice g) in
       let collectors =
         match gc with
         | `All -> [ `Satb; `Incr; `Retrace; `Hybrid ]

@@ -44,9 +44,6 @@ let satb_cost ~(mode : satb_mode) ~(marking : bool) ~(pre_null : bool) : int =
   | Always_log ->
       load_and_test_pre + if pre_null then 0 else log_out_of_line
 
-(** Cost of one executed card-marking barrier (incremental update). *)
-let card_mark_cost = 2
-
 (** Per-half costs of the hybrid (Yuasa + Dijkstra) barrier.  The
     deletion half is the SATB shape: marking check, pre-value load/test,
     out-of-line shade.  The insertion half shares the marking check with

@@ -13,7 +13,6 @@ val check_marking : int
 val load_and_test_pre : int
 val log_out_of_line : int
 val satb_cost : mode:satb_mode -> marking:bool -> pre_null:bool -> int
-val card_mark_cost : int
 
 val hybrid_del_cost : marking:bool -> pre_null:bool -> int
 (** Deletion (Yuasa) half of the hybrid barrier: the SATB shape. *)

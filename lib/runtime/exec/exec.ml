@@ -263,7 +263,7 @@ let specialize (m : I.t) (cell : store_cell) : unit =
           I.barrier_hybrid_ins_elided m st ~obj ~pre
         else fun ~tid ~obj ~pre ~nv ->
           I.ref_store_barrier_st m st ~tid ~obj ~pre ~nv
-    | `Satb | `Card ->
+    | `Satb ->
         if st.I.st_elided && st.I.st_check = I.No_check then
           if st.I.st_guards = [] then fun ~tid:_ ~obj ~pre ~nv:_ ->
             I.barrier_elided_plain m st ~obj ~pre

@@ -1,10 +1,12 @@
 (** The mutator/collector interface.
 
-    The interpreter calls these hooks; collectors ({!Satb_gc},
-    {!Incr_gc}) implement them.  [log_ref_store] is the body of the write
-    barrier: it runs only for stores whose barrier was {e not} eliminated
-    by the analysis — SATB logs the pre-write value, incremental-update
-    card-marking dirties the target's card. *)
+    The interpreter calls these hooks; {!Marker.hooks} implements them
+    for every collector policy ({!Satb_gc}, {!Incr_gc}, {!Retrace_gc},
+    {!Hybrid_gc}).  [log_ref_store] is the body of the write barrier: it
+    runs only for stores whose barrier was {e not} eliminated by the
+    analysis — SATB logs the pre-write value, incremental-update
+    card-marking dirties the target's card, the hybrid barrier shades
+    the overwritten value. *)
 
 (** Mark-budget multiplier every collector applies while the pacer is
     degraded; one shared constant so the four collectors degrade

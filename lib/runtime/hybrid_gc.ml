@@ -10,324 +10,35 @@
     black, because any pointer subsequently written {e from} that stack
     into the heap is either already shaded or gets shaded by the
     insertion half of some other, still-grey thread.  We model that with
-    lazy per-thread stack scanning — [start_cycle] marks only the static
-    roots and leaves every stack grey; each collector increment scans one
-    grey stack before draining gray objects; [log_ins_store] consults the
-    storing thread's scan state.
+    lazy per-thread stack scanning ([Grey_stacks]) —
+    {!Marker.start_cycle} marks only the static roots and leaves every
+    stack grey; each collector increment scans one grey stack before
+    draining gray objects; {!Gc_hooks.t.log_ins_store} consults the storing
+    thread's scan state.  The final pause never grows a re-scan {e loop}
+    the way incremental update's does: one root pass plus a drain
+    suffices.
 
     Elision interplay: deletion halves removed by the paper's
     pre-null/null-or-same proofs need no repair (the overwritten slot
     held null or an already-reachable value).  Insertion halves removed
     by the freshness proofs (§2.4 allocation-site facts, summary-proven
     fresh returns) are covered by three layers: objects are allocated
-    black during marking ([on_alloc]); destinations of insertion-elided
-    stores recorded by the interpreter are handed back through
-    [on_revoke] at remark time and re-scanned; and [finish_cycle]
-    re-scans every root (statics and all stacks) inside the final pause,
-    which also makes static-store insertion elision sound.  Soundness is
-    checked like {!Incr_gc}: at the end of the cycle everything reachable
-    must be marked. *)
+    black during marking; destinations of insertion-elided stores
+    recorded by the interpreter are handed back through
+    {!Gc_hooks.t.on_revoke} at remark time and re-scanned; and
+    {!Marker.finish_cycle} re-scans every root (statics and all stacks)
+    inside the final pause, which also makes static-store insertion
+    elision sound.  Soundness is checked like {!Incr_gc}: at the end of
+    the cycle everything reachable must be marked. *)
 
-module Iset = Oracle.Iset
-
-type phase = Idle | Marking
-
-type cycle_report = {
-  cycle : int;
-  marked : int;
-  del_shades : int;  (** deletion-half barrier executions that shaded *)
-  ins_shades : int;  (** insertion-half executions that shaded *)
-  stack_scans : int;  (** thread stacks scanned (lazily or at finish) *)
-  allocated_during : int;
-  increments : int;
-  final_pause_work : int;  (** objects scanned inside the final pause *)
-  rescans : int;  (** repair-set objects re-scanned at remark *)
-  swept : int;
-  violations : int;  (** reachable-at-end objects left unmarked *)
-}
-
-type t = {
-  heap : Heap.t;
-  static_roots : unit -> int list;
-  thread_roots : unit -> (int * int list) list;
-      (** (tid, refs reachable from that thread's frames) *)
-  steps_per_increment : int;
-  mutable phase : phase;
-  mutable gray : int list;
-  scanned : (int, unit) Hashtbl.t;  (** tids whose stack is black *)
-  mutable del_shades : int;
-  mutable ins_shades : int;
-  mutable stack_scans : int;
-  mutable allocated_during : int;
-  mutable increments : int;
-  mutable boost : int;
-      (** mark-budget multiplier; >1 while the pacer is degraded *)
-  mutable rescans : int;
-  mutable cycles : int;
-  mutable reports : cycle_report list;
-  mutable sweep_enabled : bool;
-}
-
-let create ?(steps_per_increment = 64) ?(sweep = true) (heap : Heap.t)
-    ~(static_roots : unit -> int list)
-    ~(thread_roots : unit -> (int * int list) list) : t =
+(* arrays are scanned whole in one gray-drain step: no tracing protocol,
+   no direction contract *)
+let policy : Marker.policy =
   {
-    heap;
-    static_roots;
-    thread_roots;
-    steps_per_increment;
-    phase = Idle;
-    gray = [];
-    scanned = Hashtbl.create 8;
-    del_shades = 0;
-    ins_shades = 0;
-    stack_scans = 0;
-    allocated_during = 0;
-    increments = 0;
-    boost = 1;
-    rescans = 0;
-    cycles = 0;
-    reports = [];
-    sweep_enabled = sweep;
-  }
-
-let is_marking t = t.phase = Marking
-
-(** Has thread [tid]'s stack been scanned (turned black) this cycle?
-    Threads the collector has not seen yet are grey by construction. *)
-let stack_grey (t : t) ~tid = not (Hashtbl.mem t.scanned tid)
-
-(* telemetry: gc.* counters shared with the other collectors *)
-let c_cycles = Telemetry.counter "gc.cycles"
-let fk_hybrid = Flight.intern "hybrid"
-let c_violations = Telemetry.counter "gc.violations"
-
-(* [origin] is the float-accounting cause stamp ({!Heap.origin_trace}
-   etc.); first marker wins, drained children inherit their parent's *)
-let mark_and_gray t ~origin id =
-  let o = Heap.get t.heap id in
-  if (not o.marked) && not o.dead then begin
-    o.marked <- true;
-    o.origin <- origin;
-    t.gray <- id :: t.gray
-  end
-
-let start_cycle (t : t) : unit =
-  assert (t.phase = Idle);
-  t.phase <- Marking;
-  t.gray <- [];
-  Hashtbl.reset t.scanned;
-  t.del_shades <- 0;
-  t.ins_shades <- 0;
-  t.stack_scans <- 0;
-  t.allocated_during <- 0;
-  t.increments <- 0;
-  t.rescans <- 0;
-  (* statics only: every thread stack starts the cycle grey *)
-  List.iter (mark_and_gray t ~origin:Heap.origin_trace) (t.static_roots ());
-  Flight.record Flight.Mark_start ~a:fk_hybrid ~b:t.cycles ~c:0;
-  Telemetry.emit "gc.cycle.start"
-    [
-      ("collector", Telemetry.Str "hybrid");
-      ("cycle", Telemetry.Int t.cycles);
-      ("phase", Telemetry.Str "marking");
-    ]
-
-(** Deletion half: shade the overwritten value (Yuasa). *)
-let log_ref_store t ~obj:_ ~pre =
-  if t.phase = Marking then
-    match pre with
-    | Value.Ref id ->
-        let o = Heap.get t.heap id in
-        if (not o.marked) && not o.dead then begin
-          t.del_shades <- t.del_shades + 1;
-          mark_and_gray t ~origin:Heap.origin_log id
-        end
-    | _ -> ()
-
-(** Insertion half: shade the stored value while the storing thread's
-    stack is still grey (Dijkstra). *)
-let log_ins_store t ~tid ~nv =
-  if t.phase = Marking && stack_grey t ~tid then
-    match nv with
-    | Value.Ref id ->
-        let o = Heap.get t.heap id in
-        if (not o.marked) && not o.dead then begin
-          t.ins_shades <- t.ins_shades + 1;
-          mark_and_gray t ~origin:Heap.origin_log id
-        end
-    | _ -> ()
-
-(** Allocate black: new objects cannot be swept this cycle, which is one
-    of the layers insertion-half elision at fresh-store sites rests on. *)
-let on_alloc t (o : Heap.obj) =
-  if t.phase = Marking then begin
-    o.marked <- true;
-    o.origin <- Heap.origin_alloc;
-    o.born_during_mark <- true;
-    t.allocated_during <- t.allocated_during + 1
-  end
-
-(** Remark-time repair: [objs] are destinations of stores whose barrier
-    (either half) was elided under assumptions that failed, plus — when
-    the runner hands them over — destinations of insertion-elided stores
-    executed this cycle.  Re-scan them: mark and re-gray so their current
-    fields are traced. *)
-let on_revoke t ~objs =
-  if t.phase = Marking then
-    List.iter
-      (fun id ->
-        if id >= 0 then begin
-          let o = Heap.get t.heap id in
-          if not o.dead then begin
-            t.rescans <- t.rescans + 1;
-            if not o.marked then o.origin <- Heap.origin_repair;
-            o.marked <- true;
-            t.gray <- id :: t.gray
-          end
-        end)
-      objs
-
-(** Scan one grey thread stack, turning it black. *)
-let scan_stack (t : t) (tid : int) (refs : int list) : unit =
-  List.iter (mark_and_gray t ~origin:Heap.origin_trace) refs;
-  Hashtbl.replace t.scanned tid ();
-  t.stack_scans <- t.stack_scans + 1
-
-let drain (t : t) (budget : int) : int =
-  let processed = ref 0 in
-  while !processed < budget && t.gray <> [] do
-    match t.gray with
-    | id :: rest ->
-        t.gray <- rest;
-        incr processed;
-        let o = Heap.get t.heap id in
-        if not o.dead then
-          List.iter (mark_and_gray t ~origin:o.origin) (Heap.out_edges o)
-    | [] -> ()
-  done;
-  !processed
-
-(** One collector increment: scan a grey stack if any remain (lazy stack
-    scanning — no stop-the-world stack phase), otherwise drain gray
-    objects. *)
-let step (t : t) : unit =
-  if t.phase = Marking then begin
-    t.increments <- t.increments + 1;
-    match
-      List.find_opt (fun (tid, _) -> stack_grey t ~tid) (t.thread_roots ())
-    with
-    | Some (tid, refs) -> scan_stack t tid refs
-    | None -> ignore (drain t (t.steps_per_increment * t.boost))
-  end
-
-let quiescent (t : t) : bool =
-  t.phase = Marking && t.gray = []
-  && List.for_all (fun (tid, _) -> not (stack_grey t ~tid)) (t.thread_roots ())
-
-(** Final pause: scan any stacks still grey (threads spawned late), then
-    re-scan every root — the layer that also covers insertion-elided
-    static stores — and drain to a fixed point.  The hybrid barrier's
-    whole point is that this pause never grows a re-scan {e loop} the way
-    incremental update's does ({!Incr_gc.finish_cycle}): one root pass
-    plus a drain suffices. *)
-let finish_cycle (t : t) : cycle_report =
-  assert (t.phase = Marking);
-  let pause_work = ref 0 in
-  List.iter
-    (fun (tid, refs) ->
-      if stack_grey t ~tid then begin
-        pause_work := !pause_work + List.length refs;
-        scan_stack t tid refs
-      end)
-    (t.thread_roots ());
-  let all_roots () =
-    t.static_roots ()
-    @ List.concat_map (fun (_, refs) -> refs) (t.thread_roots ())
-  in
-  List.iter
-    (fun id ->
-      incr pause_work;
-      mark_and_gray t ~origin:Heap.origin_trace id)
-    (all_roots ());
-  pause_work := !pause_work + drain t max_int;
-  (* Invariant: everything reachable now is marked. *)
-  let now = Oracle.reachable t.heap (all_roots ()) in
-  let violations =
-    Iset.fold
-      (fun id n ->
-        let o = Heap.get t.heap id in
-        if o.dead || not o.marked then n + 1 else n)
-      now 0
-  in
-  let marked = ref 0 in
-  Heap.iter_live t.heap (fun o -> if o.marked then incr marked);
-  let swept = ref 0 in
-  if t.sweep_enabled && violations = 0 then
-    Heap.iter_live t.heap (fun o ->
-        if not o.marked then begin
-          Heap.free t.heap o;
-          incr swept
-        end);
-  let report =
-    {
-      cycle = t.cycles;
-      marked = !marked;
-      del_shades = t.del_shades;
-      ins_shades = t.ins_shades;
-      stack_scans = t.stack_scans;
-      allocated_during = t.allocated_during;
-      increments = t.increments;
-      final_pause_work = !pause_work;
-      rescans = t.rescans;
-      swept = !swept;
-      violations;
-    }
-  in
-  t.cycles <- t.cycles + 1;
-  t.heap.Heap.gc_cycle <- t.heap.Heap.gc_cycle + 1;
-  t.reports <- report :: t.reports;
-  t.phase <- Idle;
-  Heap.clear_marks t.heap;
-  Telemetry.incr c_cycles;
-  Telemetry.incr c_violations ~by:violations;
-  Flight.record Flight.Mark_end ~a:fk_hybrid ~b:report.cycle ~c:violations;
-  Telemetry.emit "gc.cycle.finish"
-    [
-      ("collector", Telemetry.Str "hybrid");
-      ("cycle", Telemetry.Int report.cycle);
-      ("phase", Telemetry.Str "idle");
-      ("marked", Telemetry.Int report.marked);
-      ("del_shades", Telemetry.Int report.del_shades);
-      ("ins_shades", Telemetry.Int report.ins_shades);
-      ("stack_scans", Telemetry.Int report.stack_scans);
-      ("final_pause_work", Telemetry.Int report.final_pause_work);
-      ("rescans", Telemetry.Int report.rescans);
-      ("swept", Telemetry.Int report.swept);
-      ("violations", Telemetry.Int report.violations);
-    ];
-  report
-
-(** Package as mutator-facing hooks. *)
-let hooks (t : t) : Gc_hooks.t =
-  {
-    Gc_hooks.name = "hybrid";
-    caps =
-      {
-        (* arrays are scanned whole in one gray-drain step: no tracing
-           protocol, no direction contract *)
-        Gc_hooks.retrace_protocol = false;
-        descending_scan = false;
-        insertion_half = true;
-      };
-    is_marking = (fun () -> is_marking t);
-    log_ref_store = (fun ~obj ~pre -> log_ref_store t ~obj ~pre);
-    log_ins_store = (fun ~tid ~nv -> log_ins_store t ~tid ~nv);
-    on_unlogged_store = (fun ~obj:_ -> ());
-    on_revoke = (fun ~objs -> on_revoke t ~objs);
-    on_alloc = (fun o -> on_alloc t o);
-    on_pressure =
-      (fun ~degraded ->
-        t.boost <- (if degraded then Gc_hooks.pressure_boost else 1));
-    step = (fun () -> step t);
+    Marker.name = "hybrid";
+    roots = Grey_stacks;
+    oracle = End_reachability;
+    alloc = Black;
+    scan = Whole_object;
+    log = Shades;
   }

@@ -5,78 +5,4 @@
     roots once (no re-scan loop) and checks end-reachability like
     {!Incr_gc}. *)
 
-type phase = Idle | Marking
-
-type cycle_report = {
-  cycle : int;
-  marked : int;
-  del_shades : int;  (** deletion-half executions that shaded *)
-  ins_shades : int;  (** insertion-half executions that shaded *)
-  stack_scans : int;  (** thread stacks scanned (lazily or at finish) *)
-  allocated_during : int;
-  increments : int;
-  final_pause_work : int;  (** objects scanned inside the final pause *)
-  rescans : int;  (** repair-set objects re-scanned at remark *)
-  swept : int;
-  violations : int;  (** reachable-at-end objects left unmarked *)
-}
-
-type t = {
-  heap : Heap.t;
-  static_roots : unit -> int list;
-  thread_roots : unit -> (int * int list) list;
-  steps_per_increment : int;
-  mutable phase : phase;
-  mutable gray : int list;
-  scanned : (int, unit) Hashtbl.t;
-  mutable del_shades : int;
-  mutable ins_shades : int;
-  mutable stack_scans : int;
-  mutable allocated_during : int;
-  mutable increments : int;
-  mutable boost : int;
-      (** mark-budget multiplier; >1 while the pacer is degraded *)
-  mutable rescans : int;
-  mutable cycles : int;
-  mutable reports : cycle_report list;
-  mutable sweep_enabled : bool;
-}
-
-val create :
-  ?steps_per_increment:int ->
-  ?sweep:bool ->
-  Heap.t ->
-  static_roots:(unit -> int list) ->
-  thread_roots:(unit -> (int * int list) list) ->
-  t
-
-val is_marking : t -> bool
-
-val stack_grey : t -> tid:int -> bool
-(** Has thread [tid]'s stack not yet been scanned this cycle? *)
-
-val start_cycle : t -> unit
-(** Mark the static roots and leave every thread stack grey. *)
-
-val log_ref_store : t -> obj:int -> pre:Value.t -> unit
-(** Deletion half: shade the overwritten value. *)
-
-val log_ins_store : t -> tid:int -> nv:Value.t -> unit
-(** Insertion half: shade [nv] while [tid]'s stack is grey. *)
-
-val on_alloc : t -> Heap.obj -> unit
-(** Allocate black during marking. *)
-
-val on_revoke : t -> objs:int list -> unit
-(** Re-scan repair: mark and re-gray each destination object. *)
-
-val step : t -> unit
-(** One increment: scan a grey stack if any remain, else drain gray. *)
-
-val quiescent : t -> bool
-
-val finish_cycle : t -> cycle_report
-(** Final pause: scan remaining grey stacks, one root re-scan, drain,
-    end-reachability check, sweep when sound. *)
-
-val hooks : t -> Gc_hooks.t
+val policy : Marker.policy

@@ -13,267 +13,15 @@
     than SATB remark pauses (§1, §4.5); the measured pause work feeds the
     E5 experiment. *)
 
-module Iset = Oracle.Iset
-
-let card_size = 64
-
-type phase = Idle | Marking
-
-type cycle_report = {
-  cycle : int;
-  marked : int;
-  dirty_cards : int;  (** distinct cards dirtied during the cycle *)
-  allocated_during : int;
-  increments : int;
-  final_pause_work : int;  (** objects scanned inside the final pause *)
-  rescan_rounds : int;
-  swept : int;
-  violations : int;  (** reachable-at-end objects left unmarked *)
-}
-
-type t = {
-  heap : Heap.t;
-  roots : unit -> int list;
-  steps_per_increment : int;
-  mutable phase : phase;
-  mutable gray : int list;
-  mutable dirty : Iset.t;  (** dirty card ids *)
-  mutable dirtied_total : int;
-  mutable allocated_during : int;
-  mutable increments : int;
-  mutable boost : int;
-      (** mark-budget multiplier; >1 while the pacer is degraded *)
-  mutable force_black : bool;
-      (** degraded mode: allocate black (plus a birth-dirtied card, so
-          elided stores into the new object are still re-scanned at the
-          final pause) instead of the usual allocate-white *)
-  mutable cycles : int;
-  mutable reports : cycle_report list;
-  mutable sweep_enabled : bool;
-}
-
-let create ?(steps_per_increment = 64) ?(sweep = true) (heap : Heap.t)
-    ~(roots : unit -> int list) : t =
+(* allocated white: incremental update must trace new objects — except
+   in degraded mode, which allocates black with a birth-dirtied card so
+   elided stores into the newborn are still re-scanned at the pause *)
+let policy : Marker.policy =
   {
-    heap;
-    roots;
-    steps_per_increment;
-    phase = Idle;
-    gray = [];
-    dirty = Iset.empty;
-    dirtied_total = 0;
-    allocated_during = 0;
-    increments = 0;
-    boost = 1;
-    force_black = false;
-    cycles = 0;
-    reports = [];
-    sweep_enabled = sweep;
-  }
-
-let is_marking t = t.phase = Marking
-
-(* telemetry: gc.* counters shared with the SATB collectors *)
-let c_cycles = Telemetry.counter "gc.cycles"
-let fk_incr = Flight.intern "incremental-update"
-let c_violations = Telemetry.counter "gc.violations"
-
-(* [origin] is the float-accounting cause stamp ({!Heap.origin_trace}
-   etc.); first marker wins, drained children inherit their parent's *)
-let mark_and_gray t ~origin id =
-  let o = Heap.get t.heap id in
-  if (not o.marked) && not o.dead then begin
-    o.marked <- true;
-    o.origin <- origin;
-    t.gray <- id :: t.gray
-  end
-
-let start_cycle (t : t) : unit =
-  assert (t.phase = Idle);
-  t.phase <- Marking;
-  t.gray <- [];
-  t.dirty <- Iset.empty;
-  t.dirtied_total <- 0;
-  t.allocated_during <- 0;
-  t.increments <- 0;
-  List.iter (mark_and_gray t ~origin:Heap.origin_trace) (t.roots ());
-  Flight.record Flight.Mark_start ~a:fk_incr ~b:t.cycles ~c:0;
-  Telemetry.emit "gc.cycle.start"
-    [
-      ("collector", Telemetry.Str "incremental-update");
-      ("cycle", Telemetry.Int t.cycles);
-      ("phase", Telemetry.Str "marking");
-    ]
-
-let log_ref_store t ~obj ~pre:_ =
-  if t.phase = Marking && obj >= 0 then begin
-    let card = obj / card_size in
-    if not (Iset.mem card t.dirty) then begin
-      t.dirty <- Iset.add card t.dirty;
-      t.dirtied_total <- t.dirtied_total + 1
-    end
-  end
-
-let on_alloc t (o : Heap.obj) =
-  if t.phase = Marking then begin
-    (* allocated white: incremental update must trace new objects *)
-    o.born_during_mark <- true;
-    t.allocated_during <- t.allocated_during + 1;
-    if t.force_black then begin
-      (* Degraded mode: allocate black so the final pause no longer owes
-         this object a transitive visit.  Soundness needs its card
-         dirtied at birth: stores into a fresh object are prime pre-null
-         elision targets, and an elided store dirties nothing — the
-         birth-dirty card makes the pause's fixed point re-scan the
-         object's final fields regardless. *)
-      o.Heap.marked <- true;
-      o.Heap.origin <- Heap.origin_alloc;
-      log_ref_store t ~obj:o.Heap.id ~pre:Value.Null
-    end
-  end
-
-let drain (t : t) (budget : int) : int =
-  let processed = ref 0 in
-  while !processed < budget && t.gray <> [] do
-    match t.gray with
-    | id :: rest ->
-        t.gray <- rest;
-        incr processed;
-        let o = Heap.get t.heap id in
-        if not o.dead then
-          List.iter (mark_and_gray t ~origin:o.origin) (Heap.out_edges o)
-    | [] -> ()
-  done;
-  !processed
-
-let step (t : t) : unit =
-  if t.phase = Marking then begin
-    t.increments <- t.increments + 1;
-    ignore (drain t (t.steps_per_increment * t.boost))
-  end
-
-let quiescent (t : t) : bool = t.phase = Marking && t.gray = []
-
-(** The final stop-the-world pause: alternate root rescans and dirty-card
-    rescans until a fixed point, then sweep. *)
-let finish_cycle (t : t) : cycle_report =
-  assert (t.phase = Marking);
-  let pause_work = ref 0 in
-  let rounds = ref 0 in
-  let changed = ref true in
-  while !changed do
-    incr rounds;
-    changed := false;
-    (* rescan roots: they may now reference unmarked (e.g. new) objects *)
-    List.iter
-      (fun id ->
-        incr pause_work;
-        let o = Heap.get t.heap id in
-        if (not o.marked) && not o.dead then begin
-          changed := true;
-          mark_and_gray t ~origin:Heap.origin_trace id
-        end)
-      (t.roots ());
-    (* rescan marked objects on dirty cards: their fields were updated *)
-    let dirty = t.dirty in
-    t.dirty <- Iset.empty;
-    Iset.iter
-      (fun card ->
-        let lo = card * card_size in
-        let hi = min ((card + 1) * card_size) t.heap.Heap.next_id in
-        for id = lo to hi - 1 do
-          let o = Heap.get t.heap id in
-          if o.marked && not o.dead then begin
-            incr pause_work;
-            List.iter
-              (fun tgt ->
-                let g = Heap.get t.heap tgt in
-                if (not g.marked) && not g.dead then begin
-                  changed := true;
-                  (* kept only because its parent's card was dirtied *)
-                  mark_and_gray t ~origin:Heap.origin_log tgt
-                end)
-              (Heap.out_edges o)
-          end
-        done)
-      dirty;
-    pause_work := !pause_work + drain t max_int
-  done;
-  (* Invariant: everything reachable now is marked. *)
-  let now = Oracle.reachable t.heap (t.roots ()) in
-  let violations =
-    Iset.fold
-      (fun id n ->
-        let o = Heap.get t.heap id in
-        if o.dead || not o.marked then n + 1 else n)
-      now 0
-  in
-  let marked = ref 0 in
-  Heap.iter_live t.heap (fun o -> if o.marked then incr marked);
-  let swept = ref 0 in
-  if t.sweep_enabled && violations = 0 then
-    Heap.iter_live t.heap (fun o ->
-        if not o.marked then begin
-          Heap.free t.heap o;
-          incr swept
-        end);
-  let report =
-    {
-      cycle = t.cycles;
-      marked = !marked;
-      dirty_cards = t.dirtied_total;
-      allocated_during = t.allocated_during;
-      increments = t.increments;
-      final_pause_work = !pause_work;
-      rescan_rounds = !rounds;
-      swept = !swept;
-      violations;
-    }
-  in
-  t.cycles <- t.cycles + 1;
-  t.heap.Heap.gc_cycle <- t.heap.Heap.gc_cycle + 1;
-  t.reports <- report :: t.reports;
-  t.phase <- Idle;
-  Heap.clear_marks t.heap;
-  Telemetry.incr c_cycles;
-  Telemetry.incr c_violations ~by:violations;
-  Flight.record Flight.Mark_end ~a:fk_incr ~b:report.cycle ~c:violations;
-  Telemetry.emit "gc.cycle.finish"
-    [
-      ("collector", Telemetry.Str "incremental-update");
-      ("cycle", Telemetry.Int report.cycle);
-      ("phase", Telemetry.Str "idle");
-      ("marked", Telemetry.Int report.marked);
-      ("dirty_cards", Telemetry.Int report.dirty_cards);
-      ("final_pause_work", Telemetry.Int report.final_pause_work);
-      ("rescan_rounds", Telemetry.Int report.rescan_rounds);
-      ("swept", Telemetry.Int report.swept);
-      ("violations", Telemetry.Int report.violations);
-    ];
-  report
-
-let hooks (t : t) : Gc_hooks.t =
-  {
-    Gc_hooks.name = "incremental-update";
-    caps =
-      {
-        Gc_hooks.retrace_protocol = false;
-        descending_scan = false;
-        insertion_half = false;
-      };
-    is_marking = (fun () -> is_marking t);
-    log_ref_store = (fun ~obj ~pre -> log_ref_store t ~obj ~pre);
-    log_ins_store = (fun ~tid:_ ~nv:_ -> ());
-    on_unlogged_store = (fun ~obj:_ -> ());
-    (* repair by dirtying the written objects' cards: the final pause's
-       dirty-card rescan then re-examines their current fields *)
-    on_revoke =
-      (fun ~objs ->
-        List.iter (fun obj -> log_ref_store t ~obj ~pre:Value.Null) objs);
-    on_alloc = (fun o -> on_alloc t o);
-    on_pressure =
-      (fun ~degraded ->
-        t.boost <- (if degraded then Gc_hooks.pressure_boost else 1);
-        t.force_black <- degraded);
-    step = (fun () -> step t);
+    Marker.name = "incremental-update";
+    roots = All_roots;
+    oracle = End_reachability;
+    alloc = White_unless_degraded;
+    scan = Whole_object;
+    log = Cards;
   }

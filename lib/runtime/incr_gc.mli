@@ -5,54 +5,4 @@
     reachable — including every object allocated during the cycle — which
     is why its pauses dwarf SATB remark pauses (experiment E5). *)
 
-val card_size : int
-
-type phase = Idle | Marking
-
-type cycle_report = {
-  cycle : int;
-  marked : int;
-  dirty_cards : int;
-  allocated_during : int;
-  increments : int;
-  final_pause_work : int;
-  rescan_rounds : int;
-  swept : int;
-  violations : int;  (** reachable-at-end objects left unmarked *)
-}
-
-type t = {
-  heap : Heap.t;
-  roots : unit -> int list;
-  steps_per_increment : int;
-  mutable phase : phase;
-  mutable gray : int list;
-  mutable dirty : Oracle.Iset.t;
-  mutable dirtied_total : int;
-  mutable allocated_during : int;
-  mutable increments : int;
-  mutable boost : int;
-      (** mark-budget multiplier; >1 while the pacer is degraded *)
-  mutable force_black : bool;
-      (** degraded mode: allocate black with a birth-dirtied card instead
-          of the usual allocate-white *)
-  mutable cycles : int;
-  mutable reports : cycle_report list;
-  mutable sweep_enabled : bool;
-}
-
-val create :
-  ?steps_per_increment:int ->
-  ?sweep:bool ->
-  Heap.t ->
-  roots:(unit -> int list) ->
-  t
-
-val is_marking : t -> bool
-val start_cycle : t -> unit
-val log_ref_store : t -> obj:int -> pre:Value.t -> unit
-val on_alloc : t -> Heap.obj -> unit
-val step : t -> unit
-val quiescent : t -> bool
-val finish_cycle : t -> cycle_report
-val hooks : t -> Gc_hooks.t
+val policy : Marker.policy

@@ -145,10 +145,11 @@ type config = {
           (--no-revoke) runs open-loop so the oracle can demonstrate the
           failure the guards would have caught *)
   satb_mode : Barrier_cost.satb_mode;
-  barrier_flavor : [ `Satb | `Card | `Hybrid ];
-      (** which barrier body executes at non-elided sites: SATB pre-value
-          logging, incremental-update card marking, or the fused
-          deletion+insertion hybrid pair *)
+  barrier_flavor : [ `Satb | `Hybrid ];
+      (** which barrier body executes at non-elided sites: the one-call
+          barrier (SATB pre-value logging; incremental update dirties a
+          card behind the same call) or the fused deletion+insertion
+          hybrid pair *)
   halves : half_policy;
       (** split verdicts for the hybrid flavor; [no_halves] keeps both
           halves everywhere *)
@@ -327,7 +328,7 @@ let site_id (site : site) : string =
 (* Verdict classes of an elided-write-log entry: which (half of the)
    barrier the store skipped.  Plain ints so the fused fast paths cons a
    two-int tuple and nothing else. *)
-let ew_full = 0 (* whole barrier elided ([`Satb]/[`Card] flavors) *)
+let ew_full = 0 (* whole barrier elided ([`Satb] flavor) *)
 let ew_del = 1 (* hybrid: deletion half elided, insertion ran *)
 let ew_ins = 2 (* hybrid: insertion half elided, deletion ran *)
 let ew_both = 3 (* hybrid: both halves elided *)
@@ -455,7 +456,7 @@ let apply_revocations (m : t) : unit =
                    else 2);
               emit_revoked_site m site st ~materialized:false
             end
-        | `Satb | `Card ->
+        | `Satb ->
             if st.st_elided && hit st.st_guards then begin
               st.st_elided <- false;
               st.st_del_elided <- false;
@@ -640,7 +641,7 @@ let site_stats (m : t) (site : site) (kind : store_kind) : site_stats =
               barrier_units = 0;
               revocations = (if born_revoked then 1 else 0);
             }
-        | `Satb | `Card ->
+        | `Satb ->
             let guards = m.cfg.guards site.s_class site.s_method site.s_pc in
             (* a site first reached after one of its assumptions was
                revoked materializes already patched *)
@@ -795,19 +796,15 @@ let ref_store_barrier_st (m : t) (st : site_stats) ~(tid : int) ~(obj : int)
       | `Satb ->
           Barrier_cost.satb_cost ~mode:m.cfg.satb_mode
             ~marking:(m.gc.is_marking ()) ~pre_null
-      | `Card -> Barrier_cost.card_mark_cost
       | `Hybrid -> assert false (* handled by [hybrid_store_barrier] *)
     in
     m.barrier_units <- m.barrier_units + cost;
     m.cost_units <- m.cost_units + cost;
     st.barrier_units <- st.barrier_units + cost;
-    let active =
-      match m.cfg.satb_mode, m.cfg.barrier_flavor with
-      | Barrier_cost.No_barrier, _ -> false
-      | _, (`Card | `Hybrid) -> true
-      | (Barrier_cost.Conditional | Barrier_cost.Always_log), `Satb -> true
-    in
-    if active then m.gc.log_ref_store ~obj ~pre
+    match m.cfg.satb_mode with
+    | Barrier_cost.No_barrier -> ()
+    | Barrier_cost.Conditional | Barrier_cost.Always_log ->
+        m.gc.log_ref_store ~obj ~pre
   end
 
 (** Site-lookup wrapper used by the tree-walking interpreter: build the
@@ -829,7 +826,7 @@ let ref_store_barrier (m : t) (fr : frame) ~(kind : store_kind) ~(tid : int)
    [ref_store_barrier_st] under its precondition, so both engines bump
    exactly the same counters. *)
 
-(** Precondition: [`Satb]/[`Card] flavor, [st_elided], [No_check],
+(** Precondition: [`Satb] flavor, [st_elided], [No_check],
     [st_guards = []]. *)
 let barrier_elided_plain (m : t) (st : site_stats) ~(obj : int)
     ~(pre : Value.t) : unit =

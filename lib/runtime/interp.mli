@@ -122,7 +122,7 @@ type config = {
       (** honour guard failures by revoking dependent elisions; [false]
           runs open-loop so the oracle can catch what guards would have *)
   satb_mode : Barrier_cost.satb_mode;
-  barrier_flavor : [ `Satb | `Card | `Hybrid ];
+  barrier_flavor : [ `Satb | `Hybrid ];
   halves : half_policy;
       (** split verdicts for the hybrid flavor; {!no_halves} keeps both
           halves everywhere *)
@@ -310,8 +310,7 @@ val ref_store_barrier_st :
     degraded fallbacks and guarded elisions.  [obj = -1] for statics. *)
 
 val barrier_elided_plain : t -> site_stats -> obj:int -> pre:Value.t -> unit
-(** Fused fast path; precondition: [`Satb]/[`Card], elided, no check, no
-    guards. *)
+(** Fused fast path; precondition: [`Satb], elided, no check, no guards. *)
 
 val barrier_elided_guarded : t -> site_stats -> obj:int -> pre:Value.t -> unit
 (** Fused fast path; precondition: as {!barrier_elided_plain} but
@@ -344,7 +343,7 @@ val allocate : t -> units:int -> (unit -> Heap.obj) -> Heap.obj
     ({!Heapscope}) can attribute floating garbage per elision verdict. *)
 
 val ew_full : int
-(** Whole barrier elided ([`Satb]/[`Card] flavors). *)
+(** Whole barrier elided ([`Satb] flavor). *)
 
 val ew_del : int
 (** Hybrid: deletion half elided, insertion half ran. *)

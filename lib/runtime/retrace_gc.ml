@@ -36,424 +36,13 @@
     {!Satb_gc}.  Every cycle is verified against the {!Oracle} exactly
     like plain SATB. *)
 
-module Iset = Oracle.Iset
-
-type phase = Idle | Marking
-
-(** Gray-set entries: a whole object, or the remainder of a partially
-    scanned object array (slots [0..upto] still to visit, descending). *)
-type gray = Whole of int | Array_tail of { id : int; upto : int }
-
-type cycle_report = {
-  cycle : int;
-  snapshot_size : int;
-  marked : int;
-  logged : int;  (** SATB buffer entries processed *)
-  allocated_during : int;
-  increments : int;
-  retraces : int;  (** whole-object re-scans forced by unlogged stores *)
-  final_pause_work : int;
-  swept : int;
-  budget_overflows : int;
-      (** tracing-state checks that found the retrace budget exhausted *)
-  degraded : bool;
-      (** the budget overflowed this cycle, so swap elision was disabled
-          for its remainder (graceful degradation, not an abort) *)
-  repair_enqueues : int;  (** retrace entries forced by revocation repair *)
-  violations : int;  (** snapshot-reachable objects left unmarked *)
-}
-
-type t = {
-  heap : Heap.t;
-  roots : unit -> int list;
-  steps_per_increment : int;
-  buffer_capacity : int;
-  array_chunk : int;  (** array slots visited per gray-entry processing *)
-  retrace_budget : int;
-      (** max retrace-list enqueues per cycle before the termination
-          watchdog degrades the cycle (swap elision falls back to
-          logging); [max_int] = unbounded *)
-  mutable phase : phase;
-  mutable gray : gray list;
-  mutable satb_buffer : int list;  (** completed buffers (object ids) *)
-  mutable local_buffer : int list;  (** mutator-local, not yet handed over *)
-  mutable local_count : int;
-  mutable retrace : int list;  (** objects awaiting a re-scan *)
-  mutable in_retrace : Iset.t;  (** dedup for the retrace list *)
-  mutable snapshot : Iset.t;
-  mutable logged : int;
-  mutable allocated_during : int;
-  mutable increments : int;
-  mutable boost : int;
-      (** mark-budget multiplier; >1 while the pacer is degraded *)
-  mutable retraces : int;
-  mutable enqueued : int;  (** retrace enqueues this cycle (budget basis) *)
-  mutable degraded : bool;
-  mutable budget_overflows : int;
-  mutable repair_enqueues : int;
-  mutable cycles : int;
-  mutable reports : cycle_report list;  (** most recent first *)
-  mutable sweep_enabled : bool;
-}
-
-let create ?(steps_per_increment = 64) ?(buffer_capacity = 32)
-    ?(array_chunk = 8) ?(retrace_budget = max_int) ?(sweep = true)
-    (heap : Heap.t) ~(roots : unit -> int list) : t =
+let policy ?(buffer_capacity = 32) ?(array_chunk = 8)
+    ?(retrace_budget = max_int) () : Marker.policy =
   {
-    heap;
-    roots;
-    steps_per_increment;
-    buffer_capacity;
-    array_chunk;
-    retrace_budget;
-    phase = Idle;
-    gray = [];
-    satb_buffer = [];
-    local_buffer = [];
-    local_count = 0;
-    retrace = [];
-    in_retrace = Iset.empty;
-    snapshot = Iset.empty;
-    logged = 0;
-    allocated_during = 0;
-    increments = 0;
-    boost = 1;
-    retraces = 0;
-    enqueued = 0;
-    degraded = false;
-    budget_overflows = 0;
-    repair_enqueues = 0;
-    cycles = 0;
-    reports = [];
-    sweep_enabled = sweep;
-  }
-
-let is_marking t = t.phase = Marking
-let is_degraded t = t.degraded
-
-(* telemetry: the gc.* counters are shared with [Satb_gc]/[Incr_gc];
-   retrace.* are this collector's own *)
-let c_cycles = Telemetry.counter "gc.cycles"
-let fk_retrace = Flight.intern "retrace"
-let c_violations = Telemetry.counter "gc.violations"
-let c_retraces = Telemetry.counter "retrace.rescans"
-let c_enqueues = Telemetry.counter "retrace.enqueues"
-let c_repair_enqueues = Telemetry.counter "retrace.repair_enqueues"
-let c_budget_overflows = Telemetry.counter "retrace.budget_overflows"
-
-(* [origin] is the float-accounting cause stamp ({!Heap.origin_trace}
-   etc.); first marker wins, drained children inherit their parent's *)
-let mark_and_gray t ~origin id =
-  let o = Heap.get t.heap id in
-  if (not o.marked) && not o.dead then begin
-    o.marked <- true;
-    o.origin <- origin;
-    t.gray <- Whole id :: t.gray
-  end
-
-(** Begin a cycle: capture the root set (initial-mark pause) and the
-    oracle snapshot used for verification.  All tracing states are
-    [Untraced] here — {!Heap.clear_marks} reset them at the previous
-    cycle's end, and allocation starts objects untraced. *)
-let start_cycle (t : t) : unit =
-  assert (t.phase = Idle);
-  t.phase <- Marking;
-  t.gray <- [];
-  t.satb_buffer <- [];
-  t.local_buffer <- [];
-  t.local_count <- 0;
-  t.retrace <- [];
-  t.in_retrace <- Iset.empty;
-  t.logged <- 0;
-  t.allocated_during <- 0;
-  t.increments <- 0;
-  t.retraces <- 0;
-  t.enqueued <- 0;
-  t.degraded <- false;
-  t.budget_overflows <- 0;
-  t.repair_enqueues <- 0;
-  let roots = t.roots () in
-  t.snapshot <- Oracle.reachable t.heap roots;
-  List.iter (mark_and_gray t ~origin:Heap.origin_trace) roots;
-  Flight.record Flight.Mark_start ~a:fk_retrace ~b:t.cycles
-    ~c:(Iset.cardinal t.snapshot);
-  Telemetry.emit "gc.cycle.start"
-    [
-      ("collector", Telemetry.Str "retrace");
-      ("cycle", Telemetry.Int t.cycles);
-      ("phase", Telemetry.Str "marking");
-      ("snapshot_size", Telemetry.Int (Iset.cardinal t.snapshot));
-    ]
-
-(** Mutator hooks. *)
-
-(** Identical to {!Satb_gc.log_ref_store}: mutator-local buffers, handed
-    over when full. *)
-let log_ref_store t ~obj:_ ~pre =
-  if t.phase = Marking then
-    match pre with
-    | Value.Ref id ->
-        t.local_buffer <- id :: t.local_buffer;
-        t.local_count <- t.local_count + 1;
-        t.logged <- t.logged + 1;
-        if t.local_count >= t.buffer_capacity then begin
-          t.satb_buffer <- List.rev_append t.local_buffer t.satb_buffer;
-          t.local_buffer <- [];
-          t.local_count <- 0
-        end
-    | Value.Null | Value.Int _ -> ()
-
-(** The tracing-state check compiled at a swap-elided store: nothing was
-    logged, so if the object's scan has not provably completed, schedule a
-    whole-object re-scan.  Objects allocated during marking are black and
-    never scanned, so rearrangements inside them need no retrace. *)
-let on_unlogged_store t ~obj =
-  if t.phase = Marking && obj >= 0 then begin
-    let o = Heap.get t.heap obj in
-    if (not o.dead) && not o.born_during_mark then
-      match o.trace with
-      | Heap.Traced -> ()
-      | Heap.Untraced | Heap.Being_traced ->
-          if not (Iset.mem obj t.in_retrace) then begin
-            (* Termination watchdog: past the budget the cycle is marked
-               degraded — the runner will disable swap elision for its
-               remainder, so no further checks arrive.  The entry itself
-               is still enqueued: its store already happened unlogged, and
-               dropping it would be unsound. *)
-            if t.enqueued >= t.retrace_budget then begin
-              t.degraded <- true;
-              t.budget_overflows <- t.budget_overflows + 1;
-              Telemetry.incr c_budget_overflows;
-              Telemetry.emit "gc.degraded"
-                [
-                  ("collector", Telemetry.Str "retrace");
-                  ("cycle", Telemetry.Int t.cycles);
-                  ("enqueued", Telemetry.Int t.enqueued);
-                  ("budget", Telemetry.Int t.retrace_budget);
-                ]
-            end;
-            t.enqueued <- t.enqueued + 1;
-            Telemetry.incr c_enqueues;
-            t.in_retrace <- Iset.add obj t.in_retrace;
-            t.retrace <- obj :: t.retrace
-          end
-  end
-
-(** Snapshot repair after elision revocation: every object written
-    through a now-revoked site this cycle gets a whole-object re-scan,
-    regardless of tracing state — the revoked sites logged nothing, so a
-    completed scan proves nothing about what they overwrote.  Bypasses
-    the retrace budget: repair is mandatory. *)
-let on_revoke t ~objs =
-  if t.phase = Marking then
-    List.iter
-      (fun obj ->
-        if obj >= 0 then
-          let o = Heap.get t.heap obj in
-          if
-            (not o.dead)
-            && (not o.born_during_mark)
-            && not (Iset.mem obj t.in_retrace)
-          then begin
-            o.trace <- Heap.Untraced;
-            t.repair_enqueues <- t.repair_enqueues + 1;
-            Telemetry.incr c_repair_enqueues;
-            t.in_retrace <- Iset.add obj t.in_retrace;
-            t.retrace <- obj :: t.retrace
-          end)
-      objs
-
-let on_alloc t (o : Heap.obj) =
-  if t.phase = Marking then begin
-    (* allocate black: implicitly marked, never examined *)
-    o.marked <- true;
-    o.origin <- Heap.origin_alloc;
-    o.born_during_mark <- true;
-    t.allocated_during <- t.allocated_during + 1
-  end
-
-(** Scan one chunk of an object array's slots, descending; the object is
-    [Being_traced] until the chunk reaching slot 0 promotes it. *)
-let scan_array_chunk (t : t) (id : int) ~(upto : int) : unit =
-  let o = Heap.get t.heap id in
-  if not o.dead then
-    match o.payload with
-    | Heap.Ref_array es ->
-        let upto = min upto (Array.length es - 1) in
-        let last = max 0 (upto - t.array_chunk + 1) in
-        for i = upto downto last do
-          match es.(i) with
-          | Value.Ref tgt -> mark_and_gray t ~origin:o.origin tgt
-          | Value.Null | Value.Int _ -> ()
-        done;
-        if last > 0 then t.gray <- Array_tail { id; upto = last - 1 } :: t.gray
-        else o.trace <- Heap.Traced
-    | Heap.Fields _ | Heap.Int_array _ -> ()
-
-(** Re-scan a retraced object in one step.  Runs only at safepoints, so
-    the contents are rearrangement-consistent; the whole object is
-    visited, making it [Traced] again no matter how far the original scan
-    had progressed when the unlogged store hit. *)
-let rescan (t : t) (id : int) : unit =
-  let o = Heap.get t.heap id in
-  if not o.dead then begin
-    (* anything first kept by a re-scan owes its survival to the retrace
-       window (or a revocation repair), not the snapshot *)
-    (match o.payload with
-    | Heap.Ref_array es ->
-        Array.iter
-          (function
-            | Value.Ref tgt -> mark_and_gray t ~origin:Heap.origin_repair tgt
-            | Value.Null | Value.Int _ -> ())
-          es
-    | Heap.Fields _ | Heap.Int_array _ ->
-        List.iter (mark_and_gray t ~origin:Heap.origin_repair)
-          (Heap.out_edges o));
-    o.trace <- Heap.Traced
-  end
-
-(** Process up to [budget] work units: logged pre-values, then gray
-    entries; once the gray set is empty, retrace-list entries.  (Retrace
-    entries wait for an empty gray set so that at most one scan of an
-    object array is in flight at a time.) *)
-let drain (t : t) (budget : int) : int =
-  let processed = ref 0 in
-  while
-    !processed < budget
-    && (t.gray <> [] || t.satb_buffer <> [] || t.retrace <> [])
-  do
-    (match t.satb_buffer with
-    | id :: rest ->
-        t.satb_buffer <- rest;
-        mark_and_gray t ~origin:Heap.origin_log id
-    | [] -> ());
-    match t.gray with
-    | Whole id :: rest ->
-        t.gray <- rest;
-        incr processed;
-        let o = Heap.get t.heap id in
-        if not o.dead then begin
-          match o.payload with
-          | Heap.Ref_array es ->
-              o.trace <- Heap.Being_traced;
-              scan_array_chunk t id ~upto:(Array.length es - 1)
-          | Heap.Fields _ | Heap.Int_array _ ->
-              List.iter (mark_and_gray t ~origin:o.origin) (Heap.out_edges o);
-              o.trace <- Heap.Traced
-        end
-    | Array_tail { id; upto } :: rest ->
-        t.gray <- rest;
-        incr processed;
-        scan_array_chunk t id ~upto
-    | [] -> (
-        match t.retrace with
-        | id :: rest ->
-            t.retrace <- rest;
-            t.in_retrace <- Iset.remove id t.in_retrace;
-            t.retraces <- t.retraces + 1;
-            Telemetry.incr c_retraces;
-            incr processed;
-            rescan t id
-        | [] -> ())
-  done;
-  !processed
-
-let step (t : t) : unit =
-  if t.phase = Marking then begin
-    t.increments <- t.increments + 1;
-    ignore (drain t (t.steps_per_increment * t.boost))
-  end
-
-(** Has the concurrent phase exhausted its known work?  The retrace list
-    counts: remark may not begin while a forced re-scan is pending — the
-    retrace fixed point is part of cycle termination. *)
-let quiescent (t : t) : bool =
-  t.phase = Marking && t.gray = [] && t.satb_buffer = [] && t.retrace = []
-
-(** The remark pause: flush the mutator-local buffer remnants, drain
-    everything — including late retrace entries — to the retrace fixed
-    point, verify the snapshot invariant, sweep. *)
-let finish_cycle (t : t) : cycle_report =
-  assert (t.phase = Marking);
-  t.satb_buffer <- List.rev_append t.local_buffer t.satb_buffer;
-  t.local_buffer <- [];
-  t.local_count <- 0;
-  let pause_work = ref 0 in
-  while t.gray <> [] || t.satb_buffer <> [] || t.retrace <> [] do
-    pause_work := !pause_work + drain t max_int
-  done;
-  assert (t.retrace = [] && Iset.is_empty t.in_retrace);
-  let violations = Oracle.snapshot_violations t.heap t.snapshot in
-  let marked = ref 0 in
-  Heap.iter_live t.heap (fun o -> if o.marked then incr marked);
-  let swept = ref 0 in
-  if t.sweep_enabled && violations = 0 then
-    Heap.iter_live t.heap (fun o ->
-        if not o.marked then begin
-          Heap.free t.heap o;
-          incr swept
-        end);
-  let report =
-    {
-      cycle = t.cycles;
-      snapshot_size = Iset.cardinal t.snapshot;
-      marked = !marked;
-      logged = t.logged;
-      allocated_during = t.allocated_during;
-      increments = t.increments;
-      retraces = t.retraces;
-      final_pause_work = !pause_work;
-      swept = !swept;
-      budget_overflows = t.budget_overflows;
-      degraded = t.degraded;
-      repair_enqueues = t.repair_enqueues;
-      violations;
-    }
-  in
-  t.cycles <- t.cycles + 1;
-  t.heap.Heap.gc_cycle <- t.heap.Heap.gc_cycle + 1;
-  t.reports <- report :: t.reports;
-  t.phase <- Idle;
-  t.degraded <- false;
-  Heap.clear_marks t.heap;
-  Telemetry.incr c_cycles;
-  Telemetry.incr c_violations ~by:violations;
-  Flight.record Flight.Mark_end ~a:fk_retrace ~b:report.cycle ~c:violations;
-  Telemetry.emit "gc.cycle.finish"
-    [
-      ("collector", Telemetry.Str "retrace");
-      ("cycle", Telemetry.Int report.cycle);
-      ("phase", Telemetry.Str "idle");
-      ("marked", Telemetry.Int report.marked);
-      ("logged", Telemetry.Int report.logged);
-      ("retraces", Telemetry.Int report.retraces);
-      ("final_pause_work", Telemetry.Int report.final_pause_work);
-      ("swept", Telemetry.Int report.swept);
-      ("budget_overflows", Telemetry.Int report.budget_overflows);
-      ("degraded", Telemetry.Bool report.degraded);
-      ("repair_enqueues", Telemetry.Int report.repair_enqueues);
-      ("violations", Telemetry.Int report.violations);
-    ];
-  report
-
-(** Package as mutator-facing hooks. *)
-let hooks (t : t) : Gc_hooks.t =
-  {
-    Gc_hooks.name = "retrace";
-    caps =
-      {
-        Gc_hooks.retrace_protocol = true;
-        descending_scan = true;
-        insertion_half = false;
-      };
-    is_marking = (fun () -> is_marking t);
-    log_ref_store = (fun ~obj ~pre -> log_ref_store t ~obj ~pre);
-    log_ins_store = (fun ~tid:_ ~nv:_ -> ());
-    on_unlogged_store = (fun ~obj -> on_unlogged_store t ~obj);
-    on_revoke = (fun ~objs -> on_revoke t ~objs);
-    on_alloc = (fun o -> on_alloc t o);
-    on_pressure =
-      (fun ~degraded ->
-        t.boost <- (if degraded then Gc_hooks.pressure_boost else 1));
-    step = (fun () -> step t);
+    Marker.name = "retrace";
+    roots = All_roots;
+    oracle = Start_snapshot;
+    alloc = Black;
+    scan = Chunked { chunk = array_chunk; direction = Descending };
+    log = Retrace_list { capacity = buffer_capacity; budget = retrace_budget };
   }

@@ -15,96 +15,13 @@
     move-down elision relies on.  Every cycle is verified against the
     {!Oracle}. *)
 
-type phase = Idle | Marking
-type gray = Whole of int | Array_tail of { id : int; upto : int }
-
-type cycle_report = {
-  cycle : int;
-  snapshot_size : int;
-  marked : int;
-  logged : int;
-  allocated_during : int;
-  increments : int;
-  retraces : int;  (** whole-object re-scans forced by unlogged stores *)
-  final_pause_work : int;  (** objects processed inside the remark pause *)
-  swept : int;
-  budget_overflows : int;  (** checks that found the budget exhausted *)
-  degraded : bool;  (** budget overflowed; swap elision disabled mid-cycle *)
-  repair_enqueues : int;  (** retrace entries forced by revocation repair *)
-  violations : int;  (** snapshot-reachable objects left unmarked *)
-}
-
-type t = {
-  heap : Heap.t;
-  roots : unit -> int list;
-  steps_per_increment : int;
-  buffer_capacity : int;
-  array_chunk : int;
-  retrace_budget : int;
-  mutable phase : phase;
-  mutable gray : gray list;
-  mutable satb_buffer : int list;
-  mutable local_buffer : int list;
-  mutable local_count : int;
-  mutable retrace : int list;
-  mutable in_retrace : Oracle.Iset.t;
-  mutable snapshot : Oracle.Iset.t;
-  mutable logged : int;
-  mutable allocated_during : int;
-  mutable increments : int;
-  mutable boost : int;
-      (** mark-budget multiplier; >1 while the pacer is degraded *)
-  mutable retraces : int;
-  mutable enqueued : int;
-  mutable degraded : bool;
-  mutable budget_overflows : int;
-  mutable repair_enqueues : int;
-  mutable cycles : int;
-  mutable reports : cycle_report list;
-  mutable sweep_enabled : bool;
-}
-
-val create :
-  ?steps_per_increment:int ->
+val policy :
   ?buffer_capacity:int ->
   ?array_chunk:int ->
   ?retrace_budget:int ->
-  ?sweep:bool ->
-  Heap.t ->
-  roots:(unit -> int list) ->
-  t
+  unit ->
+  Marker.policy
 (** [retrace_budget] bounds retrace-list enqueues per cycle (termination
     watchdog); past it the cycle degrades — swap elision is disabled for
-    the remainder and stores fall back to logging.  Default unbounded. *)
-
-val is_marking : t -> bool
-
-val is_degraded : t -> bool
-(** The current cycle overflowed its retrace budget; the runner should
-    disable swap elision until the cycle ends. *)
-
-val start_cycle : t -> unit
-val log_ref_store : t -> obj:int -> pre:Value.t -> unit
-
-val on_unlogged_store : t -> obj:int -> unit
-(** The tracing-state check at a swap-elided store: enqueue the object for
-    a re-scan unless it is already [Traced] (or was allocated black). *)
-
-val on_revoke : t -> objs:int list -> unit
-(** Revocation repair: force a whole-object re-scan of every object
-    written through a now-revoked site this cycle, regardless of tracing
-    state, bypassing the budget. *)
-
-val on_alloc : t -> Heap.obj -> unit
-val step : t -> unit
-
-val quiescent : t -> bool
-(** Has the concurrent phase exhausted its visible work?  Pending retrace
-    entries count as work: remark may not begin before the retrace fixed
-    point. *)
-
-val finish_cycle : t -> cycle_report
-(** The remark pause: flush buffer remnants, drain everything to the
-    retrace fixed point, verify the snapshot invariant, sweep. *)
-
-val hooks : t -> Gc_hooks.t
+    the remainder and stores fall back to logging.  Default unbounded.
+    The other parameters are {!Satb_gc.policy}'s. *)

@@ -47,20 +47,25 @@ let make_retrace ?(steps_per_increment = 64) ?trigger_allocs ?pacing () =
 let make_hybrid ?(steps_per_increment = 64) ?trigger_allocs ?pacing () =
   Hybrid { steps_per_increment; pacing = resolve_pacing ?trigger_allocs ?pacing () }
 
-(** The capability record each choice's collector is expected to expose.
-    Declared once here so flag-level compatibility checks (the CLI's
-    static refusals) and the run-start assertion consult the same truth
-    rather than each growing its own copy. *)
-let caps_of_choice : gc_choice -> Gc_hooks.caps = function
-  | No_gc -> Gc_hooks.none.Gc_hooks.caps
-  | Satb _ ->
-      { Gc_hooks.retrace_protocol = false; descending_scan = true; insertion_half = false }
-  | Incr _ ->
-      { Gc_hooks.retrace_protocol = false; descending_scan = false; insertion_half = false }
-  | Retrace _ ->
-      { Gc_hooks.retrace_protocol = true; descending_scan = true; insertion_half = false }
-  | Hybrid _ ->
-      { Gc_hooks.retrace_protocol = false; descending_scan = false; insertion_half = true }
+(** The policy each choice's collector runs: the single place a
+    collector's name and capabilities are declared. *)
+let policy_of_choice ?retrace_budget : gc_choice -> Marker.policy option =
+  function
+  | No_gc -> None
+  | Satb _ -> Some (Satb_gc.policy ())
+  | Incr _ -> Some Incr_gc.policy
+  | Retrace _ -> Some (Retrace_gc.policy ?retrace_budget ())
+  | Hybrid _ -> Some Hybrid_gc.policy
+
+let gc_name gc =
+  match policy_of_choice gc with
+  | Some p -> p.Marker.name
+  | None -> Gc_hooks.none.Gc_hooks.name
+
+let caps_of_choice gc =
+  match policy_of_choice gc with
+  | Some p -> Marker.caps p
+  | None -> Gc_hooks.none.Gc_hooks.caps
 
 type gc_summary = {
   cycles : int;
@@ -71,9 +76,11 @@ type gc_summary = {
           parallel to [final_pause_works] — the profiler's MMU timeline *)
   mark_increments : int list;
   logged_or_dirtied : int list;
-      (** SATB buffer entries / dirty cards, per cycle *)
+      (** barrier log entries per cycle: SATB pre-values, dirty cards, or
+          hybrid shades *)
   retraced : int list;
-      (** forced re-scans, per cycle; all zero except under [Retrace] *)
+      (** forced whole-object re-scans per cycle: retrace-list entries
+          under [Retrace], repair-set objects under [Hybrid], else 0 *)
 }
 
 type report = {
@@ -102,30 +109,18 @@ type report = {
           hook).  [loop_s -. gc_s] is mutator time. *)
 }
 
-(** A live collector behind a uniform closure interface, so the scheduling
-    loop is collector-agnostic. *)
-type live = {
-  l_marking : unit -> bool;
-  l_start : unit -> unit;
-  l_quiescent : unit -> bool;
-  l_finish : unit -> int;
-      (** run the final pause, keep the report, return the pause's work *)
-  l_degraded : unit -> bool;
-      (** the cycle overflowed its retrace budget; swap elision must be
-          disabled for its remainder *)
-  l_summary : unit -> gc_summary;
-}
-
-let summary_of_cycles ~violations ~pause ~increments ~logged ~retraced
-    ~pause_steps rs =
+let summary_of (t : Marker.t) ~pause_steps =
+  let rs = List.rev t.reports in
+  let per f = List.map f rs in
   {
     cycles = List.length rs;
-    total_violations = List.fold_left (fun a r -> a + violations r) 0 rs;
-    final_pause_works = List.map pause rs;
+    total_violations =
+      List.fold_left (fun a (r : Marker.cycle_report) -> a + r.violations) 0 rs;
+    final_pause_works = per (fun r -> r.final_pause_work);
     pause_steps;
-    mark_increments = List.map increments rs;
-    logged_or_dirtied = List.map logged rs;
-    retraced = List.map retraced rs;
+    mark_increments = per (fun r -> r.counts.increments);
+    logged_or_dirtied = per (fun r -> r.counts.logged);
+    retraced = per (fun r -> r.counts.rescans);
   }
 
 (** Simple deterministic PRNG for quantum jitter. *)
@@ -151,14 +146,7 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
   let exec =
     match engine with `Interp -> None | `Threaded -> Some (Exec.create m)
   in
-  let gc_name =
-    match gc with
-    | No_gc -> "none"
-    | Satb _ -> "satb"
-    | Incr _ -> "incremental-update"
-    | Retrace _ -> "retrace"
-    | Hybrid _ -> "hybrid"
-  in
+  let gc_name = gc_name gc in
   Telemetry.emit "run.start"
     ([
        ("entry", Telemetry.Str (entry.Jir.Types.mclass ^ "." ^ entry.Jir.Types.mname));
@@ -199,7 +187,7 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
                 else if st.Interp.st_ins_elided then "ins-elided"
                 else if st.Interp.revocations > 0 then "revoked"
                 else "kept"
-            | `Satb | `Card ->
+            | `Satb ->
                 if st.Interp.st_elided then "elided"
                 else if st.Interp.revocations > 0 then "revoked"
                 else "kept"
@@ -244,133 +232,33 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
           Option.value p.Chaos.gc_period ~default:gc_period )
   in
   let rand = lcg seed in
-  (* collector wiring *)
-  let roots () = Interp.roots m in
-  let live =
-    match gc with
-    | No_gc -> None
-    | Satb { steps_per_increment; _ } ->
-        let t = Satb_gc.create ~steps_per_increment m.Interp.heap ~roots in
-        Interp.set_collector m (Satb_gc.hooks t);
-        let reports = ref [] in
-        Some
+  (* collector wiring: the marker runs the choice's policy; the pacer
+     shares its increment budget *)
+  let live, pacer =
+    match gc, policy_of_choice ?retrace_budget gc with
+    | ( ( Satb { steps_per_increment; pacing }
+        | Incr { steps_per_increment; pacing }
+        | Retrace { steps_per_increment; pacing }
+        | Hybrid { steps_per_increment; pacing } ),
+        Some policy ) ->
+        let roots =
           {
-            l_marking = (fun () -> Satb_gc.is_marking t);
-            l_start = (fun () -> Satb_gc.start_cycle t);
-            l_quiescent = (fun () -> Satb_gc.quiescent t);
-            l_finish =
-              (fun () ->
-                let r = Satb_gc.finish_cycle t in
-                reports := r :: !reports;
-                r.Satb_gc.final_pause_work);
-            l_degraded = (fun () -> false);
-            l_summary =
-              (fun () ->
-                summary_of_cycles (List.rev !reports)
-                  ~violations:(fun (r : Satb_gc.cycle_report) -> r.violations)
-                  ~pause:(fun r -> r.Satb_gc.final_pause_work)
-                  ~increments:(fun r -> r.Satb_gc.increments)
-                  ~logged:(fun r -> r.Satb_gc.logged)
-                  ~retraced:(fun _ -> 0)
-                  ~pause_steps:(List.rev !pause_steps));
+            Marker.all = (fun () -> Interp.roots m);
+            statics = (fun () -> Interp.static_roots m);
+            stacks = (fun () -> Interp.thread_roots m);
           }
-    | Incr { steps_per_increment; _ } ->
-        let t = Incr_gc.create ~steps_per_increment m.Interp.heap ~roots in
-        Interp.set_collector m (Incr_gc.hooks t);
-        let reports = ref [] in
-        Some
-          {
-            l_marking = (fun () -> Incr_gc.is_marking t);
-            l_start = (fun () -> Incr_gc.start_cycle t);
-            l_quiescent = (fun () -> Incr_gc.quiescent t);
-            l_finish =
-              (fun () ->
-                let r = Incr_gc.finish_cycle t in
-                reports := r :: !reports;
-                r.Incr_gc.final_pause_work);
-            l_degraded = (fun () -> false);
-            l_summary =
-              (fun () ->
-                summary_of_cycles (List.rev !reports)
-                  ~violations:(fun (r : Incr_gc.cycle_report) -> r.violations)
-                  ~pause:(fun r -> r.Incr_gc.final_pause_work)
-                  ~increments:(fun r -> r.Incr_gc.increments)
-                  ~logged:(fun r -> r.Incr_gc.dirty_cards)
-                  ~retraced:(fun _ -> 0)
-                  ~pause_steps:(List.rev !pause_steps));
-          }
-    | Retrace { steps_per_increment; _ } ->
-        let t =
-          Retrace_gc.create ~steps_per_increment ?retrace_budget
-            m.Interp.heap ~roots
         in
-        Interp.set_collector m (Retrace_gc.hooks t);
-        let reports = ref [] in
-        Some
-          {
-            l_marking = (fun () -> Retrace_gc.is_marking t);
-            l_start = (fun () -> Retrace_gc.start_cycle t);
-            l_quiescent = (fun () -> Retrace_gc.quiescent t);
-            l_finish =
-              (fun () ->
-                let r = Retrace_gc.finish_cycle t in
-                reports := r :: !reports;
-                r.Retrace_gc.final_pause_work);
-            l_degraded = (fun () -> Retrace_gc.is_degraded t);
-            l_summary =
-              (fun () ->
-                summary_of_cycles (List.rev !reports)
-                  ~violations:(fun (r : Retrace_gc.cycle_report) ->
-                    r.violations)
-                  ~pause:(fun r -> r.Retrace_gc.final_pause_work)
-                  ~increments:(fun r -> r.Retrace_gc.increments)
-                  ~logged:(fun r -> r.Retrace_gc.logged)
-                  ~retraced:(fun r -> r.Retrace_gc.retraces)
-                  ~pause_steps:(List.rev !pause_steps));
-          }
-    | Hybrid { steps_per_increment; _ } ->
         let t =
-          Hybrid_gc.create ~steps_per_increment m.Interp.heap
-            ~static_roots:(fun () -> Interp.static_roots m)
-            ~thread_roots:(fun () -> Interp.thread_roots m)
+          Marker.create ~steps_per_increment policy m.Interp.heap ~roots
         in
-        Interp.set_collector m (Hybrid_gc.hooks t);
-        let reports = ref [] in
-        Some
-          {
-            l_marking = (fun () -> Hybrid_gc.is_marking t);
-            l_start = (fun () -> Hybrid_gc.start_cycle t);
-            l_quiescent = (fun () -> Hybrid_gc.quiescent t);
-            l_finish =
-              (fun () ->
-                let r = Hybrid_gc.finish_cycle t in
-                reports := r :: !reports;
-                r.Hybrid_gc.final_pause_work);
-            l_degraded = (fun () -> false);
-            l_summary =
-              (fun () ->
-                summary_of_cycles (List.rev !reports)
-                  ~violations:(fun (r : Hybrid_gc.cycle_report) -> r.violations)
-                  ~pause:(fun r -> r.Hybrid_gc.final_pause_work)
-                  ~increments:(fun r -> r.Hybrid_gc.increments)
-                  ~logged:(fun r -> r.Hybrid_gc.del_shades + r.Hybrid_gc.ins_shades)
-                  ~retraced:(fun r -> r.Hybrid_gc.rescans)
-                  ~pause_steps:(List.rev !pause_steps));
-          }
-  in
-  let pacer =
-    match gc with
-    | No_gc -> None
-    | Satb { steps_per_increment; pacing }
-    | Incr { steps_per_increment; pacing }
-    | Retrace { steps_per_increment; pacing }
-    | Hybrid { steps_per_increment; pacing } ->
+        Interp.set_collector m (Marker.hooks t);
         let p =
           Pacer.create ~collector:gc_name
             ~increment_budget:steps_per_increment pacing
         in
         Interp.set_pacer m p;
-        Some p
+        (Some t, Some p)
+    | _ -> (None, None)
   in
   (* Capabilities are queried exactly once, here at run start, and
      asserted against the declared capability record for the chosen
@@ -399,9 +287,10 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
   if not caps.Gc_hooks.descending_scan then
     Interp.request_revoke m Interp.Descending_scan;
   Interp.apply_revocations m;
-  let maybe_start_cycle l =
+  let maybe_start_cycle t =
     match pacer with
-    | Some p when (not (l.l_marking ())) && Pacer.should_start p m.Interp.heap
+    | Some p
+      when (not (Marker.is_marking t)) && Pacer.should_start p m.Interp.heap
       ->
         Telemetry.emit "gc.cycle.begin"
           [
@@ -409,23 +298,23 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
             ("at_step", Telemetry.Int m.Interp.instr_count);
           ];
         Pacer.note_cycle_start p m.Interp.heap;
-        l.l_start ();
+        Marker.start_cycle t;
         Interp.reset_cycle_state m
     | Some _ | None -> ()
   in
   (* run the final (remark) pause, stamping when it happened on the
      mutator's instruction timeline — the profiler's MMU input *)
-  let record_pause l =
+  let record_pause t =
     let at_step = m.Interp.instr_count in
     (* insertion-capable collectors re-scan the cycle's repair set at
        remark: destinations of insertion-elided stores may hold edges to
        objects that were provably fresh at analysis time but white at
        run time (allocated before this cycle started) *)
-    if caps.Gc_hooks.insertion_half && l.l_marking () then begin
+    if caps.Gc_hooks.insertion_half && Marker.is_marking t then begin
       m.Interp.gc.Gc_hooks.on_revoke ~objs:m.Interp.guarded_writes;
       m.Interp.guarded_writes <- []
     end;
-    let work = l.l_finish () in
+    let work = (Marker.finish_cycle t).final_pause_work in
     Flight.record Flight.Pause ~a:work ~b:0 ~c:0;
     pause_steps := at_step :: !pause_steps;
     (* cycle bookkeeping: recompute the heap-growth trigger from the
@@ -447,8 +336,8 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
        on the next cycle start) *)
     match observer with Some f -> f m | None -> ()
   in
-  let finish_cycle l =
-    record_pause l;
+  let finish_cycle t =
+    record_pause t;
     Interp.reset_cycle_state m
   in
   (* keep the collector's pressure response in lockstep with the pacer's
@@ -528,7 +417,7 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
                  (* retrace-budget watchdog: a degraded cycle disables swap
                     elision for its remainder *)
                  (match live with
-                 | Some l when l.l_degraded () -> Interp.set_swap_degraded m
+                 | Some t when t.Marker.degraded -> Interp.set_swap_degraded m
                  | Some _ | None -> ());
                  (* poll the pacer's state machine; while degraded it asks
                     for extra increments on top of the boosted budgets *)
@@ -548,15 +437,15 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
                  end;
                  (match live with
                  | None -> ()
-                 | Some l ->
-                     if action.Chaos.force_remark && l.l_marking () then
+                 | Some t ->
+                     if action.Chaos.force_remark && Marker.is_marking t then
                        (* chaos heap pressure: emergency remark now *)
-                       finish_cycle l
+                       finish_cycle t
                      else begin
-                       maybe_start_cycle l;
+                       maybe_start_cycle t;
                        (* finish once the concurrent phase has gone
                           quiescent *)
-                       if l.l_quiescent () then finish_cycle l
+                       if Marker.quiescent t then finish_cycle t
                      end);
                  gc_s := !gc_s +. (Telemetry.now_s () -. sp_t0)
                end
@@ -572,9 +461,9 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
      ignore (Flight.capture ~reason:"hard-limit"));
   (* finish any in-flight cycle so its invariants still get checked *)
   (match live with
-  | Some l when l.l_marking () ->
+  | Some t when Marker.is_marking t ->
       let sp_t0 = Telemetry.now_s () in
-      record_pause l;
+      record_pause t;
       gc_s := !gc_s +. (Telemetry.now_s () -. sp_t0)
   | Some _ | None -> ());
   let loop_s = Telemetry.now_s () -. loop_t0 in
@@ -588,7 +477,9 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
       ("revocation_events", Telemetry.Int m.Interp.revocation_events);
       ("revoked_sites", Telemetry.Int m.Interp.revoked_sites);
     ];
-  let gc_summary = Option.map (fun l -> l.l_summary ()) live in
+  let gc_summary =
+    Option.map (summary_of ~pause_steps:(List.rev !pause_steps)) live
+  in
   (match gc_summary with
   | Some s when s.total_violations > 0 ->
       ignore (Flight.capture ~reason:"oracle-violation")

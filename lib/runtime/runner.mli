@@ -45,11 +45,15 @@ val make_hybrid :
   unit ->
   gc_choice
 
+val gc_name : gc_choice -> string
+(** The chosen collector's display name, read from its policy. *)
+
 val caps_of_choice : gc_choice -> Gc_hooks.caps
-(** The capability record the chosen collector is expected to expose —
-    the single truth flag-level compatibility checks and the run-start
-    assertion both consult.  {!run} raises [Invalid_argument] if the
-    installed collector's capabilities disagree. *)
+(** The capability record the chosen collector is expected to expose,
+    read from its policy — the single truth flag-level compatibility
+    checks and the run-start assertion both consult.  {!run} raises
+    [Invalid_argument] if the installed collector's capabilities
+    disagree. *)
 
 type gc_summary = {
   cycles : int;
@@ -61,9 +65,11 @@ type gc_summary = {
           timeline (also emitted as [gc.pause] trace events) *)
   mark_increments : int list;
   logged_or_dirtied : int list;
-      (** SATB log entries / dirty cards, per cycle *)
+      (** barrier log entries per cycle: SATB pre-values, dirty cards, or
+          hybrid shades *)
   retraced : int list;
-      (** forced re-scans, per cycle; all zero except under [Retrace] *)
+      (** forced whole-object re-scans per cycle: retrace-list entries
+          under [Retrace], repair-set objects under [Hybrid], else 0 *)
 }
 
 type report = {

@@ -11,7 +11,7 @@
     The final "remark pause" only has to drain the remaining SATB buffers,
     which is why SATB pauses are so much shorter than incremental-update
     pauses (compared in {!Incr_gc}); the pause's work is measured in
-    {!cycle_report.final_pause_work}.
+    {!Marker.cycle_report.final_pause_work}.
 
     Object arrays are scanned {e incrementally} (in bounded chunks) and in
     {e descending} index order.  The direction is a documented contract
@@ -25,348 +25,15 @@
     violation, so running workloads under this collector end-to-end tests
     the {e soundness} of the barrier-removal analysis. *)
 
-module Iset = Oracle.Iset
-
-type phase = Idle | Marking
-
-(** Gray-set entries: a whole object, or the remainder of a partially
-    scanned object array (slots [0..upto] still to visit, descending). *)
-type gray = Whole of int | Array_tail of { id : int; upto : int }
-
-(** How the marker walks object arrays; [Descending] is the shipping
-    contract (required by move-down elision), [Ascending] exists to let
-    the tests demonstrate that the contract matters. *)
-type scan_direction = Descending | Ascending
-
-type cycle_report = {
-  cycle : int;
-  snapshot_size : int;
-  marked : int;
-  logged : int;  (** SATB buffer entries processed *)
-  allocated_during : int;
-  increments : int;  (** concurrent mark increments *)
-  final_pause_work : int;  (** objects processed inside the remark pause *)
-  swept : int;
-  restarts : int;
-      (** marks restarted from a fresh snapshot by elision revocation *)
-  violations : int;
-      (** snapshot-reachable objects left unmarked — 0 unless a needed
-          barrier was removed *)
-}
-
-type t = {
-  heap : Heap.t;
-  roots : unit -> int list;
-  steps_per_increment : int;
-  buffer_capacity : int;
-      (** entries a mutator-local log buffer holds before it is handed to
-          the collector; remnants are only visible at the remark pause *)
-  array_chunk : int;  (** array slots visited per gray-entry processing *)
-  direction : scan_direction;
-  mutable phase : phase;
-  mutable gray : gray list;
-  mutable satb_buffer : int list;  (** completed buffers (object ids) *)
-  mutable local_buffer : int list;  (** mutator-local, not yet handed over *)
-  mutable local_count : int;
-  mutable snapshot : Iset.t;
-  mutable logged : int;
-  mutable allocated_during : int;
-  mutable increments : int;
-  mutable boost : int;
-      (** mark-budget multiplier; >1 while the pacer is degraded
-          (shortened mark budgets under memory pressure) *)
-  mutable restarts : int;  (** revocation-triggered restarts, this cycle *)
-  mutable cycles : int;
-  mutable reports : cycle_report list;  (** most recent first *)
-  mutable sweep_enabled : bool;
-}
-
-let create ?(steps_per_increment = 64) ?(buffer_capacity = 32)
-    ?(array_chunk = 8) ?(direction = Descending) ?(sweep = true)
-    (heap : Heap.t) ~(roots : unit -> int list) : t =
+(* [Ascending] exists only to let the tests demonstrate that the direction
+   contract matters *)
+let policy ?(buffer_capacity = 32) ?(array_chunk = 8)
+    ?(direction = Marker.Descending) () : Marker.policy =
   {
-    heap;
-    roots;
-    steps_per_increment;
-    buffer_capacity;
-    array_chunk;
-    direction;
-    phase = Idle;
-    gray = [];
-    satb_buffer = [];
-    local_buffer = [];
-    local_count = 0;
-    snapshot = Iset.empty;
-    logged = 0;
-    allocated_during = 0;
-    increments = 0;
-    boost = 1;
-    restarts = 0;
-    cycles = 0;
-    reports = [];
-    sweep_enabled = sweep;
-  }
-
-let is_marking t = t.phase = Marking
-
-(* telemetry: shared with [Incr_gc]/[Retrace_gc] (same names, the
-   [collector] field tells the streams apart) *)
-let c_cycles = Telemetry.counter "gc.cycles"
-let fk_satb = Flight.intern "satb"
-let c_restarts = Telemetry.counter "gc.restarts"
-let c_violations = Telemetry.counter "gc.violations"
-
-(* [origin] records why the cycle keeps the object (a [Heap.origin_*]
-   constant); first marker wins, children inherit the parent's origin
-   while draining, and the float accounting reads the stamps post-sweep *)
-let mark_and_gray t ~origin id =
-  let o = Heap.get t.heap id in
-  if (not o.marked) && not o.dead then begin
-    o.marked <- true;
-    o.origin <- origin;
-    t.gray <- Whole id :: t.gray
-  end
-
-(** Begin a cycle: capture the root set (initial-mark pause) and the
-    oracle snapshot used for verification. *)
-let start_cycle (t : t) : unit =
-  assert (t.phase = Idle);
-  t.phase <- Marking;
-  t.gray <- [];
-  t.satb_buffer <- [];
-  t.local_buffer <- [];
-  t.local_count <- 0;
-  t.logged <- 0;
-  t.allocated_during <- 0;
-  t.increments <- 0;
-  t.restarts <- 0;
-  let roots = t.roots () in
-  t.snapshot <- Oracle.reachable t.heap roots;
-  List.iter (mark_and_gray t ~origin:Heap.origin_trace) roots;
-  Flight.record Flight.Mark_start ~a:fk_satb ~b:t.cycles
-    ~c:(Iset.cardinal t.snapshot);
-  Telemetry.emit "gc.cycle.start"
-    [
-      ("collector", Telemetry.Str "satb");
-      ("cycle", Telemetry.Int t.cycles);
-      ("phase", Telemetry.Str "marking");
-      ("snapshot_size", Telemetry.Int (Iset.cardinal t.snapshot));
-    ]
-
-(** Mutator hooks. *)
-
-(** Log the pre-write value into the mutator-local buffer; a full buffer
-    is handed to the collector (only then can concurrent marking see its
-    entries — exactly how G1's thread-local SATB queues behave). *)
-let log_ref_store t ~obj:_ ~pre =
-  if t.phase = Marking then
-    match pre with
-    | Value.Ref id ->
-        t.local_buffer <- id :: t.local_buffer;
-        t.local_count <- t.local_count + 1;
-        t.logged <- t.logged + 1;
-        if t.local_count >= t.buffer_capacity then begin
-          t.satb_buffer <- List.rev_append t.local_buffer t.satb_buffer;
-          t.local_buffer <- [];
-          t.local_count <- 0
-        end
-    | Value.Null | Value.Int _ -> ()
-
-let on_alloc t (o : Heap.obj) =
-  if t.phase = Marking then begin
-    (* allocate black: implicitly marked, never examined (§1) *)
-    o.marked <- true;
-    o.origin <- Heap.origin_alloc;
-    o.born_during_mark <- true;
-    t.allocated_during <- t.allocated_during + 1
-  end
-
-(** Scan one chunk of an object array's slots in the configured
-    direction, re-graying a continuation when slots remain. *)
-let scan_array_chunk (t : t) (id : int) ~(upto : int) : unit =
-  let o = Heap.get t.heap id in
-  if not o.dead then
-    match o.payload with
-    | Heap.Ref_array es ->
-        let upto = min upto (Array.length es - 1) in
-        let visit i =
-          match es.(i) with
-          | Value.Ref tgt -> mark_and_gray t ~origin:o.origin tgt
-          | Value.Null | Value.Int _ -> ()
-        in
-        (match t.direction with
-        | Descending ->
-            let last = max 0 (upto - t.array_chunk + 1) in
-            for i = upto downto last do
-              visit i
-            done;
-            if last > 0 then
-              t.gray <- Array_tail { id; upto = last - 1 } :: t.gray
-        | Ascending ->
-            (* slots [0..upto] remain, walked upward: visit the low chunk
-               and keep the high remainder — used only to demonstrate the
-               direction contract in tests *)
-            let len = Array.length es in
-            let start = len - 1 - upto in
-            let stop = min (len - 1) (start + t.array_chunk - 1) in
-            for i = start to stop do
-              visit i
-            done;
-            if stop < len - 1 then
-              t.gray <- Array_tail { id; upto = len - 1 - (stop + 1) } :: t.gray)
-    | Heap.Fields _ | Heap.Int_array _ -> ()
-
-(** Process up to [budget] gray entries (one collector increment),
-    draining logged pre-values first.  Returns the number processed. *)
-let drain (t : t) (budget : int) : int =
-  let processed = ref 0 in
-  while
-    !processed < budget && (t.gray <> [] || t.satb_buffer <> [])
-  do
-    (match t.satb_buffer with
-    | id :: rest ->
-        t.satb_buffer <- rest;
-        mark_and_gray t ~origin:Heap.origin_log id
-    | [] -> ());
-    (match t.gray with
-    | Whole id :: rest ->
-        t.gray <- rest;
-        incr processed;
-        let o = Heap.get t.heap id in
-        if not o.dead then begin
-          match o.payload with
-          | Heap.Ref_array es ->
-              scan_array_chunk t id ~upto:(Array.length es - 1)
-          | Heap.Fields _ | Heap.Int_array _ ->
-              List.iter (mark_and_gray t ~origin:o.origin) (Heap.out_edges o)
-        end
-    | Array_tail { id; upto } :: rest ->
-        t.gray <- rest;
-        incr processed;
-        scan_array_chunk t id ~upto
-    | [] -> ())
-  done;
-  !processed
-
-let step (t : t) : unit =
-  if t.phase = Marking then begin
-    t.increments <- t.increments + 1;
-    ignore (drain t (t.steps_per_increment * t.boost))
-  end
-
-(** Snapshot repair after elision revocation.  Plain SATB has no record
-    of {e which} pre-values the revoked sites failed to log, so the only
-    sound recovery is wholesale: discard the cycle's progress and restart
-    the mark against a fresh snapshot taken {e now} — any object whose
-    last strong reference was overwritten through a revoked site is no
-    longer reachable and so no longer owed a visit. *)
-let restart_mark (t : t) : unit =
-  if t.phase = Marking then begin
-    Heap.clear_marks t.heap;
-    t.gray <- [];
-    t.satb_buffer <- [];
-    t.local_buffer <- [];
-    t.local_count <- 0;
-    t.restarts <- t.restarts + 1;
-    Telemetry.incr c_restarts;
-    let roots = t.roots () in
-    t.snapshot <- Oracle.reachable t.heap roots;
-    List.iter (mark_and_gray t ~origin:Heap.origin_trace) roots;
-    Telemetry.emit "gc.restart"
-      [
-        ("collector", Telemetry.Str "satb");
-        ("cycle", Telemetry.Int t.cycles);
-        ("snapshot_size", Telemetry.Int (Iset.cardinal t.snapshot));
-      ]
-  end
-
-(** Has the concurrent phase exhausted its known work? *)
-let quiescent (t : t) : bool =
-  t.phase = Marking && t.gray = [] && t.satb_buffer = []
-
-(** The remark pause: flush the mutator-local buffer remnants, drain
-    everything, verify the snapshot invariant, sweep.  Returns the cycle
-    report.  The pause's work is bounded by the buffer remnants and their
-    transitive unmarked reach — not by heap size or allocation rate, which
-    is the SATB advantage measured in experiment E5. *)
-let finish_cycle (t : t) : cycle_report =
-  assert (t.phase = Marking);
-  t.satb_buffer <- List.rev_append t.local_buffer t.satb_buffer;
-  t.local_buffer <- [];
-  t.local_count <- 0;
-  let pause_work = ref 0 in
-  while t.gray <> [] || t.satb_buffer <> [] do
-    pause_work := !pause_work + drain t max_int
-  done;
-  (* Invariant: every snapshot-reachable object is marked.  A violation
-     means a store whose barrier was (wrongly) removed unlinked an
-     unvisited part of the snapshot. *)
-  let violations = Oracle.snapshot_violations t.heap t.snapshot in
-  let marked = ref 0 in
-  Heap.iter_live t.heap (fun o -> if o.marked then incr marked);
-  let swept = ref 0 in
-  if t.sweep_enabled && violations = 0 then
-    Heap.iter_live t.heap (fun o ->
-        if not o.marked then begin
-          Heap.free t.heap o;
-          incr swept
-        end);
-  let report =
-    {
-      cycle = t.cycles;
-      snapshot_size = Iset.cardinal t.snapshot;
-      marked = !marked;
-      logged = t.logged;
-      allocated_during = t.allocated_during;
-      increments = t.increments;
-      final_pause_work = !pause_work;
-      swept = !swept;
-      restarts = t.restarts;
-      violations;
-    }
-  in
-  t.cycles <- t.cycles + 1;
-  t.heap.Heap.gc_cycle <- t.heap.Heap.gc_cycle + 1;
-  t.reports <- report :: t.reports;
-  t.phase <- Idle;
-  Heap.clear_marks t.heap;
-  Telemetry.incr c_cycles;
-  Telemetry.incr c_violations ~by:violations;
-  Flight.record Flight.Mark_end ~a:fk_satb ~b:report.cycle ~c:violations;
-  Telemetry.emit "gc.cycle.finish"
-    [
-      ("collector", Telemetry.Str "satb");
-      ("cycle", Telemetry.Int report.cycle);
-      ("phase", Telemetry.Str "idle");
-      ("marked", Telemetry.Int report.marked);
-      ("logged", Telemetry.Int report.logged);
-      ("final_pause_work", Telemetry.Int report.final_pause_work);
-      ("swept", Telemetry.Int report.swept);
-      ("restarts", Telemetry.Int report.restarts);
-      ("violations", Telemetry.Int report.violations);
-    ];
-  report
-
-(** Package as mutator-facing hooks. *)
-let hooks (t : t) : Gc_hooks.t =
-  {
-    Gc_hooks.name = "satb";
-    caps =
-      {
-        Gc_hooks.retrace_protocol = false;
-        descending_scan = (t.direction = Descending);
-        insertion_half = false;
-      };
-    is_marking = (fun () -> is_marking t);
-    log_ref_store = (fun ~obj ~pre -> log_ref_store t ~obj ~pre);
-    log_ins_store = (fun ~tid:_ ~nv:_ -> ());
-    (* no retrace protocol: an unlogged rearranging store is invisible to
-       this collector (the negative soundness tests rely on this) *)
-    on_unlogged_store = (fun ~obj:_ -> ());
-    (* repair by restarting against a fresh snapshot — the ids are not
-       needed, the new snapshot subsumes them *)
-    on_revoke = (fun ~objs:_ -> restart_mark t);
-    on_alloc = (fun o -> on_alloc t o);
-    on_pressure = (fun ~degraded -> t.boost <- (if degraded then Gc_hooks.pressure_boost else 1));
-    step = (fun () -> step t);
+    Marker.name = "satb";
+    roots = All_roots;
+    oracle = Start_snapshot;
+    alloc = Black;
+    scan = Chunked { chunk = array_chunk; direction };
+    log = Satb_buffers { capacity = buffer_capacity };
   }

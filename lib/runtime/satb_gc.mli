@@ -16,74 +16,13 @@
     barrier that unlinked an unvisited snapshot object surfaces as a
     violation. *)
 
-type phase = Idle | Marking
-type gray = Whole of int | Array_tail of { id : int; upto : int }
-type scan_direction = Descending | Ascending
-
-type cycle_report = {
-  cycle : int;
-  snapshot_size : int;
-  marked : int;
-  logged : int;
-  allocated_during : int;
-  increments : int;
-  final_pause_work : int;  (** objects processed inside the remark pause *)
-  swept : int;
-  restarts : int;  (** revocation-triggered fresh-snapshot restarts *)
-  violations : int;  (** snapshot-reachable objects left unmarked *)
-}
-
-type t = {
-  heap : Heap.t;
-  roots : unit -> int list;
-  steps_per_increment : int;
-  buffer_capacity : int;
-  array_chunk : int;
-  direction : scan_direction;
-  mutable phase : phase;
-  mutable gray : gray list;
-  mutable satb_buffer : int list;
-  mutable local_buffer : int list;
-  mutable local_count : int;
-  mutable snapshot : Oracle.Iset.t;
-  mutable logged : int;
-  mutable allocated_during : int;
-  mutable increments : int;
-  mutable boost : int;
-      (** mark-budget multiplier; >1 while the pacer is degraded *)
-  mutable restarts : int;
-  mutable cycles : int;
-  mutable reports : cycle_report list;
-  mutable sweep_enabled : bool;
-}
-
-val create :
-  ?steps_per_increment:int ->
+val policy :
   ?buffer_capacity:int ->
   ?array_chunk:int ->
-  ?direction:scan_direction ->
-  ?sweep:bool ->
-  Heap.t ->
-  roots:(unit -> int list) ->
-  t
-
-val is_marking : t -> bool
-val start_cycle : t -> unit
-
-(** Snapshot repair after elision revocation: discard the cycle's
-    progress and restart against a fresh snapshot taken now.  No-op when
-    idle. *)
-val restart_mark : t -> unit
-val log_ref_store : t -> obj:int -> pre:Value.t -> unit
-val on_alloc : t -> Heap.obj -> unit
-val step : t -> unit
-
-val quiescent : t -> bool
-(** Has the concurrent phase exhausted its visible work?  (Mutator-local
-    buffer remnants are only seen by {!finish_cycle}.) *)
-
-val finish_cycle : t -> cycle_report
-(** The remark pause: flush buffer remnants, drain, verify the snapshot
-    invariant, sweep. *)
-
-val hooks : t -> Gc_hooks.t
+  ?direction:Marker.direction ->
+  unit ->
+  Marker.policy
+(** [buffer_capacity] (default 32) is the entries a mutator-local log
+    buffer holds before it is handed to the collector; [array_chunk]
+    (default 8) the array slots visited per gray entry; [direction]
+    (default [Descending]) the array scan order. *)

@@ -2,8 +2,16 @@
    interpreter in the loop. *)
 
 module H = Jrt.Heap
-module S = Jrt.Satb_gc
-module I = Jrt.Incr_gc
+module M = Jrt.Marker
+
+let satb_marker ?steps_per_increment ?buffer_capacity ?array_chunk heap roots =
+  M.create ?steps_per_increment
+    (Jrt.Satb_gc.policy ?buffer_capacity ?array_chunk ())
+    heap ~roots:(M.fixed_roots roots)
+
+let incr_marker ?steps_per_increment heap roots =
+  M.create ?steps_per_increment Jrt.Incr_gc.policy heap
+    ~roots:(M.fixed_roots roots)
 
 let mk_chain heap n =
   (* a linked chain of n objects; returns (head, all ids) *)
@@ -23,12 +31,12 @@ let test_satb_basic_cycle () =
   let heap = H.create () in
   let head, ids = mk_chain heap 10 in
   let garbage = H.alloc_object heap "C" ~n_fields:0 in
-  let gc = S.create ~steps_per_increment:2 heap ~roots:(fun () -> [ head.H.id ]) in
-  S.start_cycle gc;
-  while not (S.quiescent gc) do
-    S.step gc
+  let gc = satb_marker ~steps_per_increment:2 heap (fun () -> [ head.H.id ]) in
+  M.start_cycle gc;
+  while not (M.quiescent gc) do
+    M.step gc
   done;
-  let r = S.finish_cycle gc in
+  let r = M.finish_cycle gc in
   Alcotest.(check int) "snapshot = chain" (List.length ids) r.snapshot_size;
   Alcotest.(check int) "no violations" 0 r.violations;
   Alcotest.(check int) "garbage swept" 1 r.swept;
@@ -49,23 +57,23 @@ let test_satb_buffer_capacity_and_remnant () =
   | H.Fields fs -> fs.(0) <- Jrt.Value.Ref hidden.H.id
   | _ -> assert false);
   let gc =
-    S.create ~steps_per_increment:100 ~buffer_capacity:32 heap
-      ~roots:(fun () -> [ head.H.id ])
+    satb_marker ~steps_per_increment:100 ~buffer_capacity:32 heap (fun () ->
+        [ head.H.id ])
   in
-  S.start_cycle gc;
+  M.start_cycle gc;
   (* the mutator overwrites head.f0 before the collector scans it...
      actually start_cycle grays the root immediately; to exercise the
      buffer we log a pre-value explicitly *)
-  S.log_ref_store gc ~obj:head.H.id ~pre:(Jrt.Value.Ref hidden.H.id);
+  M.log_ref_store gc ~obj:head.H.id ~pre:(Jrt.Value.Ref hidden.H.id);
   (match head.H.payload with
   | H.Fields fs -> fs.(0) <- Jrt.Value.Null
   | _ -> assert false);
-  while not (S.quiescent gc) do
-    S.step gc
+  while not (M.quiescent gc) do
+    M.step gc
   done;
   (* quiescent although the local buffer still holds the logged entry *)
-  Alcotest.(check int) "entry still local" 1 gc.S.local_count;
-  let r = S.finish_cycle gc in
+  Alcotest.(check int) "entry still local" 1 gc.M.local_count;
+  let r = M.finish_cycle gc in
   Alcotest.(check int) "no violations" 0 r.violations;
   Alcotest.(check bool) "remark did the work" true (r.final_pause_work >= 1);
   Alcotest.(check bool) "hidden survived via the log" false hidden.H.dead
@@ -74,17 +82,17 @@ let test_satb_buffer_handoff_when_full () =
   let heap = H.create () in
   let head, _ = mk_chain heap 2 in
   let gc =
-    S.create ~steps_per_increment:1 ~buffer_capacity:4 heap
-      ~roots:(fun () -> [ head.H.id ])
+    satb_marker ~steps_per_increment:1 ~buffer_capacity:4 heap (fun () ->
+        [ head.H.id ])
   in
-  S.start_cycle gc;
+  M.start_cycle gc;
   for _ = 1 to 4 do
-    S.log_ref_store gc ~obj:head.H.id ~pre:(Jrt.Value.Ref head.H.id)
+    M.log_ref_store gc ~obj:head.H.id ~pre:(Jrt.Value.Ref head.H.id)
   done;
   (* capacity reached: the buffer was handed to the collector *)
-  Alcotest.(check int) "local buffer empty after handoff" 0 gc.S.local_count;
-  Alcotest.(check bool) "collector sees entries" true (gc.S.satb_buffer <> []);
-  ignore (S.finish_cycle gc)
+  Alcotest.(check int) "local buffer empty after handoff" 0 gc.M.local_count;
+  Alcotest.(check bool) "collector sees entries" true (gc.M.buffer <> []);
+  ignore (M.finish_cycle gc)
 
 let test_satb_chunked_scan_of_large_array () =
   let heap = H.create () in
@@ -95,16 +103,16 @@ let test_satb_chunked_scan_of_large_array () =
       List.iteri (fun i o -> es.(i) <- Jrt.Value.Ref o.H.id) elems
   | _ -> assert false);
   let gc =
-    S.create ~steps_per_increment:1 ~array_chunk:4 heap
-      ~roots:(fun () -> [ arr.H.id ])
+    satb_marker ~steps_per_increment:1 ~array_chunk:4 heap (fun () ->
+        [ arr.H.id ])
   in
-  S.start_cycle gc;
+  M.start_cycle gc;
   let increments = ref 0 in
-  while not (S.quiescent gc) do
-    S.step gc;
+  while not (M.quiescent gc) do
+    M.step gc;
     incr increments
   done;
-  let r = S.finish_cycle gc in
+  let r = M.finish_cycle gc in
   Alcotest.(check int) "all 65 marked" 65 r.marked;
   Alcotest.(check int) "no violations" 0 r.violations;
   (* 64 slots at 4 per chunk means many increments, proving chunking *)
@@ -119,26 +127,26 @@ let test_satb_empty_and_tiny_arrays () =
   | H.Ref_array es -> es.(0) <- Jrt.Value.Ref o.H.id
   | _ -> assert false);
   let gc =
-    S.create ~steps_per_increment:1 ~array_chunk:1 heap
-      ~roots:(fun () -> [ empty.H.id; one.H.id ])
+    satb_marker ~steps_per_increment:1 ~array_chunk:1 heap (fun () ->
+        [ empty.H.id; one.H.id ])
   in
-  S.start_cycle gc;
-  while not (S.quiescent gc) do
-    S.step gc
+  M.start_cycle gc;
+  while not (M.quiescent gc) do
+    M.step gc
   done;
-  let r = S.finish_cycle gc in
+  let r = M.finish_cycle gc in
   Alcotest.(check int) "three objects marked" 3 r.marked;
   Alcotest.(check int) "no violations" 0 r.violations
 
 let test_satb_allocate_black_not_swept () =
   let heap = H.create () in
   let head, _ = mk_chain heap 2 in
-  let gc = S.create heap ~roots:(fun () -> [ head.H.id ]) in
-  S.start_cycle gc;
+  let gc = satb_marker heap (fun () -> [ head.H.id ]) in
+  M.start_cycle gc;
   let newborn = H.alloc_object heap "C" ~n_fields:0 in
-  S.on_alloc gc newborn;
+  M.on_alloc gc newborn;
   Alcotest.(check bool) "allocated black" true newborn.H.marked;
-  let r = S.finish_cycle gc in
+  let r = M.finish_cycle gc in
   Alcotest.(check int) "nothing swept" 0 r.swept;
   Alcotest.(check bool) "newborn alive despite being unreachable" false
     newborn.H.dead
@@ -148,19 +156,21 @@ let test_incr_new_objects_traced_in_pause () =
      marked root object must be found by the final pause *)
   let heap = H.create () in
   let head, _ = mk_chain heap 2 in
-  let gc = I.create ~steps_per_increment:100 heap ~roots:(fun () -> [ head.H.id ]) in
-  I.start_cycle gc;
-  I.step gc;
+  let gc =
+    incr_marker ~steps_per_increment:100 heap (fun () -> [ head.H.id ])
+  in
+  M.start_cycle gc;
+  M.step gc;
   (* collector believes it is done *)
-  Alcotest.(check bool) "quiescent" true (I.quiescent gc);
+  Alcotest.(check bool) "quiescent" true (M.quiescent gc);
   let newborn = H.alloc_object heap "C" ~n_fields:0 in
-  I.on_alloc gc newborn;
+  M.on_alloc gc newborn;
   Alcotest.(check bool) "allocated white" false newborn.H.marked;
   (match head.H.payload with
   | H.Fields fs -> fs.(0) <- Jrt.Value.Ref newborn.H.id
   | _ -> assert false);
-  I.log_ref_store gc ~obj:head.H.id ~pre:Jrt.Value.Null;
-  let r = I.finish_cycle gc in
+  M.log_ref_store gc ~obj:head.H.id ~pre:Jrt.Value.Null;
+  let r = M.finish_cycle gc in
   Alcotest.(check int) "no violations" 0 r.violations;
   (* marks are cleared by finish_cycle; survival of the sweep is the
      observable proof the dirty card led the pause to the newborn *)
@@ -172,17 +182,19 @@ let test_incr_unlogged_store_is_missed () =
      loses the new object (and the oracle catches it) *)
   let heap = H.create () in
   let head, _ = mk_chain heap 2 in
-  let gc = I.create ~steps_per_increment:100 ~sweep:false heap ~roots:(fun () -> [ head.H.id ]) in
-  I.start_cycle gc;
-  I.step gc;
+  let gc =
+    incr_marker ~steps_per_increment:100 heap (fun () -> [ head.H.id ])
+  in
+  M.start_cycle gc;
+  M.step gc;
   let newborn = H.alloc_object heap "C" ~n_fields:0 in
-  I.on_alloc gc newborn;
+  M.on_alloc gc newborn;
   (match head.H.payload with
   | H.Fields fs -> fs.(0) <- Jrt.Value.Ref newborn.H.id
   | _ -> assert false);
   (* no log_ref_store call: simulates a wrongly elided card mark; the
      root rescan does not help because head is already marked *)
-  let r = I.finish_cycle gc in
+  let r = M.finish_cycle gc in
   Alcotest.(check bool) "violation detected" true (r.violations > 0)
 
 let tests =

@@ -59,13 +59,12 @@ let test_caps_of_choice () =
 let test_collector_caps_agree () =
   let heap = Jrt.Heap.create () in
   let g =
-    Jrt.Hybrid_gc.create heap
-      ~static_roots:(fun () -> [])
-      ~thread_roots:(fun () -> [])
+    Jrt.Marker.create Jrt.Hybrid_gc.policy heap
+      ~roots:(Jrt.Marker.fixed_roots (fun () -> []))
   in
   Alcotest.check caps_t "hybrid_gc module"
     (Jrt.Runner.caps_of_choice (Jrt.Runner.make_hybrid ()))
-    (Jrt.Hybrid_gc.hooks g).Jrt.Gc_hooks.caps;
+    (Jrt.Marker.hooks g).Jrt.Gc_hooks.caps;
   Alcotest.check caps_t "gc_hooks.none"
     (Jrt.Runner.caps_of_choice Jrt.Runner.No_gc)
     Jrt.Gc_hooks.none.Jrt.Gc_hooks.caps

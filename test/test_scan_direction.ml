@@ -96,10 +96,12 @@ let run_with ~direction ~seed ~quantum ~gc_period ~steps ~chunk : int =
     Jrt.Interp.spawn_thread m { Jir.Types.mclass = "Main"; mname = "main" } []
   in
   let gc =
-    Jrt.Satb_gc.create ~steps_per_increment:steps ~array_chunk:chunk
-      ~direction m.Jrt.Interp.heap ~roots:(fun () -> Jrt.Interp.roots m)
+    Jrt.Marker.create ~steps_per_increment:steps
+      (Jrt.Satb_gc.policy ~array_chunk:chunk ~direction ())
+      m.Jrt.Interp.heap
+      ~roots:(Jrt.Marker.fixed_roots (fun () -> Jrt.Interp.roots m))
   in
-  Jrt.Interp.set_collector m (Jrt.Satb_gc.hooks gc);
+  Jrt.Interp.set_collector m (Jrt.Marker.hooks gc);
   let violations = ref 0 in
   let since = ref 0 in
   let lcg = ref (if seed = 0 then 1 else seed) in
@@ -124,20 +126,20 @@ let run_with ~direction ~seed ~quantum ~gc_period ~steps ~chunk : int =
             incr since;
             if !since >= gc_period then begin
               since := 0;
-              Jrt.Satb_gc.step gc;
+              Jrt.Marker.step gc;
               if
-                (not (Jrt.Satb_gc.is_marking gc))
+                (not (Jrt.Marker.is_marking gc))
                 && m.Jrt.Interp.heap.Jrt.Heap.total_allocated > 8
-              then Jrt.Satb_gc.start_cycle gc;
-              if Jrt.Satb_gc.quiescent gc then
+              then Jrt.Marker.start_cycle gc;
+              if Jrt.Marker.quiescent gc then
                 violations :=
-                  !violations + (Jrt.Satb_gc.finish_cycle gc).violations
+                  !violations + (Jrt.Marker.finish_cycle gc).violations
             end
           done)
         runnable
   done;
-  if Jrt.Satb_gc.is_marking gc then
-    violations := !violations + (Jrt.Satb_gc.finish_cycle gc).violations;
+  if Jrt.Marker.is_marking gc then
+    violations := !violations + (Jrt.Marker.finish_cycle gc).violations;
   !violations
 
 let params seed =
@@ -150,7 +152,7 @@ let test_descending_always_sound () =
   for seed = 1 to 60 do
     let quantum, gc_period, steps, chunk = params seed in
     let v =
-      run_with ~direction:Jrt.Satb_gc.Descending ~seed ~quantum ~gc_period
+      run_with ~direction:Jrt.Marker.Descending ~seed ~quantum ~gc_period
         ~steps ~chunk
     in
     if v > 0 then
@@ -164,7 +166,7 @@ let test_ascending_breaks () =
   for seed = 1 to 60 do
     let quantum, gc_period, steps, chunk = params seed in
     if
-      run_with ~direction:Jrt.Satb_gc.Ascending ~seed ~quantum ~gc_period
+      run_with ~direction:Jrt.Marker.Ascending ~seed ~quantum ~gc_period
         ~steps ~chunk
       > 0
     then broke := true
