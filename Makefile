@@ -1,6 +1,6 @@
 # Convenience targets; the canonical CI entry point is `make check`.
 
-.PHONY: all check test gate bench profile-smoke heap-smoke clean
+.PHONY: all check test gate compile-bench bench profile-smoke heap-smoke clean
 
 all:
 	dune build
@@ -39,6 +39,13 @@ gate:
 	for f in bench/baseline/BENCH_*.json; do \
 	  dune exec bench/main.exe -- diff $$f $$(basename $$f) || exit 1; \
 	done
+
+# compile throughput: a short closed-loop jit-compile run (Exp.compile of
+# the six Table-1 programs at inline limits 100 and 200 and 0+summaries);
+# appends its end-to-end record to bench/perf/out/ci/runs.jsonl
+compile-bench:
+	dune exec ./bench/perf/perf.exe -- run --workload jit-compile --seed 1 \
+	  --seconds 3 --out bench/perf/out/ci
 
 # full reproduction: every table/figure plus the bechamel timings
 bench:

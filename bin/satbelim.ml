@@ -118,6 +118,16 @@ let or_die = function
       Fmt.epr "satbelim: %s@." msg;
       exit 1
 
+(** Load and verify a program; a program the verifier rejects is reported
+    one diagnostic per line, exit 1. *)
+let load_verified path =
+  let prog = or_die (load path) in
+  match Jir.Verifier.verify_program prog with
+  | Ok () -> prog
+  | Error errs ->
+      List.iter (fun e -> Fmt.epr "%a@." Jir.Verifier.pp_error e) errs;
+      exit 1
+
 (* telemetry plumbing shared by analyze and run *)
 
 let trace_arg =
@@ -165,12 +175,8 @@ let with_telemetry ~trace ~metrics ~chrome f =
 
 let verify_cmd =
   let run file =
-    let prog = or_die (load file) in
-    match Jir.Verifier.verify_program prog with
-    | Ok () -> Fmt.pr "%s: OK@." file
-    | Error errs ->
-        List.iter (fun e -> Fmt.epr "%a@." Jir.Verifier.pp_error e) errs;
-        exit 1
+    ignore (load_verified file);
+    Fmt.pr "%s: OK@." file
   in
   Cmd.v (Cmd.info "verify" ~doc:"Assemble and verify a jasm program")
     Term.(const run $ file_arg)
@@ -179,8 +185,7 @@ let verify_cmd =
 
 let disasm_cmd =
   let run file limit =
-    let prog = or_die (load file) in
-    Jir.Verifier.verify_exn prog;
+    let prog = load_verified file in
     let inlined =
       Satb_core.Inliner.inline_program ~conf:(Satb_core.Inliner.config limit)
         prog
@@ -196,7 +201,7 @@ let disasm_cmd =
 let analyze_cmd =
   let run file limit mode nos md swap summaries debug verbose explain trace
       metrics chrome =
-    let prog = or_die (load file) in
+    let prog = load_verified file in
     with_telemetry ~trace ~metrics ~chrome @@ fun () ->
     let compiled =
       Satb_core.Driver.compile ~inline_limit:limit
@@ -465,7 +470,7 @@ let run_cmd =
   let run file limit mode nos md swap summaries gc engine entry no_elim
       chaos_seed retrace_budget no_revoke allow_unsound gc_trigger heap_goal
       soft_limit hard_limit pacer trace metrics chrome flight_dump =
-    let prog = or_die (load file) in
+    let prog = load_verified file in
     let pacing =
       pacing_of ~gc ~gc_trigger ~heap_goal ~soft_limit ~hard_limit ~pacer
     in
@@ -768,7 +773,7 @@ let profile_cmd =
           exit 1
       | Some f, None ->
           ( Filename.remove_extension (Filename.basename f),
-            or_die (load f),
+            load_verified f,
             entry_ref_of_string entry )
       | None, Some n -> (
           match Workloads.Registry.find n with
@@ -1198,7 +1203,7 @@ let heap_report_term =
           exit 1
       | Some f, None ->
           ( Filename.remove_extension (Filename.basename f),
-            or_die (load f),
+            load_verified f,
             entry_ref_of_string entry )
       | None, Some n -> (
           match Workloads.Registry.find n with

@@ -99,16 +99,22 @@ let merge (ctx : Intval.Ctx.ctx) ~len1 ~len2 (r1 : t) (r2 : t) : t =
     let v = Intval.merge ctx a b in
     if Intval.is_top v then None else Some v
   in
+  (* an unchanged left range is returned itself *)
   match r1, r2 with
   | Empty, _ | _, Empty -> Empty
   | Full (lo1, hi1), Full (lo2, hi2) -> (
       match m lo1 lo2, m hi1 hi2 with
-      | Some lo, Some hi -> Full (lo, hi)
+      | Some lo, Some hi ->
+          if lo == lo1 && hi == hi1 then r1 else Full (lo, hi)
       | _ -> Empty)
   | From lo1, From lo2 -> (
-      match m lo1 lo2 with Some lo -> From lo | None -> Empty)
+      match m lo1 lo2 with
+      | Some lo -> if lo == lo1 then r1 else From lo
+      | None -> Empty)
   | Up_to hi1, Up_to hi2 -> (
-      match m hi1 hi2 with Some hi -> Up_to hi | None -> Empty)
+      match m hi1 hi2 with
+      | Some hi -> if hi == hi1 then r1 else Up_to hi
+      | None -> Empty)
   | (Full _ | From _ | Up_to _), _ -> Empty
 
 (** Flat merge (equal or [Empty]); used when collapsing [R_id/A] into

@@ -54,8 +54,13 @@ let to_literal = function
   | Lin { var = None; consts = []; base } -> Some base
   | Lin _ | Top -> None
 
+let equal_term (k1, x1) (k2, x2) = Int.equal k1 k2 && Int.equal x1 x2
+
 let equal_lin (a : lin) (b : lin) =
-  a.var = b.var && a.consts = b.consts && a.base = b.base
+  a == b
+  || Int.equal a.base b.base
+     && Option.equal equal_term a.var b.var
+     && List.equal equal_term a.consts b.consts
 
 let equal a b =
   match a, b with
@@ -184,24 +189,51 @@ let subst_var i ~v ~by =
     - [mu1], [mu2]: substitutions recording what each generated or matched
       variable stands for in each input state ([μ₁], [μ₂]);
     - [widen]: when set, no new variable unknowns are invented and unequal
-      values merge straight to ⊤ (termination safety net). *)
+      values merge straight to ⊤ (termination safety net).
+
+    Most merges never discover a stride, so the three tables are allocated
+    at the first write; until then every lookup misses. *)
 module Ctx = struct
-  type ctx = {
-    gen : Gen.t;
+  type tables = {
     u : (int, int) Hashtbl.t;
     mu1 : (int, t) Hashtbl.t;
     mu2 : (int, t) Hashtbl.t;
-    widen : bool;
   }
 
-  let create ?(widen = false) gen =
-    {
-      gen;
-      u = Hashtbl.create 4;
-      mu1 = Hashtbl.create 4;
-      mu2 = Hashtbl.create 4;
-      widen;
-    }
+  type ctx = { gen : Gen.t; widen : bool; mutable tables : tables option }
+
+  let create ?(widen = false) gen = { gen; widen; tables = None }
+
+  let tables ctx =
+    match ctx.tables with
+    | Some t -> t
+    | None ->
+        let t =
+          {
+            u = Hashtbl.create 4;
+            mu1 = Hashtbl.create 4;
+            mu2 = Hashtbl.create 4;
+          }
+        in
+        ctx.tables <- Some t;
+        t
+
+  (* μ₁ ([first]) or μ₂; [swapped] exchanges their roles (Figure 1,
+     lines 8-9) *)
+  let mu ~swapped ~first t = if Bool.equal first swapped then t.mu2 else t.mu1
+
+  let find_u ctx d =
+    match ctx.tables with None -> None | Some t -> Hashtbl.find_opt t.u d
+
+  let find_mu ctx ~swapped ~first v =
+    match ctx.tables with
+    | None -> None
+    | Some t -> Hashtbl.find_opt (mu ~swapped ~first t) v
+
+  let set_u ctx d v = Hashtbl.replace (tables ctx).u d v
+
+  let set_mu ctx ~swapped ~first v i =
+    Hashtbl.replace (mu ~swapped ~first (tables ctx)) v i
 end
 
 (** [match_ i1 i2] (paper's [match]): [i1] has variable term [a₁·v₁];
@@ -245,53 +277,57 @@ let match_ (i1 : lin) (i2 : lin) : t option =
 
 (** Direct transcription of the paper's Figure 1 ([merge_intvals]).  Merges
     one integer state component appearing as [i1] in the first input state
-    and [i2] in the second. *)
-let rec merge (ctx : Ctx.ctx) (i1 : t) (i2 : t) : t =
+    and [i2] in the second; [swapped] when the caller exchanged them, and so
+    the roles of μ₁ and μ₂ (lines 8-9). *)
+let rec merge_swapped ~swapped (ctx : Ctx.ctx) (i1 : t) (i2 : t) : t =
   match i1, i2 with
   | Top, _ | _, Top -> Top
   | Lin l1, Lin l2 ->
       if equal_lin l1 l2 then i1
       else if ctx.widen then Top
-      else if var_term i1 = None && var_term i2 <> None then
+      else if Option.is_none (var_term i1) && Option.is_some (var_term i2)
+      then
         (* line 8-9: ensure i1 carries the variable term if either does,
            swapping the substitution maps accordingly *)
-        merge { ctx with mu1 = ctx.mu2; mu2 = ctx.mu1 } i2 i1
+        merge_swapped ~swapped:(not swapped) ctx i2 i1
       else begin
         let delta = sub i2 i1 in
         match to_literal delta, var_term i1 with
         | Some d, None -> (
             (* lines 11-19: two distinct constants; invent or reuse the
                variable unknown that varies with stride d *)
-            match Hashtbl.find_opt ctx.u d with
+            match Ctx.find_u ctx d with
             | None ->
                 let v = Gen.fresh_var ctx.gen in
-                Hashtbl.replace ctx.u d v;
-                Hashtbl.replace ctx.mu1 v i1;
-                Hashtbl.replace ctx.mu2 v i2;
+                Ctx.set_u ctx d v;
+                Ctx.set_mu ctx ~swapped ~first:true v i1;
+                Ctx.set_mu ctx ~swapped ~first:false v i2;
                 of_var_unknown v
             | Some v -> (
-                match Hashtbl.find_opt ctx.mu1 v with
+                match Ctx.find_mu ctx ~swapped ~first:true v with
                 | Some m1 ->
                     (* d = i1 - μ1(v) must be variable-free (asserted in
                        the paper); return v + d *)
                     let d = sub i1 m1 in
-                    if var_term d = None && not (is_top d) then
+                    if Option.is_none (var_term d) && not (is_top d) then
                       add (of_var_unknown v) d
                     else Top
                 | None -> Top))
         | _, Some (a1, v1) when a1 <> 0 -> (
             (* lines 21-31 *)
-            match Hashtbl.find_opt ctx.mu2 v1 with
+            match Ctx.find_mu ctx ~swapped ~first:false v1 with
             | Some s ->
                 if equal (subst_var i1 ~v:v1 ~by:s) i2 then i1 else Top
             | None -> (
                 match match_ l1 l2 with
                 | Some s ->
-                    Hashtbl.replace ctx.mu2 v1 s;
+                    Ctx.set_mu ctx ~swapped ~first:false v1 s;
                     i1
                 | None -> Top))
         | _, _ -> Top
       end
+
+let merge ctx i1 i2 = merge_swapped ~swapped:false ctx i1 i2
 
 (** Merge without stride discovery: equal values survive, anything else is
     ⊤.  Used where the paper's analysis does not thread a merge context

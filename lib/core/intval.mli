@@ -71,15 +71,10 @@ val subst_var : t -> v:int -> by:t -> t
     merges of every integer state component, so components varying with
     the same stride share one variable unknown ([U], [μ₁], [μ₂] in the
     paper).  [widen] disables invention of new unknowns (termination
-    safety net). *)
+    safety net).  The tables are allocated at the first stride
+    discovery. *)
 module Ctx : sig
-  type ctx = {
-    gen : Gen.t;
-    u : (int, int) Hashtbl.t;
-    mu1 : (int, t) Hashtbl.t;
-    mu2 : (int, t) Hashtbl.t;
-    widen : bool;
-  }
+  type ctx
 
   val create : ?widen:bool -> Gen.t -> ctx
 end

@@ -16,8 +16,28 @@ type t =
   | Arg of int
   | Alloc of { site : int; recent : bool }
 
-let compare (a : t) (b : t) = Stdlib.compare a b
-let equal a b = compare a b = 0
+(* Monomorphic, with exactly [Stdlib.compare]'s order (constant
+   constructors first, then blocks by tag, then fields left to right): set
+   and map iteration order feeds symbol recycling and explanations. *)
+let compare (a : t) (b : t) =
+  match a, b with
+  | Global, Global -> 0
+  | Global, (Arg _ | Alloc _) -> -1
+  | (Arg _ | Alloc _), Global -> 1
+  | Arg i, Arg j -> Int.compare i j
+  | Arg _, Alloc _ -> -1
+  | Alloc _, Arg _ -> 1
+  | Alloc a, Alloc b -> (
+      match Int.compare a.site b.site with
+      | 0 -> Bool.compare a.recent b.recent
+      | c -> c)
+
+let equal (a : t) (b : t) =
+  match a, b with
+  | Global, Global -> true
+  | Arg i, Arg j -> i = j
+  | Alloc a, Alloc b -> a.site = b.site && Bool.equal a.recent b.recent
+  | (Global | Arg _ | Alloc _), _ -> false
 
 let pp ppf = function
   | Global -> Fmt.string ppf "G"

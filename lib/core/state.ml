@@ -28,6 +28,93 @@ end)
 
 module Rmap = Map.Make (Refsym)
 
+(* ---- sharing-preserving traversals -------------------------------------- *)
+
+(* The operations below return their input physically when they change
+   nothing, so the fixpoint's equality test and the next merge can stop at
+   [==].  Only the allocation differs from the plain [map]s and [merge]s:
+   every result is equal to theirs, and every function with a side effect
+   (the merge context) is called in the same order. *)
+
+(** [map2_array f a b]: [Array.map2 f a b] (same call order), or [a] when
+    every result is the element of [a]. *)
+let map2_array f a b =
+  let n = Array.length a in
+  if Array.length b <> n then invalid_arg "State.map2_array";
+  let rec scan i =
+    if i = n then a
+    else
+      let v = f a.(i) b.(i) in
+      if v == a.(i) then scan (i + 1)
+      else begin
+        let c = Array.copy a in
+        c.(i) <- v;
+        for j = i + 1 to n - 1 do
+          c.(j) <- f a.(j) b.(j)
+        done;
+        c
+      end
+  in
+  scan 0
+
+let map_array f a = map2_array (fun v _ -> f v) a a
+
+(** [List.map2 f l1 l2] from the front, or [l1] when nothing changes. *)
+let rec map2_list f l1 l2 =
+  match l1, l2 with
+  | [], [] -> l1
+  | a :: r1, b :: r2 ->
+      let a' = f a b in
+      let r' = map2_list f r1 r2 in
+      if a' == a && r' == r1 then l1 else a' :: r'
+  | _ :: _, [] | [], _ :: _ -> invalid_arg "State.map2_list"
+
+let map_list f l = map2_list (fun v _ -> f v) l l
+
+module Lean (M : Map.S) = struct
+  (** [M.mapi f m], or [m] itself when [f] changes no binding. *)
+  let map f m =
+    M.fold
+      (fun k v acc ->
+        let v' = f k v in
+        if v' == v then acc else M.add k v' acc)
+      m m
+
+  type 'a rev = Nil | Cons of M.key * 'a * 'a rev
+
+  (** [merge f m1 m2]: the union of the bindings, [f k a b] on common keys,
+      called in descending key order exactly like [M.merge] calls its
+      function; [m1] itself when the result equals it binding for binding.
+      Two physically equal maps are merged in ascending order, so [f k a a]
+      must not have side effects. *)
+  let merge f m1 m2 =
+    if m1 == m2 then map (fun k v -> f k v v) m1
+    else
+      let rec go acc = function
+        | Nil -> acc
+        | Cons (k, b, rest) ->
+            let acc =
+              match M.find k m1 with
+              | exception Not_found -> M.add k b acc
+              | a ->
+                  let v = f k a b in
+                  if v == a then acc else M.add k v acc
+            in
+            go acc rest
+      in
+      go m1 (M.fold (fun k b rest -> Cons (k, b, rest)) m2 Nil)
+end
+
+module Lean_sigma = Lean (Sigma)
+module Lean_rmap = Lean (Rmap)
+
+(** [Rset.union], sharing [a] when [b] adds nothing. *)
+let union_rset a b =
+  if a == b || Rset.is_empty b then a
+  else if Rset.is_empty a then b
+  else if Rset.subset b a then a
+  else Rset.union a b
+
 (** Null-or-same facts: [(r, f)] ∈ [nos v] means that in every concrete
     state, either [v] equals the current content of field [f] of the object
     named [r], or that content is null.  Either disjunct makes an SATB
@@ -143,12 +230,15 @@ let equal_eprov a b =
   && Bool.equal a.ep_displaced b.ep_displaced
 
 let equal_refinfo a b =
-  Rset.equal a.refs b.refs
+  a == b
+  || Rset.equal a.refs b.refs
   && Nos.equal a.nos b.nos
   && equal_opt equal_must_src a.msrc b.msrc
   && equal_opt equal_eprov a.eprov b.eprov
 
 let equal_aval a b =
+  a == b
+  ||
   match a, b with
   | Bot, Bot | Clash, Clash -> true
   | Int x, Int y -> Intval.equal x y
@@ -156,15 +246,18 @@ let equal_aval a b =
   | (Bot | Clash | Int _ | Ref _), _ -> false
 
 let equal (a : t) (b : t) =
-  Array.length a.rho = Array.length b.rho
-  && Array.for_all2 equal_aval a.rho b.rho
-  && List.length a.stk = List.length b.stk
-  && List.for_all2 equal_aval a.stk b.stk
-  && Rset.equal a.nl b.nl
-  && Sigma.equal equal_aval a.sigma b.sigma
-  && Rmap.equal Intval.equal a.len b.len
-  && Rmap.equal Intrange.equal a.nr b.nr
-  && equal_opt equal_shift a.shift b.shift
+  a == b
+  || (a.rho == b.rho
+     || Array.length a.rho = Array.length b.rho
+        && Array.for_all2 equal_aval a.rho b.rho)
+     && (a.stk == b.stk
+        || List.length a.stk = List.length b.stk
+           && List.for_all2 equal_aval a.stk b.stk)
+     && (a.nl == b.nl || Rset.equal a.nl b.nl)
+     && (a.sigma == b.sigma || Sigma.equal equal_aval a.sigma b.sigma)
+     && (a.len == b.len || Rmap.equal Intval.equal a.len b.len)
+     && (a.nr == b.nr || Rmap.equal Intrange.equal a.nr b.nr)
+     && equal_opt equal_shift a.shift b.shift
 
 (* ---- lookups ---------------------------------------------------------- *)
 
@@ -317,20 +410,27 @@ let retire_site (s : t) (site : int) : t =
   let subst_set rs =
     if Rset.mem a_sym rs then Rset.add b_sym (Rset.remove a_sym rs) else rs
   in
-  let drop_site_nos nos =
-    Nos.filter (fun (r, _) -> not (Refsym.equal r a_sym)) nos
-  in
+  let other_site (r, _) = not (Refsym.equal r a_sym) in
   let subst_aval = function
-    | Ref ri ->
-        Ref { ri with refs = subst_set ri.refs; nos = drop_site_nos ri.nos }
+    | Ref ri as v ->
+        let refs = subst_set ri.refs in
+        let nos = Nos.filter other_site ri.nos in
+        if refs == ri.refs && nos == ri.nos then v else Ref { ri with refs; nos }
     | (Bot | Clash | Int _) as v -> v
   in
-  let subst_key (r, f) = (Refsym.subst ~from_sym:a_sym ~to_sym:b_sym r, f) in
+  (* σ keys on R_site/A move to R_site/B, merging with any binding there;
+     they are contiguous, starting at the least field id [Elems] *)
   let sigma =
-    Sigma.fold
-      (fun key v acc ->
-        let key = subst_key key in
-        let v = subst_aval v in
+    let moved =
+      Seq.take_while
+        (fun ((r, _), _) -> Refsym.equal r a_sym)
+        (Sigma.to_seq_from (a_sym, Field_id.Elems) s.sigma)
+    in
+    Seq.fold_left
+      (fun acc (((_, f) as key), _) ->
+        let v = Sigma.find key acc in
+        let acc = Sigma.remove key acc in
+        let key = (b_sym, f) in
         match Sigma.find_opt key acc with
         | None -> Sigma.add key v acc
         | Some old ->
@@ -346,26 +446,28 @@ let retire_site (s : t) (site : int) : t =
               | _ -> Clash
             in
             Sigma.add key merged acc)
-      s.sigma Sigma.empty
+      (Lean_sigma.map (fun _ -> subst_aval) s.sigma)
+      moved
   in
   let remap_rmap merge m =
-    Rmap.fold
-      (fun r v acc ->
-        let r = Refsym.subst ~from_sym:a_sym ~to_sym:b_sym r in
-        match Rmap.find_opt r acc with
-        | None -> Rmap.add r v acc
-        | Some old -> Rmap.add r (merge old v) acc)
-      m Rmap.empty
+    match Rmap.find_opt a_sym m with
+    | None -> m
+    | Some v -> (
+        let m = Rmap.remove a_sym m in
+        match Rmap.find_opt b_sym m with
+        | None -> Rmap.add b_sym v m
+        | Some old -> Rmap.add b_sym (merge old v) m)
   in
-  {
-    s with
-    rho = Array.map subst_aval s.rho;
-    stk = List.map subst_aval s.stk;
-    nl = subst_set s.nl;
-    sigma;
-    len = remap_rmap Intval.merge_flat s.len;
-    nr = remap_rmap Intrange.merge_flat s.nr;
-  }
+  let rho = map_array subst_aval s.rho in
+  let stk = map_list subst_aval s.stk in
+  let nl = subst_set s.nl in
+  let len = remap_rmap Intval.merge_flat s.len in
+  let nr = remap_rmap Intrange.merge_flat s.nr in
+  if
+    rho == s.rho && stk == s.stk && nl == s.nl && sigma == s.sigma
+    && len == s.len && nr == s.nr
+  then s
+  else { s with rho; stk; nl; sigma; len; nr }
 
 (* ---- merging (§2.2, §3.5) --------------------------------------------- *)
 
@@ -373,7 +475,11 @@ let retire_site (s : t) (site : int) : t =
     it was recorded for the value, or the side's σ shows the location
     definitely null — the "or the field is null" disjunct of §4.3. *)
 let merge_nos (s1 : t) (s2 : t) (r1 : refinfo) (r2 : refinfo) : Nos.t =
-  let candidates = Nos.union r1.nos r2.nos in
+  let candidates =
+    if r1.nos == r2.nos || Nos.is_empty r2.nos then r1.nos
+    else if Nos.is_empty r1.nos then r2.nos
+    else Nos.union r1.nos r2.nos
+  in
   let side_ok (s : t) (ri : refinfo) ((r, f) : Refsym.t * Field_id.t) =
     Nos.mem (r, f) ri.nos
     || ((not (Rset.mem r s.nl))
@@ -382,7 +488,8 @@ let merge_nos (s1 : t) (s2 : t) (r1 : refinfo) (r2 : refinfo) : Nos.t =
        | Some (Ref { refs; _ }) -> Rset.is_empty refs
        | Some (Bot | Clash | Int _) | None -> false)
   in
-  Nos.filter (fun c -> side_ok s1 r1 c && side_ok s2 r2 c) candidates
+  if Nos.is_empty candidates then candidates
+  else Nos.filter (fun c -> side_ok s1 r1 c && side_ok s2 r2 c) candidates
 
 (** Merge must-sources: survives only when identical on both sides. *)
 let merge_msrc a b =
@@ -400,62 +507,54 @@ let merge_eprov ctx a b =
          && Bool.equal e1.ep_displaced e2.ep_displaced -> (
       match Intval.merge ctx e1.ep_idx e2.ep_idx with
       | Intval.Top -> None
-      | i -> Some { e1 with ep_idx = i })
+      | i -> if i == e1.ep_idx then a else Some { e1 with ep_idx = i })
   | Some _, Some _ | None, _ | _, None -> None
 
 let merge_aval (ctx : Intval.Ctx.ctx) (s1 : t) (s2 : t) (a : aval) (b : aval)
     : aval =
   match a, b with
   | Bot, x | x, Bot -> x
-  | Int x, Int y -> Int (Intval.merge ctx x y)
+  | Int x, Int y ->
+      let z = Intval.merge ctx x y in
+      if z == x then a else Int z
   | Ref x, Ref y ->
-      Ref
-        {
-          refs = Rset.union x.refs y.refs;
-          nos = merge_nos s1 s2 x y;
-          msrc = merge_msrc x.msrc y.msrc;
-          eprov = merge_eprov ctx x.eprov y.eprov;
-        }
+      let eprov = merge_eprov ctx x.eprov y.eprov in
+      let msrc = merge_msrc x.msrc y.msrc in
+      let nos = merge_nos s1 s2 x y in
+      let refs = union_rset x.refs y.refs in
+      if refs == x.refs && nos == x.nos && msrc == x.msrc && eprov == x.eprov
+      then a
+      else Ref { refs; nos; msrc; eprov }
   | Clash, _ | _, Clash -> Clash
   | Int _, Ref _ | Ref _, Int _ -> Clash
 
 (** Merge two whole states through one shared merge context, so that all
     integer state components (ρ, stk, and NR bounds — §3.5) discover common
     strides.  Raises [Invalid_argument] on operand-stack disagreement,
-    which the verifier rules out. *)
+    which the verifier rules out.
+
+    Returns [s1] itself when the join adds nothing to it, and shares every
+    unchanged component and binding otherwise.  The components are merged
+    in a fixed order — σ, Len and NR in descending key order, the shift,
+    the stack from the top, then ρ from local 0 — because the shared
+    context's mutation order decides which variable unknown a stride gets.
+    Merging a value with itself never touches the context, but is not the
+    identity: it drops an element provenance, a shift or a null-range
+    bound at ⊤. *)
 let merge ?(widen = false) ~(gen : Intval.Gen.t) (s1 : t) (s2 : t) : t =
   let ctx = Intval.Ctx.create ~widen gen in
   let mav = merge_aval ctx s1 s2 in
   if List.length s1.stk <> List.length s2.stk then
     invalid_arg "State.merge: operand stack mismatch";
-  let sigma =
-    Sigma.merge
-      (fun _ a b ->
-        match a, b with
-        | None, x | x, None -> x
-        | Some a, Some b -> Some (mav a b))
-      s1.sigma s2.sigma
-  in
-  let len =
-    Rmap.merge
-      (fun _ a b ->
-        match a, b with
-        | None, x | x, None -> x
-        | Some a, Some b -> Some (Intval.merge ctx a b))
-      s1.len s2.len
-  in
+  let sigma = Lean_sigma.merge (fun _ -> mav) s1.sigma s2.sigma in
+  let len = Lean_rmap.merge (fun _ -> Intval.merge ctx) s1.len s2.len in
   let nr =
-    Rmap.merge
+    let len_of (s : t) r =
+      match Rmap.find_opt r s.len with Some l -> l | None -> Intval.top
+    in
+    Lean_rmap.merge
       (fun r a b ->
-        match a, b with
-        | None, x | x, None -> x
-        | Some a, Some b ->
-            let len_of (s : t) =
-              match Rmap.find_opt r s.len with
-              | Some l -> l
-              | None -> Intval.top
-            in
-            Some (Intrange.merge ctx ~len1:(len_of s1) ~len2:(len_of s2) a b))
+        Intrange.merge ctx ~len1:(len_of s1 r) ~len2:(len_of s2 r) a b)
       s1.nr s2.nr
   in
   let shift =
@@ -463,20 +562,28 @@ let merge ?(widen = false) ~(gen : Intval.Gen.t) (s1 : t) (s2 : t) : t =
     | Some (m1, i1), Some (m2, i2) when equal_must_src m1 m2 -> (
         match Intval.merge ctx i1 i2 with
         | Intval.Top -> None
-        | i -> Some (m1, i))
+        | i -> if i == i1 then s1.shift else Some (m1, i))
     | Some _, Some _ | None, _ | _, None -> None
   in
-  {
-    rho = Array.map2 mav s1.rho s2.rho;
-    stk = List.map2 mav s1.stk s2.stk;
-    nl = Rset.union s1.nl s2.nl;
-    sigma;
-    len;
-    nr;
-    shift;
-  }
+  let nl = union_rset s1.nl s2.nl in
+  let stk = map2_list mav s1.stk s2.stk in
+  let rho = map2_array mav s1.rho s2.rho in
+  if
+    rho == s1.rho && stk == s1.stk && nl == s1.nl && sigma == s1.sigma
+    && len == s1.len && nr == s1.nr && shift == s1.shift
+  then s1
+  else { rho; stk; nl; sigma; len; nr; shift }
 
 (* ---- null-or-same fact invalidation ----------------------------------- *)
+
+(* [map_values f s]: apply [f] to every abstract value of ρ, stk and σ,
+   returning [s] itself when [f] changes none. *)
+let map_values f (s : t) : t =
+  let rho = map_array f s.rho in
+  let stk = map_list f s.stk in
+  let sigma = Lean_sigma.map (fun _ -> f) s.sigma in
+  if rho == s.rho && stk == s.stk && sigma == s.sigma then s
+  else { s with rho; stk; sigma }
 
 (** [kill_nos s locs] removes every null-or-same fact about the locations
     [locs] from every abstract value in the state.  Called whenever a
@@ -490,23 +597,20 @@ let kill_nos (s : t) (locs : (Refsym.t * Field_id.t) list) : t =
         (fun (r', f') -> Refsym.equal r r' && Field_id.equal f f')
         locs
     in
-    let clean = function
-      | Ref ri -> Ref { ri with nos = Nos.filter (fun l -> not (dead l)) ri.nos }
-      | (Bot | Clash | Int _) as v -> v
-    in
-    {
-      s with
-      rho = Array.map clean s.rho;
-      stk = List.map clean s.stk;
-      sigma = Sigma.map clean s.sigma;
-    }
+    map_values
+      (function
+        | Ref ri as v ->
+            let nos = Nos.filter (fun l -> not (dead l)) ri.nos in
+            if nos == ri.nos then v else Ref { ri with nos }
+        | (Bot | Clash | Int _) as v -> v)
+      s
 
 (** Invalidate must-source-derived facts.  [pred m] selects the sources
     to kill; values lose their [msrc]/[eprov], and the active shift chain
     dies if its source matches. *)
 let kill_must_src (s : t) (pred : must_src -> bool) : t =
   let clean = function
-    | Ref ri ->
+    | Ref ri as v -> (
         let msrc =
           match ri.msrc with Some m when pred m -> None | o -> o
         in
@@ -515,19 +619,14 @@ let kill_must_src (s : t) (pred : must_src -> bool) : t =
           | Some { ep_src = m; _ } when pred m -> None
           | o -> o
         in
-        Ref { ri with msrc; eprov }
+        if msrc == ri.msrc && eprov == ri.eprov then v
+        else Ref { ri with msrc; eprov })
     | (Bot | Clash | Int _) as v -> v
   in
-  let shift =
-    match s.shift with Some (m, _) when pred m -> None | o -> o
-  in
-  {
-    s with
-    rho = Array.map clean s.rho;
-    stk = List.map clean s.stk;
-    sigma = Sigma.map clean s.sigma;
-    shift;
-  }
+  let s' = map_values clean s in
+  match s.shift with
+  | Some (m, _) when pred m -> { s' with shift = None }
+  | Some _ | None -> s'
 
 (** Kill every must-source fact (conservative barrier for calls, which
     may write any static or array). *)
@@ -538,16 +637,11 @@ let kill_all_must_src (s : t) : t = kill_must_src s (fun _ -> true)
     caller re-establishes the shift chain separately when the store
     extended it.) *)
 let kill_all_eprov (s : t) : t =
-  let clean = function
-    | Ref ({ eprov = Some _; _ } as ri) -> Ref { ri with eprov = None }
-    | (Bot | Clash | Int _ | Ref { eprov = None; _ }) as v -> v
-  in
-  {
-    s with
-    rho = Array.map clean s.rho;
-    stk = List.map clean s.stk;
-    sigma = Sigma.map clean s.sigma;
-  }
+  map_values
+    (function
+      | Ref ({ eprov = Some _; _ } as ri) -> Ref { ri with eprov = None }
+      | (Bot | Clash | Int _ | Ref { eprov = None; _ }) as v -> v)
+    s
 
 (** Refine element provenances across an object-array store to index
     [idx] of the array identified by [src].
@@ -566,28 +660,20 @@ let kill_all_eprov (s : t) : t =
     slot. *)
 let eprov_after_store (s : t) ~(src : must_src option) ~(idx : Intval.t)
     ~(displace : bool) : t =
-  let clean = function
-    | Ref ({ eprov = Some ep; _ } as ri) ->
-        let eprov =
+  map_values
+    (function
+      | Ref ({ eprov = Some ep; _ } as ri) as v -> (
           match src with
           | Some m when equal_must_src ep.ep_src m && not ep.ep_displaced ->
               if displace && Intval.equal ep.ep_idx idx then
-                Some { ep with ep_displaced = true }
+                Ref { ri with eprov = Some { ep with ep_displaced = true } }
               else (
                 match Intval.to_literal (Intval.sub ep.ep_idx idx) with
-                | Some d when d <> 0 -> Some ep
-                | Some _ | None -> None)
-          | Some _ | None -> None
-        in
-        Ref { ri with eprov }
-    | (Bot | Clash | Int _ | Ref { eprov = None; _ }) as v -> v
-  in
-  {
-    s with
-    rho = Array.map clean s.rho;
-    stk = List.map clean s.stk;
-    sigma = Sigma.map clean s.sigma;
-  }
+                | Some d when d <> 0 -> v
+                | Some _ | None -> Ref { ri with eprov = None })
+          | Some _ | None -> Ref { ri with eprov = None })
+      | (Bot | Clash | Int _ | Ref { eprov = None; _ }) as v -> v)
+    s
 
 (* ---- stack and locals helpers ----------------------------------------- *)
 
@@ -615,8 +701,11 @@ let pop_ref s =
   | Int _, _ -> bugf "expected abstract ref on stack"
 
 let set_local s i v =
-  let rho = Array.copy s.rho in
-  rho.(i) <- v;
-  { s with rho }
+  if s.rho.(i) == v then s
+  else begin
+    let rho = Array.copy s.rho in
+    rho.(i) <- v;
+    { s with rho }
+  end
 
 let local s i = s.rho.(i)

@@ -150,8 +150,7 @@ let label_name tok = String.sub tok 0 (String.length tok - 1)
 (** Parse the body of a method until [end]; returns the finished method and
     the remaining lines. *)
 let parse_method_body lineno ~name ~params ~ret ~locals ~ctor lines =
-  let b = Builder.create ~name ~params ?ret ~ctor ~locals () in
-  let rec loop = function
+  let rec loop b = function
     | [] -> errf lineno "method %s: missing end" name
     | ({ Lexer.lineno = ln; tokens } : Lexer.line) :: rest -> (
         match tokens with
@@ -159,25 +158,29 @@ let parse_method_body lineno ~name ~params ~ret ~locals ~ctor lines =
         | [ tok ] when is_label_decl tok ->
             (try Builder.label b (label_name tok)
              with Builder.Build_error m -> errf ln "%s" m);
-            loop rest
+            loop b rest
         | "catch" :: args -> (
             match args with
             | [ kind_s; from_lbl; to_lbl; target_lbl ] -> (
                 match exn_kind_of_string kind_s with
                 | Some kind ->
                     Builder.handler b ~from_lbl ~to_lbl ~target_lbl kind;
-                    loop rest
+                    loop b rest
                 | None -> errf ln "unknown exception kind %S" kind_s)
             | _ -> errf ln "catch expects: kind from to handler")
         | _ -> (
             match instr_of_tokens ln tokens with
             | Some i ->
                 Builder.emit b i;
-                loop rest
+                loop b rest
             | None ->
                 errf ln "unknown instruction %S" (String.concat " " tokens)))
   in
-  try loop lines with Builder.Build_error m -> errf lineno "%s" m
+  try loop (Builder.create ~name ~params ?ret ~ctor ~locals ()) lines
+  with Builder.Build_error m -> errf lineno "%s" m
+
+(** The JVM's bound on a method's local variables ([max_locals] is a u2). *)
+let max_locals = 65535
 
 (** Parse a method header line:
     [method <ret> <name> ( <tys> ) locals <n> [ctor]]. *)
@@ -220,6 +223,8 @@ let parse_method_header lineno args =
         | [ "locals"; n; "ctor" ] -> (int_of_token lineno n, true)
         | _ -> errf lineno "method header: expected 'locals <n> [ctor]'"
       in
+      if locals > max_locals then
+        errf lineno "method %s: locals %d exceeds %d" name locals max_locals;
       (name, params, ret, locals, ctor)
   | _ -> errf lineno "malformed method header"
 

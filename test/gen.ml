@@ -69,6 +69,20 @@ let refsym : Satb_core.Refsym.t Q.t =
 let refset : Satb_core.Refsym.Set.t Q.t =
   Q.map Satb_core.Refsym.Set.of_list (Q.list_size (Q.int_range 0 4) refsym)
 
+(* ---- Field_id --------------------------------------------------------- *)
+
+(* names that share prefixes and differ in length, so the lexicographic
+   order's corner cases come up *)
+let member_name = Q.oneofl [ ""; "a"; "ab"; "b"; "ba"; "C"; "Ca"; "next" ]
+
+let field_id : Satb_core.Field_id.t Q.t =
+  let open Q in
+  frequency
+    [
+      (1, return Satb_core.Field_id.Elems);
+      (6, map2 (fun c f -> Satb_core.Field_id.F (c, f)) member_name member_name);
+    ]
+
 (* ---- random straight-line + loop programs for round-trip tests ------- *)
 
 (* A small structured method generator: produces verifiable methods over

@@ -272,6 +272,19 @@ let prop_generated_roundtrip =
       let s2 = Jir.Pp.program_to_string p2 in
       s1 = s2)
 
+(* CRLF line endings lex like LF ones: the carriage return is a blank *)
+let test_crlf_workloads () =
+  List.iter
+    (fun (w : Workloads.Spec.t) ->
+      let crlf =
+        String.concat "\r\n" (String.split_on_char '\n' w.src)
+      in
+      Alcotest.(check string)
+        (w.name ^ " parses the same with CRLF")
+        (Jir.Pp.program_to_string (Jir.Parser.parse_program w.src))
+        (Jir.Pp.program_to_string (Jir.Parser.parse_program crlf)))
+    Workloads.Registry.all
+
 let prop_generated_verify =
   QCheck2.Test.make ~name:"generated programs verify" ~count:200
     Gen.gen_program (fun p ->
@@ -283,6 +296,7 @@ let unit_tests =
   [
     ("lexer comments/blanks", test_lexer_comments_and_blanks);
     ("lexer line numbers", test_lexer_line_numbers);
+    ("CRLF workloads parse like LF", test_crlf_workloads);
     ("parse errors", test_parse_errors);
     ("header variants", test_parse_header_variants);
     ("ctor flag", test_parse_ctor_flag);

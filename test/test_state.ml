@@ -242,6 +242,35 @@ let prop_escape_monotone =
       let s' = S.all_non_tl s rs' in
       Sym.Set.subset nl0 s'.nl && Sym.Set.subset rs' s'.nl)
 
+(* Set and map iteration order feeds symbol recycling, explanations and
+   the analysis golden, so the monomorphic comparators must order exactly
+   like the polymorphic one they replaced. *)
+let sign n = Int.compare n 0
+
+let wide_refsym =
+  let open QCheck2.Gen in
+  oneof
+    [
+      return Sym.Global;
+      map (fun i -> Sym.Arg i) (int_range (-2) 6);
+      map2
+        (fun site recent -> Sym.Alloc { site; recent })
+        (int_range (-2) 40) bool;
+    ]
+
+let prop_refsym_compare_order =
+  QCheck2.Test.make ~name:"Refsym.compare orders like Stdlib.compare"
+    ~count:2000 (QCheck2.Gen.pair wide_refsym wide_refsym) (fun (a, b) ->
+      sign (Sym.compare a b) = sign (Stdlib.compare a b)
+      && Sym.equal a b = (Stdlib.compare a b = 0))
+
+let prop_field_id_compare_order =
+  QCheck2.Test.make ~name:"Field_id.compare orders like Stdlib.compare"
+    ~count:2000 (QCheck2.Gen.pair Gen.field_id Gen.field_id) (fun (a, b) ->
+      let module F = Satb_core.Field_id in
+      sign (F.compare a b) = sign (Stdlib.compare a b)
+      && F.equal a b = (Stdlib.compare a b = 0))
+
 let unit_tests =
   [
     ("lookup global", test_lookup_global);
@@ -263,4 +292,10 @@ let unit_tests =
 let tests =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f) unit_tests
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_merge_commutative_refs; prop_merge_upper_bound; prop_escape_monotone ]
+      [
+        prop_merge_commutative_refs;
+        prop_merge_upper_bound;
+        prop_escape_monotone;
+        prop_refsym_compare_order;
+        prop_field_id_compare_order;
+      ]
