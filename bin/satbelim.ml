@@ -1148,12 +1148,10 @@ let timeline_cmd =
             match chrome with
             | None -> ()
             | Some out ->
-                let events = Flight.chrome_events_of_dump d in
                 Telemetry.write_file out
-                  (Telemetry.json_to_string
-                     (Telemetry.chrome_of_events events));
+                  (Telemetry.json_to_string (Flight.chrome_of_dump d));
                 Fmt.pr "%s: wrote Chrome trace (%d events)@." out
-                  (List.length events)))
+                  (List.length d.Flight.d_events)))
   in
   let dump_arg =
     Arg.(

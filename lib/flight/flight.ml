@@ -1,143 +1,34 @@
-(* Always-on flight recorder.  See flight.mli for the design contract.
+(* The runtime's one event pipeline.  See flight.mli for the contract.
 
-   Layout: five pre-allocated parallel int arrays indexed by
-   [total mod capacity] — a record is five stores and two increments,
-   no allocation, so the recorder stays enabled under the threaded
-   engine (<2% on every workload, gated by BENCH_flight.json).  Strings
-   cross into the ring only as intern-table ids, produced on cold paths
-   (revocation, respecialization, fault injection). *)
+   Layout: a pre-allocated ring of stamped events indexed by
+   [total mod capacity].  A run records tens to a few hundred events, all
+   on cold paths (cycle boundaries, pacer decisions, revocations, faults,
+   respecialization), so an event is an ordinary immutable value; the
+   recorder stays enabled under the threaded engine (<2% on every
+   workload, gated by BENCH_flight.json). *)
 
-type kind =
-  | Mark_start
-  | Mark_end
-  | Pause
-  | Assist
-  | Trigger
-  | Soft_enter
-  | Soft_exit
-  | Retune
-  | Hard_stop
-  | Revoke_request
-  | Revoke_apply
-  | Revoke_site
-  | Respecialize
-  | Swap_degraded
-  | Chaos_fault
-  | Anomaly
-  | Census
-
-let kinds =
-  [|
-    Mark_start; Mark_end; Pause; Assist; Trigger; Soft_enter; Soft_exit;
-    Retune; Hard_stop; Revoke_request; Revoke_apply; Revoke_site;
-    Respecialize; Swap_degraded; Chaos_fault; Anomaly; Census;
-  |]
-
-let int_of_kind = function
-  | Mark_start -> 0
-  | Mark_end -> 1
-  | Pause -> 2
-  | Assist -> 3
-  | Trigger -> 4
-  | Soft_enter -> 5
-  | Soft_exit -> 6
-  | Retune -> 7
-  | Hard_stop -> 8
-  | Revoke_request -> 9
-  | Revoke_apply -> 10
-  | Revoke_site -> 11
-  | Respecialize -> 12
-  | Swap_degraded -> 13
-  | Chaos_fault -> 14
-  | Anomaly -> 15
-  | Census -> 16
-
-let kind_name = function
-  | Mark_start -> "mark.start"
-  | Mark_end -> "mark.end"
-  | Pause -> "gc.pause"
-  | Assist -> "gc.assist"
-  | Trigger -> "pacer.trigger"
-  | Soft_enter -> "pacer.soft.enter"
-  | Soft_exit -> "pacer.soft.exit"
-  | Retune -> "pacer.retune"
-  | Hard_stop -> "pacer.hard_stop"
-  | Revoke_request -> "revoke.request"
-  | Revoke_apply -> "revoke.apply"
-  | Revoke_site -> "revoke.site"
-  | Respecialize -> "engine.respecialize"
-  | Swap_degraded -> "runtime.degraded"
-  | Chaos_fault -> "chaos.fault"
-  | Anomaly -> "anomaly"
-  | Census -> "heap.census"
-
-let kind_of_name (s : string) : kind option =
-  let rec go i =
-    if i >= Array.length kinds then None
-    else if kind_name kinds.(i) = s then Some kinds.(i)
-    else go (i + 1)
-  in
-  go 0
-
-type ev = { k : kind; step : int; a : int; b : int; c : int }
-
-(* ---- interning --------------------------------------------------------- *)
-
-let intern_tbl : (string, int) Hashtbl.t = Hashtbl.create 64
-let intern_rev : string list ref = ref []  (* newest first *)
-let intern_n = ref 0
-
-let intern (s : string) : int =
-  match Hashtbl.find_opt intern_tbl s with
-  | Some i -> i
-  | None ->
-      let i = !intern_n in
-      incr intern_n;
-      Hashtbl.replace intern_tbl s i;
-      intern_rev := s :: !intern_rev;
-      i
-
-let intern_array () : string array =
-  let a = Array.make !intern_n "" in
-  List.iteri (fun j s -> a.(!intern_n - 1 - j) <- s) !intern_rev;
-  a
-
-let str_of (i : int) : string =
-  if i >= 0 && i < !intern_n then List.nth !intern_rev (!intern_n - 1 - i)
-  else Printf.sprintf "?%d" i
+include Event
+include Dump
+module J = Telemetry
 
 (* ---- the ring ---------------------------------------------------------- *)
 
 let default_capacity = 4096
 let cap = ref default_capacity
-let r_kind = ref (Array.make default_capacity 0)
-let r_step = ref (Array.make default_capacity 0)
-let r_a = ref (Array.make default_capacity 0)
-let r_b = ref (Array.make default_capacity 0)
-let r_c = ref (Array.make default_capacity 0)
+let empty = { step = 0; ev = Assist }
+let ring = ref (Array.make default_capacity empty)
 let total = ref 0
 let on = ref true
 let step_source : (unit -> int) ref = ref (fun () -> 0)
 let meta : (string * string) list ref = ref []
 
-type site_state = {
-  fs_site : string;
-  fs_kind : string;
-  fs_state : string;
-  fs_execs : int;
-  fs_paid : int;
-  fs_elided_execs : int;
-  fs_revocations : int;
-  fs_guards : string list;
-}
-
 let sites_source : (unit -> site_state list) ref = ref (fun () -> [])
 
 (* Heap-census snapshot at dump time (cycle, live objects, live units).
-   Installed only when a heap observer is armed, so ordinary dumps stay
-   byte-identical to earlier releases.  Exists for the hard-limit abort
-   path: the in-flight cycle's census has not been emitted yet when the
-   ring is captured, so the dump flushes the heap state directly. *)
+   Installed only when a heap observer is armed.  Exists for the
+   hard-limit abort path: the in-flight cycle's census has not been
+   recorded yet when the ring is captured, so the dump flushes the heap
+   state directly. *)
 let census_source : (unit -> (int * int * int) option) ref =
   ref (fun () -> None)
 
@@ -150,31 +41,27 @@ let set_census_source f = census_source := f
 let recorded () = !total
 let capacity () = !cap
 
-let record (k : kind) ~(a : int) ~(b : int) ~(c : int) : unit =
-  if !on then begin
-    let i = !total mod !cap in
-    !r_kind.(i) <- int_of_kind k;
-    !r_step.(i) <- !step_source ();
-    !r_a.(i) <- a;
-    !r_b.(i) <- b;
-    !r_c.(i) <- c;
-    incr total
-  end
+let push (e : entry) =
+  !ring.(!total mod !cap) <- e;
+  incr total
 
-let nth_ev (n : int) : ev =
-  let i = n mod !cap in
-  {
-    k = kinds.(!r_kind.(i));
-    step = !r_step.(i);
-    a = !r_a.(i);
-    b = !r_b.(i);
-    c = !r_c.(i);
-  }
+let stream (e : entry) =
+  let kind, fs = render e in
+  J.emit kind fs
+
+let record (ev : event) : unit =
+  if !on || J.armed () then begin
+    let e = { step = !step_source (); ev } in
+    if !on then push e;
+    if J.armed () then stream e
+  end
 
 let first_live () = max 0 (!total - !cap)
 
-let events () : ev list =
-  let rec go n acc = if n < first_live () then acc else go (n - 1) (nth_ev n :: acc) in
+let events () : entry list =
+  let rec go n acc =
+    if n < first_live () then acc else go (n - 1) (!ring.(n mod !cap) :: acc)
+  in
   go (!total - 1) []
 
 (* ---- anomaly detectors ------------------------------------------------- *)
@@ -187,7 +74,6 @@ let events () : ev list =
 
 type det = {
   d_name : string;
-  d_id : int;  (* interned name *)
   d_window : int;  (* steps *)
   d_threshold : int;
   mutable d_recent : int list;  (* steps, newest first *)
@@ -197,7 +83,6 @@ type det = {
 let mk_det name ~window ~threshold =
   {
     d_name = name;
-    d_id = intern name;
     d_window = window;
     d_threshold = threshold;
     d_recent = [];
@@ -223,15 +108,17 @@ let polled = ref 0
 (* capture is defined below; detectors reach it through this knot *)
 let capture_hook : (reason:string -> unit) ref = ref (fun ~reason:_ -> ())
 
+let fire (d : det) (step : int) ~(count : int) : unit =
+  d.d_fired <- true;
+  fired := (d.d_name, step) :: !fired;
+  record (Anomaly { detector = d.d_name; count });
+  !capture_hook ~reason:("anomaly:" ^ d.d_name)
+
 let det_note (d : det) (step : int) : unit =
   if not d.d_fired then begin
     d.d_recent <- step :: List.filter (fun s -> step - s < d.d_window) d.d_recent;
-    if List.length d.d_recent >= d.d_threshold then begin
-      d.d_fired <- true;
-      fired := (d.d_name, step) :: !fired;
-      record Anomaly ~a:d.d_id ~b:(List.length d.d_recent) ~c:0;
-      !capture_hook ~reason:("anomaly:" ^ d.d_name)
-    end
+    if List.length d.d_recent >= d.d_threshold then
+      fire d step ~count:(List.length d.d_recent)
   end
 
 let det_cascade_note (slot : int ref) (step : int) : unit =
@@ -239,29 +126,23 @@ let det_cascade_note (slot : int ref) (step : int) : unit =
     slot := step;
     let live s = s >= 0 && step - s < det_cascade.d_window in
     if live !cascade_soft && live !cascade_degraded && live !cascade_revoke
-    then begin
-      det_cascade.d_fired <- true;
-      fired := (det_cascade.d_name, step) :: !fired;
-      record Anomaly ~a:det_cascade.d_id ~b:3 ~c:0;
-      !capture_hook ~reason:("anomaly:" ^ det_cascade.d_name)
-    end
+    then fire det_cascade step ~count:3
   end
 
 let poll () : unit =
   if !polled < !total then begin
     let from = max !polled (first_live ()) in
     for n = from to !total - 1 do
-      let i = n mod !cap in
-      let step = !r_step.(i) in
-      match kinds.(!r_kind.(i)) with
-      | Revoke_site ->
+      let { step; ev } = !ring.(n mod !cap) in
+      match ev with
+      | Revoke_site _ ->
           det_note det_revoke_storm step;
           det_cascade_note cascade_revoke step
-      | Soft_enter ->
+      | Degraded _ ->
           det_note det_oscillation step;
           det_cascade_note cascade_soft step
       | Assist -> det_note det_assist_spiral step
-      | Swap_degraded -> det_cascade_note cascade_degraded step
+      | Runtime_degraded _ -> det_cascade_note cascade_degraded step
       | _ -> ()
     done;
     polled := !total
@@ -291,16 +172,10 @@ let begin_run () : unit =
 let set_capacity (n : int) : unit =
   let n = max 16 n in
   cap := n;
-  r_kind := Array.make n 0;
-  r_step := Array.make n 0;
-  r_a := Array.make n 0;
-  r_b := Array.make n 0;
-  r_c := Array.make n 0;
+  ring := Array.make n empty;
   begin_run ()
 
 (* ---- dumps ------------------------------------------------------------- *)
-
-module J = Telemetry
 
 let site_to_json (s : site_state) : J.json =
   J.Obj
@@ -316,7 +191,6 @@ let site_to_json (s : site_state) : J.json =
     ]
 
 let dump_json ~(reason : string) : J.json =
-  let evs = events () in
   let sites =
     List.sort (fun a b -> compare a.fs_site b.fs_site) (!sites_source ())
   in
@@ -325,41 +199,23 @@ let dump_json ~(reason : string) : J.json =
       ( "flight",
         J.Obj
           ([
-            ("version", J.Int 1);
-            ("reason", J.Str reason);
-            ("at_step", J.Int (!step_source ()));
-            ("capacity", J.Int !cap);
-            ("recorded", J.Int !total);
-            ( "meta",
-              J.Obj (List.map (fun (k, v) -> (k, J.Str v)) !meta) );
-            ( "strings",
-              J.List
-                (Array.to_list (Array.map (fun s -> J.Str s) (intern_array ())))
-            );
-            ( "events",
-              J.List
-                (List.map
-                   (fun e ->
-                     J.List
-                       [
-                         J.Str (kind_name e.k);
-                         J.Int e.step;
-                         J.Int e.a;
-                         J.Int e.b;
-                         J.Int e.c;
-                       ])
-                   evs) );
-            ("sites", J.List (List.map site_to_json sites));
-            ( "anomalies",
-              J.List
-                (List.map
-                   (fun (name, step) ->
-                     J.Obj [ ("detector", J.Str name); ("at_step", J.Int step) ])
-                   (anomalies ())) );
-          ]
+             ("version", J.Int 2);
+             ("reason", J.Str reason);
+             ("at_step", J.Int (!step_source ()));
+             ("capacity", J.Int !cap);
+             ("recorded", J.Int !total);
+             ("meta", J.Obj (List.map (fun (k, v) -> (k, J.Str v)) !meta));
+             ("events", J.List (List.map to_json (events ())));
+             ("sites", J.List (List.map site_to_json sites));
+             ( "anomalies",
+               J.List
+                 (List.map
+                    (fun (name, step) ->
+                      J.Obj [ ("detector", J.Str name); ("at_step", J.Int step) ])
+                    (anomalies ())) );
+           ]
           @
-          (* appended, and only when a heap observer is armed, so dumps
-             without one stay byte-identical to earlier releases *)
+          (* only when a heap observer is armed *)
           match !census_source () with
           | Some (cycle, live, units) ->
               [
@@ -396,548 +252,3 @@ let capture ~(reason : string) : string option =
 
 let captured () = !captured_at
 let () = capture_hook := fun ~reason -> ignore (capture ~reason)
-
-(* ---- parsing ----------------------------------------------------------- *)
-
-type dump = {
-  d_reason : string;
-  d_step : int;
-  d_capacity : int;
-  d_recorded : int;
-  d_meta : (string * string) list;
-  d_events : ev list;
-  d_sites : site_state list;
-  d_anomalies : (string * int) list;
-  d_strings : string array;
-  d_pending_census : (int * int * int) option;
-}
-
-let parse_dump (j : J.json) : (dump, string) result =
-  let ( let* ) = Result.bind in
-  let field name = function
-    | J.Obj kvs -> (
-        match List.assoc_opt name kvs with
-        | Some v -> Ok v
-        | None -> Error (Printf.sprintf "missing field %S" name))
-    | _ -> Error "expected an object"
-  in
-  let as_int = function J.Int n -> Ok n | _ -> Error "expected an int" in
-  let as_str = function J.Str s -> Ok s | _ -> Error "expected a string" in
-  let as_list = function J.List l -> Ok l | _ -> Error "expected a list" in
-  let* body = field "flight" j in
-  let* version = Result.bind (field "version" body) as_int in
-  if version <> 1 then Error (Printf.sprintf "unsupported dump version %d" version)
-  else
-    let* reason = Result.bind (field "reason" body) as_str in
-    let* step = Result.bind (field "at_step" body) as_int in
-    let* capacity = Result.bind (field "capacity" body) as_int in
-    let* recorded = Result.bind (field "recorded" body) as_int in
-    let* meta =
-      match field "meta" body with
-      | Ok (J.Obj kvs) ->
-          List.fold_left
-            (fun acc (k, v) ->
-              let* acc = acc in
-              let* s = as_str v in
-              Ok ((k, s) :: acc))
-            (Ok []) kvs
-          |> Result.map List.rev
-      | Ok _ -> Error "meta: expected an object"
-      | Error e -> Error e
-    in
-    let* strings =
-      let* l = Result.bind (field "strings" body) as_list in
-      let* ss =
-        List.fold_left
-          (fun acc v ->
-            let* acc = acc in
-            let* s = as_str v in
-            Ok (s :: acc))
-          (Ok []) l
-      in
-      Ok (Array.of_list (List.rev ss))
-    in
-    let* events =
-      let* l = Result.bind (field "events" body) as_list in
-      List.fold_left
-        (fun acc v ->
-          let* acc = acc in
-          match v with
-          | J.List [ J.Str kname; J.Int step; J.Int a; J.Int b; J.Int c ] -> (
-              match kind_of_name kname with
-              | Some k -> Ok ({ k; step; a; b; c } :: acc)
-              | None -> Error (Printf.sprintf "unknown event kind %S" kname))
-          | _ -> Error "event: expected [kind, step, a, b, c]")
-        (Ok []) l
-      |> Result.map List.rev
-    in
-    let* sites =
-      let* l = Result.bind (field "sites" body) as_list in
-      List.fold_left
-        (fun acc v ->
-          let* acc = acc in
-          let* fs_site = Result.bind (field "site" v) as_str in
-          let* fs_kind = Result.bind (field "kind" v) as_str in
-          let* fs_state = Result.bind (field "state" v) as_str in
-          let* fs_execs = Result.bind (field "execs" v) as_int in
-          let* fs_paid = Result.bind (field "paid" v) as_int in
-          let* fs_elided_execs = Result.bind (field "elided" v) as_int in
-          let* fs_revocations = Result.bind (field "revocations" v) as_int in
-          let* fs_guards =
-            let* gl = Result.bind (field "guards" v) as_list in
-            List.fold_left
-              (fun acc g ->
-                let* acc = acc in
-                let* s = as_str g in
-                Ok (s :: acc))
-              (Ok []) gl
-            |> Result.map List.rev
-          in
-          Ok
-            ({
-               fs_site;
-               fs_kind;
-               fs_state;
-               fs_execs;
-               fs_paid;
-               fs_elided_execs;
-               fs_revocations;
-               fs_guards;
-             }
-            :: acc))
-        (Ok []) l
-      |> Result.map List.rev
-    in
-    let* anomalies =
-      let* l = Result.bind (field "anomalies" body) as_list in
-      List.fold_left
-        (fun acc v ->
-          let* acc = acc in
-          let* name = Result.bind (field "detector" v) as_str in
-          let* at = Result.bind (field "at_step" v) as_int in
-          Ok ((name, at) :: acc))
-        (Ok []) l
-      |> Result.map List.rev
-    in
-    (* optional: only dumps written under a heap observer carry it *)
-    let* pending_census =
-      match body with
-      | J.Obj kvs -> (
-          match List.assoc_opt "pending_census" kvs with
-          | None -> Ok None
-          | Some pc ->
-              let* cycle = Result.bind (field "cycle" pc) as_int in
-              let* live = Result.bind (field "live" pc) as_int in
-              let* units = Result.bind (field "live_units" pc) as_int in
-              Ok (Some (cycle, live, units)))
-      | _ -> Ok None
-    in
-    Ok
-      {
-        d_reason = reason;
-        d_step = step;
-        d_capacity = capacity;
-        d_recorded = recorded;
-        d_meta = meta;
-        d_events = events;
-        d_sites = sites;
-        d_anomalies = anomalies;
-        d_strings = strings;
-        d_pending_census = pending_census;
-      }
-
-(* ---- timeline reconstruction ------------------------------------------- *)
-
-type cycle = {
-  cy_n : int;
-  cy_collector : string;
-  cy_start : int;
-  cy_end : int option;
-  cy_pause : int option;
-  cy_violations : int;
-  cy_assists : int;
-  cy_revoked_sites : int;
-  cy_faults : int;
-  cy_soft_enters : int;
-  cy_retunes : int;
-  cy_census : (int * int) option;
-      (** (live units, floating units) from the cycle-end heap census,
-          when a heap observer recorded one *)
-}
-
-type site_life = {
-  sl_site : string;
-  sl_kind : string;
-  sl_state : string;
-  sl_history : string;
-}
-
-type timeline = {
-  tl_cycles : cycle list;
-  tl_sites : site_life list;
-  tl_anomalies : (string * int) list;
-  tl_hard_stop : int option;
-  tl_dropped : int;
-}
-
-let dstr (d : dump) (i : int) : string =
-  if i >= 0 && i < Array.length d.d_strings then d.d_strings.(i)
-  else Printf.sprintf "?%d" i
-
-let timeline_of (d : dump) : timeline =
-  (* Fold the event stream into cycles.  Idle-period events (assists,
-     revocations, faults between cycles) are attributed to the cycle
-     that follows them — they are typically what provokes it. *)
-  let cycles = ref [] in
-  let current = ref None in
-  let assists = ref 0 in
-  let revoked = ref 0 in
-  let faults = ref 0 in
-  let soft = ref 0 in
-  let retunes = ref 0 in
-  let hard = ref None in
-  let take r =
-    let v = !r in
-    r := 0;
-    v
-  in
-  List.iter
-    (fun e ->
-      match e.k with
-      | Mark_start ->
-          current :=
-            Some
-              {
-                cy_n = e.b;
-                cy_collector = dstr d e.a;
-                cy_start = e.step;
-                cy_end = None;
-                cy_pause = None;
-                cy_violations = 0;
-                cy_assists = take assists;
-                cy_revoked_sites = take revoked;
-                cy_faults = take faults;
-                cy_soft_enters = take soft;
-                cy_retunes = take retunes;
-                cy_census = None;
-              }
-      | Mark_end ->
-          (match !current with
-          | Some cy ->
-              cycles :=
-                {
-                  cy with
-                  cy_end = Some e.step;
-                  cy_violations = e.c;
-                  cy_assists = cy.cy_assists + take assists;
-                  cy_revoked_sites = cy.cy_revoked_sites + take revoked;
-                  cy_faults = cy.cy_faults + take faults;
-                  cy_soft_enters = cy.cy_soft_enters + take soft;
-                  cy_retunes = cy.cy_retunes + take retunes;
-                }
-                :: !cycles
-          | None ->
-              (* start fell off the ring: synthesize a truncated cycle *)
-              cycles :=
-                {
-                  cy_n = e.b;
-                  cy_collector = dstr d e.a;
-                  cy_start = -1;
-                  cy_end = Some e.step;
-                  cy_pause = None;
-                  cy_violations = e.c;
-                  cy_assists = take assists;
-                  cy_revoked_sites = take revoked;
-                  cy_faults = take faults;
-                  cy_soft_enters = take soft;
-                  cy_retunes = take retunes;
-                  cy_census = None;
-                }
-                :: !cycles);
-          current := None
-      | Pause -> (
-          (* recorded just after the collector's mark.end *)
-          match !cycles with
-          | cy :: rest when cy.cy_pause = None ->
-              cycles := { cy with cy_pause = Some e.a } :: rest
-          | _ -> ())
-      | Census -> (
-          (* recorded by the heap observer right after the pause *)
-          match !cycles with
-          | cy :: rest when cy.cy_census = None ->
-              cycles := { cy with cy_census = Some (e.b, e.c) } :: rest
-          | _ -> ())
-      | Assist -> incr assists
-      | Revoke_site -> incr revoked
-      | Chaos_fault -> incr faults
-      | Soft_enter -> incr soft
-      | Retune -> incr retunes
-      | Hard_stop -> hard := Some e.step
-      | Trigger | Soft_exit | Revoke_request | Revoke_apply | Respecialize
-      | Swap_degraded | Anomaly ->
-          ())
-    d.d_events;
-  (* a cycle still marking at capture time *)
-  let open_cycle =
-    match !current with
-    | Some cy ->
-        [
-          {
-            cy with
-            cy_assists = cy.cy_assists + !assists;
-            cy_revoked_sites = cy.cy_revoked_sites + !revoked;
-            cy_faults = cy.cy_faults + !faults;
-            cy_soft_enters = cy.cy_soft_enters + !soft;
-            cy_retunes = cy.cy_retunes + !retunes;
-          };
-        ]
-    | None -> []
-  in
-  (* per-site history: revocations (with guard provenance) and
-     respecializations, in stream order *)
-  let hist : (string, string list) Hashtbl.t = Hashtbl.create 16 in
-  let push site entry =
-    let prev = Option.value (Hashtbl.find_opt hist site) ~default:[] in
-    Hashtbl.replace hist site (entry :: prev)
-  in
-  List.iter
-    (fun e ->
-      match e.k with
-      | Revoke_site ->
-          let half =
-            match e.c with 1 -> " del-half" | 2 -> " ins-half" | _ -> ""
-          in
-          push (dstr d e.a)
-            (Printf.sprintf "revoked@%d (%s%s)" e.step (dstr d e.b) half)
-      | Respecialize ->
-          push (dstr d e.a) (Printf.sprintf "respec@%d e%d" e.step e.b)
-      | _ -> ())
-    d.d_events;
-  let sites =
-    List.map
-      (fun s ->
-        {
-          sl_site = s.fs_site;
-          sl_kind = s.fs_kind;
-          sl_state = s.fs_state;
-          sl_history =
-            (match Hashtbl.find_opt hist s.fs_site with
-            | Some entries -> String.concat " -> " (List.rev entries)
-            | None -> "-");
-        })
-      d.d_sites
-  in
-  {
-    tl_cycles = List.rev !cycles @ open_cycle;
-    tl_sites = sites;
-    tl_anomalies = d.d_anomalies;
-    tl_hard_stop = !hard;
-    tl_dropped = max 0 (d.d_recorded - d.d_capacity);
-  }
-
-(* ---- rendering --------------------------------------------------------- *)
-
-(* fixed-format aligned table: header + rows, two-space gutters, columns
-   sized to content, left-aligned (numbers are small here and alignment
-   stability matters more than typography — this is a golden surface) *)
-let render_table (header : string list) (rows : string list list) : string =
-  let all = header :: rows in
-  let ncols = List.fold_left (fun acc r -> max acc (List.length r)) 0 all in
-  let widths = Array.make ncols 0 in
-  List.iter
-    (List.iteri (fun i cell -> widths.(i) <- max widths.(i) (String.length cell)))
-    all;
-  let buf = Buffer.create 256 in
-  let line r =
-    List.iteri
-      (fun i cell ->
-        if i > 0 then Buffer.add_string buf "  ";
-        Buffer.add_string buf cell;
-        if i < List.length r - 1 then
-          Buffer.add_string buf (String.make (widths.(i) - String.length cell) ' '))
-      r;
-    Buffer.add_char buf '\n'
-  in
-  line header;
-  line
-    (List.mapi
-       (fun i _ -> String.make widths.(i) '-')
-       (List.init ncols (fun i -> i)));
-  List.iter line rows;
-  Buffer.contents buf
-
-let cycle_notes (cy : cycle) : string =
-  let notes = ref [] in
-  if cy.cy_start < 0 then notes := "truncated" :: !notes;
-  if cy.cy_end = None then notes := "in-flight" :: !notes;
-  if cy.cy_soft_enters > 0 then notes := "soft-pressure" :: !notes;
-  if cy.cy_violations > 0 then notes := "VIOLATIONS" :: !notes;
-  String.concat ";" (List.rev !notes)
-
-let render_timeline (d : dump) : string =
-  let tl = timeline_of d in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "flight recorder: reason=%s, captured at step %d\n"
-       d.d_reason d.d_step);
-  Buffer.add_string buf
-    (Printf.sprintf "events: %d recorded, %d in ring (capacity %d%s)\n"
-       d.d_recorded
-       (List.length d.d_events)
-       d.d_capacity
-       (if tl.tl_dropped > 0 then
-          Printf.sprintf ", %d oldest dropped" tl.tl_dropped
-        else ""));
-  if d.d_meta <> [] then
-    Buffer.add_string buf
-      (String.concat " "
-         (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v) d.d_meta)
-      ^ "\n");
-  Buffer.add_string buf "\nGC cycles:\n";
-  (match tl.tl_cycles with
-  | [] -> Buffer.add_string buf "  (no marking cycle in the recorded window)\n"
-  | cycles ->
-      (* census columns appear only when a heap observer recorded census
-         events, so timelines of ordinary dumps stay byte-identical *)
-      let with_census = List.exists (fun cy -> cy.cy_census <> None) cycles in
-      let census_cells cy =
-        if not with_census then []
-        else
-          match cy.cy_census with
-          | None -> [ "-"; "-" ]
-          | Some (live, fl) ->
-              [
-                string_of_int live;
-                (if live = 0 then "0.0"
-                 else
-                   Printf.sprintf "%.1f"
-                     (100.0 *. float_of_int fl /. float_of_int live));
-              ]
-      in
-      Buffer.add_string buf
-        (render_table
-           ([ "cycle"; "collector"; "start"; "end"; "pause"; "assists";
-              "revoked"; "faults" ]
-           @ (if with_census then [ "live_u"; "float%" ] else [])
-           @ [ "notes" ])
-           (List.map
-              (fun cy ->
-                [
-                  string_of_int cy.cy_n;
-                  cy.cy_collector;
-                  (if cy.cy_start < 0 then "?" else string_of_int cy.cy_start);
-                  (match cy.cy_end with
-                  | Some s -> string_of_int s
-                  | None -> "-");
-                  (match cy.cy_pause with
-                  | Some w -> string_of_int w
-                  | None -> "-");
-                  string_of_int cy.cy_assists;
-                  string_of_int cy.cy_revoked_sites;
-                  string_of_int cy.cy_faults;
-                ]
-                @ census_cells cy
-                @ [ cycle_notes cy ])
-              cycles)));
-  (match d.d_pending_census with
-  | Some (cycle, live, units) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "pending census at capture: cycle %d, %d live (%d units)\n" cycle
-           live units)
-  | None -> ());
-  (match tl.tl_hard_stop with
-  | Some step ->
-      Buffer.add_string buf (Printf.sprintf "hard stop at step %d\n" step)
-  | None -> ());
-  Buffer.add_string buf "\nsite elision lifecycle:\n";
-  (match tl.tl_sites with
-  | [] -> Buffer.add_string buf "  (no barrier sites recorded)\n"
-  | sites ->
-      Buffer.add_string buf
-        (render_table
-           [ "site"; "kind"; "state"; "execs"; "elided"; "history" ]
-           (List.map
-              (fun s ->
-                let snap =
-                  List.find_opt (fun x -> x.fs_site = s.sl_site) d.d_sites
-                in
-                let execs, elided =
-                  match snap with
-                  | Some x -> (x.fs_execs, x.fs_elided_execs)
-                  | None -> (0, 0)
-                in
-                [
-                  s.sl_site;
-                  s.sl_kind;
-                  s.sl_state;
-                  string_of_int execs;
-                  string_of_int elided;
-                  s.sl_history;
-                ])
-              sites)));
-  Buffer.add_string buf "\nanomalies:";
-  (match tl.tl_anomalies with
-  | [] -> Buffer.add_string buf " none\n"
-  | l ->
-      Buffer.add_char buf '\n';
-      List.iter
-        (fun (name, step) ->
-          Buffer.add_string buf (Printf.sprintf "  %s at step %d\n" name step))
-        l);
-  Buffer.contents buf
-
-(* ---- chrome bridge ----------------------------------------------------- *)
-
-let fields_of_ev (d : dump) (e : ev) : (string * J.json) list =
-  let s i = J.Str (dstr d i) in
-  match e.k with
-  | Mark_start -> [ ("collector", s e.a); ("cycle", J.Int e.b); ("roots", J.Int e.c) ]
-  | Mark_end -> [ ("collector", s e.a); ("cycle", J.Int e.b); ("violations", J.Int e.c) ]
-  | Pause -> [ ("work", J.Int e.a) ]
-  | Assist -> []
-  | Trigger ->
-      [
-        ("live_units", J.Int e.a);
-        ("trigger_units", J.Int e.b);
-        ("degraded", J.Bool (e.c = 1));
-      ]
-  | Soft_enter | Soft_exit -> [ ("live_units", J.Int e.a); ("soft_limit", J.Int e.b) ]
-  | Retune ->
-      [
-        ("goal", J.Float (float_of_int e.a /. 1000.));
-        ("p99", J.Int e.b);
-        ("mmu_10", J.Float (float_of_int e.c /. 1000.));
-      ]
-  | Hard_stop -> [ ("live_units", J.Int e.a) ]
-  | Revoke_request -> [ ("assumption", s e.a) ]
-  | Revoke_apply -> [ ("assumptions", J.Int e.a); ("repair_set", J.Int e.b) ]
-  | Revoke_site ->
-      [
-        ("site", s e.a);
-        ("guard", s e.b);
-        ( "half",
-          J.Str (match e.c with 1 -> "del" | 2 -> "ins" | _ -> "full") );
-      ]
-  | Respecialize -> [ ("site", s e.a); ("epoch", J.Int e.b) ]
-  | Swap_degraded -> [ ("reason", s e.a) ]
-  | Chaos_fault -> [ ("fault", s e.a); ("at", J.Int e.b) ]
-  | Anomaly -> [ ("detector", s e.a); ("count", J.Int e.b) ]
-  | Census ->
-      [
-        ("cycle", J.Int e.a);
-        ("live_units", J.Int e.b);
-        ("float_units", J.Int e.c);
-      ]
-
-let chrome_events_of_dump (d : dump) : J.event list =
-  List.mapi
-    (fun i e ->
-      {
-        J.ev_seq = i;
-        (* mutator-step axis: 1 step renders as 1us in the viewer *)
-        ev_ts = float_of_int e.step /. 1_000_000.;
-        ev_kind = "flight." ^ kind_name e.k;
-        ev_fields = fields_of_ev d e;
-      })
-    d.d_events

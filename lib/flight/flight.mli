@@ -1,11 +1,15 @@
-(** Always-on flight recorder: a bounded ring buffer of compact GC/runtime
-    events, cheap enough to stay enabled under the threaded engine.
+(** The runtime's one event pipeline: an always-on flight recorder whose
+    typed events are also what the JSONL trace, the timeline and every
+    Chrome export render.
 
-    Each record is five ints (kind, mutator step, three kind-specific
-    payload slots) written into pre-allocated parallel arrays — no
-    allocation on the hot path.  Strings (site ids, collector names,
-    assumption names, chaos fault kinds) are interned once on cold paths
-    and referenced by id from the payload slots.
+    Every GC, pacer, revocation, engine, chaos and heap-census event is
+    recorded once, by {!record}: the event is stamped with the current
+    mutator step, kept in a bounded ring (the last 4096 events), and —
+    when a [--trace] sink or a [--chrome-trace] recorder is armed —
+    rendered by {!render} and streamed through {!Telemetry.emit}, which
+    adds its [ts] and [seq].  The dump, [satbelim timeline], the anomaly
+    detectors and the engine-parity diff read the same values, so a
+    trace, a timeline and a Chrome view of one run cannot disagree.
 
     The recorder is process-global, like the telemetry registry: the
     runner resets it at run start ({!begin_run}), installs a step source
@@ -20,48 +24,30 @@
     stable path ([FLIGHT_dump.json]); {!captured} reports where so the
     CLI can print it. *)
 
-(** {1 Event kinds} *)
+(** {1 Events} *)
 
-type kind =
-  | Mark_start  (** a=collector, b=cycle index (0-based), c=snapshot/root size *)
-  | Mark_end  (** a=collector, b=cycle index, c=violations *)
-  | Pause  (** a=final pause work *)
-  | Assist  (** one degraded-mode allocation assist *)
-  | Trigger  (** a=live units, b=trigger units, c=1 if degraded *)
-  | Soft_enter  (** a=live units, b=soft limit *)
-  | Soft_exit  (** a=live units, b=soft limit *)
-  | Retune  (** a=goal*1000, b=p99 pause work, c=mmu*1000 *)
-  | Hard_stop  (** a=live units *)
-  | Revoke_request  (** a=assumption *)
-  | Revoke_apply  (** a=#assumptions, b=repair-set size *)
-  | Revoke_site  (** a=site, b=guard provenance, c=half (0 full / 1 del / 2 ins) *)
-  | Respecialize  (** a=site, b=barrier epoch (threaded engine only) *)
-  | Swap_degraded  (** a=reason *)
-  | Chaos_fault  (** a=fault kind, b=fault payload (instr/alloc/count) *)
-  | Anomaly  (** a=detector, b=observed count *)
-  | Census  (** a=cycle index, b=live units, c=floating units *)
+include module type of struct
+  include Event
+end
+(** @inline *)
 
-val kind_name : kind -> string
-(** Stable dotted name ("mark.start", "revoke.site", ...) used in dumps. *)
+(** {1 Dumps and timelines} *)
 
-type ev = { k : kind; step : int; a : int; b : int; c : int }
+include module type of struct
+  include Dump
+end
+(** @inline *)
 
 (** {1 Recording} *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
-(** Master switch, on by default; the overhead experiment (E18) A/Bs it. *)
+(** Ring switch, on by default; the overhead experiment (E18) A/Bs it.
+    An armed trace still receives every event while the ring is off. *)
 
-val intern : string -> int
-(** Intern a string, returning its stable id.  The table persists across
-    {!begin_run} so ids are comparable between runs in one process. *)
-
-val str_of : int -> string
-(** Inverse of {!intern}; ["?<id>"] for an unknown id. *)
-
-val record : kind -> a:int -> b:int -> c:int -> unit
-(** Append one event (the step comes from the installed step source).
-    Constant-time, allocation-free; a no-op while disabled. *)
+val record : event -> unit
+(** Record one event at the installed step source's current step: keep
+    it in the ring (while enabled) and stream it to the armed trace. *)
 
 val set_step_source : (unit -> int) -> unit
 (** The mutator-step clock, installed by the runner
@@ -69,17 +55,6 @@ val set_step_source : (unit -> int) -> unit
 
 val set_meta : (string * string) list -> unit
 (** Run context stamped into dumps (collector, engine, entry, seed, ...). *)
-
-type site_state = {
-  fs_site : string;
-  fs_kind : string;  (** putfield / aastore / putstatic *)
-  fs_state : string;  (** elided / kept / revoked / del-elided / ... *)
-  fs_execs : int;
-  fs_paid : int;
-  fs_elided_execs : int;
-  fs_revocations : int;
-  fs_guards : string list;
-}
 
 val set_sites_source : (unit -> site_state list) -> unit
 (** Called at dump time to snapshot per-site elision state; the runner
@@ -90,14 +65,13 @@ val set_census_source : (unit -> (int * int * int) option) -> unit
     [(gc cycle, live objects, live units)].  Installed only when a heap
     observer is armed — so a hard-limit abort mid-cycle still flushes
     the in-flight cycle's census into the dump — and reset by
-    {!begin_run}; ordinary dumps carry nothing and stay byte-identical
-    to earlier releases. *)
+    {!begin_run}; ordinary dumps carry nothing. *)
 
 val begin_run : unit -> unit
 (** Reset the ring, detector state and run metadata for a fresh run.
-    Keeps the intern table, the enabled flag and the capture arming. *)
+    Keeps the enabled flag and the capture arming. *)
 
-val events : unit -> ev list
+val events : unit -> entry list
 (** Surviving ring contents, oldest first. *)
 
 val recorded : unit -> int
@@ -138,72 +112,11 @@ val capture : reason:string -> string option
 val captured : unit -> (string * string) option
 (** [(path, reason)] of the capture performed this process, if any. *)
 
-(** {1 Dumps} *)
+(** {1 Writing dumps} *)
 
 val dump_json : reason:string -> Telemetry.json
-(** Deterministic dump of the ring: run metadata, intern table, events,
-    per-site snapshot (sorted by site id) and fired anomalies. *)
+(** Deterministic dump (version 2) of the ring: run metadata, events
+    rendered by {!to_json}, per-site snapshot (sorted by site id) and
+    fired anomalies. *)
 
 val dump_to_file : reason:string -> string -> unit
-
-type dump = {
-  d_reason : string;
-  d_step : int;  (** step source at capture time *)
-  d_capacity : int;
-  d_recorded : int;
-  d_meta : (string * string) list;
-  d_events : ev list;
-  d_sites : site_state list;
-  d_anomalies : (string * int) list;
-  d_strings : string array;  (** payload-slot decoding table *)
-  d_pending_census : (int * int * int) option;
-      (** [(cycle, live, live_units)] heap state at capture time, present
-          only in dumps written under a heap observer *)
-}
-
-val parse_dump : Telemetry.json -> (dump, string) result
-
-(** {1 Timeline reconstruction} *)
-
-type cycle = {
-  cy_n : int;  (** 0-based, as recorded by the collector *)
-  cy_collector : string;
-  cy_start : int;  (** mutator step of mark start *)
-  cy_end : int option;  (** None = still marking at capture *)
-  cy_pause : int option;  (** final pause work *)
-  cy_violations : int;
-  cy_assists : int;
-  cy_revoked_sites : int;
-  cy_faults : int;
-  cy_soft_enters : int;
-  cy_retunes : int;
-  cy_census : (int * int) option;
-      (** (live units, floating units) from the cycle-end heap census,
-          when a heap observer recorded one *)
-}
-
-type site_life = {
-  sl_site : string;
-  sl_kind : string;
-  sl_state : string;
-  sl_history : string;  (** "respec@64 -> revoked@2980 (single-mutator)" *)
-}
-
-type timeline = {
-  tl_cycles : cycle list;
-  tl_sites : site_life list;  (** sorted by site id *)
-  tl_anomalies : (string * int) list;
-  tl_hard_stop : int option;  (** step of the hard-limit abort *)
-  tl_dropped : int;  (** events lost to ring wrap-around *)
-}
-
-val timeline_of : dump -> timeline
-
-val render_timeline : dump -> string
-(** Deterministic ASCII rendering (header, per-cycle table, per-site
-    lifecycle table, anomalies) — the `satbelim timeline` output and the
-    golden-test surface. *)
-
-val chrome_events_of_dump : dump -> Telemetry.event list
-(** Bridge to {!Telemetry.chrome_of_events}: one trace event per ring
-    record, timestamped on the mutator-step axis (1 step = 1 "us"). *)

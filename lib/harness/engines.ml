@@ -65,11 +65,13 @@ let heap_table (h : Jrt.Heap.t) =
    source adds the slice's in-flight instruction count ([Exec.inflight]),
    so even an event recorded from inside a fused block carries the
    interpreter's exact charge-before-execute step.  Respecialization
-   events exist only under the threaded engine and are excluded.
-   Payload slots hold intern-table ids; the table is process-global, so
-   ids are directly comparable between two runs of one process. *)
-let flight_diff (ea : Flight.ev list) (eb : Flight.ev list) : string option =
-  let strip = List.filter (fun e -> e.Flight.k <> Flight.Respecialize) in
+   events exist only under the threaded engine and are excluded. *)
+let flight_diff (ea : Flight.entry list) (eb : Flight.entry list) :
+    string option =
+  let strip =
+    List.filter (fun (e : Flight.entry) ->
+        match e.ev with Flight.Respecialize _ -> false | _ -> true)
+  in
   let a = strip ea and b = strip eb in
   if a = b then None
   else
@@ -80,10 +82,7 @@ let flight_diff (ea : Flight.ev list) (eb : Flight.ev list) : string option =
     let i = first_div 0 (a, b) in
     let show l =
       match List.nth_opt l i with
-      | Some e ->
-          Printf.sprintf "%s@%d(%d,%d,%d)"
-            (Flight.kind_name e.Flight.k)
-            e.Flight.step e.Flight.a e.Flight.b e.Flight.c
+      | Some e -> Telemetry.json_to_string (Flight.to_json e)
       | None -> "<end>"
     in
     Some

@@ -13,7 +13,7 @@ type row = {
 }
 
 val diff :
-  ?flight:Flight.ev list * Flight.ev list ->
+  ?flight:Flight.entry list * Flight.entry list ->
   Jrt.Runner.report ->
   Jrt.Runner.report ->
   string option
@@ -25,7 +25,7 @@ val diff :
     flight-recorder event streams (GC phase transitions, pacer
     decisions, revocations, faults — everything except the
     threaded-only respecialization records, which are filtered out);
-    kind, order, payloads and steps must all match exactly — the
+    kind, order, fields and steps must all match exactly — the
     threaded engine's step source includes the slice's in-flight count
     ([Exec.inflight]), so its events carry the interpreter's steps even
     from inside fused blocks.  Snapshot each stream with

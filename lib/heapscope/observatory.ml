@@ -82,27 +82,26 @@ let observe (t : t) (m : Jrt.Interp.t) : unit =
     }
   in
   t.cycles <- cs :: t.cycles;
-  (* the telemetry event carries census totals AND the heap's own
-     counters so `satbelim validate-trace` can check they reconcile *)
-  J.emit "heap.census"
-    ([
-       ("collector", J.Str cs.cs_collector);
-       ("cycle", J.Int cs.cs_cycle);
-       ("census_live", J.Int c_live);
-       ("census_units", J.Int c_units);
-       ("heap_live", J.Int cs.cs_live);
-       ("heap_units", J.Int cs.cs_live_units);
-       ("sites", J.Int cs.cs_sites);
-       ("float_objs", J.Int !float_objs);
-       ("float_units", J.Int !float_units);
-     ]
-    @ List.mapi
-        (fun i name -> ("float_" ^ name, J.Int o_units.(i)))
-        (Array.to_list origin_names)
-    @ List.mapi
-        (fun i name -> ("float_vd_" ^ name, J.Int v_objs.(i)))
-        (Array.to_list verdict_names));
-  Flight.record Flight.Census ~a:cs.cs_cycle ~b:c_units ~c:!float_units
+  (* the event carries census totals AND the heap's own counters so
+     `satbelim validate-trace` can check they reconcile *)
+  let named names counts =
+    List.combine (Array.to_list names) (Array.to_list counts)
+  in
+  Flight.record
+    (Flight.Census
+       {
+         collector = cs.cs_collector; cycle = cs.cs_cycle; heap_live = cs.cs_live;
+         heap_units = cs.cs_live_units;
+         fold =
+           Some { census_live = c_live; census_units = c_units; sites = cs.cs_sites };
+         float =
+           Some
+             {
+               float_objs = !float_objs; float_units = !float_units;
+               by_origin = named origin_names o_units;
+               by_verdict = named verdict_names v_objs;
+             };
+       })
 
 (* The light cycle-end hook for always-on census telemetry, no oracle
    sweep or attribution.  The per-site fold is sweep-sized (it walks
@@ -116,29 +115,26 @@ let census_period = 8
 let census_tick (m : Jrt.Interp.t) : unit =
   let h = m.Jrt.Interp.heap in
   let cycle = h.Jrt.Heap.gc_cycle - 1 in
-  let counters =
-    [
-      ("collector", J.Str m.Jrt.Interp.gc.Jrt.Gc_hooks.name);
-      ("cycle", J.Int cycle);
-      ("heap_live", J.Int h.Jrt.Heap.live_count);
-      ("heap_units", J.Int h.Jrt.Heap.live_units);
-    ]
-  in
-  let fields =
+  let fold =
     if cycle mod census_period = census_period - 1 then begin
       let census = Census.of_heap h in
       let c_live, c_units = Census.totals census in
-      counters
-      @ [
-          ("census_live", J.Int c_live);
-          ("census_units", J.Int c_units);
-          ("sites", J.Int (List.length census));
-        ]
+      Some
+        {
+          Flight.census_live = c_live;
+          census_units = c_units;
+          sites = List.length census;
+        }
     end
-    else counters
+    else None
   in
-  J.emit "heap.census" fields;
-  Flight.record Flight.Census ~a:cycle ~b:h.Jrt.Heap.live_units ~c:0
+  Flight.record
+    (Flight.Census
+       {
+         collector = m.Jrt.Interp.gc.Jrt.Gc_hooks.name; cycle;
+         heap_live = h.Jrt.Heap.live_count; heap_units = h.Jrt.Heap.live_units;
+         fold; float = None;
+       })
 
 (* ---- aggregates --------------------------------------------------------- *)
 
@@ -418,32 +414,6 @@ let diff (old_ : J.json) (new_ : J.json) : (diff_row list, string) result =
 
 (* ---- rendering ---------------------------------------------------------- *)
 
-(* local fixed-format table (heapscope sits below the harness library, so
-   it cannot reuse Tablefmt): header + rows, two-space gutter,
-   left-aligned, golden-stable *)
-let render_table (header : string list) (rows : string list list) : string =
-  let all = header :: rows in
-  let ncols = List.fold_left (fun acc r -> max acc (List.length r)) 0 all in
-  let widths = Array.make (max 1 ncols) 0 in
-  List.iter
-    (List.iteri (fun i c -> widths.(i) <- max widths.(i) (String.length c)))
-    all;
-  let buf = Buffer.create 256 in
-  let line r =
-    List.iteri
-      (fun i c ->
-        if i > 0 then Buffer.add_string buf "  ";
-        Buffer.add_string buf c;
-        if i < List.length r - 1 then
-          Buffer.add_string buf (String.make (widths.(i) - String.length c) ' '))
-      r;
-    Buffer.add_char buf '\n'
-  in
-  line header;
-  line (List.init ncols (fun i -> String.make widths.(i) '-'));
-  List.iter line rows;
-  Buffer.contents buf
-
 let pct num den =
   if den = 0 then "0.0"
   else Printf.sprintf "%.1f" (100.0 *. float_of_int num /. float_of_int den)
@@ -457,7 +427,7 @@ let render_census ?(top = 10) (rows : Census.row list) : string =
   let shown = take top rows in
   let buf = Buffer.create 512 in
   Buffer.add_string buf
-    (render_table
+    (Flight.render_table
        ([ "site"; "class"; "live"; "units" ]
        @ Array.to_list Census.age_bucket_names)
        (List.map
@@ -485,7 +455,7 @@ let render_retainers ?(top = 10) (m : Jrt.Interp.t) : string =
   in
   let buf = Buffer.create 512 in
   Buffer.add_string buf
-    (render_table
+    (Flight.render_table
        [ "site"; "class"; "retained_units" ]
        (List.map
           (fun r ->
@@ -520,7 +490,7 @@ let render_float (t : t) : string =
   | [] -> Buffer.add_string buf "  (no completed GC cycle observed)\n"
   | cs ->
       Buffer.add_string buf
-        (render_table
+        (Flight.render_table
            ([ "cycle"; "live_u"; "float_o"; "float_u"; "float%" ]
            @ List.map
                (fun n -> n ^ "_u")
@@ -567,7 +537,7 @@ let render_diff ~(old_name : string) ~(new_name : string) (old_ : J.json)
       if rows = [] then Buffer.add_string buf "no per-site census changes\n"
       else
         Buffer.add_string buf
-          (render_table
+          (Flight.render_table
              [ "site"; "class"; "live"; "units"; "d_units" ]
              (List.map
                 (fun r ->

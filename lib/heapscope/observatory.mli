@@ -51,10 +51,9 @@ val arm : Jrt.Interp.t -> unit
     logged for verdict attribution.  Call before the run starts. *)
 
 val observe : t -> Jrt.Interp.t -> unit
-(** The cycle-end hook: census, oracle sweep, attribution.  Emits a
-    ["heap.census"] telemetry event (carrying both census totals and the
-    heap's own counters, for [validate-trace] reconciliation) and a
-    {!Flight.Census} ring event. *)
+(** The cycle-end hook: census, oracle sweep, attribution.  Records a
+    {!Flight.Census} ["heap.census"] event carrying both census totals
+    and the heap's own counters, for [validate-trace] reconciliation. *)
 
 val census_period : int
 (** Sampling period of {!census_tick}'s full per-site fold. *)
@@ -123,10 +122,6 @@ val diff : Telemetry.json -> Telemetry.json -> (diff_row list, string) result
     growth first; unchanged rows are dropped. *)
 
 (** {2 Rendering} *)
-
-val render_table : string list -> string list list -> string
-(** Fixed-format aligned table (heapscope sits below the harness
-    library, so it cannot reuse its Tablefmt). *)
 
 val render_census : ?top:int -> Census.row list -> string
 val render_retainers : ?top:int -> Jrt.Interp.t -> string

@@ -249,9 +249,9 @@ let damage_one (t : t) (m : Interp.t)
 
 (* ---- the safepoint hook ------------------------------------------------ *)
 
-(* Each injected fault bumps a chaos.* counter and emits a chaos.fault
-   event naming the fault kind, so a trace shows what was injected when
-   (and the fuzz suite can reconcile telemetry against [stats]). *)
+(* Each injected fault bumps a chaos.* counter and records a chaos.fault
+   event naming the fault kind and where it fired, so a trace or a
+   timeline shows what was injected when. *)
 let c_spawns = Telemetry.counter "chaos.spawns"
 let c_damage = Telemetry.counter "chaos.damage_stores"
 let c_skips = Telemetry.counter "chaos.skipped_barriers"
@@ -261,23 +261,8 @@ let c_loads = Telemetry.counter "chaos.class_loads"
 let c_spike = Telemetry.counter "chaos.spike_allocs"
 let c_ramp = Telemetry.counter "chaos.ramp_allocs"
 
-let fault_event (kind : string) (fields : (string * Telemetry.json) list) :
-    unit =
-  (* flight-recorder twin: fault kind interned, first numeric field
-     (at_instr / at_alloc) as the payload *)
-  if Flight.enabled () then begin
-    let payload =
-      match
-        List.find_opt
-          (fun (_, v) -> match v with Telemetry.Int _ -> true | _ -> false)
-          fields
-      with
-      | Some (_, Telemetry.Int n) -> n
-      | _ -> 0
-    in
-    Flight.record Flight.Chaos_fault ~a:(Flight.intern kind) ~b:payload ~c:0
-  end;
-  Telemetry.emit "chaos.fault" (("fault", Telemetry.Str kind) :: fields)
+let fault_event ?count (fault : string) (at : Flight.fault_at) : unit =
+  Flight.record (Flight.Chaos_fault { fault; at; count })
 
 let at_safepoint (t : t) (m : Interp.t) : action =
   let marking = m.Interp.gc.Gc_hooks.is_marking () in
@@ -296,7 +281,7 @@ let at_safepoint (t : t) (m : Interp.t) : action =
             a.announced <- true;
             t.spawns <- t.spawns + 1;
             Telemetry.incr c_spawns;
-            fault_event "late-spawn" [ ("at_instr", Telemetry.Int instr) ];
+            fault_event "late-spawn" (At_instr instr);
             Interp.note_second_mutator m
           end
           else if a.announced && a.stores_left > 0 && marking then
@@ -307,14 +292,14 @@ let at_safepoint (t : t) (m : Interp.t) : action =
               a.stores_left <- a.stores_left - 1;
               t.damage_stores <- t.damage_stores + 1;
               Telemetry.incr c_damage;
-              fault_event "damage-store" [ ("at_instr", Telemetry.Int instr) ]
+              fault_event "damage-store" (At_instr instr)
             end
       | Apreempt a ->
           if allocated >= a.at_alloc && a.skips_left > 0 && marking then begin
             a.skips_left <- a.skips_left - 1;
             t.preempted_increments <- t.preempted_increments + 1;
             Telemetry.incr c_preempts;
-            fault_event "preempt-marker" [ ("at_alloc", Telemetry.Int allocated) ];
+            fault_event "preempt-marker" (At_alloc allocated);
             defer := true
           end
       | Apressure a ->
@@ -322,7 +307,7 @@ let at_safepoint (t : t) (m : Interp.t) : action =
             a.fired <- true;
             t.pressure_remarks <- t.pressure_remarks + 1;
             Telemetry.incr c_pressure;
-            fault_event "heap-pressure" [ ("at_alloc", Telemetry.Int allocated) ];
+            fault_event "heap-pressure" (At_alloc allocated);
             remark := true
           end
       | Askip a ->
@@ -334,14 +319,14 @@ let at_safepoint (t : t) (m : Interp.t) : action =
               a.victims_left <- a.victims_left - 1;
               t.skipped_barriers <- t.skipped_barriers + 1;
               Telemetry.incr c_skips;
-              fault_event "barrier-skip" [ ("at_instr", Telemetry.Int instr) ]
+              fault_event "barrier-skip" (At_instr instr)
             end
       | Aload a ->
           if (not a.loaded) && instr >= a.at_instr then begin
             a.loaded <- true;
             t.class_loads <- t.class_loads + 1;
             Telemetry.incr c_loads;
-            fault_event "class-load" [ ("at_instr", Telemetry.Int instr) ];
+            fault_event "class-load" (At_instr instr);
             Interp.note_class_load m
           end
       | Aspike a ->
@@ -349,9 +334,7 @@ let at_safepoint (t : t) (m : Interp.t) : action =
             a.fired <- true;
             t.spike_allocs <- t.spike_allocs + a.count;
             Telemetry.incr c_spike ~by:a.count;
-            fault_event "alloc-spike"
-              [ ("at_instr", Telemetry.Int instr);
-                ("count", Telemetry.Int a.count) ];
+            fault_event "alloc-spike" (At_instr instr) ~count:a.count;
             (* may raise Pacer.Hard_limit — propagated to the runner,
                which must abort cleanly, exactly as mutator pressure
                would *)
@@ -363,9 +346,7 @@ let at_safepoint (t : t) (m : Interp.t) : action =
             a.left <- a.left - n;
             t.ramp_allocs <- t.ramp_allocs + n;
             Telemetry.incr c_ramp ~by:n;
-            fault_event "mem-pressure"
-              [ ("at_alloc", Telemetry.Int allocated);
-                ("count", Telemetry.Int n) ];
+            fault_event "mem-pressure" (At_alloc allocated) ~count:n;
             Interp.external_alloc m ~count:n
           end)
     t.armed;

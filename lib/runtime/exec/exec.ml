@@ -135,9 +135,9 @@ and cmeth = {
 type store_cell = {
   cell_site : I.site;
   cell_kind : store_kind;
-  cell_fid : int;
-      (** flight-recorder intern id of the site, paid once at compile
-          time so respecialization records stay allocation-free *)
+  cell_id : string;
+      (** the site's id, formatted once at compile time so a
+          respecialization record inside the timed loop formats nothing *)
   mutable cell_stamp : int;  (** -1 = never specialized *)
   mutable cell_exec : tid:int -> obj:int -> pre:Value.t -> nv:Value.t -> unit;
 }
@@ -236,8 +236,8 @@ let int_elems_of (o : Heap.obj) =
     interaction falls back to the shared general body. *)
 let specialize (m : I.t) (cell : store_cell) : unit =
   let st = I.site_stats m cell.cell_site cell.cell_kind in
-  Flight.record Flight.Respecialize ~a:cell.cell_fid ~b:m.I.barrier_epoch
-    ~c:0;
+  Flight.record
+    (Flight.Respecialize { site = cell.cell_id; epoch = m.I.barrier_epoch });
   cell.cell_stamp <- m.I.barrier_epoch;
   cell.cell_exec <-
     (match m.I.cfg.I.barrier_flavor with
@@ -289,7 +289,7 @@ let store_cell (c_class : class_name) (mname : method_name) (pc : int)
   {
     cell_site = site;
     cell_kind = kind;
-    cell_fid = Flight.intern (I.site_id site);
+    cell_id = I.site_id site;
     cell_stamp = -1;
     cell_exec = unspecialized;
   }

@@ -304,22 +304,6 @@ let create ?(cfg = default_config) (prog : Jir.Program.t) : t =
 let set_collector m gc = m.gc <- gc
 let set_pacer m p = m.pacer <- Some p
 
-(* ---- telemetry -------------------------------------------------------- *)
-
-(* Mirrors of the legacy mutable counters above, bumped at exactly the
-   same program points so a metrics snapshot reconciles with
-   [Interp] statistics to the unit (the invariant the telemetry test
-   suite fuzzes).  Module-level handles: a counter bump on the barrier
-   hot path is one int-ref increment. *)
-let c_barriers = Telemetry.counter "jrt.barriers_executed"
-let c_elided = Telemetry.counter "jrt.elided_barrier_execs"
-let c_retrace_checks = Telemetry.counter "jrt.retrace_checks"
-let c_revocation_events = Telemetry.counter "jrt.revocation_events"
-let c_revoked_sites = Telemetry.counter "jrt.revoked_sites"
-let c_degradations = Telemetry.counter "jrt.degradations"
-let c_degraded_swap = Telemetry.counter "jrt.degraded_swap_execs"
-let c_assist_execs = Telemetry.counter "jrt.assist_execs"
-
 let site_id (site : site) : string =
   Printf.sprintf "%s.%s@%d" site.s_class site.s_method site.s_pc
 
@@ -340,43 +324,33 @@ let note_elided_write (m : t) ~(obj : int) (cls : int) : unit =
   if m.track_heap && obj >= 0 && m.gc.is_marking () then
     m.elided_write_log <- (obj, cls) :: m.elided_write_log
 
-(** [revoke.site] event: the runtime patched one elided site back to a
-    full barrier; carries the site id, its guard set, and — when the
-    driver wired an explain policy — the original justification. *)
-let emit_revoked_site (m : t) (site : site) (st : site_stats)
-    ~(materialized : bool) : unit =
-  if Telemetry.armed () then
-    Telemetry.emit "revoke.site"
-      ([
-         ("site", Telemetry.Str (site_id site));
-         ( "guards",
-           Telemetry.List
-             (List.map
-                (fun a -> Telemetry.Str (string_of_assumption a))
-                st.st_guards) );
-         ("materialized", Telemetry.Bool materialized);
-       ]
-      @
-      match m.cfg.explain site.s_class site.s_method site.s_pc with
-      | Some j -> [ ("justification", Telemetry.Str j) ]
-      | None -> [])
-
 (* ---- guards and revocation -------------------------------------------- *)
 
-(** Flight-recorder twin of {!emit_revoked_site}: site, the guard that
-    actually fired (provenance), and which hybrid half flipped.  Interning
-    only happens here, on the cold revocation path. *)
-let flight_revoked_site (site : site) ~(guards : assumption list)
-    ~(failed : assumption list) ~(half : int) : unit =
-  if Flight.enabled () then
-    let prov =
-      match List.find_opt (fun a -> List.mem a failed) guards with
-      | Some a -> string_of_assumption a
-      | None -> "?"
-    in
-    Flight.record Flight.Revoke_site
-      ~a:(Flight.intern (site_id site))
-      ~b:(Flight.intern prov) ~c:half
+(** [revoke.site] event: the runtime patched one elided site — or one
+    hybrid half of it, [half] — back to a full barrier.  [flipped] are
+    the guards of what flipped; the first of them in [failed] is the
+    provenance.  Also carries the site's whole guard set, whether it
+    [materialized] already patched (first executed after the
+    revocation), and — when the analysis wired an explain policy — the
+    original justification. *)
+let record_revoked_site (m : t) (site : site) (st : site_stats)
+    ~(flipped : assumption list) ~(failed : assumption list)
+    ~(half : Flight.half) ~(materialized : bool) : unit =
+  let guard =
+    match List.find_opt (fun a -> List.mem a failed) flipped with
+    | Some a -> string_of_assumption a
+    | None -> "?"
+  in
+  Flight.record
+    (Flight.Revoke_site
+       {
+         site = site_id site;
+         guards = List.map string_of_assumption st.st_guards;
+         guard;
+         half;
+         materialized;
+         justification = m.cfg.explain site.s_class site.s_method site.s_pc;
+       })
 
 (** Was a guard table wired at all?  Default configs share the
     [no_guards] / [no_halves] closures, so physical inequality is the
@@ -394,11 +368,8 @@ let request_revoke (m : t) (a : assumption) : unit =
     && not (List.mem a m.pending_revocations)
   then begin
     m.pending_revocations <- a :: m.pending_revocations;
-    Flight.record Flight.Revoke_request
-      ~a:(Flight.intern (string_of_assumption a))
-      ~b:0 ~c:0;
-    Telemetry.emit "revoke.request"
-      [ ("assumption", Telemetry.Str (string_of_assumption a)) ]
+    Flight.record
+      (Flight.Revoke_request { assumption = string_of_assumption a })
   end
 
 let revocation_pending (m : t) : bool = m.pending_revocations <> []
@@ -416,18 +387,12 @@ let apply_revocations (m : t) : unit =
     m.pending_revocations <- [];
     m.revoked <- failed @ m.revoked;
     m.revocation_events <- m.revocation_events + List.length failed;
-    Telemetry.incr c_revocation_events ~by:(List.length failed);
-    Flight.record Flight.Revoke_apply ~a:(List.length failed)
-      ~b:(List.length m.guarded_writes) ~c:0;
-    Telemetry.emit "revoke.apply"
-      [
-        ( "assumptions",
-          Telemetry.List
-            (List.map
-               (fun a -> Telemetry.Str (string_of_assumption a))
-               failed) );
-        ("repair_set", Telemetry.Int (List.length m.guarded_writes));
-      ];
+    Flight.record
+      (Flight.Revoke_apply
+         {
+           assumptions = List.map string_of_assumption failed;
+           repair_set = List.length m.guarded_writes;
+         });
     let hit guards = List.exists (fun a -> List.mem a failed) guards in
     Hashtbl.iter
       (fun site st ->
@@ -444,17 +409,16 @@ let apply_revocations (m : t) : unit =
               st.st_check <- No_check;
               st.revocations <- st.revocations + 1;
               m.revoked_sites <- m.revoked_sites + 1;
-              Telemetry.incr c_revoked_sites;
-              flight_revoked_site site
-                ~guards:
+              record_revoked_site m site st
+                ~flipped:
                   ((if del_flip then st.st_del_guards else [])
                   @ if ins_flip then st.st_ins_guards else [])
                 ~failed
                 ~half:
-                  (if del_flip && ins_flip then 0
-                   else if del_flip then 1
-                   else 2);
-              emit_revoked_site m site st ~materialized:false
+                  (if del_flip && ins_flip then Flight.Full
+                   else if del_flip then Flight.Del
+                   else Flight.Ins)
+                ~materialized:false
             end
         | `Satb ->
             if st.st_elided && hit st.st_guards then begin
@@ -463,9 +427,8 @@ let apply_revocations (m : t) : unit =
               st.st_check <- No_check;
               st.revocations <- st.revocations + 1;
               m.revoked_sites <- m.revoked_sites + 1;
-              Telemetry.incr c_revoked_sites;
-              flight_revoked_site site ~guards:st.st_guards ~failed ~half:0;
-              emit_revoked_site m site st ~materialized:false
+              record_revoked_site m site st ~flipped:st.st_guards ~failed
+                ~half:Flight.Full ~materialized:false
             end)
       m.stats;
     (* Repair: every object written through a guarded elided site this
@@ -501,12 +464,8 @@ let set_swap_degraded (m : t) : unit =
     m.barrier_epoch <- m.barrier_epoch + 1;
     m.swap_degraded <- true;
     m.degradations <- m.degradations + 1;
-    Telemetry.incr c_degradations;
-    Flight.record Flight.Swap_degraded
-      ~a:(Flight.intern "retrace-budget-overflow")
-      ~b:0 ~c:0;
-    Telemetry.emit "runtime.degraded"
-      [ ("reason", Telemetry.Str "retrace-budget-overflow") ]
+    Flight.record
+      (Flight.Runtime_degraded { reason = "retrace-budget-overflow" })
   end
 
 let field_index m fr =
@@ -605,7 +564,18 @@ let site_stats (m : t) (site : site) (kind : store_kind) : site_stats =
   | Some st -> st
   | None ->
       let alive guards = not (List.exists (fun a -> List.mem a m.revoked) guards) in
-      let st =
+      let fresh =
+        {
+          st_kind = kind; st_elided = false; st_check = No_check; st_guards = [];
+          st_del_elided = false; st_ins_elided = false; st_ins_repair = false;
+          st_del_guards = []; st_ins_guards = []; execs = 0; pre_null_execs = 0;
+          paid_execs = 0; elided_execs = 0; del_paid_execs = 0; del_elided_execs = 0;
+          ins_paid_execs = 0; ins_elided_execs = 0; barrier_units = 0; revocations = 0;
+        }
+      in
+      (* [born]: what materializes already patched — the half that was
+         revoked before the site first executed, with that half's guards *)
+      let st, born =
         match m.cfg.barrier_flavor with
         | `Hybrid ->
             (* split verdicts: each half materializes (and may materialize
@@ -615,32 +585,28 @@ let site_stats (m : t) (site : site) (kind : store_kind) : site_stats =
             let ins_alive = alive hs.hs_ins_guards in
             let del_elided = hs.hs_del_elide && del_alive in
             let ins_elided = hs.hs_ins_elide && ins_alive in
-            let born_revoked =
-              (hs.hs_del_elide && not del_alive)
-              || (hs.hs_ins_elide && not ins_alive)
+            let born =
+              match
+                (hs.hs_del_elide && not del_alive, hs.hs_ins_elide && not ins_alive)
+              with
+              | true, true ->
+                  Some (Flight.Full, hs.hs_del_guards @ hs.hs_ins_guards)
+              | true, false -> Some (Flight.Del, hs.hs_del_guards)
+              | false, true -> Some (Flight.Ins, hs.hs_ins_guards)
+              | false, false -> None
             in
-            {
-              st_kind = kind;
-              st_elided = del_elided && ins_elided;
-              st_check = No_check;
-              st_guards =
-                List.sort_uniq compare (hs.hs_del_guards @ hs.hs_ins_guards);
-              st_del_elided = del_elided;
-              st_ins_elided = ins_elided;
-              st_ins_repair = hs.hs_ins_repair;
-              st_del_guards = hs.hs_del_guards;
-              st_ins_guards = hs.hs_ins_guards;
-              execs = 0;
-              pre_null_execs = 0;
-              paid_execs = 0;
-              elided_execs = 0;
-              del_paid_execs = 0;
-              del_elided_execs = 0;
-              ins_paid_execs = 0;
-              ins_elided_execs = 0;
-              barrier_units = 0;
-              revocations = (if born_revoked then 1 else 0);
-            }
+            ( {
+                fresh with
+                st_elided = del_elided && ins_elided;
+                st_guards = List.sort_uniq compare (hs.hs_del_guards @ hs.hs_ins_guards);
+                st_del_elided = del_elided;
+                st_ins_elided = ins_elided;
+                st_ins_repair = hs.hs_ins_repair;
+                st_del_guards = hs.hs_del_guards;
+                st_ins_guards = hs.hs_ins_guards;
+                revocations = (if born <> None then 1 else 0);
+              },
+              born )
         | `Satb ->
             let guards = m.cfg.guards site.s_class site.s_method site.s_pc in
             (* a site first reached after one of its assumptions was
@@ -648,39 +614,27 @@ let site_stats (m : t) (site : site) (kind : store_kind) : site_stats =
             let alive = alive guards in
             let would_elide = m.cfg.policy site.s_class site.s_method site.s_pc in
             let elided = alive && would_elide in
-            {
-              st_kind = kind;
-              st_elided = elided;
-              st_check =
-                (if elided then
-                   m.cfg.retrace site.s_class site.s_method site.s_pc
-                 else No_check);
-              st_guards = guards;
-              st_del_elided = elided;
-              st_ins_elided = false;
-              st_ins_repair = false;
-              st_del_guards = guards;
-              st_ins_guards = [];
-              execs = 0;
-              pre_null_execs = 0;
-              paid_execs = 0;
-              elided_execs = 0;
-              del_paid_execs = 0;
-              del_elided_execs = 0;
-              ins_paid_execs = 0;
-              ins_elided_execs = 0;
-              barrier_units = 0;
-              revocations = (if would_elide && not alive then 1 else 0);
-            }
+            let born = would_elide && not alive in
+            ( {
+                fresh with
+                st_elided = elided;
+                st_check =
+                  (if elided then m.cfg.retrace site.s_class site.s_method site.s_pc
+                   else No_check);
+                st_guards = guards;
+                st_del_elided = elided;
+                st_del_guards = guards;
+                revocations = (if born then 1 else 0);
+              },
+              if born then Some (Flight.Full, guards) else None )
       in
-      if st.revocations > 0 then begin
-        m.revoked_sites <- m.revoked_sites + 1;
-        Telemetry.incr c_revoked_sites;
-        flight_revoked_site site ~guards:st.st_guards ~failed:m.revoked
-          ~half:0
-      end;
       Hashtbl.replace m.stats site st;
-      if st.revocations > 0 then emit_revoked_site m site st ~materialized:true;
+      (match born with
+      | Some (half, flipped) ->
+          m.revoked_sites <- m.revoked_sites + 1;
+          record_revoked_site m site st ~flipped ~failed:m.revoked ~half
+            ~materialized:true
+      | None -> ());
       st
 
 (** Execute the fused hybrid barrier: deletion and insertion halves run
@@ -731,13 +685,11 @@ let hybrid_store_barrier (m : t) (st : site_stats) ~(tid : int) ~(obj : int)
     else if st.st_ins_elided then note_elided_write m ~obj ew_ins;
   if st.st_del_elided && st.st_ins_elided then begin
     m.elided_barrier_execs <- m.elided_barrier_execs + 1;
-    st.elided_execs <- st.elided_execs + 1;
-    Telemetry.incr c_elided
+    st.elided_execs <- st.elided_execs + 1
   end
   else begin
     m.barriers_executed <- m.barriers_executed + 1;
-    st.paid_execs <- st.paid_execs + 1;
-    Telemetry.incr c_barriers
+    st.paid_execs <- st.paid_execs + 1
   end
 
 (** Execute the write-barrier protocol for a reference store whose
@@ -758,7 +710,6 @@ let ref_store_barrier_st (m : t) (st : site_stats) ~(tid : int) ~(obj : int)
   else if st.st_elided && not (m.swap_degraded && st.st_check <> No_check) then begin
     m.elided_barrier_execs <- m.elided_barrier_execs + 1;
     st.elided_execs <- st.elided_execs + 1;
-    Telemetry.incr c_elided;
     if m.track_heap then note_elided_write m ~obj ew_full;
     (* a write through a guarded site during marking joins the repair
        set: if its guards later fail this cycle, the collector re-scans
@@ -769,7 +720,6 @@ let ref_store_barrier_st (m : t) (st : site_stats) ~(tid : int) ~(obj : int)
     | No_check -> ()
     | (Check_open | Check_close) as check ->
         m.retrace_checks <- m.retrace_checks + 1;
-        Telemetry.incr c_retrace_checks;
         let cost = Barrier_cost.tracing_check_units in
         m.barrier_units <- m.barrier_units + cost;
         m.cost_units <- m.cost_units + cost;
@@ -785,12 +735,10 @@ let ref_store_barrier_st (m : t) (st : site_stats) ~(tid : int) ~(obj : int)
        at safepoints, but clear defensively *)
     if st.st_elided then begin
       m.degraded_swap_execs <- m.degraded_swap_execs + 1;
-      Telemetry.incr c_degraded_swap;
       if st.st_check = Check_close then m.in_no_safepoint <- false
     end;
     m.barriers_executed <- m.barriers_executed + 1;
     st.paid_execs <- st.paid_execs + 1;
-    Telemetry.incr c_barriers;
     let cost =
       match m.cfg.barrier_flavor with
       | `Satb ->
@@ -834,7 +782,6 @@ let barrier_elided_plain (m : t) (st : site_stats) ~(obj : int)
   if not (Value.is_ref pre) then st.pre_null_execs <- st.pre_null_execs + 1;
   m.elided_barrier_execs <- m.elided_barrier_execs + 1;
   st.elided_execs <- st.elided_execs + 1;
-  Telemetry.incr c_elided;
   if m.track_heap then note_elided_write m ~obj ew_full
 
 (** Precondition: as {!barrier_elided_plain} but [st_guards <> []]. *)
@@ -844,7 +791,6 @@ let barrier_elided_guarded (m : t) (st : site_stats) ~(obj : int)
   if not (Value.is_ref pre) then st.pre_null_execs <- st.pre_null_execs + 1;
   m.elided_barrier_execs <- m.elided_barrier_execs + 1;
   st.elided_execs <- st.elided_execs + 1;
-  Telemetry.incr c_elided;
   if m.track_heap then note_elided_write m ~obj ew_full;
   if obj >= 0 && m.gc.is_marking () then
     m.guarded_writes <- obj :: m.guarded_writes
@@ -859,7 +805,6 @@ let barrier_hybrid_both_elided (m : t) (st : site_stats) ~(obj : int)
   st.ins_elided_execs <- st.ins_elided_execs + 1;
   m.elided_barrier_execs <- m.elided_barrier_execs + 1;
   st.elided_execs <- st.elided_execs + 1;
-  Telemetry.incr c_elided;
   if m.track_heap then note_elided_write m ~obj ew_both
 
 (** Precondition: [`Hybrid] flavor, deletion half elided with no guards,
@@ -882,8 +827,7 @@ let barrier_hybrid_del_elided (m : t) (st : site_stats) ~(tid : int)
     m.gc.log_ins_store ~tid ~nv
   end;
   m.barriers_executed <- m.barriers_executed + 1;
-  st.paid_execs <- st.paid_execs + 1;
-  Telemetry.incr c_barriers
+  st.paid_execs <- st.paid_execs + 1
 
 (** Precondition: [`Hybrid] flavor, insertion half elided with no guards
     and not [st_ins_repair], deletion half kept. *)
@@ -905,8 +849,7 @@ let barrier_hybrid_ins_elided (m : t) (st : site_stats) ~(obj : int)
   end;
   st.ins_elided_execs <- st.ins_elided_execs + 1;
   m.barriers_executed <- m.barriers_executed + 1;
-  st.paid_execs <- st.paid_execs + 1;
-  Telemetry.incr c_barriers
+  st.paid_execs <- st.paid_execs + 1
 
 (* ---- external (chaos-injected) mutator stores ------------------------- *)
 
@@ -953,13 +896,11 @@ let external_guarded_store (m : t) ~(obj : int) ~(idx : int) ~(v : Value.t) :
       if elided then begin
         m.elided_barrier_execs <- m.elided_barrier_execs + 1;
         m.external_elided_execs <- m.external_elided_execs + 1;
-        Telemetry.incr c_elided;
         if m.gc.is_marking () then m.guarded_writes <- obj :: m.guarded_writes
       end
       else begin
         m.barriers_executed <- m.barriers_executed + 1;
         m.external_paid_execs <- m.external_paid_execs + 1;
-        Telemetry.incr c_barriers;
         m.gc.log_ref_store ~obj ~pre;
         (* tid -1: an external mutator has no scanned stack, so a hybrid
            collector treats it as permanently grey and shades [v] *)
@@ -1036,7 +977,6 @@ let allocate m ~units mk =
       then begin
         m.gc.step ();
         m.assist_execs <- m.assist_execs + 1;
-        Telemetry.incr c_assist_execs;
         Pacer.note_assist p
       end);
   let o = mk () in

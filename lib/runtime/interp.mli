@@ -108,7 +108,7 @@ val no_halves : half_policy
 type explain_policy =
   Jir.Types.class_name -> Jir.Types.method_name -> int -> string option
 (** Original justification of a site's elision (analysis-side
-    provenance), attached to [revoke.site] telemetry events so a revoked
+    provenance), attached to [revoke.site] events so a revoked
     site prints why its barrier was removed in the first place. *)
 
 val no_explain : explain_policy

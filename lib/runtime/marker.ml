@@ -116,7 +116,6 @@ type t = {
   heap : Heap.t;
   roots : root_source;
   steps_per_increment : int;
-  flight_key : int;
   mutable phase : phase;
   mutable gray : gray list;
   mutable counts : counts;
@@ -141,7 +140,6 @@ let create ?(steps_per_increment = 64) (policy : policy) (heap : Heap.t)
     heap;
     roots;
     steps_per_increment;
-    flight_key = Flight.intern policy.name;
     phase = Idle;
     gray = [];
     counts = zero_counts ();
@@ -170,12 +168,6 @@ let c_retraces = Telemetry.counter "retrace.rescans"
 let c_enqueues = Telemetry.counter "retrace.enqueues"
 let c_repair_enqueues = Telemetry.counter "retrace.repair_enqueues"
 let c_budget_overflows = Telemetry.counter "retrace.budget_overflows"
-
-let emit t kind fields =
-  Telemetry.emit kind
-    (("collector", Telemetry.Str t.policy.name)
-    :: ("cycle", Telemetry.Int t.cycles)
-    :: fields)
 
 (* ---- marking ----------------------------------------------------------- *)
 
@@ -228,11 +220,10 @@ let mark_roots t =
     t.snapshot <- Oracle.reachable t.heap roots;
   List.iter (mark_and_gray t ~origin:Heap.origin_trace) roots
 
-let snapshot_field t =
+let snapshot_size t =
   match t.policy.oracle with
-  | Start_snapshot ->
-      [ ("snapshot_size", Telemetry.Int (Iset.cardinal t.snapshot)) ]
-  | End_reachability -> []
+  | Start_snapshot -> Some (Iset.cardinal t.snapshot)
+  | End_reachability -> None
 
 let clear_gray_and_buffers t =
   t.gray <- [];
@@ -251,10 +242,9 @@ let start_cycle (t : t) : unit =
   t.counts <- zero_counts ();
   t.degraded <- false;
   mark_roots t;
-  Flight.record Flight.Mark_start ~a:t.flight_key ~b:t.cycles
-    ~c:(Iset.cardinal t.snapshot);
-  emit t "gc.cycle.start"
-    (("phase", Telemetry.Str "marking") :: snapshot_field t)
+  Flight.record
+    (Flight.Cycle_start
+       { collector = t.policy.name; cycle = t.cycles; snapshot_size = snapshot_size t })
 
 (* ---- the barrier log --------------------------------------------------- *)
 
@@ -327,11 +317,12 @@ let on_unlogged_store t ~obj =
           t.degraded <- true;
           t.counts.budget_overflows <- t.counts.budget_overflows + 1;
           Telemetry.incr c_budget_overflows;
-          emit t "gc.degraded"
-            [
-              ("enqueued", Telemetry.Int t.counts.enqueued);
-              ("budget", Telemetry.Int budget);
-            ]
+          Flight.record
+            (Flight.Gc_degraded
+               {
+                 collector = t.policy.name; cycle = t.cycles;
+                 enqueued = t.counts.enqueued; budget;
+               })
         end;
         t.counts.enqueued <- t.counts.enqueued + 1;
         Telemetry.incr c_enqueues;
@@ -350,7 +341,9 @@ let restart_mark t =
   t.counts.restarts <- t.counts.restarts + 1;
   Telemetry.incr c_restarts;
   mark_roots t;
-  emit t "gc.restart" (snapshot_field t)
+  Flight.record
+    (Flight.Gc_restart
+       { collector = t.policy.name; cycle = t.cycles; snapshot_size = snapshot_size t })
 
 let on_revoke t ~objs =
   if t.phase = Marking then
@@ -563,27 +556,29 @@ let rescan_round t work =
     dirty;
   !changed
 
-let log_fields t (r : cycle_report) =
+(* the policy's own counters, as the cycle-finish event reports them *)
+let log_counts t (r : cycle_report) : Flight.log_counts =
   let c = r.counts in
-  let int k v = (k, Telemetry.Int v) in
   match t.policy.log with
-  | Satb_buffers _ -> [ int "logged" c.logged; int "restarts" c.restarts ]
+  | Satb_buffers _ -> Satb_log { logged = c.logged; restarts = c.restarts }
   | Retrace_list _ ->
-      [
-        int "logged" c.logged;
-        int "retraces" c.rescans;
-        int "budget_overflows" c.budget_overflows;
-        ("degraded", Telemetry.Bool r.degraded);
-        int "repair_enqueues" c.repair_enqueues;
-      ]
-  | Cards -> [ int "dirty_cards" c.logged; int "rescan_rounds" c.rescan_rounds ]
+      Retrace_log
+        {
+          logged = c.logged;
+          retraces = c.rescans;
+          budget_overflows = c.budget_overflows;
+          degraded = r.degraded;
+          repair_enqueues = c.repair_enqueues;
+        }
+  | Cards -> Card_log { dirty_cards = c.logged; rescan_rounds = c.rescan_rounds }
   | Shades ->
-      [
-        int "del_shades" c.del_shades;
-        int "ins_shades" c.ins_shades;
-        int "stack_scans" c.stack_scans;
-        int "rescans" c.rescans;
-      ]
+      Shade_log
+        {
+          del_shades = c.del_shades;
+          ins_shades = c.ins_shades;
+          stack_scans = c.stack_scans;
+          rescans = c.rescans;
+        }
 
 (** The remark pause: scan the stacks still grey, flush buffer remnants,
     drain to the policy's fixed point, check the oracle, sweep when
@@ -634,16 +629,13 @@ let finish_cycle (t : t) : cycle_report =
       counts = t.counts;
     }
   in
-  Flight.record Flight.Mark_end ~a:t.flight_key ~b:report.cycle ~c:violations;
-  emit t "gc.cycle.finish"
-    ([
-       ("phase", Telemetry.Str "idle");
-       ("marked", Telemetry.Int report.marked);
-       ("final_pause_work", Telemetry.Int report.final_pause_work);
-       ("swept", Telemetry.Int report.swept);
-       ("violations", Telemetry.Int violations);
-     ]
-    @ log_fields t report);
+  Flight.record
+    (Flight.Cycle_finish
+       {
+         collector = t.policy.name; cycle = report.cycle; marked = report.marked;
+         final_pause_work = report.final_pause_work; swept = report.swept; violations;
+         log = log_counts t report;
+       });
   t.cycles <- t.cycles + 1;
   t.heap.gc_cycle <- t.heap.gc_cycle + 1;
   t.reports <- report :: t.reports;

@@ -115,7 +115,6 @@ type t = {
   heap : Heap.t;
   roots : root_source;
   steps_per_increment : int;
-  flight_key : int;
   mutable phase : phase;
   mutable gray : gray list;
   mutable counts : counts;

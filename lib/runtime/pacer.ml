@@ -206,13 +206,8 @@ let enter_degraded (t : t) ~(live : int) ~(soft : int) : unit =
     t.degraded_this_cycle <- true;
     t.degraded_entries <- t.degraded_entries + 1;
     Telemetry.incr c_degraded_entries;
-    Flight.record Flight.Soft_enter ~a:live ~b:soft ~c:0;
-    Telemetry.emit "pacer.degraded"
-      [
-        ("collector", Telemetry.Str t.collector);
-        ("live_units", Telemetry.Int live);
-        ("soft_limit", Telemetry.Int soft);
-      ]
+    Flight.record
+      (Flight.Degraded { collector = t.collector; live_units = live; soft_limit = soft })
   end
 
 (** Degradation entry: live heap at or over the soft limit.  Called from
@@ -231,13 +226,9 @@ let maybe_recover (t : t) ~(live : int) : unit =
   | Some soft
     when t.state = Degraded && live * 100 <= soft * soft_exit_pct ->
       t.state <- Normal;
-      Flight.record Flight.Soft_exit ~a:live ~b:soft ~c:0;
-      Telemetry.emit "pacer.recovered"
-        [
-          ("collector", Telemetry.Str t.collector);
-          ("live_units", Telemetry.Int live);
-          ("soft_limit", Telemetry.Int soft);
-        ]
+      Flight.record
+        (Flight.Recovered
+           { collector = t.collector; live_units = live; soft_limit = soft })
   | _ -> ()
 
 (* ---- allocation-path hooks --------------------------------------------- *)
@@ -247,12 +238,9 @@ let note_hard_stop (t : t) (msg : string) : unit =
     t.hard_stop <- Some msg;
     t.state <- Hard_stop;
     Telemetry.incr c_hard_stops;
-    Flight.record Flight.Hard_stop ~a:t.max_live_units ~b:0 ~c:0;
-    Telemetry.emit "pacer.hard_stop"
-      [
-        ("collector", Telemetry.Str t.collector);
-        ("diagnostic", Telemetry.Str msg);
-      ]
+    Flight.record
+      (Flight.Hard_stop
+         { collector = t.collector; diagnostic = msg; live_units = t.max_live_units })
   end
 
 (** Admission control for one allocation of [units] heap units: refuses
@@ -283,7 +271,7 @@ let before_alloc (t : t) (heap : Heap.t) ~(units : int) : unit =
     increment, the pacer keeps the book). *)
 let note_assist (t : t) : unit =
   t.assists <- t.assists + 1;
-  Flight.record Flight.Assist ~a:0 ~b:0 ~c:0;
+  Flight.record Flight.Assist;
   Telemetry.incr c_assists
 
 (* ---- cycle pacing ------------------------------------------------------ *)
@@ -298,16 +286,13 @@ let should_start (t : t) (heap : Heap.t) : bool =
       | Goal _ | Auto -> heap.Heap.live_units >= t.trigger_units)
 
 let note_cycle_start (t : t) (heap : Heap.t) : unit =
-  Flight.record Flight.Trigger ~a:heap.Heap.live_units ~b:t.trigger_units
-    ~c:(if t.state = Degraded then 1 else 0);
-  Telemetry.emit "pacer.trigger"
-    [
-      ("collector", Telemetry.Str t.collector);
-      ("mode", Telemetry.Str (mode_name t.cfg.mode));
-      ("live_units", Telemetry.Int heap.Heap.live_units);
-      ("trigger_units", Telemetry.Int t.trigger_units);
-      ("degraded", Telemetry.Bool (t.state = Degraded));
-    ]
+  Flight.record
+    (Flight.Trigger
+       {
+         collector = t.collector; mode = mode_name t.cfg.mode;
+         live_units = heap.Heap.live_units; trigger_units = t.trigger_units;
+         degraded = t.state = Degraded;
+       })
 
 (** Auto mode's feedback: retune the goal from the pause percentiles and
     the MMU of the timeline so far.  Grow only when the evidence is that
@@ -336,18 +321,12 @@ let retune (t : t) : unit =
         t.goal <- Float.min auto_max_goal (t.goal *. auto_grow)
       else t.goal <- Float.max auto_min_goal (t.goal *. auto_shrink);
       if t.goal <> old_goal then begin
-        Flight.record Flight.Retune
-          ~a:(int_of_float (t.goal *. 1000.))
-          ~b:p99
-          ~c:(int_of_float (mmu_10 *. 1000.));
-        Telemetry.emit "pacer.retune"
-          [
-            ("collector", Telemetry.Str t.collector);
-            ("goal", Telemetry.Float t.goal);
-            ("p99", Telemetry.Int p99);
-            ("mmu_10", Telemetry.Float mmu_10);
-            ("last_pause", Telemetry.Int last_work);
-          ]
+        Flight.record
+          (Flight.Retune
+             {
+               collector = t.collector; goal = t.goal; p99; mmu_10;
+               last_pause = last_work;
+             })
       end
 
 (** Cycle end: record the pause for the feedback loop, recompute the

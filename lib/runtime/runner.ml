@@ -123,6 +123,26 @@ let summary_of (t : Marker.t) ~pause_steps =
     retraced = per (fun r -> r.counts.rescans);
   }
 
+(* The machine's own fields are the only home of the [jrt.*] counts; a
+   run adds its totals to the registry once, at [run.finish] — hard-limit
+   aborts included. *)
+let machine_counters =
+  List.map
+    (fun (name, get) -> (Telemetry.counter ("jrt." ^ name), get))
+    [
+      ("barriers_executed", fun (m : Interp.t) -> m.barriers_executed);
+      ("elided_barrier_execs", fun m -> m.elided_barrier_execs);
+      ("retrace_checks", fun m -> m.retrace_checks);
+      ("revocation_events", fun m -> m.revocation_events);
+      ("revoked_sites", fun m -> m.revoked_sites);
+      ("degradations", fun m -> m.degradations);
+      ("degraded_swap_execs", fun m -> m.degraded_swap_execs);
+      ("assist_execs", fun m -> m.assist_execs);
+    ]
+
+let add_machine_counters (m : Interp.t) =
+  List.iter (fun (c, get) -> Telemetry.incr c ~by:(get m)) machine_counters
+
 (** Simple deterministic PRNG for quantum jitter. *)
 let lcg seed =
   let state = ref (if seed = 0 then 1 else seed) in
@@ -292,11 +312,6 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
     | Some p
       when (not (Marker.is_marking t)) && Pacer.should_start p m.Interp.heap
       ->
-        Telemetry.emit "gc.cycle.begin"
-          [
-            ("collector", Telemetry.Str gc_name);
-            ("at_step", Telemetry.Int m.Interp.instr_count);
-          ];
         Pacer.note_cycle_start p m.Interp.heap;
         Marker.start_cycle t;
         Interp.reset_cycle_state m
@@ -315,7 +330,7 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
       m.Interp.guarded_writes <- []
     end;
     let work = (Marker.finish_cycle t).final_pause_work in
-    Flight.record Flight.Pause ~a:work ~b:0 ~c:0;
+    Flight.record (Flight.Pause { collector = gc_name; at_step; work });
     pause_steps := at_step :: !pause_steps;
     (* cycle bookkeeping: recompute the heap-growth trigger from the
        live size the mark left behind, feed auto mode, and run the
@@ -324,12 +339,6 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
       (fun p ->
         Pacer.note_cycle_end p m.Interp.heap ~at_step ~pause_work:work)
       pacer;
-    Telemetry.emit "gc.pause"
-      [
-        ("collector", Telemetry.Str gc_name);
-        ("at_step", Telemetry.Int at_step);
-        ("work", Telemetry.Int work);
-      ];
     (* the observatory reads survivors' mark origins and the cycle's
        elided-store log, so it must run after the sweep and before
        [reset_cycle_state] clears the log (in [finish_cycle] below and
@@ -467,6 +476,7 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
       gc_s := !gc_s +. (Telemetry.now_s () -. sp_t0)
   | Some _ | None -> ());
   let loop_s = Telemetry.now_s () -. loop_t0 in
+  add_machine_counters m;
   Telemetry.emit "run.finish"
     [
       ("hard_stop", Telemetry.Bool (!hard_stop <> None));

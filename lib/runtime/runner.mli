@@ -127,4 +127,8 @@ val run :
     flight-recorder census source (so a hard-limit dump flushes the
     in-flight cycle's heap state), and invokes the hook after every
     completed cycle's final pause — survivors still carry their mark
-    origins and the cycle's elided-store log has not been reset yet. *)
+    origins and the cycle's elided-store log has not been reset yet.
+
+    At [run.finish] — hard-limit aborts included — the run adds its
+    machine totals ([barriers_executed], [revoked_sites], ...) to the
+    [jrt.*] registry counters: the machine's fields are their only home. *)

@@ -7,8 +7,8 @@
     ({!Heapscope}) can attribute census rows, retained sizes and floating
     garbage back to program points.
 
-    The table is process-global (like {!Flight}'s intern table): ids are
-    stable across runs within a process, which is what lets snapshots
+    The table is process-global: ids are stable across runs within a
+    process, which is what lets snapshots
     taken from different cycles of the same run diff by id. *)
 
 val intern : string -> int

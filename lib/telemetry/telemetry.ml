@@ -3,11 +3,13 @@
     the single measurement surface behind [--trace], [--metrics], the
     harness experiments and the bench JSON artifacts.
 
-    Counters are always live (they are plain [int ref] bumps and the
-    reconciliation tests equate them with the interpreter's legacy
-    statistics).  Events are recorded only while {e armed} — an in-memory
-    recorder enabled ({!set_recording}) or a JSONL sink attached
-    ({!attach_sink}) — so the hot paths pay nothing by default.
+    Counters are always live (plain [int ref] bumps).  Events are
+    recorded only while {e armed} — an in-memory recorder enabled
+    ({!set_recording}) or a JSONL sink attached ({!attach_sink}) — so the
+    hot paths pay nothing by default.  Runtime events reach the stream
+    through the flight recorder ([Flight.record]), which renders each
+    typed event with one schema; only the run envelope and analysis
+    passes call {!emit} directly.
 
     Every emitted event carries a monotonic wall-clock timestamp
     ({!now_s}: seconds since process start, clamped to never decrease)

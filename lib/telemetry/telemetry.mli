@@ -5,7 +5,9 @@
     harness experiments and the bench JSON artifacts.
 
     Counters are always live; events are recorded only while a recorder
-    or sink is armed, so hot paths pay nothing by default. *)
+    or sink is armed, so hot paths pay nothing by default.  Runtime
+    events arrive through [Flight.record], which renders each typed
+    event with one schema and streams it here. *)
 
 (** {2 JSON} *)
 

@@ -1,6 +1,7 @@
-(* Unit tests for the flight recorder: ring mechanics, interning, the
-   anomaly detectors, dump round-trips, timeline reconstruction across
-   all four collectors, render determinism and the capture protocol.
+(* Unit tests for the flight recorder: ring mechanics, the event schema,
+   the anomaly detectors, dump round-trips, timeline reconstruction
+   across all four collectors, render determinism and the capture
+   protocol.
 
    The recorder is process-global; every test that drives it by hand
    starts from [Flight.set_capacity] (which implies [begin_run]) and
@@ -17,57 +18,210 @@ let fresh ?(cap = 64) () =
 
 let restore () = Flight.set_capacity 4096
 
-let at s k ~a ~b ~c =
+let at s ev =
   step := s;
-  Flight.record k ~a ~b ~c
+  Flight.record ev
+
+let pause work = Flight.Pause { collector = "test"; at_step = 0; work }
+
+let revoke site =
+  Flight.Revoke_site
+    {
+      site;
+      guards = [ "single-mutator" ];
+      guard = "single-mutator";
+      half = Flight.Full;
+      materialized = false;
+      justification = None;
+    }
+
+let soft_limit live =
+  Flight.Degraded { collector = "test"; live_units = live; soft_limit = 80 }
+
+let work_of (e : Flight.entry) =
+  match e.ev with Flight.Pause { work; _ } -> work | _ -> -1
 
 (* --- ring mechanics ------------------------------------------------------ *)
 
 let test_ring_wrap () =
   fresh ~cap:16 ();
   for i = 1 to 40 do
-    at i Flight.Pause ~a:i ~b:0 ~c:0
+    at i (pause i)
   done;
   Alcotest.(check int) "recorded counts every event" 40 (Flight.recorded ());
   let evs = Flight.events () in
   Alcotest.(check int) "ring keeps the last capacity events" 16
     (List.length evs);
   Alcotest.(check int) "oldest survivor is recorded-capacity+1" 25
-    (List.hd evs).Flight.a;
+    (work_of (List.hd evs));
   Alcotest.(check int) "newest survivor is the last record" 40
-    (List.hd (List.rev evs)).Flight.a;
+    (work_of (List.hd (List.rev evs)));
   restore ()
 
 let test_disabled_records_nothing () =
   fresh ();
   Flight.set_enabled false;
-  at 1 Flight.Pause ~a:1 ~b:0 ~c:0;
+  at 1 (pause 1);
   Flight.set_enabled true;
   Alcotest.(check int) "disabled recorder drops the event" 0
     (Flight.recorded ());
-  at 2 Flight.Pause ~a:2 ~b:0 ~c:0;
+  at 2 (pause 2);
   Alcotest.(check int) "re-enabled recorder records" 1 (Flight.recorded ());
   restore ()
 
-let test_intern_stability () =
-  let a = Flight.intern "test-intern-a" in
-  let b = Flight.intern "test-intern-b" in
-  Alcotest.(check bool) "distinct strings, distinct ids" true (a <> b);
-  Alcotest.(check int) "interning is idempotent" a
-    (Flight.intern "test-intern-a");
-  Alcotest.(check string) "str_of inverts intern" "test-intern-a"
-    (Flight.str_of a);
-  Flight.begin_run ();
-  Alcotest.(check int) "the table survives begin_run" a
-    (Flight.intern "test-intern-a")
+(* --- the one schema ------------------------------------------------------- *)
+
+(* one value of every kind, with exactly representable floats *)
+let every_kind : Flight.event list =
+  let open Flight in
+  [
+    Cycle_start { collector = "satb"; cycle = 0; snapshot_size = Some 22 };
+    Cycle_start { collector = "incremental-update"; cycle = 1; snapshot_size = None };
+    Cycle_finish
+      {
+        collector = "satb";
+        cycle = 0;
+        marked = 25;
+        final_pause_work = 3;
+        swept = 4;
+        violations = 0;
+        log = Satb_log { logged = 2; restarts = 1 };
+      };
+    Cycle_finish
+      {
+        collector = "retrace";
+        cycle = 1;
+        marked = 1;
+        final_pause_work = 0;
+        swept = 0;
+        violations = 1;
+        log =
+          Retrace_log
+            {
+              logged = 2;
+              retraces = 3;
+              budget_overflows = 4;
+              degraded = true;
+              repair_enqueues = 5;
+            };
+      };
+    Cycle_finish
+      {
+        collector = "incremental-update";
+        cycle = 2;
+        marked = 1;
+        final_pause_work = 0;
+        swept = 0;
+        violations = 0;
+        log = Card_log { dirty_cards = 6; rescan_rounds = 2 };
+      };
+    Cycle_finish
+      {
+        collector = "hybrid";
+        cycle = 3;
+        marked = 1;
+        final_pause_work = 0;
+        swept = 0;
+        violations = 0;
+        log = Shade_log { del_shades = 1; ins_shades = 2; stack_scans = 3; rescans = 4 };
+      };
+    Gc_restart { collector = "satb"; cycle = 0; snapshot_size = Some 9 };
+    Gc_degraded { collector = "retrace"; cycle = 0; enqueued = 1; budget = 0 };
+    Pause { collector = "satb"; at_step = 320; work = 37 };
+    Assist;
+    Trigger
+      {
+        collector = "satb";
+        mode = "goal";
+        live_units = 66;
+        trigger_units = 64;
+        degraded = false;
+      };
+    Degraded { collector = "satb"; live_units = 100; soft_limit = 80 };
+    Recovered { collector = "satb"; live_units = 40; soft_limit = 80 };
+    Retune
+      { collector = "satb"; goal = 1.5; p99 = 12; mmu_10 = 0.875; last_pause = 7 };
+    Hard_stop { collector = "satb"; diagnostic = "hard heap limit"; live_units = 48 };
+    Revoke_request { assumption = "closed-world" };
+    Revoke_apply { assumptions = [ "closed-world"; "single-mutator" ]; repair_set = 3 };
+    Revoke_site
+      {
+        site = "Main.main@11";
+        guards = [ "closed-world"; "single-mutator" ];
+        guard = "single-mutator";
+        half = Del;
+        materialized = true;
+        justification = Some "pre-null-field";
+      };
+    Revoke_site
+      {
+        site = "Main.main@12";
+        guards = [];
+        guard = "?";
+        half = Ins;
+        materialized = false;
+        justification = None;
+      };
+    Respecialize { site = "Main.main@11"; epoch = 2 };
+    Runtime_degraded { reason = "retrace-budget-overflow" };
+    Chaos_fault { fault = "class-load"; at = At_instr 576; count = None };
+    Chaos_fault { fault = "mem-pressure"; at = At_alloc 103; count = Some 4 };
+    Census
+      {
+        collector = "satb";
+        cycle = 0;
+        heap_live = 10;
+        heap_units = 40;
+        fold = None;
+        float = None;
+      };
+    Census
+      {
+        collector = "hybrid";
+        cycle = 7;
+        heap_live = 10;
+        heap_units = 40;
+        fold = Some { census_live = 10; census_units = 40; sites = 3 };
+        float =
+          Some
+            {
+              float_objs = 2;
+              float_units = 8;
+              by_origin = [ ("none", 0); ("trace", 8) ];
+              by_verdict = [ ("full-elided", 1); ("both-elided", 0) ];
+            };
+      };
+    Anomaly { detector = "revocation-storm"; count = 6 };
+  ]
+
+(* every kind survives render -> JSON text -> parse, and its step and
+   kind lead the rendering *)
+let test_schema_round_trip () =
+  List.iteri
+    (fun i ev ->
+      let e = { Flight.step = 100 + i; ev } in
+      let kind, fields = Flight.render e in
+      Alcotest.(check string) "kind name" (Flight.kind_name ev) kind;
+      Alcotest.(check bool) (kind ^ ": step leads the fields") true
+        (match fields with ("step", Telemetry.Int s) :: _ -> s = e.step | _ -> false);
+      let text = Telemetry.json_to_string (Flight.to_json e) in
+      match Telemetry.json_of_string text with
+      | Error err -> Alcotest.failf "%s: not JSON: %s" kind err
+      | Ok j -> (
+          match Flight.of_json j with
+          | Ok e' -> Alcotest.(check bool) (kind ^ " round-trips") true (e = e')
+          | Error err -> Alcotest.failf "%s does not parse back: %s" kind err))
+    every_kind;
+  (* every constructor is covered: the sample spans 19 kind names *)
+  Alcotest.(check int) "one name per kind" 19
+    (List.length (List.sort_uniq compare (List.map Flight.kind_name every_kind)))
 
 (* --- anomaly detectors --------------------------------------------------- *)
 
 let test_revocation_storm_detector () =
   fresh ();
-  let site = Flight.intern "storm-site" in
   for i = 1 to 6 do
-    at (i * 100) Flight.Revoke_site ~a:site ~b:site ~c:0
+    at (i * 100) (revoke "storm-site")
   done;
   Flight.poll ();
   (match Flight.anomalies () with
@@ -76,12 +230,15 @@ let test_revocation_storm_detector () =
   | l -> Alcotest.failf "expected one storm firing, got %d" (List.length l));
   (* the firing itself is on the record, and it fires only once *)
   let anomaly_events =
-    List.filter (fun e -> e.Flight.k = Flight.Anomaly) (Flight.events ())
+    List.filter
+      (fun (e : Flight.entry) ->
+        match e.ev with Flight.Anomaly _ -> true | _ -> false)
+      (Flight.events ())
   in
   Alcotest.(check int) "one anomaly event recorded" 1
     (List.length anomaly_events);
   for i = 7 to 20 do
-    at (i * 100) Flight.Revoke_site ~a:site ~b:site ~c:0
+    at (i * 100) (revoke "storm-site")
   done;
   Flight.poll ();
   Alcotest.(check int) "fires at most once per run" 1
@@ -90,11 +247,10 @@ let test_revocation_storm_detector () =
 
 let test_storm_window_excludes_slow_revocation () =
   fresh ();
-  let site = Flight.intern "slow-site" in
   (* six revocations, but spread over 6 x 2000 steps: never 6 within the
      5000-step window *)
   for i = 1 to 6 do
-    at (i * 2000) Flight.Revoke_site ~a:site ~b:site ~c:0
+    at (i * 2000) (revoke "slow-site")
   done;
   Flight.poll ();
   Alcotest.(check int) "slow revocation is not a storm" 0
@@ -104,15 +260,16 @@ let test_storm_window_excludes_slow_revocation () =
 let test_oscillation_and_spiral_detectors () =
   fresh ();
   for i = 1 to 4 do
-    at (i * 1000) Flight.Soft_enter ~a:100 ~b:80 ~c:0;
-    at ((i * 1000) + 500) Flight.Soft_exit ~a:70 ~b:80 ~c:0
+    at (i * 1000) (soft_limit 100);
+    at ((i * 1000) + 500)
+      (Flight.Recovered { collector = "test"; live_units = 70; soft_limit = 80 })
   done;
   Flight.poll ();
   Alcotest.(check bool) "four soft-limit entries fire the oscillation" true
     (List.mem_assoc "pacing-oscillation" (Flight.anomalies ()));
   fresh ();
   for i = 1 to 50 do
-    at (4000 + i) Flight.Assist ~a:0 ~b:0 ~c:0
+    at (4000 + i) Flight.Assist
   done;
   Flight.poll ();
   Alcotest.(check bool) "fifty assists in a window fire the spiral" true
@@ -121,12 +278,12 @@ let test_oscillation_and_spiral_detectors () =
 
 let test_cascade_detector () =
   fresh ();
-  at 1000 Flight.Soft_enter ~a:100 ~b:80 ~c:0;
-  at 2000 Flight.Swap_degraded ~a:0 ~b:0 ~c:0;
+  at 1000 (soft_limit 100);
+  at 2000 (Flight.Runtime_degraded { reason = "retrace-budget-overflow" });
   Flight.poll ();
   Alcotest.(check int) "two degradation signals are not a cascade" 0
     (List.length (Flight.anomalies ()));
-  at 3000 Flight.Revoke_site ~a:0 ~b:0 ~c:0;
+  at 3000 (revoke "cascade-site");
   Flight.poll ();
   Alcotest.(check bool) "soft + degraded + revoke within a window cascade"
     true
@@ -151,10 +308,19 @@ let test_dump_roundtrip () =
           fs_guards = [ "single-mutator" ];
         };
       ]);
-  let coll = Flight.intern "test" in
-  at 100 Flight.Mark_start ~a:coll ~b:0 ~c:5;
-  at 200 Flight.Mark_end ~a:coll ~b:0 ~c:0;
-  at 200 Flight.Pause ~a:3 ~b:0 ~c:0;
+  at 100 (Flight.Cycle_start { collector = "test"; cycle = 0; snapshot_size = Some 5 });
+  at 200
+    (Flight.Cycle_finish
+       {
+         collector = "test";
+         cycle = 0;
+         marked = 5;
+         final_pause_work = 3;
+         swept = 0;
+         violations = 0;
+         log = Flight.Satb_log { logged = 0; restarts = 0 };
+       });
+  at 200 (pause 3);
   let j = Flight.dump_json ~reason:"unit" in
   (* the dump survives a serialize/deserialize cycle too *)
   let reparsed =
@@ -166,8 +332,8 @@ let test_dump_roundtrip () =
   | Error e -> Alcotest.failf "dump does not parse back: %s" e
   | Ok d ->
       Alcotest.(check string) "reason survives" "unit" d.Flight.d_reason;
-      Alcotest.(check int) "events survive" 3
-        (List.length d.Flight.d_events);
+      Alcotest.(check bool) "events survive" true
+        (d.Flight.d_events = Flight.events ());
       Alcotest.(check int) "sites survive" 1 (List.length d.Flight.d_sites);
       let tl = Flight.timeline_of d in
       (match tl.Flight.tl_cycles with
@@ -188,6 +354,8 @@ let test_parse_dump_rejects_junk () =
       | Ok _ -> Alcotest.failf "parsed %s" what
       | Error _ -> ())
     [
+      ( "a version 1 dump",
+        Telemetry.Obj [ ("flight", Telemetry.Obj [ ("version", Telemetry.Int 1) ]) ] );
       ("a non-object", Telemetry.Int 3);
       ("an empty object", Telemetry.Obj []);
       ( "an unversioned flight object",
@@ -255,7 +423,10 @@ let test_begin_run_isolates_runs () =
     (Harness.Exp.run ~gc:(Jrt.Runner.make_satb ~trigger_allocs:24 ()) cw);
   let second = Flight.events () in
   Alcotest.(check bool) "no chaos events leak into the chaos-free run" true
-    (List.for_all (fun e -> e.Flight.k <> Flight.Chaos_fault) second)
+    (List.for_all
+       (fun (e : Flight.entry) ->
+         match e.ev with Flight.Chaos_fault _ -> false | _ -> true)
+       second)
 
 (* --- capture protocol ---------------------------------------------------- *)
 
@@ -299,8 +470,8 @@ let tests =
       test_ring_wrap;
     Alcotest.test_case "disabled recorder records nothing" `Quick
       test_disabled_records_nothing;
-    Alcotest.test_case "interning is stable across runs" `Quick
-      test_intern_stability;
+    Alcotest.test_case "schema round-trips every kind" `Quick
+      test_schema_round_trip;
     Alcotest.test_case "revocation-storm detector" `Quick
       test_revocation_storm_detector;
     Alcotest.test_case "storm window excludes slow revocation" `Quick

@@ -235,10 +235,45 @@ let check_per_half_sums m =
         (st.ins_elided_execs + st.ins_paid_execs))
     m.Jrt.Interp.stats
 
+(* Every revoke.site event names the half that is no longer elided —
+   including sites that first execute after the revocation and so
+   materialize already patched. *)
+let check_revoke_halves m ~expect =
+  let stats = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun site st -> Hashtbl.replace stats (Jrt.Interp.site_id site) st)
+    m.Jrt.Interp.stats;
+  let revokes =
+    List.filter_map
+      (fun (e : Flight.entry) ->
+        match e.ev with
+        | Flight.Revoke_site { site; half; materialized; _ } ->
+            Some (site, half, materialized)
+        | _ -> None)
+      (Flight.events ())
+  in
+  Alcotest.(check bool) "live flips recorded" true
+    (List.exists (fun (_, _, mat) -> not mat) revokes);
+  Alcotest.(check bool) "materialized flips recorded" true
+    (List.exists (fun (_, _, mat) -> mat) revokes);
+  List.iter
+    (fun (site, half, _) ->
+      let st : Jrt.Interp.site_stats = Hashtbl.find stats site in
+      let revoked =
+        match (st.st_del_elided, st.st_ins_elided) with
+        | false, true -> Flight.Del
+        | true, false -> Flight.Ins
+        | _ -> Flight.Full
+      in
+      Alcotest.(check bool) (site ^ ": event names the revoked half") true
+        (half = revoked && half = expect))
+    revokes
+
 let test_revoke_deletion_half_only () =
   let m =
     run_split_halves [ Jrt.Chaos.Late_spawn { at_instr = 1000; stores = 2 } ]
   in
+  check_revoke_halves m ~expect:Flight.Del;
   Alcotest.(check bool)
     "single-mutator revoked" true
     (List.mem Jrt.Interp.Single_mutator m.Jrt.Interp.revoked);
@@ -271,6 +306,7 @@ let test_revoke_deletion_half_only () =
 
 let test_revoke_insertion_half_only () =
   let m = run_split_halves [ Jrt.Chaos.Class_load { at_instr = 800 } ] in
+  check_revoke_halves m ~expect:Flight.Ins;
   Alcotest.(check bool)
     "closed-world revoked" true
     (List.mem Jrt.Interp.Closed_world m.Jrt.Interp.revoked);

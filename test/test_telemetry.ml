@@ -1,7 +1,7 @@
 (* Tests for the unified telemetry layer: registry units, the JSONL
-   event stream and its schema validator, the Chrome exporter, and the
-   reconciliation invariants that tie the global counters to the
-   interpreter's legacy per-machine statistics — under chaos fuzz.
+   event stream and its schema validator, the Chrome exporter, the jrt.*
+   counters the registry reads from the machine, and the one event
+   pipeline (the trace renders exactly the flight recorder's ring).
    Also the provenance ("explain") contract: every elided site names a
    rule chain and its guards on all six benchmark workloads. *)
 
@@ -207,6 +207,17 @@ let test_chrome_export_shape () =
 let compile_full w =
   Harness.Exp.compile ~null_or_same:true ~move_down:true ~swap:true w
 
+let read_lines path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> String.trim l <> "")
+
+let kind_of line =
+  match Telemetry.json_of_string line with
+  | Ok (Telemetry.Obj kvs) -> (
+      match List.assoc_opt "kind" kvs with Some (Telemetry.Str k) -> k | _ -> "")
+  | _ -> ""
+
 let test_run_trace_schema_valid () =
   reset ();
   let path = Filename.temp_file "satbelim-trace" ".jsonl" in
@@ -228,27 +239,11 @@ let test_run_trace_schema_valid () =
        (compile_full Workloads.Db.t));
   Telemetry.detach_sink ();
   close_out oc;
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
+  let lines = read_lines path in
   Sys.remove path;
-  let lines = List.rev !lines in
   match Telemetry.validate_trace_lines lines with
   | Ok n ->
       Alcotest.(check bool) "trace is non-trivial" true (n > 0);
-      let kind_of line =
-        match Telemetry.json_of_string line with
-        | Ok (Telemetry.Obj fields) -> (
-            match List.assoc_opt "kind" fields with
-            | Some (Telemetry.Str k) -> k
-            | _ -> "")
-        | _ -> ""
-      in
       let kinds = List.map kind_of lines in
       List.iter
         (fun k ->
@@ -257,27 +252,32 @@ let test_run_trace_schema_valid () =
           "run.finish" ]
   | Error (line, msg) -> Alcotest.failf "line %d: %s" line msg
 
-(* --- reconciliation: global counters == legacy machine stats ----------- *)
+(* --- the jrt.* counters: machine fields, added once per run -------------- *)
 
-let check_reconciled (r : Jrt.Runner.report) =
-  let m = r.machine in
-  let same what counter legacy =
-    if Telemetry.get_counter counter <> legacy then
-      QCheck2.Test.fail_reportf "%s: telemetry %d <> legacy %d" what
-        (Telemetry.get_counter counter)
-        legacy
-  in
-  same "barriers" "jrt.barriers_executed" m.Jrt.Interp.barriers_executed;
-  same "elided" "jrt.elided_barrier_execs" m.Jrt.Interp.elided_barrier_execs;
-  same "retrace checks" "jrt.retrace_checks" m.Jrt.Interp.retrace_checks;
-  same "revocation events" "jrt.revocation_events"
-    m.Jrt.Interp.revocation_events;
-  same "revoked sites" "jrt.revoked_sites" m.Jrt.Interp.revoked_sites;
-  same "degradations" "jrt.degradations" m.Jrt.Interp.degradations;
-  same "degraded swap execs" "jrt.degraded_swap_execs"
-    m.Jrt.Interp.degraded_swap_execs;
-  true
+let jrt_fields (m : Jrt.Interp.t) =
+  [
+    ("jrt.barriers_executed", m.barriers_executed);
+    ("jrt.elided_barrier_execs", m.elided_barrier_execs);
+    ("jrt.retrace_checks", m.retrace_checks);
+    ("jrt.revocation_events", m.revocation_events);
+    ("jrt.revoked_sites", m.revoked_sites);
+    ("jrt.degradations", m.degradations);
+    ("jrt.degraded_swap_execs", m.degraded_swap_execs);
+    ("jrt.assist_execs", m.assist_execs);
+  ]
 
+let check_registry what (r : Jrt.Runner.report) =
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check int) (what ^ ": " ^ name) v (Telemetry.get_counter name))
+    (jrt_fields r.machine)
+
+let chaos_of faults =
+  Jrt.Chaos.create
+    { Jrt.Chaos.seed = 1; faults; quantum = None; gc_period = None }
+
+(* The registry reads each run's machine totals once, at run.finish, so
+   after any chaos run it equals the report's machine fields. *)
 let reconciliation_prop =
   QCheck2.Test.make
     ~name:"telemetry counters reconcile with machine stats under chaos"
@@ -299,30 +299,138 @@ let reconciliation_prop =
         Harness.Exp.run ~gc ~guards:true ~chaos ~fail_on_thread_error:false
           ~seed cw
       in
-      check_reconciled r)
+      List.iter
+        (fun (name, v) ->
+          if Telemetry.get_counter name <> v then
+            QCheck2.Test.fail_reportf "%s: telemetry %d <> machine %d" name
+              (Telemetry.get_counter name) v)
+        (jrt_fields r.machine);
+      true)
 
+(* the degraded-mode path (budget overflow) is rare under of_seed plans;
+   pin it down deterministically, with a late spawn so the run also
+   revokes *)
 let test_reconciliation_budget_overflow () =
-  (* the degraded-mode path (budget overflow) is rare under of_seed plans;
-     pin it down deterministically *)
-  let chaos =
-    Jrt.Chaos.create
-      {
-        Jrt.Chaos.seed = 1;
-        faults = [ Jrt.Chaos.Preempt_marker { at_alloc = 24; skips = 700 } ];
-        quantum = None;
-        gc_period = None;
-      }
-  in
   Telemetry.reset ();
   let r =
     Harness.Exp.run
       ~gc:(Jrt.Runner.make_retrace ~trigger_allocs:24 ~steps_per_increment:1 ())
-      ~guards:true ~chaos ~retrace_budget:0 ~fail_on_thread_error:false
+      ~guards:true
+      ~chaos:
+        (chaos_of
+           [
+             Jrt.Chaos.Preempt_marker { at_alloc = 24; skips = 700 };
+             Jrt.Chaos.Late_spawn { at_instr = 3000; stores = 4 };
+           ])
+      ~retrace_budget:0 ~fail_on_thread_error:false
       (compile_full Workloads.Db.t)
   in
-  Alcotest.(check bool) "degradation exercised" true
-    (r.machine.Jrt.Interp.degradations > 0);
-  Alcotest.(check bool) "reconciled" true (check_reconciled r)
+  let m = r.machine in
+  Alcotest.(check bool) "chaos run revoked, checked and degraded" true
+    (m.revocation_events > 0 && m.retrace_checks > 0
+    && m.degradations > 0 && m.degraded_swap_execs > 0);
+  check_registry "chaos" r
+
+(* a hard-limit abort that assisted first still reaches run.finish's
+   read of the machine; every name stays registered for --metrics *)
+let test_reconciliation_hard_limit () =
+  Telemetry.reset ();
+  let pacing =
+    {
+      Jrt.Pacer.default_config with
+      soft_limit = Some 60;
+      hard_limit = Some 300;
+    }
+  in
+  let r =
+    Harness.Exp.run
+      ~gc:(Jrt.Runner.make_satb ~pacing ~steps_per_increment:8 ())
+      ~guards:true
+      ~chaos:(chaos_of [ Jrt.Chaos.Alloc_spike { at_instr = 2000; count = 400 } ])
+      ~fail_on_thread_error:false
+      (compile_full Workloads.Db.t)
+  in
+  Alcotest.(check bool) "hard-limit abort after assists" true
+    (r.hard_stop <> None && r.machine.assist_execs > 0);
+  check_registry "hard-limit abort" r;
+  let registered = List.map fst (Telemetry.snapshot ()).sn_counters in
+  List.iter
+    (fun (name, _) ->
+      Alcotest.(check bool) (name ^ " registered") true
+        (List.mem name registered))
+    (jrt_fields r.machine)
+
+(* --- one pipeline: the trace renders exactly the ring ------------------- *)
+
+let envelope = [ "run.start"; "run.finish"; "analysis.pass" ]
+
+(* a trace line without its [ts] and [seq], re-serialized *)
+let strip_stamp line =
+  match Telemetry.json_of_string line with
+  | Ok (Telemetry.Obj kvs) ->
+      Telemetry.json_to_string
+        (Telemetry.Obj (List.filter (fun (k, _) -> k <> "ts" && k <> "seq") kvs))
+  | _ -> Alcotest.failf "trace line is not an object: %s" line
+
+(* One chaos seed under each collector on both engines, with a JSONL sink
+   attached: apart from the run envelope, the trace's events are the
+   ring's events, in order, rendered by the one schema — kind, step and
+   every field. *)
+let test_trace_matches_ring () =
+  let cw = compile_full Workloads.Db.t in
+  let seen = ref [] in
+  List.iter
+    (fun (name, gc) ->
+      List.iter
+        (fun engine ->
+          let what =
+            name ^ (match engine with `Interp -> "/interp" | `Threaded -> "/threaded")
+          in
+          Telemetry.reset ();
+          let path = Filename.temp_file "satbelim-ring" ".jsonl" in
+          let oc = open_out path in
+          Telemetry.attach_sink oc;
+          ignore
+            (Harness.Exp.run ~gc ~engine ~guards:true
+               ~chaos:(Jrt.Chaos.create (Jrt.Chaos.of_seed 42))
+               ~fail_on_thread_error:false cw);
+          Telemetry.detach_sink ();
+          close_out oc;
+          let lines = read_lines path in
+          Sys.remove path;
+          let trace =
+            List.filter (fun l -> not (List.mem (kind_of l) envelope)) lines
+          in
+          let ring = Flight.events () in
+          Alcotest.(check int) (what ^ ": the ring did not wrap")
+            (Flight.recorded ()) (List.length ring);
+          Alcotest.(check (list string)) (what ^ ": trace = ring")
+            (List.map (fun e -> Telemetry.json_to_string (Flight.to_json e)) ring)
+            (List.map strip_stamp trace);
+          seen := List.map kind_of trace @ !seen)
+        [ `Interp; `Threaded ])
+    [
+      ("satb", Jrt.Runner.make_satb ~trigger_allocs:24 ());
+      ("incr", Jrt.Runner.make_incr ~trigger_allocs:24 ());
+      ("retrace", Jrt.Runner.make_retrace ~trigger_allocs:24 ());
+      ("hybrid", Jrt.Runner.make_hybrid ~trigger_allocs:24 ());
+    ];
+  (* one name per kind: the trace's names won *)
+  List.iter
+    (fun k -> Alcotest.(check bool) (k ^ " streamed") true (List.mem k !seen))
+    [ "gc.cycle.start"; "gc.cycle.finish"; "gc.pause"; "chaos.fault" ];
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (k ^ " is gone") false (List.mem k !seen))
+    [ "mark.start"; "mark.end"; "gc.cycle.begin"; "pacer.soft.enter" ];
+  List.iter
+    (fun (ev, k) -> Alcotest.(check string) k k (Flight.kind_name ev))
+    [
+      (Flight.Degraded { collector = "satb"; live_units = 1; soft_limit = 1 },
+        "pacer.degraded");
+      (Flight.Recovered { collector = "satb"; live_units = 1; soft_limit = 1 },
+        "pacer.recovered");
+    ]
 
 (* --- provenance: every elided site explains itself ---------------------- *)
 
@@ -392,6 +500,9 @@ let tests =
     QCheck_alcotest.to_alcotest reconciliation_prop;
     Alcotest.test_case "budget overflow reconciles" `Quick
       test_reconciliation_budget_overflow;
+    Alcotest.test_case "hard-limit abort reconciles" `Quick
+      test_reconciliation_hard_limit;
+    Alcotest.test_case "trace equals ring" `Quick test_trace_matches_ring;
     Alcotest.test_case "explain covers every elided site (six workloads)"
       `Quick test_explain_covers_all_elided_sites;
     Alcotest.test_case "explanations are deterministically ordered" `Quick
