@@ -249,18 +249,9 @@ let damage_one (t : t) (m : Interp.t)
 
 (* ---- the safepoint hook ------------------------------------------------ *)
 
-(* Each injected fault bumps a chaos.* counter and records a chaos.fault
+(* Each injected fault bumps its [stats] field and records a chaos.fault
    event naming the fault kind and where it fired, so a trace or a
    timeline shows what was injected when. *)
-let c_spawns = Telemetry.counter "chaos.spawns"
-let c_damage = Telemetry.counter "chaos.damage_stores"
-let c_skips = Telemetry.counter "chaos.skipped_barriers"
-let c_preempts = Telemetry.counter "chaos.preempted_increments"
-let c_pressure = Telemetry.counter "chaos.pressure_remarks"
-let c_loads = Telemetry.counter "chaos.class_loads"
-let c_spike = Telemetry.counter "chaos.spike_allocs"
-let c_ramp = Telemetry.counter "chaos.ramp_allocs"
-
 let fault_event ?count (fault : string) (at : Flight.fault_at) : unit =
   Flight.record (Flight.Chaos_fault { fault; at; count })
 
@@ -280,7 +271,6 @@ let at_safepoint (t : t) (m : Interp.t) : action =
                sites when revocation is enabled *)
             a.announced <- true;
             t.spawns <- t.spawns + 1;
-            Telemetry.incr c_spawns;
             fault_event "late-spawn" (At_instr instr);
             Interp.note_second_mutator m
           end
@@ -291,14 +281,12 @@ let at_safepoint (t : t) (m : Interp.t) : action =
             then begin
               a.stores_left <- a.stores_left - 1;
               t.damage_stores <- t.damage_stores + 1;
-              Telemetry.incr c_damage;
               fault_event "damage-store" (At_instr instr)
             end
       | Apreempt a ->
           if allocated >= a.at_alloc && a.skips_left > 0 && marking then begin
             a.skips_left <- a.skips_left - 1;
             t.preempted_increments <- t.preempted_increments + 1;
-            Telemetry.incr c_preempts;
             fault_event "preempt-marker" (At_alloc allocated);
             defer := true
           end
@@ -306,7 +294,6 @@ let at_safepoint (t : t) (m : Interp.t) : action =
           if (not a.fired) && allocated >= a.at_alloc && marking then begin
             a.fired <- true;
             t.pressure_remarks <- t.pressure_remarks + 1;
-            Telemetry.incr c_pressure;
             fault_event "heap-pressure" (At_alloc allocated);
             remark := true
           end
@@ -318,14 +305,12 @@ let at_safepoint (t : t) (m : Interp.t) : action =
             then begin
               a.victims_left <- a.victims_left - 1;
               t.skipped_barriers <- t.skipped_barriers + 1;
-              Telemetry.incr c_skips;
               fault_event "barrier-skip" (At_instr instr)
             end
       | Aload a ->
           if (not a.loaded) && instr >= a.at_instr then begin
             a.loaded <- true;
             t.class_loads <- t.class_loads + 1;
-            Telemetry.incr c_loads;
             fault_event "class-load" (At_instr instr);
             Interp.note_class_load m
           end
@@ -333,7 +318,6 @@ let at_safepoint (t : t) (m : Interp.t) : action =
           if (not a.fired) && instr >= a.at_instr then begin
             a.fired <- true;
             t.spike_allocs <- t.spike_allocs + a.count;
-            Telemetry.incr c_spike ~by:a.count;
             fault_event "alloc-spike" (At_instr instr) ~count:a.count;
             (* may raise Pacer.Hard_limit — propagated to the runner,
                which must abort cleanly, exactly as mutator pressure
@@ -345,7 +329,6 @@ let at_safepoint (t : t) (m : Interp.t) : action =
             let n = min a.per_safepoint a.left in
             a.left <- a.left - n;
             t.ramp_allocs <- t.ramp_allocs + n;
-            Telemetry.incr c_ramp ~by:n;
             fault_event "mem-pressure" (At_alloc allocated) ~count:n;
             Interp.external_alloc m ~count:n
           end)

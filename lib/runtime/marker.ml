@@ -159,16 +159,6 @@ let create ?(steps_per_increment = 64) (policy : policy) (heap : Heap.t)
 
 let is_marking t = t.phase = Marking
 
-(* telemetry: gc.* is shared by every policy (the [collector] field tells
-   the streams apart); retrace.* belongs to the retrace list *)
-let c_cycles = Telemetry.counter "gc.cycles"
-let c_violations = Telemetry.counter "gc.violations"
-let c_restarts = Telemetry.counter "gc.restarts"
-let c_retraces = Telemetry.counter "retrace.rescans"
-let c_enqueues = Telemetry.counter "retrace.enqueues"
-let c_repair_enqueues = Telemetry.counter "retrace.repair_enqueues"
-let c_budget_overflows = Telemetry.counter "retrace.budget_overflows"
-
 (* ---- marking ----------------------------------------------------------- *)
 
 let is_white t id =
@@ -316,7 +306,6 @@ let on_unlogged_store t ~obj =
         if t.counts.enqueued >= budget then begin
           t.degraded <- true;
           t.counts.budget_overflows <- t.counts.budget_overflows + 1;
-          Telemetry.incr c_budget_overflows;
           Flight.record
             (Flight.Gc_degraded
                {
@@ -325,7 +314,6 @@ let on_unlogged_store t ~obj =
                })
         end;
         t.counts.enqueued <- t.counts.enqueued + 1;
-        Telemetry.incr c_enqueues;
         enqueue_retrace t obj
       end
   | _ -> ()
@@ -339,7 +327,6 @@ let restart_mark t =
   Heap.clear_marks t.heap;
   clear_gray_and_buffers t;
   t.counts.restarts <- t.counts.restarts + 1;
-  Telemetry.incr c_restarts;
   mark_roots t;
   Flight.record
     (Flight.Gc_restart
@@ -367,7 +354,6 @@ let on_revoke t ~objs =
               then begin
                 o.trace <- Heap.Untraced;
                 t.counts.repair_enqueues <- t.counts.repair_enqueues + 1;
-                Telemetry.incr c_repair_enqueues;
                 enqueue_retrace t obj
               end)
           objs
@@ -495,7 +481,6 @@ let drain t budget =
             t.retrace <- rest;
             t.in_retrace <- Iset.remove id t.in_retrace;
             t.counts.rescans <- t.counts.rescans + 1;
-            Telemetry.incr c_retraces;
             incr processed;
             rescan t id
         | [] -> ())
@@ -642,8 +627,6 @@ let finish_cycle (t : t) : cycle_report =
   t.phase <- Idle;
   t.degraded <- false;
   Heap.clear_marks t.heap;
-  Telemetry.incr c_cycles;
-  Telemetry.incr c_violations ~by:violations;
   report
 
 let hooks (t : t) : Gc_hooks.t =

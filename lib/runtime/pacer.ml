@@ -6,9 +6,9 @@
     allocation path consults it for the soft/hard memory-limit machinery.
     Three pacing modes:
 
-    - [Fixed n] — the legacy [--gc-trigger] behaviour: a cycle every [n]
-      allocations.  Kept as a deprecated alias so old invocations and
-      committed baselines reproduce bit-for-bit.
+    - [Fixed n] — the legacy allocation-count pacing: a cycle every [n]
+      allocations.  The harness pins it so committed baselines reproduce
+      bit-for-bit.
     - [Goal g] — a heap-growth target in the GOGC style: the next cycle
       triggers when the live heap reaches [g ×] the live size measured at
       the end of the previous mark, clamped below by [goal_floor] so the
@@ -56,9 +56,9 @@ type config = {
 }
 
 (** Calibrated so the six table-1 workloads all exercise at least one
-    full cycle with no flags at all (the [--gc-trigger] default-mismatch
-    fix); the micro workloads peak below the floor and need an explicit
-    [--soft-limit] (or trigger) to cycle. *)
+    full cycle with no flags at all; the micro workloads peak below the
+    floor and need an explicit [--soft-limit] (or a fixed trigger) to
+    cycle. *)
 let default_goal = 1.5
 
 let default_goal_floor = 64
@@ -120,6 +120,8 @@ type t = {
   mutable degraded_cycles : int;
   mutable assists : int;
   mutable max_live_units : int;
+  mutable last_live_units : int;
+      (** live units the last finished cycle left behind *)
   mutable hard_stop : string option;
   (* the feedback history: one (at_step, pause_work) per finished cycle,
      newest first *)
@@ -135,18 +137,9 @@ type stats = {
   p_degraded_cycles : int;
   p_assists : int;
   p_max_live_units : int;
+  p_last_live_units : int;
   p_hard_stop : string option;
 }
-
-(* ---- telemetry --------------------------------------------------------- *)
-
-let c_assists = Telemetry.counter "pacer.assists"
-let c_degraded_entries = Telemetry.counter "pacer.degraded_entries"
-let c_degraded_cycles = Telemetry.counter "pacer.degraded_cycles"
-let c_hard_stops = Telemetry.counter "pacer.hard_stops"
-let g_trigger = Telemetry.gauge "pacer.trigger_units"
-let g_goal = Telemetry.gauge "pacer.goal"
-let g_live = Telemetry.gauge "pacer.live_units"
 
 (* ---- construction ------------------------------------------------------ *)
 
@@ -185,12 +178,11 @@ let create ?(collector = "?") ?(increment_budget = 64) (cfg : config) : t =
       degraded_cycles = 0;
       assists = 0;
       max_live_units = 0;
+      last_live_units = 0;
       hard_stop = None;
       pause_history = [];
     }
   in
-  Telemetry.set_gauge g_trigger (float_of_int t.trigger_units);
-  Telemetry.set_gauge g_goal t.goal;
   t
 
 let state (t : t) : state = t.state
@@ -205,7 +197,6 @@ let enter_degraded (t : t) ~(live : int) ~(soft : int) : unit =
     t.state <- Degraded;
     t.degraded_this_cycle <- true;
     t.degraded_entries <- t.degraded_entries + 1;
-    Telemetry.incr c_degraded_entries;
     Flight.record
       (Flight.Degraded { collector = t.collector; live_units = live; soft_limit = soft })
   end
@@ -237,7 +228,6 @@ let note_hard_stop (t : t) (msg : string) : unit =
   if t.hard_stop = None then begin
     t.hard_stop <- Some msg;
     t.state <- Hard_stop;
-    Telemetry.incr c_hard_stops;
     Flight.record
       (Flight.Hard_stop
          { collector = t.collector; diagnostic = msg; live_units = t.max_live_units })
@@ -271,8 +261,7 @@ let before_alloc (t : t) (heap : Heap.t) ~(units : int) : unit =
     increment, the pacer keeps the book). *)
 let note_assist (t : t) : unit =
   t.assists <- t.assists + 1;
-  Flight.record Flight.Assist;
-  Telemetry.incr c_assists
+  Flight.record Flight.Assist
 
 (* ---- cycle pacing ------------------------------------------------------ *)
 
@@ -337,10 +326,7 @@ let note_cycle_end (t : t) (heap : Heap.t) ~(at_step : int)
   t.cycles <- t.cycles + 1;
   t.base_alloc <- heap.Heap.total_allocated;
   t.pause_history <- (at_step, pause_work) :: t.pause_history;
-  if t.degraded_this_cycle then begin
-    t.degraded_cycles <- t.degraded_cycles + 1;
-    Telemetry.incr c_degraded_cycles
-  end;
+  if t.degraded_this_cycle then t.degraded_cycles <- t.degraded_cycles + 1;
   t.degraded_this_cycle <- t.state = Degraded;
   (match t.cfg.mode with
   | Fixed _ -> ()
@@ -349,10 +335,8 @@ let note_cycle_end (t : t) (heap : Heap.t) ~(at_step : int)
       t.trigger_units <-
         max t.cfg.goal_floor
           (int_of_float (float_of_int heap.Heap.live_units *. t.goal)));
-  maybe_recover t ~live:heap.Heap.live_units;
-  Telemetry.set_gauge g_trigger (float_of_int t.trigger_units);
-  Telemetry.set_gauge g_goal t.goal;
-  Telemetry.set_gauge g_live (float_of_int heap.Heap.live_units)
+  t.last_live_units <- heap.Heap.live_units;
+  maybe_recover t ~live:heap.Heap.live_units
 
 (** Safepoint poll: update the degradation state machine from the
     current live size and tell the runner how many {e extra} collector
@@ -373,5 +357,6 @@ let stats (t : t) : stats =
     p_degraded_cycles = t.degraded_cycles;
     p_assists = t.assists;
     p_max_live_units = t.max_live_units;
+    p_last_live_units = t.last_live_units;
     p_hard_stop = t.hard_stop;
   }

@@ -11,7 +11,8 @@
 
 type mode =
   | Fixed of int
-      (** the legacy [--gc-trigger] alias: a cycle every [n] allocations *)
+      (** the legacy allocation-count pacing: a cycle every [n]
+          allocations *)
   | Goal of float
       (** heap-growth target: next trigger = live-at-mark-end × goal *)
   | Auto
@@ -36,8 +37,8 @@ val default_config : config
     workload cycles with no flags at all. *)
 
 val config_of_trigger : int -> config
-(** The deprecated [--gc-trigger n] alias: [Fixed n], no limits.
-    Reproduces the legacy allocation-count pacing bit-for-bit. *)
+(** [Fixed n], no limits: the legacy allocation-count pacing, bit for
+    bit — what the harness pins for its committed baselines. *)
 
 type state = Normal | Degraded | Hard_stop
 
@@ -101,6 +102,9 @@ type stats = {
   p_degraded_cycles : int;
   p_assists : int;
   p_max_live_units : int;
+  p_last_live_units : int;
+      (** live units the last finished cycle left behind (0 before the
+          first cycle end) *)
   p_hard_stop : string option;
 }
 

@@ -81,6 +81,7 @@ type gc_summary = {
   retraced : int list;
       (** forced whole-object re-scans per cycle: retrace-list entries
           under [Retrace], repair-set objects under [Hybrid], else 0 *)
+  reports : Marker.cycle_report list;  (** the marker's, oldest first *)
 }
 
 type report = {
@@ -121,27 +122,101 @@ let summary_of (t : Marker.t) ~pause_steps =
     mark_increments = per (fun r -> r.counts.increments);
     logged_or_dirtied = per (fun r -> r.counts.logged);
     retraced = per (fun r -> r.counts.rescans);
+    reports = rs;
   }
 
-(* The machine's own fields are the only home of the [jrt.*] counts; a
-   run adds its totals to the registry once, at [run.finish] — hard-limit
-   aborts included. *)
+(* The machine, marker, pacer and chaos fields are the only home of a
+   run's counts.  The run adds its totals to the registry once, at
+   [run.finish] — hard-limit aborts included — and sets the pacer gauges
+   to their final values. *)
+let counters fields =
+  List.map (fun (name, get) -> (Telemetry.counter name, get)) fields
+
 let machine_counters =
-  List.map
-    (fun (name, get) -> (Telemetry.counter ("jrt." ^ name), get))
+  counters
     [
-      ("barriers_executed", fun (m : Interp.t) -> m.barriers_executed);
-      ("elided_barrier_execs", fun m -> m.elided_barrier_execs);
-      ("retrace_checks", fun m -> m.retrace_checks);
-      ("revocation_events", fun m -> m.revocation_events);
-      ("revoked_sites", fun m -> m.revoked_sites);
-      ("degradations", fun m -> m.degradations);
-      ("degraded_swap_execs", fun m -> m.degraded_swap_execs);
-      ("assist_execs", fun m -> m.assist_execs);
+      ("jrt.barriers_executed", fun (m : Interp.t) -> m.barriers_executed);
+      ("jrt.elided_barrier_execs", fun m -> m.elided_barrier_execs);
+      ("jrt.retrace_checks", fun m -> m.retrace_checks);
+      ("jrt.revocation_events", fun m -> m.revocation_events);
+      ("jrt.revoked_sites", fun m -> m.revoked_sites);
+      ("jrt.degradations", fun m -> m.degradations);
+      ("jrt.degraded_swap_execs", fun m -> m.degraded_swap_execs);
+      ("jrt.assist_execs", fun m -> m.assist_execs);
     ]
 
-let add_machine_counters (m : Interp.t) =
-  List.iter (fun (c, get) -> Telemetry.incr c ~by:(get m)) machine_counters
+(* gc.* is shared by every policy; retrace.* belongs to the retrace list
+   (under the hybrid policy [rescans] counts repair-set re-grays) *)
+let cycle_counters =
+  counters
+    [
+      ("gc.cycles", fun (_ : Marker.cycle_report) -> 1);
+      ("gc.violations", fun r -> r.violations);
+      ("gc.restarts", fun r -> r.counts.restarts);
+    ]
+
+let retrace_counters =
+  counters
+    [
+      ("retrace.rescans", fun (r : Marker.cycle_report) -> r.counts.rescans);
+      ("retrace.enqueues", fun r -> r.counts.enqueued);
+      ("retrace.repair_enqueues", fun r -> r.counts.repair_enqueues);
+      ("retrace.budget_overflows", fun r -> r.counts.budget_overflows);
+    ]
+
+let pacer_counters =
+  counters
+    [
+      ("pacer.assists", fun (s : Pacer.stats) -> s.p_assists);
+      ("pacer.degraded_entries", fun s -> s.p_degraded_entries);
+      ("pacer.degraded_cycles", fun s -> s.p_degraded_cycles);
+      ("pacer.hard_stops", fun s -> if s.p_hard_stop = None then 0 else 1);
+    ]
+
+let chaos_counters =
+  counters
+    [
+      ("chaos.spawns", fun (s : Chaos.stats) -> s.spawns);
+      ("chaos.damage_stores", fun s -> s.damage_stores);
+      ("chaos.skipped_barriers", fun s -> s.skipped_barriers);
+      ("chaos.preempted_increments", fun s -> s.preempted_increments);
+      ("chaos.pressure_remarks", fun s -> s.pressure_remarks);
+      ("chaos.class_loads", fun s -> s.class_loads);
+      ("chaos.spike_allocs", fun s -> s.spike_allocs);
+      ("chaos.ramp_allocs", fun s -> s.ramp_allocs);
+    ]
+
+let g_trigger = Telemetry.gauge "pacer.trigger_units"
+let g_goal = Telemetry.gauge "pacer.goal"
+let g_live = Telemetry.gauge "pacer.live_units"
+
+let add counters x =
+  List.iter (fun (c, get) -> Telemetry.incr c ~by:(get x)) counters
+
+let add_run_totals (m : Interp.t) (live : Marker.t option)
+    (pacer : Pacer.t option) (chaos : Chaos.t option) =
+  add machine_counters m;
+  Option.iter
+    (fun (t : Marker.t) ->
+      let retrace = (Marker.caps t.policy).Gc_hooks.retrace_protocol in
+      List.iter
+        (fun r ->
+          add cycle_counters r;
+          if retrace then add retrace_counters r)
+        t.reports)
+    live;
+  Option.iter
+    (fun p ->
+      let s = Pacer.stats p in
+      add pacer_counters s;
+      Telemetry.set_gauge g_trigger (float_of_int s.p_trigger_units);
+      Telemetry.set_gauge g_goal s.p_goal;
+      (* the live size at the last cycle end; a run without one leaves
+         the gauge alone *)
+      if s.p_cycles > 0 then
+        Telemetry.set_gauge g_live (float_of_int s.p_last_live_units))
+    pacer;
+  Option.iter (fun c -> add chaos_counters (Chaos.stats c)) chaos
 
 (** Simple deterministic PRNG for quantum jitter. *)
 let lcg seed =
@@ -476,7 +551,7 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
       gc_s := !gc_s +. (Telemetry.now_s () -. sp_t0)
   | Some _ | None -> ());
   let loop_s = Telemetry.now_s () -. loop_t0 in
-  add_machine_counters m;
+  add_run_totals m live pacer chaos;
   Telemetry.emit "run.finish"
     [
       ("hard_stop", Telemetry.Bool (!hard_stop <> None));

@@ -70,6 +70,9 @@ type gc_summary = {
   retraced : int list;
       (** forced whole-object re-scans per cycle: retrace-list entries
           under [Retrace], repair-set objects under [Hybrid], else 0 *)
+  reports : Marker.cycle_report list;
+      (** the marker's cycle reports, oldest first: the per-cycle counts
+          behind the [gc.*] and [retrace.*] registry counters *)
 }
 
 type report = {
@@ -130,5 +133,8 @@ val run :
     origins and the cycle's elided-store log has not been reset yet.
 
     At [run.finish] — hard-limit aborts included — the run adds its
-    machine totals ([barriers_executed], [revoked_sites], ...) to the
-    [jrt.*] registry counters: the machine's fields are their only home. *)
+    totals to the registry counters once: [jrt.*] from the machine's
+    fields, [gc.*] and [retrace.*] from the marker's cycle reports,
+    [pacer.*] from {!Pacer.stats} and [chaos.*] from {!Chaos.stats}, and
+    sets the [pacer.*] gauges to their final values.  Those fields are
+    the counts' only home. *)

@@ -1,6 +1,7 @@
 (* Tests for the unified telemetry layer: registry units, the JSONL
-   event stream and its schema validator, the Chrome exporter, the jrt.*
-   counters the registry reads from the machine, and the one event
+   event stream and its schema validator, the Chrome exporter, the run
+   counters the registry reads from the machine, marker, pacer and chaos
+   fields, and the one event
    pipeline (the trace renders exactly the flight recorder's ring).
    Also the provenance ("explain") contract: every elided site names a
    rule chain and its guards on all six benchmark workloads. *)
@@ -252,7 +253,8 @@ let test_run_trace_schema_valid () =
           "run.finish" ]
   | Error (line, msg) -> Alcotest.failf "line %d: %s" line msg
 
-(* --- the jrt.* counters: machine fields, added once per run -------------- *)
+(* --- run counters: machine, marker, pacer and chaos fields, added once
+   per run --------------------------------------------------------------- *)
 
 let jrt_fields (m : Jrt.Interp.t) =
   [
@@ -266,18 +268,68 @@ let jrt_fields (m : Jrt.Interp.t) =
     ("jrt.assist_execs", m.assist_execs);
   ]
 
-let check_registry what (r : Jrt.Runner.report) =
+(* gc.* and retrace.* from the cycle reports (these runs use satb or
+   retrace, whose re-scans are all retrace-list entries), pacer.* from the
+   pacer stats and the run's outcome, chaos.* from the plan's stats *)
+let run_fields (r : Jrt.Runner.report) chaos =
+  let g = Option.get r.gc and p = Option.get r.pacer in
+  let sum f =
+    List.fold_left
+      (fun a (c : Jrt.Marker.cycle_report) -> a + f c.counts)
+      0 g.reports
+  in
+  let c = Jrt.Chaos.stats chaos in
+  [
+    ("gc.cycles", g.cycles);
+    ("gc.violations", g.total_violations);
+    ("gc.restarts", sum (fun c -> c.restarts));
+    ("retrace.rescans", List.fold_left ( + ) 0 g.retraced);
+    ("retrace.enqueues", sum (fun c -> c.enqueued));
+    ("retrace.repair_enqueues", sum (fun c -> c.repair_enqueues));
+    ("retrace.budget_overflows", sum (fun c -> c.budget_overflows));
+    ("pacer.assists", p.p_assists);
+    ("pacer.degraded_entries", p.p_degraded_entries);
+    ("pacer.degraded_cycles", p.p_degraded_cycles);
+    ("pacer.hard_stops", if r.hard_stop = None then 0 else 1);
+    ("chaos.spawns", c.spawns);
+    ("chaos.damage_stores", c.damage_stores);
+    ("chaos.skipped_barriers", c.skipped_barriers);
+    ("chaos.preempted_increments", c.preempted_increments);
+    ("chaos.pressure_remarks", c.pressure_remarks);
+    ("chaos.class_loads", c.class_loads);
+    ("chaos.spike_allocs", c.spike_allocs);
+    ("chaos.ramp_allocs", c.ramp_allocs);
+  ]
+
+(* the pacer gauges hold their final values; the live size is the last
+   cycle end's (the registry was reset before the run) *)
+let pacer_gauges (r : Jrt.Runner.report) =
+  let p = Option.get r.pacer in
+  [
+    ("pacer.trigger_units", float_of_int p.p_trigger_units);
+    ("pacer.goal", p.p_goal);
+    ( "pacer.live_units",
+      if p.p_cycles = 0 then 0.0 else float_of_int p.p_last_live_units );
+  ]
+
+let check_registry what (r : Jrt.Runner.report) chaos =
   List.iter
     (fun (name, v) ->
       Alcotest.(check int) (what ^ ": " ^ name) v (Telemetry.get_counter name))
-    (jrt_fields r.machine)
+    (jrt_fields r.machine @ run_fields r chaos);
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check (float 0.0)) (what ^ ": " ^ name) v
+        (Telemetry.get_gauge name))
+    (pacer_gauges r)
 
 let chaos_of faults =
   Jrt.Chaos.create
     { Jrt.Chaos.seed = 1; faults; quantum = None; gc_period = None }
 
-(* The registry reads each run's machine totals once, at run.finish, so
-   after any chaos run it equals the report's machine fields. *)
+(* The registry reads each run's totals once, at run.finish, so after
+   any chaos run it equals the report's machine, marker, pacer and chaos
+   fields. *)
 let reconciliation_prop =
   QCheck2.Test.make
     ~name:"telemetry counters reconcile with machine stats under chaos"
@@ -302,9 +354,15 @@ let reconciliation_prop =
       List.iter
         (fun (name, v) ->
           if Telemetry.get_counter name <> v then
-            QCheck2.Test.fail_reportf "%s: telemetry %d <> machine %d" name
+            QCheck2.Test.fail_reportf "%s: telemetry %d <> run %d" name
               (Telemetry.get_counter name) v)
-        (jrt_fields r.machine);
+        (jrt_fields r.machine @ run_fields r chaos);
+      List.iter
+        (fun (name, v) ->
+          if Telemetry.get_gauge name <> v then
+            QCheck2.Test.fail_reportf "%s: gauge %g <> pacer %g" name
+              (Telemetry.get_gauge name) v)
+        (pacer_gauges r);
       true)
 
 (* the degraded-mode path (budget overflow) is rare under of_seed plans;
@@ -312,24 +370,24 @@ let reconciliation_prop =
    revokes *)
 let test_reconciliation_budget_overflow () =
   Telemetry.reset ();
+  let chaos =
+    chaos_of
+      [
+        Jrt.Chaos.Preempt_marker { at_alloc = 24; skips = 700 };
+        Jrt.Chaos.Late_spawn { at_instr = 3000; stores = 4 };
+      ]
+  in
   let r =
     Harness.Exp.run
       ~gc:(Jrt.Runner.make_retrace ~trigger_allocs:24 ~steps_per_increment:1 ())
-      ~guards:true
-      ~chaos:
-        (chaos_of
-           [
-             Jrt.Chaos.Preempt_marker { at_alloc = 24; skips = 700 };
-             Jrt.Chaos.Late_spawn { at_instr = 3000; stores = 4 };
-           ])
-      ~retrace_budget:0 ~fail_on_thread_error:false
+      ~guards:true ~chaos ~retrace_budget:0 ~fail_on_thread_error:false
       (compile_full Workloads.Db.t)
   in
   let m = r.machine in
   Alcotest.(check bool) "chaos run revoked, checked and degraded" true
     (m.revocation_events > 0 && m.retrace_checks > 0
     && m.degradations > 0 && m.degraded_swap_execs > 0);
-  check_registry "chaos" r
+  check_registry "chaos" r chaos
 
 (* a hard-limit abort that assisted first still reaches run.finish's
    read of the machine; every name stays registered for --metrics *)
@@ -342,23 +400,26 @@ let test_reconciliation_hard_limit () =
       hard_limit = Some 300;
     }
   in
+  let chaos =
+    chaos_of [ Jrt.Chaos.Alloc_spike { at_instr = 2000; count = 400 } ]
+  in
   let r =
     Harness.Exp.run
       ~gc:(Jrt.Runner.make_satb ~pacing ~steps_per_increment:8 ())
-      ~guards:true
-      ~chaos:(chaos_of [ Jrt.Chaos.Alloc_spike { at_instr = 2000; count = 400 } ])
-      ~fail_on_thread_error:false
+      ~guards:true ~chaos ~fail_on_thread_error:false
       (compile_full Workloads.Db.t)
   in
   Alcotest.(check bool) "hard-limit abort after assists" true
     (r.hard_stop <> None && r.machine.assist_execs > 0);
-  check_registry "hard-limit abort" r;
-  let registered = List.map fst (Telemetry.snapshot ()).sn_counters in
+  check_registry "hard-limit abort" r chaos;
+  let snap = Telemetry.snapshot () in
+  let registered = List.map fst snap.sn_counters @ List.map fst snap.sn_gauges in
   List.iter
-    (fun (name, _) ->
+    (fun name ->
       Alcotest.(check bool) (name ^ " registered") true
         (List.mem name registered))
-    (jrt_fields r.machine)
+    (List.map fst (jrt_fields r.machine @ run_fields r chaos)
+    @ List.map fst (pacer_gauges r))
 
 (* --- one pipeline: the trace renders exactly the ring ------------------- *)
 
