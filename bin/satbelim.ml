@@ -12,7 +12,9 @@
       print dynamic barrier statistics
     - [profile FILE | --workload NAME] — run and report per-site barrier
       attribution, pause percentiles and MMU; [--json] saves the profile,
-      [--baseline] gates against a saved one *)
+      [--baseline] gates against a saved one
+    - [heap --workload NAME] — the heap-state observatory; [heap diff OLD
+      NEW] compares two snapshots *)
 
 open Cmdliner
 
@@ -112,11 +114,15 @@ let conf_of mode nos md swap summaries debug =
     debug;
   }
 
-let or_die = function
-  | Ok v -> v
-  | Error msg ->
+(** Report a usage error on stderr and exit 1. *)
+let refuse fmt =
+  Fmt.kstr
+    (fun msg ->
       Fmt.epr "satbelim: %s@." msg;
-      exit 1
+      exit 1)
+    fmt
+
+let or_die = function Ok v -> v | Error msg -> refuse "%s" msg
 
 (** Load and verify a program; a program the verifier rejects is reported
     one diagnostic per line, exit 1. *)
@@ -128,7 +134,7 @@ let load_verified path =
       List.iter (fun e -> Fmt.epr "%a@." Jir.Verifier.pp_error e) errs;
       exit 1
 
-(* telemetry plumbing shared by analyze and run *)
+(* telemetry plumbing shared by analyze, run, profile and heap *)
 
 let trace_arg =
   Arg.(
@@ -264,23 +270,10 @@ let analyze_cmd =
       $ movedown_arg $ swap_arg $ summaries_arg $ debug_arg $ verbose
       $ explain $ trace_arg $ metrics_arg $ chrome_arg)
 
-(* run *)
-
-let gc_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("none", `None);
-             ("satb", `Satb);
-             ("incr", `Incr);
-             ("retrace", `Retrace);
-             ("hybrid", `Hybrid);
-           ])
-        `Satb
-    & info [ "gc" ] ~docv:"GC"
-        ~doc:"Collector: none, satb, incr, retrace, or hybrid.")
+(* run, profile and heap share one run set-up: the program input, the
+   collector choice and its pacing, the soundness refusals and the
+   flight-capture epilogue; the run itself goes through Harness.Exp, like
+   every experiment.  Each command keeps only its own flags and printing. *)
 
 let entry_arg =
   Arg.(
@@ -288,10 +281,87 @@ let entry_arg =
     & opt string "Main.main"
     & info [ "entry" ] ~docv:"C.M" ~doc:"Entry method.")
 
-(* Pacing flags, shared by `run` and `profile`.  --gc-trigger survives
-   as the deprecated fixed-mode alias; the goal/limit/auto flags
-   configure the {!Jrt.Pacer}.  Contradictory combinations are refused
-   up front, in the same style as the capability refusals below. *)
+let workload_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "workload" ] ~docv:"NAME"
+        ~doc:"Run a bundled workload (list them with $(b,satbelim workloads)).")
+
+let find_workload name =
+  match Workloads.Registry.find name with
+  | Some w -> w
+  | None -> refuse "unknown workload %S (try 'workloads')" name
+
+(** What a command runs: a source file from its entry method ["C.M"], or a
+    bundled workload. *)
+type input = File of string * string | Workload of string
+
+(** Load the input as a workload the harness can run: a file becomes one
+    named after it, with its entry checked against the program. *)
+let load_input : input -> Workloads.Spec.t * Jir.Program.t = function
+  | Workload name ->
+      let w = find_workload name in
+      (w, Workloads.Spec.parse w)
+  | File (path, entry) ->
+      let prog = load_verified path in
+      let entry =
+        match String.index_opt entry '.' with
+        | Some i ->
+            {
+              Jir.Types.mclass = String.sub entry 0 i;
+              mname = String.sub entry (i + 1) (String.length entry - i - 1);
+            }
+        | None -> refuse "entry must be Class.method"
+      in
+      if Jir.Program.find_method prog entry = None then
+        refuse "unknown entry method %s.%s" entry.mclass entry.mname;
+      ( {
+          Workloads.Spec.name = Filename.remove_extension (Filename.basename path);
+          description = path;
+          paper_row = None;
+          (* the program is compiled from [path]; nothing re-parses it *)
+          src = "";
+          entry;
+        },
+        prog )
+
+(** Compile a loaded input; called inside the telemetry window so the
+    trace carries the analysis passes. *)
+let compile_input (spec, prog) ~limit conf : Harness.Exp.compiled_workload =
+  {
+    Harness.Exp.workload = spec;
+    compiled = Satb_core.Driver.compile ~inline_limit:limit ~conf prog;
+  }
+
+type gc = [ `None | `Satb | `Incr | `Retrace | `Hybrid ]
+
+let collectors : (string * gc) list =
+  [
+    ("none", `None);
+    ("satb", `Satb);
+    ("incr", `Incr);
+    ("retrace", `Retrace);
+    ("hybrid", `Hybrid);
+  ]
+
+let gc_arg =
+  Arg.(
+    value
+    & opt (enum collectors) `Satb
+    & info [ "gc" ] ~docv:"GC"
+        ~doc:"Collector: none, satb, incr, retrace, or hybrid.")
+
+let gc_choice ~pacing : [< gc ] -> Jrt.Runner.gc_choice = function
+  | `None -> Jrt.Runner.No_gc
+  | `Satb -> Jrt.Runner.make_satb ~pacing ()
+  | `Incr -> Jrt.Runner.make_incr ~pacing ()
+  | `Retrace -> Jrt.Runner.make_retrace ~pacing ()
+  | `Hybrid -> Jrt.Runner.make_hybrid ~pacing ()
+
+(* Pacing flags, shared by run, profile and heap: they configure the
+   {!Jrt.Pacer}.  Contradictory combinations are refused up front, in the
+   same style as the soundness refusals below. *)
 
 let heap_goal_arg =
   Arg.(
@@ -326,75 +396,30 @@ let hard_limit_arg =
 let pacer_arg =
   Arg.(
     value
-    & opt
-        (some (enum [ ("auto", `Auto); ("goal", `Goal); ("fixed", `Fixed) ]))
-        None
+    & opt (some (enum [ ("auto", `Auto); ("goal", `Goal) ])) None
     & info [ "pacer" ] ~docv:"MODE"
         ~doc:
-          "Pacing mode: goal (heap-growth target, the default), auto \
+          "Pacing mode: goal (heap-growth target, the default) or auto \
            (the goal retuned every cycle from pause percentiles and \
-           MMU), or fixed (the legacy --gc-trigger allocation count).")
+           MMU).")
 
-let engine_arg =
-  Arg.(
-    value
-    & opt (enum [ ("interp", `Interp); ("threaded", `Threaded) ]) `Interp
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Execution engine: $(b,interp) (default), the step-accurate \
-           tree-walking interpreter, or $(b,threaded), the direct-threaded \
-           compiled engine — same safepoint cadence, counters, collectors \
-           and chaos faults, several times the steps/sec (see DESIGN.md \
-           §8).  Final state and every printed counter are identical \
-           either way.")
-
-let pacing_of ~gc ~gc_trigger ~heap_goal ~soft_limit ~hard_limit ~pacer :
+let pacing_of ~(gc : gc) ~heap_goal ~soft_limit ~hard_limit ~pacer :
     Jrt.Pacer.config =
-  let refuse fmt =
-    Fmt.kstr
-      (fun msg ->
-        Fmt.epr "satbelim: %s@." msg;
-        exit 1)
-      fmt
-  in
-  (* one warning, in the one path every pacing-aware subcommand funnels
-     through, and only when the flag was actually supplied — scripts that
-     never pass --gc-trigger never see it *)
-  if gc_trigger <> None then
-    Fmt.epr
-      "satbelim: warning: --gc-trigger is deprecated; prefer the default \
-       heap-growth goal or --heap-goal (see --pacer)@.";
   let any_flag =
-    gc_trigger <> None || heap_goal <> None || soft_limit <> None
-    || hard_limit <> None || pacer <> None
+    heap_goal <> None || soft_limit <> None || hard_limit <> None
+    || pacer <> None
   in
   if gc = `None then begin
     if any_flag then
       refuse
         "--gc none never starts a marking cycle, so pacing flags \
-         (--gc-trigger/--heap-goal/--soft-limit/--hard-limit/--pacer) \
-         make no sense with it";
+         (--heap-goal/--soft-limit/--hard-limit/--pacer) make no sense \
+         with it";
     Jrt.Pacer.default_config
   end
   else begin
-    (match (pacer, gc_trigger) with
-    | Some `Fixed, None ->
-        refuse "--pacer fixed needs --gc-trigger N to supply the trigger"
-    | Some `Goal, Some _ ->
-        refuse
-          "--gc-trigger is the fixed-mode alias; it contradicts --pacer \
-           goal (use --heap-goal instead)"
-    | Some `Auto, Some _ ->
-        refuse
-          "--gc-trigger is the fixed-mode alias; it contradicts --pacer \
-           auto"
-    | _ -> ());
-    (match (gc_trigger, heap_goal, pacer) with
-    | Some _, Some _, _ ->
-        refuse
-          "--gc-trigger (fixed pacing) contradicts --heap-goal \
-           (heap-growth pacing); pick one"
-    | _, Some _, Some `Auto ->
+    (match (heap_goal, pacer) with
+    | Some _, Some `Auto ->
         refuse
           "--pacer auto retunes the heap-growth goal itself; it \
            contradicts --heap-goal"
@@ -413,10 +438,9 @@ let pacing_of ~gc ~gc_trigger ~heap_goal ~soft_limit ~hard_limit ~pacer :
           s h
     | _ -> ());
     let mode =
-      match (pacer, gc_trigger, heap_goal) with
-      | Some `Fixed, Some n, _ | None, Some n, None -> Jrt.Pacer.Fixed n
-      | Some `Auto, _, _ -> Jrt.Pacer.Auto
-      | _, _, Some pct -> Jrt.Pacer.Goal (1.0 +. (pct /. 100.0))
+      match (pacer, heap_goal) with
+      | Some `Auto, _ -> Jrt.Pacer.Auto
+      | _, Some pct -> Jrt.Pacer.Goal (1.0 +. (pct /. 100.0))
       | _ -> Jrt.Pacer.default_config.Jrt.Pacer.mode
     in
     {
@@ -427,161 +451,119 @@ let pacing_of ~gc ~gc_trigger ~heap_goal ~soft_limit ~hard_limit ~pacer :
     }
   end
 
-let assumption_to_runtime :
-    Satb_core.Driver.assumption -> Jrt.Interp.assumption = function
-  | Satb_core.Driver.Single_mutator -> Jrt.Interp.Single_mutator
-  | Satb_core.Driver.Retrace_collector -> Jrt.Interp.Retrace_collector
-  | Satb_core.Driver.Descending_scan -> Jrt.Interp.Descending_scan
-  | Satb_core.Driver.Mode_a -> Jrt.Interp.Mode_a
-  | Satb_core.Driver.Closed_world -> Jrt.Interp.Closed_world
+(** The pacing flags as one argument: the pacer configuration for a
+    [--gc] choice, checked when the command applies it. *)
+let pacing_arg =
+  let pacing heap_goal soft_limit hard_limit pacer gc =
+    pacing_of ~gc ~heap_goal ~soft_limit ~hard_limit ~pacer
+  in
+  Term.(
+    const pacing $ heap_goal_arg $ soft_limit_arg $ hard_limit_arg
+    $ pacer_arg)
 
-(* Split verdicts for --gc hybrid: each half of the barrier elides (and
-   revokes) independently, carrying its own guard set. *)
-let half_policy_of ?(no_elim = false) (compiled : Satb_core.Driver.compiled) :
-    Jrt.Interp.half_policy =
- fun c m pc ->
-  if no_elim then Jrt.Interp.keep_both
-  else
-    let key =
-      { Satb_core.Driver.sk_class = c; sk_method = m; sk_pc = pc }
-    in
-    match Satb_core.Driver.hybrid_verdict compiled key with
-    | `Keep -> Jrt.Interp.keep_both
-    | (`Elide_deletion | `Elide_insertion | `Elide_both) as hv ->
-        let del = hv = `Elide_deletion || hv = `Elide_both in
-        let ins = hv = `Elide_insertion || hv = `Elide_both in
-        {
-          Jrt.Interp.hs_del_elide = del;
-          hs_ins_elide = ins;
-          hs_ins_repair = ins && Satb_core.Driver.ins_repair_needed compiled key;
-          hs_del_guards =
-            (if del then
-               List.map assumption_to_runtime
-                 (Satb_core.Driver.site_assumptions compiled key)
-             else []);
-          hs_ins_guards =
-            (if ins then
-               List.map assumption_to_runtime
-                 (Satb_core.Driver.ins_site_assumptions compiled key)
-             else []);
-        }
+let engine_arg =
+  Arg.(
+    value
+    & opt (enum [ ("interp", `Interp); ("threaded", `Threaded) ]) `Interp
+    & info [ "engine" ] ~docv:"ENGINE"
+        ~doc:
+          "Execution engine: $(b,interp) (default), the step-accurate \
+           tree-walking interpreter, or $(b,threaded), the direct-threaded \
+           compiled engine — same safepoint cadence, counters, collectors \
+           and chaos faults, several times the steps/sec (see DESIGN.md \
+           §8).  Final state and every printed counter are identical \
+           either way.")
+
+let allow_unsound_arg =
+  Arg.(
+    value & flag
+    & info [ "allow-unsound" ]
+        ~doc:
+          "Run elision/collector combinations that are known to be \
+           unsound so the snapshot oracle can demonstrate the breakage.")
+
+(* Refuse statically-unsound elision/collector combinations, judged
+   against the chosen collector's declared capabilities (the same record
+   {!Jrt.Runner.run} asserts against the installed collector at
+   start-up): swap verdicts need the tracing-state protocol, move-down
+   needs a descending array scan, and both assume a single mutator.
+   [--gc none] never marks, so every elision is vacuously sound under it.
+   [--allow-unsound] runs the combination anyway so the snapshot oracle
+   can demonstrate the breakage. *)
+let refuse_unsound cmd ~allow_unsound ~md ~swap gc prog =
+  let anyway =
+    match cmd with `Run -> "run anyway" | `Profile -> "profile anyway"
+  in
+  let caps = Jrt.Runner.caps_of_choice gc in
+  if not allow_unsound then begin
+    if swap && not caps.Jrt.Gc_hooks.retrace_protocol then
+      refuse
+        "--swap elision is only sound under a collector with the \
+         tracing-state protocol (--gc retrace); pass --allow-unsound to %s%s"
+        anyway
+        (match cmd with
+        | `Run -> " and let the snapshot oracle report the violations"
+        | `Profile -> "");
+    if md && not caps.Jrt.Gc_hooks.descending_scan then
+      refuse
+        "--move-down elision is only sound under a collector that scans \
+         object arrays in descending index order (--gc satb or --gc \
+         retrace); pass --allow-unsound to %s"
+        anyway;
+    if (swap || md) && Satb_core.Analysis.program_spawns prog then
+      refuse
+        "--move-down/--swap elisions assume a single mutator but this \
+         program spawns threads; pass --allow-unsound to %s"
+        anyway
+  end
+
+(** Run a command body with flight auto-capture armed and the telemetry
+    outputs open, report an auto-captured dump, then exit with the body's
+    code. *)
+let with_capture ~trace ~metrics ~chrome f =
+  (* auto-capture: oracle violations, hard stops and anomaly firings
+     dump the flight recorder to a stable path (armed only on CLI/bench
+     entry points, so `dune runtest`'s negative soundness runs don't
+     spray dump files) *)
+  Flight.arm_capture ();
+  let code = with_telemetry ~trace ~metrics ~chrome f in
+  (* the sink was flushed and closed by with_telemetry; only now is it
+     safe to exit (Stdlib.exit does not unwind Fun.protect) *)
+  (match Flight.captured () with
+  | Some (path, reason) ->
+      Fmt.epr "satbelim: flight recorder dumped to %s (%s)@." path reason
+  | None -> ());
+  if code <> 0 then exit code
+
+let write_flight_dump =
+  Option.iter (fun path ->
+      Flight.dump_to_file ~reason:"cli-request" path;
+      Fmt.pr "wrote %s@." path)
+
+let print_thread_errors (r : Jrt.Runner.report) =
+  List.iter (fun (tid, e) -> Fmt.pr "thread %d died: %s@." tid e) r.thread_errors
+
+(** A hard-limit abort is reported on stderr and exits 4. *)
+let hard_stop_code (r : Jrt.Runner.report) =
+  match r.hard_stop with
+  | Some msg ->
+      Fmt.epr "satbelim: hard heap limit: %s@." msg;
+      4
+  | None -> 0
+
+(* run *)
 
 let run_cmd =
   let run file limit mode nos md swap summaries gc engine entry no_elim
-      chaos_seed retrace_budget no_revoke allow_unsound gc_trigger heap_goal
-      soft_limit hard_limit pacer trace metrics chrome flight_dump =
-    let prog = load_verified file in
-    let pacing =
-      pacing_of ~gc ~gc_trigger ~heap_goal ~soft_limit ~hard_limit ~pacer
-    in
-    let gc_choice =
-      match gc with
-      | `None -> Jrt.Runner.No_gc
-      | `Satb -> Jrt.Runner.make_satb ~pacing ()
-      | `Incr -> Jrt.Runner.make_incr ~pacing ()
-      | `Retrace -> Jrt.Runner.make_retrace ~pacing ()
-      | `Hybrid -> Jrt.Runner.make_hybrid ~pacing ()
-    in
-    (* Refuse statically-unsound elision/collector combinations, judged
-       against the chosen collector's declared capabilities (the same
-       record {!Jrt.Runner.run} asserts against the installed collector at
-       start-up): swap verdicts need the tracing-state protocol, move-down
-       needs a descending array scan, and both assume a single mutator.
-       [--gc none] never marks, so every elision is vacuously sound under
-       it.  [--allow-unsound] runs the combination anyway so the snapshot
-       oracle can demonstrate the breakage. *)
-    let caps = Jrt.Runner.caps_of_choice gc_choice in
-    if not allow_unsound then begin
-      if swap && not caps.Jrt.Gc_hooks.retrace_protocol then begin
-        Fmt.epr
-          "satbelim: --swap elision is only sound under a collector with \
-           the tracing-state protocol (--gc retrace); pass --allow-unsound \
-           to run anyway and let the snapshot oracle report the \
-           violations@.";
-        exit 1
-      end;
-      if md && not caps.Jrt.Gc_hooks.descending_scan then begin
-        Fmt.epr
-          "satbelim: --move-down elision is only sound under a collector \
-           that scans object arrays in descending index order (--gc satb \
-           or --gc retrace); pass --allow-unsound to run anyway@.";
-        exit 1
-      end;
-      if (swap || md) && Satb_core.Analysis.program_spawns prog then begin
-        Fmt.epr
-          "satbelim: --move-down/--swap elisions assume a single mutator \
-           but this program spawns threads; pass --allow-unsound to run \
-           anyway@.";
-        exit 1
-      end
-    end;
-    (* auto-capture: oracle violations, hard stops and anomaly firings
-       dump the flight recorder to a stable path (armed only on CLI/bench
-       entry points, so `dune runtest`'s negative soundness runs don't
-       spray dump files) *)
-    Flight.arm_capture ();
-    let code =
-      with_telemetry ~trace ~metrics ~chrome @@ fun () ->
-    let compiled =
-      Satb_core.Driver.compile ~inline_limit:limit
-        ~conf:(conf_of mode nos md swap summaries false) prog
-    in
-    let policy c m pc =
-      (not no_elim)
-      && not
-           (Satb_core.Driver.needs_barrier compiled
-              { sk_class = c; sk_method = m; sk_pc = pc })
-    in
-    let retrace c m pc =
-      if no_elim then Jrt.Interp.No_check
-      else
-        match
-          Satb_core.Driver.retrace_check compiled
-            { sk_class = c; sk_method = m; sk_pc = pc }
-        with
-        | `Open -> Jrt.Interp.Check_open
-        | `Close -> Jrt.Interp.Check_close
-        | `None -> Jrt.Interp.No_check
-    in
-    let guards c m pc =
-      if no_elim then []
-      else
-        List.map assumption_to_runtime
-          (Satb_core.Driver.site_assumptions compiled
-             { sk_class = c; sk_method = m; sk_pc = pc })
-    in
-    let entry_ref =
-      match String.index_opt entry '.' with
-      | Some i ->
-          {
-            Jir.Types.mclass = String.sub entry 0 i;
-            mname = String.sub entry (i + 1) (String.length entry - i - 1);
-          }
-      | None ->
-          Fmt.epr "satbelim: entry must be Class.method@.";
-          exit 1
-    in
-    (* revocation events name the original justification of the site
-       they patch *)
-    let explain c m pc =
-      Satb_core.Driver.justification compiled
-        { sk_class = c; sk_method = m; sk_pc = pc }
-    in
-    let halves = half_policy_of ~no_elim compiled in
-    let cfg =
-      {
-        Jrt.Interp.default_config with
-        policy;
-        retrace;
-        guards;
-        explain;
-        revoke = not no_revoke;
-        barrier_flavor =
-          (if gc = `Hybrid then `Hybrid
-           else Jrt.Interp.default_config.barrier_flavor);
-        halves =
-          (if gc = `Hybrid then halves else Jrt.Interp.no_halves);
-      }
+      chaos_seed retrace_budget no_revoke allow_unsound pacing trace metrics
+      chrome flight_dump =
+    let spec, prog = load_input (File (file, entry)) in
+    let gc_choice = gc_choice ~pacing:(pacing gc) gc in
+    refuse_unsound `Run ~allow_unsound ~md ~swap gc_choice prog;
+    with_capture ~trace ~metrics ~chrome @@ fun () ->
+    let cw =
+      compile_input (spec, prog) ~limit
+        (conf_of mode nos md swap summaries false)
     in
     let chaos =
       Option.map
@@ -589,8 +571,9 @@ let run_cmd =
         chaos_seed
     in
     let r =
-      Jrt.Runner.run ~cfg ~gc:gc_choice ~engine ?chaos ?retrace_budget
-        compiled.program ~entry:entry_ref
+      Harness.Exp.run ~gc:gc_choice ~engine ~use_policy:(not no_elim)
+        ~guards:true ~revoke:(not no_revoke) ?chaos ?retrace_budget
+        ~fail_on_thread_error:false cw
     in
     Fmt.pr "steps: %d, cost units: %d (barriers: %d)@." r.steps r.cost_units
       r.barrier_units;
@@ -619,7 +602,7 @@ let run_cmd =
     | Some g ->
         Fmt.pr "gc: %d cycles, %d violations, final pauses: %a@." g.cycles
           g.total_violations
-          Fmt.(list ~sep:comma int)
+          Fmt.(list ~sep:(any ", ") int)
           g.final_pause_works;
         let retraced = List.fold_left ( + ) 0 g.retraced in
         if retraced > 0 || r.machine.Jrt.Interp.retrace_checks > 0 then
@@ -654,27 +637,9 @@ let run_cmd =
           s.Jrt.Chaos.class_loads s.Jrt.Chaos.spike_allocs
           s.Jrt.Chaos.ramp_allocs
     | None -> ());
-    List.iter
-      (fun (tid, e) -> Fmt.pr "thread %d died: %s@." tid e)
-      r.thread_errors;
-    (match flight_dump with
-    | Some path ->
-        Flight.dump_to_file ~reason:"cli-request" path;
-        Fmt.pr "wrote %s@." path
-    | None -> ());
-    match r.hard_stop with
-    | Some msg ->
-        Fmt.epr "satbelim: hard heap limit: %s@." msg;
-        4
-    | None -> 0
-    in
-    (* the sink was flushed and closed by with_telemetry; only now is it
-       safe to exit (Stdlib.exit does not unwind Fun.protect) *)
-    (match Flight.captured () with
-    | Some (path, reason) ->
-        Fmt.epr "satbelim: flight recorder dumped to %s (%s)@." path reason
-    | None -> ());
-    if code <> 0 then exit code
+    print_thread_errors r;
+    write_flight_dump flight_dump;
+    hard_stop_code r
   in
   let no_elim =
     Arg.(value & flag & info [ "no-elim" ] ~doc:"Keep every barrier.")
@@ -685,7 +650,10 @@ let run_cmd =
       & opt (some string) None
       & info [ "flight-dump" ] ~docv:"FILE"
           ~doc:
-            "Write the flight recorder's ring (GC phase transitions, pacer              decisions, revocations with guard provenance, engine              respecializations, chaos faults) to $(docv) after the run;              $(b,satbelim timeline) reconstructs it.")
+            "Write the flight recorder's ring (GC phase transitions, pacer \
+             decisions, revocations with guard provenance, engine \
+             respecializations, chaos faults) to $(docv) after the run; \
+             $(b,satbelim timeline) reconstructs it.")
   in
   let chaos_arg =
     Arg.(
@@ -715,223 +683,100 @@ let run_cmd =
             "Keep assumption guards wired but ignore their failures \
              (diagnostics only; unsound under injected faults).")
   in
-  let allow_unsound_arg =
-    Arg.(
-      value & flag
-      & info [ "allow-unsound" ]
-          ~doc:
-            "Run elision/collector combinations that are known to be \
-             unsound so the snapshot oracle can demonstrate the breakage.")
-  in
-  let gc_trigger_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "gc-trigger" ] ~docv:"N"
-          ~doc:
-            "Deprecated fixed-mode alias: start a marking cycle every \
-             $(docv) allocations, bit-for-bit the pre-pacer behaviour.  \
-             Prefer the default heap-growth goal or --heap-goal.")
-  in
   Cmd.v
     (Cmd.info "run" ~doc:"Interpret the program with barrier instrumentation")
     Term.(
       const run $ file_arg $ inline_limit_arg $ mode_arg $ nos_arg
       $ movedown_arg $ swap_arg $ summaries_arg $ gc_arg $ engine_arg
       $ entry_arg $ no_elim $ chaos_arg $ budget_arg $ no_revoke_arg
-      $ allow_unsound_arg $ gc_trigger_arg $ heap_goal_arg $ soft_limit_arg
-      $ hard_limit_arg $ pacer_arg $ trace_arg $ metrics_arg $ chrome_arg
+      $ allow_unsound_arg $ pacing_arg $ trace_arg $ metrics_arg $ chrome_arg
       $ flight_dump_arg)
 
 (* profile *)
 
-let entry_ref_of_string (entry : string) : Jir.Types.method_ref =
-  match String.index_opt entry '.' with
-  | Some i ->
-      {
-        Jir.Types.mclass = String.sub entry 0 i;
-        mname = String.sub entry (i + 1) (String.length entry - i - 1);
-      }
-  | None ->
-      Fmt.epr "satbelim: entry must be Class.method@.";
-      exit 1
-
 let profile_cmd =
-  let run file workload limit mode nos md swap summaries gc engine gc_trigger
-      heap_goal soft_limit hard_limit pacer entry json top baseline
-      max_elision_drop max_pause_increase max_cost_increase allow_unsound
-      trace metrics chrome =
-    let name, prog, entry_ref =
-      match (file, workload) with
-      | Some _, Some _ ->
-          Fmt.epr "satbelim: pass either FILE or --workload, not both@.";
-          exit 1
-      | None, None ->
-          Fmt.epr
-            "satbelim: pass a FILE or --workload NAME (try 'workloads' for \
-             the list)@.";
-          exit 1
-      | Some f, None ->
-          ( Filename.remove_extension (Filename.basename f),
-            load_verified f,
-            entry_ref_of_string entry )
-      | None, Some n -> (
-          match Workloads.Registry.find n with
-          | Some w -> (w.name, Workloads.Spec.parse w, w.entry)
-          | None ->
-              Fmt.epr "satbelim: unknown workload %S (try 'workloads')@." n;
-              exit 1)
+  let run file workload limit mode nos md swap summaries gc engine pacing
+      entry json top baseline max_elision_drop max_pause_increase
+      max_cost_increase allow_unsound trace metrics chrome =
+    let spec, prog =
+      load_input
+        (match (file, workload) with
+        | Some f, None -> File (f, entry)
+        | None, Some n -> Workload n
+        | Some _, Some _ -> refuse "pass either FILE or --workload, not both"
+        | None, None ->
+            refuse
+              "pass a FILE or --workload NAME (try 'workloads' for the list)")
     in
-    let pacing =
-      pacing_of ~gc ~gc_trigger ~heap_goal ~soft_limit ~hard_limit ~pacer
-    in
-    let gc_name, gc_choice =
-      match gc with
-      | `None -> ("none", Jrt.Runner.No_gc)
-      | `Satb -> ("satb", Jrt.Runner.make_satb ~pacing ())
-      | `Incr -> ("incr", Jrt.Runner.make_incr ~pacing ())
-      | `Retrace -> ("retrace", Jrt.Runner.make_retrace ~pacing ())
-      | `Hybrid -> ("hybrid", Jrt.Runner.make_hybrid ~pacing ())
-    in
-    (* same capability-driven static-soundness refusals as `run` *)
-    let caps = Jrt.Runner.caps_of_choice gc_choice in
-    if not allow_unsound then begin
-      if swap && not caps.Jrt.Gc_hooks.retrace_protocol then begin
-        Fmt.epr
-          "satbelim: --swap elision is only sound under a collector with \
-           the tracing-state protocol (--gc retrace); pass --allow-unsound \
-           to profile anyway@.";
-        exit 1
-      end;
-      if md && not caps.Jrt.Gc_hooks.descending_scan then begin
-        Fmt.epr
-          "satbelim: --move-down elision is only sound under a collector \
-           that scans object arrays in descending index order (--gc satb \
-           or --gc retrace); pass --allow-unsound to profile anyway@.";
-        exit 1
-      end;
-      if (swap || md) && Satb_core.Analysis.program_spawns prog then begin
-        Fmt.epr
-          "satbelim: --move-down/--swap elisions assume a single mutator \
-           but this program spawns threads; pass --allow-unsound to profile \
-           anyway@.";
-        exit 1
-      end
-    end;
-    Flight.arm_capture ();
-    let code =
-      with_telemetry ~trace ~metrics ~chrome @@ fun () ->
-    let compiled =
-      Satb_core.Driver.compile ~inline_limit:limit
-        ~conf:(conf_of mode nos md swap summaries false) prog
-    in
-    let policy c m pc =
-      not
-        (Satb_core.Driver.needs_barrier compiled
-           { sk_class = c; sk_method = m; sk_pc = pc })
-    in
-    let retrace c m pc =
-      match
-        Satb_core.Driver.retrace_check compiled
-          { sk_class = c; sk_method = m; sk_pc = pc }
-      with
-      | `Open -> Jrt.Interp.Check_open
-      | `Close -> Jrt.Interp.Check_close
-      | `None -> Jrt.Interp.No_check
-    in
-    let guards c m pc =
-      List.map assumption_to_runtime
-        (Satb_core.Driver.site_assumptions compiled
-           { sk_class = c; sk_method = m; sk_pc = pc })
-    in
-    let explain c m pc =
-      Satb_core.Driver.justification compiled
-        { sk_class = c; sk_method = m; sk_pc = pc }
-    in
-    let cfg =
-      {
-        Jrt.Interp.default_config with
-        policy;
-        retrace;
-        guards;
-        explain;
-        barrier_flavor =
-          (if gc = `Hybrid then `Hybrid
-           else Jrt.Interp.default_config.barrier_flavor);
-        halves =
-          (if gc = `Hybrid then half_policy_of compiled
-           else Jrt.Interp.no_halves);
-      }
+    let gc_choice = gc_choice ~pacing:(pacing gc) gc in
+    refuse_unsound `Profile ~allow_unsound ~md ~swap gc_choice prog;
+    with_capture ~trace ~metrics ~chrome @@ fun () ->
+    let cw =
+      compile_input (spec, prog) ~limit
+        (conf_of mode nos md swap summaries false)
     in
     let r =
-      Jrt.Runner.run ~cfg ~gc:gc_choice ~engine compiled.program
-        ~entry:entry_ref
+      Harness.Exp.run ~gc:gc_choice ~engine ~guards:true
+        ~fail_on_thread_error:false cw
     in
-    List.iter
-      (fun (tid, e) -> Fmt.pr "thread %d died: %s@." tid e)
-      r.thread_errors;
-    match r.hard_stop with
-    | Some msg ->
-        Fmt.epr "satbelim: hard heap limit: %s@." msg;
-        4
-    | None -> (
-        let p = Profile.Attr.of_report ~workload:name ~gc:gc_name ~explain r in
-        (* the profile must reconcile exactly with the interpreter's global
-           counters (also what --metrics reports); a mismatch is a bug in the
-           attribution accounting, not in the user's input *)
-        match Profile.Attr.reconciles p r with
-        | Error e ->
-            Fmt.epr
-              "satbelim: profile does not reconcile with counters: %s@." e;
-            3
-        | Ok () -> (
-            print_string (Profile.Attr.render ~top p);
-            Option.iter
-              (fun path ->
-                Telemetry.write_file path
-                  (Telemetry.json_to_string_pretty (Profile.Attr.to_json p));
-                Fmt.pr "wrote %s@." path)
-              json;
-            match baseline with
-            | None -> 0
-            | Some path -> (
-                let parsed =
-                  match Telemetry.json_of_string (read_file path) with
-                  | Error e -> Error (Fmt.str "%s: %s" path e)
-                  | Ok j -> (
-                      match Profile.Attr.of_json j with
-                      | Error e -> Error (Fmt.str "%s: %s" path e)
-                      | Ok b -> Ok b)
-                in
-                match parsed with
-                | Error e ->
-                    Fmt.epr "satbelim: %s@." e;
-                    2
-                | Ok baseline ->
-                    let d =
-                      Profile.Attr.diff ~max_elision_drop
-                        ~max_pause_increase_pct:max_pause_increase
-                        ~max_cost_increase_pct:max_cost_increase ~baseline p
-                    in
-                    Fmt.pr "@.-- vs baseline %s --@." path;
-                    print_string (Profile.Attr.render_diff d);
-                    if Profile.Attr.regressed d then begin
-                      Fmt.pr "FAIL: %d regression(s)@."
-                        (List.length d.Profile.Attr.df_regressions);
-                      (* keep the evidence: the run's ring is still live *)
-                      ignore (Flight.capture ~reason:"profile-gate");
-                      1
-                    end
-                    else begin
-                      Fmt.pr "OK: no regressions@.";
-                      0
-                    end)))
-    in
-    (match Flight.captured () with
-    | Some (path, reason) ->
-        Fmt.epr "satbelim: flight recorder dumped to %s (%s)@." path reason
-    | None -> ());
-    if code <> 0 then exit code
+    print_thread_errors r;
+    if r.hard_stop <> None then hard_stop_code r
+    else
+      let p =
+        Profile.Attr.of_report ~workload:spec.name
+          ~gc:(fst (List.find (fun (_, g) -> g = gc) collectors))
+          ~explain:(Harness.Exp.explain_policy_of cw) r
+      in
+      (* the profile must reconcile exactly with the interpreter's global
+         counters (also what --metrics reports); a mismatch is a bug in the
+         attribution accounting, not in the user's input *)
+      match Profile.Attr.reconciles p r with
+      | Error e ->
+          Fmt.epr "satbelim: profile does not reconcile with counters: %s@."
+            e;
+          3
+      | Ok () -> (
+          print_string (Profile.Attr.render ~top p);
+          Option.iter
+            (fun path ->
+              Telemetry.write_file path
+                (Telemetry.json_to_string_pretty (Profile.Attr.to_json p));
+              Fmt.pr "wrote %s@." path)
+            json;
+          match baseline with
+          | None -> 0
+          | Some path -> (
+              let parsed =
+                match Telemetry.json_of_string (read_file path) with
+                | Error e -> Error (Fmt.str "%s: %s" path e)
+                | Ok j -> (
+                    match Profile.Attr.of_json j with
+                    | Error e -> Error (Fmt.str "%s: %s" path e)
+                    | Ok b -> Ok b)
+              in
+              match parsed with
+              | Error e ->
+                  Fmt.epr "satbelim: %s@." e;
+                  2
+              | Ok baseline ->
+                  let d =
+                    Profile.Attr.diff ~max_elision_drop
+                      ~max_pause_increase_pct:max_pause_increase
+                      ~max_cost_increase_pct:max_cost_increase ~baseline p
+                  in
+                  Fmt.pr "@.-- vs baseline %s --@." path;
+                  print_string (Profile.Attr.render_diff d);
+                  if Profile.Attr.regressed d then begin
+                    Fmt.pr "FAIL: %d regression(s)@."
+                      (List.length d.Profile.Attr.df_regressions);
+                    (* keep the evidence: the run's ring is still live *)
+                    ignore (Flight.capture ~reason:"profile-gate");
+                    1
+                  end
+                  else begin
+                    Fmt.pr "OK: no regressions@.";
+                    0
+                  end))
   in
   let file_opt_arg =
     Arg.(
@@ -939,23 +784,6 @@ let profile_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"FILE"
           ~doc:"jasm or mini-Java source file (or use --workload).")
-  in
-  let workload_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "workload" ] ~docv:"NAME"
-          ~doc:"Profile a bundled workload instead of a source file.")
-  in
-  let gc_trigger_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "gc-trigger" ] ~docv:"N"
-          ~doc:
-            "Deprecated fixed-mode alias: start a marking cycle every \
-             $(docv) allocations, bit-for-bit the pre-pacer behaviour.  \
-             Prefer the default heap-growth goal or --heap-goal.")
   in
   let json_arg =
     Arg.(
@@ -1009,12 +837,6 @@ let profile_cmd =
             "Allowed growth of the modelled barrier cost per kilostep vs \
              the baseline, in percent (default 10).")
   in
-  let allow_unsound_arg =
-    Arg.(
-      value & flag
-      & info [ "allow-unsound" ]
-          ~doc:"Profile statically-unsound elision/collector combinations.")
-  in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
@@ -1023,11 +845,10 @@ let profile_cmd =
     Term.(
       const run $ file_opt_arg $ workload_arg $ inline_limit_arg $ mode_arg
       $ nos_arg $ movedown_arg $ swap_arg $ summaries_arg $ gc_arg
-      $ engine_arg $ gc_trigger_arg $ heap_goal_arg $ soft_limit_arg
-      $ hard_limit_arg
-      $ pacer_arg $ entry_arg $ json_arg $ top_arg $ baseline_arg
-      $ elision_drop_arg $ pause_increase_arg $ cost_increase_arg
-      $ allow_unsound_arg $ trace_arg $ metrics_arg $ chrome_arg)
+      $ engine_arg $ pacing_arg $ entry_arg $ json_arg $ top_arg
+      $ baseline_arg $ elision_drop_arg $ pause_increase_arg
+      $ cost_increase_arg $ allow_unsound_arg $ trace_arg $ metrics_arg
+      $ chrome_arg)
 
 (* validate-trace *)
 
@@ -1186,162 +1007,73 @@ let timeline_cmd =
    export a byte-stable snapshot, and diff two snapshots. *)
 
 let heap_report_term =
-  let run file workload limit mode nos summaries gc engine heap_goal
-      soft_limit hard_limit pacer entry top snapshot flight_dump trace metrics
-      chrome =
-    let name, prog, entry_ref =
-      match (file, workload) with
-      | Some _, Some _ ->
-          Fmt.epr "satbelim: pass either FILE or --workload, not both@.";
-          exit 1
-      | None, None ->
-          Fmt.epr
-            "satbelim: pass a FILE or --workload NAME (try 'workloads' for \
-             the list)@.";
-          exit 1
-      | Some f, None ->
-          ( Filename.remove_extension (Filename.basename f),
-            load_verified f,
-            entry_ref_of_string entry )
-      | None, Some n -> (
-          match Workloads.Registry.find n with
-          | Some w -> (w.name, Workloads.Spec.parse w, w.entry)
-          | None ->
-              Fmt.epr "satbelim: unknown workload %S (try 'workloads')@." n;
-              exit 1)
+  let run workload limit mode nos summaries gc engine pacing top snapshot
+      flight_dump trace metrics chrome =
+    let spec, prog =
+      load_input
+        (match workload with
+        | Some n -> Workload n
+        | None -> refuse "pass --workload NAME (try 'workloads' for the list)")
     in
-    let pacing =
-      (* `Satb stands in for "some collector": the observatory refuses
-         --gc none itself, so pacing flags are always meaningful here *)
-      pacing_of ~gc:`Satb ~gc_trigger:None ~heap_goal ~soft_limit ~hard_limit
-        ~pacer
+    (* `Satb stands in for "some collector": --gc here never names none,
+       so pacing flags are always meaningful *)
+    let pacing = pacing `Satb in
+    with_capture ~trace ~metrics ~chrome @@ fun () ->
+    let cw =
+      compile_input (spec, prog) ~limit
+        (conf_of mode nos false false summaries false)
     in
-    Flight.arm_capture ();
-    let code =
-      with_telemetry ~trace ~metrics ~chrome @@ fun () ->
-      let compiled =
-        Satb_core.Driver.compile ~inline_limit:limit
-          ~conf:(conf_of mode nos false false summaries false)
-          prog
+    let run_one g =
+      let obs = Heapscope.Observatory.create () in
+      let r =
+        Harness.Exp.run ~gc:(gc_choice ~pacing g) ~engine ~guards:true
+          ~fail_on_thread_error:false
+          ~observer:(Heapscope.Observatory.observe obs)
+          cw
       in
-      let policy c m pc =
-        not
-          (Satb_core.Driver.needs_barrier compiled
-             { sk_class = c; sk_method = m; sk_pc = pc })
-      in
-      let retrace c m pc =
-        match
-          Satb_core.Driver.retrace_check compiled
-            { sk_class = c; sk_method = m; sk_pc = pc }
-        with
-        | `Open -> Jrt.Interp.Check_open
-        | `Close -> Jrt.Interp.Check_close
-        | `None -> Jrt.Interp.No_check
-      in
-      let guards c m pc =
-        List.map assumption_to_runtime
-          (Satb_core.Driver.site_assumptions compiled
-             { sk_class = c; sk_method = m; sk_pc = pc })
-      in
-      let choice = function
-        | `Satb -> Jrt.Runner.make_satb ~pacing ()
-        | `Incr -> Jrt.Runner.make_incr ~pacing ()
-        | `Retrace -> Jrt.Runner.make_retrace ~pacing ()
-        | `Hybrid -> Jrt.Runner.make_hybrid ~pacing ()
-      in
-      let run_one gcv =
-        let gc_choice = choice gcv in
-        let cfg =
-          {
-            Jrt.Interp.default_config with
-            policy;
-            retrace;
-            guards;
-            barrier_flavor =
-              (if gcv = `Hybrid then `Hybrid
-               else Jrt.Interp.default_config.barrier_flavor);
-            halves =
-              (if gcv = `Hybrid then half_policy_of compiled
-               else Jrt.Interp.no_halves);
-          }
-        in
-        let obs = Heapscope.Observatory.create () in
-        let r =
-          Jrt.Runner.run ~cfg ~gc:gc_choice ~engine
-            ~observer:(Heapscope.Observatory.observe obs)
-            compiled.program ~entry:entry_ref
-        in
-        List.iter
-          (fun (tid, e) -> Fmt.pr "thread %d died: %s@." tid e)
-          r.Jrt.Runner.thread_errors;
-        (obs, r)
-      in
-      let label g = Jrt.Runner.gc_name (choice g) in
-      let collectors =
-        match gc with
-        | `All -> [ `Satb; `Incr; `Retrace; `Hybrid ]
-        | (`Satb | `Incr | `Retrace | `Hybrid) as g -> [ g ]
-      in
-      let results = List.map (fun g -> (g, run_one g)) collectors in
-      (* the ring is reset per run, so the dump covers the last collector
-         observed — with census events and the pending-census snapshot *)
-      (match flight_dump with
-      | Some path ->
-          Flight.dump_to_file ~reason:"cli-request" path;
-          Fmt.pr "wrote %s@." path
-      | None -> ());
-      let g0, (obs0, r0) = List.hd results in
-      let m0 = r0.Jrt.Runner.machine in
-      let h0 = m0.Jrt.Interp.heap in
-      Fmt.pr "workload %s — heap observatory@." name;
-      Fmt.pr
-        "final heap under %s: %d live objects, %d units, %d GC cycles@.@."
-        (label g0) h0.Jrt.Heap.live_count h0.Jrt.Heap.live_units
-        h0.Jrt.Heap.gc_cycle;
-      Fmt.pr "allocation-site census (%s):@." (label g0);
-      print_string
-        (Heapscope.Observatory.render_census ~top
-           (Heapscope.Census.of_heap h0));
-      Fmt.pr "@.dominator retention (%s):@." (label g0);
-      print_string (Heapscope.Observatory.render_retainers ~top m0);
-      List.iter
-        (fun (g, ((obs : Heapscope.Observatory.t), (r : Jrt.Runner.report))) ->
-          Fmt.pr "@.barrier float — %s:@." (label g);
-          print_string (Heapscope.Observatory.render_float obs);
-          match r.Jrt.Runner.hard_stop with
-          | Some msg -> Fmt.pr "  (run aborted on hard heap limit: %s)@." msg
-          | None -> ())
-        results;
-      Option.iter
-        (fun path ->
-          Telemetry.write_file path
-            (Telemetry.json_to_string_pretty
-               (Heapscope.Observatory.snapshot obs0 m0));
-          Fmt.pr "@.wrote %s@." path)
-        snapshot;
-      if List.exists (fun (_, (_, r)) -> r.Jrt.Runner.hard_stop <> None) results
-      then 4
-      else 0
+      print_thread_errors r;
+      (obs, r)
     in
-    (match Flight.captured () with
-    | Some (path, reason) ->
-        Fmt.epr "satbelim: flight recorder dumped to %s (%s)@." path reason
-    | None -> ());
-    if code <> 0 then exit code
-  in
-  let file_opt_arg =
-    Arg.(
-      value
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE"
-          ~doc:"jasm or mini-Java source file (or use --workload).")
-  in
-  let workload_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "workload" ] ~docv:"NAME"
-          ~doc:"Observe a bundled workload instead of a source file.")
+    let label g = Jrt.Runner.gc_name (gc_choice ~pacing g) in
+    let collectors =
+      match gc with
+      | `All -> [ `Satb; `Incr; `Retrace; `Hybrid ]
+      | (`Satb | `Incr | `Retrace | `Hybrid) as g -> [ g ]
+    in
+    let results = List.map (fun g -> (g, run_one g)) collectors in
+    (* the ring is reset per run, so the dump covers the last collector
+       observed — with census events and the pending-census snapshot *)
+    write_flight_dump flight_dump;
+    let g0, (obs0, r0) = List.hd results in
+    let m0 = r0.Jrt.Runner.machine in
+    let h0 = m0.Jrt.Interp.heap in
+    Fmt.pr "workload %s — heap observatory@." spec.Workloads.Spec.name;
+    Fmt.pr "final heap under %s: %d live objects, %d units, %d GC cycles@.@."
+      (label g0) h0.Jrt.Heap.live_count h0.Jrt.Heap.live_units
+      h0.Jrt.Heap.gc_cycle;
+    Fmt.pr "allocation-site census (%s):@." (label g0);
+    print_string
+      (Heapscope.Observatory.render_census ~top (Heapscope.Census.of_heap h0));
+    Fmt.pr "@.dominator retention (%s):@." (label g0);
+    print_string (Heapscope.Observatory.render_retainers ~top m0);
+    List.iter
+      (fun (g, ((obs : Heapscope.Observatory.t), (r : Jrt.Runner.report))) ->
+        Fmt.pr "@.barrier float — %s:@." (label g);
+        print_string (Heapscope.Observatory.render_float obs);
+        match r.Jrt.Runner.hard_stop with
+        | Some msg -> Fmt.pr "  (run aborted on hard heap limit: %s)@." msg
+        | None -> ())
+      results;
+    Option.iter
+      (fun path ->
+        Telemetry.write_file path
+          (Telemetry.json_to_string_pretty
+             (Heapscope.Observatory.snapshot obs0 m0));
+        Fmt.pr "@.wrote %s@." path)
+      snapshot;
+    if List.exists (fun (_, (_, r)) -> r.Jrt.Runner.hard_stop <> None) results
+    then 4
+    else 0
   in
   let heap_gc_arg =
     Arg.(
@@ -1391,9 +1123,8 @@ let heap_report_term =
              with live units and float%.")
   in
   Term.(
-    const run $ file_opt_arg $ workload_arg $ inline_limit_arg $ mode_arg
-    $ nos_arg $ summaries_arg $ heap_gc_arg $ engine_arg $ heap_goal_arg
-    $ soft_limit_arg $ hard_limit_arg $ pacer_arg $ entry_arg $ top_arg
+    const run $ workload_arg $ inline_limit_arg $ mode_arg $ nos_arg
+    $ summaries_arg $ heap_gc_arg $ engine_arg $ pacing_arg $ top_arg
     $ snapshot_arg $ flight_dump_arg $ trace_arg $ metrics_arg $ chrome_arg)
 
 let heap_diff_cmd =
@@ -1438,8 +1169,9 @@ let heap_cmd =
   Cmd.group ~default:heap_report_term
     (Cmd.info "heap"
        ~doc:
-         "Heap-state observatory: allocation-site census, dominator \
-          retention and barrier-float accounting under each collector")
+         "Heap-state observatory on a bundled workload (--workload NAME): \
+          allocation-site census, dominator retention and barrier-float \
+          accounting under each collector")
     [ heap_diff_cmd ]
 
 (* workloads *)
@@ -1454,12 +1186,7 @@ let workloads_cmd =
   let run name =
     match name with
     | None -> list_them ()
-    | Some n -> (
-        match Workloads.Registry.find n with
-        | Some w -> print_string w.src
-        | None ->
-            Fmt.epr "satbelim: unknown workload %S (try 'workloads')@." n;
-            exit 1)
+    | Some n -> print_string (find_workload n).src
   in
   let name_arg =
     Arg.(

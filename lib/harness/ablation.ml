@@ -43,25 +43,10 @@ let pct num den =
 
 let measure_one (w : Workloads.Spec.t) : row =
   let elim variant =
-    let prog = Workloads.Spec.parse w in
     let compiled =
-      Satb_core.Driver.compile ~inline_limit:100 ~conf:(conf_of variant) prog
+      Satb_core.Driver.compile ~inline_limit:100 ~conf:(conf_of variant)
+        (Workloads.Spec.parse w)
     in
-    let policy c m pc =
-      not
-        (Satb_core.Driver.needs_barrier compiled
-           { sk_class = c; sk_method = m; sk_pc = pc })
-    in
-    let retrace c m pc =
-      match
-        Satb_core.Driver.retrace_check compiled
-          { sk_class = c; sk_method = m; sk_pc = pc }
-      with
-      | `Open -> Jrt.Interp.Check_open
-      | `Close -> Jrt.Interp.Check_close
-      | `None -> Jrt.Interp.No_check
-    in
-    let cfg = { Jrt.Interp.default_config with policy; retrace } in
     (* The swap elision is only sound under the retrace collector. *)
     let gc =
       match variant with
@@ -69,7 +54,7 @@ let measure_one (w : Workloads.Spec.t) : row =
       | Full | One_name | No_stride | Field_only ->
           Jrt.Runner.make_satb ~trigger_allocs:24 ()
     in
-    let r = Jrt.Runner.run ~cfg ~gc compiled.program ~entry:w.entry in
+    let r = Exp.run ~gc { Exp.workload = w; compiled } in
     (match r.gc with
     | Some g when g.total_violations > 0 ->
         Fmt.failwith "%s/%s: marking violation" w.name

@@ -1,5 +1,6 @@
-(** Shared plumbing for the experiments: compile a workload at a given
-    analysis configuration and run it under the instrumented runtime. *)
+(** Shared plumbing for the experiments and the CLI: compile a workload at
+    a given analysis configuration and run it under the instrumented
+    runtime. *)
 
 type compiled_workload = {
   workload : Workloads.Spec.t;
@@ -22,20 +23,16 @@ let compile ?(inline_limit = 100) ?(mode = Satb_core.Analysis.A)
   in
   { workload = w; compiled = Satb_core.Driver.compile ~inline_limit ~conf prog }
 
+let key c m pc = { Satb_core.Driver.sk_class = c; sk_method = m; sk_pc = pc }
+
 (** Barrier policy from the analysis verdicts. *)
 let policy_of (cw : compiled_workload) : Jrt.Interp.barrier_policy =
- fun c m pc ->
-  not
-    (Satb_core.Driver.needs_barrier cw.compiled
-       { sk_class = c; sk_method = m; sk_pc = pc })
+ fun c m pc -> not (Satb_core.Driver.needs_barrier cw.compiled (key c m pc))
 
 (** Tracing-state-check sites from the analysis verdicts (swap pairs). *)
 let retrace_policy_of (cw : compiled_workload) : Jrt.Interp.retrace_policy =
  fun c m pc ->
-  match
-    Satb_core.Driver.retrace_check cw.compiled
-      { sk_class = c; sk_method = m; sk_pc = pc }
-  with
+  match Satb_core.Driver.retrace_check cw.compiled (key c m pc) with
   | `Open -> Jrt.Interp.Check_open
   | `Close -> Jrt.Interp.Check_close
   | `None -> Jrt.Interp.No_check
@@ -52,8 +49,7 @@ let assumption_to_runtime :
 let guard_policy_of (cw : compiled_workload) : Jrt.Interp.guard_policy =
  fun c m pc ->
   List.map assumption_to_runtime
-    (Satb_core.Driver.site_assumptions cw.compiled
-       { sk_class = c; sk_method = m; sk_pc = pc })
+    (Satb_core.Driver.site_assumptions cw.compiled (key c m pc))
 
 (** Per-site split verdicts for the hybrid (deletion + insertion)
     barrier, from the compiler's half-verdict tables.  Each half carries
@@ -61,9 +57,7 @@ let guard_policy_of (cw : compiled_workload) : Jrt.Interp.guard_policy =
     stays elided. *)
 let half_policy_of (cw : compiled_workload) : Jrt.Interp.half_policy =
  fun c m pc ->
-  let key =
-    { Satb_core.Driver.sk_class = c; sk_method = m; sk_pc = pc }
-  in
+  let key = key c m pc in
   match Satb_core.Driver.hybrid_verdict cw.compiled key with
   | `Keep -> Jrt.Interp.keep_both
   | (`Elide_deletion | `Elide_insertion | `Elide_both) as hv ->
@@ -89,9 +83,38 @@ let half_policy_of (cw : compiled_workload) : Jrt.Interp.half_policy =
 (** Elision provenance, so runtime revocation events can name the
     original justification of each site they patch. *)
 let explain_policy_of (cw : compiled_workload) : Jrt.Interp.explain_policy =
- fun c m pc ->
-  Satb_core.Driver.justification cw.compiled
-    { sk_class = c; sk_method = m; sk_pc = pc }
+ fun c m pc -> Satb_core.Driver.justification cw.compiled (key c m pc)
+
+let config ?(satb_mode = Jrt.Barrier_cost.Conditional) ?(use_policy = true)
+    ?(guards = false) ?(revoke = true) ~(gc : Jrt.Runner.gc_choice)
+    (cw : compiled_workload) : Jrt.Interp.config =
+  (* The hybrid collector switches the interpreter to the split-verdict
+     barrier; the half policy carries each half's guards itself. *)
+  let hybrid = match gc with Jrt.Runner.Hybrid _ -> true | _ -> false in
+  {
+    Jrt.Interp.default_config with
+    policy = (if use_policy then policy_of cw else Jrt.Interp.keep_all_policy);
+    retrace =
+      (if use_policy then retrace_policy_of cw
+       else Jrt.Interp.no_retrace_checks);
+    satb_mode;
+    barrier_flavor =
+      (if hybrid then `Hybrid else Jrt.Interp.default_config.barrier_flavor);
+    halves =
+      (if hybrid && use_policy then half_policy_of cw
+       else Jrt.Interp.no_halves);
+    (* Guards are opt-in: several negative soundness tests deliberately
+       run unsound policy/collector combinations to show the oracle
+       catching them, which wired guards would (correctly) neutralize.
+       Without the verdicts the table is wired but empty: still not
+       [no_guards], so the startup capability requests are recorded. *)
+    guards =
+      (if not guards then Jrt.Interp.no_guards
+       else if use_policy then guard_policy_of cw
+       else fun _ _ _ -> []);
+    explain = (if guards then explain_policy_of cw else Jrt.Interp.no_explain);
+    revoke;
+  }
 
 (** Session-wide default execution engine, so `bench --engine threaded`
     (and the CI both-engines tier-1 lever) can retarget every experiment
@@ -104,56 +127,11 @@ let default_engine : [ `Interp | `Threaded ] ref =
     | Some "threaded" -> `Threaded
     | Some _ | None -> `Interp)
 
-let run ?(gc = Jrt.Runner.No_gc) ?(satb_mode = Jrt.Barrier_cost.Conditional)
-    ?(use_policy = true) ?(guards = false) ?(revoke = true) ?chaos
+let run ?(gc = Jrt.Runner.No_gc) ?satb_mode ?use_policy ?guards ?revoke ?chaos
     ?retrace_budget ?(fail_on_thread_error = true) ?(seed = 0) ?quantum
     ?gc_period ?engine ?observer (cw : compiled_workload) : Jrt.Runner.report =
   let engine = match engine with Some e -> e | None -> !default_engine in
-  let policy =
-    if use_policy then policy_of cw else Jrt.Interp.keep_all_policy
-  in
-  let retrace =
-    if use_policy then retrace_policy_of cw else Jrt.Interp.no_retrace_checks
-  in
-  (* The hybrid collector switches the interpreter to the split-verdict
-     barrier; the half policy carries each half's guards itself. *)
-  let barrier_flavor =
-    match gc with
-    | Jrt.Runner.Hybrid _ -> `Hybrid
-    | _ -> Jrt.Interp.default_config.barrier_flavor
-  in
-  let halves =
-    match gc with
-    | Jrt.Runner.Hybrid _ when use_policy -> half_policy_of cw
-    | _ -> Jrt.Interp.no_halves
-  in
-  (* Guards are opt-in: several negative soundness tests deliberately run
-     unsound policy/collector combinations to show the oracle catching
-     them, which wired guards would (correctly) neutralize. *)
-  let cfg =
-    if guards then
-      {
-        Jrt.Interp.default_config with
-        policy;
-        satb_mode;
-        retrace;
-        barrier_flavor;
-        halves;
-        guards = guard_policy_of cw;
-        explain = explain_policy_of cw;
-        revoke;
-      }
-    else
-      {
-        Jrt.Interp.default_config with
-        policy;
-        satb_mode;
-        retrace;
-        barrier_flavor;
-        halves;
-        revoke;
-      }
-  in
+  let cfg = config ?satb_mode ?use_policy ?guards ?revoke ~gc cw in
   let report =
     Jrt.Runner.run ~cfg ~gc ~engine ~seed ?quantum ?gc_period ?chaos
       ?retrace_budget ?observer cw.compiled.program ~entry:cw.workload.entry

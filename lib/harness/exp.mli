@@ -1,5 +1,8 @@
-(** Shared plumbing for the experiments: compile a workload at a given
-    analysis configuration and run it under the instrumented runtime. *)
+(** Shared plumbing for the experiments and the CLI: compile a workload at
+    a given analysis configuration and run it under the instrumented
+    runtime.  {!config} is the one place where a compiled program and a
+    collector choice become a run configuration; [satbelim run],
+    [profile] and [heap] run through {!run} like every experiment. *)
 
 type compiled_workload = {
   workload : Workloads.Spec.t;
@@ -19,21 +22,31 @@ val compile :
 val policy_of : compiled_workload -> Jrt.Interp.barrier_policy
 (** Barrier-elision policy from the analysis verdicts. *)
 
-val retrace_policy_of : compiled_workload -> Jrt.Interp.retrace_policy
-(** Tracing-state-check sites (swap-elided store pairs) from the analysis
-    verdicts; [no_retrace_checks] when the swap extension is off. *)
-
-val guard_policy_of : compiled_workload -> Jrt.Interp.guard_policy
-(** The per-site guard table from the compiler's assumption metadata. *)
-
 val half_policy_of : compiled_workload -> Jrt.Interp.half_policy
 (** Per-site split verdicts for the hybrid barrier, from the compiler's
     deletion- and insertion-half tables; each half carries its own guard
-    set.  {!run} wires this automatically when [gc] is [Hybrid]. *)
+    set.  {!config} wires this automatically when [gc] is [Hybrid]. *)
 
 val explain_policy_of : compiled_workload -> Jrt.Interp.explain_policy
 (** Elision provenance: the analysis-side justification of each elided
     site, for revocation events and the profiler's hot-site report. *)
+
+val config :
+  ?satb_mode:Jrt.Barrier_cost.satb_mode ->
+  ?use_policy:bool ->
+  ?guards:bool ->
+  ?revoke:bool ->
+  gc:Jrt.Runner.gc_choice ->
+  compiled_workload ->
+  Jrt.Interp.config
+(** The run configuration for [gc] from the analysis verdicts: barrier
+    policy, tracing-state checks (swap pairs), and under [Hybrid] the
+    split-verdict barrier flavour with its half table.  [use_policy:false]
+    keeps every barrier.  [guards] (default off — the negative soundness
+    tests depend on unguarded runs) wires the guard table and the elision
+    justifications, so assumption failures revoke dependent elisions;
+    without the verdicts the table is wired but empty.  [revoke:false]
+    keeps the guards wired but ignores their failures. *)
 
 val default_engine : [ `Interp | `Threaded ] ref
 (** Session-wide default for {!run}'s [?engine] (initially [`Interp],
@@ -59,11 +72,8 @@ val run :
   ?observer:(Jrt.Interp.t -> unit) ->
   compiled_workload ->
   Jrt.Runner.report
-(** Run under the instrumented runtime; fails on any thread error unless
-    [fail_on_thread_error:false] (chaos damage may legitimately kill
-    workload threads).  [guards] (default off — the negative soundness
-    tests depend on unguarded runs) wires the compiler's guard table so
-    assumption failures revoke dependent elisions; [revoke:false] keeps
-    the guards wired but ignores their failures.  [engine] defaults to
+(** {!config} plus {!Jrt.Runner.run} from the workload's entry; fails on
+    any thread error unless [fail_on_thread_error:false] (chaos damage
+    may legitimately kill workload threads).  [engine] defaults to
     {!default_engine}.  [observer] is the heap observatory's cycle-end
     hook, forwarded to {!Jrt.Runner.run}. *)

@@ -5,8 +5,9 @@
     Each (workload, collector) pair runs under a sweep of pacing
     policies:
 
-    - [fixed-24] / [fixed-64] / [fixed-128] — the deprecated
-      [--gc-trigger] alias, a cycle every N allocations;
+    - [fixed-24] / [fixed-64] / [fixed-128] — the legacy
+      allocation-count pacing ([Pacer.Fixed]), a cycle every N
+      allocations;
     - [goal-1.5] / [goal-2.0] — the GOGC-style heap-growth target;
     - [soft] — [goal-1.5] with a soft limit at 60% of the policy-free
       peak live size (learned by a probe run), so the row is guaranteed
