@@ -328,7 +328,7 @@ let load_input : input -> Workloads.Spec.t * Jir.Program.t = function
 
 (** Compile a loaded input; called inside the telemetry window so the
     trace carries the analysis passes. *)
-let compile_input (spec, prog) ~limit conf : Harness.Exp.compiled_workload =
+let compile_input spec prog ~limit conf : Harness.Exp.compiled_workload =
   {
     Harness.Exp.workload = spec;
     compiled = Satb_core.Driver.compile ~inline_limit:limit ~conf prog;
@@ -562,7 +562,7 @@ let run_cmd =
     refuse_unsound `Run ~allow_unsound ~md ~swap gc_choice prog;
     with_capture ~trace ~metrics ~chrome @@ fun () ->
     let cw =
-      compile_input (spec, prog) ~limit
+      compile_input spec prog ~limit
         (conf_of mode nos md swap summaries false)
     in
     let chaos =
@@ -712,7 +712,7 @@ let profile_cmd =
     refuse_unsound `Profile ~allow_unsound ~md ~swap gc_choice prog;
     with_capture ~trace ~metrics ~chrome @@ fun () ->
     let cw =
-      compile_input (spec, prog) ~limit
+      compile_input spec prog ~limit
         (conf_of mode nos md swap summaries false)
     in
     let r =
@@ -1020,7 +1020,7 @@ let heap_report_term =
     let pacing = pacing `Satb in
     with_capture ~trace ~metrics ~chrome @@ fun () ->
     let cw =
-      compile_input (spec, prog) ~limit
+      compile_input spec prog ~limit
         (conf_of mode nos false false summaries false)
     in
     let run_one g =

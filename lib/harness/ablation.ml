@@ -43,9 +43,9 @@ let pct num den =
 
 let measure_one (w : Workloads.Spec.t) : row =
   let elim variant =
+    let prog = Workloads.Spec.parse w in
     let compiled =
-      Satb_core.Driver.compile ~inline_limit:100 ~conf:(conf_of variant)
-        (Workloads.Spec.parse w)
+      Satb_core.Driver.compile ~inline_limit:100 ~conf:(conf_of variant) prog
     in
     (* The swap elision is only sound under the retrace collector. *)
     let gc =

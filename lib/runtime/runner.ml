@@ -129,61 +129,61 @@ let summary_of (t : Marker.t) ~pause_steps =
    run's counts.  The run adds its totals to the registry once, at
    [run.finish] — hard-limit aborts included — and sets the pacer gauges
    to their final values. *)
-let counters fields =
-  List.map (fun (name, get) -> (Telemetry.counter name, get)) fields
+let counters prefix fields =
+  List.map (fun (name, get) -> (Telemetry.counter (prefix ^ name), get)) fields
 
 let machine_counters =
-  counters
+  counters "jrt."
     [
-      ("jrt.barriers_executed", fun (m : Interp.t) -> m.barriers_executed);
-      ("jrt.elided_barrier_execs", fun m -> m.elided_barrier_execs);
-      ("jrt.retrace_checks", fun m -> m.retrace_checks);
-      ("jrt.revocation_events", fun m -> m.revocation_events);
-      ("jrt.revoked_sites", fun m -> m.revoked_sites);
-      ("jrt.degradations", fun m -> m.degradations);
-      ("jrt.degraded_swap_execs", fun m -> m.degraded_swap_execs);
-      ("jrt.assist_execs", fun m -> m.assist_execs);
+      ("barriers_executed", fun (m : Interp.t) -> m.barriers_executed);
+      ("elided_barrier_execs", fun m -> m.elided_barrier_execs);
+      ("retrace_checks", fun m -> m.retrace_checks);
+      ("revocation_events", fun m -> m.revocation_events);
+      ("revoked_sites", fun m -> m.revoked_sites);
+      ("degradations", fun m -> m.degradations);
+      ("degraded_swap_execs", fun m -> m.degraded_swap_execs);
+      ("assist_execs", fun m -> m.assist_execs);
     ]
 
 (* gc.* is shared by every policy; retrace.* belongs to the retrace list
    (under the hybrid policy [rescans] counts repair-set re-grays) *)
 let cycle_counters =
-  counters
+  counters "gc."
     [
-      ("gc.cycles", fun (_ : Marker.cycle_report) -> 1);
-      ("gc.violations", fun r -> r.violations);
-      ("gc.restarts", fun r -> r.counts.restarts);
+      ("cycles", fun (_ : Marker.cycle_report) -> 1);
+      ("violations", fun r -> r.violations);
+      ("restarts", fun r -> r.counts.restarts);
     ]
 
 let retrace_counters =
-  counters
+  counters "retrace."
     [
-      ("retrace.rescans", fun (r : Marker.cycle_report) -> r.counts.rescans);
-      ("retrace.enqueues", fun r -> r.counts.enqueued);
-      ("retrace.repair_enqueues", fun r -> r.counts.repair_enqueues);
-      ("retrace.budget_overflows", fun r -> r.counts.budget_overflows);
+      ("rescans", fun (r : Marker.cycle_report) -> r.counts.rescans);
+      ("enqueues", fun r -> r.counts.enqueued);
+      ("repair_enqueues", fun r -> r.counts.repair_enqueues);
+      ("budget_overflows", fun r -> r.counts.budget_overflows);
     ]
 
 let pacer_counters =
-  counters
+  counters "pacer."
     [
-      ("pacer.assists", fun (s : Pacer.stats) -> s.p_assists);
-      ("pacer.degraded_entries", fun s -> s.p_degraded_entries);
-      ("pacer.degraded_cycles", fun s -> s.p_degraded_cycles);
-      ("pacer.hard_stops", fun s -> if s.p_hard_stop = None then 0 else 1);
+      ("assists", fun (s : Pacer.stats) -> s.p_assists);
+      ("degraded_entries", fun s -> s.p_degraded_entries);
+      ("degraded_cycles", fun s -> s.p_degraded_cycles);
+      ("hard_stops", fun s -> if s.p_hard_stop = None then 0 else 1);
     ]
 
 let chaos_counters =
-  counters
+  counters "chaos."
     [
-      ("chaos.spawns", fun (s : Chaos.stats) -> s.spawns);
-      ("chaos.damage_stores", fun s -> s.damage_stores);
-      ("chaos.skipped_barriers", fun s -> s.skipped_barriers);
-      ("chaos.preempted_increments", fun s -> s.preempted_increments);
-      ("chaos.pressure_remarks", fun s -> s.pressure_remarks);
-      ("chaos.class_loads", fun s -> s.class_loads);
-      ("chaos.spike_allocs", fun s -> s.spike_allocs);
-      ("chaos.ramp_allocs", fun s -> s.ramp_allocs);
+      ("spawns", fun (s : Chaos.stats) -> s.spawns);
+      ("damage_stores", fun s -> s.damage_stores);
+      ("skipped_barriers", fun s -> s.skipped_barriers);
+      ("preempted_increments", fun s -> s.preempted_increments);
+      ("pressure_remarks", fun s -> s.pressure_remarks);
+      ("class_loads", fun s -> s.class_loads);
+      ("spike_allocs", fun s -> s.spike_allocs);
+      ("ramp_allocs", fun s -> s.ramp_allocs);
     ]
 
 let g_trigger = Telemetry.gauge "pacer.trigger_units"

@@ -171,6 +171,52 @@ let test_table1_renderer () =
          contains s name)
        Workloads.Registry.table1)
 
+(* Exp.config is the one place verdicts become a run configuration.
+   The CLI's --no-elim relies on its keep-all form still wiring a guard
+   table (empty), so the startup capability requests are recorded. *)
+let test_exp_config () =
+  let cw = Harness.Exp.compile Workloads.Db.t in
+  let sites =
+    List.concat_map
+      (fun (r : Satb_core.Analysis.method_result) ->
+        List.map
+          (fun (v : Satb_core.Analysis.verdict) ->
+            (r.mr_class, r.mr_method, v.v_pc, v.v_elide))
+          r.verdicts)
+      cw.compiled.results
+  in
+  let plain = Harness.Exp.config ~gc:(Jrt.Runner.make_satb ()) cw in
+  Alcotest.(check bool) "unguarded by default" true
+    (plain.guards == Jrt.Interp.no_guards
+    && plain.explain == Jrt.Interp.no_explain
+    && plain.halves == Jrt.Interp.no_halves);
+  List.iter
+    (fun (c, m, pc, elide) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s.%s@%d follows its verdict" c m pc)
+        elide (plain.policy c m pc))
+    sites;
+  Alcotest.(check bool) "db elides some site" true
+    (List.exists (fun (_, _, _, e) -> e) sites);
+  let hybrid = Jrt.Runner.make_hybrid () in
+  let guarded = Harness.Exp.config ~guards:true ~gc:hybrid cw in
+  Alcotest.(check bool) "hybrid wires its halves and guards" true
+    (guarded.barrier_flavor = `Hybrid
+    && guarded.halves != Jrt.Interp.no_halves
+    && guarded.guards != Jrt.Interp.no_guards);
+  let keep = Harness.Exp.config ~use_policy:false ~guards:true ~gc:hybrid cw in
+  Alcotest.(check bool) "keep-all wires an empty guard table" true
+    (keep.barrier_flavor = `Hybrid
+    && keep.guards != Jrt.Interp.no_guards
+    && keep.halves == Jrt.Interp.no_halves);
+  List.iter
+    (fun (c, m, pc, _) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s.%s@%d kept, unguarded" c m pc)
+        true
+        ((not (keep.policy c m pc)) && keep.guards c m pc = []))
+    sites
+
 let tests =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Slow f)
@@ -184,4 +230,5 @@ let tests =
       ("static counts", test_static_exceeds_dynamic_for_loopy_arrays);
       ("ablation story", test_ablation_story);
       ("table1 renderer", test_table1_renderer);
+      ("exp config wiring", test_exp_config);
     ]
