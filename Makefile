@@ -1,6 +1,6 @@
 # Convenience targets; the canonical CI entry point is `make check`.
 
-.PHONY: all check test gate compile-bench bench profile-smoke heap-smoke clean
+.PHONY: all check test gate compile-bench mutator-bench bench profile-smoke heap-smoke clean
 
 all:
 	dune build
@@ -45,6 +45,13 @@ gate:
 # appends its end-to-end record to bench/perf/out/ci/runs.jsonl
 compile-bench:
 	dune exec ./bench/perf/perf.exe -- run --workload jit-compile --seed 1 \
+	  --seconds 3 --out bench/perf/out/ci
+
+# mutator throughput: a short closed-loop mutator run (Exp.run of the six
+# Table-1 programs on the threaded engine, SATB, E17's cadence); appends
+# its end-to-end record to bench/perf/out/ci/runs.jsonl
+mutator-bench:
+	dune exec ./bench/perf/perf.exe -- run --workload mutator --seed 1 \
 	  --seconds 3 --out bench/perf/out/ci
 
 # full reproduction: every table/figure plus the bechamel timings

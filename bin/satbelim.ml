@@ -543,12 +543,18 @@ let write_flight_dump =
 let print_thread_errors (r : Jrt.Runner.report) =
   List.iter (fun (tid, e) -> Fmt.pr "thread %d died: %s@." tid e) r.thread_errors
 
-(** A hard-limit abort is reported on stderr and exits 4. *)
-let hard_stop_code (r : Jrt.Runner.report) =
+(** A clean stop is reported on stderr in one line: a hard-limit abort
+    exits 4, a program that used its whole instruction budget exits 5. *)
+let stop_code (r : Jrt.Runner.report) =
   match r.hard_stop with
   | Some msg ->
       Fmt.epr "satbelim: hard heap limit: %s@." msg;
       4
+  | None when r.out_of_steps ->
+      Fmt.epr "satbelim: instruction budget exhausted: %d steps without \
+               finishing@."
+        r.machine.Jrt.Interp.cfg.Jrt.Interp.max_steps;
+      5
   | None -> 0
 
 (* run *)
@@ -639,7 +645,7 @@ let run_cmd =
     | None -> ());
     print_thread_errors r;
     write_flight_dump flight_dump;
-    hard_stop_code r
+    stop_code r
   in
   let no_elim =
     Arg.(value & flag & info [ "no-elim" ] ~doc:"Keep every barrier.")
@@ -720,7 +726,7 @@ let profile_cmd =
         ~fail_on_thread_error:false cw
     in
     print_thread_errors r;
-    if r.hard_stop <> None then hard_stop_code r
+    if r.hard_stop <> None || r.out_of_steps then stop_code r
     else
       let p =
         Profile.Attr.of_report ~workload:spec.name

@@ -133,6 +133,7 @@ let diff ?flight (a : Jrt.Runner.report) (b : Jrt.Runner.report) :
   chk "gc summary" (a.gc = b.gc);
   chk "pacer stats" (a.pacer = b.pacer);
   chk "hard_stop" (a.hard_stop = b.hard_stop);
+  chk "out_of_steps" (a.out_of_steps = b.out_of_steps);
   chk "thread_errors" (a.thread_errors = b.thread_errors);
   (match flight with
   | Some (ea, eb) -> (

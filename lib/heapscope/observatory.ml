@@ -39,7 +39,7 @@ let observe (t : t) (m : Jrt.Interp.t) : unit =
   let o_objs = Array.make n_origins 0 and o_units = Array.make n_origins 0 in
   let floating : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   Jrt.Heap.iter_live h (fun o ->
-      if not (Jrt.Oracle.Iset.mem o.Jrt.Heap.id reach) then begin
+      if not (Jrt.Oracle.Ids.mem o.Jrt.Heap.id reach) then begin
         incr float_objs;
         let u = Jrt.Heap.size_units o in
         float_units := !float_units + u;

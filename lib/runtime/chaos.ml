@@ -183,7 +183,7 @@ let stats (t : t) : stats =
 
 (* ---- victim selection -------------------------------------------------- *)
 
-module Iset = Oracle.Iset
+module Iset = Set.Make (Int)
 
 (** Find [(owner, slot)] pairs whose overwrite-with-null severs the sole
     reference to a live, unmarked, pre-existing, non-root object — a
@@ -196,7 +196,7 @@ let find_victims (m : Interp.t) : (int * int) list =
   (* in-edge count and (owner, slot) of the last seen in-edge, among
      reachable objects only *)
   let in_edges : (int, int * (int * int)) Hashtbl.t = Hashtbl.create 256 in
-  Iset.iter
+  Oracle.Ids.iter
     (fun id ->
       let o = Heap.get heap id in
       if not o.Heap.dead then

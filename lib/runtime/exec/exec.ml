@@ -1,26 +1,40 @@
 (** Direct-threaded execution engine for verified jir methods.
 
-    Each method compiles once into arrays of OCaml closures ("ops"), one
-    per bytecode, with everything resolvable at compile time
-    preresolved: field offsets, static cells, callee code, branch
-    targets, allocation shapes.  On top of the one-op-per-instruction
-    array sits a {e fused} array: a small expression compiler runs
-    maximal munch over each basic block and collapses producer chains
-    into their consumers — so [getstatic; iload; aaload; astore] becomes
-    one closure that reads the static cell, indexes the array and writes
-    the local, with no operand-stack traffic and a single dispatch.  A
-    fused opcode may cover several such statements, up to the block's
-    terminating branch.
+    Each method compiles into arrays of OCaml closures ("ops"), one per
+    bytecode, with everything resolvable at compile time preresolved:
+    field offsets, static slots, callee code, branch targets, allocation
+    shapes.  On top of the one-op-per-instruction array sits a {e fused}
+    array: a small expression compiler runs maximal munch over each
+    basic block and collapses producer chains into their consumers — so
+    [getstatic; iload; aaload; astore] becomes one closure that reads
+    the static slot, indexes the array and writes the local, with no
+    operand-stack traffic and a single dispatch.  A fused opcode may
+    cover several such statements, up to the block's terminating branch.
+
+    {b Compile once, bind per run.}  Compiled {e code} is machine-free
+    and shared: one code per distinct program content
+    ({!Jir.Program.program}), found through a weak cache (see
+    [code_for]) and built lazily by the first {!create} for that
+    content.  Everything a run mutates lives in its {e binding} ({!t}):
+    the machine, the adopted threads, one cell per store site (epoch
+    stamp, specialized barrier body, cached {!Interp.site_stats}), one
+    slot per static and the frame pools.  Code refers to that state by
+    index only, and closures reach it through their [ethread] argument,
+    so two live machines of one program share nothing mutable and a
+    finished run leaves nothing behind in the code.  A binding costs
+    O(store sites + statics) to build.
 
     Reference stores compile to fused opcodes specialized per verdict
     half (paid / deletion-elided / insertion-elided / both-elided; see
-    the [Interp.barrier_*] bodies): the site's {!Interp.site_stats}
-    record is cached in the opcode and the verdict baked into which
-    fused body runs.  Each store site carries an {e epoch stamp}:
-    safepoint revocation, degraded-mode entry and cycle resets bump
+    the [Interp.barrier_*] bodies): the site's cell caches its
+    {!Interp.site_stats} record and the body its verdict qualifies for.
+    Each cell carries an {e epoch stamp}: safepoint revocation,
+    degraded-mode entry and cycle resets bump
     {!Interp.t.barrier_epoch}, and a stamped site respecializes itself
     the next time it executes — per-site invalidation through one
-    integer comparison on the store fast path, no global flush.
+    integer comparison on the store fast path, no global flush.  Cells
+    start unspecialized in every run, so each run records the same
+    respecializations at the same steps.
 
     Fused opcodes execute only when they fit {e entirely} inside the
     current slice's fuel; near a safepoint boundary the engine falls
@@ -84,6 +98,29 @@ let decode v =
 
 (* ---- compiled code ----------------------------------------------------- *)
 
+(* a growable array: the code's site, static and method tables, which
+   grow while methods compile; [items] beyond [len] are filler *)
+type 'a vec = { mutable items : 'a array; mutable len : int }
+
+let vec_push (v : 'a vec) (x : 'a) : int =
+  if v.len = Array.length v.items then begin
+    let bigger = Array.make (max 8 (2 * v.len)) x in
+    Array.blit v.items 0 bigger 0 v.len;
+    v.items <- bigger
+  end;
+  v.items.(v.len) <- x;
+  v.len <- v.len + 1;
+  v.len - 1
+
+(** A reference-store site of the code, described once at compile time. *)
+type site_desc = {
+  sd_site : I.site;
+  sd_kind : store_kind;
+  sd_id : string;
+      (** the site's id, formatted once at compile time so a
+          respecialization record inside the timed loop formats nothing *)
+}
+
 type eframe = {
   ef_home : cmeth;  (** owning compiled method — names, handlers, pool *)
   ef_ops : op array;  (** one op per bytecode *)
@@ -102,6 +139,8 @@ and ethread = {
   ith : I.thread;
       (** shared identity: tid, [finished]/[error] written back so the
           scheduler and reports see the engine's threads unchanged *)
+  run : t;  (** the binding this thread runs in *)
+  heap : Heap.t;  (** [run.m.heap], one load nearer the dereferences *)
   mutable eframes : eframe array;
       (** frame stack, bottom at index 0; slots at [efp] and above are
           stale (calls and returns never allocate, they bump [efp]) *)
@@ -111,6 +150,7 @@ and ethread = {
 and op = ethread -> eframe -> unit
 
 and cmeth = {
+  cm_index : int;  (** position in the code's method table *)
   cm_class : class_name;
   cm_meth : meth;
   mutable cm_ops : op array;
@@ -121,45 +161,51 @@ and cmeth = {
   cm_nargs : int;
   cm_max_locals : int;
   cm_stack_cap : int;  (** dataflow max operand depth, plus slack *)
-  mutable cm_pool : eframe array;
-      (** recycled frames (a stack, [cm_npool] live): calls reuse
-          locals/stack arrays instead of allocating — invisible to the
-          heap model, since roots only ever walk the live [eframes]
-          prefixes *)
-  mutable cm_npool : int;
 }
 
-(** A compiled reference-store site: the fused barrier body chosen for
-    the site's current verdict, plus the epoch stamp it was specialized
+(** A store site's per-run cell: the fused barrier body chosen for the
+    site's current verdict, plus the epoch stamp it was specialized
     against. *)
-type store_cell = {
-  cell_site : I.site;
-  cell_kind : store_kind;
-  cell_id : string;
-      (** the site's id, formatted once at compile time so a
-          respecialization record inside the timed loop formats nothing *)
+and store_cell = {
+  cell_site : site_desc;
   mutable cell_stamp : int;  (** -1 = never specialized *)
   mutable cell_exec : tid:int -> obj:int -> pre:Value.t -> nv:Value.t -> unit;
 }
 
-(** A preresolved static slot.  Reads hit the cell; writes go through to
-    the interpreter's statics table as well, so root enumeration, traces
-    and the differential oracle see identical statics at all times
-    (every key exists from machine creation, so [Hashtbl.replace]
-    mutates in place and iteration order never changes). *)
-type static_cell = {
-  sc_key : class_name * field_name;
-  mutable sc_v : Value.t;
-  mutable sc_enc : int;  (** [encode sc_v], kept in lockstep *)
+(** Machine-free compiled code, shared by every run of one program
+    content.  Store sites and statics are numbered in compile order;
+    ops refer to a run's cells and slots by those numbers. *)
+and code = {
+  methods : (class_name * method_name, cmeth) Hashtbl.t;
+  sites : site_desc vec;
+  statics : (class_name * field_name) vec;
+  static_index : (class_name * field_name, int) Hashtbl.t;
+  mutable broken : bool;
+      (** a compile raised half-way (unverified input): the cache builds
+          fresh code for the next run instead *)
 }
 
-type t = {
+(** One run's binding of the code. *)
+and t = {
   m : I.t;
-  methods : (class_name * method_name, cmeth) Hashtbl.t;
-  threads : (int, ethread) Hashtbl.t;  (** by tid *)
-  statics : (class_name * field_name, static_cell) Hashtbl.t;
-  mutable last : ethread option;  (** slice-to-slice thread cache *)
-  slice_n : int ref;
+  code : code;
+  mutable cells : store_cell array;  (** by store-site number *)
+  mutable static_vals : Value.t array;
+      (** by static number.  Reads hit the slot; writes go through to the
+          interpreter's statics table as well, so root enumeration,
+          traces and the differential oracle see identical statics at
+          all times (every key exists from machine creation, so
+          [Hashtbl.replace] mutates in place and iteration order never
+          changes). *)
+  mutable static_encs : int array;  (** [encode] of each slot, in lockstep *)
+  mutable pools : eframe array array;
+      (** recycled frames by method number (a stack, [npool] live):
+          calls reuse locals/stack arrays instead of allocating —
+          invisible to the heap model, since roots only ever walk the
+          live [eframes] prefixes *)
+  mutable npool : int array;
+  mutable threads : ethread option array;  (** by tid *)
+  mutable slice_n : int;
       (** instructions charged by the slice in flight but not yet flushed
           to [instr_count]; the flight recorder's step source adds it so
           mid-slice events land on their true step *)
@@ -194,7 +240,7 @@ let pop_ref_or_null fr =
   let v = pop fr in
   if v land 1 = 0 then v else bugf "expected ref, got int"
 
-let deref (m : I.t) fr (v : int) : Heap.obj =
+let deref (eth : ethread) fr (v : int) : Heap.obj =
   if v land 1 = 1 then bugf "expected ref, got int"
   else if v = 0 then I.jthrow Null_deref
   else begin
@@ -202,14 +248,14 @@ let deref (m : I.t) fr (v : int) : Heap.obj =
        id >= 0 and id < next_id hold by construction; the array read
        keeps its own bounds check as the backstop *)
     let id = (v asr 1) - 1 in
-    let o = m.I.heap.Heap.objects.(id) in
+    let o = eth.heap.Heap.objects.(id) in
     if o.Heap.dead then
       bugf "use-after-free of #%d (%s) at %s.%s@%d" id o.Heap.cls
         fr.ef_home.cm_class fr.ef_home.cm_meth.mname fr.epc;
     o
   end
 
-let pop_obj (m : I.t) fr = deref m fr (pop fr)
+let pop_obj eth fr = deref eth fr (pop fr)
 
 let fields_of (o : Heap.obj) =
   match o.Heap.payload with
@@ -235,9 +281,10 @@ let int_elems_of (o : Heap.obj) =
     check, a live guard on a fused-ineligible shape, or a degraded
     interaction falls back to the shared general body. *)
 let specialize (m : I.t) (cell : store_cell) : unit =
-  let st = I.site_stats m cell.cell_site cell.cell_kind in
+  let d = cell.cell_site in
+  let st = I.site_stats m d.sd_site d.sd_kind in
   Flight.record
-    (Flight.Respecialize { site = cell.cell_id; epoch = m.I.barrier_epoch });
+    (Flight.Respecialize { site = d.sd_id; epoch = m.I.barrier_epoch });
   cell.cell_stamp <- m.I.barrier_epoch;
   cell.cell_exec <-
     (match m.I.cfg.I.barrier_flavor with
@@ -275,6 +322,13 @@ let specialize (m : I.t) (cell : store_cell) : unit =
 let unspecialized : tid:int -> obj:int -> pre:Value.t -> nv:Value.t -> unit =
  fun ~tid:_ ~obj:_ ~pre:_ ~nv:_ -> assert false
 
+(** The run's cell for store site [s], respecialized first if a
+    revocation, degradation or cycle reset has bumped the epoch since. *)
+let cell_of (r : t) (s : int) : store_cell =
+  let b = r.cells.(s) in
+  if b.cell_stamp <> r.m.I.barrier_epoch then specialize r.m b;
+  b
+
 (** Intern the allocation site at [pc] of a method being compiled —
     once, at compile time, so the allocation closures carry a plain int
     and the fast path does no lookup at all (one better than the
@@ -283,16 +337,10 @@ let alloc_site_id (c : cmeth) (pc : int) : int =
   Sitemap.intern
     (I.site_id { I.s_class = c.cm_class; s_method = c.cm_meth.mname; s_pc = pc })
 
-let store_cell (c_class : class_name) (mname : method_name) (pc : int)
-    (kind : store_kind) : store_cell =
-  let site = { I.s_class = c_class; s_method = mname; s_pc = pc } in
-  {
-    cell_site = site;
-    cell_kind = kind;
-    cell_id = I.site_id site;
-    cell_stamp = -1;
-    cell_exec = unspecialized;
-  }
+(** Number a new reference-store site of the code. *)
+let store_site (k : code) (c : cmeth) (pc : int) (kind : store_kind) : int =
+  let site = { I.s_class = c.cm_class; s_method = c.cm_meth.mname; s_pc = pc } in
+  vec_push k.sites { sd_site = site; sd_kind = kind; sd_id = I.site_id site }
 
 (* ---- frames ------------------------------------------------------------ *)
 
@@ -309,11 +357,12 @@ let fresh_frame (cm : cmeth) : eframe =
     esp = 0;
   }
 
-let frame_of (cm : cmeth) : eframe =
-  let np = cm.cm_npool in
+let frame_of (r : t) (cm : cmeth) : eframe =
+  let i = cm.cm_index in
+  let np = r.npool.(i) in
   if np > 0 then begin
-    cm.cm_npool <- np - 1;
-    let f = cm.cm_pool.(np - 1) in
+    r.npool.(i) <- np - 1;
+    let f = r.pools.(i).(np - 1) in
     Array.fill f.elocals 0 (Array.length f.elocals) 0;
     f.epc <- 0;
     f.esp <- 0;
@@ -321,17 +370,18 @@ let frame_of (cm : cmeth) : eframe =
   end
   else fresh_frame cm
 
-let release (f : eframe) : unit =
+let release (r : t) (f : eframe) : unit =
   if f.ef_pooled then begin
-    let cm = f.ef_home in
-    let cap = Array.length cm.cm_pool in
-    if cm.cm_npool = cap then begin
+    let i = f.ef_home.cm_index in
+    let np = r.npool.(i) in
+    let cap = Array.length r.pools.(i) in
+    if np = cap then begin
       let bigger = Array.make (max 4 (2 * cap)) f in
-      Array.blit cm.cm_pool 0 bigger 0 cap;
-      cm.cm_pool <- bigger
+      Array.blit r.pools.(i) 0 bigger 0 cap;
+      r.pools.(i) <- bigger
     end;
-    cm.cm_pool.(cm.cm_npool) <- f;
-    cm.cm_npool <- cm.cm_npool + 1
+    r.pools.(i).(np) <- f;
+    r.npool.(i) <- np + 1
   end
 
 (* call: never allocates once warm — the frame comes from the pool and
@@ -403,26 +453,32 @@ let stack_cap_of (prog : Jir.Program.t) (meth : meth) : int =
 
 (* ---- compilation: one op per bytecode ---------------------------------- *)
 
-let static_cell (t : t) (r : field_ref) : static_cell =
+(** The code's number for static [r], assigned on first reference. *)
+let static_slot (k : code) (r : field_ref) : int =
   let key = (r.fclass, r.fname) in
-  match Hashtbl.find_opt t.statics key with
-  | Some c -> c
+  match Hashtbl.find_opt k.static_index key with
+  | Some i -> i
   | None ->
-      (* the write-through keeps the interpreter's table current, so the
-         value at (lazy) compile time is the live one *)
-      let v = Hashtbl.find t.m.I.statics key in
-      let c = { sc_key = key; sc_v = v; sc_enc = encode v } in
-      Hashtbl.add t.statics key c;
-      c
+      let i = vec_push k.statics key in
+      Hashtbl.add k.static_index key i;
+      i
 
-let rec get_cmeth (t : t) (mclass : class_name) (mname : method_name) : cmeth =
+(* a static write: the run's slot, then the interpreter's table *)
+let set_static (r : t) (i : int) (v : Value.t) (ev : int) : unit =
+  r.static_vals.(i) <- v;
+  r.static_encs.(i) <- ev;
+  Hashtbl.replace r.m.I.statics r.code.statics.items.(i) v
+
+let rec get_cmeth (k : code) (prog : Jir.Program.t) (mclass : class_name)
+    (mname : method_name) : cmeth =
   let key = (mclass, mname) in
-  match Hashtbl.find_opt t.methods key with
+  match Hashtbl.find_opt k.methods key with
   | Some c -> c
   | None ->
-      let meth = Jir.Program.get_method t.m.I.prog { mclass; mname } in
+      let meth = Jir.Program.get_method prog { mclass; mname } in
       let c =
         {
+          cm_index = Hashtbl.length k.methods;
           cm_class = mclass;
           cm_meth = meth;
           cm_ops = [||];
@@ -430,18 +486,16 @@ let rec get_cmeth (t : t) (mclass : class_name) (mname : method_name) : cmeth =
           cm_klen = [||];
           cm_nargs = List.length meth.params;
           cm_max_locals = meth.max_locals;
-          cm_stack_cap = stack_cap_of t.m.I.prog meth;
-          cm_pool = [||];
-          cm_npool = 0;
+          cm_stack_cap = stack_cap_of prog meth;
         }
       in
-      Hashtbl.add t.methods key c;
-      c.cm_ops <- Array.mapi (fun pc ins -> compile_op t c pc ins) meth.code;
-      compile_blocks t c;
+      Hashtbl.add k.methods key c;
+      c.cm_ops <- Array.mapi (fun pc ins -> compile_op k prog c pc ins) meth.code;
+      compile_blocks k prog c;
       c
 
-and compile_op (t : t) (c : cmeth) (pc : int) (ins : int instr) : op =
-  let m = t.m in
+and compile_op (k : code) (prog : Jir.Program.t) (c : cmeth) (pc : int)
+    (ins : int instr) : op =
   let next fr = fr.epc <- fr.epc + 1 in
   match ins with
   | Iconst n ->
@@ -538,133 +592,131 @@ and compile_op (t : t) (c : cmeth) (pc : int) (ins : int instr) : op =
         let a = pop_ref_or_null fr in
         if a = b = want_eq then fr.epc <- l else next fr
   | Getstatic r ->
-      let cell = static_cell t r in
-      fun _ fr ->
-        push fr cell.sc_enc;
+      let i = static_slot k r in
+      fun eth fr ->
+        push fr eth.run.static_encs.(i);
         next fr
   | Putstatic r ->
-      let cell = static_cell t r in
-      if Jir.Types.equal_ty (Jir.Program.static_ty m.I.prog r) R then begin
-        let b = store_cell c.cm_class c.cm_meth.mname pc Static_store in
+      let i = static_slot k r in
+      if Jir.Types.equal_ty (Jir.Program.static_ty prog r) R then begin
+        let s = store_site k c pc Static_store in
         fun eth fr ->
           let ev = pop fr in
           let v = decode ev in
-          if b.cell_stamp <> m.I.barrier_epoch then specialize m b;
-          b.cell_exec ~tid:eth.ith.I.tid ~obj:(-1) ~pre:cell.sc_v ~nv:v;
-          cell.sc_v <- v;
-          cell.sc_enc <- ev;
-          Hashtbl.replace m.I.statics cell.sc_key v;
+          let run = eth.run in
+          (cell_of run s).cell_exec ~tid:eth.ith.I.tid ~obj:(-1)
+            ~pre:run.static_vals.(i) ~nv:v;
+          set_static run i v ev;
           next fr
       end
       else
-        fun _ fr ->
+        fun eth fr ->
           let ev = pop fr in
-          cell.sc_v <- decode ev;
-          cell.sc_enc <- ev;
-          Hashtbl.replace m.I.statics cell.sc_key cell.sc_v;
+          set_static eth.run i (decode ev) ev;
           next fr
   | Getfield r ->
-      let idx = Jir.Program.field_index m.I.prog r in
-      fun _ fr ->
-        let o = pop_obj m fr in
+      let idx = Jir.Program.field_index prog r in
+      fun eth fr ->
+        let o = pop_obj eth fr in
         push fr (encode (fields_of o).(idx));
         next fr
   | Putfield r ->
-      let idx = Jir.Program.field_index m.I.prog r in
-      if Jir.Types.equal_ty (Jir.Program.field_ty m.I.prog r) R then begin
-        let b = store_cell c.cm_class c.cm_meth.mname pc Field_store in
+      let idx = Jir.Program.field_index prog r in
+      if Jir.Types.equal_ty (Jir.Program.field_ty prog r) R then begin
+        let s = store_site k c pc Field_store in
         fun eth fr ->
           let v = decode (pop fr) in
-          let o = pop_obj m fr in
+          let o = pop_obj eth fr in
           let fs = fields_of o in
-          if b.cell_stamp <> m.I.barrier_epoch then specialize m b;
-          b.cell_exec ~tid:eth.ith.I.tid ~obj:o.Heap.id ~pre:fs.(idx) ~nv:v;
+          (cell_of eth.run s).cell_exec ~tid:eth.ith.I.tid ~obj:o.Heap.id
+            ~pre:fs.(idx) ~nv:v;
           fs.(idx) <- v;
           next fr
       end
       else
-        fun _ fr ->
+        fun eth fr ->
           let v = decode (pop fr) in
-          let o = pop_obj m fr in
+          let o = pop_obj eth fr in
           (fields_of o).(idx) <- v;
           next fr
   | New cn ->
-      let cls = Jir.Program.get_class m.I.prog cn in
+      let cls = Jir.Program.get_class prog cn in
       let n_fields = List.length cls.fields in
       let units = 2 + n_fields in
-      let heap = m.I.heap in
       (* the interned id matches what [Interp.alloc_site] would produce
          at this pc, so census rows are engine-independent *)
       let site = alloc_site_id c pc in
-      let mk () = Heap.alloc_object ~site heap cn ~n_fields in
-      fun _ fr ->
-        let o = I.allocate m ~units mk in
+      fun eth fr ->
+        (* {!Interp.allocate}'s admission and notification, without its
+           thunk *)
+        let m = eth.run.m in
+        I.admit m ~units;
+        let o = Heap.alloc_object ~site eth.heap cn ~n_fields in
+        m.I.gc.Gc_hooks.on_alloc o;
         push fr (enc_ref o.Heap.id);
         next fr
   | Newarray (Elem_ref cn) ->
-      let heap = m.I.heap in
       let site = alloc_site_id c pc in
-      fun _ fr ->
+      fun eth fr ->
         let len = pop_int fr in
-        if len < 0 then I.jthrow Bounds;
-        let o =
-          I.allocate m ~units:(2 + len) (fun () ->
-              Heap.alloc_ref_array ~site heap cn ~len)
-        in
+        if len < 0 || len > I.max_array_length then I.jthrow Bounds;
+        let m = eth.run.m in
+        I.admit m ~units:(2 + len);
+        let o = Heap.alloc_ref_array ~site eth.heap cn ~len in
+        m.I.gc.Gc_hooks.on_alloc o;
         push fr (enc_ref o.Heap.id);
         next fr
   | Newarray Elem_int ->
-      let heap = m.I.heap in
       let site = alloc_site_id c pc in
-      fun _ fr ->
+      fun eth fr ->
         let len = pop_int fr in
-        if len < 0 then I.jthrow Bounds;
-        let o =
-          I.allocate m ~units:(2 + len) (fun () ->
-              Heap.alloc_int_array ~site heap ~len)
-        in
+        if len < 0 || len > I.max_array_length then I.jthrow Bounds;
+        let m = eth.run.m in
+        I.admit m ~units:(2 + len);
+        let o = Heap.alloc_int_array ~site eth.heap ~len in
+        m.I.gc.Gc_hooks.on_alloc o;
         push fr (enc_ref o.Heap.id);
         next fr
   | Aaload ->
-      fun _ fr ->
+      fun eth fr ->
         let i = pop_int fr in
-        let o = pop_obj m fr in
+        let o = pop_obj eth fr in
         let es = ref_elems_of o in
         if i < 0 || i >= Array.length es then I.jthrow Bounds;
         push fr (encode es.(i));
         next fr
   | Aastore ->
-      let b = store_cell c.cm_class c.cm_meth.mname pc Array_store in
+      let s = store_site k c pc Array_store in
       fun eth fr ->
         let v = decode (pop fr) in
         let i = pop_int fr in
-        let o = pop_obj m fr in
+        let o = pop_obj eth fr in
         let es = ref_elems_of o in
         if i < 0 || i >= Array.length es then I.jthrow Bounds;
-        if b.cell_stamp <> m.I.barrier_epoch then specialize m b;
-        b.cell_exec ~tid:eth.ith.I.tid ~obj:o.Heap.id ~pre:es.(i) ~nv:v;
+        (cell_of eth.run s).cell_exec ~tid:eth.ith.I.tid ~obj:o.Heap.id
+          ~pre:es.(i) ~nv:v;
         es.(i) <- v;
         next fr
   | Iaload ->
-      fun _ fr ->
+      fun eth fr ->
         let i = pop_int fr in
-        let o = pop_obj m fr in
+        let o = pop_obj eth fr in
         let es = int_elems_of o in
         if i < 0 || i >= Array.length es then I.jthrow Bounds;
         push fr (enc_int es.(i));
         next fr
   | Iastore ->
-      fun _ fr ->
+      fun eth fr ->
         let v = pop_int fr in
         let i = pop_int fr in
-        let o = pop_obj m fr in
+        let o = pop_obj eth fr in
         let es = int_elems_of o in
         if i < 0 || i >= Array.length es then I.jthrow Bounds;
         es.(i) <- v;
         next fr
   | Arraylength ->
-      fun _ fr ->
-        let o = pop_obj m fr in
+      fun eth fr ->
+        let o = pop_obj eth fr in
         let len =
           match o.Heap.payload with
           | Heap.Ref_array es -> Array.length es
@@ -677,32 +729,32 @@ and compile_op (t : t) (c : cmeth) (pc : int) (ins : int instr) : op =
       (* links against the memoized record; its arrays are read at call
          time, so recursion (the record's ops still being filled here)
          resolves correctly *)
-      let callee = get_cmeth t mr.mclass mr.mname in
+      let callee = get_cmeth k prog mr.mclass mr.mname in
       let nargs = callee.cm_nargs in
       fun eth fr ->
-        let nf = frame_of callee in
-        for k = nargs - 1 downto 0 do
-          nf.elocals.(k) <- pop fr
+        let nf = frame_of eth.run callee in
+        for j = nargs - 1 downto 0 do
+          nf.elocals.(j) <- pop fr
         done;
         (* fr.epc stays at the call site until the callee returns, so
            exception handler ranges cover the invoke *)
         push_frame eth nf
   | Spawn mr ->
-      (* eager get_cmeth so create-time prewarm compiles spawn targets *)
-      let callee = get_cmeth t mr.mclass mr.mname in
+      (* eager get_cmeth so the first create compiles spawn targets too *)
+      let callee = get_cmeth k prog mr.mclass mr.mname in
       let nargs = callee.cm_nargs in
-      fun _ fr ->
+      fun eth fr ->
         let args = Array.make nargs Value.Null in
-        for k = nargs - 1 downto 0 do
-          args.(k) <- decode (pop fr)
+        for j = nargs - 1 downto 0 do
+          args.(j) <- decode (pop fr)
         done;
-        let th = I.spawn_thread m mr (Array.to_list args) in
-        ignore (adopt t th);
+        let th = I.spawn_thread eth.run.m mr (Array.to_list args) in
+        ignore (adopt eth.run th);
         next fr
   | Return ->
       fun eth _ ->
         let fp = eth.efp - 1 in
-        release eth.eframes.(fp);
+        release eth.run eth.eframes.(fp);
         eth.efp <- fp;
         if fp = 0 then eth.ith.I.finished <- true
         else begin
@@ -713,7 +765,7 @@ and compile_op (t : t) (c : cmeth) (pc : int) (ins : int instr) : op =
       fun eth fr ->
         let v = pop fr in
         let fp = eth.efp - 1 in
-        release eth.eframes.(fp);
+        release eth.run eth.eframes.(fp);
         eth.efp <- fp;
         if fp = 0 then eth.ith.I.finished <- true
         else begin
@@ -729,7 +781,7 @@ and compile_op (t : t) (c : cmeth) (pc : int) (ins : int instr) : op =
    traffic), built by maximal munch over leaf pushes (const, local,
    static read) and value-producing consumers (arithmetic, array loads,
    field loads, arraylength).  Producers carry their {e shape} — known
-   constant, local slot, static cell, or opaque closure — so consumers
+   constant, local slot, static slot, or opaque closure — so consumers
    specialize: [iload 0; iconst 1; iadd] compiles to one closure doing a
    local read and an add, not a chain of three indirect calls, and
    constant subexpressions fold at compile time.
@@ -749,12 +801,11 @@ and compile_op (t : t) (c : cmeth) (pc : int) (ins : int instr) : op =
    ([fr.epc - start + 1]) behave exactly as if the run had executed one
    op at a time.  Producers run in push order and dereferences happen at
    the consumer, matching the interpreter's effect order on verified
-   code; pure operands (constants, locals, static cells — nothing in a
+   code; pure operands (constants, locals, static slots — nothing in a
    producer chain ever writes) may evaluate out of order, which is
    unobservable. *)
 
-and compile_blocks (t : t) (c : cmeth) : unit =
-  let m = t.m in
+and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
   let code = c.cm_meth.code in
   let len = Array.length code in
   let fuse = Array.copy c.cm_ops in
@@ -775,7 +826,7 @@ and compile_blocks (t : t) (c : cmeth) : unit =
     type vprod =
       | VP_null
       | VP_local of int
-      | VP_static of static_cell
+      | VP_static of int  (** static slot *)
       | VP_fun of (ethread -> eframe -> int)
 
     (* all shapes but IP_fun/VP_fun are pure register/cell reads *)
@@ -790,13 +841,14 @@ and compile_blocks (t : t) (c : cmeth) : unit =
   let vfun = function
     | VP_null -> fun _ _ -> 0
     | VP_local i -> fun _ fr -> fr.elocals.(i)
-    | VP_static cell -> fun _ _ -> cell.sc_enc
+    | VP_static i -> fun eth _ -> eth.run.static_encs.(i)
     | VP_fun f -> f
   in
   let iprod_of = function
     | P_int ip -> ip
     | P_val (VP_local i) -> IP_local i
-    | P_val (VP_static cell) -> IP_fun (fun _ _ -> as_int cell.sc_enc)
+    | P_val (VP_static i) ->
+        IP_fun (fun eth _ -> as_int eth.run.static_encs.(i))
     | P_val VP_null -> IP_fun (fun _ _ -> as_int 0)
     | P_val (VP_fun f) -> IP_fun (fun eth fr -> as_int (f eth fr))
   in
@@ -822,14 +874,14 @@ and compile_blocks (t : t) (c : cmeth) : unit =
   let obj_of at vp : ethread -> eframe -> Heap.obj =
     match vp with
     | VP_local i ->
-        fun _ fr ->
+        fun eth fr ->
           let v = fr.elocals.(i) in
           fr.epc <- at;
-          deref m fr v
-    | VP_static cell ->
-        fun _ fr ->
+          deref eth fr v
+    | VP_static i ->
+        fun eth fr ->
           fr.epc <- at;
-          deref m fr cell.sc_enc
+          deref eth fr eth.run.static_encs.(i)
     | VP_null ->
         fun _ fr ->
           fr.epc <- at;
@@ -838,7 +890,7 @@ and compile_blocks (t : t) (c : cmeth) : unit =
         fun eth fr ->
           let v = f eth fr in
           fr.epc <- at;
-          deref m fr v
+          deref eth fr v
   in
   let ibin_op (op : ibin) ipa ipb q2 : iprod =
     match op with
@@ -917,37 +969,37 @@ and compile_blocks (t : t) (c : cmeth) : unit =
     match vp with
     | VP_local i ->
         VP_fun
-          (fun _ fr ->
+          (fun eth fr ->
             let v = fr.elocals.(i) in
             fr.epc <- at;
-            encode (fields_of (deref m fr v)).(idx))
+            encode (fields_of (deref eth fr v)).(idx))
     | vp ->
         let fo = obj_of at vp in
         VP_fun (fun eth fr -> encode (fields_of (fo eth fr)).(idx))
   in
-  let aaload_elems at v fr =
+  let aaload_elems at eth v fr =
     fr.epc <- at;
-    ref_elems_of (deref m fr v)
+    ref_elems_of (deref eth fr v)
   in
-  let iaload_elems at v fr =
+  let iaload_elems at eth v fr =
     fr.epc <- at;
-    int_elems_of (deref m fr v)
+    int_elems_of (deref eth fr v)
   in
   let aaload_prod vp ip at : vprod =
     match (vp, ip) with
-    | VP_static cell, IP_local i ->
+    | VP_static s, IP_local i ->
         VP_fun
-          (fun _ fr ->
+          (fun eth fr ->
             let i = as_int fr.elocals.(i) in
-            let es = aaload_elems at cell.sc_enc fr in
+            let es = aaload_elems at eth eth.run.static_encs.(s) fr in
             if i < 0 || i >= Array.length es then I.jthrow Bounds;
             encode es.(i))
     | VP_local l, IP_local i ->
         VP_fun
-          (fun _ fr ->
+          (fun eth fr ->
             let v = fr.elocals.(l) in
             let i = as_int fr.elocals.(i) in
-            let es = aaload_elems at v fr in
+            let es = aaload_elems at eth v fr in
             if i < 0 || i >= Array.length es then I.jthrow Bounds;
             encode es.(i))
     | vp, ip ->
@@ -956,7 +1008,7 @@ and compile_blocks (t : t) (c : cmeth) : unit =
           (fun eth fr ->
             let v = fv eth fr in
             let i = fi eth fr in
-            let es = aaload_elems at v fr in
+            let es = aaload_elems at eth v fr in
             if i < 0 || i >= Array.length es then I.jthrow Bounds;
             encode es.(i))
   in
@@ -964,10 +1016,10 @@ and compile_blocks (t : t) (c : cmeth) : unit =
     match (vp, ip) with
     | VP_local l, IP_local i ->
         IP_fun
-          (fun _ fr ->
+          (fun eth fr ->
             let v = fr.elocals.(l) in
             let i = as_int fr.elocals.(i) in
-            let es = iaload_elems at v fr in
+            let es = iaload_elems at eth v fr in
             if i < 0 || i >= Array.length es then I.jthrow Bounds;
             es.(i))
     | vp, ip ->
@@ -976,7 +1028,7 @@ and compile_blocks (t : t) (c : cmeth) : unit =
           (fun eth fr ->
             let v = fv eth fr in
             let i = fi eth fr in
-            let es = iaload_elems at v fr in
+            let es = iaload_elems at eth v fr in
             if i < 0 || i >= Array.length es then I.jthrow Bounds;
             es.(i))
   in
@@ -987,7 +1039,7 @@ and compile_blocks (t : t) (c : cmeth) : unit =
       | Iconst n -> Some (P_int (IP_const n), q + 1)
       | Aconst_null -> Some (P_val VP_null, q + 1)
       | Iload i | Aload i -> Some (P_val (VP_local i), q + 1)
-      | Getstatic r -> Some (P_val (VP_static (static_cell t r)), q + 1)
+      | Getstatic r -> Some (P_val (VP_static (static_slot k r)), q + 1)
       | _ -> None
   in
   (* maximal munch: parse one producer starting at [q], folding in any
@@ -1019,7 +1071,7 @@ and compile_blocks (t : t) (c : cmeth) : unit =
                     | Heap.Fields _ -> bugf "arraylength of non-array")))
             (q + 1)
       | Getfield r ->
-          let idx = Jir.Program.field_index m.I.prog r in
+          let idx = Jir.Program.field_index prog r in
           extend (P_val (getfield_prod (vprod_of p0) idx q)) (q + 1)
       | _ -> (
           (* binary value-producing consumers take a second operand *)
@@ -1050,7 +1102,8 @@ and compile_blocks (t : t) (c : cmeth) : unit =
     match p0 with
     | P_val (VP_local j) | P_int (IP_local j) ->
         fun _ fr -> fr.elocals.(i) <- fr.elocals.(j)
-    | P_val (VP_static cell) -> fun _ fr -> fr.elocals.(i) <- cell.sc_enc
+    | P_val (VP_static s) ->
+        fun eth fr -> fr.elocals.(i) <- eth.run.static_encs.(s)
     | P_val VP_null -> fun _ fr -> fr.elocals.(i) <- 0
     | P_val (VP_fun f) -> fun eth fr -> fr.elocals.(i) <- f eth fr
     | P_int (IP_const n) ->
@@ -1115,7 +1168,7 @@ and compile_blocks (t : t) (c : cmeth) : unit =
   let return_stmt : op =
    fun eth _ ->
     let fp = eth.efp - 1 in
-    release eth.eframes.(fp);
+    release eth.run eth.eframes.(fp);
     eth.efp <- fp;
     if fp = 0 then eth.ith.I.finished <- true
     else begin
@@ -1127,7 +1180,7 @@ and compile_blocks (t : t) (c : cmeth) : unit =
    fun eth fr ->
     let v = fv eth fr in
     let fp = eth.efp - 1 in
-    release eth.eframes.(fp);
+    release eth.run eth.eframes.(fp);
     eth.efp <- fp;
     if fp = 0 then eth.ith.I.finished <- true
     else begin
@@ -1160,12 +1213,12 @@ and compile_blocks (t : t) (c : cmeth) : unit =
     let npop = nargs - na in
     if Array.length pushes = 0 then
       fun eth fr ->
-        let nf = frame_of callee in
+        let nf = frame_of eth.run callee in
         for i = 0 to na - 1 do
           nf.elocals.(npop + i) <- argfs.(i) eth fr
         done;
-        for k = npop - 1 downto 0 do
-          nf.elocals.(k) <- pop fr
+        for j = npop - 1 downto 0 do
+          nf.elocals.(j) <- pop fr
         done;
         fr.epc <- q_inv;
         push_frame eth nf
@@ -1174,12 +1227,12 @@ and compile_blocks (t : t) (c : cmeth) : unit =
         for i = 0 to Array.length pushes - 1 do
           push fr (pushes.(i) eth fr)
         done;
-        let nf = frame_of callee in
+        let nf = frame_of eth.run callee in
         for i = 0 to na - 1 do
           nf.elocals.(npop + i) <- argfs.(i) eth fr
         done;
-        for k = npop - 1 downto 0 do
-          nf.elocals.(k) <- pop fr
+        for j = npop - 1 downto 0 do
+          nf.elocals.(j) <- pop fr
         done;
         fr.epc <- q_inv;
         push_frame eth nf
@@ -1237,7 +1290,7 @@ and compile_blocks (t : t) (c : cmeth) : unit =
              statement or before the block) *)
           Some (vreturn_stmt (fun _ fr -> pop fr), q + 1, true)
       | Invoke mr ->
-          let callee = get_cmeth t mr.mclass mr.mname in
+          let callee = get_cmeth k prog mr.mclass mr.mname in
           Some (invoke_stmt callee [] q, q + 1, true)
       | _ -> (
           match prod q with
@@ -1263,39 +1316,30 @@ and compile_blocks (t : t) (c : cmeth) : unit =
                 | Ireturn | Areturn ->
                     Some (vreturn_stmt (vfun (vprod_of pa)), q1 + 1, true)
                 | Invoke mr ->
-                    let callee = get_cmeth t mr.mclass mr.mname in
+                    let callee = get_cmeth k prog mr.mclass mr.mname in
                     Some (invoke_stmt callee [ pa ] q1, q1 + 1, true)
                 | Putstatic r ->
-                    let cell = static_cell t r in
+                    let i = static_slot k r in
                     let fa = vfun (vprod_of pa) in
-                    if
-                      Jir.Types.equal_ty (Jir.Program.static_ty m.I.prog r) R
+                    if Jir.Types.equal_ty (Jir.Program.static_ty prog r) R
                     then
-                      let b =
-                        store_cell c.cm_class c.cm_meth.mname q1 Static_store
-                      in
+                      let s = store_site k c q1 Static_store in
                       Some
                         ( (fun eth fr ->
                             let ev = fa eth fr in
                             let v = decode ev in
-                            t.fuse_ep <- q1;
-                            if b.cell_stamp <> m.I.barrier_epoch then
-                              specialize m b;
-                            b.cell_exec ~tid:eth.ith.I.tid ~obj:(-1)
-                              ~pre:cell.sc_v ~nv:v;
-                            cell.sc_v <- v;
-                            cell.sc_enc <- ev;
-                            Hashtbl.replace m.I.statics cell.sc_key v),
+                            let run = eth.run in
+                            run.fuse_ep <- q1;
+                            (cell_of run s).cell_exec ~tid:eth.ith.I.tid
+                              ~obj:(-1) ~pre:run.static_vals.(i) ~nv:v;
+                            set_static run i v ev),
                           q1 + 1,
                           false )
                     else
                       Some
                         ( (fun eth fr ->
                             let ev = fa eth fr in
-                            cell.sc_v <- decode ev;
-                            cell.sc_enc <- ev;
-                            Hashtbl.replace m.I.statics cell.sc_key
-                              cell.sc_v),
+                            set_static eth.run i (decode ev) ev),
                           q1 + 1,
                           false )
                 (* ---- arity-2 sinks ---- *)
@@ -1325,40 +1369,35 @@ and compile_blocks (t : t) (c : cmeth) : unit =
                                   q2 + 1,
                                   true )
                           | Invoke mr ->
-                              let callee = get_cmeth t mr.mclass mr.mname in
+                              let callee = get_cmeth k prog mr.mclass mr.mname in
                               Some
                                 ( invoke_stmt callee [ pa; pb ] q2,
                                   q2 + 1,
                                   true )
                           | Putfield r ->
-                              let idx = Jir.Program.field_index m.I.prog r in
+                              let idx = Jir.Program.field_index prog r in
                               let vo = vprod_of pa in
                               let fv = vfun (vprod_of pb) in
                               let is_ref =
                                 Jir.Types.equal_ty
-                                  (Jir.Program.field_ty m.I.prog r)
+                                  (Jir.Program.field_ty prog r)
                                   R
                               in
                               let run =
                                 if is_ref then
-                                  let b =
-                                    store_cell c.cm_class c.cm_meth.mname q2
-                                      Field_store
-                                  in
+                                  let s = store_site k c q2 Field_store in
                                   match vo with
                                   | VP_local i ->
                                       fun eth fr ->
                                         let v = decode (fv eth fr) in
                                         fr.epc <- q2;
-                                        t.fuse_ep <- q2;
-                                        let o =
-                                          deref m fr fr.elocals.(i)
-                                        in
+                                        let run = eth.run in
+                                        run.fuse_ep <- q2;
+                                        let o = deref eth fr fr.elocals.(i) in
                                         let fs = fields_of o in
-                                        if b.cell_stamp <> m.I.barrier_epoch
-                                        then specialize m b;
-                                        b.cell_exec ~tid:eth.ith.I.tid
-                                          ~obj:o.Heap.id ~pre:fs.(idx) ~nv:v;
+                                        (cell_of run s).cell_exec
+                                          ~tid:eth.ith.I.tid ~obj:o.Heap.id
+                                          ~pre:fs.(idx) ~nv:v;
                                         fs.(idx) <- v
                                   | vo ->
                                       let fo = vfun vo in
@@ -1366,13 +1405,13 @@ and compile_blocks (t : t) (c : cmeth) : unit =
                                         let ov = fo eth fr in
                                         let v = decode (fv eth fr) in
                                         fr.epc <- q2;
-                                        t.fuse_ep <- q2;
-                                        let o = deref m fr ov in
+                                        let run = eth.run in
+                                        run.fuse_ep <- q2;
+                                        let o = deref eth fr ov in
                                         let fs = fields_of o in
-                                        if b.cell_stamp <> m.I.barrier_epoch
-                                        then specialize m b;
-                                        b.cell_exec ~tid:eth.ith.I.tid
-                                          ~obj:o.Heap.id ~pre:fs.(idx) ~nv:v;
+                                        (cell_of run s).cell_exec
+                                          ~tid:eth.ith.I.tid ~obj:o.Heap.id
+                                          ~pre:fs.(idx) ~nv:v;
                                         fs.(idx) <- v
                                 else
                                   match vo with
@@ -1380,9 +1419,7 @@ and compile_blocks (t : t) (c : cmeth) : unit =
                                       fun eth fr ->
                                         let v = decode (fv eth fr) in
                                         fr.epc <- q2;
-                                        let o =
-                                          deref m fr fr.elocals.(i)
-                                        in
+                                        let o = deref eth fr fr.elocals.(i) in
                                         (fields_of o).(idx) <- v
                                   | vo ->
                                       let fo = vfun vo in
@@ -1390,7 +1427,7 @@ and compile_blocks (t : t) (c : cmeth) : unit =
                                         let ov = fo eth fr in
                                         let v = decode (fv eth fr) in
                                         fr.epc <- q2;
-                                        (fields_of (deref m fr ov)).(idx) <-
+                                        (fields_of (deref eth fr ov)).(idx) <-
                                           v
                               in
                               Some (run, q2 + 1, false)
@@ -1405,7 +1442,7 @@ and compile_blocks (t : t) (c : cmeth) : unit =
                                     match code.(q3) with
                                     | Invoke mr ->
                                         let callee =
-                                          get_cmeth t mr.mclass mr.mname
+                                          get_cmeth k prog mr.mclass mr.mname
                                         in
                                         Some
                                           ( invoke_stmt callee [ pa; pb; pv ]
@@ -1416,9 +1453,8 @@ and compile_blocks (t : t) (c : cmeth) : unit =
                                         let fa = vfun (vprod_of pa)
                                         and fi = ifun (iprod_of pb)
                                         and fv = vfun (vprod_of pv) in
-                                        let b =
-                                          store_cell c.cm_class
-                                            c.cm_meth.mname q3 Array_store
+                                        let s =
+                                          store_site k c q3 Array_store
                                         in
                                         Some
                                           ( (fun eth fr ->
@@ -1426,18 +1462,16 @@ and compile_blocks (t : t) (c : cmeth) : unit =
                                               let i = fi eth fr in
                                               let v = decode (fv eth fr) in
                                               fr.epc <- q3;
-                                              t.fuse_ep <- q3;
-                                              let o = deref m fr va in
+                                              let run = eth.run in
+                                              run.fuse_ep <- q3;
+                                              let o = deref eth fr va in
                                               let es = ref_elems_of o in
                                               if
                                                 i < 0
                                                 || i >= Array.length es
                                               then I.jthrow Bounds;
-                                              if
-                                                b.cell_stamp
-                                                <> m.I.barrier_epoch
-                                              then specialize m b;
-                                              b.cell_exec ~tid:eth.ith.I.tid
+                                              (cell_of run s).cell_exec
+                                                ~tid:eth.ith.I.tid
                                                 ~obj:o.Heap.id ~pre:es.(i)
                                                 ~nv:v;
                                               es.(i) <- v),
@@ -1454,7 +1488,7 @@ and compile_blocks (t : t) (c : cmeth) : unit =
                                               let v = fv eth fr in
                                               fr.epc <- q3;
                                               let es =
-                                                int_elems_of (deref m fr va)
+                                                int_elems_of (deref eth fr va)
                                               in
                                               if
                                                 i < 0
@@ -1567,44 +1601,85 @@ and compile_blocks (t : t) (c : cmeth) : unit =
     spawned threads — converts from the top-first list to the bottom-up
     array. *)
 and adopt (t : t) (ith : I.thread) : ethread =
+  let prog = t.m.I.prog in
   (* interpreter frame lists are top-first; the engine stack is
      bottom-at-0 *)
   let eframes =
-    List.rev_map
-      (fun (fr : I.frame) ->
-        let cm = get_cmeth t fr.I.f_class fr.I.f_meth.mname in
-        let n = List.length fr.I.ostack in
-        let estack = Array.make (max cm.cm_stack_cap (n + 2)) 0 in
-        List.iteri (fun i v -> estack.(n - 1 - i) <- encode v) fr.I.ostack;
-        {
-          ef_home = cm;
-          ef_ops = cm.cm_ops;
-          ef_fuse = cm.cm_fuse;
-          ef_klen = cm.cm_klen;
-          ef_pooled = false;
-          epc = fr.I.pc;
-          elocals = Array.map encode fr.I.locals;
-          estack;
-          esp = n;
-        })
-      ith.I.frames
-    |> Array.of_list
+    try
+      List.rev_map
+        (fun (fr : I.frame) ->
+          let cm = get_cmeth t.code prog fr.I.f_class fr.I.f_meth.mname in
+          let n = List.length fr.I.ostack in
+          let estack = Array.make (max cm.cm_stack_cap (n + 2)) 0 in
+          List.iteri (fun i v -> estack.(n - 1 - i) <- encode v) fr.I.ostack;
+          {
+            ef_home = cm;
+            ef_ops = cm.cm_ops;
+            ef_fuse = cm.cm_fuse;
+            ef_klen = cm.cm_klen;
+            ef_pooled = false;
+            epc = fr.I.pc;
+            elocals = Array.map encode fr.I.locals;
+            estack;
+            esp = n;
+          })
+        ith.I.frames
+      |> Array.of_list
+    with e ->
+      (* a half-compiled method must not reach the next run *)
+      t.code.broken <- true;
+      raise e
   in
-  let eth = { ith; eframes; efp = Array.length eframes } in
-  Hashtbl.replace t.threads ith.I.tid eth;
+  sync t;
+  let eth =
+    { ith; run = t; heap = t.m.I.heap; eframes; efp = Array.length eframes }
+  in
+  let tid = ith.I.tid in
+  if tid >= Array.length t.threads then begin
+    let bigger = Array.make (max 4 (2 * tid)) None in
+    Array.blit t.threads 0 bigger 0 (Array.length t.threads);
+    t.threads <- bigger
+  end;
+  t.threads.(tid) <- Some eth;
   eth
 
+(** Extend the binding over whatever the code compiled since it was
+    last synced (by this run or another): new store sites start
+    unspecialized, new statics take the machine's live values, new
+    methods get empty frame pools. *)
+and sync (t : t) : unit =
+  let k = t.code in
+  let have = Array.length t.cells in
+  if have < k.sites.len then
+    t.cells <-
+      Array.init k.sites.len (fun i ->
+          if i < have then t.cells.(i)
+          else
+            {
+              cell_site = k.sites.items.(i);
+              cell_stamp = -1;
+              cell_exec = unspecialized;
+            });
+  let have = Array.length t.static_vals in
+  if have < k.statics.len then begin
+    t.static_vals <-
+      Array.init k.statics.len (fun i ->
+          if i < have then t.static_vals.(i)
+          else Hashtbl.find t.m.I.statics k.statics.items.(i));
+    t.static_encs <- Array.map encode t.static_vals
+  end;
+  let have = Array.length t.npool in
+  let n = Hashtbl.length k.methods in
+  if have < n then begin
+    t.pools <- Array.init n (fun i -> if i < have then t.pools.(i) else [||]);
+    t.npool <- Array.init n (fun i -> if i < have then t.npool.(i) else 0)
+  end
+
 let ethread_of (t : t) (ith : I.thread) : ethread =
-  match t.last with
-  | Some eth when eth.ith == ith -> eth
-  | _ ->
-      let eth =
-        match Hashtbl.find_opt t.threads ith.I.tid with
-        | Some eth -> eth
-        | None -> adopt t ith
-      in
-      t.last <- Some eth;
-      eth
+  let tid = ith.I.tid in
+  if tid < Array.length t.threads then
+    match t.threads.(tid) with Some eth -> eth | None -> adopt t ith
+  else adopt t ith
 
 (** Root enumeration in the interpreter's exact visit order; threads the
     engine has not adopted yet (chaos late spawns before their first
@@ -1662,11 +1737,120 @@ let unwind (eth : ethread) (kind : exn_kind) : unit =
           fr.epc <- h.target;
           eth.efp <- fp + 1
       | None ->
-          release fr;
+          release eth.run fr;
           go (fp - 1)
     end
   in
   go (eth.efp - 1)
+
+(* ---- the code cache ---------------------------------------------------- *)
+
+(* One entry per live program content: its code, held strongly, and
+   weak pointers to the programs bound to it.  Nothing else keeps a
+   program alive — code holds method records, never a program — so an
+   entry whose programs have all been collected is dropped at the next
+   miss.  (Ephemerons keyed by program, holding the code as data, cost
+   far more peak RSS: the collector marks ephemeron data in a phase of
+   its own; DESIGN.md §8 has the measurements.) *)
+type entry = {
+  ecode : code;
+  mutable programs : Jir.Types.program Weak.t;
+}
+
+(* by [Hashtbl.hash] of the content *)
+let entries : (int, entry list) Hashtbl.t = Hashtbl.create 16
+
+let live_program (e : entry) : Jir.Types.program option =
+  let n = Weak.length e.programs in
+  let rec go i =
+    if i = n then None
+    else match Weak.get e.programs i with Some _ as q -> q | None -> go (i + 1)
+  in
+  go 0
+
+let bound (e : entry) (p : Jir.Types.program) : bool =
+  let n = Weak.length e.programs in
+  let rec go i =
+    i < n
+    && ((match Weak.get e.programs i with Some q -> q == p | None -> false)
+       || go (i + 1))
+  in
+  go 0
+
+(* bind [p] to [e], in the slot of a collected program if there is one *)
+let bind_program (e : entry) (p : Jir.Types.program) : unit =
+  let n = Weak.length e.programs in
+  let rec free i =
+    if i = n then None else if Weak.check e.programs i then free (i + 1) else Some i
+  in
+  match free 0 with
+  | Some i -> Weak.set e.programs i (Some p)
+  | None ->
+      let bigger = Weak.create (max 2 (2 * n)) in
+      Weak.blit e.programs 0 bigger 0 n;
+      Weak.set bigger n (Some p);
+      e.programs <- bigger
+
+(* drop the entries whose programs are all gone, and broken ones *)
+let sweep () : unit =
+  Hashtbl.filter_map_inplace
+    (fun _ es ->
+      match
+        List.filter (fun e -> (not e.ecode.broken) && live_program e <> None) es
+      with
+      | [] -> None
+      | es -> Some es)
+    entries
+
+let new_code () : code =
+  {
+    methods = Hashtbl.create 64;
+    sites = { items = [||]; len = 0 };
+    statics = { items = [||]; len = 0 };
+    static_index = Hashtbl.create 16;
+    broken = false;
+  }
+
+(** The code for [prog]'s content; empty until a run compiles into it.
+    A program already bound is found by a hash and a physical
+    comparison; an equal program compiled separately, by one deep
+    comparison, after which it is bound too. *)
+let code_for (prog : Jir.Program.t) : code =
+  let p = Jir.Program.program prog in
+  let h = Hashtbl.hash p in
+  let bucket () = Option.value (Hashtbl.find_opt entries h) ~default:[] in
+  let usable e = not e.ecode.broken in
+  match List.find_opt (fun e -> usable e && bound e p) (bucket ()) with
+  | Some e -> e.ecode
+  | None -> (
+      let equal e =
+        usable e
+        && match live_program e with Some q -> compare q p = 0 | None -> false
+      in
+      match List.find_opt equal (bucket ()) with
+      | Some e ->
+          bind_program e p;
+          e.ecode
+      | None ->
+          sweep ();
+          let e = { ecode = new_code (); programs = Weak.create 1 } in
+          Weak.set e.programs 0 (Some p);
+          Hashtbl.replace entries h (e :: bucket ());
+          e.ecode)
+
+let cached_programs () : int =
+  sweep ();
+  Hashtbl.fold
+    (fun _ es n ->
+      List.fold_left
+        (fun n e ->
+          let live = ref 0 in
+          for i = 0 to Weak.length e.programs - 1 do
+            if Weak.check e.programs i then incr live
+          done;
+          n + !live)
+        n es)
+    entries 0
 
 (* ---- driving ----------------------------------------------------------- *)
 
@@ -1674,24 +1858,31 @@ let create (m : I.t) : t =
   let t =
     {
       m;
-      methods = Hashtbl.create 64;
-      threads = Hashtbl.create 8;
-      statics = Hashtbl.create 64;
-      last = None;
-      slice_n = ref 0;
+      code = code_for m.I.prog;
+      cells = [||];
+      static_vals = [||];
+      static_encs = [||];
+      pools = [||];
+      npool = [||];
+      threads = [||];
+      slice_n = 0;
       fuse_start = -1;
       fuse_ep = -1;
     }
   in
   m.I.stack_roots_override <- Some (fun () -> stack_roots t);
-  (* prewarm: adopting the already-spawned threads compiles their entry
-     methods, and compilation links callees (and spawn targets) eagerly,
-     so the whole reachable call graph is compiled before the first
-     slice runs *)
+  (* adopting the already-spawned threads compiles their entry methods
+     on the content's first run, and compilation links callees (and
+     spawn targets) eagerly, so the whole reachable call graph is
+     compiled before the first slice runs; later runs find it compiled
+     and only bind *)
   List.iter (fun th -> ignore (ethread_of t th)) m.I.threads;
+  sync t;
   t
 
-let compiled_methods (t : t) : int = Hashtbl.length t.methods
+let code (t : t) : code = t.code
+let compiled_methods (t : t) : int = Hashtbl.length t.code.methods
+
 (* Outside a fused block, [slice_n] already includes the running
    instruction (single-steps pre-charge).  Inside one, the block's k
    instructions are charged only on completion, but the recording
@@ -1699,7 +1890,7 @@ let compiled_methods (t : t) : int = Hashtbl.length t.methods
    — store included, the interpreter's charge-before-execute accounting
    — is recoverable exactly. *)
 let inflight (t : t) : int =
-  let base = !(t.slice_n) in
+  let base = t.slice_n in
   if t.fuse_start >= 0 && t.fuse_ep >= t.fuse_start then
     base + (t.fuse_ep - t.fuse_start + 1)
   else base
@@ -1720,74 +1911,73 @@ let inflight (t : t) : int =
     Fused opcodes run only while they fit in the remaining fuel; the
     tail of a slice single-steps, which keeps safepoint-time operand
     stacks identical to the interpreter's. *)
+let flush (t : t) : unit =
+  let m = t.m in
+  m.I.instr_count <- m.I.instr_count + t.slice_n;
+  m.I.cost_units <- m.I.cost_units + (t.slice_n * Barrier_cost.bytecode_units);
+  t.slice_n <- 0
+
 let slice (t : t) (ith : I.thread) ~(fuel : int) : int =
   let m = t.m in
   let eth = ethread_of t ith in
   let max_steps = m.I.cfg.I.max_steps in
-  let budget_left = max_steps - m.I.instr_count in
+  let start = m.I.instr_count in
+  let budget_left = max_steps - start in
   let efuel = if fuel <= budget_left then fuel else max 0 budget_left in
-  let n = t.slice_n in
-  n := 0;
-  let executed = ref 0 in
-  let flush () =
-    m.I.instr_count <- m.I.instr_count + !n;
-    m.I.cost_units <- m.I.cost_units + (!n * Barrier_cost.bytecode_units);
-    executed := !executed + !n;
-    n := 0
-  in
-  while !n < efuel && not ith.I.finished do
+  t.slice_n <- 0;
+  while t.slice_n < efuel && not ith.I.finished do
     if eth.efp = 0 then ith.I.finished <- true
     else begin
       let fr = eth.eframes.(eth.efp - 1) in
       let p = fr.epc in
       if p < 0 || p >= Array.length fr.ef_ops then begin
-        incr n;
-        flush ();
+        t.slice_n <- t.slice_n + 1;
+        flush t;
         bugf "pc out of range in %s.%s" fr.ef_home.cm_class
           fr.ef_home.cm_meth.mname
       end;
       let k = fr.ef_klen.(p) in
-      if k > 1 && !n + k <= efuel then (
+      if k > 1 && t.slice_n + k <= efuel then (
         t.fuse_start <- p;
         t.fuse_ep <- -1;
         try
           fr.ef_fuse.(p) eth fr;
           t.fuse_start <- -1;
-          n := !n + k
+          t.slice_n <- t.slice_n + k
         with
         | I.Jexn kind ->
             (* risky sub-instructions stamp [fr.epc], so the executed
                prefix (faulting instruction included) is recoverable *)
             t.fuse_start <- -1;
-            n := !n + (fr.epc - p + 1);
+            t.slice_n <- t.slice_n + (fr.epc - p + 1);
             unwind eth kind
         | e ->
             t.fuse_start <- -1;
-            n := !n + (fr.epc - p + 1);
-            flush ();
+            t.slice_n <- t.slice_n + (fr.epc - p + 1);
+            flush t;
             raise e)
       else (
         (* charged before executing, like the interpreter: an abort
            (e.g. a pacer hard stop) includes it, and anything the
            instruction records sees its own step *)
-        incr n;
+        t.slice_n <- t.slice_n + 1;
         try fr.ef_ops.(p) eth fr with
         | I.Jexn kind -> unwind eth kind
         | e ->
-            flush ();
+            flush t;
             raise e)
     end
   done;
-  flush ();
-  (* budget exhausted mid-slice: the interpreter raises when the next
+  flush t;
+  (* nothing else moves [instr_count] inside a slice *)
+  let executed = m.I.instr_count - start in
+  (* budget exhausted mid-slice: the interpreter stops when the next
      instruction is attempted, charging it first *)
   if
-    !executed = efuel && efuel < fuel && (not ith.I.finished)
-    && eth.efp > 0
+    executed = efuel && efuel < fuel && (not ith.I.finished) && eth.efp > 0
   then begin
     m.I.instr_count <- m.I.instr_count + 1;
     m.I.cost_units <- m.I.cost_units + Barrier_cost.bytecode_units;
-    bugf "instruction budget exceeded (%d)" max_steps
+    raise (I.Out_of_steps max_steps)
   end;
-  !executed
-
+  executed

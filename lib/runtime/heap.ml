@@ -80,7 +80,7 @@ let dummy =
 
 let create () =
   {
-    objects = Array.make 1024 dummy;
+    objects = Array.make 256 dummy;
     next_id = 0;
     live_count = 0;
     total_allocated = 0;
@@ -142,6 +142,16 @@ let out_edges (o : obj) : int list =
       Array.to_list vs
       |> List.filter_map (function Value.Ref id -> Some id | _ -> None)
   | Int_array _ -> []
+
+(** [f] on each reference the object holds, in slot order — the order
+    {!out_edges} lists them — without building the list. *)
+let iter_edges (f : int -> unit) (o : obj) : unit =
+  match o.payload with
+  | Fields vs | Ref_array vs ->
+      for i = 0 to Array.length vs - 1 do
+        match vs.(i) with Value.Ref id -> f id | Value.Null | Value.Int _ -> ()
+      done
+  | Int_array _ -> ()
 
 let iter_live (h : t) (f : obj -> unit) =
   for id = 0 to h.next_id - 1 do

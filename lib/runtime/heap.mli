@@ -75,6 +75,10 @@ val get : t -> int -> obj
 val out_edges : obj -> int list
 (** Reference values directly held by the object. *)
 
+val iter_edges : (int -> unit) -> obj -> unit
+(** [iter_edges f o] calls [f] on each reference [o] holds, in slot
+    order (the order {!out_edges} lists them), allocating nothing. *)
+
 val iter_live : t -> (obj -> unit) -> unit
 val clear_marks : t -> unit
 val free : t -> obj -> unit

@@ -17,6 +17,15 @@ open Jir.Types
 
 exception Runtime_bug of string
 
+(* The program ran its whole [max_steps] budget (the payload) without
+   finishing: an outcome of the program, not a broken invariant. *)
+exception Out_of_steps of int
+
+(* The longest array [newarray] allocates; a longer request throws the
+   program's [bounds] exception, as a negative length does.  The largest
+   workload array has 256 elements. *)
+let max_array_length = 1 lsl 20
+
 let bugf fmt = Fmt.kstr (fun s -> raise (Runtime_bug s)) fmt
 
 (** A barrier site in the compiled (inlined) program. *)
@@ -968,8 +977,8 @@ let int_elems_of (o : Heap.obj) =
     heap provably never exceeds a hard limit — and, while degraded, makes
     the allocating thread assist: it runs one collector increment on the
     spot, shortening the outstanding mark. *)
-let allocate m ~units mk =
-  (match m.pacer with
+let admit m ~units =
+  match m.pacer with
   | None -> ()
   | Some p ->
       Pacer.before_alloc p m.heap ~units;
@@ -978,7 +987,10 @@ let allocate m ~units mk =
         m.gc.step ();
         m.assist_execs <- m.assist_execs + 1;
         Pacer.note_assist p
-      end);
+      end
+
+let allocate m ~units mk =
+  admit m ~units;
   let o = mk () in
   m.gc.on_alloc o;
   o
@@ -1036,7 +1048,7 @@ let step (m : t) (th : thread) : bool =
       m.instr_count <- m.instr_count + 1;
       m.cost_units <- m.cost_units + Barrier_cost.bytecode_units;
       if m.instr_count > m.cfg.max_steps then
-        bugf "instruction budget exceeded (%d)" m.cfg.max_steps;
+        raise (Out_of_steps m.cfg.max_steps);
       let code = fr.f_meth.code in
       if fr.pc < 0 || fr.pc >= Array.length code then
         bugf "pc out of range in %s.%s" fr.f_class fr.f_meth.mname;
@@ -1150,7 +1162,7 @@ let step (m : t) (th : thread) : bool =
             next ()
         | Newarray ety ->
             let len = pop_int fr in
-            if len < 0 then jthrow Bounds;
+            if len < 0 || len > max_array_length then jthrow Bounds;
             let site = alloc_site m fr in
             let o =
               allocate m ~units:(2 + len) (fun () ->

@@ -5,6 +5,18 @@
     model, and collector hooks. *)
 
 exception Runtime_bug of string
+(** A broken invariant of the runtime (or unverified input reaching it). *)
+
+exception Out_of_steps of int
+(** The program used its whole instruction budget ([config.max_steps],
+    the payload) without finishing.  Raised by both engines when the
+    next instruction is attempted, after charging it; {!Runner.run}
+    turns it into a clean stop. *)
+
+val max_array_length : int
+(** The longest array [newarray] allocates, 2{^20} elements; a longer
+    request throws the program's [bounds] exception, exactly as a
+    negative length does, under either engine. *)
 
 type site = {
   s_class : Jir.Types.class_name;
@@ -330,6 +342,11 @@ val barrier_hybrid_ins_elided :
   t -> site_stats -> obj:int -> pre:Value.t -> unit
 (** Fused fast path; precondition: [`Hybrid], insertion half elided,
     unguarded, no repair, deletion half kept. *)
+
+val admit : t -> units:int -> unit
+(** The pacer's admission control for an allocation of [units] (may
+    raise {!Pacer.Hard_limit}), including the degraded-mode assist —
+    the first half of {!allocate}, for callers that allocate inline. *)
 
 val allocate : t -> units:int -> (unit -> Heap.obj) -> Heap.obj
 (** Allocate through the pacer's admission control (may raise

@@ -13,7 +13,7 @@
     barrier shows up as a violation, which is how running the workloads
     end to end tests the barrier-removal analysis. *)
 
-module Iset = Oracle.Iset
+module Iset = Set.Make (Int)
 
 (* ---- policies ---------------------------------------------------------- *)
 
@@ -119,7 +119,7 @@ type t = {
   mutable phase : phase;
   mutable gray : gray list;
   mutable counts : counts;
-  mutable snapshot : Iset.t;
+  snapshot : Oracle.Ids.t;
   mutable buffer : int list;
   mutable local_buffer : int list;
   mutable local_count : int;
@@ -143,7 +143,7 @@ let create ?(steps_per_increment = 64) (policy : policy) (heap : Heap.t)
     phase = Idle;
     gray = [];
     counts = zero_counts ();
-    snapshot = Iset.empty;
+    snapshot = Oracle.Ids.create ();
     buffer = [];
     local_buffer = [];
     local_count = 0;
@@ -207,12 +207,12 @@ let mark_roots t =
     | Grey_stacks -> t.roots.statics ()
   in
   if t.policy.oracle = Start_snapshot then
-    t.snapshot <- Oracle.reachable t.heap roots;
+    Oracle.reachable_into t.snapshot t.heap roots;
   List.iter (mark_and_gray t ~origin:Heap.origin_trace) roots
 
 let snapshot_size t =
   match t.policy.oracle with
-  | Start_snapshot -> Some (Iset.cardinal t.snapshot)
+  | Start_snapshot -> Some (Oracle.Ids.cardinal t.snapshot)
   | End_reachability -> None
 
 let clear_gray_and_buffers t =
@@ -440,7 +440,7 @@ let scan_object t id =
         o.trace <- Heap.Being_traced;
         scan_array_chunk t id ~upto:(Array.length es - 1)
     | _ ->
-        List.iter (mark_and_gray t ~origin:o.origin) (Heap.out_edges o);
+        Heap.iter_edges (mark_and_gray t ~origin:o.origin) o;
         o.trace <- Heap.Traced
 
 (* Re-scan a retraced object in one step.  Runs only at safepoints, so
@@ -449,7 +449,7 @@ let scan_object t id =
 let rescan t id =
   let o = Heap.get t.heap id in
   if not o.dead then begin
-    List.iter (mark_and_gray t ~origin:Heap.origin_repair) (Heap.out_edges o);
+    Heap.iter_edges (mark_and_gray t ~origin:Heap.origin_repair) o;
     o.trace <- Heap.Traced
   end
 
@@ -527,6 +527,8 @@ let rescan_round t work =
     (all_roots t);
   let dirty = t.dirty in
   t.dirty <- Iset.empty;
+  (* kept only because its parent's card was dirtied *)
+  let regray_log = regray ~origin:Heap.origin_log in
   Iset.iter
     (fun card ->
       let hi = min ((card + 1) * card_size) t.heap.next_id in
@@ -534,8 +536,7 @@ let rescan_round t work =
         let o = Heap.get t.heap id in
         if o.marked && not o.dead then begin
           incr work;
-          (* kept only because its parent's card was dirtied *)
-          List.iter (regray ~origin:Heap.origin_log) (Heap.out_edges o)
+          Heap.iter_edges regray_log o
         end
       done)
     dirty;
@@ -589,12 +590,11 @@ let finish_cycle (t : t) : cycle_report =
       work := !work + drain t max_int
   | Cards -> fixed_point ());
   assert (t.retrace = [] && Iset.is_empty t.in_retrace);
-  let owed =
-    match t.policy.oracle with
-    | Start_snapshot -> t.snapshot
-    | End_reachability -> Oracle.reachable t.heap (all_roots t)
-  in
-  let violations = Oracle.snapshot_violations t.heap owed in
+  (* under [End_reachability] the snapshot buffer is free: reuse it *)
+  (match t.policy.oracle with
+  | Start_snapshot -> ()
+  | End_reachability -> Oracle.reachable_into t.snapshot t.heap (all_roots t));
+  let violations = Oracle.snapshot_violations t.heap t.snapshot in
   let marked = ref 0 and swept = ref 0 in
   Heap.iter_live t.heap (fun o ->
       if o.marked then incr marked
@@ -605,7 +605,7 @@ let finish_cycle (t : t) : cycle_report =
   let report =
     {
       cycle = t.cycles;
-      snapshot_size = Iset.cardinal t.snapshot;
+      snapshot_size = Option.value (snapshot_size t) ~default:0;
       marked = !marked;
       final_pause_work = !work;
       swept = !swept;

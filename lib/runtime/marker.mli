@@ -110,6 +110,8 @@ type cycle_report = {
   counts : counts;
 }
 
+module Iset : Set.S with type elt = int
+
 type t = {
   policy : policy;
   heap : Heap.t;
@@ -118,13 +120,16 @@ type t = {
   mutable phase : phase;
   mutable gray : gray list;
   mutable counts : counts;
-  mutable snapshot : Oracle.Iset.t;
+  snapshot : Oracle.Ids.t;
+      (** the oracle's set, one buffer refilled every cycle: the
+          marking-start snapshot, or under [End_reachability] the
+          remark's reachable set *)
   mutable buffer : int list;  (** log entries handed to the collector *)
   mutable local_buffer : int list;  (** mutator-local, not yet handed over *)
   mutable local_count : int;
-  mutable dirty : Oracle.Iset.t;  (** dirty card ids *)
+  mutable dirty : Iset.t;  (** dirty card ids *)
   mutable retrace : int list;  (** objects awaiting a re-scan *)
-  mutable in_retrace : Oracle.Iset.t;
+  mutable in_retrace : Iset.t;
   scanned : (int, unit) Hashtbl.t;  (** tids whose stack is black *)
   mutable degraded : bool;
       (** the cycle overflowed its retrace budget; the runner disables

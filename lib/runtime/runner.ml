@@ -96,13 +96,16 @@ type report = {
       (** the hard heap limit fired: the run was aborted cleanly with
           this diagnostic (the in-flight cycle was still finished and
           checked) *)
+  out_of_steps : bool;
+      (** the program used its whole [max_steps] budget and was stopped
+          cleanly; not a pacer event *)
   thread_errors : (int * string) list;
   loop_s : float;
       (** wall time of the scheduling loop alone — mutator slices plus
-          safepoint/GC work, excluding machine construction and (for the
-          threaded engine) method compilation, which [Exec.create] does
-          eagerly up front.  The steady-state number benchmarks compare
-          across engines. *)
+          safepoint/GC work, excluding machine construction and
+          [Exec.create] (binding the shared code, and compiling it on
+          the content's first threaded run).  The steady-state number
+          benchmarks compare across engines. *)
   gc_s : float;
       (** portion of [loop_s] spent inside safepoint work — collector
           increments, pauses, pacing, revocation — which is
@@ -456,6 +459,7 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
   let since_gc = ref 0 in
   let continue_ = ref true in
   let hard_stop = ref None in
+  let out_of_steps = ref false in
   let loop_t0 = Telemetry.now_s () in
   let gc_s = ref 0.0 in
   (try
@@ -536,13 +540,17 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
              done)
            runnable
      done
-   with Pacer.Hard_limit msg ->
-     (* degrade-don't-die ran out of road: abort cleanly.  The refusal
-        happened before the allocation, so the live heap never exceeded
-        the limit; fall through to finish the in-flight cycle below so
-        every invariant is still checked. *)
-     hard_stop := Some msg;
-     ignore (Flight.capture ~reason:"hard-limit"));
+   with
+   | Pacer.Hard_limit msg ->
+       (* degrade-don't-die ran out of road: abort cleanly.  The refusal
+          happened before the allocation, so the live heap never
+          exceeded the limit; fall through to finish the in-flight cycle
+          below so every invariant is still checked. *)
+       hard_stop := Some msg;
+       ignore (Flight.capture ~reason:"hard-limit")
+   | Interp.Out_of_steps _ ->
+       (* the program's own outcome, stopped the same clean way *)
+       out_of_steps := true);
   (* finish any in-flight cycle so its invariants still get checked *)
   (match live with
   | Some t when Marker.is_marking t ->
@@ -578,6 +586,7 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
     gc = gc_summary;
     pacer = Option.map Pacer.stats pacer;
     hard_stop = !hard_stop;
+    out_of_steps = !out_of_steps;
     thread_errors =
       List.filter_map
         (fun th ->

@@ -89,11 +89,17 @@ type report = {
       (** the hard heap limit fired: the run was aborted cleanly with
           this diagnostic (the in-flight cycle was still finished and
           checked) *)
+  out_of_steps : bool;
+      (** the program used its whole [max_steps] budget without
+          finishing and was stopped cleanly, the way a hard stop is (the
+          in-flight cycle was still finished and checked); not a pacer
+          event *)
   thread_errors : (int * string) list;
   loop_s : float;
       (** wall time of the scheduling loop alone — mutator slices plus
-          safepoint/GC work, excluding machine construction and (for the
-          threaded engine) up-front method compilation.  The
+          safepoint/GC work, excluding machine construction and, for the
+          threaded engine, {!Exec.create}: binding the shared code, and
+          compiling it on the program content's first threaded run.  The
           steady-state number benchmarks compare across engines. *)
   gc_s : float;
       (** portion of [loop_s] spent inside safepoint work — collector

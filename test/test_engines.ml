@@ -149,6 +149,109 @@ let test_bench_cadence () =
           Alcotest.failf "%s (bench cadence): engines diverge — %s" w.name m)
     Workloads.Registry.table1
 
+(* A verified program that outlives its instruction budget stops
+   cleanly under either engine, at the same step: the in-flight cycle
+   is finished and checked, and it is no pacer hard stop. *)
+let budget_src =
+  {|
+class Node
+  field ref next
+  method void <init> (ref) locals 1 ctor
+    return
+  end
+end
+class Main
+  static ref head
+  method void main () locals 1
+  top:
+    new Node
+    dup
+    invoke Node.<init>
+    dup
+    getstatic Main.head
+    putfield Node.next
+    putstatic Main.head
+    aconst_null
+    putstatic Main.head
+    goto top
+  end
+end
+|}
+
+let test_budget_stop () =
+  let prog = Jir.Parser.parse_linked budget_src in
+  Jir.Verifier.verify_exn prog;
+  let run engine =
+    let cfg = { Jrt.Interp.default_config with max_steps = 5_000 } in
+    let r =
+      Jrt.Runner.run ~cfg ~engine
+        ~gc:(Jrt.Runner.make_satb ~trigger_allocs:24 ~steps_per_increment:8 ())
+        prog ~entry:Workloads.Spec.main_entry
+    in
+    (r, Flight.events ())
+  in
+  let ri, ei = run `Interp in
+  let rt, et = run `Threaded in
+  let check_one name (r : Jrt.Runner.report) =
+    Alcotest.(check bool) (name ^ ": out of steps") true r.out_of_steps;
+    Alcotest.(check bool) (name ^ ": no hard stop") true (r.hard_stop = None);
+    Alcotest.(check int) (name ^ ": steps") 5_001 r.steps;
+    match r.gc, r.pacer with
+    | Some g, Some p ->
+        Alcotest.(check bool) (name ^ ": cycles ran") true (g.cycles > 0);
+        Alcotest.(check int) (name ^ ": no violation") 0 g.total_violations;
+        Alcotest.(check bool) (name ^ ": pacer saw no hard stop") true
+          (p.Jrt.Pacer.p_hard_stop = None)
+    | _ -> Alcotest.fail "a collector and a pacer were installed"
+  in
+  check_one "interp" ri;
+  check_one "threaded" rt;
+  match Harness.Engines.diff ~flight:(ei, et) ri rt with
+  | None -> ()
+  | Some m -> Alcotest.failf "budget stop: engines diverge — %s" m
+
+(* An array longer than the maximum throws the program's bounds
+   exception under either engine, and a handler catches it. *)
+let test_array_length_max () =
+  let src len =
+    Printf.sprintf
+      {|
+class Main
+  static int out
+  method void main () locals 1
+  t0:
+    iconst %d
+    inewarray
+    pop
+  t1:
+    iconst 1
+    putstatic Main.out
+    return
+  h:
+    iconst 2
+    putstatic Main.out
+    return
+    catch bounds t0 t1 h
+  end
+end
+|}
+      len
+  in
+  let out len engine =
+    let prog = Jir.Parser.parse_linked (src len) in
+    Jir.Verifier.verify_exn prog;
+    let r = Jrt.Runner.run ~engine prog ~entry:Workloads.Spec.main_entry in
+    Hashtbl.find r.machine.Jrt.Interp.statics ("Main", "out")
+  in
+  List.iter
+    (fun engine ->
+      Alcotest.(check bool) "at the maximum" true
+        (out Jrt.Interp.max_array_length engine = Jrt.Value.Int 1);
+      Alcotest.(check bool) "one past it" true
+        (out (Jrt.Interp.max_array_length + 1) engine = Jrt.Value.Int 2);
+      Alcotest.(check bool) "negative" true (out (-1) engine = Jrt.Value.Int 2))
+    [ `Interp; `Threaded ]
+
 let tests =
   [
     Alcotest.test_case
@@ -158,4 +261,8 @@ let tests =
     QCheck_alcotest.to_alcotest flight_parity_prop;
     Alcotest.test_case "engines identical at the bench cadence" `Quick
       test_bench_cadence;
+    Alcotest.test_case "budget stop: same step, same outcome" `Quick
+      test_budget_stop;
+    Alcotest.test_case "array length maximum: bounds on both engines" `Quick
+      test_array_length_max;
   ]

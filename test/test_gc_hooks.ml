@@ -66,7 +66,7 @@ let test_idle_contracts () =
         (List.exists (fun id -> (Jrt.Heap.get heap id).marked) objs);
       check "no work queued" true
         (t.gray = [] && t.buffer = [] && t.local_buffer = [] && t.retrace = []
-       && Jrt.Oracle.Iset.is_empty t.dirty);
+       && Jrt.Marker.Iset.is_empty t.dirty);
       check "not degraded" false t.degraded;
       M.start_cycle t;
       check "marking after start" true (h.is_marking ()))

@@ -103,7 +103,7 @@ let checking_observer ~label obs cycles_seen (m : Jrt.Interp.t) =
       h.Jrt.Heap.live_count h.Jrt.Heap.live_units;
   (* the oracle's reachable set is a subset of the collector's survivors *)
   let reach = Jrt.Oracle.reachable h (Jrt.Interp.roots m) in
-  Jrt.Oracle.Iset.iter
+  Jrt.Oracle.Ids.iter
     (fun id ->
       if (Jrt.Heap.get h id).Jrt.Heap.dead then
         Alcotest.failf "%s: reachable object %d was swept" label id)

@@ -67,7 +67,22 @@ let test_out_edges () =
   | _ -> assert false);
   Alcotest.(check (list int)) "edges" [ b.id ] (Jrt.Heap.out_edges a);
   Alcotest.(check (list int)) "int arrays edgeless" []
-    (Jrt.Heap.out_edges (Jrt.Heap.alloc_int_array h ~len:3))
+    (Jrt.Heap.out_edges (Jrt.Heap.alloc_int_array h ~len:3));
+  (* iter_edges visits the same slots in the same order *)
+  let arr = Jrt.Heap.alloc_ref_array h "C" ~len:4 in
+  (match arr.payload with
+  | Jrt.Heap.Ref_array es ->
+      es.(0) <- Jrt.Value.Ref b.id;
+      es.(2) <- Jrt.Value.Ref a.id;
+      es.(3) <- Jrt.Value.Ref b.id
+  | _ -> assert false);
+  List.iter
+    (fun o ->
+      let seen = ref [] in
+      Jrt.Heap.iter_edges (fun id -> seen := id :: !seen) o;
+      Alcotest.(check (list int)) "iter_edges = out_edges"
+        (Jrt.Heap.out_edges o) (List.rev !seen))
+    [ a; b; arr ]
 
 (* ---- Oracle ------------------------------------------------------------ *)
 
@@ -85,11 +100,86 @@ let test_oracle_reachability () =
   (* d unlinked; cycle c -> a *)
   link c a;
   let set = Jrt.Oracle.reachable h [ a.id ] in
-  Alcotest.(check int) "a,b,c reachable" 3 (Jrt.Oracle.Iset.cardinal set);
+  Alcotest.(check int) "a,b,c reachable" 3 (Jrt.Oracle.Ids.cardinal set);
   Alcotest.(check bool) "d not reachable" false
-    (Jrt.Oracle.Iset.mem d.id set);
+    (Jrt.Oracle.Ids.mem d.id set);
   Alcotest.(check int) "empty roots" 0
-    (Jrt.Oracle.Iset.cardinal (Jrt.Oracle.reachable h []))
+    (Jrt.Oracle.Ids.cardinal (Jrt.Oracle.reachable h []))
+
+(* The bitmap set against the [Set]-based reachability it replaced, kept
+   here as the reference: on random object graphs (objects, object
+   arrays and int arrays, some freed, random roots) the two agree on
+   cardinal, membership and ascending iteration order.  One set is
+   refilled throughout, as the marker refills its snapshot. *)
+module Iset = Set.Make (Int)
+
+let reference_reachable (heap : Jrt.Heap.t) (roots : int list) : Iset.t =
+  let rec go seen = function
+    | [] -> seen
+    | id :: todo ->
+        if Iset.mem id seen then go seen todo
+        else
+          let o = Jrt.Heap.get heap id in
+          go (Iset.add id seen) (List.rev_append (Jrt.Heap.out_edges o) todo)
+  in
+  go Iset.empty roots
+
+let gen_graph =
+  let open QCheck2.Gen in
+  let* n = int_range 1 150 in
+  let* shapes = list_repeat n (pair (int_range 0 2) (int_range 0 5)) in
+  let* edges = list_size (int_range 0 (3 * n)) (triple (int_bound (n - 1)) nat (int_bound (n - 1))) in
+  let* freed = list_size (int_range 0 5) (int_bound (n - 1)) in
+  let* roots = list_size (int_range 0 6) (int_bound (n - 1)) in
+  return (shapes, edges, freed, roots)
+
+let shared_set = Jrt.Oracle.Ids.create ()
+
+let prop_oracle_matches_reference =
+  QCheck2.Test.make ~name:"bitmap oracle = Set-based reachability" ~count:300
+    gen_graph (fun (shapes, edges, freed, roots) ->
+      let h = Jrt.Heap.create () in
+      let objs =
+        Array.of_list
+          (List.map
+             (fun (kind, size) ->
+               match kind with
+               | 0 -> Jrt.Heap.alloc_object h "C" ~n_fields:size
+               | 1 -> Jrt.Heap.alloc_ref_array h "C" ~len:size
+               | _ -> Jrt.Heap.alloc_int_array h ~len:size)
+             shapes)
+      in
+      List.iter
+        (fun (src, slot, dst) ->
+          match objs.(src).Jrt.Heap.payload with
+          | Jrt.Heap.Fields vs | Jrt.Heap.Ref_array vs ->
+              if Array.length vs > 0 then
+                vs.(slot mod Array.length vs) <-
+                  Jrt.Value.Ref objs.(dst).Jrt.Heap.id
+          | Jrt.Heap.Int_array _ -> ())
+        edges;
+      List.iter (fun i -> Jrt.Heap.free h objs.(i)) freed;
+      let expected = reference_reachable h roots in
+      Jrt.Oracle.reachable_into shared_set h roots;
+      let fresh = Jrt.Oracle.reachable h roots in
+      let elements s = List.rev (Jrt.Oracle.Ids.fold List.cons s []) in
+      let iterated s =
+        let acc = ref [] in
+        Jrt.Oracle.Ids.iter (fun id -> acc := id :: !acc) s;
+        List.rev !acc
+      in
+      List.for_all
+        (fun s ->
+          Jrt.Oracle.Ids.cardinal s = Iset.cardinal expected
+          && Array.for_all
+               (fun (o : Jrt.Heap.obj) ->
+                 Jrt.Oracle.Ids.mem o.id s = Iset.mem o.id expected)
+               objs
+          && (not (Jrt.Oracle.Ids.mem (Array.length objs) s))
+          && (not (Jrt.Oracle.Ids.mem (-1) s))
+          && iterated s = Iset.elements expected
+          && elements s = Iset.elements expected)
+        [ shared_set; fresh ])
 
 (* ---- Barrier cost model ------------------------------------------------ *)
 
@@ -156,3 +246,4 @@ let tests =
       ("builder errors", test_builder_errors);
       ("builder label resolution", test_builder_label_resolution);
     ]
+  @ [ QCheck_alcotest.to_alcotest prop_oracle_matches_reference ]
