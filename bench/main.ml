@@ -200,7 +200,8 @@ let bench_tests =
              let cw = Harness.Exp.compile Workloads.Jess.t in
              ignore
                (Harness.Exp.run
-                  ~gc:(Jrt.Runner.make_satb ~trigger_allocs:64 ())
+                  ~gc:(Jrt.Runner.make_satb
+                    ~pacing:(Jrt.Pacer.config_of_trigger 64) ())
                   cw)));
       (* E6: analysis with the null-or-same extension enabled *)
       Test.make ~name:"nullsame/analyze-A+nos"
@@ -217,7 +218,8 @@ let bench_tests =
              in
              ignore
                (Harness.Exp.run
-                  ~gc:(Jrt.Runner.make_retrace ~trigger_allocs:24 ())
+                  ~gc:(Jrt.Runner.make_retrace
+                    ~pacing:(Jrt.Pacer.config_of_trigger 24) ())
                   cw)));
       (* E11: db under a late-spawn fault plan with guards wired, so the
          timing includes revocation and snapshot repair *)
@@ -238,7 +240,8 @@ let bench_tests =
              in
              ignore
                (Harness.Exp.run
-                  ~gc:(Jrt.Runner.make_retrace ~trigger_allocs:24 ())
+                  ~gc:(Jrt.Runner.make_retrace
+                    ~pacing:(Jrt.Pacer.config_of_trigger 24) ())
                   ~guards:true ~chaos ~fail_on_thread_error:false cw)));
       (* E12: summary construction + summary-aware analysis, no inlining *)
       Test.make ~name:"summaries/analyze-A-0+sum"

@@ -657,9 +657,10 @@ let run_cmd =
       & info [ "flight-dump" ] ~docv:"FILE"
           ~doc:
             "Write the flight recorder's ring (GC phase transitions, pacer \
-             decisions, revocations with guard provenance, engine \
-             respecializations, chaos faults) to $(docv) after the run; \
-             $(b,satbelim timeline) reconstructs it.")
+             decisions, revocations with guard provenance, chaos faults; \
+             the same events under either engine) to $(docv) after the \
+             run as a version-3 dump; $(b,satbelim timeline) \
+             reconstructs it.")
   in
   let chaos_arg =
     Arg.(
@@ -731,7 +732,7 @@ let profile_cmd =
       let p =
         Profile.Attr.of_report ~workload:spec.name
           ~gc:(fst (List.find (fun (_, g) -> g = gc) collectors))
-          ~explain:(Harness.Exp.explain_policy_of cw) r
+          r
       in
       (* the profile must reconcile exactly with the interpreter's global
          counters (also what --metrics reports); a mismatch is a bug in the

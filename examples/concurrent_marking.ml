@@ -13,12 +13,13 @@
 
    Run with: dune exec examples/concurrent_marking.exe *)
 
-let run_jess ~policy_name ~(policy : Jrt.Interp.barrier_policy) =
+let run_jess ~policy_name ~policy =
   let cw = Harness.Exp.compile Workloads.Jess.t in
   let cfg = { Jrt.Interp.default_config with policy } in
   let report =
     Jrt.Runner.run ~cfg
-      ~gc:(Jrt.Runner.make_satb ~trigger_allocs:32 ~steps_per_increment:8 ())
+      ~gc:(Jrt.Runner.make_satb ~pacing:(Jrt.Pacer.config_of_trigger 32)
+        ~steps_per_increment:8 ())
       cw.compiled.program ~entry:Workloads.Jess.t.entry
   in
   match report.gc with
@@ -31,10 +32,11 @@ let run_jess ~policy_name ~(policy : Jrt.Interp.barrier_policy) =
 
 let () =
   let cw = Harness.Exp.compile Workloads.Jess.t in
-  run_jess ~policy_name:"keep-all" ~policy:Jrt.Interp.keep_all_policy;
+  run_jess ~policy_name:"keep-all" ~policy:(fun _ _ _ -> Jrt.Interp.keep);
   run_jess ~policy_name:"analysis-directed" ~policy:(Harness.Exp.policy_of cw);
   Fmt.pr "@.Now removing EVERY barrier (unsound for SATB):@.";
-  run_jess ~policy_name:"elide-all (unsound)" ~policy:(fun _ _ _ -> true);
+  run_jess ~policy_name:"elide-all (unsound)" ~policy:(fun _ _ _ ->
+      { Jrt.Interp.keep with del_elide = true });
   Fmt.pr
     "@.The violation count above is the oracle catching live snapshot@.\
      objects that concurrent marking missed because their last pointer@.\

@@ -48,14 +48,18 @@ let () =
         r.verdicts)
     compiled.results;
   let policy c m pc =
-    not
-      (Satb_core.Driver.needs_barrier compiled
-         { sk_class = c; sk_method = m; sk_pc = pc })
+    {
+      Jrt.Interp.keep with
+      del_elide =
+        not
+          (Satb_core.Driver.needs_barrier compiled
+             { sk_class = c; sk_method = m; sk_pc = pc });
+    }
   in
   let cfg = { Jrt.Interp.default_config with policy } in
   let r =
     Jrt.Runner.run ~cfg
-      ~gc:(Jrt.Runner.make_satb ~trigger_allocs:4 ())
+      ~gc:(Jrt.Runner.make_satb ~pacing:(Jrt.Pacer.config_of_trigger 4) ())
       compiled.program
       ~entry:{ Jir.Types.mclass = "Main"; mname = "main" }
   in

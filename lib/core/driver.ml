@@ -12,27 +12,6 @@ type site_key = {
   sk_pc : int;  (** pc in the {e inlined} method *)
 }
 
-(** The runtime assumptions an elided verdict depends on.  Unconditional
-    verdicts (pre-null, null-or-same, dead code) carry none; the §4.3
-    extensions are conditional — on a single mutator, on the collector's
-    array-scan direction, on the retrace protocol, and on the array
-    analysis (mode A) that identified the arrays involved.  The runtime
-    ({!Jrt} [Interp]) mirrors this type and revokes dependent elisions
-    when an assumption is observed false. *)
-type assumption =
-  | Single_mutator
-  | Retrace_collector
-  | Descending_scan
-  | Mode_a
-  | Closed_world
-
-let string_of_assumption = function
-  | Single_mutator -> "single-mutator"
-  | Retrace_collector -> "retrace-collector"
-  | Descending_scan -> "descending-scan"
-  | Mode_a -> "mode-A"
-  | Closed_world -> "closed-world"
-
 let assumptions_of_reason (r : Analysis.reason) : assumption list =
   match r with
   | Analysis.Keep | Analysis.Dead_code | Analysis.Pre_null_field

@@ -9,27 +9,13 @@ type site_key = {
   sk_pc : int;  (** pc in the {e inlined} method *)
 }
 
-type assumption =
-  | Single_mutator
-  | Retrace_collector
-  | Descending_scan
-  | Mode_a
-  | Closed_world
-      (** the callee summaries consulted during analysis remain valid —
-          no class is loaded after compilation *)
-(** The runtime assumptions an elided verdict depends on; the runtime
-    mirrors this type and revokes dependent elisions when one is
-    observed false. *)
-
-val string_of_assumption : assumption -> string
-
-val assumptions_of_reason : Analysis.reason -> assumption list
+val assumptions_of_reason : Analysis.reason -> Jir.Types.assumption list
 (** Unconditional verdicts (pre-null field, null-or-same, dead code)
     carry no assumptions; §3 array verdicts record mode A; the §4.3
     move-down and swap extensions additionally depend on a single
     mutator and on the collector (scan direction / retrace protocol). *)
 
-val ins_assumptions_of_reason : Analysis.ins_reason -> assumption list
+val ins_assumptions_of_reason : Analysis.ins_reason -> Jir.Types.assumption list
 (** Guards of the {e insertion}-half verdict alone.  Null and literal
     in-method freshness are unconditional (the collector's
     allocate-black plus remark re-scan cover them); freshness proved
@@ -39,9 +25,9 @@ type compiled = {
   program : Jir.Program.t;  (** after inlining *)
   results : Analysis.method_result list;
   verdicts : (site_key, Analysis.verdict) Hashtbl.t;
-  guards : (site_key, assumption list) Hashtbl.t;
+  guards : (site_key, Jir.Types.assumption list) Hashtbl.t;
       (** guard table: assumption set of every elided conditional site *)
-  ins_guards : (site_key, assumption list) Hashtbl.t;
+  ins_guards : (site_key, Jir.Types.assumption list) Hashtbl.t;
       (** insertion-half guard table, kept apart from [guards] so a
           hybrid collector can revoke one half of a barrier while the
           other stays elided *)
@@ -90,11 +76,11 @@ val retrace_check : compiled -> site_key -> [ `None | `Open | `Close ]
     pair's first store (also opens the safepoint-free window), [`Close]
     at the second, [`None] everywhere else. *)
 
-val site_assumptions : compiled -> site_key -> assumption list
+val site_assumptions : compiled -> site_key -> Jir.Types.assumption list
 (** Assumption set the elision at the site depends on; empty for kept
     sites and unconditional verdicts. *)
 
-val ins_site_assumptions : compiled -> site_key -> assumption list
+val ins_site_assumptions : compiled -> site_key -> Jir.Types.assumption list
 (** Assumption set the {e insertion}-half elision at the site depends
     on; empty for kept-insertion sites and unconditional verdicts. *)
 
@@ -115,7 +101,7 @@ val ins_repair_needed : compiled -> site_key -> bool
     verdicts (the allocation may predate the current marking cycle);
     false for provably-null stores and dead code. *)
 
-val guarded_assumptions : compiled -> assumption list
+val guarded_assumptions : compiled -> Jir.Types.assumption list
 (** Deduplicated union of all sites' assumption sets, in declaration
     order. *)
 
@@ -132,7 +118,7 @@ type provenance = {
   pv_reason : Analysis.reason;
   pv_rule : string;  (** short rule name, e.g. ["pre-null-field"] *)
   pv_facts : string list;  (** the abstract-fact chain, outermost first *)
-  pv_guards : assumption list;
+  pv_guards : Jir.Types.assumption list;
   pv_summary_dependent : bool;
 }
 

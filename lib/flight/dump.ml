@@ -31,7 +31,7 @@ type dump = {
           only in dumps written under a heap observer *)
 }
 
-(** Read a version-2 dump back. *)
+(** Read a version-3 dump back. *)
 let parse_dump (j : J.json) : (dump, string) result =
   let exception Bad of string in
   let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
@@ -64,7 +64,7 @@ let parse_dump (j : J.json) : (dump, string) result =
   try
     let body = obj "flight" (field (obj "dump" j) "flight") in
     let version = int body "version" in
-    if version <> 2 then fail "unsupported dump version %d" version;
+    if version <> 3 then fail "unsupported dump version %d" version;
     Ok
       {
         d_reason = str body "reason";
@@ -117,7 +117,7 @@ type site_life = {
   sl_site : string;
   sl_kind : string;
   sl_state : string;
-  sl_history : string;  (** "respec@64 -> revoked@2980 (single-mutator)" *)
+  sl_history : string;  (** "revoked@2980 (single-mutator)" *)
 }
 
 type timeline = {
@@ -219,8 +219,7 @@ let timeline_of (d : dump) : timeline =
       | Retune _ -> incr retunes
       | Hard_stop _ -> hard := Some e.step
       | Gc_restart _ | Gc_degraded _ | Trigger _ | Recovered _
-      | Revoke_request _ | Revoke_apply _ | Respecialize _ | Runtime_degraded _
-      | Anomaly _ ->
+      | Revoke_request _ | Revoke_apply _ | Runtime_degraded _ | Anomaly _ ->
           ())
     d.d_events;
   (* a cycle still marking at capture time *)
@@ -239,8 +238,8 @@ let timeline_of (d : dump) : timeline =
         ]
     | None -> []
   in
-  (* per-site history: revocations (with guard provenance) and
-     respecializations, in stream order *)
+  (* per-site history: revocations with their guard provenance, in
+     stream order *)
   let hist : (string, string list) Hashtbl.t = Hashtbl.create 16 in
   let push site entry =
     let prev = Option.value (Hashtbl.find_opt hist site) ~default:[] in
@@ -254,8 +253,6 @@ let timeline_of (d : dump) : timeline =
             match half with Full -> "" | Del -> " del-half" | Ins -> " ins-half"
           in
           push site (Printf.sprintf "revoked@%d (%s%s)" e.step guard half)
-      | Respecialize { site; epoch } ->
-          push site (Printf.sprintf "respec@%d e%d" e.step epoch)
       | _ -> ())
     d.d_events;
   let sites =

@@ -80,7 +80,6 @@ type event =
       materialized : bool;  (** first executed after the revocation *)
       justification : string option;
     }
-  | Respecialize of { site : string; epoch : int }  (** threaded engine only *)
   | Runtime_degraded of { reason : string }
   | Chaos_fault of { fault : string; at : fault_at; count : int option }
   | Census of {
@@ -112,7 +111,6 @@ let kind_name = function
   | Revoke_request _ -> "revoke.request"
   | Revoke_apply _ -> "revoke.apply"
   | Revoke_site _ -> "revoke.site"
-  | Respecialize _ -> "engine.respecialize"
   | Runtime_degraded _ -> "runtime.degraded"
   | Chaos_fault _ -> "chaos.fault"
   | Census _ -> "heap.census"
@@ -191,7 +189,6 @@ let fields (ev : event) : (string * J.json) list =
           str "guard" guard;
           str "half" (match half with Full -> "full" | Del -> "del" | Ins -> "ins");
         ]
-  | Respecialize { site; epoch } -> [ str "site" site; int "epoch" epoch ]
   | Runtime_degraded { reason } -> [ str "reason" reason ]
   | Chaos_fault { fault; at; count } ->
       [
@@ -370,7 +367,6 @@ let of_json (j : J.json) : (entry, string) result =
               site = str "site"; guards = strs "guards"; guard = str "guard"; half;
               materialized = bool "materialized"; justification = opt str "justification";
             }
-      | "engine.respecialize" -> Respecialize { site = str "site"; epoch = int "epoch" }
       | "runtime.degraded" -> Runtime_degraded { reason = str "reason" }
       | "chaos.fault" ->
           let at =

@@ -2,8 +2,8 @@
 
    Layout: a pre-allocated ring of stamped events indexed by
    [total mod capacity].  A run records tens to a few hundred events, all
-   on cold paths (cycle boundaries, pacer decisions, revocations, faults,
-   respecialization), so an event is an ordinary immutable value; the
+   on cold paths (cycle boundaries, pacer decisions, revocations,
+   faults), so an event is an ordinary immutable value; the
    recorder stays enabled under the threaded engine (<2% on every
    workload, gated by BENCH_flight.json). *)
 
@@ -199,7 +199,7 @@ let dump_json ~(reason : string) : J.json =
       ( "flight",
         J.Obj
           ([
-             ("version", J.Int 2);
+             ("version", J.Int 3);
              ("reason", J.Str reason);
              ("at_step", J.Int (!step_source ()));
              ("capacity", J.Int !cap);

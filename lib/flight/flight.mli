@@ -2,7 +2,7 @@
     typed events are also what the JSONL trace, the timeline and every
     Chrome export render.
 
-    Every GC, pacer, revocation, engine, chaos and heap-census event is
+    Every GC, pacer, revocation, chaos and heap-census event is
     recorded once, by {!record}: the event is stamped with the current
     mutator step, kept in a bounded ring (the last 4096 events), and —
     when a [--trace] sink or a [--chrome-trace] recorder is armed —
@@ -115,7 +115,7 @@ val captured : unit -> (string * string) option
 (** {1 Writing dumps} *)
 
 val dump_json : reason:string -> Telemetry.json
-(** Deterministic dump (version 2) of the ring: run metadata, events
+(** Deterministic dump (version 3) of the ring: run metadata, events
     rendered by {!to_json}, per-site snapshot (sorted by site id) and
     fired anomalies. *)
 

@@ -48,11 +48,12 @@ let measure_one (w : Workloads.Spec.t) : row =
       Satb_core.Driver.compile ~inline_limit:100 ~conf:(conf_of variant) prog
     in
     (* The swap elision is only sound under the retrace collector. *)
+    let pacing = Jrt.Pacer.config_of_trigger 24 in
     let gc =
       match variant with
-      | Rearrange -> Jrt.Runner.make_retrace ~trigger_allocs:24 ()
+      | Rearrange -> Jrt.Runner.make_retrace ~pacing ()
       | Full | One_name | No_stride | Field_only ->
-          Jrt.Runner.make_satb ~trigger_allocs:24 ()
+          Jrt.Runner.make_satb ~pacing ()
     in
     let r = Exp.run ~gc { Exp.workload = w; compiled } in
     (match r.gc with

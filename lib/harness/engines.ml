@@ -64,15 +64,9 @@ let heap_table (h : Jrt.Heap.t) =
    must be identical — steps included: the threaded engine's step
    source adds the slice's in-flight instruction count ([Exec.inflight]),
    so even an event recorded from inside a fused block carries the
-   interpreter's exact charge-before-execute step.  Respecialization
-   events exist only under the threaded engine and are excluded. *)
-let flight_diff (ea : Flight.entry list) (eb : Flight.entry list) :
+   interpreter's exact charge-before-execute step. *)
+let flight_diff (a : Flight.entry list) (b : Flight.entry list) :
     string option =
-  let strip =
-    List.filter (fun (e : Flight.entry) ->
-        match e.ev with Flight.Respecialize _ -> false | _ -> true)
-  in
-  let a = strip ea and b = strip eb in
   if a = b then None
   else
     let rec first_div i = function

@@ -23,9 +23,8 @@ val diff :
     payload of every object ever allocated), GC summary, pacer stats and
     thread errors.  [?flight] additionally compares the two runs'
     flight-recorder event streams (GC phase transitions, pacer
-    decisions, revocations, faults — everything except the
-    threaded-only respecialization records, which are filtered out);
-    kind, order, fields and steps must all match exactly — the
+    decisions, revocations, faults — every record, unfiltered); kind,
+    order, fields and steps must all match exactly — the
     threaded engine's step source includes the slice's in-flight count
     ([Exec.inflight]), so its events carry the interpreter's steps even
     from inside fused blocks.  Snapshot each stream with

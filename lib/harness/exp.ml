@@ -25,96 +25,65 @@ let compile ?(inline_limit = 100) ?(mode = Satb_core.Analysis.A)
 
 let key c m pc = { Satb_core.Driver.sk_class = c; sk_method = m; sk_pc = pc }
 
-(** Barrier policy from the analysis verdicts. *)
-let policy_of (cw : compiled_workload) : Jrt.Interp.barrier_policy =
- fun c m pc -> not (Satb_core.Driver.needs_barrier cw.compiled (key c m pc))
-
-(** Tracing-state-check sites from the analysis verdicts (swap pairs). *)
-let retrace_policy_of (cw : compiled_workload) : Jrt.Interp.retrace_policy =
- fun c m pc ->
-  match Satb_core.Driver.retrace_check cw.compiled (key c m pc) with
-  | `Open -> Jrt.Interp.Check_open
-  | `Close -> Jrt.Interp.Check_close
-  | `None -> Jrt.Interp.No_check
-
-let assumption_to_runtime :
-    Satb_core.Driver.assumption -> Jrt.Interp.assumption = function
-  | Satb_core.Driver.Single_mutator -> Jrt.Interp.Single_mutator
-  | Satb_core.Driver.Retrace_collector -> Jrt.Interp.Retrace_collector
-  | Satb_core.Driver.Descending_scan -> Jrt.Interp.Descending_scan
-  | Satb_core.Driver.Mode_a -> Jrt.Interp.Mode_a
-  | Satb_core.Driver.Closed_world -> Jrt.Interp.Closed_world
-
-(** The per-site guard table from the compiler's assumption metadata. *)
-let guard_policy_of (cw : compiled_workload) : Jrt.Interp.guard_policy =
- fun c m pc ->
-  List.map assumption_to_runtime
-    (Satb_core.Driver.site_assumptions cw.compiled (key c m pc))
-
-(** Per-site split verdicts for the hybrid (deletion + insertion)
-    barrier, from the compiler's half-verdict tables.  Each half carries
-    its own guard set so revocation can restore one half while the other
-    stays elided. *)
-let half_policy_of (cw : compiled_workload) : Jrt.Interp.half_policy =
- fun c m pc ->
-  let key = key c m pc in
-  match Satb_core.Driver.hybrid_verdict cw.compiled key with
-  | `Keep -> Jrt.Interp.keep_both
-  | (`Elide_deletion | `Elide_insertion | `Elide_both) as hv ->
-      let del = hv = `Elide_deletion || hv = `Elide_both in
-      let ins = hv = `Elide_insertion || hv = `Elide_both in
-      {
-        Jrt.Interp.hs_del_elide = del;
-        hs_ins_elide = ins;
-        hs_ins_repair =
-          ins && Satb_core.Driver.ins_repair_needed cw.compiled key;
-        hs_del_guards =
-          (if del then
-             List.map assumption_to_runtime
-               (Satb_core.Driver.site_assumptions cw.compiled key)
-           else []);
-        hs_ins_guards =
-          (if ins then
-             List.map assumption_to_runtime
-               (Satb_core.Driver.ins_site_assumptions cw.compiled key)
-           else []);
-      }
-
-(** Elision provenance, so runtime revocation events can name the
-    original justification of each site they patch. *)
-let explain_policy_of (cw : compiled_workload) : Jrt.Interp.explain_policy =
- fun c m pc -> Satb_core.Driver.justification cw.compiled (key c m pc)
-
 let config ?(satb_mode = Jrt.Barrier_cost.Conditional) ?(use_policy = true)
     ?(guards = false) ?(revoke = true) ~(gc : Jrt.Runner.gc_choice)
     (cw : compiled_workload) : Jrt.Interp.config =
-  (* The hybrid collector switches the interpreter to the split-verdict
-     barrier; the half policy carries each half's guards itself. *)
+  (* The hybrid collector switches the runtime to the split-verdict
+     barrier: both halves, and no tracing-state check. *)
   let hybrid = match gc with Jrt.Runner.Hybrid _ -> true | _ -> false in
+  (* Guards are opt-in: several negative soundness tests deliberately
+     run unsound policy/collector combinations to show the oracle
+     catching them, which wired guards would (correctly) neutralize.
+     Under [Hybrid] the verdicts carry each half's guards even with
+     [~guards:false] (BENCH_hybrid.json and the gc-churn benchmark
+     depend on it), so guard failures revoke there as well; only the
+     justification waits for [~guards].  Without the verdicts guard
+     failures are still recorded when [~guards] asks for it, so the
+     startup capability requests show. *)
+  let wired = guards || (hybrid && use_policy) in
+  let c = cw.compiled in
+  let policy cls meth pc : Jrt.Interp.verdict =
+    let k = key cls meth pc in
+    let del_elide = use_policy && not (Satb_core.Driver.needs_barrier c k) in
+    let ins_elide =
+      use_policy && hybrid
+      &&
+      match Satb_core.Driver.hybrid_verdict c k with
+      | `Elide_insertion | `Elide_both -> true
+      | `Keep | `Elide_deletion -> false
+    in
+    {
+      del_elide;
+      del_guards =
+        (if wired && del_elide then Satb_core.Driver.site_assumptions c k
+         else []);
+      ins_elide;
+      ins_guards =
+        (if wired && ins_elide then Satb_core.Driver.ins_site_assumptions c k
+         else []);
+      ins_repair = ins_elide && Satb_core.Driver.ins_repair_needed c k;
+      check =
+        (if hybrid || not del_elide then Jrt.Interp.No_check
+         else
+           match Satb_core.Driver.retrace_check c k with
+           | `Open -> Jrt.Interp.Check_open
+           | `Close -> Jrt.Interp.Check_close
+           | `None -> Jrt.Interp.No_check);
+      why =
+        (if guards then lazy (Satb_core.Driver.justification c k)
+         else Jrt.Interp.keep.why);
+    }
+  in
   {
     Jrt.Interp.default_config with
-    policy = (if use_policy then policy_of cw else Jrt.Interp.keep_all_policy);
-    retrace =
-      (if use_policy then retrace_policy_of cw
-       else Jrt.Interp.no_retrace_checks);
+    policy;
+    revoke = revoke && wired;
     satb_mode;
-    barrier_flavor =
-      (if hybrid then `Hybrid else Jrt.Interp.default_config.barrier_flavor);
-    halves =
-      (if hybrid && use_policy then half_policy_of cw
-       else Jrt.Interp.no_halves);
-    (* Guards are opt-in: several negative soundness tests deliberately
-       run unsound policy/collector combinations to show the oracle
-       catching them, which wired guards would (correctly) neutralize.
-       Without the verdicts the table is wired but empty: still not
-       [no_guards], so the startup capability requests are recorded. *)
-    guards =
-      (if not guards then Jrt.Interp.no_guards
-       else if use_policy then guard_policy_of cw
-       else fun _ _ _ -> []);
-    explain = (if guards then explain_policy_of cw else Jrt.Interp.no_explain);
-    revoke;
+    barrier_flavor = (if hybrid then `Hybrid else `Satb);
   }
+
+let policy_of (cw : compiled_workload) =
+  (config ~gc:Jrt.Runner.No_gc cw).Jrt.Interp.policy
 
 (** Session-wide default execution engine, so `bench --engine threaded`
     (and the CI both-engines tier-1 lever) can retarget every experiment

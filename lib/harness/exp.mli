@@ -19,18 +19,6 @@ val compile :
   Workloads.Spec.t ->
   compiled_workload
 
-val policy_of : compiled_workload -> Jrt.Interp.barrier_policy
-(** Barrier-elision policy from the analysis verdicts. *)
-
-val half_policy_of : compiled_workload -> Jrt.Interp.half_policy
-(** Per-site split verdicts for the hybrid barrier, from the compiler's
-    deletion- and insertion-half tables; each half carries its own guard
-    set.  {!config} wires this automatically when [gc] is [Hybrid]. *)
-
-val explain_policy_of : compiled_workload -> Jrt.Interp.explain_policy
-(** Elision provenance: the analysis-side justification of each elided
-    site, for revocation events and the profiler's hot-site report. *)
-
 val config :
   ?satb_mode:Jrt.Barrier_cost.satb_mode ->
   ?use_policy:bool ->
@@ -39,14 +27,26 @@ val config :
   gc:Jrt.Runner.gc_choice ->
   compiled_workload ->
   Jrt.Interp.config
-(** The run configuration for [gc] from the analysis verdicts: barrier
-    policy, tracing-state checks (swap pairs), and under [Hybrid] the
-    split-verdict barrier flavour with its half table.  [use_policy:false]
-    keeps every barrier.  [guards] (default off — the negative soundness
-    tests depend on unguarded runs) wires the guard table and the elision
-    justifications, so assumption failures revoke dependent elisions;
-    without the verdicts the table is wired but empty.  [revoke:false]
-    keeps the guards wired but ignores their failures. *)
+(** The run configuration for [gc] from the analysis verdicts: one
+    {!Jrt.Interp.verdict} per site, with its tracing-state check (swap
+    pairs), and under [Hybrid] the split-verdict barrier flavour with
+    both halves.  [use_policy:false] keeps every barrier.  [guards]
+    (default off — the negative soundness tests depend on unguarded
+    runs) wires each verdict's guards and justification, so assumption
+    failures revoke dependent elisions; without the verdicts guard
+    failures are still recorded.  Under [Hybrid] the verdicts carry
+    their guards even without [guards].  [revoke:false] keeps the guards
+    wired but ignores their failures. *)
+
+val policy_of :
+  compiled_workload ->
+  Jir.Types.class_name ->
+  Jir.Types.method_name ->
+  int ->
+  Jrt.Interp.verdict
+(** The unguarded verdicts [config ~guards:false] wires for every
+    collector but [Hybrid]: the analysis's deletion verdict and
+    tracing-state check, no guards, no justification. *)
 
 val default_engine : [ `Interp | `Threaded ] ref
 (** Session-wide default for {!run}'s [?engine] (initially [`Interp],

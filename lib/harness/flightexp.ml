@@ -29,7 +29,7 @@ let walkthrough () : string =
   in
   ignore
     (Exp.run
-       ~gc:(Jrt.Runner.make_retrace ~trigger_allocs:24 ())
+       ~gc:(Jrt.Runner.make_retrace ~pacing:(Jrt.Pacer.config_of_trigger 24) ())
        ~guards:true ~chaos ~fail_on_thread_error:false cw);
   (* the ring still holds this run (the next begin_run resets it); the
      dump -> parse -> render round trip is exactly what `satbelim

@@ -40,11 +40,14 @@ let collector_name = function
 
 let all_collectors = [ Csatb; Cincr; Cretrace; Chybrid ]
 
-let gc_of ?(trigger_allocs = 24) = function
-  | Csatb -> Jrt.Runner.make_satb ~trigger_allocs ()
-  | Cincr -> Jrt.Runner.make_incr ~trigger_allocs ()
-  | Cretrace -> Jrt.Runner.make_retrace ~trigger_allocs ()
-  | Chybrid -> Jrt.Runner.make_hybrid ~trigger_allocs ()
+(* every collector cycles every 24 allocations *)
+let gc_of coll =
+  let pacing = Jrt.Pacer.config_of_trigger 24 in
+  match coll with
+  | Csatb -> Jrt.Runner.make_satb ~pacing ()
+  | Cincr -> Jrt.Runner.make_incr ~pacing ()
+  | Cretrace -> Jrt.Runner.make_retrace ~pacing ()
+  | Chybrid -> Jrt.Runner.make_hybrid ~pacing ()
 
 type row = {
   bench : string;

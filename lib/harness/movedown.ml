@@ -34,7 +34,8 @@ let measure_one (w : Workloads.Spec.t) : row =
     let cw = Exp.compile ~move_down w in
     let r =
       Exp.run
-        ~gc:(Jrt.Runner.make_satb ~trigger_allocs:24 ~steps_per_increment:8 ())
+        ~gc:(Jrt.Runner.make_satb ~pacing:(Jrt.Pacer.config_of_trigger 24)
+          ~steps_per_increment:8 ())
         cw
     in
     let v = match r.gc with Some g -> g.total_violations | None -> 0 in

@@ -23,8 +23,12 @@ type row = { bench : string; collectors : coll list; ratio : float }
 let find (r : row) (name : string) : coll =
   List.find (fun c -> c.collector = name) r.collectors
 
-let measure_one ?(trigger_allocs = 16) ?(steps_per_increment = 16)
-    (w : Workloads.Spec.t) : row =
+(* every collector cycles every 16 allocations and marks 16 steps per
+   increment *)
+let pacing = Jrt.Pacer.config_of_trigger 16
+let steps_per_increment = 16
+
+let measure_one (w : Workloads.Spec.t) : row =
   (* The SATB run uses the analysis-directed elision policy; the
      incremental-update run keeps every barrier, because pre-null elision
      is an SATB-specific optimization: a card-marking collector must hear
@@ -63,15 +67,15 @@ let measure_one ?(trigger_allocs = 16) ?(steps_per_increment = 16)
   in
   let satb =
     go ~use_policy:true ~swap:false "satb"
-      (Jrt.Runner.Satb { steps_per_increment; pacing = Jrt.Pacer.config_of_trigger trigger_allocs })
+      (Jrt.Runner.Satb { steps_per_increment; pacing })
   in
   let incr =
     go ~use_policy:false ~swap:false "incr"
-      (Jrt.Runner.Incr { steps_per_increment; pacing = Jrt.Pacer.config_of_trigger trigger_allocs })
+      (Jrt.Runner.Incr { steps_per_increment; pacing })
   in
   let retrace =
     go ~use_policy:true ~swap:true "retrace"
-      (Jrt.Runner.Retrace { steps_per_increment; pacing = Jrt.Pacer.config_of_trigger trigger_allocs })
+      (Jrt.Runner.Retrace { steps_per_increment; pacing })
   in
   {
     bench = w.name;
@@ -82,15 +86,11 @@ let measure_one ?(trigger_allocs = 16) ?(steps_per_increment = 16)
       /. float_of_int (max 1 satb.pauses.Profile.Stats.d_max);
   }
 
-let measure ?trigger_allocs ?steps_per_increment () : row list =
+let measure () : row list =
   (* the shared row table is the single source of truth behind the
      rendered table, BENCH_pause.json and the regression gate *)
   Telemetry.clear_table "pause";
-  let rows =
-    List.map
-      (measure_one ?trigger_allocs ?steps_per_increment)
-      Workloads.Registry.table1
-  in
+  let rows = List.map measure_one Workloads.Registry.table1 in
   List.iter
     (fun r ->
       List.iter

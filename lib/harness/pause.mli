@@ -28,11 +28,11 @@ type row = {
 val find : row -> string -> coll
 (** The named collector's measurement; raises [Not_found] otherwise. *)
 
-val measure_one :
-  ?trigger_allocs:int -> ?steps_per_increment:int -> Workloads.Spec.t -> row
+val measure_one : Workloads.Spec.t -> row
+(** Every collector cycles every 16 allocations and marks 16 steps per
+    increment. *)
 
-val measure :
-  ?trigger_allocs:int -> ?steps_per_increment:int -> unit -> row list
+val measure : unit -> row list
 (** All Table-1 workloads; repopulates the ["pause"] telemetry table. *)
 
 val render : row list -> string

@@ -16,8 +16,7 @@ let profile_run ~(label : string) ~(gc : Jrt.Runner.gc_choice)
         label
   | Some _ | None -> ());
   let p =
-    Profile.Attr.of_report ~workload:cw.Exp.workload.name ~gc:"retrace"
-      ~explain:(Exp.explain_policy_of cw) r
+    Profile.Attr.of_report ~workload:cw.Exp.workload.name ~gc:"retrace" r
   in
   (match Profile.Attr.reconciles p r with
   | Ok () -> ()
@@ -27,7 +26,7 @@ let profile_run ~(label : string) ~(gc : Jrt.Runner.gc_choice)
   p
 
 let measure ?(workload = Workloads.Db.t) () : result =
-  let gc = Jrt.Runner.make_retrace ~trigger_allocs:24 () in
+  let gc = Jrt.Runner.make_retrace ~pacing:(Jrt.Pacer.config_of_trigger 24) () in
   let baseline = profile_run ~label:"plain" ~gc (Exp.compile workload) in
   let full =
     profile_run ~label:"full" ~gc

@@ -43,7 +43,8 @@ let measure_one (w : Workloads.Spec.t) : row =
     let cw = Exp.compile ~move_down:true ~swap w in
     let r =
       Exp.run
-        ~gc:(Jrt.Runner.make_retrace ~trigger_allocs:24 ~steps_per_increment:8 ())
+        ~gc:(Jrt.Runner.make_retrace ~pacing:(Jrt.Pacer.config_of_trigger 24)
+          ~steps_per_increment:8 ())
         cw
     in
     let v, rt =

@@ -21,9 +21,11 @@ type collector = Csatb | Cretrace
 
 let collector_name = function Csatb -> "satb" | Cretrace -> "retrace"
 
-let gc_of ?(steps_per_increment = 8) = function
-  | Csatb -> Jrt.Runner.make_satb ~trigger_allocs:24 ~steps_per_increment ()
-  | Cretrace -> Jrt.Runner.make_retrace ~trigger_allocs:24 ~steps_per_increment ()
+let gc_of ?(steps_per_increment = 8) coll =
+  let pacing = Jrt.Pacer.config_of_trigger 24 in
+  match coll with
+  | Csatb -> Jrt.Runner.make_satb ~pacing ~steps_per_increment ()
+  | Cretrace -> Jrt.Runner.make_retrace ~pacing ~steps_per_increment ()
 
 (** The fault plans of the revocation-enabled sweep.  [budget-overflow]
     drives the termination watchdog: marking is slowed to one gray entry

@@ -131,7 +131,8 @@ let measure_chaos ?(seeds = [ 1; 2; 3 ]) () : chaos_row list =
               let chaos = Jrt.Chaos.create plan in
               let r =
                 Exp.run
-                  ~gc:(Jrt.Runner.make_satb ~trigger_allocs:24 ())
+                  ~gc:(Jrt.Runner.make_satb
+                    ~pacing:(Jrt.Pacer.config_of_trigger 24) ())
                   ~guards:true ~chaos ~fail_on_thread_error:false ~seed cw
               in
               let violations =

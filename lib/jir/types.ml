@@ -256,3 +256,25 @@ let store_kind_of_instr = function
   | Aastore -> Some Array_store
   | Putstatic _ -> Some Static_store
   | _ -> None
+
+(** The runtime assumptions an elided barrier may stand on.  Unconditional
+    verdicts (pre-null, null-or-same, dead code) carry none; the §4.3
+    extensions are conditional — on a single mutator, on the collector's
+    array-scan direction, on the retrace protocol, and on the array
+    analysis (mode A) that identified the arrays involved — and a
+    verdict proved through a callee summary stands on the closed world.
+    The analysis attaches them to its verdicts; the runtime revokes every
+    dependent elision once one is observed false. *)
+type assumption =
+  | Single_mutator
+  | Retrace_collector
+  | Descending_scan
+  | Mode_a
+  | Closed_world
+
+let string_of_assumption = function
+  | Single_mutator -> "single-mutator"
+  | Retrace_collector -> "retrace-collector"
+  | Descending_scan -> "descending-scan"
+  | Mode_a -> "mode-A"
+  | Closed_world -> "closed-world"

@@ -59,8 +59,7 @@ let kind_string = function
   | Jir.Types.Array_store -> "array"
   | Jir.Types.Static_store -> "static"
 
-let of_report ~workload ~gc ?(explain = Jrt.Interp.no_explain)
-    (r : Jrt.Runner.report) : t =
+let of_report ~workload ~gc (r : Jrt.Runner.report) : t =
   let m = r.Jrt.Runner.machine in
   let sites =
     Hashtbl.fold
@@ -68,7 +67,7 @@ let of_report ~workload ~gc ?(explain = Jrt.Interp.no_explain)
         {
           r_site = Jrt.Interp.site_id site;
           r_kind = kind_string st.Jrt.Interp.st_kind;
-          r_elided = st.Jrt.Interp.st_elided;
+          r_elided = Jrt.Interp.elided m st;
           r_execs = st.Jrt.Interp.execs;
           r_elided_execs = st.Jrt.Interp.elided_execs;
           r_paid_execs = st.Jrt.Interp.paid_execs;
@@ -81,10 +80,8 @@ let of_report ~workload ~gc ?(explain = Jrt.Interp.no_explain)
           r_barrier_units = st.Jrt.Interp.barrier_units;
           r_revocations = st.Jrt.Interp.revocations;
           r_guards =
-            List.map Jrt.Interp.string_of_assumption st.Jrt.Interp.st_guards;
-          r_why =
-            explain site.Jrt.Interp.s_class site.Jrt.Interp.s_method
-              site.Jrt.Interp.s_pc;
+            List.map Jir.Types.string_of_assumption (Jrt.Interp.guards m st);
+          r_why = Lazy.force st.Jrt.Interp.st_verdict.Jrt.Interp.why;
         }
         :: acc)
       m.Jrt.Interp.stats []

@@ -67,9 +67,11 @@ type t = {
 val of_report :
   workload:string ->
   gc:string ->
-  ?explain:Jrt.Interp.explain_policy ->
   Jrt.Runner.report ->
   t
+(** Per-site rows from the run's site records; each row's [r_why] is
+    the justification its verdict carries (wired by
+    [Harness.Exp.config ~guards:true]). *)
 
 val elision_rate : t -> float
 (** Dynamic elision rate in percent over {e all} reference stores,

@@ -16,25 +16,20 @@
     ({!Jir.Program.program}), found through a weak cache (see
     [code_for]) and built lazily by the first {!create} for that
     content.  Everything a run mutates lives in its {e binding} ({!t}):
-    the machine, the adopted threads, one cell per store site (epoch
-    stamp, specialized barrier body, cached {!Interp.site_stats}), one
-    slot per static and the frame pools.  Code refers to that state by
-    index only, and closures reach it through their [ethread] argument,
-    so two live machines of one program share nothing mutable and a
-    finished run leaves nothing behind in the code.  A binding costs
-    O(store sites + statics) to build.
+    the machine, the adopted threads, one cell per store site (its
+    cached {!Interp.site_stats}), one slot per static and the frame
+    pools.  Code refers to that state by index only, and closures reach
+    it through their [ethread] argument, so two live machines of one
+    program share nothing mutable and a finished run leaves nothing
+    behind in the code.  A binding costs O(store sites + statics) to
+    build.
 
-    Reference stores compile to fused opcodes specialized per verdict
-    half (paid / deletion-elided / insertion-elided / both-elided; see
-    the [Interp.barrier_*] bodies): the site's cell caches its
-    {!Interp.site_stats} record and the body its verdict qualifies for.
-    Each cell carries an {e epoch stamp}: safepoint revocation,
-    degraded-mode entry and cycle resets bump
-    {!Interp.t.barrier_epoch}, and a stamped site respecializes itself
-    the next time it executes — per-site invalidation through one
-    integer comparison on the store fast path, no global flush.  Cells
-    start unspecialized in every run, so each run records the same
-    respecializations at the same steps.
+    A reference store calls the interpreter's one barrier body
+    ({!Interp.store_barrier}) with its site's record, which the run's
+    cell caches once the site first executes — the interpreter's
+    materialization order, so a site born revoked records the same
+    event at the same step.  Revocation and degraded mode change what
+    the record says, never which code runs.
 
     Fused opcodes execute only when they fit {e entirely} inside the
     current slice's fuel; near a safepoint boundary the engine falls
@@ -113,13 +108,7 @@ let vec_push (v : 'a vec) (x : 'a) : int =
   v.len - 1
 
 (** A reference-store site of the code, described once at compile time. *)
-type site_desc = {
-  sd_site : I.site;
-  sd_kind : store_kind;
-  sd_id : string;
-      (** the site's id, formatted once at compile time so a
-          respecialization record inside the timed loop formats nothing *)
-}
+type site_desc = { sd_site : I.site; sd_kind : store_kind }
 
 type eframe = {
   ef_home : cmeth;  (** owning compiled method — names, handlers, pool *)
@@ -163,15 +152,6 @@ and cmeth = {
   cm_stack_cap : int;  (** dataflow max operand depth, plus slack *)
 }
 
-(** A store site's per-run cell: the fused barrier body chosen for the
-    site's current verdict, plus the epoch stamp it was specialized
-    against. *)
-and store_cell = {
-  cell_site : site_desc;
-  mutable cell_stamp : int;  (** -1 = never specialized *)
-  mutable cell_exec : tid:int -> obj:int -> pre:Value.t -> nv:Value.t -> unit;
-}
-
 (** Machine-free compiled code, shared by every run of one program
     content.  Store sites and statics are numbered in compile order;
     ops refer to a run's cells and slots by those numbers. *)
@@ -189,7 +169,8 @@ and code = {
 and t = {
   m : I.t;
   code : code;
-  mutable cells : store_cell array;  (** by store-site number *)
+  mutable cells : I.site_stats option array;
+      (** by store-site number; [None] until the site first executes *)
   mutable static_vals : Value.t array;
       (** by static number.  Reads hit the slot; writes go through to the
           interpreter's statics table as well, so root enumeration,
@@ -272,62 +253,18 @@ let int_elems_of (o : Heap.obj) =
   | Heap.Int_array es -> es
   | Heap.Fields _ | Heap.Ref_array _ -> bugf "expected int array"
 
-(* ---- barrier specialization -------------------------------------------- *)
+(* ---- store sites ------------------------------------------------------ *)
 
-(** (Re)specialize a store site against the machine's current epoch:
-    materialize (or find) its stats — the same lazy materialization, in
-    the same first-execution order, as the interpreter — and pick the
-    fused body its verdict qualifies for.  Anything with a tracing-state
-    check, a live guard on a fused-ineligible shape, or a degraded
-    interaction falls back to the shared general body. *)
-let specialize (m : I.t) (cell : store_cell) : unit =
-  let d = cell.cell_site in
-  let st = I.site_stats m d.sd_site d.sd_kind in
-  Flight.record
-    (Flight.Respecialize { site = d.sd_id; epoch = m.I.barrier_epoch });
-  cell.cell_stamp <- m.I.barrier_epoch;
-  cell.cell_exec <-
-    (match m.I.cfg.I.barrier_flavor with
-    | `Hybrid ->
-        if
-          st.I.st_del_elided && st.I.st_ins_elided
-          && st.I.st_del_guards = [] && st.I.st_ins_guards = []
-          && not st.I.st_ins_repair
-        then fun ~tid:_ ~obj ~pre ~nv:_ ->
-          I.barrier_hybrid_both_elided m st ~obj ~pre
-        else if
-          st.I.st_del_elided
-          && (not st.I.st_ins_elided)
-          && st.I.st_del_guards = []
-        then fun ~tid ~obj ~pre ~nv ->
-          I.barrier_hybrid_del_elided m st ~tid ~obj ~pre ~nv
-        else if
-          st.I.st_ins_elided
-          && (not st.I.st_del_elided)
-          && st.I.st_ins_guards = []
-          && not st.I.st_ins_repair
-        then fun ~tid:_ ~obj ~pre ~nv:_ ->
-          I.barrier_hybrid_ins_elided m st ~obj ~pre
-        else fun ~tid ~obj ~pre ~nv ->
-          I.ref_store_barrier_st m st ~tid ~obj ~pre ~nv
-    | `Satb ->
-        if st.I.st_elided && st.I.st_check = I.No_check then
-          if st.I.st_guards = [] then fun ~tid:_ ~obj ~pre ~nv:_ ->
-            I.barrier_elided_plain m st ~obj ~pre
-          else fun ~tid:_ ~obj ~pre ~nv:_ ->
-            I.barrier_elided_guarded m st ~obj ~pre
-        else fun ~tid ~obj ~pre ~nv ->
-          I.ref_store_barrier_st m st ~tid ~obj ~pre ~nv)
-
-let unspecialized : tid:int -> obj:int -> pre:Value.t -> nv:Value.t -> unit =
- fun ~tid:_ ~obj:_ ~pre:_ ~nv:_ -> assert false
-
-(** The run's cell for store site [s], respecialized first if a
-    revocation, degradation or cycle reset has bumped the epoch since. *)
-let cell_of (r : t) (s : int) : store_cell =
-  let b = r.cells.(s) in
-  if b.cell_stamp <> r.m.I.barrier_epoch then specialize r.m b;
-  b
+(** The run's record for store site [s], materialized at the site's
+    first execution, as the interpreter does. *)
+let site_of (r : t) (s : int) : I.site_stats =
+  match r.cells.(s) with
+  | Some st -> st
+  | None ->
+      let d = r.code.sites.items.(s) in
+      let st = I.site_stats r.m d.sd_site d.sd_kind in
+      r.cells.(s) <- Some st;
+      st
 
 (** Intern the allocation site at [pc] of a method being compiled —
     once, at compile time, so the allocation closures carry a plain int
@@ -339,8 +276,11 @@ let alloc_site_id (c : cmeth) (pc : int) : int =
 
 (** Number a new reference-store site of the code. *)
 let store_site (k : code) (c : cmeth) (pc : int) (kind : store_kind) : int =
-  let site = { I.s_class = c.cm_class; s_method = c.cm_meth.mname; s_pc = pc } in
-  vec_push k.sites { sd_site = site; sd_kind = kind; sd_id = I.site_id site }
+  vec_push k.sites
+    {
+      sd_site = { I.s_class = c.cm_class; s_method = c.cm_meth.mname; s_pc = pc };
+      sd_kind = kind;
+    }
 
 (* ---- frames ------------------------------------------------------------ *)
 
@@ -385,16 +325,28 @@ let release (r : t) (f : eframe) : unit =
   end
 
 (* call: never allocates once warm — the frame comes from the pool and
-   the thread's frame stack grows amortized *)
+   the thread's frame stack grows amortized.  A call past
+   [Interp.max_call_depth] kills the thread, as the interpreter's does. *)
 let push_frame (eth : ethread) (nf : eframe) : unit =
-  let cap = Array.length eth.eframes in
-  if eth.efp = cap then begin
-    let bigger = Array.make (max 8 (2 * cap)) nf in
-    Array.blit eth.eframes 0 bigger 0 cap;
-    eth.eframes <- bigger
-  end;
-  eth.eframes.(eth.efp) <- nf;
-  eth.efp <- eth.efp + 1
+  if eth.efp >= I.max_call_depth then begin
+    release eth.run nf;
+    for fp = eth.efp - 1 downto 0 do
+      release eth.run eth.eframes.(fp)
+    done;
+    eth.efp <- 0;
+    eth.ith.I.finished <- true;
+    eth.ith.I.error <- Some "stack overflow"
+  end
+  else begin
+    let cap = Array.length eth.eframes in
+    if eth.efp = cap then begin
+      let bigger = Array.make (max 8 (2 * cap)) nf in
+      Array.blit eth.eframes 0 bigger 0 cap;
+      eth.eframes <- bigger
+    end;
+    eth.eframes.(eth.efp) <- nf;
+    eth.efp <- eth.efp + 1
+  end
 
 (* ---- operand-stack capacity -------------------------------------------- *)
 
@@ -604,7 +556,7 @@ and compile_op (k : code) (prog : Jir.Program.t) (c : cmeth) (pc : int)
           let ev = pop fr in
           let v = decode ev in
           let run = eth.run in
-          (cell_of run s).cell_exec ~tid:eth.ith.I.tid ~obj:(-1)
+          I.store_barrier run.m (site_of run s) ~tid:eth.ith.I.tid ~obj:(-1)
             ~pre:run.static_vals.(i) ~nv:v;
           set_static run i v ev;
           next fr
@@ -628,8 +580,8 @@ and compile_op (k : code) (prog : Jir.Program.t) (c : cmeth) (pc : int)
           let v = decode (pop fr) in
           let o = pop_obj eth fr in
           let fs = fields_of o in
-          (cell_of eth.run s).cell_exec ~tid:eth.ith.I.tid ~obj:o.Heap.id
-            ~pre:fs.(idx) ~nv:v;
+          I.store_barrier eth.run.m (site_of eth.run s) ~tid:eth.ith.I.tid
+            ~obj:o.Heap.id ~pre:fs.(idx) ~nv:v;
           fs.(idx) <- v;
           next fr
       end
@@ -693,8 +645,8 @@ and compile_op (k : code) (prog : Jir.Program.t) (c : cmeth) (pc : int)
         let o = pop_obj eth fr in
         let es = ref_elems_of o in
         if i < 0 || i >= Array.length es then I.jthrow Bounds;
-        (cell_of eth.run s).cell_exec ~tid:eth.ith.I.tid ~obj:o.Heap.id
-          ~pre:es.(i) ~nv:v;
+        I.store_barrier eth.run.m (site_of eth.run s) ~tid:eth.ith.I.tid
+          ~obj:o.Heap.id ~pre:es.(i) ~nv:v;
         es.(i) <- v;
         next fr
   | Iaload ->
@@ -1330,8 +1282,9 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
                             let v = decode ev in
                             let run = eth.run in
                             run.fuse_ep <- q1;
-                            (cell_of run s).cell_exec ~tid:eth.ith.I.tid
-                              ~obj:(-1) ~pre:run.static_vals.(i) ~nv:v;
+                            I.store_barrier run.m (site_of run s)
+                              ~tid:eth.ith.I.tid ~obj:(-1)
+                              ~pre:run.static_vals.(i) ~nv:v;
                             set_static run i v ev),
                           q1 + 1,
                           false )
@@ -1395,7 +1348,7 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
                                         run.fuse_ep <- q2;
                                         let o = deref eth fr fr.elocals.(i) in
                                         let fs = fields_of o in
-                                        (cell_of run s).cell_exec
+                                        I.store_barrier run.m (site_of run s)
                                           ~tid:eth.ith.I.tid ~obj:o.Heap.id
                                           ~pre:fs.(idx) ~nv:v;
                                         fs.(idx) <- v
@@ -1409,7 +1362,7 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
                                         run.fuse_ep <- q2;
                                         let o = deref eth fr ov in
                                         let fs = fields_of o in
-                                        (cell_of run s).cell_exec
+                                        I.store_barrier run.m (site_of run s)
                                           ~tid:eth.ith.I.tid ~obj:o.Heap.id
                                           ~pre:fs.(idx) ~nv:v;
                                         fs.(idx) <- v
@@ -1470,7 +1423,8 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
                                                 i < 0
                                                 || i >= Array.length es
                                               then I.jthrow Bounds;
-                                              (cell_of run s).cell_exec
+                                              I.store_barrier run.m
+                                                (site_of run s)
                                                 ~tid:eth.ith.I.tid
                                                 ~obj:o.Heap.id ~pre:es.(i)
                                                 ~nv:v;
@@ -1645,21 +1599,14 @@ and adopt (t : t) (ith : I.thread) : ethread =
 
 (** Extend the binding over whatever the code compiled since it was
     last synced (by this run or another): new store sites start
-    unspecialized, new statics take the machine's live values, new
+    unmaterialized, new statics take the machine's live values, new
     methods get empty frame pools. *)
 and sync (t : t) : unit =
   let k = t.code in
   let have = Array.length t.cells in
   if have < k.sites.len then
     t.cells <-
-      Array.init k.sites.len (fun i ->
-          if i < have then t.cells.(i)
-          else
-            {
-              cell_site = k.sites.items.(i);
-              cell_stamp = -1;
-              cell_exec = unspecialized;
-            });
+      Array.init k.sites.len (fun i -> if i < have then t.cells.(i) else None);
   let have = Array.length t.static_vals in
   if have < k.statics.len then begin
     t.static_vals <-

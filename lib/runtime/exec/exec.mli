@@ -1,14 +1,14 @@
 (** Direct-threaded execution engine: verified jir methods compile into
     arrays of OCaml closures with preresolved field offsets and static
-    slots, barrier-elided stores fused into opcodes specialized per
-    verdict half, and guard checks compiled to epoch-stamp comparisons
-    ({!Interp.t.barrier_epoch}) so safepoint revocation invalidates
-    compiled sites individually, with no global flush.
+    slots, and every reference store calls the interpreter's one barrier
+    body ({!Interp.store_barrier}) with its site's cached record, so a
+    revocation takes effect through the record alone.
 
     Compiled code is machine-free and shared by every run of one
     program content; each run binds it to its machine with one cell per
-    store site and one slot per static, so runs of one program never
-    share mutable state.
+    store site (the site's {!Interp.site_stats}, materialized at its
+    first execution) and one slot per static, so runs of one program
+    never share mutable state.
 
     The engine executes over the interpreter's own substrate (heap,
     statics, counters, site stats, GC hooks, pacer), so collectors,

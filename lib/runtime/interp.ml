@@ -5,10 +5,13 @@
     aastore) is a {e barrier site}.  The interpreter counts, per site, how
     many times it executes and how often the overwritten value was null —
     the instrumentation behind the paper's Table 1, including the
-    "potentially pre-null" upper bound (§4.2).  A {e policy} (normally the
-    analysis verdicts) decides which sites' barriers were compiled out;
-    executed barriers invoke the active collector's hook and are charged to
-    the RISC cost model.
+    "potentially pre-null" upper bound (§4.2).  A {e policy} hands each
+    site one {!verdict} record (normally the analysis's): which barrier
+    halves were compiled out, the assumptions each elision stands on, and
+    the tracing-state check compiled in its place.  Both engines run every
+    store through one barrier body ({!store_barrier}); executed barriers
+    invoke the active collector's hook and are charged to the RISC cost
+    model.
 
     Threads are deterministic green threads; the {!Runner} module
     interleaves them and the collector. *)
@@ -26,6 +29,11 @@ exception Out_of_steps of int
    workload array has 256 elements. *)
 let max_array_length = 1 lsl 20
 
+(* The most frames a thread holds; a call past it kills the thread with
+   "stack overflow", which no handler catches.  The deepest workload
+   call chain is three frames. *)
+let max_call_depth = 1 lsl 18
+
 let bugf fmt = Fmt.kstr (fun s -> raise (Runtime_bug s)) fmt
 
 (** A barrier site in the compiled (inlined) program. *)
@@ -38,43 +46,44 @@ type site = { s_class : class_name; s_method : method_name; s_pc : int }
     observes a half-completed swap (see {!Retrace_gc}). *)
 type retrace_site = No_check | Check_open | Check_close
 
-(** The runtime assumptions an elided verdict may depend on.  Each elided
-    site carries its assumption set (its {e guards}); when an assumption
-    is observed false at runtime the dependent sites are {e revoked} —
-    atomically flipped back to full barriers at a safepoint, with snapshot
-    repair through {!Gc_hooks.t.on_revoke}. *)
-type assumption =
-  | Single_mutator
-  | Retrace_collector
-  | Descending_scan
-  | Mode_a
-  | Closed_world
-
-let string_of_assumption = function
-  | Single_mutator -> "single-mutator"
-  | Retrace_collector -> "retrace-collector"
-  | Descending_scan -> "descending-scan"
-  | Mode_a -> "mode-A"
-  | Closed_world -> "closed-world"
-
-type site_stats = {
-  st_kind : store_kind;
-  mutable st_elided : bool;  (** the policy removed this site's barrier *)
-  mutable st_check : retrace_site;
-      (** tracing-state check compiled in its place *)
-  st_guards : assumption list;
-      (** assumptions this site's elision depends on; revocation of any
-          flips [st_elided] off *)
-  mutable st_del_elided : bool;
-      (** hybrid flavor: the deletion (Yuasa) half was compiled out *)
-  mutable st_ins_elided : bool;
-      (** hybrid flavor: the insertion (Dijkstra) half was compiled out *)
-  st_ins_repair : bool;
+(** One store site's verdict, as the compiler hands it to the runtime.
+    The deletion half is SATB's whole verdict; only the [`Hybrid] flavor
+    reads the insertion half.  Each half carries the assumptions its
+    elision stands on (its {e guards}): once one is observed false the
+    half is {e revoked} — flipped back to a full barrier at a safepoint,
+    with snapshot repair through {!Gc_hooks.t.on_revoke}. *)
+type verdict = {
+  del_elide : bool;  (** the deletion (Yuasa / SATB) half was compiled out *)
+  del_guards : assumption list;
+  ins_elide : bool;  (** the insertion (Dijkstra) half was compiled out *)
+  ins_guards : assumption list;
+  ins_repair : bool;
       (** insertion-elided destinations join the repair set handed to the
           collector at remark (fresh-value proofs need the re-scan; a
           proven-null store does not) *)
-  st_del_guards : assumption list;  (** guards of the deletion half alone *)
-  st_ins_guards : assumption list;  (** guards of the insertion half alone *)
+  check : retrace_site;  (** compiled in place of the deletion half *)
+  why : string option Lazy.t;
+      (** the analysis's justification, built only when a [revoke.site]
+          record or a profile row reads it *)
+}
+
+let keep =
+  {
+    del_elide = false;
+    del_guards = [];
+    ins_elide = false;
+    ins_guards = [];
+    ins_repair = false;
+    check = No_check;
+    why = Lazy.from_val None;
+  }
+
+type site_stats = {
+  st_kind : store_kind;
+  st_verdict : verdict;
+  mutable st_del_elided : bool;
+      (** the deletion half is compiled out and not revoked *)
+  mutable st_ins_elided : bool;  (** likewise the insertion half *)
   mutable execs : int;
   mutable pre_null_execs : int;
   mutable paid_execs : int;
@@ -92,89 +101,30 @@ type site_stats = {
       (** times this site (either half) was patched back *)
 }
 
-(** [policy cls meth pc = true] means the analysis proved the barrier at
-    that site unnecessary. *)
-type barrier_policy = class_name -> method_name -> int -> bool
-
-(** Which elided sites carry a tracing-state check (swap-pair elisions
-    under the retrace collector). *)
-type retrace_policy = class_name -> method_name -> int -> retrace_site
-
-(** The per-site guard table: which assumptions the site's verdict is
-    conditional on (empty for unconditionally sound verdicts). *)
-type guard_policy = class_name -> method_name -> int -> assumption list
-
-let keep_all_policy : barrier_policy = fun _ _ _ -> false
-let no_retrace_checks : retrace_policy = fun _ _ _ -> No_check
-
-(* A single shared closure so [guards_active] can recognise "no guard
-   table was wired" by physical equality. *)
-let no_guards : guard_policy = fun _ _ _ -> []
-
-(** Split verdict for one site under the hybrid barrier: each half elides
-    (and revokes) independently. *)
-type half_site = {
-  hs_del_elide : bool;
-  hs_ins_elide : bool;
-  hs_ins_repair : bool;
-      (** record insertion-elided destinations for the remark re-scan *)
-  hs_del_guards : assumption list;
-  hs_ins_guards : assumption list;
-}
-
-let keep_both : half_site =
-  {
-    hs_del_elide = false;
-    hs_ins_elide = false;
-    hs_ins_repair = false;
-    hs_del_guards = [];
-    hs_ins_guards = [];
-  }
-
-(** Per-site split verdicts, consulted only under the [`Hybrid] flavor. *)
-type half_policy = class_name -> method_name -> int -> half_site
-
-(* Shared sentinel, like [no_guards]. *)
-let no_halves : half_policy = fun _ _ _ -> keep_both
-
-(** Original justification of a site's elision (the analysis-side
-    provenance), attached to revocation events so a revoked site can
-    print why its barrier was removed in the first place. *)
-type explain_policy = class_name -> method_name -> int -> string option
-
-let no_explain : explain_policy = fun _ _ _ -> None
-
 type config = {
-  policy : barrier_policy;
-  retrace : retrace_policy;
-  guards : guard_policy;
-  explain : explain_policy;
+  policy : class_name -> method_name -> int -> verdict;
+      (** the verdict at [(class, method, pc)] *)
   revoke : bool;
-      (** honour guard failures by revoking dependent elisions; [false]
-          (--no-revoke) runs open-loop so the oracle can demonstrate the
-          failure the guards would have caught *)
+      (** record guard failures and revoke the elisions that depend on
+          them at the next safepoint.  [false] ignores them: no guard
+          table was wired, or (--no-revoke) the run goes open-loop so the
+          oracle can demonstrate the failure the guards would have
+          caught *)
   satb_mode : Barrier_cost.satb_mode;
   barrier_flavor : [ `Satb | `Hybrid ];
-      (** which barrier body executes at non-elided sites: the one-call
+      (** which barrier executes at non-elided sites: the one-call
           barrier (SATB pre-value logging; incremental update dirties a
           card behind the same call) or the fused deletion+insertion
           hybrid pair *)
-  halves : half_policy;
-      (** split verdicts for the hybrid flavor; [no_halves] keeps both
-          halves everywhere *)
   max_steps : int;
 }
 
 let default_config =
   {
-    policy = keep_all_policy;
-    retrace = no_retrace_checks;
-    guards = no_guards;
-    explain = no_explain;
-    revoke = true;
+    policy = (fun _ _ _ -> keep);
+    revoke = false;
     satb_mode = Barrier_cost.Conditional;
     barrier_flavor = `Satb;
-    halves = no_halves;
     max_steps = 50_000_000;
   }
 
@@ -189,6 +139,7 @@ type frame = {
 type thread = {
   tid : int;
   mutable frames : frame list;  (** top first *)
+  mutable depth : int;  (** [List.length frames], kept by calls and returns *)
   mutable finished : bool;
   mutable error : string option;
 }
@@ -247,12 +198,6 @@ type t = {
       (** [(obj, verdict_class)] for stores whose barrier (or a half of
           it) was elided while marking — lets the float accounting split
           per-verdict; verdict classes are the [ew_*] constants *)
-  mutable barrier_epoch : int;
-      (** bumped whenever per-site verdicts may change (revocation
-          applied, degraded mode entered, cycle state reset); the
-          threaded engine stamps each compiled store site with the epoch
-          it specialized against and respecializes on mismatch — per-site
-          invalidation with no global flush *)
   mutable stack_roots_override : (unit -> (int * int list) list) option;
       (** installed by the threaded engine ({!Exec}), which owns the live
           thread stacks; {!thread_roots} and {!roots} consult it so the
@@ -306,7 +251,6 @@ let create ?(cfg = default_config) (prog : Jir.Program.t) : t =
     alloc_sites = Hashtbl.create 64;
     track_heap = false;
     elided_write_log = [];
-    barrier_epoch = 0;
     stack_roots_override = None;
   }
 
@@ -319,8 +263,8 @@ let site_id (site : site) : string =
 (* ---- heap observatory hooks ------------------------------------------- *)
 
 (* Verdict classes of an elided-write-log entry: which (half of the)
-   barrier the store skipped.  Plain ints so the fused fast paths cons a
-   two-int tuple and nothing else. *)
+   barrier the store skipped.  Plain ints so the barrier conses a two-int
+   tuple and nothing else. *)
 let ew_full = 0 (* whole barrier elided ([`Satb] flavor) *)
 let ew_del = 1 (* hybrid: deletion half elided, insertion ran *)
 let ew_ins = 2 (* hybrid: insertion half elided, deletion ran *)
@@ -335,16 +279,33 @@ let note_elided_write (m : t) ~(obj : int) (cls : int) : unit =
 
 (* ---- guards and revocation -------------------------------------------- *)
 
-(** [revoke.site] event: the runtime patched one elided site — or one
-    hybrid half of it, [half] — back to a full barrier.  [flipped] are
-    the guards of what flipped; the first of them in [failed] is the
+(** Is the whole store's barrier elided?  Under [`Satb] the deletion half
+    is the whole barrier; under [`Hybrid] both halves must be. *)
+let elided (m : t) (st : site_stats) : bool =
+  st.st_del_elided
+  && (st.st_ins_elided || m.cfg.barrier_flavor = `Satb)
+
+(** The site's whole guard set, as reports show it: the deletion half's
+    under [`Satb], both halves' (sorted, deduplicated) under [`Hybrid]. *)
+let guards (m : t) (st : site_stats) : assumption list =
+  let v = st.st_verdict in
+  match m.cfg.barrier_flavor with
+  | `Satb -> v.del_guards
+  | `Hybrid -> List.sort_uniq compare (v.del_guards @ v.ins_guards)
+
+(** [revoke.site] event: the runtime patched the deletion half ([del]),
+    the insertion half ([ins]) or both of one elided site back to a full
+    barrier.  The first guard of what flipped that is in [failed] is the
     provenance.  Also carries the site's whole guard set, whether it
     [materialized] already patched (first executed after the
-    revocation), and — when the analysis wired an explain policy — the
-    original justification. *)
-let record_revoked_site (m : t) (site : site) (st : site_stats)
-    ~(flipped : assumption list) ~(failed : assumption list)
-    ~(half : Flight.half) ~(materialized : bool) : unit =
+    revocation), and the analysis's justification when one was wired.
+    Under [`Satb] the deletion half is the whole barrier. *)
+let record_revoked_site (m : t) (site : site) (st : site_stats) ~(del : bool)
+    ~(ins : bool) ~(failed : assumption list) ~(materialized : bool) : unit =
+  let v = st.st_verdict in
+  let flipped =
+    (if del then v.del_guards else []) @ if ins then v.ins_guards else []
+  in
   let guard =
     match List.find_opt (fun a -> List.mem a failed) flipped with
     | Some a -> string_of_assumption a
@@ -354,25 +315,22 @@ let record_revoked_site (m : t) (site : site) (st : site_stats)
     (Flight.Revoke_site
        {
          site = site_id site;
-         guards = List.map string_of_assumption st.st_guards;
+         guards = List.map string_of_assumption (guards m st);
          guard;
-         half;
+         half =
+           (if (del && ins) || m.cfg.barrier_flavor = `Satb then Flight.Full
+            else if del then Flight.Del
+            else Flight.Ins);
          materialized;
-         justification = m.cfg.explain site.s_class site.s_method site.s_pc;
+         justification = Lazy.force v.why;
        })
-
-(** Was a guard table wired at all?  Default configs share the
-    [no_guards] / [no_halves] closures, so physical inequality is the
-    test (the hybrid flavor carries its guards inside the half policy). *)
-let guards_active (m : t) : bool =
-  m.cfg.guards != no_guards || m.cfg.halves != no_halves
 
 (** Note an assumption observed false.  The revocation itself happens at
     the next safepoint ({!apply_revocations}); deduplicated, and inert
-    unless guards are wired and revocation is enabled. *)
+    unless [cfg.revoke] holds. *)
 let request_revoke (m : t) (a : assumption) : unit =
   if
-    guards_active m && m.cfg.revoke
+    m.cfg.revoke
     && (not (List.mem a m.revoked))
     && not (List.mem a m.pending_revocations)
   then begin
@@ -383,15 +341,13 @@ let request_revoke (m : t) (a : assumption) : unit =
 
 let revocation_pending (m : t) : bool = m.pending_revocations <> []
 
-(** Atomically flip every site depending on a failed assumption back to a
+(** Atomically flip every half depending on a failed assumption back to a
     full barrier, then hand the cycle's guarded-write set to the
     collector for snapshot repair.  Must run at a safepoint: the runner
     calls it between quanta (never inside a swap window), and [Spawn]
     calls it synchronously before the new thread can run. *)
 let apply_revocations (m : t) : unit =
   if m.pending_revocations <> [] then begin
-    (* compiled code specialized against the old verdicts is stale *)
-    m.barrier_epoch <- m.barrier_epoch + 1;
     let failed = m.pending_revocations in
     m.pending_revocations <- [];
     m.revoked <- failed @ m.revoked;
@@ -405,40 +361,17 @@ let apply_revocations (m : t) : unit =
     let hit guards = List.exists (fun a -> List.mem a failed) guards in
     Hashtbl.iter
       (fun site st ->
-        match m.cfg.barrier_flavor with
-        | `Hybrid ->
-            (* each half revokes against its own guard set; a site counts
-               as one revocation even if both halves flip together *)
-            let del_flip = st.st_del_elided && hit st.st_del_guards in
-            let ins_flip = st.st_ins_elided && hit st.st_ins_guards in
-            if del_flip then st.st_del_elided <- false;
-            if ins_flip then st.st_ins_elided <- false;
-            if del_flip || ins_flip then begin
-              st.st_elided <- st.st_del_elided && st.st_ins_elided;
-              st.st_check <- No_check;
-              st.revocations <- st.revocations + 1;
-              m.revoked_sites <- m.revoked_sites + 1;
-              record_revoked_site m site st
-                ~flipped:
-                  ((if del_flip then st.st_del_guards else [])
-                  @ if ins_flip then st.st_ins_guards else [])
-                ~failed
-                ~half:
-                  (if del_flip && ins_flip then Flight.Full
-                   else if del_flip then Flight.Del
-                   else Flight.Ins)
-                ~materialized:false
-            end
-        | `Satb ->
-            if st.st_elided && hit st.st_guards then begin
-              st.st_elided <- false;
-              st.st_del_elided <- false;
-              st.st_check <- No_check;
-              st.revocations <- st.revocations + 1;
-              m.revoked_sites <- m.revoked_sites + 1;
-              record_revoked_site m site st ~flipped:st.st_guards ~failed
-                ~half:Flight.Full ~materialized:false
-            end)
+        (* each half revokes against its own guard set; a site counts as
+           one revocation even if both halves flip together *)
+        let del = st.st_del_elided && hit st.st_verdict.del_guards in
+        let ins = st.st_ins_elided && hit st.st_verdict.ins_guards in
+        if del then st.st_del_elided <- false;
+        if ins then st.st_ins_elided <- false;
+        if del || ins then begin
+          st.revocations <- st.revocations + 1;
+          m.revoked_sites <- m.revoked_sites + 1;
+          record_revoked_site m site st ~del ~ins ~failed ~materialized:false
+        end)
       m.stats;
     (* Repair: every object written through a guarded elided site this
        cycle may have had a pre-value go unlogged; the collector re-scans
@@ -461,8 +394,6 @@ let note_class_load (m : t) : unit = request_revoke m Closed_world
 let reset_cycle_state (m : t) : unit =
   m.guarded_writes <- [];
   m.elided_write_log <- [];
-  (* leaving degraded mode changes what swap-elided sites execute *)
-  if m.swap_degraded then m.barrier_epoch <- m.barrier_epoch + 1;
   m.swap_degraded <- false
 
 (** Enter degraded mode: the retrace budget overflowed, so swap-elided
@@ -470,7 +401,6 @@ let reset_cycle_state (m : t) : unit =
     Applied at safepoints only, so it never lands inside a swap window. *)
 let set_swap_degraded (m : t) : unit =
   if not m.swap_degraded then begin
-    m.barrier_epoch <- m.barrier_epoch + 1;
     m.swap_degraded <- true;
     m.degradations <- m.degradations + 1;
     Flight.record
@@ -509,6 +439,7 @@ let spawn_thread (m : t) (mr : method_ref) (args : Value.t list) : thread =
       tid = m.next_tid;
       frames =
         [ { f_class = mr.mclass; f_meth = meth; pc = 0; locals; ostack = [] } ];
+      depth = 1;
       finished = false;
       error = None;
     }
@@ -568,131 +499,119 @@ let roots (m : t) : int list =
 
 (* ---- barrier instrumentation ------------------------------------------ *)
 
+(** Find or materialize the per-site record.  Both engines materialize a
+    site at its first execution, so in the same order.  A half first
+    reached after one of its assumptions was revoked materializes already
+    patched. *)
 let site_stats (m : t) (site : site) (kind : store_kind) : site_stats =
   match Hashtbl.find_opt m.stats site with
   | Some st -> st
   | None ->
-      let alive guards = not (List.exists (fun a -> List.mem a m.revoked) guards) in
-      let fresh =
+      let v = m.cfg.policy site.s_class site.s_method site.s_pc in
+      let dead guards = List.exists (fun a -> List.mem a m.revoked) guards in
+      let del = v.del_elide && dead v.del_guards in
+      let ins = v.ins_elide && dead v.ins_guards in
+      let st =
         {
-          st_kind = kind; st_elided = false; st_check = No_check; st_guards = [];
-          st_del_elided = false; st_ins_elided = false; st_ins_repair = false;
-          st_del_guards = []; st_ins_guards = []; execs = 0; pre_null_execs = 0;
+          st_kind = kind; st_verdict = v; st_del_elided = v.del_elide && not del;
+          st_ins_elided = v.ins_elide && not ins; execs = 0; pre_null_execs = 0;
           paid_execs = 0; elided_execs = 0; del_paid_execs = 0; del_elided_execs = 0;
-          ins_paid_execs = 0; ins_elided_execs = 0; barrier_units = 0; revocations = 0;
+          ins_paid_execs = 0; ins_elided_execs = 0; barrier_units = 0;
+          revocations = (if del || ins then 1 else 0);
         }
       in
-      (* [born]: what materializes already patched — the half that was
-         revoked before the site first executed, with that half's guards *)
-      let st, born =
-        match m.cfg.barrier_flavor with
-        | `Hybrid ->
-            (* split verdicts: each half materializes (and may materialize
-               already-patched) against its own guard set *)
-            let hs = m.cfg.halves site.s_class site.s_method site.s_pc in
-            let del_alive = alive hs.hs_del_guards in
-            let ins_alive = alive hs.hs_ins_guards in
-            let del_elided = hs.hs_del_elide && del_alive in
-            let ins_elided = hs.hs_ins_elide && ins_alive in
-            let born =
-              match
-                (hs.hs_del_elide && not del_alive, hs.hs_ins_elide && not ins_alive)
-              with
-              | true, true ->
-                  Some (Flight.Full, hs.hs_del_guards @ hs.hs_ins_guards)
-              | true, false -> Some (Flight.Del, hs.hs_del_guards)
-              | false, true -> Some (Flight.Ins, hs.hs_ins_guards)
-              | false, false -> None
-            in
-            ( {
-                fresh with
-                st_elided = del_elided && ins_elided;
-                st_guards = List.sort_uniq compare (hs.hs_del_guards @ hs.hs_ins_guards);
-                st_del_elided = del_elided;
-                st_ins_elided = ins_elided;
-                st_ins_repair = hs.hs_ins_repair;
-                st_del_guards = hs.hs_del_guards;
-                st_ins_guards = hs.hs_ins_guards;
-                revocations = (if born <> None then 1 else 0);
-              },
-              born )
-        | `Satb ->
-            let guards = m.cfg.guards site.s_class site.s_method site.s_pc in
-            (* a site first reached after one of its assumptions was
-               revoked materializes already patched *)
-            let alive = alive guards in
-            let would_elide = m.cfg.policy site.s_class site.s_method site.s_pc in
-            let elided = alive && would_elide in
-            let born = would_elide && not alive in
-            ( {
-                fresh with
-                st_elided = elided;
-                st_check =
-                  (if elided then m.cfg.retrace site.s_class site.s_method site.s_pc
-                   else No_check);
-                st_guards = guards;
-                st_del_elided = elided;
-                st_del_guards = guards;
-                revocations = (if born then 1 else 0);
-              },
-              if born then Some (Flight.Full, guards) else None )
-      in
       Hashtbl.replace m.stats site st;
-      (match born with
-      | Some (half, flipped) ->
-          m.revoked_sites <- m.revoked_sites + 1;
-          record_revoked_site m site st ~flipped ~failed:m.revoked ~half
-            ~materialized:true
-      | None -> ());
+      if del || ins then begin
+        m.revoked_sites <- m.revoked_sites + 1;
+        record_revoked_site m site st ~del ~ins ~failed:m.revoked
+          ~materialized:true
+      end;
       st
 
-(** Execute the fused hybrid barrier: deletion and insertion halves run
-    (or are skipped) independently.  The site-level [paid_execs] /
-    [elided_execs] invariant is preserved — a store counts as elided iff
-    {e both} halves were skipped — so the profiler's reconciliation and
-    every legacy counter stay exact. *)
-let hybrid_store_barrier (m : t) (st : site_stats) ~(tid : int) ~(obj : int)
-    ~(pre : Value.t) ~(nv : Value.t) ~(pre_null : bool) : unit =
-  let marking = m.gc.is_marking () in
-  let charge cost =
-    m.barrier_units <- m.barrier_units + cost;
-    m.cost_units <- m.cost_units + cost;
-    st.barrier_units <- st.barrier_units + cost
-  in
-  let compiled_out = m.cfg.satb_mode = Barrier_cost.No_barrier in
-  (* deletion half (Yuasa): shade the overwritten value *)
-  if st.st_del_elided then st.del_elided_execs <- st.del_elided_execs + 1
+let charge (m : t) (st : site_stats) (cost : int) : unit =
+  m.barrier_units <- m.barrier_units + cost;
+  m.cost_units <- m.cost_units + cost;
+  st.barrier_units <- st.barrier_units + cost
+
+(** The write-barrier protocol for one reference store, shared by both
+    engines: the interpreter reaches it through {!ref_store_barrier}, the
+    threaded engine's store opcodes call it with the site's cached
+    record.  [obj = -1] for static stores; [nv] is the value being stored
+    and [tid] the storing thread (both consumed by the insertion half
+    only).
+
+    The deletion half is SATB's whole barrier: elided, it runs the
+    site's tracing-state check instead; in degraded mode (retrace-budget
+    overflow) a swap site pays it for the rest of the cycle.  Only the
+    [`Hybrid] flavor has an insertion half and counts the halves apart.
+    A store counts as elided iff every half it has was skipped, so
+    [execs = paid_execs + elided_execs] always holds. *)
+let store_barrier (m : t) (st : site_stats) ~(tid : int) ~(obj : int)
+    ~(pre : Value.t) ~(nv : Value.t) : unit =
+  st.execs <- st.execs + 1;
+  let pre_null = not (Value.is_ref pre) in
+  if pre_null then st.pre_null_execs <- st.pre_null_execs + 1;
+  let v = st.st_verdict in
+  let hybrid = m.cfg.barrier_flavor = `Hybrid in
+  let log = m.cfg.satb_mode <> Barrier_cost.No_barrier in
+  let del = st.st_del_elided && not (m.swap_degraded && v.check <> No_check) in
+  if del then begin
+    if hybrid then st.del_elided_execs <- st.del_elided_execs + 1;
+    match v.check with
+    | No_check -> ()
+    | (Check_open | Check_close) as check ->
+        m.retrace_checks <- m.retrace_checks + 1;
+        charge m st Barrier_cost.tracing_check_units;
+        m.gc.on_unlogged_store ~obj;
+        m.in_no_safepoint <- check = Check_open
+  end
   else begin
-    st.del_paid_execs <- st.del_paid_execs + 1;
-    if not compiled_out then begin
-      charge (Barrier_cost.hybrid_del_cost ~marking ~pre_null);
+    (* a degraded swap site: degradation is only applied at safepoints,
+       so its open store cannot have left a window open, but the close
+       store clears it defensively *)
+    if st.st_del_elided then begin
+      m.degraded_swap_execs <- m.degraded_swap_execs + 1;
+      if v.check = Check_close then m.in_no_safepoint <- false
+    end;
+    if hybrid then st.del_paid_execs <- st.del_paid_execs + 1;
+    if log then begin
+      charge m st
+        (Barrier_cost.satb_cost
+           ~mode:(if hybrid then Barrier_cost.Conditional else m.cfg.satb_mode)
+           ~marking:(m.gc.is_marking ()) ~pre_null);
       m.gc.log_ref_store ~obj ~pre
     end
   end;
-  (* insertion half (Dijkstra): shade the stored value while the storing
-     thread's stack is grey; the collector owns the scan-state test *)
-  if st.st_ins_elided then st.ins_elided_execs <- st.ins_elided_execs + 1
-  else begin
-    st.ins_paid_execs <- st.ins_paid_execs + 1;
-    if not compiled_out then begin
-      charge (Barrier_cost.hybrid_ins_cost ~marking ~stack_grey:true);
-      m.gc.log_ins_store ~tid ~nv
-    end
-  end;
-  (* repair set: a guarded deletion elision may have let a pre-value go
-     unlogged; an insertion elision under a freshness proof needs its
-     destination re-scanned at remark regardless of guards *)
+  (* insertion half: shade the stored value while the storing thread's
+     stack is grey; the collector owns the scan-state test *)
+  let ins = hybrid && st.st_ins_elided in
+  if hybrid then
+    if ins then st.ins_elided_execs <- st.ins_elided_execs + 1
+    else begin
+      st.ins_paid_execs <- st.ins_paid_execs + 1;
+      if log then begin
+        charge m st
+          (Barrier_cost.hybrid_ins_cost ~marking:(m.gc.is_marking ())
+             ~stack_grey:true);
+        m.gc.log_ins_store ~tid ~nv
+      end
+    end;
+  (* repair set: a guarded elision may have let a pre-value go unlogged;
+     an insertion elision under a freshness proof needs its destination
+     re-scanned at remark regardless of guards *)
   if
-    marking && obj >= 0
-    && ((st.st_del_elided && st.st_del_guards <> [])
-       || (st.st_ins_elided && (st.st_ins_repair || st.st_ins_guards <> [])))
+    obj >= 0
+    && ((del && v.del_guards <> [])
+       || (ins && (v.ins_repair || v.ins_guards <> [])))
+    && m.gc.is_marking ()
   then m.guarded_writes <- obj :: m.guarded_writes;
-  if m.track_heap then
-    if st.st_del_elided && st.st_ins_elided then
-      note_elided_write m ~obj ew_both
-    else if st.st_del_elided then note_elided_write m ~obj ew_del
-    else if st.st_ins_elided then note_elided_write m ~obj ew_ins;
-  if st.st_del_elided && st.st_ins_elided then begin
+  if m.track_heap && (del || ins) then
+    note_elided_write m ~obj
+      (if not hybrid then ew_full
+       else if del && ins then ew_both
+       else if del then ew_del
+       else ew_ins);
+  if del && (ins || not hybrid) then begin
     m.elided_barrier_execs <- m.elided_barrier_execs + 1;
     st.elided_execs <- st.elided_execs + 1
   end
@@ -701,164 +620,12 @@ let hybrid_store_barrier (m : t) (st : site_stats) ~(tid : int) ~(obj : int)
     st.paid_execs <- st.paid_execs + 1
   end
 
-(** Execute the write-barrier protocol for a reference store whose
-    {!site_stats} record is already in hand — the general (slow-path)
-    body both engines share: the interpreter reaches it through
-    {!ref_store_barrier}, the threaded engine calls it directly from
-    compiled store opcodes whose cached verdict does not qualify for one
-    of the fused fast paths below.  [obj = -1] for static stores; [nv] is
-    the value being stored and [tid] the storing thread (both consumed by
-    the hybrid flavor only). *)
-let ref_store_barrier_st (m : t) (st : site_stats) ~(tid : int) ~(obj : int)
-    ~(pre : Value.t) ~(nv : Value.t) : unit =
-  st.execs <- st.execs + 1;
-  let pre_null = not (Value.is_ref pre) in
-  if pre_null then st.pre_null_execs <- st.pre_null_execs + 1;
-  if m.cfg.barrier_flavor = `Hybrid then
-    hybrid_store_barrier m st ~tid ~obj ~pre ~nv ~pre_null
-  else if st.st_elided && not (m.swap_degraded && st.st_check <> No_check) then begin
-    m.elided_barrier_execs <- m.elided_barrier_execs + 1;
-    st.elided_execs <- st.elided_execs + 1;
-    if m.track_heap then note_elided_write m ~obj ew_full;
-    (* a write through a guarded site during marking joins the repair
-       set: if its guards later fail this cycle, the collector re-scans
-       (or re-snapshots) to make up for whatever went unlogged here *)
-    if st.st_guards <> [] && obj >= 0 && m.gc.is_marking () then
-      m.guarded_writes <- obj :: m.guarded_writes;
-    match st.st_check with
-    | No_check -> ()
-    | (Check_open | Check_close) as check ->
-        m.retrace_checks <- m.retrace_checks + 1;
-        let cost = Barrier_cost.tracing_check_units in
-        m.barrier_units <- m.barrier_units + cost;
-        m.cost_units <- m.cost_units + cost;
-        st.barrier_units <- st.barrier_units + cost;
-        m.gc.on_unlogged_store ~obj;
-        m.in_no_safepoint <- check = Check_open
-  end
-  else begin
-    (* degraded swap sites fall back to the full logging barrier for the
-       rest of the cycle (retrace-budget overflow); a close store must
-       still dismiss any window its open store created before
-       degradation — it cannot have, since degradation is only applied
-       at safepoints, but clear defensively *)
-    if st.st_elided then begin
-      m.degraded_swap_execs <- m.degraded_swap_execs + 1;
-      if st.st_check = Check_close then m.in_no_safepoint <- false
-    end;
-    m.barriers_executed <- m.barriers_executed + 1;
-    st.paid_execs <- st.paid_execs + 1;
-    let cost =
-      match m.cfg.barrier_flavor with
-      | `Satb ->
-          Barrier_cost.satb_cost ~mode:m.cfg.satb_mode
-            ~marking:(m.gc.is_marking ()) ~pre_null
-      | `Hybrid -> assert false (* handled by [hybrid_store_barrier] *)
-    in
-    m.barrier_units <- m.barrier_units + cost;
-    m.cost_units <- m.cost_units + cost;
-    st.barrier_units <- st.barrier_units + cost;
-    match m.cfg.satb_mode with
-    | Barrier_cost.No_barrier -> ()
-    | Barrier_cost.Conditional | Barrier_cost.Always_log ->
-        m.gc.log_ref_store ~obj ~pre
-  end
-
-(** Site-lookup wrapper used by the tree-walking interpreter: build the
-    site key from the current frame, materialize (or find) its stats,
-    run the shared barrier body. *)
+(** The interpreter's store path: build the site key from the current
+    frame, find (or materialize) its record, run the barrier. *)
 let ref_store_barrier (m : t) (fr : frame) ~(kind : store_kind) ~(tid : int)
     ~(obj : int) ~(pre : Value.t) ~(nv : Value.t) : unit =
   let site = { s_class = fr.f_class; s_method = fr.f_meth.mname; s_pc = fr.pc } in
-  let st = site_stats m site kind in
-  ref_store_barrier_st m st ~tid ~obj ~pre ~nv
-
-(* ---- fused fast-path barrier bodies (threaded engine) ------------------ *)
-
-(* The threaded engine ({!Exec}) specializes every compiled store site to
-   one of these fused bodies when it (re)materializes the site's verdict.
-   Preconditions are established at specialization time and revalidated
-   through {!t.barrier_epoch} stamps — never re-checked on the store fast
-   path.  Each body is a line-for-line restriction of
-   [ref_store_barrier_st] under its precondition, so both engines bump
-   exactly the same counters. *)
-
-(** Precondition: [`Satb] flavor, [st_elided], [No_check],
-    [st_guards = []]. *)
-let barrier_elided_plain (m : t) (st : site_stats) ~(obj : int)
-    ~(pre : Value.t) : unit =
-  st.execs <- st.execs + 1;
-  if not (Value.is_ref pre) then st.pre_null_execs <- st.pre_null_execs + 1;
-  m.elided_barrier_execs <- m.elided_barrier_execs + 1;
-  st.elided_execs <- st.elided_execs + 1;
-  if m.track_heap then note_elided_write m ~obj ew_full
-
-(** Precondition: as {!barrier_elided_plain} but [st_guards <> []]. *)
-let barrier_elided_guarded (m : t) (st : site_stats) ~(obj : int)
-    ~(pre : Value.t) : unit =
-  st.execs <- st.execs + 1;
-  if not (Value.is_ref pre) then st.pre_null_execs <- st.pre_null_execs + 1;
-  m.elided_barrier_execs <- m.elided_barrier_execs + 1;
-  st.elided_execs <- st.elided_execs + 1;
-  if m.track_heap then note_elided_write m ~obj ew_full;
-  if obj >= 0 && m.gc.is_marking () then
-    m.guarded_writes <- obj :: m.guarded_writes
-
-(** Precondition: [`Hybrid] flavor, both halves elided, neither half
-    guarded, not [st_ins_repair]. *)
-let barrier_hybrid_both_elided (m : t) (st : site_stats) ~(obj : int)
-    ~(pre : Value.t) : unit =
-  st.execs <- st.execs + 1;
-  if not (Value.is_ref pre) then st.pre_null_execs <- st.pre_null_execs + 1;
-  st.del_elided_execs <- st.del_elided_execs + 1;
-  st.ins_elided_execs <- st.ins_elided_execs + 1;
-  m.elided_barrier_execs <- m.elided_barrier_execs + 1;
-  st.elided_execs <- st.elided_execs + 1;
-  if m.track_heap then note_elided_write m ~obj ew_both
-
-(** Precondition: [`Hybrid] flavor, deletion half elided with no guards,
-    insertion half kept. *)
-let barrier_hybrid_del_elided (m : t) (st : site_stats) ~(tid : int)
-    ~(obj : int) ~(pre : Value.t) ~(nv : Value.t) : unit =
-  st.execs <- st.execs + 1;
-  if not (Value.is_ref pre) then st.pre_null_execs <- st.pre_null_execs + 1;
-  st.del_elided_execs <- st.del_elided_execs + 1;
-  st.ins_paid_execs <- st.ins_paid_execs + 1;
-  if m.track_heap then note_elided_write m ~obj ew_del;
-  if m.cfg.satb_mode <> Barrier_cost.No_barrier then begin
-    let cost =
-      Barrier_cost.hybrid_ins_cost ~marking:(m.gc.is_marking ())
-        ~stack_grey:true
-    in
-    m.barrier_units <- m.barrier_units + cost;
-    m.cost_units <- m.cost_units + cost;
-    st.barrier_units <- st.barrier_units + cost;
-    m.gc.log_ins_store ~tid ~nv
-  end;
-  m.barriers_executed <- m.barriers_executed + 1;
-  st.paid_execs <- st.paid_execs + 1
-
-(** Precondition: [`Hybrid] flavor, insertion half elided with no guards
-    and not [st_ins_repair], deletion half kept. *)
-let barrier_hybrid_ins_elided (m : t) (st : site_stats) ~(obj : int)
-    ~(pre : Value.t) : unit =
-  st.execs <- st.execs + 1;
-  let pre_null = not (Value.is_ref pre) in
-  if pre_null then st.pre_null_execs <- st.pre_null_execs + 1;
-  st.del_paid_execs <- st.del_paid_execs + 1;
-  if m.track_heap then note_elided_write m ~obj ew_ins;
-  if m.cfg.satb_mode <> Barrier_cost.No_barrier then begin
-    let cost =
-      Barrier_cost.hybrid_del_cost ~marking:(m.gc.is_marking ()) ~pre_null
-    in
-    m.barrier_units <- m.barrier_units + cost;
-    m.cost_units <- m.cost_units + cost;
-    st.barrier_units <- st.barrier_units + cost;
-    m.gc.log_ref_store ~obj ~pre
-  end;
-  st.ins_elided_execs <- st.ins_elided_execs + 1;
-  m.barriers_executed <- m.barriers_executed + 1;
-  st.paid_execs <- st.paid_execs + 1
+  store_barrier m (site_stats m site kind) ~tid ~obj ~pre ~nv
 
 (* ---- external (chaos-injected) mutator stores ------------------------- *)
 
@@ -870,8 +637,8 @@ let has_live_guarded_elisions (m : t) (a : assumption) : bool =
   Hashtbl.fold
     (fun _ st acc ->
       acc
-      || (st.st_del_elided && List.mem a st.st_del_guards)
-      || (st.st_ins_elided && List.mem a st.st_ins_guards))
+      || (st.st_del_elided && List.mem a st.st_verdict.del_guards)
+      || (st.st_ins_elided && List.mem a st.st_verdict.ins_guards))
     m.stats false
 
 let external_slot_store (m : t) ~(obj : int) ~(idx : int) ~(v : Value.t)
@@ -1007,6 +774,13 @@ let external_alloc (m : t) ~(count : int) : unit =
              ~n_fields:2))
   done
 
+(** Kill [th] with [error]: no handler runs. *)
+let die (th : thread) (error : string) : unit =
+  th.frames <- [];
+  th.depth <- 0;
+  th.finished <- true;
+  th.error <- Some error
+
 (** Unwind after a runtime exception of [kind] raised at the current pc of
     the top frame. *)
 let unwind (m : t) (th : thread) (kind : exn_kind) : unit =
@@ -1018,10 +792,7 @@ let unwind (m : t) (th : thread) (kind : exn_kind) : unit =
     | (Bounds | Null_deref | Arith), _ -> false
   in
   let rec go = function
-    | [] ->
-        th.frames <- [];
-        th.finished <- true;
-        th.error <- Some (string_of_exn_kind kind)
+    | [] -> die th (string_of_exn_kind kind)
     | (fr : frame) :: rest -> (
         let candidate =
           List.find_opt
@@ -1033,7 +804,9 @@ let unwind (m : t) (th : thread) (kind : exn_kind) : unit =
             fr.ostack <- [];
             fr.pc <- h.target;
             th.frames <- fr :: rest
-        | None -> go rest)
+        | None ->
+            th.depth <- th.depth - 1;
+            go rest)
   in
   go th.frames
 
@@ -1214,6 +987,7 @@ let step (m : t) (th : thread) : bool =
             in
             push fr (Value.Int len);
             next ()
+        | Invoke _ when th.depth >= max_call_depth -> die th "stack overflow"
         | Invoke mr ->
             let callee = Jir.Program.get_method m.prog mr in
             let nargs = List.length callee.params in
@@ -1232,7 +1006,8 @@ let step (m : t) (th : thread) : bool =
             in
             (* fr.pc stays at the call site until the callee returns, so
                exception handler ranges cover the invoke *)
-            th.frames <- new_frame :: fr :: callers
+            th.frames <- new_frame :: fr :: callers;
+            th.depth <- th.depth + 1
         | Spawn mr ->
             let callee = Jir.Program.get_method m.prog mr in
             let nargs = List.length callee.params in
@@ -1246,20 +1021,24 @@ let step (m : t) (th : thread) : bool =
             match callers with
             | [] ->
                 th.frames <- [];
+                th.depth <- 0;
                 th.finished <- true
             | caller :: _ ->
                 caller.pc <- caller.pc + 1;
-                th.frames <- callers)
+                th.frames <- callers;
+                th.depth <- th.depth - 1)
         | Ireturn | Areturn -> (
             let v = pop fr in
             match callers with
             | [] ->
                 th.frames <- [];
+                th.depth <- 0;
                 th.finished <- true
             | caller :: _ ->
                 push caller v;
                 caller.pc <- caller.pc + 1;
-                th.frames <- callers));
+                th.frames <- callers;
+                th.depth <- th.depth - 1));
         not th.finished
       with Jexn kind ->
         unwind m th kind;
@@ -1281,7 +1060,7 @@ type dyn_stats = {
 
 let dyn_stats (m : t) : dyn_stats =
   let total = ref 0
-  and elided = ref 0
+  and elided_ = ref 0
   and pot = ref 0
   and field = ref 0
   and field_e = ref 0
@@ -1290,21 +1069,22 @@ let dyn_stats (m : t) : dyn_stats =
   and static_ = ref 0 in
   Hashtbl.iter
     (fun _ st ->
+      let e = elided m st in
       total := !total + st.execs;
-      if st.st_elided then elided := !elided + st.execs;
+      if e then elided_ := !elided_ + st.execs;
       if st.pre_null_execs = st.execs then pot := !pot + st.execs;
       match st.st_kind with
       | Field_store ->
           field := !field + st.execs;
-          if st.st_elided then field_e := !field_e + st.execs
+          if e then field_e := !field_e + st.execs
       | Static_store -> static_ := !static_ + st.execs
       | Array_store ->
           array := !array + st.execs;
-          if st.st_elided then array_e := !array_e + st.execs)
+          if e then array_e := !array_e + st.execs)
     m.stats;
   {
     total_execs = !total;
-    elided_execs = !elided;
+    elided_execs = !elided_;
     pot_pre_null_execs = !pot;
     field_execs = !field;
     field_elided = !field_e;

@@ -1,8 +1,9 @@
 (** A multi-threaded bytecode interpreter with write-barrier
     instrumentation: per-site execution and pre-null counters (the
     machinery behind the paper's Table 1, including the "potentially
-    pre-null" upper bound of §4.2), an elision policy, the RISC cost
-    model, and collector hooks. *)
+    pre-null" upper bound of §4.2), one verdict record per store site,
+    the one barrier body both engines share, the RISC cost model, and
+    collector hooks. *)
 
 exception Runtime_bug of string
 (** A broken invariant of the runtime (or unverified input reaching it). *)
@@ -17,6 +18,11 @@ val max_array_length : int
 (** The longest array [newarray] allocates, 2{^20} elements; a longer
     request throws the program's [bounds] exception, exactly as a
     negative length does, under either engine. *)
+
+val max_call_depth : int
+(** The most frames a thread holds, 2{^18}; a call past it kills the
+    thread with the error ["stack overflow"] under either engine, and no
+    handler catches it. *)
 
 type site = {
   s_class : Jir.Types.class_name;
@@ -33,31 +39,32 @@ type retrace_site = No_check | Check_open | Check_close
     tracing-state check that also opens (store 1) or closes (store 2) a
     safepoint-free window around the swap. *)
 
-type assumption =
-  | Single_mutator
-  | Retrace_collector
-  | Descending_scan
-  | Mode_a
-  | Closed_world
-(** The runtime assumptions an elided verdict may depend on; observing
-    one false revokes every dependent elision at a safepoint. *)
+type verdict = {
+  del_elide : bool;  (** the deletion (Yuasa / SATB) half was compiled out *)
+  del_guards : Jir.Types.assumption list;
+      (** assumptions the deletion elision stands on *)
+  ins_elide : bool;  (** the insertion (Dijkstra) half was compiled out *)
+  ins_guards : Jir.Types.assumption list;
+  ins_repair : bool;
+      (** insertion-elided destinations join the remark repair set *)
+  check : retrace_site;  (** compiled in place of the deletion half *)
+  why : string option Lazy.t;
+      (** the analysis's justification of the elision, built only when
+          a [revoke.site] record or a profile row reads it *)
+}
+(** One store site's verdict.  The deletion half is SATB's whole
+    verdict; only the [`Hybrid] flavor reads the insertion half.  Each
+    half elides, and revokes, on its own guards. *)
 
-val string_of_assumption : assumption -> string
+val keep : verdict
+(** Both halves kept: no guards, no check, no justification. *)
 
 type site_stats = {
   st_kind : Jir.Types.store_kind;
-  mutable st_elided : bool;
-  mutable st_check : retrace_site;
-  st_guards : assumption list;
-      (** assumptions this site's elision depends on *)
+  st_verdict : verdict;  (** as the policy gave it at materialization *)
   mutable st_del_elided : bool;
-      (** hybrid flavor: the deletion (Yuasa) half was compiled out *)
-  mutable st_ins_elided : bool;
-      (** hybrid flavor: the insertion (Dijkstra) half was compiled out *)
-  st_ins_repair : bool;
-      (** insertion-elided destinations join the remark repair set *)
-  st_del_guards : assumption list;
-  st_ins_guards : assumption list;
+      (** the deletion half is compiled out and not revoked *)
+  mutable st_ins_elided : bool;  (** likewise the insertion half *)
   mutable execs : int;
   mutable pre_null_execs : int;
   mutable paid_execs : int;
@@ -76,72 +83,21 @@ type site_stats = {
       (** times this site (either half) was patched back *)
 }
 
-type barrier_policy =
-  Jir.Types.class_name -> Jir.Types.method_name -> int -> bool
-(** [policy cls meth pc = true] means the analysis removed that site's
-    barrier. *)
-
-type retrace_policy =
-  Jir.Types.class_name -> Jir.Types.method_name -> int -> retrace_site
-(** Which elided sites carry a tracing-state check (swap-pair elisions
-    under the retrace collector). *)
-
-type guard_policy =
-  Jir.Types.class_name -> Jir.Types.method_name -> int -> assumption list
-(** The per-site guard table (empty = unconditionally sound verdict). *)
-
-val keep_all_policy : barrier_policy
-val no_retrace_checks : retrace_policy
-
-val no_guards : guard_policy
-(** The shared "no guard table wired" closure; pass a {e different}
-    closure (even one returning [[]]) to activate guard bookkeeping. *)
-
-type half_site = {
-  hs_del_elide : bool;
-  hs_ins_elide : bool;
-  hs_ins_repair : bool;
-      (** record insertion-elided destinations for the remark re-scan *)
-  hs_del_guards : assumption list;
-  hs_ins_guards : assumption list;
-}
-(** Split verdict for one site under the hybrid barrier: each half
-    elides (and revokes) independently. *)
-
-val keep_both : half_site
-
-type half_policy =
-  Jir.Types.class_name -> Jir.Types.method_name -> int -> half_site
-(** Per-site split verdicts, consulted only under the [`Hybrid] flavor. *)
-
-val no_halves : half_policy
-(** Shared "no half table wired" closure, like {!no_guards}. *)
-
-type explain_policy =
-  Jir.Types.class_name -> Jir.Types.method_name -> int -> string option
-(** Original justification of a site's elision (analysis-side
-    provenance), attached to [revoke.site] events so a revoked
-    site prints why its barrier was removed in the first place. *)
-
-val no_explain : explain_policy
-
 type config = {
-  policy : barrier_policy;
-  retrace : retrace_policy;
-  guards : guard_policy;
-  explain : explain_policy;
+  policy :
+    Jir.Types.class_name -> Jir.Types.method_name -> int -> verdict;
   revoke : bool;
-      (** honour guard failures by revoking dependent elisions; [false]
-          runs open-loop so the oracle can catch what guards would have *)
+      (** record guard failures and revoke the elisions that depend on
+          them; [false] ignores them — no guard table was wired, or the
+          run goes open-loop so the oracle can catch what guards would
+          have *)
   satb_mode : Barrier_cost.satb_mode;
   barrier_flavor : [ `Satb | `Hybrid ];
-  halves : half_policy;
-      (** split verdicts for the hybrid flavor; {!no_halves} keeps both
-          halves everywhere *)
   max_steps : int;
 }
 
 val default_config : config
+(** Every site {!keep}s its barrier; guard failures are ignored. *)
 
 type frame = {
   f_class : Jir.Types.class_name;
@@ -154,6 +110,7 @@ type frame = {
 type thread = {
   tid : int;
   mutable frames : frame list;
+  mutable depth : int;  (** [List.length frames] *)
   mutable finished : bool;
   mutable error : string option;
 }
@@ -182,8 +139,8 @@ type t = {
   mutable in_no_safepoint : bool;
       (** a swap window is open: the scheduler must defer collector work
           until the closing store's check clears this *)
-  mutable revoked : assumption list;
-  mutable pending_revocations : assumption list;
+  mutable revoked : Jir.Types.assumption list;
+  mutable pending_revocations : Jir.Types.assumption list;
   mutable revocation_events : int;
   mutable revoked_sites : int;
   mutable guarded_writes : int list;
@@ -208,12 +165,6 @@ type t = {
           it) was elided while marking; verdict classes are {!ew_full},
           {!ew_del}, {!ew_ins}, {!ew_both}.  Cleared by
           {!reset_cycle_state}. *)
-  mutable barrier_epoch : int;
-      (** bumped whenever per-site verdicts may change (revocations
-          applied, degraded mode entered, cycle state reset); the
-          threaded engine ({!Exec}) stamps each compiled store site with
-          the epoch it specialized against and respecializes on mismatch
-          — per-site invalidation with no global flush *)
   mutable stack_roots_override : (unit -> (int * int list) list) option;
       (** installed by the threaded engine, which owns the live thread
           stacks; {!thread_roots}/{!roots} consult it so collectors see
@@ -239,19 +190,14 @@ val set_pacer : t -> Pacer.t -> unit
 (** Install the pacing controller; every subsequent allocation passes
     through {!Pacer.before_alloc} (and may raise {!Pacer.Hard_limit}). *)
 
-val guards_active : t -> bool
-(** Was a guard table wired (i.e. [cfg.guards] is not {!no_guards}, or
-    [cfg.halves] is not {!no_halves})? *)
-
-val request_revoke : t -> assumption -> unit
+val request_revoke : t -> Jir.Types.assumption -> unit
 (** Note an assumption observed false; the revocation is applied at the
-    next safepoint.  Deduplicated; inert unless guards are wired and
-    [cfg.revoke] holds. *)
+    next safepoint.  Deduplicated; inert unless [cfg.revoke] holds. *)
 
 val revocation_pending : t -> bool
 
 val apply_revocations : t -> unit
-(** Flip every site depending on a failed assumption back to a full
+(** Flip every half depending on a failed assumption back to a full
     barrier and hand the cycle's guarded-write set to the collector for
     snapshot repair.  Must be called at a safepoint. *)
 
@@ -303,45 +249,27 @@ val thread_roots : t -> (int * int list) list
 val step : t -> thread -> bool
 (** Execute one instruction; [false] once the thread has finished. *)
 
-(** {2 Shared barrier machinery (used by the threaded engine)}
-
-    The threaded engine ({!Exec}) compiles each store site to an opcode
-    that caches the site's {!site_stats} record and dispatches to one of
-    the bodies below, chosen at specialization time from the cached
-    verdict.  Every body bumps exactly the counters the interpreter's
-    store path would. *)
+(** {2 The barrier (shared by both engines)} *)
 
 val site_stats : t -> site -> Jir.Types.store_kind -> site_stats
-(** Find or lazily materialize the per-site record (born-revoked
-    accounting included) — the same materialization the interpreter
-    performs at a site's first execution. *)
+(** Find or materialize the per-site record from [cfg.policy] (a half
+    whose guards were already revoked materializes patched).  Both
+    engines materialize a site at its first execution. *)
 
-val ref_store_barrier_st :
+val store_barrier :
   t -> site_stats -> tid:int -> obj:int -> pre:Value.t -> nv:Value.t -> unit
-(** The general barrier body: handles every flavor, retrace checks,
-    degraded fallbacks and guarded elisions.  [obj = -1] for statics. *)
+(** The one barrier body: every reference store of either engine runs
+    it, with the site's record in hand.  [obj = -1] for statics; [tid]
+    and [nv] feed the insertion half. *)
 
-val barrier_elided_plain : t -> site_stats -> obj:int -> pre:Value.t -> unit
-(** Fused fast path; precondition: [`Satb], elided, no check, no guards. *)
+val elided : t -> site_stats -> bool
+(** Is the whole barrier elided: the deletion half under [`Satb], both
+    halves under [`Hybrid]? *)
 
-val barrier_elided_guarded : t -> site_stats -> obj:int -> pre:Value.t -> unit
-(** Fused fast path; precondition: as {!barrier_elided_plain} but
-    guarded (joins the repair set while marking). *)
-
-val barrier_hybrid_both_elided :
-  t -> site_stats -> obj:int -> pre:Value.t -> unit
-(** Fused fast path; precondition: [`Hybrid], both halves elided,
-    unguarded, no insertion repair. *)
-
-val barrier_hybrid_del_elided :
-  t -> site_stats -> tid:int -> obj:int -> pre:Value.t -> nv:Value.t -> unit
-(** Fused fast path; precondition: [`Hybrid], deletion half elided and
-    unguarded, insertion half kept. *)
-
-val barrier_hybrid_ins_elided :
-  t -> site_stats -> obj:int -> pre:Value.t -> unit
-(** Fused fast path; precondition: [`Hybrid], insertion half elided,
-    unguarded, no repair, deletion half kept. *)
+val guards : t -> site_stats -> Jir.Types.assumption list
+(** The site's whole guard set as reports show it: the deletion half's
+    under [`Satb], both halves' (sorted, deduplicated) under
+    [`Hybrid]. *)
 
 val admit : t -> units:int -> unit
 (** The pacer's admission control for an allocation of [units] (may

@@ -21,31 +21,22 @@ type gc_choice =
   | Retrace of { steps_per_increment : int; pacing : Pacer.config }
   | Hybrid of { steps_per_increment : int; pacing : Pacer.config }
 
-(** [?trigger_allocs] is the deprecated fixed-count alias
-    ([Pacer.Fixed], bit-for-bit the old behaviour); [?pacing] the full
-    pacer config.  With neither, {!Pacer.default_config}'s heap-growth
-    goal paces the run — calibrated so every bundled workload cycles
-    with no flags at all. *)
-let resolve_pacing ?trigger_allocs ?pacing () : Pacer.config =
-  match trigger_allocs, pacing with
-  | Some _, Some _ ->
-      invalid_arg
-        "Runner: ~trigger_allocs (deprecated fixed-count alias) and          ~pacing are mutually exclusive"
-  | Some n, None -> Pacer.config_of_trigger n
-  | None, Some p -> p
-  | None, None -> Pacer.default_config
+(* Without [?pacing], {!Pacer.default_config}'s heap-growth goal paces
+   the run — calibrated so every bundled workload cycles with no flags
+   at all. *)
+let make_satb ?(steps_per_increment = 64) ?(pacing = Pacer.default_config) () =
+  Satb { steps_per_increment; pacing }
 
-let make_satb ?(steps_per_increment = 64) ?trigger_allocs ?pacing () =
-  Satb { steps_per_increment; pacing = resolve_pacing ?trigger_allocs ?pacing () }
+let make_incr ?(steps_per_increment = 64) ?(pacing = Pacer.default_config) () =
+  Incr { steps_per_increment; pacing }
 
-let make_incr ?(steps_per_increment = 64) ?trigger_allocs ?pacing () =
-  Incr { steps_per_increment; pacing = resolve_pacing ?trigger_allocs ?pacing () }
+let make_retrace ?(steps_per_increment = 64) ?(pacing = Pacer.default_config)
+    () =
+  Retrace { steps_per_increment; pacing }
 
-let make_retrace ?(steps_per_increment = 64) ?trigger_allocs ?pacing () =
-  Retrace { steps_per_increment; pacing = resolve_pacing ?trigger_allocs ?pacing () }
-
-let make_hybrid ?(steps_per_increment = 64) ?trigger_allocs ?pacing () =
-  Hybrid { steps_per_increment; pacing = resolve_pacing ?trigger_allocs ?pacing () }
+let make_hybrid ?(steps_per_increment = 64) ?(pacing = Pacer.default_config)
+    () =
+  Hybrid { steps_per_increment; pacing }
 
 (** The policy each choice's collector runs: the single place a
     collector's name and capabilities are declared. *)
@@ -286,7 +277,7 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
                 else if st.Interp.revocations > 0 then "revoked"
                 else "kept"
             | `Satb ->
-                if st.Interp.st_elided then "elided"
+                if st.Interp.st_del_elided then "elided"
                 else if st.Interp.revocations > 0 then "revoked"
                 else "kept"
           in
@@ -303,7 +294,7 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
             fs_elided_execs = st.Interp.elided_execs;
             fs_revocations = st.Interp.revocations;
             fs_guards =
-              List.map Interp.string_of_assumption st.Interp.st_guards;
+              List.map Jir.Types.string_of_assumption (Interp.guards m st);
           }
           :: acc)
         m.Interp.stats []);
@@ -381,9 +372,9 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
      ascending scan).  Revoke before the first mutator instruction —
      inert unless a guard table was wired. *)
   if not caps.Gc_hooks.retrace_protocol then
-    Interp.request_revoke m Interp.Retrace_collector;
+    Interp.request_revoke m Jir.Types.Retrace_collector;
   if not caps.Gc_hooks.descending_scan then
-    Interp.request_revoke m Interp.Descending_scan;
+    Interp.request_revoke m Jir.Types.Descending_scan;
   Interp.apply_revocations m;
   let maybe_start_cycle t =
     match pacer with

@@ -11,36 +11,31 @@ type gc_choice =
   | Retrace of { steps_per_increment : int; pacing : Pacer.config }
   | Hybrid of { steps_per_increment : int; pacing : Pacer.config }
 
-(** The [make_*] constructors take {e either} [?trigger_allocs] — the
-    deprecated fixed-allocation-count alias ([Pacer.Fixed n], bit-for-bit
-    the legacy behaviour) — or [?pacing], the full pacer configuration;
-    passing both raises [Invalid_argument].  With neither,
-    {!Pacer.default_config}'s heap-growth goal paces the run. *)
+(** The [make_*] constructors take the pacer configuration [?pacing]
+    (fixed allocation-count pacing is [Pacer.config_of_trigger n]);
+    without it {!Pacer.default_config}'s heap-growth goal paces the
+    run. *)
 
 val make_satb :
   ?steps_per_increment:int ->
-  ?trigger_allocs:int ->
   ?pacing:Pacer.config ->
   unit ->
   gc_choice
 
 val make_incr :
   ?steps_per_increment:int ->
-  ?trigger_allocs:int ->
   ?pacing:Pacer.config ->
   unit ->
   gc_choice
 
 val make_retrace :
   ?steps_per_increment:int ->
-  ?trigger_allocs:int ->
   ?pacing:Pacer.config ->
   unit ->
   gc_choice
 
 val make_hybrid :
   ?steps_per_increment:int ->
-  ?trigger_allocs:int ->
   ?pacing:Pacer.config ->
   unit ->
   gc_choice
@@ -129,7 +124,7 @@ val run :
     also override [quantum]/[gc_period]); [retrace_budget] bounds the
     retrace collector's per-cycle re-scan queue (see {!Retrace_gc}).
     Startup capability guards and mid-run guard failures revoke
-    dependent elisions when [cfg] wires a guard table.
+    dependent elisions when [cfg.revoke] holds.
 
     [observer] is the heap observatory's cycle-end hook: passing one
     arms {!Interp.t.track_heap} before the first instruction, installs a

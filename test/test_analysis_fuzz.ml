@@ -18,9 +18,13 @@ let prop_elided_sites_never_non_null =
       let prog = Jir.Program.of_program p in
       let compiled = compile prog in
       let policy c m pc =
-        not
-          (Satb_core.Driver.needs_barrier compiled
-             { sk_class = c; sk_method = m; sk_pc = pc })
+        {
+          Jrt.Interp.keep with
+          del_elide =
+            not
+              (Satb_core.Driver.needs_barrier compiled
+                 { sk_class = c; sk_method = m; sk_pc = pc });
+        }
       in
       let cfg = { Jrt.Interp.default_config with policy } in
       let r =
@@ -31,7 +35,7 @@ let prop_elided_sites_never_non_null =
         (fun (site : Jrt.Interp.site) (st : Jrt.Interp.site_stats) ok ->
           ok
           &&
-          if not st.st_elided then true
+          if not (Jrt.Interp.elided r.machine st) then true
           else
             match
               Satb_core.Driver.verdict compiled
@@ -53,9 +57,13 @@ let prop_satb_sound_on_generated =
       let prog = Jir.Program.of_program p in
       let compiled = compile prog in
       let policy c m pc =
-        not
-          (Satb_core.Driver.needs_barrier compiled
-             { sk_class = c; sk_method = m; sk_pc = pc })
+        {
+          Jrt.Interp.keep with
+          del_elide =
+            not
+              (Satb_core.Driver.needs_barrier compiled
+                 { sk_class = c; sk_method = m; sk_pc = pc });
+        }
       in
       let cfg = { Jrt.Interp.default_config with policy } in
       let r =
@@ -152,14 +160,19 @@ let test_low_max_visits_still_sound () =
   let conf = { Satb_core.Analysis.default_config with max_visits = 1 } in
   let compiled = Satb_core.Driver.compile ~inline_limit:100 ~conf prog in
   let policy c m pc =
-    not
-      (Satb_core.Driver.needs_barrier compiled
-         { sk_class = c; sk_method = m; sk_pc = pc })
+    {
+      Jrt.Interp.keep with
+      del_elide =
+        not
+          (Satb_core.Driver.needs_barrier compiled
+             { sk_class = c; sk_method = m; sk_pc = pc });
+    }
   in
   let cfg = { Jrt.Interp.default_config with policy } in
   let r =
     Jrt.Runner.run ~cfg
-      ~gc:(Jrt.Runner.make_satb ~trigger_allocs:16 ~steps_per_increment:4 ())
+      ~gc:(Jrt.Runner.make_satb ~pacing:(Jrt.Pacer.config_of_trigger 16)
+        ~steps_per_increment:4 ())
       compiled.program ~entry:Workloads.Jess.t.entry
   in
   (match r.gc with

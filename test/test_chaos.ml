@@ -10,10 +10,12 @@ let compile w =
 let chaos_of faults =
   Jrt.Chaos.create { Jrt.Chaos.seed = 1; faults; quantum = None; gc_period = None }
 
-let satb () = Jrt.Runner.make_satb ~trigger_allocs:24 ~steps_per_increment:8 ()
+let satb () = Jrt.Runner.make_satb ~pacing:(Jrt.Pacer.config_of_trigger 24)
+  ~steps_per_increment:8 ()
 
 let retrace ?(steps_per_increment = 8) () =
-  Jrt.Runner.make_retrace ~trigger_allocs:24 ~steps_per_increment ()
+  Jrt.Runner.make_retrace ~pacing:(Jrt.Pacer.config_of_trigger 24)
+    ~steps_per_increment ()
 
 let violations (r : Jrt.Runner.report) =
   match r.gc with Some g -> g.total_violations | None -> 0

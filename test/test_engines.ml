@@ -17,13 +17,17 @@ let compile_full w =
 let collectors =
   [
     ( "satb",
-      Jrt.Runner.make_satb ~trigger_allocs:24 ~steps_per_increment:8 () );
+      Jrt.Runner.make_satb ~pacing:(Jrt.Pacer.config_of_trigger 24)
+        ~steps_per_increment:8 () );
     ( "incr",
-      Jrt.Runner.make_incr ~trigger_allocs:24 ~steps_per_increment:8 () );
+      Jrt.Runner.make_incr ~pacing:(Jrt.Pacer.config_of_trigger 24)
+        ~steps_per_increment:8 () );
     ( "retrace",
-      Jrt.Runner.make_retrace ~trigger_allocs:24 ~steps_per_increment:8 () );
+      Jrt.Runner.make_retrace ~pacing:(Jrt.Pacer.config_of_trigger 24)
+        ~steps_per_increment:8 () );
     ( "hybrid",
-      Jrt.Runner.make_hybrid ~trigger_allocs:24 ~steps_per_increment:8 () );
+      Jrt.Runner.make_hybrid ~pacing:(Jrt.Pacer.config_of_trigger 24)
+        ~steps_per_increment:8 () );
   ]
 
 (* chaos plans are stateful; build a fresh one per run so both engines
@@ -102,10 +106,9 @@ let differential_prop =
       let plan () = Some (Jrt.Chaos.create (Jrt.Chaos.of_seed seed)) in
       fst (both ~gc ~plan cw) = None)
 
-(* the flight recorder's event stream must be engine-invariant too
-   (modulo Respecialize, which only the threaded engine emits — diff
-   filters it); each stream is snapshotted right after its run, before
-   the next run's begin_run resets the ring *)
+(* the flight recorder's event stream must be engine-invariant too,
+   record for record; each stream is snapshotted right after its run,
+   before the next run's begin_run resets the ring *)
 let both_flight ~gc ~plan cw =
   let run engine =
     let chaos = plan () in
@@ -185,7 +188,8 @@ let test_budget_stop () =
     let cfg = { Jrt.Interp.default_config with max_steps = 5_000 } in
     let r =
       Jrt.Runner.run ~cfg ~engine
-        ~gc:(Jrt.Runner.make_satb ~trigger_allocs:24 ~steps_per_increment:8 ())
+        ~gc:(Jrt.Runner.make_satb ~pacing:(Jrt.Pacer.config_of_trigger 24)
+          ~steps_per_increment:8 ())
         prog ~entry:Workloads.Spec.main_entry
     in
     (r, Flight.events ())
@@ -252,6 +256,105 @@ end
       Alcotest.(check bool) "negative" true (out (-1) engine = Jrt.Value.Int 2))
     [ `Interp; `Threaded ]
 
+(* Unbounded recursion: the call past [max_call_depth] kills the thread
+   with "stack overflow" under either engine, at the same step, and the
+   catch-all handler around the call never runs — for a call alone in
+   its block and for one the threaded engine fuses with its argument's
+   load; a recursion 100,000 calls deep runs cleanly. *)
+let recursion_src =
+  {|
+class Main
+  static int out
+  method void forever () locals 0
+  t0:
+    invoke Main.forever
+  t1:
+    return
+  h:
+    iconst 1
+    putstatic Main.out
+    return
+    catch any t0 t1 h
+  end
+  method void spin (int) locals 1
+  t0:
+    iload 0
+    invoke Main.spin
+  t1:
+    return
+  h:
+    iconst 1
+    putstatic Main.out
+    return
+    catch any t0 t1 h
+  end
+  method void spinning () locals 0
+    iconst 7
+    invoke Main.spin
+    return
+  end
+  method int down (int) locals 1
+    iload 0
+    ifeq base
+    iload 0
+    iconst 1
+    isub
+    invoke Main.down
+    iconst 1
+    iadd
+    ireturn
+  base:
+    iconst 0
+    ireturn
+  end
+  method void deep () locals 0
+    iconst 100000
+    invoke Main.down
+    putstatic Main.out
+    return
+  end
+end
+|}
+
+let test_call_depth_max () =
+  let prog = Jir.Parser.parse_linked recursion_src in
+  Jir.Verifier.verify_exn prog;
+  let run entry engine =
+    let r =
+      Jrt.Runner.run ~engine ~gc:(Jrt.Runner.make_satb ()) prog
+        ~entry:{ Jir.Types.mclass = "Main"; mname = entry }
+    in
+    (r, Flight.events ())
+  in
+  let same name entry =
+    let ri, ei = run entry `Interp in
+    let rt, et = run entry `Threaded in
+    (match Harness.Engines.diff ~flight:(ei, et) ri rt with
+    | None -> ()
+    | Some m -> Alcotest.failf "%s: engines diverge — %s" name m);
+    ri
+  in
+  let out (r : Jrt.Runner.report) =
+    Hashtbl.find r.machine.Jrt.Interp.statics ("Main", "out")
+  in
+  let r = same "unbounded" "forever" in
+  Alcotest.(check (list (pair int string)))
+    "the thread dies of stack overflow" [ (0, "stack overflow") ]
+    r.thread_errors;
+  Alcotest.(check int) "the call past the maximum is the last step"
+    Jrt.Interp.max_call_depth r.steps;
+  Alcotest.(check bool) "no handler catches it" true (out r = Jrt.Value.Int 0);
+  let r = same "unbounded, fused call" "spinning" in
+  Alcotest.(check (list (pair int string)))
+    "a fused call dies the same way" [ (0, "stack overflow") ]
+    r.thread_errors;
+  Alcotest.(check bool) "no handler catches the fused call either" true
+    (out r = Jrt.Value.Int 0);
+  let r = same "100,000 deep" "deep" in
+  Alcotest.(check (list (pair int string))) "no error" [] r.thread_errors;
+  Alcotest.(check bool) "the recursion returns" true
+    (out r = Jrt.Value.Int 100_000)
+
 let tests =
   [
     Alcotest.test_case
@@ -265,4 +368,6 @@ let tests =
       test_budget_stop;
     Alcotest.test_case "array length maximum: bounds on both engines" `Quick
       test_array_length_max;
+    Alcotest.test_case "call depth maximum: stack overflow on both engines"
+      `Quick test_call_depth_max;
   ]

@@ -65,7 +65,7 @@ let run_flight ~gc ~engine cw =
 (* Each Table-1 workload compiled twice: both programs get physically
    the same code.  The threaded engine then runs the two programs
    alternately, with runs of the next workload in between, under three
-   collectors and a chaos plan whose revocations bump the epoch mid-run;
+   collectors and a chaos plan whose revocations patch sites mid-run;
    every run must equal a fresh interpreter run, flight events
    included. *)
 let test_shared_code_invisible () =
@@ -110,7 +110,7 @@ let test_shared_code_invisible () =
       ("hybrid", fun () -> Jrt.Runner.make_hybrid ());
       ("retrace", fun () -> Jrt.Runner.make_retrace ());
     ];
-  Alcotest.(check bool) "revocations bumped the epoch" true (!revocations > 0)
+  Alcotest.(check bool) "revocations happened" true (!revocations > 0)
 
 (* Two live machines of one program, their slices interleaved to
    completion: each ends exactly as a machine run alone. *)

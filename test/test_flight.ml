@@ -162,7 +162,6 @@ let every_kind : Flight.event list =
         materialized = false;
         justification = None;
       };
-    Respecialize { site = "Main.main@11"; epoch = 2 };
     Runtime_degraded { reason = "retrace-budget-overflow" };
     Chaos_fault { fault = "class-load"; at = At_instr 576; count = None };
     Chaos_fault { fault = "mem-pressure"; at = At_alloc 103; count = Some 4 };
@@ -212,8 +211,8 @@ let test_schema_round_trip () =
           | Ok e' -> Alcotest.(check bool) (kind ^ " round-trips") true (e = e')
           | Error err -> Alcotest.failf "%s does not parse back: %s" kind err))
     every_kind;
-  (* every constructor is covered: the sample spans 19 kind names *)
-  Alcotest.(check int) "one name per kind" 19
+  (* every constructor is covered: the sample spans 18 kind names *)
+  Alcotest.(check int) "one name per kind" 18
     (List.length (List.sort_uniq compare (List.map Flight.kind_name every_kind)))
 
 (* --- anomaly detectors --------------------------------------------------- *)
@@ -362,6 +361,37 @@ let test_parse_dump_rejects_junk () =
         Telemetry.Obj [ ("flight", Telemetry.Obj []) ] );
     ]
 
+(* A complete dump written at version 2 (which had the threaded engine's
+   respecialize kind) is refused by its version, with the message
+   [satbelim timeline] prints; the same dump at version 3 parses. *)
+let test_parse_dump_refuses_version_2 () =
+  fresh ();
+  at 100
+    (Flight.Cycle_start { collector = "test"; cycle = 0; snapshot_size = None });
+  let with_version n =
+    match Flight.dump_json ~reason:"unit" with
+    | Telemetry.Obj [ ("flight", Telemetry.Obj kvs) ] ->
+        Telemetry.Obj
+          [
+            ( "flight",
+              Telemetry.Obj
+                (List.map
+                   (fun (k, v) ->
+                     if k = "version" then (k, Telemetry.Int n) else (k, v))
+                   kvs) );
+          ]
+    | _ -> Alcotest.fail "unexpected dump layout"
+  in
+  (match Flight.parse_dump (with_version 3) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "version-3 dump refused: %s" e);
+  (match Flight.parse_dump (with_version 2) with
+  | Ok _ -> Alcotest.fail "parsed a version-2 dump"
+  | Error e ->
+      Alcotest.(check string) "refused by version"
+        "unsupported dump version 2" e);
+  restore ()
+
 (* --- runner integration: all four collectors ----------------------------- *)
 
 let compile_full w =
@@ -370,10 +400,14 @@ let compile_full w =
 
 let collectors =
   [
-    ("satb", fun () -> Jrt.Runner.make_satb ~trigger_allocs:24 ());
-    ("incremental-update", fun () -> Jrt.Runner.make_incr ~trigger_allocs:24 ());
-    ("retrace", fun () -> Jrt.Runner.make_retrace ~trigger_allocs:24 ());
-    ("hybrid", fun () -> Jrt.Runner.make_hybrid ~trigger_allocs:24 ());
+    ("satb", fun () -> Jrt.Runner.make_satb
+      ~pacing:(Jrt.Pacer.config_of_trigger 24) ());
+    ("incremental-update", fun () -> Jrt.Runner.make_incr
+      ~pacing:(Jrt.Pacer.config_of_trigger 24) ());
+    ("retrace", fun () -> Jrt.Runner.make_retrace
+      ~pacing:(Jrt.Pacer.config_of_trigger 24) ());
+    ("hybrid", fun () -> Jrt.Runner.make_hybrid
+      ~pacing:(Jrt.Pacer.config_of_trigger 24) ());
   ]
 
 let chaos_run ~gc cw =
@@ -416,11 +450,13 @@ let test_timeline_all_collectors () =
    first run's dump surface *)
 let test_begin_run_isolates_runs () =
   let cw = compile_full Workloads.Db.t in
-  ignore (chaos_run ~gc:(Jrt.Runner.make_satb ~trigger_allocs:24 ()) cw);
+  ignore (chaos_run ~gc:(Jrt.Runner.make_satb
+    ~pacing:(Jrt.Pacer.config_of_trigger 24) ()) cw);
   let first = List.length (Flight.events ()) in
   Alcotest.(check bool) "first run recorded" true (first > 0);
   ignore
-    (Harness.Exp.run ~gc:(Jrt.Runner.make_satb ~trigger_allocs:24 ()) cw);
+    (Harness.Exp.run ~gc:(Jrt.Runner.make_satb
+      ~pacing:(Jrt.Pacer.config_of_trigger 24) ()) cw);
   let second = Flight.events () in
   Alcotest.(check bool) "no chaos events leak into the chaos-free run" true
     (List.for_all
@@ -484,6 +520,8 @@ let tests =
       test_dump_roundtrip;
     Alcotest.test_case "parse_dump rejects junk" `Quick
       test_parse_dump_rejects_junk;
+    Alcotest.test_case "parse_dump refuses a version-2 dump" `Quick
+      test_parse_dump_refuses_version_2;
     Alcotest.test_case
       "chaos timelines reconstruct deterministically (4 collectors)" `Quick
       test_timeline_all_collectors;

@@ -55,13 +55,15 @@ let compile src =
 
 let run_churn ?(policy_from_analysis = true) ?(elide_all = false) gc =
   let compiled = compile churn_src in
-  let policy =
-    if elide_all then fun _ _ _ -> true
-    else if policy_from_analysis then fun c m pc ->
-      not
-        (Satb_core.Driver.needs_barrier compiled
-           { sk_class = c; sk_method = m; sk_pc = pc })
-    else Jrt.Interp.keep_all_policy
+  let policy c m pc =
+    let del_elide =
+      elide_all
+      || policy_from_analysis
+         && not
+              (Satb_core.Driver.needs_barrier compiled
+                 { sk_class = c; sk_method = m; sk_pc = pc })
+    in
+    { Jrt.Interp.keep with del_elide }
   in
   let cfg = { Jrt.Interp.default_config with policy } in
   Jrt.Runner.run ~cfg ~gc compiled.program
@@ -107,7 +109,12 @@ let test_satb_catches_unsound_elision () =
   (* removing every barrier breaks the snapshot: jess's working-memory
      overwrites unlink fact subgraphs during marking without logging *)
   let cw = Harness.Exp.compile Workloads.Jess.t in
-  let cfg = { Jrt.Interp.default_config with policy = (fun _ _ _ -> true) } in
+  let cfg =
+    {
+      Jrt.Interp.default_config with
+      policy = (fun _ _ _ -> { Jrt.Interp.keep with del_elide = true });
+    }
+  in
   let r =
     Jrt.Runner.run ~cfg
       ~gc:(Jrt.Runner.Satb { steps_per_increment = 8; pacing = Jrt.Pacer.config_of_trigger 32 })

@@ -172,50 +172,69 @@ let test_table1_renderer () =
        Workloads.Registry.table1)
 
 (* Exp.config is the one place verdicts become a run configuration.
-   The CLI's --no-elim relies on its keep-all form still wiring a guard
-   table (empty), so the startup capability requests are recorded. *)
+   The CLI's --no-elim relies on its keep-all form still recording guard
+   failures, so the startup capability requests show; under the hybrid
+   collector the verdicts carry their guards even without ~guards. *)
 let test_exp_config () =
   let cw = Harness.Exp.compile Workloads.Db.t in
+  let c = cw.compiled in
   let sites =
     List.concat_map
       (fun (r : Satb_core.Analysis.method_result) ->
         List.map
           (fun (v : Satb_core.Analysis.verdict) ->
-            (r.mr_class, r.mr_method, v.v_pc, v.v_elide))
+            ( r.mr_class,
+              r.mr_method,
+              v.v_pc,
+              { Satb_core.Driver.sk_class = r.mr_class; sk_method = r.mr_method;
+                sk_pc = v.v_pc },
+              v ))
           r.verdicts)
-      cw.compiled.results
+      c.results
   in
+  let each name (cfg : Jrt.Interp.config) ok =
+    List.iter
+      (fun (cl, m, pc, k, v) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s.%s@%d" name cl m pc)
+          true
+          (ok k v (cfg.policy cl m pc)))
+      sites
+  in
+  let no_why (w : Jrt.Interp.verdict) = Lazy.force w.why = None in
   let plain = Harness.Exp.config ~gc:(Jrt.Runner.make_satb ()) cw in
-  Alcotest.(check bool) "unguarded by default" true
-    (plain.guards == Jrt.Interp.no_guards
-    && plain.explain == Jrt.Interp.no_explain
-    && plain.halves == Jrt.Interp.no_halves);
-  List.iter
-    (fun (c, m, pc, elide) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s.%s@%d follows its verdict" c m pc)
-        elide (plain.policy c m pc))
-    sites;
+  Alcotest.(check bool) "guard failures ignored by default" false plain.revoke;
+  Alcotest.(check bool) "satb flavour" true (plain.barrier_flavor = `Satb);
+  each "satb follows its verdict, unguarded" plain (fun _ v w ->
+      w.del_elide = v.v_elide && w.del_guards = [] && (not w.ins_elide)
+      && w.ins_guards = [] && no_why w);
   Alcotest.(check bool) "db elides some site" true
-    (List.exists (fun (_, _, _, e) -> e) sites);
+    (List.exists (fun (_, _, _, _, v) -> v.Satb_core.Analysis.v_elide) sites);
   let hybrid = Jrt.Runner.make_hybrid () in
-  let guarded = Harness.Exp.config ~guards:true ~gc:hybrid cw in
-  Alcotest.(check bool) "hybrid wires its halves and guards" true
-    (guarded.barrier_flavor = `Hybrid
-    && guarded.halves != Jrt.Interp.no_halves
-    && guarded.guards != Jrt.Interp.no_guards);
+  let halves name (cfg : Jrt.Interp.config) ~why =
+    Alcotest.(check bool) (name ^ ": hybrid flavour, guard failures revoke")
+      true
+      (cfg.barrier_flavor = `Hybrid && cfg.revoke);
+    each name cfg (fun k v w ->
+        w.del_elide = v.v_elide && w.ins_elide = v.v_ins_elide
+        && w.del_guards = Satb_core.Driver.site_assumptions c k
+        && w.ins_guards = Satb_core.Driver.ins_site_assumptions c k
+        && w.ins_repair = Satb_core.Driver.ins_repair_needed c k
+        && w.check = Jrt.Interp.No_check
+        && Lazy.force w.why
+           = if why then Satb_core.Driver.justification c k else None)
+  in
+  halves "hybrid with guards" (Harness.Exp.config ~guards:true ~gc:hybrid cw)
+    ~why:true;
+  halves "hybrid without guards" (Harness.Exp.config ~gc:hybrid cw) ~why:false;
   let keep = Harness.Exp.config ~use_policy:false ~guards:true ~gc:hybrid cw in
-  Alcotest.(check bool) "keep-all wires an empty guard table" true
-    (keep.barrier_flavor = `Hybrid
-    && keep.guards != Jrt.Interp.no_guards
-    && keep.halves == Jrt.Interp.no_halves);
-  List.iter
-    (fun (c, m, pc, _) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s.%s@%d kept, unguarded" c m pc)
-        true
-        ((not (keep.policy c m pc)) && keep.guards c m pc = []))
-    sites
+  Alcotest.(check bool) "keep-all still records guard failures" true
+    keep.revoke;
+  each "keep-all keeps, unguarded" keep (fun _ _ w ->
+      (not w.del_elide) && (not w.ins_elide) && w.del_guards = []
+      && w.ins_guards = []);
+  Alcotest.(check bool) "keep-all without guards ignores failures" false
+    (Harness.Exp.config ~use_policy:false ~gc:hybrid cw).revoke
 
 let tests =
   List.map

@@ -186,14 +186,14 @@ let test_half_verdict_lattice () =
    assumptions, so a single chaos fault revokes exactly one of them.
    No_gc keeps the run free of marking (nothing to make unsound) while
    safepoint revocation still fires. *)
-let split_halves : Jrt.Interp.half_policy =
- fun _ _ _ ->
+let split_halves _ _ _ =
   {
-    Jrt.Interp.hs_del_elide = true;
-    hs_ins_elide = true;
-    hs_ins_repair = true;
-    hs_del_guards = [ Jrt.Interp.Single_mutator ];
-    hs_ins_guards = [ Jrt.Interp.Closed_world ];
+    Jrt.Interp.keep with
+    del_elide = true;
+    ins_elide = true;
+    ins_repair = true;
+    del_guards = [ Jir.Types.Single_mutator ];
+    ins_guards = [ Jir.Types.Closed_world ];
   }
 
 let run_split_halves faults =
@@ -203,7 +203,8 @@ let run_split_halves faults =
     {
       Jrt.Interp.default_config with
       barrier_flavor = `Hybrid;
-      halves = split_halves;
+      policy = split_halves;
+      revoke = true;
     }
   in
   let chaos =
@@ -276,10 +277,10 @@ let test_revoke_deletion_half_only () =
   check_revoke_halves m ~expect:Flight.Del;
   Alcotest.(check bool)
     "single-mutator revoked" true
-    (List.mem Jrt.Interp.Single_mutator m.Jrt.Interp.revoked);
+    (List.mem Jir.Types.Single_mutator m.Jrt.Interp.revoked);
   Alcotest.(check bool)
     "closed-world intact" false
-    (List.mem Jrt.Interp.Closed_world m.Jrt.Interp.revoked);
+    (List.mem Jir.Types.Closed_world m.Jrt.Interp.revoked);
   Alcotest.(check bool)
     "revocation events fired" true
     (m.Jrt.Interp.revocation_events >= 1);
@@ -291,7 +292,7 @@ let test_revoke_deletion_half_only () =
       Alcotest.(check bool) (id ^ ": insertion half still elided") true
         st.st_ins_elided;
       Alcotest.(check bool) (id ^ ": Elide_both downgraded") false
-        st.st_elided;
+        (Jrt.Interp.elided m st);
       Alcotest.(check int) (id ^ ": insertion half never paid") 0
         st.ins_paid_execs)
     m.Jrt.Interp.stats;
@@ -309,10 +310,10 @@ let test_revoke_insertion_half_only () =
   check_revoke_halves m ~expect:Flight.Ins;
   Alcotest.(check bool)
     "closed-world revoked" true
-    (List.mem Jrt.Interp.Closed_world m.Jrt.Interp.revoked);
+    (List.mem Jir.Types.Closed_world m.Jrt.Interp.revoked);
   Alcotest.(check bool)
     "single-mutator intact" false
-    (List.mem Jrt.Interp.Single_mutator m.Jrt.Interp.revoked);
+    (List.mem Jir.Types.Single_mutator m.Jrt.Interp.revoked);
   Hashtbl.iter
     (fun site (st : Jrt.Interp.site_stats) ->
       let id = Jrt.Interp.site_id site in
@@ -352,7 +353,7 @@ let half_revocation_prop =
       let chaos = Jrt.Chaos.create (Jrt.Chaos.of_seed seed) in
       let r =
         Harness.Exp.run
-          ~gc:(Jrt.Runner.make_hybrid ~trigger_allocs:24 ())
+          ~gc:(Jrt.Runner.make_hybrid ~pacing:(Jrt.Pacer.config_of_trigger 24) ())
           ~guards:true ~chaos ~fail_on_thread_error:false ~seed cw
       in
       (match r.Jrt.Runner.gc with
@@ -362,22 +363,21 @@ let half_revocation_prop =
               w.name seed g.Jrt.Runner.total_violations
       | None -> QCheck2.Test.fail_reportf "no gc summary");
       let m = r.Jrt.Runner.machine in
-      let halves = Harness.Exp.half_policy_of cw in
+      let verdicts =
+        (Harness.Exp.config ~guards:true ~gc:(Jrt.Runner.make_hybrid ()) cw)
+          .Jrt.Interp.policy
+      in
       let dead guards =
         List.exists (fun a -> List.mem a m.Jrt.Interp.revoked) guards
       in
       Hashtbl.iter
         (fun (site : Jrt.Interp.site) (st : Jrt.Interp.site_stats) ->
-          let hs =
-            halves site.Jrt.Interp.s_class site.Jrt.Interp.s_method
+          let v =
+            verdicts site.Jrt.Interp.s_class site.Jrt.Interp.s_method
               site.Jrt.Interp.s_pc
           in
-          let expect_del =
-            hs.Jrt.Interp.hs_del_elide && not (dead hs.Jrt.Interp.hs_del_guards)
-          in
-          let expect_ins =
-            hs.Jrt.Interp.hs_ins_elide && not (dead hs.Jrt.Interp.hs_ins_guards)
-          in
+          let expect_del = v.del_elide && not (dead v.del_guards) in
+          let expect_ins = v.ins_elide && not (dead v.ins_guards) in
           if st.st_del_elided <> expect_del then
             QCheck2.Test.fail_reportf
               "%s (seed %d) %s: deletion half %b, expected %b" w.name seed
@@ -386,8 +386,10 @@ let half_revocation_prop =
             QCheck2.Test.fail_reportf
               "%s (seed %d) %s: insertion half %b, expected %b" w.name seed
               (Jrt.Interp.site_id site) st.st_ins_elided expect_ins;
-          if st.st_elided <> (st.st_del_elided && st.st_ins_elided) then
-            QCheck2.Test.fail_reportf "%s (seed %d) %s: st_elided mirror broken"
+          if Jrt.Interp.elided m st <> (st.st_del_elided && st.st_ins_elided)
+          then
+            QCheck2.Test.fail_reportf
+              "%s (seed %d) %s: whole-store elision disagrees with its halves"
               w.name seed (Jrt.Interp.site_id site);
           if
             st.execs <> st.del_elided_execs + st.del_paid_execs
@@ -407,7 +409,7 @@ let test_hybrid_end_to_end () =
   in
   let r =
     Harness.Exp.run
-      ~gc:(Jrt.Runner.make_hybrid ~trigger_allocs:24 ())
+      ~gc:(Jrt.Runner.make_hybrid ~pacing:(Jrt.Pacer.config_of_trigger 24) ())
       ~guards:true cw
   in
   (match r.Jrt.Runner.gc with

@@ -330,14 +330,19 @@ let test_end_to_end_satb () =
   let prog = compile_verified paper_expand in
   let compiled = Satb_core.Driver.compile ~inline_limit:100 prog in
   let policy c m pc =
-    not
-      (Satb_core.Driver.needs_barrier compiled
-         { sk_class = c; sk_method = m; sk_pc = pc })
+    {
+      Jrt.Interp.keep with
+      del_elide =
+        not
+          (Satb_core.Driver.needs_barrier compiled
+             { sk_class = c; sk_method = m; sk_pc = pc });
+    }
   in
   let cfg = { Jrt.Interp.default_config with policy } in
   let r =
     Jrt.Runner.run ~cfg
-      ~gc:(Jrt.Runner.make_satb ~trigger_allocs:4 ~steps_per_increment:2 ())
+      ~gc:(Jrt.Runner.make_satb ~pacing:(Jrt.Pacer.config_of_trigger 4)
+        ~steps_per_increment:2 ())
       compiled.program
       ~entry:{ Jir.Types.mclass = "Main"; mname = "main" }
   in

@@ -191,7 +191,8 @@ let test_soundness_under_satb () =
       let cw = Harness.Exp.compile ~null_or_same:true w in
       let r =
         Harness.Exp.run
-          ~gc:(Jrt.Runner.make_satb ~trigger_allocs:24 ~steps_per_increment:8 ())
+          ~gc:(Jrt.Runner.make_satb ~pacing:(Jrt.Pacer.config_of_trigger 24)
+            ~steps_per_increment:8 ())
           cw
       in
       match r.gc with

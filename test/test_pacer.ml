@@ -182,27 +182,6 @@ let test_default_pacing_cycles_every_workload () =
       | None -> Alcotest.fail (w.name ^ ": no gc summary"))
     Workloads.Registry.table1
 
-let test_fixed_alias_matches_trigger_allocs () =
-  (* the two spellings of legacy pacing — ?trigger_allocs and
-     config_of_trigger — must be the same run, bit for bit *)
-  let go gc = Harness.Exp.run ~gc (compile Workloads.Db.t) in
-  let a = go (Jrt.Runner.make_satb ~trigger_allocs:24 ()) in
-  let b =
-    go (Jrt.Runner.make_satb ~pacing:(P.config_of_trigger 24) ())
-  in
-  let summary (r : Jrt.Runner.report) =
-    match r.gc with
-    | Some g -> (r.steps, g.cycles, g.final_pause_works, g.pause_steps)
-    | None -> (r.steps, 0, [], [])
-  in
-  Alcotest.(check bool) "identical reports" true (summary a = summary b);
-  (try
-     ignore
-       (Jrt.Runner.make_satb ~trigger_allocs:24
-          ~pacing:P.default_config ());
-     Alcotest.fail "trigger_allocs + pacing accepted"
-   with Invalid_argument _ -> ())
-
 let tests =
   [
     Alcotest.test_case "goal mode recomputes the trigger at mark end" `Quick
@@ -218,6 +197,4 @@ let tests =
       `Quick test_assists_reconcile;
     Alcotest.test_case "default pacing cycles every table-1 workload" `Quick
       test_default_pacing_cycles_every_workload;
-    Alcotest.test_case "fixed-mode alias reproduces --gc-trigger runs" `Quick
-      test_fixed_alias_matches_trigger_allocs;
   ]

@@ -92,8 +92,7 @@ let test_reconcile_under_degraded_pacer () =
   let gc = Jrt.Runner.make_satb ~pacing ~steps_per_increment:8 () in
   let r = Harness.Exp.run ~gc ~guards:true ~fail_on_thread_error:false cw in
   let p =
-    Attr.of_report ~workload:"jbb" ~gc:"satb"
-      ~explain:(Harness.Exp.explain_policy_of cw) r
+    Attr.of_report ~workload:"jbb" ~gc:"satb" r
   in
   (match Attr.reconciles p r with
   | Ok () -> ()
@@ -111,8 +110,7 @@ let compile_full w =
   Harness.Exp.compile ~null_or_same:true ~move_down:true ~swap:true w
 
 let profile_of_report ~(cw : Harness.Exp.compiled_workload) ~gc r =
-  Attr.of_report ~workload:cw.Harness.Exp.workload.name ~gc
-    ~explain:(Harness.Exp.explain_policy_of cw) r
+  Attr.of_report ~workload:cw.Harness.Exp.workload.name ~gc r
 
 let reconcile_prop =
   QCheck2.Test.make
@@ -126,10 +124,12 @@ let reconcile_prop =
       let cw = compile_full w in
       let gc, gc_name =
         if use_retrace then
-          ( Jrt.Runner.make_retrace ~trigger_allocs:24 ~steps_per_increment:8 (),
+          ( Jrt.Runner.make_retrace ~pacing:(Jrt.Pacer.config_of_trigger 24)
+            ~steps_per_increment:8 (),
             "retrace" )
         else
-          ( Jrt.Runner.make_satb ~trigger_allocs:24 ~steps_per_increment:8 (),
+          ( Jrt.Runner.make_satb ~pacing:(Jrt.Pacer.config_of_trigger 24)
+            ~steps_per_increment:8 (),
             "satb" )
       in
       let chaos = Jrt.Chaos.create (Jrt.Chaos.of_seed seed) in
@@ -155,7 +155,7 @@ let db_profile () =
   let cw = compile_full Workloads.Db.t in
   let r =
     Harness.Exp.run
-      ~gc:(Jrt.Runner.make_retrace ~trigger_allocs:24 ())
+      ~gc:(Jrt.Runner.make_retrace ~pacing:(Jrt.Pacer.config_of_trigger 24) ())
       ~guards:true cw
   in
   profile_of_report ~cw ~gc:"retrace" r
@@ -224,7 +224,7 @@ let test_json_byte_stable () =
 
 let test_profile_diff_regression () =
   let cw_plain = Harness.Exp.compile Workloads.Db.t in
-  let gc = Jrt.Runner.make_retrace ~trigger_allocs:24 () in
+  let gc = Jrt.Runner.make_retrace ~pacing:(Jrt.Pacer.config_of_trigger 24) () in
   let plain =
     profile_of_report ~cw:cw_plain ~gc:"retrace"
       (Harness.Exp.run ~gc ~guards:true cw_plain)
@@ -307,7 +307,7 @@ let test_gate_profile_files () =
   let plain =
     profile_of_report ~cw:cw_plain ~gc:"retrace"
       (Harness.Exp.run
-         ~gc:(Jrt.Runner.make_retrace ~trigger_allocs:24 ())
+         ~gc:(Jrt.Runner.make_retrace ~pacing:(Jrt.Pacer.config_of_trigger 24) ())
          ~guards:true cw_plain)
   in
   (match Gate.diff_json ~old_:(Attr.to_json full) (Attr.to_json plain) with

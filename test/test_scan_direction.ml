@@ -86,9 +86,13 @@ let compiled =
 let run_with ~direction ~seed ~quantum ~gc_period ~steps ~chunk : int =
   let compiled = Lazy.force compiled in
   let policy c m pc =
-    not
-      (Satb_core.Driver.needs_barrier compiled
-         { sk_class = c; sk_method = m; sk_pc = pc })
+    {
+      Jrt.Interp.keep with
+      del_elide =
+        not
+          (Satb_core.Driver.needs_barrier compiled
+             { sk_class = c; sk_method = m; sk_pc = pc });
+    }
   in
   let cfg = { Jrt.Interp.default_config with policy } in
   let m = Jrt.Interp.create ~cfg compiled.program in

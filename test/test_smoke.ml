@@ -100,9 +100,13 @@ let run_with gc =
   let prog = parse_and_link () in
   let compiled = Satb_core.Driver.compile ~inline_limit:100 prog in
   let policy c m pc =
-    not
-      (Satb_core.Driver.needs_barrier compiled
-         { sk_class = c; sk_method = m; sk_pc = pc })
+    {
+      Jrt.Interp.keep with
+      del_elide =
+        not
+          (Satb_core.Driver.needs_barrier compiled
+             { sk_class = c; sk_method = m; sk_pc = pc });
+    }
   in
   let cfg = { Jrt.Interp.default_config with policy } in
   Jrt.Runner.run ~cfg ~gc
@@ -116,7 +120,8 @@ let test_run_no_gc () =
 
 let test_run_satb () =
   let r =
-    run_with (Jrt.Runner.make_satb ~trigger_allocs:4 ~steps_per_increment:2 ())
+    run_with (Jrt.Runner.make_satb ~pacing:(Jrt.Pacer.config_of_trigger 4)
+      ~steps_per_increment:2 ())
   in
   Alcotest.(check (list (pair int string))) "no thread errors" [] r.thread_errors;
   match r.gc with
@@ -125,7 +130,8 @@ let test_run_satb () =
 
 let test_run_incr () =
   let r =
-    run_with (Jrt.Runner.make_incr ~trigger_allocs:4 ~steps_per_increment:2 ())
+    run_with (Jrt.Runner.make_incr ~pacing:(Jrt.Pacer.config_of_trigger 4)
+      ~steps_per_increment:2 ())
   in
   Alcotest.(check (list (pair int string))) "no thread errors" [] r.thread_errors;
   match r.gc with

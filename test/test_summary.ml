@@ -300,7 +300,7 @@ let test_summary_elision_guarded_closed_world () =
           { sk_class = c; sk_method = m; sk_pc = pc }
       in
       Alcotest.(check bool) "closed-world guard attached" true
-        (List.mem Satb_core.Driver.Closed_world assumptions)
+        (List.mem Jir.Types.Closed_world assumptions)
   | sites -> Alcotest.failf "expected one elided site, got %d" (List.length sites)
 
 (* ---- differential fuzz ------------------------------------------------ *)
@@ -333,9 +333,13 @@ let prop_summaries_sound =
         (fun summaries ->
           let compiled = compile_gen ~summaries prog in
           let policy c m pc =
-            not
-              (Satb_core.Driver.needs_barrier compiled
-                 { sk_class = c; sk_method = m; sk_pc = pc })
+            {
+              Jrt.Interp.keep with
+              del_elide =
+                not
+                  (Satb_core.Driver.needs_barrier compiled
+                     { sk_class = c; sk_method = m; sk_pc = pc });
+            }
           in
           let cfg = { Jrt.Interp.default_config with policy } in
           let r =

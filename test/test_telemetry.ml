@@ -235,7 +235,8 @@ let test_run_trace_schema_valid () =
   in
   ignore
     (Harness.Exp.run
-       ~gc:(Jrt.Runner.make_satb ~trigger_allocs:24 ~steps_per_increment:8 ())
+       ~gc:(Jrt.Runner.make_satb ~pacing:(Jrt.Pacer.config_of_trigger 24)
+         ~steps_per_increment:8 ())
        ~guards:true ~chaos ~fail_on_thread_error:false
        (compile_full Workloads.Db.t));
   Telemetry.detach_sink ();
@@ -342,8 +343,10 @@ let reconciliation_prop =
       let cw = compile_full w in
       let gc =
         if use_retrace then
-          Jrt.Runner.make_retrace ~trigger_allocs:24 ~steps_per_increment:8 ()
-        else Jrt.Runner.make_satb ~trigger_allocs:24 ~steps_per_increment:8 ()
+          Jrt.Runner.make_retrace ~pacing:(Jrt.Pacer.config_of_trigger 24)
+            ~steps_per_increment:8 ()
+        else Jrt.Runner.make_satb ~pacing:(Jrt.Pacer.config_of_trigger 24)
+          ~steps_per_increment:8 ()
       in
       let chaos = Jrt.Chaos.create (Jrt.Chaos.of_seed seed) in
       Telemetry.reset ();
@@ -379,7 +382,8 @@ let test_reconciliation_budget_overflow () =
   in
   let r =
     Harness.Exp.run
-      ~gc:(Jrt.Runner.make_retrace ~trigger_allocs:24 ~steps_per_increment:1 ())
+      ~gc:(Jrt.Runner.make_retrace ~pacing:(Jrt.Pacer.config_of_trigger 24)
+        ~steps_per_increment:1 ())
       ~guards:true ~chaos ~retrace_budget:0 ~fail_on_thread_error:false
       (compile_full Workloads.Db.t)
   in
@@ -471,10 +475,12 @@ let test_trace_matches_ring () =
           seen := List.map kind_of trace @ !seen)
         [ `Interp; `Threaded ])
     [
-      ("satb", Jrt.Runner.make_satb ~trigger_allocs:24 ());
-      ("incr", Jrt.Runner.make_incr ~trigger_allocs:24 ());
-      ("retrace", Jrt.Runner.make_retrace ~trigger_allocs:24 ());
-      ("hybrid", Jrt.Runner.make_hybrid ~trigger_allocs:24 ());
+      ("satb", Jrt.Runner.make_satb ~pacing:(Jrt.Pacer.config_of_trigger 24) ());
+      ("incr", Jrt.Runner.make_incr ~pacing:(Jrt.Pacer.config_of_trigger 24) ());
+      ("retrace", Jrt.Runner.make_retrace
+        ~pacing:(Jrt.Pacer.config_of_trigger 24) ());
+      ("hybrid", Jrt.Runner.make_hybrid
+        ~pacing:(Jrt.Pacer.config_of_trigger 24) ());
     ];
   (* one name per kind: the trace's names won *)
   List.iter
