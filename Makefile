@@ -35,7 +35,7 @@ heap-smoke:
 # then diff each committed baseline in bench/baseline/ against its fresh
 # counterpart; the first failing diff fails the target
 gate:
-	dune exec bench/main.exe -- table1 quick --json
+	dune exec bench/main.exe -- table1 --json
 	for f in bench/baseline/BENCH_*.json; do \
 	  dune exec bench/main.exe -- diff $$f $$(basename $$f) || exit 1; \
 	done
@@ -54,7 +54,7 @@ mutator-bench:
 	dune exec ./bench/perf/perf.exe -- run --workload mutator --seed 1 \
 	  --seconds 3 --out bench/perf/out/ci
 
-# full reproduction: every table/figure plus the bechamel timings
+# full reproduction: every table, figure and experiment
 bench:
 	dune exec bench/main.exe
 

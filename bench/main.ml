@@ -1,13 +1,12 @@
 (* Benchmark / reproduction driver.
 
    `dune exec bench/main.exe` regenerates every table and figure of the
-   paper (E1-E7, see DESIGN.md) and then runs a bechamel microbenchmark
-   suite with one Test.make per table/figure, timing the code that
-   produces each artifact.
+   paper and every experiment after it (E1-E19, see EXPERIMENTS.md).
 
-   `dune exec bench/main.exe -- table1 fig2 ...` runs a subset;
-   `-- quick` skips the bechamel suite; `-- --json` additionally writes
-   BENCH_table1.json / BENCH_table2.json machine-readable artifacts. *)
+   `dune exec bench/main.exe -- table1 fig2 ...` runs a subset; an
+   unknown name is a usage error.  `-- --json` additionally writes the
+   BENCH_*.json machine-readable artifacts.  Timing lives in bench/perf,
+   whose gated metrics cover the compile and run calls. *)
 
 let experiments =
   [
@@ -158,141 +157,12 @@ let run_diff (args : string list) : unit =
       prerr_endline diff_usage;
       exit 2
 
-(* --- bechamel microbenchmarks: one Test.make per table/figure --------- *)
-
-open Bechamel
-open Toolkit
-
-let compile_all ?(mode = Satb_core.Analysis.A) ?(null_or_same = false)
-    ?(inline_limit = 100) () =
-  List.iter
-    (fun w -> ignore (Harness.Exp.compile ~inline_limit ~mode ~null_or_same w))
-    Workloads.Registry.table1
-
-let bench_tests =
-  Test.make_grouped ~name:"satb-wbe"
-    [
-      (* Table 1's cost is the full field+array analysis over every
-         benchmark at inline limit 100 *)
-      Test.make ~name:"table1/analyze-A-100"
-        (Staged.stage (fun () -> compile_all ()));
-      (* Table 2 is dominated by the instrumented jbb run *)
-      Test.make ~name:"table2/run-jbb-always-log"
-        (Staged.stage (fun () ->
-             let cw = Harness.Exp.compile Workloads.Jbb.t in
-             ignore
-               (Harness.Exp.run ~satb_mode:Jrt.Barrier_cost.Always_log cw)));
-      (* Figure 2's most expensive point: inline limit 200, mode A *)
-      Test.make ~name:"fig2/analyze-A-200"
-        (Staged.stage (fun () -> compile_all ~inline_limit:200 ()));
-      (* Figure 2's cheapest analysis: field-only at limit 100 *)
-      Test.make ~name:"fig2/analyze-F-100"
-        (Staged.stage (fun () -> compile_all ~mode:Satb_core.Analysis.F ()));
-      (* Figure 3 is the code-size model over B/F/A compiles *)
-      Test.make ~name:"fig3/code-size-BFA"
-        (Staged.stage (fun () ->
-             List.iter
-               (fun mode -> compile_all ~mode ())
-               [ Satb_core.Analysis.B; F; A ]));
-      (* E5: one full SATB cycle on jess *)
-      Test.make ~name:"pause/satb-jess"
-        (Staged.stage (fun () ->
-             let cw = Harness.Exp.compile Workloads.Jess.t in
-             ignore
-               (Harness.Exp.run
-                  ~gc:(Jrt.Runner.make_satb
-                    ~pacing:(Jrt.Pacer.config_of_trigger 64) ())
-                  cw)));
-      (* E6: analysis with the null-or-same extension enabled *)
-      Test.make ~name:"nullsame/analyze-A+nos"
-        (Staged.stage (fun () -> compile_all ~null_or_same:true ()));
-      (* E8: analysis with the move-down extension enabled *)
-      Test.make ~name:"movedown/analyze-A+md"
-        (Staged.stage (fun () ->
-             ignore (Harness.Exp.compile ~move_down:true Workloads.Jbb.t)));
-      (* E10: db under the retrace collector with swap elision *)
-      Test.make ~name:"retrace/run-db-swap"
-        (Staged.stage (fun () ->
-             let cw =
-               Harness.Exp.compile ~move_down:true ~swap:true Workloads.Db.t
-             in
-             ignore
-               (Harness.Exp.run
-                  ~gc:(Jrt.Runner.make_retrace
-                    ~pacing:(Jrt.Pacer.config_of_trigger 24) ())
-                  cw)));
-      (* E11: db under a late-spawn fault plan with guards wired, so the
-         timing includes revocation and snapshot repair *)
-      Test.make ~name:"revoke/run-db-late-spawn"
-        (Staged.stage (fun () ->
-             let cw =
-               Harness.Exp.compile ~move_down:true ~swap:true Workloads.Db.t
-             in
-             let chaos =
-               Jrt.Chaos.create
-                 {
-                   Jrt.Chaos.seed = 1;
-                   faults =
-                     [ Jrt.Chaos.Late_spawn { at_instr = 1000; stores = 4 } ];
-                   quantum = None;
-                   gc_period = None;
-                 }
-             in
-             ignore
-               (Harness.Exp.run
-                  ~gc:(Jrt.Runner.make_retrace
-                    ~pacing:(Jrt.Pacer.config_of_trigger 24) ())
-                  ~guards:true ~chaos ~fail_on_thread_error:false cw)));
-      (* E12: summary construction + summary-aware analysis, no inlining *)
-      Test.make ~name:"summaries/analyze-A-0+sum"
-        (Staged.stage (fun () ->
-             List.iter
-               (fun w ->
-                 ignore
-                   (Harness.Exp.compile ~inline_limit:0 ~summaries:true w))
-               Workloads.Registry.table1));
-      (* E9: the cheapest ablation (single-name, no strong updates) *)
-      Test.make ~name:"ablation/analyze-1-name"
-        (Staged.stage (fun () ->
-             List.iter
-               (fun w ->
-                 ignore
-                   (Satb_core.Driver.compile ~inline_limit:100
-                      ~conf:(Harness.Ablation.conf_of Harness.Ablation.One_name)
-                      (Workloads.Spec.parse w)))
-               Workloads.Registry.table1));
-    ]
-
-let run_bechamel () =
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:(Some 10) ()
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let raw = Benchmark.all cfg instances bench_tests in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  let merged = Analyze.merge ols instances results in
-  Hashtbl.iter
-    (fun measure tbl ->
-      Printf.printf "\n%s (ns/run):\n" measure;
-      let rows =
-        Hashtbl.fold
-          (fun name ols acc ->
-            let est =
-              match Analyze.OLS.estimates ols with
-              | Some (e :: _) -> Printf.sprintf "%.0f" e
-              | Some [] | None -> "-"
-            in
-            (name, est) :: acc)
-          tbl []
-        |> List.sort compare
-      in
-      List.iter (fun (n, e) -> Printf.printf "  %-32s %12s\n" n e) rows)
-    merged
+let usage =
+  Printf.sprintf
+    "usage: bench [--engine interp|threaded] [--json] [EXPERIMENT...]\n\
+    \       bench diff OLD.json NEW.json [THRESHOLDS]\n\
+     experiments: %s"
+    (String.concat " " (List.map (fun (name, _, _) -> name) experiments))
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -313,9 +183,18 @@ let () =
   | Some other ->
       Printf.eprintf "bench: --engine expects interp|threaded, got %S\n" other;
       exit 2);
-  let quick = List.mem "quick" args in
   let json = List.mem "--json" args in
-  let selected = List.filter (fun a -> a <> "quick" && a <> "--json") args in
+  let selected = List.filter (fun a -> a <> "--json") args in
+  (match
+     List.filter
+       (fun a -> not (List.exists (fun (name, _, _) -> name = a) experiments))
+       selected
+   with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "bench: unknown experiment %s\n%s\n"
+        (String.concat ", " unknown) usage;
+      exit 2);
   let wanted name = selected = [] || List.mem name selected in
   List.iter
     (fun (name, title, print) ->
@@ -325,8 +204,4 @@ let () =
         print_newline ()
       end)
     experiments;
-  if json then emit_json ();
-  if (not quick) && (selected = [] || List.mem "bechamel" selected) then begin
-    Printf.printf "== bechamel: per-artifact timing ==\n%!";
-    run_bechamel ()
-  end
+  if json then emit_json ()

@@ -32,11 +32,11 @@ let run_jess ~policy_name ~policy =
 
 let () =
   let cw = Harness.Exp.compile Workloads.Jess.t in
-  run_jess ~policy_name:"keep-all" ~policy:(fun _ _ _ -> Jrt.Interp.keep);
+  run_jess ~policy_name:"keep-all" ~policy:(fun _ -> Jir.Types.keep);
   run_jess ~policy_name:"analysis-directed" ~policy:(Harness.Exp.policy_of cw);
   Fmt.pr "@.Now removing EVERY barrier (unsound for SATB):@.";
-  run_jess ~policy_name:"elide-all (unsound)" ~policy:(fun _ _ _ ->
-      { Jrt.Interp.keep with del_elide = true });
+  run_jess ~policy_name:"elide-all (unsound)" ~policy:(fun _ ->
+      { Jir.Types.keep with del_elide = true });
   Fmt.pr
     "@.The violation count above is the oracle catching live snapshot@.\
      objects that concurrent marking missed because their last pointer@.\

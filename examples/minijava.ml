@@ -47,13 +47,11 @@ let () =
             (Satb_core.Analysis.string_of_reason v.v_reason))
         r.verdicts)
     compiled.results;
-  let policy c m pc =
+  let policy site =
     {
-      Jrt.Interp.keep with
+      Jir.Types.keep with
       del_elide =
-        not
-          (Satb_core.Driver.needs_barrier compiled
-             { sk_class = c; sk_method = m; sk_pc = pc });
+        (Satb_core.Driver.barrier compiled site).del_elide;
     }
   in
   let cfg = { Jrt.Interp.default_config with policy } in

@@ -73,13 +73,11 @@ let () =
         r.verdicts)
     compiled.results;
   (* 2. run under the SATB collector with the verdicts as elision policy *)
-  let policy c m pc =
+  let policy site =
     {
-      Jrt.Interp.keep with
+      Jir.Types.keep with
       del_elide =
-        not
-          (Satb_core.Driver.needs_barrier compiled
-             { sk_class = c; sk_method = m; sk_pc = pc });
+        (Satb_core.Driver.barrier compiled site).del_elide;
     }
   in
   let cfg = { Jrt.Interp.default_config with policy } in

@@ -1,17 +1,16 @@
 (** End-to-end "JIT compilation" pipeline: verify → inline → analyze.
 
-    The result bundles the expanded program, the per-site barrier verdicts
-    keyed the way the runtime looks them up, and compile-time measurements
-    used by the Figure 2 reproduction. *)
+    The result bundles the expanded program, every store site's verdict
+    record keyed the way the runtime looks it up, and compile-time
+    measurements used by the Figure 2 reproduction. *)
 
 open Jir.Types
 
-type site_key = {
-  sk_class : class_name;
-  sk_method : method_name;
-  sk_pc : int;  (** pc in the {e inlined} method *)
-}
-
+(* Guards of the deletion-half verdict.  Unconditional verdicts
+   (pre-null field, null-or-same, dead code) carry none; §3 array
+   verdicts rest on mode A; the §4.3 move-down and swap extensions also
+   on a single mutator and on the collector (scan direction / retrace
+   protocol). *)
 let assumptions_of_reason (r : Analysis.reason) : assumption list =
   match r with
   | Analysis.Keep | Analysis.Dead_code | Analysis.Pre_null_field
@@ -22,10 +21,10 @@ let assumptions_of_reason (r : Analysis.reason) : assumption list =
   | Analysis.Swap_first | Analysis.Swap_second ->
       [ Mode_a; Single_mutator; Retrace_collector ]
 
-(** Guards of the {e insertion}-half verdict alone.  Null and literal
-    in-method freshness are unconditional (the collector's allocate-black
-    plus remark re-scan cover them); freshness proved through a callee
-    summary stands on the closed world. *)
+(* Guards of the insertion-half verdict alone.  Null and literal
+   in-method freshness are unconditional (the collector's allocate-black
+   plus remark re-scan cover them); freshness proved through a callee
+   summary stands on the closed world. *)
 let ins_assumptions_of_reason (r : Analysis.ins_reason) : assumption list =
   match r with
   | Analysis.Ins_keep | Analysis.Ins_null | Analysis.Ins_fresh
@@ -33,18 +32,21 @@ let ins_assumptions_of_reason (r : Analysis.ins_reason) : assumption list =
       []
   | Analysis.Ins_summary_fresh -> [ Closed_world ]
 
+(** One store site as compiled: the analysis's verdict and the runtime
+    record built from it. *)
+type site_verdict = {
+  analysis : Analysis.verdict;
+  barrier : verdict;
+      (** both halves with their full guard sets, the remark-repair flag,
+          the tracing-state check and one justification per half *)
+  summary_dependent : bool;
+      (** the method's analysis consulted a callee summary *)
+}
+
 type compiled = {
   program : Jir.Program.t;  (** after inlining *)
   results : Analysis.method_result list;
-  verdicts : (site_key, Analysis.verdict) Hashtbl.t;
-  guards : (site_key, assumption list) Hashtbl.t;
-      (** per-program guard table: assumption set of every {e elided}
-          site whose verdict is conditional *)
-  ins_guards : (site_key, assumption list) Hashtbl.t;
-      (** insertion-half guard table: assumption set of every site whose
-          {e insertion}-half elision is conditional — kept apart from
-          [guards] so a hybrid collector can revoke one half of a barrier
-          while the other stays elided *)
+  sites : (site, site_verdict) Hashtbl.t;
   inline_limit : int;
   conf : Analysis.config;
   summaries : Summary.table option;
@@ -73,6 +75,59 @@ type static_stats = {
   by_ins_reason : (Analysis.ins_reason * int) list;
 }
 
+(* A half's one-line justification, as revocation events and profile
+   rows print it: the rule that fired and the guards it stands on. *)
+let justification rule guards =
+  lazy
+    (Some
+       (Printf.sprintf "%s (guards: %s)" rule
+          (match guards with
+          | [] -> "none"
+          | gs -> String.concat ", " (List.map string_of_assumption gs))))
+
+(* The runtime record of one analysis verdict.  Every elision in a
+   method whose analysis consulted a callee summary additionally rests on
+   the closed world: "loading" a class later invalidates the summaries,
+   so the runtime must be able to revoke these sites.  The method-level
+   flag cannot tell which half's proof leaned on a summary, so both
+   halves carry the guard. *)
+let barrier_of (v : Analysis.verdict) ~summary_dependent : verdict =
+  let closed = if summary_dependent then [ Closed_world ] else [] in
+  let del_guards =
+    if v.v_elide then assumptions_of_reason v.v_reason @ closed else []
+  in
+  let ins_guards =
+    if v.v_ins_elide then
+      List.sort_uniq compare (ins_assumptions_of_reason v.v_ins_reason @ closed)
+    else []
+  in
+  {
+    del_elide = v.v_elide;
+    del_guards;
+    ins_elide = v.v_ins_elide;
+    ins_guards;
+    ins_repair =
+      v.v_ins_elide
+      && (match v.v_ins_reason with
+         | Analysis.Ins_fresh | Analysis.Ins_summary_fresh -> true
+         | Analysis.Ins_keep | Analysis.Ins_null | Analysis.Ins_dead -> false);
+    check =
+      (match v.v_reason with
+      | Analysis.Swap_first -> Check_open
+      | Analysis.Swap_second -> Check_close
+      | Analysis.Keep | Analysis.Pre_null_field | Analysis.Pre_null_array
+      | Analysis.Null_or_same | Analysis.Move_down | Analysis.Dead_code ->
+          No_check);
+    del_why =
+      (if v.v_elide then
+         justification (Analysis.string_of_reason v.v_reason) del_guards
+       else keep.del_why);
+    ins_why =
+      (if v.v_ins_elide then
+         justification (Analysis.string_of_ins_reason v.v_ins_reason) ins_guards
+       else keep.ins_why);
+  }
+
 (** One compilation pass, timed on the telemetry clock ({!Telemetry.time}
     observes the [compile.<pass>_s] histogram) and mirrored as an
     [analysis.pass] trace event. *)
@@ -98,34 +153,21 @@ let compile ?(verify = true) ?(inline_limit = 100)
     timed_pass "analysis" (fun () ->
         Analysis.analyze_program ~conf ?summaries program)
   in
-  let verdicts = Hashtbl.create 256 in
-  let guards = Hashtbl.create 16 in
-  let ins_guards = Hashtbl.create 16 in
+  let sites = Hashtbl.create 256 in
   List.iter
     (fun (r : Analysis.method_result) ->
       List.iter
         (fun (v : Analysis.verdict) ->
-          let key =
-            { sk_class = r.mr_class; sk_method = r.mr_method; sk_pc = v.v_pc }
+          let site =
+            { s_class = r.mr_class; s_method = r.mr_method; s_pc = v.v_pc }
           in
-          Hashtbl.replace verdicts key v;
-          (* Every elision in a method whose analysis consulted a callee
-             summary additionally rests on the closed world: "loading" a
-             class later invalidates the summaries, so the runtime must
-             be able to revoke these sites.  The method-level flag cannot
-             tell which half's proof leaned on a summary, so both halves
-             carry the guard. *)
-          let closed = if r.mr_summary_dependent then [ Closed_world ] else [] in
-          (if v.v_elide then
-             match assumptions_of_reason v.v_reason @ closed with
-             | [] -> ()
-             | assumptions -> Hashtbl.replace guards key assumptions);
-          if v.v_ins_elide then
-            match ins_assumptions_of_reason v.v_ins_reason @ closed with
-            | [] -> ()
-            | assumptions ->
-                Hashtbl.replace ins_guards key
-                  (List.sort_uniq compare assumptions))
+          let summary_dependent = r.mr_summary_dependent in
+          Hashtbl.replace sites site
+            {
+              analysis = v;
+              barrier = barrier_of v ~summary_dependent;
+              summary_dependent;
+            })
         r.verdicts)
     results;
   Telemetry.incr ~by:(List.length results) (Telemetry.counter "analysis.methods");
@@ -135,13 +177,13 @@ let compile ?(verify = true) ?(inline_limit = 100)
          (fun acc (r : Analysis.method_result) -> acc + r.iterations)
          0 results)
     (Telemetry.counter "analysis.fixpoint_iterations");
-  Telemetry.incr ~by:(Hashtbl.length verdicts)
+  Telemetry.incr ~by:(Hashtbl.length sites)
     (Telemetry.counter "analysis.sites.total");
   Telemetry.incr
     ~by:
       (Hashtbl.fold
-         (fun _ (v : Analysis.verdict) n -> if v.v_elide then n + 1 else n)
-         verdicts 0)
+         (fun _ s n -> if s.analysis.v_elide then n + 1 else n)
+         sites 0)
     (Telemetry.counter "analysis.sites.elided");
   (match summaries with
   | Some tbl ->
@@ -153,9 +195,7 @@ let compile ?(verify = true) ?(inline_limit = 100)
   {
     program;
     results;
-    verdicts;
-    guards;
-    ins_guards;
+    sites;
     inline_limit;
     conf;
     summaries;
@@ -164,90 +204,12 @@ let compile ?(verify = true) ?(inline_limit = 100)
     summary_seconds;
   }
 
-(** Does the store at [key] still need its SATB barrier? *)
-let needs_barrier (c : compiled) (key : site_key) : bool =
-  match Hashtbl.find_opt c.verdicts key with
-  | Some v -> not v.v_elide
-  | None -> true
-
-let verdict (c : compiled) (key : site_key) : Analysis.verdict option =
-  Hashtbl.find_opt c.verdicts key
-
-(** Tracing-state check the retrace collector's code generator emits at a
-    swap-elided store: [`Open] at the pair's first store (also opens the
-    safepoint-free window), [`Close] at the second. *)
-let retrace_check (c : compiled) (key : site_key) :
-    [ `None | `Open | `Close ] =
-  match Hashtbl.find_opt c.verdicts key with
-  | Some { v_elide = true; v_reason = Analysis.Swap_first; _ } -> `Open
-  | Some { v_elide = true; v_reason = Analysis.Swap_second; _ } -> `Close
-  | Some _ | None -> `None
-
-(** The assumption set the elision at [key] depends on; empty for kept
-    sites and unconditional verdicts. *)
-let site_assumptions (c : compiled) (key : site_key) : assumption list =
-  Option.value (Hashtbl.find_opt c.guards key) ~default:[]
-
-(** The assumption set of the insertion-half elision at [key] alone. *)
-let ins_site_assumptions (c : compiled) (key : site_key) : assumption list =
-  Option.value (Hashtbl.find_opt c.ins_guards key) ~default:[]
-
-(** The half-verdict lattice a hybrid-barrier code generator compiles
-    from: the deletion verdict ([v_elide], overwritten-value facts) and
-    the insertion verdict ([v_ins_elide], stored-value facts) combine
-    pointwise. *)
-type hybrid_verdict =
-  [ `Keep  (** both halves stay *)
-  | `Elide_deletion  (** only the Yuasa half proved removable *)
-  | `Elide_insertion  (** only the Dijkstra half proved removable *)
-  | `Elide_both ]
-
-let string_of_hybrid_verdict : hybrid_verdict -> string = function
-  | `Keep -> "keep"
-  | `Elide_deletion -> "elide-deletion"
-  | `Elide_insertion -> "elide-insertion"
-  | `Elide_both -> "elide-both"
-
-let hybrid_verdict (c : compiled) (key : site_key) : hybrid_verdict =
-  match Hashtbl.find_opt c.verdicts key with
-  | None -> `Keep
-  | Some v -> (
-      match v.Analysis.v_elide, v.Analysis.v_ins_elide with
-      | false, false -> `Keep
-      | true, false -> `Elide_deletion
-      | false, true -> `Elide_insertion
-      | true, true -> `Elide_both)
-
-(** Does the insertion-half elision at [key] need its destination
-    re-scanned at remark?  Freshness proofs do (the value may predate the
-    cycle and be white); a proven-null store shades nothing either way. *)
-let ins_repair_needed (c : compiled) (key : site_key) : bool =
-  match Hashtbl.find_opt c.verdicts key with
-  | Some
-      {
-        Analysis.v_ins_elide = true;
-        v_ins_reason = Analysis.Ins_fresh | Analysis.Ins_summary_fresh;
-        _;
-      } ->
-      true
-  | Some _ | None -> false
-
-(** Every assumption some elided site of the program depends on —
-    deduplicated and in declaration order, for CLI safety checks and
-    reporting. *)
-let guarded_assumptions (c : compiled) : assumption list =
-  Hashtbl.fold
-    (fun _ assumptions acc ->
-      List.fold_left
-        (fun acc a -> if List.mem a acc then acc else a :: acc)
-        acc assumptions)
-    c.guards []
-  |> List.sort compare
+(** The verdict record the barrier at [site] compiles from; {!keep} for
+    a site the analysis never saw. *)
+let barrier (c : compiled) (site : site) : verdict =
+  match Hashtbl.find_opt c.sites site with Some s -> s.barrier | None -> keep
 
 (* ---- elision provenance ("explain") ------------------------------------ *)
-
-let string_of_site_key (k : site_key) : string =
-  Printf.sprintf "%s.%s@%d" k.sk_class k.sk_method k.sk_pc
 
 (** Why a site's barrier was removed, as an inspectable artifact: the
     rule (abstract fact) that fired, the chain of sub-facts it rests on,
@@ -255,24 +217,13 @@ let string_of_site_key (k : site_key) : string =
     [analyze --explain] prints and what revocation events carry, so a
     revoked site can name its original justification. *)
 type provenance = {
-  pv_key : site_key;
-  pv_kind : Jir.Types.store_kind;
+  pv_key : site;
+  pv_kind : store_kind;
   pv_reason : Analysis.reason;
   pv_rule : string;  (** short rule name, e.g. ["pre-null-field"] *)
   pv_facts : string list;  (** the abstract-fact chain, outermost first *)
   pv_guards : assumption list;
-  pv_summary_dependent : bool;
 }
-
-let rule_of_reason : Analysis.reason -> string = function
-  | Analysis.Keep -> "keep"
-  | Analysis.Dead_code -> "dead-code"
-  | Analysis.Pre_null_field -> "pre-null-field"
-  | Analysis.Pre_null_array -> "pre-null-array"
-  | Analysis.Null_or_same -> "null-or-same"
-  | Analysis.Move_down -> "move-down"
-  | Analysis.Swap_first -> "swap-first"
-  | Analysis.Swap_second -> "swap-second"
 
 let facts_of_reason : Analysis.reason -> string list = function
   | Analysis.Keep -> [ "no elision rule applied; the SATB barrier stays" ]
@@ -336,62 +287,45 @@ let facts_of_ins_reason : Analysis.ins_reason -> string list = function
   | Analysis.Ins_dead ->
       [ "insertion half: the store is unreachable (dead code)" ]
 
-(** Provenance for the verdict at [key]; [None] for unknown sites. *)
-let explain (c : compiled) (key : site_key) : provenance option =
-  match Hashtbl.find_opt c.verdicts key with
-  | None -> None
-  | Some v ->
-      let summary_dependent =
-        List.exists
-          (fun (r : Analysis.method_result) ->
-            r.mr_summary_dependent && r.mr_class = key.sk_class
-            && r.mr_method = key.sk_method)
-          c.results
-      in
-      let facts =
-        facts_of_reason v.v_reason
-        @ (if v.v_ins_elide then facts_of_ins_reason v.v_ins_reason else [])
-        @
-        if v.v_elide && summary_dependent then
-          [
-            "the analysis consulted interprocedural callee summaries: \
-             valid only while no class loads after compilation \
-             (closed world)";
-          ]
-        else []
-      in
-      Some
-        {
-          pv_key = key;
-          pv_kind = v.v_kind;
-          pv_reason = v.v_reason;
-          pv_rule = rule_of_reason v.v_reason;
-          pv_facts = facts;
-          pv_guards =
-            (if v.v_elide then
-               Option.value (Hashtbl.find_opt c.guards key) ~default:[]
-             else []);
-          pv_summary_dependent = summary_dependent;
-        }
+(* Provenance of the verdict at [key]. *)
+let explain (key : site) (s : site_verdict) : provenance =
+  let v = s.analysis in
+  let facts =
+    facts_of_reason v.v_reason
+    @ (if v.v_ins_elide then facts_of_ins_reason v.v_ins_reason else [])
+    @
+    if v.v_elide && s.summary_dependent then
+      [
+        "the analysis consulted interprocedural callee summaries: \
+         valid only while no class loads after compilation \
+         (closed world)";
+      ]
+    else []
+  in
+  {
+    pv_key = key;
+    pv_kind = v.v_kind;
+    pv_reason = v.v_reason;
+    pv_rule = Analysis.string_of_reason v.v_reason;
+    pv_facts = facts;
+    pv_guards = s.barrier.del_guards;
+  }
 
 (** Provenance of every {e elided} site, sorted by site id
     (class, method, pc) so the output is deterministic. *)
 let explanations (c : compiled) : provenance list =
   Hashtbl.fold
-    (fun key (v : Analysis.verdict) acc ->
-      if v.v_elide then
-        match explain c key with Some p -> p :: acc | None -> acc
-      else acc)
-    c.verdicts []
+    (fun key s acc -> if s.analysis.v_elide then explain key s :: acc else acc)
+    c.sites []
   |> List.sort (fun a b -> compare a.pv_key b.pv_key)
 
 let pp_provenance ppf (p : provenance) =
   Fmt.pf ppf "%s %s %s"
-    (string_of_site_key p.pv_key)
+    (string_of_site p.pv_key)
     (match p.pv_kind with
-    | Jir.Types.Field_store -> "putfield"
-    | Jir.Types.Array_store -> "aastore"
-    | Jir.Types.Static_store -> "putstatic")
+    | Field_store -> "putfield"
+    | Array_store -> "aastore"
+    | Static_store -> "putstatic")
     p.pv_rule;
   List.iter (fun f -> Fmt.pf ppf "@.    - %s" f) p.pv_facts;
   match p.pv_guards with
@@ -399,17 +333,6 @@ let pp_provenance ppf (p : provenance) =
   | gs ->
       Fmt.pf ppf "@.    guards: %s"
         (String.concat ", " (List.map string_of_assumption gs))
-
-(** One-line justification string attached to runtime revocation events. *)
-let justification (c : compiled) (key : site_key) : string option =
-  match explain c key with
-  | Some p when p.pv_guards <> [] || p.pv_reason <> Analysis.Keep ->
-      Some
-        (Printf.sprintf "%s (guards: %s)" p.pv_rule
-           (match p.pv_guards with
-           | [] -> "none"
-           | gs -> String.concat ", " (List.map string_of_assumption gs)))
-  | Some _ | None -> None
 
 let static_stats (c : compiled) : static_stats =
   let total = ref 0
@@ -424,7 +347,7 @@ let static_stats (c : compiled) : static_stats =
   let reasons = Hashtbl.create 8 in
   let ins_reasons = Hashtbl.create 8 in
   Hashtbl.iter
-    (fun _ (v : Analysis.verdict) ->
+    (fun _ { analysis = v; _ } ->
       incr total;
       if v.v_elide then incr elided;
       if v.v_ins_elide then incr ins_elided;
@@ -443,7 +366,7 @@ let static_stats (c : compiled) : static_stats =
       | Static_store -> incr static_);
       let k = v.v_reason in
       Hashtbl.replace reasons k (1 + Option.value ~default:0 (Hashtbl.find_opt reasons k)))
-    c.verdicts;
+    c.sites;
   {
     total_sites = !total;
     elided_sites = !elided;
@@ -507,7 +430,7 @@ let code_size (c : compiled) : int =
   let base = codegen_expansion * Jir.Program.total_instr_count c.program in
   let barriers =
     Hashtbl.fold
-      (fun _ (v : Analysis.verdict) acc -> if v.v_elide then acc else acc + 1)
-      c.verdicts 0
+      (fun _ s acc -> if s.analysis.v_elide then acc else acc + 1)
+      c.sites 0
   in
   base + (barrier_footprint * barriers)

@@ -31,7 +31,7 @@ type row = {
 let site_table (m : Jrt.Interp.t) =
   Hashtbl.fold
     (fun s (st : Jrt.Interp.site_stats) acc ->
-      ( Jrt.Interp.site_id s,
+      ( Jir.Types.string_of_site s,
         ( st.Jrt.Interp.execs,
           st.pre_null_execs,
           st.paid_execs,

@@ -23,8 +23,6 @@ let compile ?(inline_limit = 100) ?(mode = Satb_core.Analysis.A)
   in
   { workload = w; compiled = Satb_core.Driver.compile ~inline_limit ~conf prog }
 
-let key c m pc = { Satb_core.Driver.sk_class = c; sk_method = m; sk_pc = pc }
-
 let config ?(satb_mode = Jrt.Barrier_cost.Conditional) ?(use_policy = true)
     ?(guards = false) ?(revoke = true) ~(gc : Jrt.Runner.gc_choice)
     (cw : compiled_workload) : Jrt.Interp.config =
@@ -37,41 +35,23 @@ let config ?(satb_mode = Jrt.Barrier_cost.Conditional) ?(use_policy = true)
      Under [Hybrid] the verdicts carry each half's guards even with
      [~guards:false] (BENCH_hybrid.json and the gc-churn benchmark
      depend on it), so guard failures revoke there as well; only the
-     justification waits for [~guards].  Without the verdicts guard
+     justifications wait for [~guards].  Without the verdicts guard
      failures are still recorded when [~guards] asks for it, so the
      startup capability requests show. *)
   let wired = guards || (hybrid && use_policy) in
-  let c = cw.compiled in
-  let policy cls meth pc : Jrt.Interp.verdict =
-    let k = key cls meth pc in
-    let del_elide = use_policy && not (Satb_core.Driver.needs_barrier c k) in
-    let ins_elide =
-      use_policy && hybrid
-      &&
-      match Satb_core.Driver.hybrid_verdict c k with
-      | `Elide_insertion | `Elide_both -> true
-      | `Keep | `Elide_deletion -> false
-    in
+  let policy site : Jir.Types.verdict =
+    let v = Satb_core.Driver.barrier cw.compiled site in
+    let del_elide = use_policy && v.del_elide in
+    let ins_elide = use_policy && hybrid && v.ins_elide in
     {
       del_elide;
-      del_guards =
-        (if wired && del_elide then Satb_core.Driver.site_assumptions c k
-         else []);
+      del_guards = (if wired && del_elide then v.del_guards else []);
       ins_elide;
-      ins_guards =
-        (if wired && ins_elide then Satb_core.Driver.ins_site_assumptions c k
-         else []);
-      ins_repair = ins_elide && Satb_core.Driver.ins_repair_needed c k;
-      check =
-        (if hybrid || not del_elide then Jrt.Interp.No_check
-         else
-           match Satb_core.Driver.retrace_check c k with
-           | `Open -> Jrt.Interp.Check_open
-           | `Close -> Jrt.Interp.Check_close
-           | `None -> Jrt.Interp.No_check);
-      why =
-        (if guards then lazy (Satb_core.Driver.justification c k)
-         else Jrt.Interp.keep.why);
+      ins_guards = (if wired && ins_elide then v.ins_guards else []);
+      ins_repair = ins_elide && v.ins_repair;
+      check = (if hybrid || not del_elide then No_check else v.check);
+      del_why = (if guards then v.del_why else Jir.Types.keep.del_why);
+      ins_why = (if guards then v.ins_why else Jir.Types.keep.ins_why);
     }
   in
   {

@@ -27,23 +27,20 @@ val config :
   gc:Jrt.Runner.gc_choice ->
   compiled_workload ->
   Jrt.Interp.config
-(** The run configuration for [gc] from the analysis verdicts: one
-    {!Jrt.Interp.verdict} per site, with its tracing-state check (swap
-    pairs), and under [Hybrid] the split-verdict barrier flavour with
-    both halves.  [use_policy:false] keeps every barrier.  [guards]
-    (default off — the negative soundness tests depend on unguarded
-    runs) wires each verdict's guards and justification, so assumption
-    failures revoke dependent elisions; without the verdicts guard
-    failures are still recorded.  Under [Hybrid] the verdicts carry
-    their guards even without [guards].  [revoke:false] keeps the guards
-    wired but ignores their failures. *)
+(** The run configuration for [gc] from the verdict records the driver
+    built ({!Satb_core.Driver.barrier}): one lookup per site, masked for
+    the collector.  Every collector but [Hybrid] gets the deletion half
+    with its tracing-state check (swap pairs); [Hybrid] gets the
+    split-verdict barrier flavour with both halves and no check.
+    [use_policy:false] keeps every barrier.  [guards] (default off — the
+    negative soundness tests depend on unguarded runs) wires each half's
+    guards and justification, so assumption failures revoke dependent
+    elisions; without the verdicts guard failures are still recorded.
+    Under [Hybrid] the verdicts carry their guards even without
+    [guards].  [revoke:false] keeps the guards wired but ignores their
+    failures. *)
 
-val policy_of :
-  compiled_workload ->
-  Jir.Types.class_name ->
-  Jir.Types.method_name ->
-  int ->
-  Jrt.Interp.verdict
+val policy_of : compiled_workload -> Jir.Types.site -> Jir.Types.verdict
 (** The unguarded verdicts [config ~guards:false] wires for every
     collector but [Hybrid]: the analysis's deletion verdict and
     tracing-state check, no guards, no justification. *)

@@ -5,8 +5,8 @@
     The sweep crosses chaos fault plans (late second-mutator spawn,
     forced marker preemption, mid-cycle heap pressure, retrace-budget
     overflow) with both SATB-family collectors (plain and retrace) over
-    the Table 1 workloads, compiled with every §4.3 extension on so the
-    guard table is maximally populated.  With revocation enabled every
+    the Table 1 workloads, compiled with every §4.3 extension on so as
+    many verdicts as possible carry guards.  With revocation enabled every
     run must finish with zero oracle violations: the late spawn revokes
     [Single_mutator] before the injected mutator's first store, running
     swap verdicts under plain SATB revokes [Retrace_collector] at

@@ -278,3 +278,54 @@ let string_of_assumption = function
   | Descending_scan -> "descending-scan"
   | Mode_a -> "mode-A"
   | Closed_world -> "closed-world"
+
+(** A reference-store site of a compiled (inlined) program: the store
+    instruction at [s_pc] of method [s_method] of class [s_class]. *)
+type site = { s_class : class_name; s_method : method_name; s_pc : int }
+
+(** ["Class.method\@pc"], the site id of traces, [--explain], revocation
+    events and profile rows. *)
+let string_of_site (s : site) : string =
+  Printf.sprintf "%s.%s@%d" s.s_class s.s_method s.s_pc
+
+(** What the retrace collector's compiler emits at a swap-elided store:
+    nothing, or a tracing-state check that additionally opens (store 1 of
+    the pair) or closes (store 2) a safepoint-free window.  The scheduler
+    defers collector work while a window is open, so the collector never
+    observes a half-completed swap. *)
+type retrace_site = No_check | Check_open | Check_close
+
+(** One store site's verdict, as the compiler hands it to the runtime.
+    The deletion half is SATB's whole verdict; only a hybrid barrier
+    reads the insertion half.  Each half carries the assumptions its
+    elision stands on (its {e guards}): once one is observed false the
+    half is {e revoked} — flipped back to a full barrier at a safepoint —
+    and the revocation names that half's justification. *)
+type verdict = {
+  del_elide : bool;  (** the deletion (Yuasa / SATB) half was compiled out *)
+  del_guards : assumption list;
+  ins_elide : bool;  (** the insertion (Dijkstra) half was compiled out *)
+  ins_guards : assumption list;
+  ins_repair : bool;
+      (** insertion-elided destinations join the repair set handed to the
+          collector at remark (fresh-value proofs need the re-scan; a
+          proven-null store does not) *)
+  check : retrace_site;  (** compiled in place of the deletion half *)
+  del_why : string option Lazy.t;
+      (** the analysis's justification of the deletion elision, built
+          only when a [revoke.site] record or a profile row reads it *)
+  ins_why : string option Lazy.t;  (** likewise the insertion elision *)
+}
+
+(** Both halves kept: no guards, no check, no justification. *)
+let keep =
+  {
+    del_elide = false;
+    del_guards = [];
+    ins_elide = false;
+    ins_guards = [];
+    ins_repair = false;
+    check = No_check;
+    del_why = Lazy.from_val None;
+    ins_why = Lazy.from_val None;
+  }

@@ -65,7 +65,7 @@ let of_report ~workload ~gc (r : Jrt.Runner.report) : t =
     Hashtbl.fold
       (fun site (st : Jrt.Interp.site_stats) acc ->
         {
-          r_site = Jrt.Interp.site_id site;
+          r_site = Jir.Types.string_of_site site;
           r_kind = kind_string st.Jrt.Interp.st_kind;
           r_elided = Jrt.Interp.elided m st;
           r_execs = st.Jrt.Interp.execs;
@@ -81,7 +81,7 @@ let of_report ~workload ~gc (r : Jrt.Runner.report) : t =
           r_revocations = st.Jrt.Interp.revocations;
           r_guards =
             List.map Jir.Types.string_of_assumption (Jrt.Interp.guards m st);
-          r_why = Lazy.force st.Jrt.Interp.st_verdict.Jrt.Interp.why;
+          r_why = Lazy.force st.Jrt.Interp.st_verdict.Jir.Types.del_why;
         }
         :: acc)
       m.Jrt.Interp.stats []

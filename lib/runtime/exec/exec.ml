@@ -56,15 +56,18 @@
     the interpreter's boxed {!Value.t}; conversion happens only at heap
     loads/stores, and integer-typed data never boxes at all.
 
+    Ints are 62-bit on both engines ({!Value.wrap}): encoded arithmetic
+    wraps by construction, and a fused block, which computes in raw
+    machine ints, wraps one where it leaves unencoded — compared,
+    divided, used as an index or stored into an int array.
+
     Deviations from the interpreter, by design and only observable from
     {e unverified} code (the verifier rules all of them out): operand
     stack underflow surfaces as an array-bounds error rather than
     [Runtime_bug], type-confusion errors inside a fused opcode surface
-    in operand-evaluation order rather than pop order, method/static
+    in operand-evaluation order rather than pop order, and method/static
     resolution happens at method-compile time rather than first
-    execution, and integers wrap at 62 bits rather than 63 (the tag
-    bit; both stand in for Java's 32-bit ints, and overflow behaviour
-    is unspecified in jir). *)
+    execution. *)
 
 open Jir.Types
 module I = Interp
@@ -91,6 +94,10 @@ let decode v =
   else if v = 0 then Value.Null
   else Value.Ref ((v asr 1) - 1)
 
+(* A raw int as the program sees it: the 62 bits the encoding keeps
+   ({!Value.wrap}, defined here so fused code inlines it). *)
+let wrap n = enc_int n asr 1
+
 (* ---- compiled code ----------------------------------------------------- *)
 
 (* a growable array: the code's site, static and method tables, which
@@ -108,7 +115,7 @@ let vec_push (v : 'a vec) (x : 'a) : int =
   v.len - 1
 
 (** A reference-store site of the code, described once at compile time. *)
-type site_desc = { sd_site : I.site; sd_kind : store_kind }
+type site_desc = { sd_site : site; sd_kind : store_kind }
 
 type eframe = {
   ef_home : cmeth;  (** owning compiled method — names, handlers, pool *)
@@ -272,13 +279,14 @@ let site_of (r : t) (s : int) : I.site_stats =
     interpreter's per-site cache). *)
 let alloc_site_id (c : cmeth) (pc : int) : int =
   Sitemap.intern
-    (I.site_id { I.s_class = c.cm_class; s_method = c.cm_meth.mname; s_pc = pc })
+    (string_of_site
+       { s_class = c.cm_class; s_method = c.cm_meth.mname; s_pc = pc })
 
 (** Number a new reference-store site of the code. *)
 let store_site (k : code) (c : cmeth) (pc : int) (kind : store_kind) : int =
   vec_push k.sites
     {
-      sd_site = { I.s_class = c.cm_class; s_method = c.cm_meth.mname; s_pc = pc };
+      sd_site = { s_class = c.cm_class; s_method = c.cm_meth.mname; s_pc = pc };
       sd_kind = kind;
     }
 
@@ -768,7 +776,11 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
     else bugf "expected int, got %a" Value.pp (decode v)
   in
   let module P = struct
-    (* integer producers yield RAW machine ints *)
+    (* integer producers yield RAW machine ints, which may run past
+       62 bits; one that leaves unencoded — compared, divided, used as
+       an index or stored into an int array — is wrapped there.
+       Constants fold wrapped and locals decode wrapped, so a
+       comparison wraps only a computed operand. *)
     type iprod =
       | IP_const of int
       | IP_local of int
@@ -850,11 +862,12 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
         match (ipa, ipb) with
         | IP_const a, IP_const b ->
             IP_const
-              (match op with
-              | Add -> a + b
-              | Sub -> a - b
-              | Mul -> a * b
-              | Div | Rem -> assert false)
+              (wrap
+                 (match op with
+                 | Add -> a + b
+                 | Sub -> a - b
+                 | Mul -> a * b
+                 | Div | Rem -> assert false))
         | IP_local i, IP_const b -> (
             match op with
             | Add -> IP_fun (fun _ fr -> as_int fr.elocals.(i) + b)
@@ -898,22 +911,22 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
         | IP_const b when b <> 0 ->
             (* divisor known nonzero: no trap, no pc stamp *)
             let fa = ifun ipa in
-            if op = Div then IP_fun (fun eth fr -> fa eth fr / b)
-            else IP_fun (fun eth fr -> fa eth fr mod b)
+            if op = Div then IP_fun (fun eth fr -> wrap (fa eth fr) / b)
+            else IP_fun (fun eth fr -> wrap (fa eth fr) mod b)
         | _ ->
             let fa = ifun ipa and fb = ifun ipb in
             if op = Div then
               IP_fun
                 (fun eth fr ->
-                  let a = fa eth fr in
-                  let b = fb eth fr in
+                  let a = wrap (fa eth fr) in
+                  let b = wrap (fb eth fr) in
                   fr.epc <- q2;
                   if b = 0 then I.jthrow Arith else a / b)
             else
               IP_fun
                 (fun eth fr ->
-                  let a = fa eth fr in
-                  let b = fb eth fr in
+                  let a = wrap (fa eth fr) in
+                  let b = wrap (fb eth fr) in
                   fr.epc <- q2;
                   if b = 0 then I.jthrow Arith else a mod b))
   in
@@ -959,7 +972,7 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
         VP_fun
           (fun eth fr ->
             let v = fv eth fr in
-            let i = fi eth fr in
+            let i = wrap (fi eth fr) in
             let es = aaload_elems at eth v fr in
             if i < 0 || i >= Array.length es then I.jthrow Bounds;
             encode es.(i))
@@ -979,7 +992,7 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
         IP_fun
           (fun eth fr ->
             let v = fv eth fr in
-            let i = fi eth fr in
+            let i = wrap (fi eth fr) in
             let es = iaload_elems at eth v fr in
             if i < 0 || i >= Array.length es then I.jthrow Bounds;
             es.(i))
@@ -988,7 +1001,7 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
     if q >= len then None
     else
       match code.(q) with
-      | Iconst n -> Some (P_int (IP_const n), q + 1)
+      | Iconst n -> Some (P_int (IP_const (wrap n)), q + 1)
       | Aconst_null -> Some (P_val VP_null, q + 1)
       | Iload i | Aload i -> Some (P_val (VP_local i), q + 1)
       | Getstatic r -> Some (P_val (VP_static (static_slot k r)), q + 1)
@@ -1007,7 +1020,7 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
           extend
             (P_int
                (match iprod_of p0 with
-               | IP_const n -> IP_const (-n)
+               | IP_const n -> IP_const (wrap (-n))
                | IP_local i -> IP_fun (fun _ fr -> -as_int fr.elocals.(i))
                | IP_fun f -> IP_fun (fun eth fr -> -f eth fr)))
             (q + 1)
@@ -1074,7 +1087,8 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
         fun _ fr ->
           fr.epc <- (if cmp (as_int fr.elocals.(i)) 0 then l else fall)
     | IP_fun f ->
-        fun eth fr -> fr.epc <- (if cmp (f eth fr) 0 then l else fall)
+        fun eth fr ->
+          fr.epc <- (if cmp (wrap (f eth fr)) 0 then l else fall)
   in
   let if_icmp_stmt cond ipa ipb l fall : op =
     let cmp = cmp_of cond in
@@ -1088,21 +1102,22 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
             (if cmp (as_int fr.elocals.(i)) (as_int fr.elocals.(j)) then l
              else fall)
     | IP_fun f, IP_const b ->
-        fun eth fr -> fr.epc <- (if cmp (f eth fr) b then l else fall)
+        fun eth fr ->
+          fr.epc <- (if cmp (wrap (f eth fr)) b then l else fall)
     | IP_fun f, IP_local j ->
         fun eth fr ->
           (* the local read is pure; evaluation order is unobservable *)
-          let a = f eth fr in
+          let a = wrap (f eth fr) in
           fr.epc <- (if cmp a (as_int fr.elocals.(j)) then l else fall)
     | IP_local i, IP_fun f ->
         fun eth fr ->
-          let b = f eth fr in
+          let b = wrap (f eth fr) in
           fr.epc <- (if cmp (as_int fr.elocals.(i)) b then l else fall)
     | ipa, ipb ->
         let fa = ifun ipa and fb = ifun ipb in
         fun eth fr ->
-          let a = fa eth fr in
-          let b = fb eth fr in
+          let a = wrap (fa eth fr) in
+          let b = wrap (fb eth fr) in
           fr.epc <- (if cmp a b then l else fall)
   in
   let if_null_stmt want_null vp l fall : op =
@@ -1412,7 +1427,7 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
                                         Some
                                           ( (fun eth fr ->
                                               let va = fa eth fr in
-                                              let i = fi eth fr in
+                                              let i = wrap (fi eth fr) in
                                               let v = decode (fv eth fr) in
                                               fr.epc <- q3;
                                               let run = eth.run in
@@ -1438,8 +1453,8 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
                                         Some
                                           ( (fun eth fr ->
                                               let va = fa eth fr in
-                                              let i = fi eth fr in
-                                              let v = fv eth fr in
+                                              let i = wrap (fi eth fr) in
+                                              let v = wrap (fv eth fr) in
                                               fr.epc <- q3;
                                               let es =
                                                 int_elems_of (deref eth fr va)

@@ -6,12 +6,12 @@
     many times it executes and how often the overwritten value was null —
     the instrumentation behind the paper's Table 1, including the
     "potentially pre-null" upper bound (§4.2).  A {e policy} hands each
-    site one {!verdict} record (normally the analysis's): which barrier
-    halves were compiled out, the assumptions each elision stands on, and
-    the tracing-state check compiled in its place.  Both engines run every
-    store through one barrier body ({!store_barrier}); executed barriers
-    invoke the active collector's hook and are charged to the RISC cost
-    model.
+    site one {!Jir.Types.verdict} record (normally the analysis's): which
+    barrier halves were compiled out, the assumptions each elision stands
+    on, and the tracing-state check compiled in its place.  Both engines
+    run every store through one barrier body ({!store_barrier}); executed
+    barriers invoke the active collector's hook and are charged to the
+    RISC cost model.
 
     Threads are deterministic green threads; the {!Runner} module
     interleaves them and the collector. *)
@@ -35,48 +35,6 @@ let max_array_length = 1 lsl 20
 let max_call_depth = 1 lsl 18
 
 let bugf fmt = Fmt.kstr (fun s -> raise (Runtime_bug s)) fmt
-
-(** A barrier site in the compiled (inlined) program. *)
-type site = { s_class : class_name; s_method : method_name; s_pc : int }
-
-(** What the retrace collector's compiler emits at a swap-elided store:
-    nothing, or a tracing-state check that additionally opens (store 1 of
-    the pair) or closes (store 2) a safepoint-free window.  The scheduler
-    defers collector work while a window is open, so the collector never
-    observes a half-completed swap (see {!Retrace_gc}). *)
-type retrace_site = No_check | Check_open | Check_close
-
-(** One store site's verdict, as the compiler hands it to the runtime.
-    The deletion half is SATB's whole verdict; only the [`Hybrid] flavor
-    reads the insertion half.  Each half carries the assumptions its
-    elision stands on (its {e guards}): once one is observed false the
-    half is {e revoked} — flipped back to a full barrier at a safepoint,
-    with snapshot repair through {!Gc_hooks.t.on_revoke}. *)
-type verdict = {
-  del_elide : bool;  (** the deletion (Yuasa / SATB) half was compiled out *)
-  del_guards : assumption list;
-  ins_elide : bool;  (** the insertion (Dijkstra) half was compiled out *)
-  ins_guards : assumption list;
-  ins_repair : bool;
-      (** insertion-elided destinations join the repair set handed to the
-          collector at remark (fresh-value proofs need the re-scan; a
-          proven-null store does not) *)
-  check : retrace_site;  (** compiled in place of the deletion half *)
-  why : string option Lazy.t;
-      (** the analysis's justification, built only when a [revoke.site]
-          record or a profile row reads it *)
-}
-
-let keep =
-  {
-    del_elide = false;
-    del_guards = [];
-    ins_elide = false;
-    ins_guards = [];
-    ins_repair = false;
-    check = No_check;
-    why = Lazy.from_val None;
-  }
 
 type site_stats = {
   st_kind : store_kind;
@@ -102,12 +60,11 @@ type site_stats = {
 }
 
 type config = {
-  policy : class_name -> method_name -> int -> verdict;
-      (** the verdict at [(class, method, pc)] *)
+  policy : site -> verdict;  (** the verdict at each store site *)
   revoke : bool;
       (** record guard failures and revoke the elisions that depend on
-          them at the next safepoint.  [false] ignores them: no guard
-          table was wired, or (--no-revoke) the run goes open-loop so the
+          them at the next safepoint.  [false] ignores them: no guards
+          were wired, or (--no-revoke) the run goes open-loop so the
           oracle can demonstrate the failure the guards would have
           caught *)
   satb_mode : Barrier_cost.satb_mode;
@@ -121,7 +78,7 @@ type config = {
 
 let default_config =
   {
-    policy = (fun _ _ _ -> keep);
+    policy = (fun _ -> keep);
     revoke = false;
     satb_mode = Barrier_cost.Conditional;
     barrier_flavor = `Satb;
@@ -257,9 +214,6 @@ let create ?(cfg = default_config) (prog : Jir.Program.t) : t =
 let set_collector m gc = m.gc <- gc
 let set_pacer m p = m.pacer <- Some p
 
-let site_id (site : site) : string =
-  Printf.sprintf "%s.%s@%d" site.s_class site.s_method site.s_pc
-
 (* ---- heap observatory hooks ------------------------------------------- *)
 
 (* Verdict classes of an elided-write-log entry: which (half of the)
@@ -298,8 +252,10 @@ let guards (m : t) (st : site_stats) : assumption list =
     barrier.  The first guard of what flipped that is in [failed] is the
     provenance.  Also carries the site's whole guard set, whether it
     [materialized] already patched (first executed after the
-    revocation), and the analysis's justification when one was wired.
-    Under [`Satb] the deletion half is the whole barrier. *)
+    revocation), and, when one was wired, the analysis's justification
+    of the half that flipped: the insertion half's when it flipped
+    alone, the deletion half's otherwise.  Under [`Satb] the deletion
+    half is the whole barrier. *)
 let record_revoked_site (m : t) (site : site) (st : site_stats) ~(del : bool)
     ~(ins : bool) ~(failed : assumption list) ~(materialized : bool) : unit =
   let v = st.st_verdict in
@@ -311,18 +267,21 @@ let record_revoked_site (m : t) (site : site) (st : site_stats) ~(del : bool)
     | Some a -> string_of_assumption a
     | None -> "?"
   in
+  let half =
+    if (del && ins) || m.cfg.barrier_flavor = `Satb then Flight.Full
+    else if del then Flight.Del
+    else Flight.Ins
+  in
   Flight.record
     (Flight.Revoke_site
        {
-         site = site_id site;
+         site = string_of_site site;
          guards = List.map string_of_assumption (guards m st);
          guard;
-         half =
-           (if (del && ins) || m.cfg.barrier_flavor = `Satb then Flight.Full
-            else if del then Flight.Del
-            else Flight.Ins);
+         half;
          materialized;
-         justification = Lazy.force v.why;
+         justification =
+           Lazy.force (if half = Flight.Ins then v.ins_why else v.del_why);
        })
 
 (** Note an assumption observed false.  The revocation itself happens at
@@ -425,7 +384,7 @@ let alloc_site (m : t) (fr : frame) : int =
   match Hashtbl.find_opt m.alloc_sites key with
   | Some id -> id
   | None ->
-      let id = Sitemap.intern (site_id key) in
+      let id = Sitemap.intern (string_of_site key) in
       Hashtbl.replace m.alloc_sites key id;
       id
 
@@ -507,7 +466,7 @@ let site_stats (m : t) (site : site) (kind : store_kind) : site_stats =
   match Hashtbl.find_opt m.stats site with
   | Some st -> st
   | None ->
-      let v = m.cfg.policy site.s_class site.s_method site.s_pc in
+      let v = m.cfg.policy site in
       let dead guards = List.exists (fun a -> List.mem a m.revoked) guards in
       let del = v.del_elide && dead v.del_guards in
       let ins = v.ins_elide && dead v.ins_guards in
@@ -829,7 +788,7 @@ let step (m : t) (th : thread) : bool =
       try
         (match code.(fr.pc) with
         | Iconst n ->
-            push fr (Value.Int n);
+            push fr (Value.Int (Value.wrap n));
             next ()
         | Aconst_null ->
             push fr Value.Null;
@@ -845,7 +804,7 @@ let step (m : t) (th : thread) : bool =
             next ()
         | Iinc (i, d) ->
             (match fr.locals.(i) with
-            | Value.Int n -> fr.locals.(i) <- Value.Int (n + d)
+            | Value.Int n -> fr.locals.(i) <- Value.Int (Value.wrap (n + d))
             | v -> bugf "iinc of %a" Value.pp v);
             next ()
         | Ibin op ->
@@ -859,10 +818,10 @@ let step (m : t) (th : thread) : bool =
               | Div -> if b = 0 then jthrow Arith else a / b
               | Rem -> if b = 0 then jthrow Arith else a mod b
             in
-            push fr (Value.Int r);
+            push fr (Value.Int (Value.wrap r));
             next ()
         | Ineg ->
-            push fr (Value.Int (-pop_int fr));
+            push fr (Value.Int (Value.wrap (-pop_int fr)));
             next ()
         | Dup ->
             let v = pop fr in

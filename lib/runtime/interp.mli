@@ -24,44 +24,10 @@ val max_call_depth : int
     thread with the error ["stack overflow"] under either engine, and no
     handler catches it. *)
 
-type site = {
-  s_class : Jir.Types.class_name;
-  s_method : Jir.Types.method_name;
-  s_pc : int;
-}
-
-val site_id : site -> string
-(** ["Class.method\@pc"] — the site id used in traces, [--explain] output
-    and the profiler's attribution rows. *)
-
-type retrace_site = No_check | Check_open | Check_close
-(** What the retrace collector's compiler emits at a swap-elided store: a
-    tracing-state check that also opens (store 1) or closes (store 2) a
-    safepoint-free window around the swap. *)
-
-type verdict = {
-  del_elide : bool;  (** the deletion (Yuasa / SATB) half was compiled out *)
-  del_guards : Jir.Types.assumption list;
-      (** assumptions the deletion elision stands on *)
-  ins_elide : bool;  (** the insertion (Dijkstra) half was compiled out *)
-  ins_guards : Jir.Types.assumption list;
-  ins_repair : bool;
-      (** insertion-elided destinations join the remark repair set *)
-  check : retrace_site;  (** compiled in place of the deletion half *)
-  why : string option Lazy.t;
-      (** the analysis's justification of the elision, built only when
-          a [revoke.site] record or a profile row reads it *)
-}
-(** One store site's verdict.  The deletion half is SATB's whole
-    verdict; only the [`Hybrid] flavor reads the insertion half.  Each
-    half elides, and revokes, on its own guards. *)
-
-val keep : verdict
-(** Both halves kept: no guards, no check, no justification. *)
-
 type site_stats = {
   st_kind : Jir.Types.store_kind;
-  st_verdict : verdict;  (** as the policy gave it at materialization *)
+  st_verdict : Jir.Types.verdict;
+      (** as the policy gave it at materialization *)
   mutable st_del_elided : bool;
       (** the deletion half is compiled out and not revoked *)
   mutable st_ins_elided : bool;  (** likewise the insertion half *)
@@ -84,11 +50,10 @@ type site_stats = {
 }
 
 type config = {
-  policy :
-    Jir.Types.class_name -> Jir.Types.method_name -> int -> verdict;
+  policy : Jir.Types.site -> Jir.Types.verdict;
   revoke : bool;
       (** record guard failures and revoke the elisions that depend on
-          them; [false] ignores them — no guard table was wired, or the
+          them; [false] ignores them — no guards were wired, or the
           run goes open-loop so the oracle can catch what guards would
           have *)
   satb_mode : Barrier_cost.satb_mode;
@@ -97,7 +62,8 @@ type config = {
 }
 
 val default_config : config
-(** Every site {!keep}s its barrier; guard failures are ignored. *)
+(** Every site keeps its barrier ({!Jir.Types.keep}); guard failures are
+    ignored. *)
 
 type frame = {
   f_class : Jir.Types.class_name;
@@ -121,7 +87,7 @@ type t = {
   statics : (Jir.Types.class_name * Jir.Types.field_name, Value.t) Hashtbl.t;
   mutable threads : thread list;
   mutable next_tid : int;
-  stats : (site, site_stats) Hashtbl.t;
+  stats : (Jir.Types.site, site_stats) Hashtbl.t;
   cfg : config;
   mutable gc : Gc_hooks.t;
   mutable pacer : Pacer.t option;
@@ -154,7 +120,7 @@ type t = {
   mutable external_elided_execs : int;
       (** chaos-injected external stores through live guarded elisions *)
   field_index : (Jir.Types.field_ref, int) Hashtbl.t;
-  alloc_sites : (site, int) Hashtbl.t;
+  alloc_sites : (Jir.Types.site, int) Hashtbl.t;
       (** interned {!Sitemap} ids of allocation sites, cached per program
           point so the allocation fast path does no string formatting *)
   mutable track_heap : bool;
@@ -251,7 +217,7 @@ val step : t -> thread -> bool
 
 (** {2 The barrier (shared by both engines)} *)
 
-val site_stats : t -> site -> Jir.Types.store_kind -> site_stats
+val site_stats : t -> Jir.Types.site -> Jir.Types.store_kind -> site_stats
 (** Find or materialize the per-site record from [cfg.policy] (a half
     whose guards were already revoked materializes patched).  Both
     engines materialize a site at its first execution. *)

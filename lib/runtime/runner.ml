@@ -282,7 +282,7 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
                 else "kept"
           in
           {
-            Flight.fs_site = Interp.site_id site;
+            Flight.fs_site = Jir.Types.string_of_site site;
             fs_kind =
               (match st.Interp.st_kind with
               | Jir.Types.Field_store -> "putfield"
@@ -370,7 +370,7 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
      capabilities some verdicts assumed (e.g. swap verdicts under a
      collector without the retrace protocol, move-down under an
      ascending scan).  Revoke before the first mutator instruction —
-     inert unless a guard table was wired. *)
+     inert unless guards were wired. *)
   if not caps.Gc_hooks.retrace_protocol then
     Interp.request_revoke m Jir.Types.Retrace_collector;
   if not caps.Gc_hooks.descending_scan then

@@ -1,7 +1,11 @@
-(** Runtime values: null, 63-bit integers (standing in for Java's 32-bit
+(** Runtime values: null, 62-bit integers (standing in for Java's 32-bit
     ints), and references to heap objects by id. *)
 
 type t = Null | Int of int | Ref of int
+
+(* 62-bit two's complement: the threaded engine's tagged encoding keeps
+   62 payload bits, so the interpreter computes in the same width *)
+let wrap n = (n lsl 1) asr 1
 
 let equal a b =
   match a, b with

@@ -17,13 +17,11 @@ let prop_elided_sites_never_non_null =
     ~count:150 Gen.gen_program (fun p ->
       let prog = Jir.Program.of_program p in
       let compiled = compile prog in
-      let policy c m pc =
+      let policy site =
         {
-          Jrt.Interp.keep with
+          Jir.Types.keep with
           del_elide =
-            not
-              (Satb_core.Driver.needs_barrier compiled
-                 { sk_class = c; sk_method = m; sk_pc = pc });
+            (Satb_core.Driver.barrier compiled site).del_elide;
         }
       in
       let cfg = { Jrt.Interp.default_config with policy } in
@@ -32,21 +30,15 @@ let prop_elided_sites_never_non_null =
           ~entry:{ Jir.Types.mclass = "Main"; mname = "m" }
       in
       Hashtbl.fold
-        (fun (site : Jrt.Interp.site) (st : Jrt.Interp.site_stats) ok ->
+        (fun site (st : Jrt.Interp.site_stats) ok ->
           ok
           &&
           if not (Jrt.Interp.elided r.machine st) then true
           else
-            match
-              Satb_core.Driver.verdict compiled
-                {
-                  sk_class = site.s_class;
-                  sk_method = site.s_method;
-                  sk_pc = site.s_pc;
-                }
-            with
-            | Some { v_reason = Satb_core.Analysis.Null_or_same; _ } -> true
-            | Some { v_reason = Satb_core.Analysis.Move_down; _ } -> true
+            match Hashtbl.find_opt compiled.sites site with
+            | Some { analysis = { v_reason = Null_or_same | Move_down; _ }; _ }
+              ->
+                true
             | _ -> st.pre_null_execs = st.execs)
         r.machine.Jrt.Interp.stats true)
 
@@ -56,13 +48,11 @@ let prop_satb_sound_on_generated =
     (fun (p, seed) ->
       let prog = Jir.Program.of_program p in
       let compiled = compile prog in
-      let policy c m pc =
+      let policy site =
         {
-          Jrt.Interp.keep with
+          Jir.Types.keep with
           del_elide =
-            not
-              (Satb_core.Driver.needs_barrier compiled
-                 { sk_class = c; sk_method = m; sk_pc = pc });
+            (Satb_core.Driver.barrier compiled site).del_elide;
         }
       in
       let cfg = { Jrt.Interp.default_config with policy } in
@@ -159,13 +149,11 @@ let test_low_max_visits_still_sound () =
   let prog = Workloads.Spec.parse Workloads.Jess.t in
   let conf = { Satb_core.Analysis.default_config with max_visits = 1 } in
   let compiled = Satb_core.Driver.compile ~inline_limit:100 ~conf prog in
-  let policy c m pc =
+  let policy site =
     {
-      Jrt.Interp.keep with
+      Jir.Types.keep with
       del_elide =
-        not
-          (Satb_core.Driver.needs_barrier compiled
-             { sk_class = c; sk_method = m; sk_pc = pc });
+        (Satb_core.Driver.barrier compiled site).del_elide;
     }
   in
   let cfg = { Jrt.Interp.default_config with policy } in

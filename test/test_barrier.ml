@@ -40,29 +40,29 @@ end
     (if pre_nonnull then "    aload 0\n    aload 1\n    putfield Node.next"
      else "")
 
-type shape = { hybrid : bool; verdict : I.verdict; degraded : bool }
+type shape = { hybrid : bool; verdict : Jir.Types.verdict; degraded : bool }
 
 let satb ?(degraded = false) verdict = { hybrid = false; verdict; degraded }
 let hybrid verdict = { hybrid = true; verdict; degraded = false }
-let elide = { I.keep with del_elide = true }
+let elide = { Jir.Types.keep with del_elide = true }
 
 let swap check =
   { elide with check; del_guards = [ Jir.Types.Retrace_collector ] }
 
 let shapes =
   [
-    ("satb kept", satb I.keep);
+    ("satb kept", satb Jir.Types.keep);
     ("satb elided", satb elide);
     ("satb guarded", satb { elide with del_guards = [ Jir.Types.Single_mutator ] });
-    ("satb swap open", satb (swap I.Check_open));
-    ("satb swap close", satb (swap I.Check_close));
-    ("satb swap open degraded", satb ~degraded:true (swap I.Check_open));
-    ("satb swap close degraded", satb ~degraded:true (swap I.Check_close));
-    ("hybrid kept", hybrid I.keep);
+    ("satb swap open", satb (swap Jir.Types.Check_open));
+    ("satb swap close", satb (swap Jir.Types.Check_close));
+    ("satb swap open degraded", satb ~degraded:true (swap Jir.Types.Check_open));
+    ("satb swap close degraded", satb ~degraded:true (swap Jir.Types.Check_close));
+    ("hybrid kept", hybrid Jir.Types.keep);
     ("hybrid del only", hybrid elide);
-    ("hybrid ins only", hybrid { I.keep with ins_elide = true });
+    ("hybrid ins only", hybrid { Jir.Types.keep with ins_elide = true });
     ( "hybrid ins only repair",
-      hybrid { I.keep with ins_elide = true; ins_repair = true } );
+      hybrid { Jir.Types.keep with ins_elide = true; ins_repair = true } );
     ("hybrid both", hybrid { elide with ins_elide = true });
     ( "hybrid guarded halves",
       hybrid
@@ -84,7 +84,7 @@ let run shape ~marking ~pre_nonnull engine : string * string * string =
   let cfg =
     {
       I.default_config with
-      policy = (fun _ _ pc -> if pc = site_pc then shape.verdict else I.keep);
+      policy = (fun s -> if s.s_pc = site_pc then shape.verdict else Jir.Types.keep);
       barrier_flavor = (if shape.hybrid then `Hybrid else `Satb);
     }
   in
@@ -106,7 +106,7 @@ let run shape ~marking ~pre_nonnull engine : string * string * string =
   | `Threaded -> ignore (Jrt.Exec.slice (Jrt.Exec.create m) th ~fuel:100));
   let st =
     Hashtbl.find m.I.stats
-      { I.s_class = "Main"; s_method = "main"; s_pc = site_pc }
+      { Jir.Types.s_class = "Main"; s_method = "main"; s_pc = site_pc }
   in
   ( Printf.sprintf
       "execs=%d pre_null=%d paid=%d elided=%d del=%d/%d ins=%d/%d units=%d"

@@ -355,6 +355,259 @@ let test_call_depth_max () =
   Alcotest.(check bool) "the recursion returns" true
     (out r = Jrt.Value.Int 100_000)
 
+(* One integer width: ints are 62-bit two's complement on both engines,
+   whether an op runs alone or inside a fused block.  The first program
+   overflows 62 bits in a multiplication; the second branches on the
+   sign of [2^60 + 2^60], which a fused block and a single-stepped op
+   once computed differently; the rest compare, divide and index with a
+   sum that only wraps at run time. *)
+let width_src body =
+  Printf.sprintf
+    {|
+class Main
+  static int out
+  method void main () locals 2
+%s
+    return
+  end
+end
+|}
+    body
+
+let wide_mul =
+  width_src
+    {|    iconst 2305843009213693951
+    iconst 2
+    imul
+    putstatic Main.out|}
+
+let wide_sign =
+  width_src
+    {|    iconst 1152921504606846976
+    iconst 1152921504606846976
+    iadd
+    iflt neg
+    iconst 1
+    putstatic Main.out
+    return
+  neg:
+    iconst 2
+    putstatic Main.out|}
+
+(* the same sum from a local, so the engine compares at run time *)
+let wide_sign_local =
+  width_src
+    {|    iconst 1152921504606846976
+    istore 1
+    iload 1
+    iload 1
+    iadd
+    iflt neg
+    iconst 1
+    putstatic Main.out
+    return
+  neg:
+    iconst 2
+    putstatic Main.out|}
+
+(* [(2^60 + 2^60) / 3] divides the wrapped sum *)
+let wide_div =
+  width_src
+    {|    iconst 1152921504606846976
+    istore 1
+    iload 1
+    iload 1
+    iadd
+    iconst 3
+    idiv
+    putstatic Main.out|}
+
+(* [-2^61 + (-2^61 + 1)] indexes slot 1 *)
+let wide_index =
+  width_src
+    {|    iconst 2
+    inewarray
+    astore 0
+    iconst -2305843009213693952
+    istore 1
+    aload 0
+    iload 1
+    iconst -2305843009213693951
+    iadd
+    iconst 7
+    iastore
+    aload 0
+    iconst 1
+    iaload
+    putstatic Main.out|}
+
+let test_int_width () =
+  let run src gc_period engine =
+    let prog = Jir.Parser.parse_linked src in
+    Jir.Verifier.verify_exn prog;
+    let r =
+      Jrt.Runner.run ~engine ~gc_period prog ~entry:Workloads.Spec.main_entry
+    in
+    (r, Flight.events ())
+  in
+  List.iter
+    (fun (name, src, want) ->
+      List.iter
+        (fun gc_period ->
+          let ri, ei = run src gc_period `Interp in
+          let rt, et = run src gc_period `Threaded in
+          (match Harness.Engines.diff ~flight:(ei, et) ri rt with
+          | None -> ()
+          | Some m ->
+              Alcotest.failf "%s, gc_period %d: engines diverge — %s" name
+                gc_period m);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, gc_period %d: 62-bit result" name gc_period)
+            true
+            (Hashtbl.find ri.machine.Jrt.Interp.statics ("Main", "out")
+            = Jrt.Value.Int want))
+        [ 1; 32 ])
+    [
+      ("2^61-1 * 2", wide_mul, -2);
+      ("2^60 + 2^60 < 0", wide_sign, 2);
+      ("local 2^60 + 2^60 < 0", wide_sign_local, 2);
+      ("(2^60 + 2^60) / 3", wide_div, -(1 lsl 61) / 3);
+      ("index -2^61 + (-2^61 + 1)", wide_index, 7);
+    ]
+
+(* Random straight-line programs over operands near ±2^60: locals,
+   statics, an int array with computed indices, every arithmetic op,
+   iinc and forward branches on comparisons.  Both engines at five
+   safepoint cadences (gc_period 1 single-steps every op; 1000 runs
+   every fused block whole) must end with the same statics, the same
+   array and the same thread errors. *)
+let width_gen =
+  let open QCheck2.Gen in
+  let near =
+    oneof
+      [
+        oneofl [ 0; 1; -1; 2; 3; 7 ];
+        map2 ( + )
+          (oneofl
+             [ 1 lsl 60; -(1 lsl 60); (1 lsl 61) - 1; -(1 lsl 61); max_int;
+               min_int ])
+          (int_range (-3) 3);
+      ]
+  in
+  let const = map (fun n -> [ Printf.sprintf "iconst %d" n ]) near in
+  let leaf =
+    oneof
+      [
+        const;
+        map (fun k -> [ Printf.sprintf "iload %d" k ]) (int_range 0 2);
+        map
+          (fun k -> [ Printf.sprintf "getstatic Main.s%d" k ])
+          (int_range 0 3);
+        map
+          (fun i -> [ "aload 3"; Printf.sprintf "iconst %d" i; "iaload" ])
+          (int_range 0 3);
+      ]
+  in
+  (* an index: mostly in range, sometimes a sum that may wrap into it *)
+  let index =
+    frequency
+      [
+        (6, map (fun i -> [ Printf.sprintf "iconst %d" i ]) (int_range 0 3));
+        (1, map2 (fun a b -> a @ b @ [ "iadd" ]) leaf const);
+      ]
+  in
+  let rec expr n =
+    if n <= 0 then leaf
+    else
+      frequency
+        [
+          (2, leaf);
+          ( 3,
+            map3
+              (fun a b op -> a @ b @ [ op ])
+              (expr (n / 2)) (expr (n / 2))
+              (oneofl [ "iadd"; "isub"; "imul" ]) );
+          (* an odd divisor [2b + 1] is never zero *)
+          ( 1,
+            map3
+              (fun a b op ->
+                a @ b @ [ "iconst 2"; "imul"; "iconst 1"; "iadd"; op ])
+              (expr (n / 2)) (expr (n / 2))
+              (oneofl [ "idiv"; "irem" ]) );
+          (1, map (fun a -> a @ [ "ineg" ]) (expr (n - 1)));
+        ]
+  in
+  let cond = oneofl [ "eq"; "ne"; "lt"; "ge"; "gt"; "le" ] in
+  let stmt : (string -> string list) t =
+    oneof
+      [
+        map2
+          (fun e k _ -> e @ [ Printf.sprintf "istore %d" k ])
+          (expr 4) (int_range 0 2);
+        map2
+          (fun e k _ -> e @ [ Printf.sprintf "putstatic Main.s%d" k ])
+          (expr 4) (int_range 0 3);
+        map2
+          (fun e i _ -> ("aload 3" :: i) @ e @ [ "iastore" ])
+          (expr 4) index;
+        map2
+          (fun k d _ -> [ Printf.sprintf "iinc %d %d" k d ])
+          (int_range 0 2) near;
+        map3
+          (fun a b c l ->
+            a @ b @ [ Printf.sprintf "if_icmp%s %s" c l; "iinc 0 1"; l ^ ":" ])
+          (expr 3) (expr 3) cond;
+        map2
+          (fun a c l ->
+            a @ [ Printf.sprintf "if%s %s" c l; "iinc 1 1"; l ^ ":" ])
+          (expr 3) cond;
+      ]
+  in
+  map
+    (fun stmts ->
+      let body =
+        [ "iconst 0"; "istore 0"; "iconst 0"; "istore 1"; "iconst 0";
+          "istore 2"; "iconst 4"; "inewarray"; "astore 3" ]
+        @ List.concat (List.mapi (fun i f -> f (Printf.sprintf "l%d" i)) stmts)
+      in
+      Printf.sprintf
+        "class Main\n\
+        \  static int s0\n\
+        \  static int s1\n\
+        \  static int s2\n\
+        \  static int s3\n\
+        \  method void main () locals 4\n\
+         %s\n\
+        \    return\n\
+        \  end\n\
+         end\n"
+        (String.concat "\n" (List.map (fun l -> "    " ^ l) body)))
+    (list_size (int_range 1 12) stmt)
+
+let width_prop =
+  QCheck2.Test.make ~name:"one int width across engines and cadences"
+    ~count:300 ~print:Fun.id width_gen (fun src ->
+      let prog = Jir.Parser.parse_linked src in
+      Jir.Verifier.verify_exn prog;
+      let outcome engine gc_period =
+        let r =
+          Jrt.Runner.run ~engine ~quantum:1000 ~gc_period prog
+            ~entry:Workloads.Spec.main_entry
+        in
+        let m = r.machine in
+        ( List.map
+            (fun k -> Hashtbl.find m.Jrt.Interp.statics ("Main", k))
+            [ "s0"; "s1"; "s2"; "s3" ],
+          List.init m.heap.Jrt.Heap.next_id (fun i ->
+              (Jrt.Heap.get m.heap i).Jrt.Heap.payload),
+          r.thread_errors )
+      in
+      let want = outcome `Interp 1 in
+      List.for_all
+        (fun (engine, gc_period) -> outcome engine gc_period = want)
+        [ (`Interp, 1000); (`Threaded, 1); (`Threaded, 2); (`Threaded, 3);
+          (`Threaded, 32); (`Threaded, 1000) ])
+
 let tests =
   [
     Alcotest.test_case
@@ -370,4 +623,7 @@ let tests =
       test_array_length_max;
     Alcotest.test_case "call depth maximum: stack overflow on both engines"
       `Quick test_call_depth_max;
+    Alcotest.test_case "one int width: overflow and sign on both engines"
+      `Quick test_int_width;
+    QCheck_alcotest.to_alcotest width_prop;
   ]

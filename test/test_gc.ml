@@ -55,15 +55,13 @@ let compile src =
 
 let run_churn ?(policy_from_analysis = true) ?(elide_all = false) gc =
   let compiled = compile churn_src in
-  let policy c m pc =
+  let policy site =
     let del_elide =
       elide_all
       || policy_from_analysis
-         && not
-              (Satb_core.Driver.needs_barrier compiled
-                 { sk_class = c; sk_method = m; sk_pc = pc })
+         && (Satb_core.Driver.barrier compiled site).del_elide
     in
-    { Jrt.Interp.keep with del_elide }
+    { Jir.Types.keep with del_elide }
   in
   let cfg = { Jrt.Interp.default_config with policy } in
   Jrt.Runner.run ~cfg ~gc compiled.program
@@ -112,7 +110,7 @@ let test_satb_catches_unsound_elision () =
   let cfg =
     {
       Jrt.Interp.default_config with
-      policy = (fun _ _ _ -> { Jrt.Interp.keep with del_elide = true });
+      policy = (fun _ -> { Jir.Types.keep with del_elide = true });
     }
   in
   let r =

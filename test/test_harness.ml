@@ -183,25 +183,24 @@ let test_exp_config () =
       (fun (r : Satb_core.Analysis.method_result) ->
         List.map
           (fun (v : Satb_core.Analysis.verdict) ->
-            ( r.mr_class,
-              r.mr_method,
-              v.v_pc,
-              { Satb_core.Driver.sk_class = r.mr_class; sk_method = r.mr_method;
-                sk_pc = v.v_pc },
+            ( { Jir.Types.s_class = r.mr_class; s_method = r.mr_method;
+                s_pc = v.v_pc },
               v ))
           r.verdicts)
       c.results
   in
   let each name (cfg : Jrt.Interp.config) ok =
     List.iter
-      (fun (cl, m, pc, k, v) ->
+      (fun (site, v) ->
         Alcotest.(check bool)
-          (Printf.sprintf "%s: %s.%s@%d" name cl m pc)
+          (Printf.sprintf "%s: %s" name (Jir.Types.string_of_site site))
           true
-          (ok k v (cfg.policy cl m pc)))
+          (ok (Satb_core.Driver.barrier c site) v (cfg.policy site)))
       sites
   in
-  let no_why (w : Jrt.Interp.verdict) = Lazy.force w.why = None in
+  let no_why (w : Jir.Types.verdict) =
+    Lazy.force w.del_why = None && Lazy.force w.ins_why = None
+  in
   let plain = Harness.Exp.config ~gc:(Jrt.Runner.make_satb ()) cw in
   Alcotest.(check bool) "guard failures ignored by default" false plain.revoke;
   Alcotest.(check bool) "satb flavour" true (plain.barrier_flavor = `Satb);
@@ -209,20 +208,20 @@ let test_exp_config () =
       w.del_elide = v.v_elide && w.del_guards = [] && (not w.ins_elide)
       && w.ins_guards = [] && no_why w);
   Alcotest.(check bool) "db elides some site" true
-    (List.exists (fun (_, _, _, _, v) -> v.Satb_core.Analysis.v_elide) sites);
+    (List.exists (fun (_, v) -> v.Satb_core.Analysis.v_elide) sites);
   let hybrid = Jrt.Runner.make_hybrid () in
   let halves name (cfg : Jrt.Interp.config) ~why =
     Alcotest.(check bool) (name ^ ": hybrid flavour, guard failures revoke")
       true
       (cfg.barrier_flavor = `Hybrid && cfg.revoke);
-    each name cfg (fun k v w ->
+    each name cfg (fun (b : Jir.Types.verdict) v w ->
         w.del_elide = v.v_elide && w.ins_elide = v.v_ins_elide
-        && w.del_guards = Satb_core.Driver.site_assumptions c k
-        && w.ins_guards = Satb_core.Driver.ins_site_assumptions c k
-        && w.ins_repair = Satb_core.Driver.ins_repair_needed c k
-        && w.check = Jrt.Interp.No_check
-        && Lazy.force w.why
-           = if why then Satb_core.Driver.justification c k else None)
+        && w.del_guards = b.del_guards && w.ins_guards = b.ins_guards
+        && w.ins_repair = b.ins_repair
+        && w.check = Jir.Types.No_check
+        && Lazy.force w.del_why
+           = (if why then Lazy.force b.del_why else None)
+        && Lazy.force w.ins_why = if why then Lazy.force b.ins_why else None)
   in
   halves "hybrid with guards" (Harness.Exp.config ~guards:true ~gc:hybrid cw)
     ~why:true;

@@ -148,32 +148,23 @@ let test_half_verdict_lattice () =
       (false, true) (* E: insertion only (null value) *);
     ]
     flags;
-  let hv =
+  (* the runtime record the driver built reads the same lattice *)
+  let barriers =
     List.map
       (fun (c, m, (v : Analysis.verdict)) ->
-        Driver.string_of_hybrid_verdict
-          (Driver.hybrid_verdict compiled
-             { Driver.sk_class = c; sk_method = m; sk_pc = v.v_pc }))
+        Driver.barrier compiled
+          { Jir.Types.s_class = c; s_method = m; s_pc = v.v_pc })
       vs
   in
-  Alcotest.(check (list string))
-    "combined verdicts A..E"
-    [
-      Driver.string_of_hybrid_verdict `Elide_deletion;
-      Driver.string_of_hybrid_verdict `Elide_insertion;
-      Driver.string_of_hybrid_verdict `Elide_both;
-      Driver.string_of_hybrid_verdict `Keep;
-      Driver.string_of_hybrid_verdict `Elide_insertion;
-    ]
-    hv;
+  Alcotest.(check (list (pair bool bool)))
+    "record halves A..E" flags
+    (List.map
+       (fun (b : Jir.Types.verdict) -> (b.del_elide, b.ins_elide))
+       barriers);
   (* freshness proofs need the remark re-scan (the allocation may predate
      the cycle); a provably-null store does not *)
   let repair =
-    List.map
-      (fun (c, m, (v : Analysis.verdict)) ->
-        Driver.ins_repair_needed compiled
-          { Driver.sk_class = c; sk_method = m; sk_pc = v.v_pc })
-      vs
+    List.map (fun (b : Jir.Types.verdict) -> b.ins_repair) barriers
   in
   Alcotest.(check (list bool))
     "repair needed only under freshness proofs"
@@ -186,9 +177,9 @@ let test_half_verdict_lattice () =
    assumptions, so a single chaos fault revokes exactly one of them.
    No_gc keeps the run free of marking (nothing to make unsound) while
    safepoint revocation still fires. *)
-let split_halves _ _ _ =
+let split_halves _ =
   {
-    Jrt.Interp.keep with
+    Jir.Types.keep with
     del_elide = true;
     ins_elide = true;
     ins_repair = true;
@@ -222,7 +213,7 @@ let sum_sites m f =
 let check_per_half_sums m =
   Hashtbl.iter
     (fun site (st : Jrt.Interp.site_stats) ->
-      let id = Jrt.Interp.site_id site in
+      let id = Jir.Types.string_of_site site in
       Alcotest.(check int)
         (id ^ ": elided+paid = execs") st.execs
         (st.elided_execs + st.paid_execs);
@@ -242,7 +233,7 @@ let check_per_half_sums m =
 let check_revoke_halves m ~expect =
   let stats = Hashtbl.create 16 in
   Hashtbl.iter
-    (fun site st -> Hashtbl.replace stats (Jrt.Interp.site_id site) st)
+    (fun site st -> Hashtbl.replace stats (Jir.Types.string_of_site site) st)
     m.Jrt.Interp.stats;
   let revokes =
     List.filter_map
@@ -286,7 +277,7 @@ let test_revoke_deletion_half_only () =
     (m.Jrt.Interp.revocation_events >= 1);
   Hashtbl.iter
     (fun site (st : Jrt.Interp.site_stats) ->
-      let id = Jrt.Interp.site_id site in
+      let id = Jir.Types.string_of_site site in
       Alcotest.(check bool) (id ^ ": deletion half patched back") false
         st.st_del_elided;
       Alcotest.(check bool) (id ^ ": insertion half still elided") true
@@ -316,7 +307,7 @@ let test_revoke_insertion_half_only () =
     (List.mem Jir.Types.Single_mutator m.Jrt.Interp.revoked);
   Hashtbl.iter
     (fun site (st : Jrt.Interp.site_stats) ->
-      let id = Jrt.Interp.site_id site in
+      let id = Jir.Types.string_of_site site in
       Alcotest.(check bool) (id ^ ": insertion half patched back") false
         st.st_ins_elided;
       Alcotest.(check bool) (id ^ ": deletion half still elided") true
@@ -371,33 +362,30 @@ let half_revocation_prop =
         List.exists (fun a -> List.mem a m.Jrt.Interp.revoked) guards
       in
       Hashtbl.iter
-        (fun (site : Jrt.Interp.site) (st : Jrt.Interp.site_stats) ->
-          let v =
-            verdicts site.Jrt.Interp.s_class site.Jrt.Interp.s_method
-              site.Jrt.Interp.s_pc
-          in
+        (fun site (st : Jrt.Interp.site_stats) ->
+          let v = verdicts site in
           let expect_del = v.del_elide && not (dead v.del_guards) in
           let expect_ins = v.ins_elide && not (dead v.ins_guards) in
           if st.st_del_elided <> expect_del then
             QCheck2.Test.fail_reportf
               "%s (seed %d) %s: deletion half %b, expected %b" w.name seed
-              (Jrt.Interp.site_id site) st.st_del_elided expect_del;
+              (Jir.Types.string_of_site site) st.st_del_elided expect_del;
           if st.st_ins_elided <> expect_ins then
             QCheck2.Test.fail_reportf
               "%s (seed %d) %s: insertion half %b, expected %b" w.name seed
-              (Jrt.Interp.site_id site) st.st_ins_elided expect_ins;
+              (Jir.Types.string_of_site site) st.st_ins_elided expect_ins;
           if Jrt.Interp.elided m st <> (st.st_del_elided && st.st_ins_elided)
           then
             QCheck2.Test.fail_reportf
               "%s (seed %d) %s: whole-store elision disagrees with its halves"
-              w.name seed (Jrt.Interp.site_id site);
+              w.name seed (Jir.Types.string_of_site site);
           if
             st.execs <> st.del_elided_execs + st.del_paid_execs
             || st.execs <> st.ins_elided_execs + st.ins_paid_execs
             || st.execs <> st.elided_execs + st.paid_execs
           then
             QCheck2.Test.fail_reportf "%s (seed %d) %s: counter sums diverged"
-              w.name seed (Jrt.Interp.site_id site))
+              w.name seed (Jir.Types.string_of_site site))
         m.Jrt.Interp.stats;
       true)
 
@@ -431,6 +419,83 @@ let test_hybrid_end_to_end () =
     (sum_sites m (fun st -> st.elided_execs))
     m.Jrt.Interp.elided_barrier_execs
 
+
+(* --- every revoked half names its own justification ---------------------- *)
+
+(* DESIGN §6: a revoked site always names the reasoning that originally
+   elided it.  At inline limit 0 with null-or-same and summaries, a class
+   load under the hybrid collector flips mostly insertion halves alone
+   (freshness proved through a callee summary); each such event must
+   name an insertion rule, and every deletion or full flip a deletion
+   rule.  Both engines must record the same events. *)
+let del_rules =
+  List.map Satb_core.Analysis.string_of_reason
+    Satb_core.Analysis.
+      [ Pre_null_field; Pre_null_array; Null_or_same; Move_down; Swap_first;
+        Swap_second; Dead_code ]
+
+let ins_rules =
+  List.map Satb_core.Analysis.string_of_ins_reason
+    Satb_core.Analysis.[ Ins_null; Ins_fresh; Ins_summary_fresh; Ins_dead ]
+
+let rule_of justification =
+  match String.index_opt justification ' ' with
+  | Some i -> String.sub justification 0 i
+  | None -> justification
+
+let test_revoked_half_justified () =
+  let revokes = ref 0 and ins_only = ref 0 in
+  List.iter
+    (fun (w : Workloads.Spec.t) ->
+      let cw =
+        Harness.Exp.compile ~inline_limit:0 ~null_or_same:true ~summaries:true w
+      in
+      let run engine =
+        let chaos =
+          Jrt.Chaos.create
+            {
+              Jrt.Chaos.seed = 1;
+              faults = [ Jrt.Chaos.Class_load { at_instr = 800 } ];
+              quantum = None;
+              gc_period = None;
+            }
+        in
+        let r =
+          Harness.Exp.run ~gc:(Jrt.Runner.make_hybrid ()) ~guards:true ~chaos
+            ~fail_on_thread_error:false ~engine cw
+        in
+        (r, Flight.events ())
+      in
+      let ri, ei = run `Interp in
+      let rt, et = run `Threaded in
+      (match Harness.Engines.diff ~flight:(ei, et) ri rt with
+      | None -> ()
+      | Some m -> Alcotest.failf "%s: engines diverge — %s" w.name m);
+      (match ri.Jrt.Runner.gc with
+      | Some g ->
+          Alcotest.(check int) (w.name ^ ": no violations") 0
+            g.Jrt.Runner.total_violations
+      | None -> Alcotest.fail "no gc summary");
+      List.iter
+        (fun (e : Flight.entry) ->
+          match e.ev with
+          | Flight.Revoke_site { site; half; justification; _ } ->
+              incr revokes;
+              if half = Flight.Ins then incr ins_only;
+              let rules = if half = Flight.Ins then ins_rules else del_rules in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s %s: names a rule of the flipped half"
+                   w.name site)
+                true
+                (match justification with
+                | Some j -> List.mem (rule_of j) rules
+                | None -> false)
+          | _ -> ())
+        ei)
+    Workloads.Registry.table1;
+  Alcotest.(check int) "revoke.site events" 39 !revokes;
+  Alcotest.(check int) "insertion-only flips" 32 !ins_only
+
 let tests =
   [
     Alcotest.test_case "collector capability records" `Quick
@@ -446,4 +511,6 @@ let tests =
     QCheck_alcotest.to_alcotest half_revocation_prop;
     Alcotest.test_case "hybrid collector end-to-end invariants" `Quick
       test_hybrid_end_to_end;
+    Alcotest.test_case "every revoked half names its justification" `Quick
+      test_revoked_half_justified;
   ]

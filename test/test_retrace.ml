@@ -101,12 +101,16 @@ let test_retrace_check_sites () =
   with
   | [ first ], [ second ] ->
       let check pc =
-        Satb_core.Driver.retrace_check compiled
-          { sk_class = "Main"; sk_method = "swap"; sk_pc = pc }
+        (Satb_core.Driver.barrier compiled
+           { s_class = "Main"; s_method = "swap"; s_pc = pc })
+          .check
       in
-      Alcotest.(check bool) "first store opens" true (check first = `Open);
-      Alcotest.(check bool) "second store closes" true (check second = `Close);
-      Alcotest.(check bool) "other sites unchecked" true (check 0 = `None)
+      Alcotest.(check bool) "first store opens" true
+        (check first = Jir.Types.Check_open);
+      Alcotest.(check bool) "second store closes" true
+        (check second = Jir.Types.Check_close);
+      Alcotest.(check bool) "other sites unchecked" true
+        (check 0 = Jir.Types.No_check)
   | f, s ->
       Alcotest.failf "expected one swap pair, got %d first / %d second"
         (List.length f) (List.length s)

@@ -85,13 +85,11 @@ let compiled =
 (* a hand-rolled scheduler loop so the scan direction is configurable *)
 let run_with ~direction ~seed ~quantum ~gc_period ~steps ~chunk : int =
   let compiled = Lazy.force compiled in
-  let policy c m pc =
+  let policy site =
     {
-      Jrt.Interp.keep with
+      Jir.Types.keep with
       del_elide =
-        not
-          (Satb_core.Driver.needs_barrier compiled
-             { sk_class = c; sk_method = m; sk_pc = pc });
+        (Satb_core.Driver.barrier compiled site).del_elide;
     }
   in
   let cfg = { Jrt.Interp.default_config with policy } in

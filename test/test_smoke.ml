@@ -99,13 +99,11 @@ let test_analysis_elides_expand_loop () =
 let run_with gc =
   let prog = parse_and_link () in
   let compiled = Satb_core.Driver.compile ~inline_limit:100 prog in
-  let policy c m pc =
+  let policy site =
     {
-      Jrt.Interp.keep with
+      Jir.Types.keep with
       del_elide =
-        not
-          (Satb_core.Driver.needs_barrier compiled
-             { sk_class = c; sk_method = m; sk_pc = pc });
+        (Satb_core.Driver.barrier compiled site).del_elide;
     }
   in
   let cfg = { Jrt.Interp.default_config with policy } in

@@ -296,8 +296,8 @@ let test_summary_elision_guarded_closed_world () =
   match elided_sites on with
   | [ (c, m, pc) ] ->
       let assumptions =
-        Satb_core.Driver.site_assumptions on
-          { sk_class = c; sk_method = m; sk_pc = pc }
+        (Satb_core.Driver.barrier on { s_class = c; s_method = m; s_pc = pc })
+          .del_guards
       in
       Alcotest.(check bool) "closed-world guard attached" true
         (List.mem Jir.Types.Closed_world assumptions)
@@ -332,13 +332,11 @@ let prop_summaries_sound =
       List.for_all
         (fun summaries ->
           let compiled = compile_gen ~summaries prog in
-          let policy c m pc =
+          let policy site =
             {
-              Jrt.Interp.keep with
+              Jir.Types.keep with
               del_elide =
-                not
-                  (Satb_core.Driver.needs_barrier compiled
-                     { sk_class = c; sk_method = m; sk_pc = pc });
+                (Satb_core.Driver.barrier compiled site).del_elide;
             }
           in
           let cfg = { Jrt.Interp.default_config with policy } in

@@ -516,7 +516,7 @@ let test_explain_covers_all_elided_sites () =
         stats.Satb_core.Driver.elided_sites (List.length exps);
       List.iter
         (fun (p : Satb_core.Driver.provenance) ->
-          let site = Satb_core.Driver.string_of_site_key p.pv_key in
+          let site = Jir.Types.string_of_site p.pv_key in
           Alcotest.(check bool)
             (w.name ^ "/" ^ site ^ ": names a rule")
             true
@@ -525,7 +525,9 @@ let test_explain_covers_all_elided_sites () =
             (w.name ^ "/" ^ site ^ ": has a fact chain")
             true
             (p.pv_facts <> []);
-          match Satb_core.Driver.justification compiled p.pv_key with
+          match
+            Lazy.force (Satb_core.Driver.barrier compiled p.pv_key).del_why
+          with
           | Some j ->
               Alcotest.(check bool)
                 (w.name ^ "/" ^ site ^ ": justification names the rule")
