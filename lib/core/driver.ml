@@ -39,8 +39,6 @@ type site_verdict = {
   barrier : verdict;
       (** both halves with their full guard sets, the remark-repair flag,
           the tracing-state check and one justification per half *)
-  summary_dependent : bool;
-      (** the method's analysis consulted a callee summary *)
 }
 
 type compiled = {
@@ -161,12 +159,11 @@ let compile ?(verify = true) ?(inline_limit = 100)
           let site =
             { s_class = r.mr_class; s_method = r.mr_method; s_pc = v.v_pc }
           in
-          let summary_dependent = r.mr_summary_dependent in
           Hashtbl.replace sites site
             {
               analysis = v;
-              barrier = barrier_of v ~summary_dependent;
-              summary_dependent;
+              barrier =
+                barrier_of v ~summary_dependent:r.mr_summary_dependent;
             })
         r.verdicts)
     results;
@@ -294,7 +291,7 @@ let explain (key : site) (s : site_verdict) : provenance =
     facts_of_reason v.v_reason
     @ (if v.v_ins_elide then facts_of_ins_reason v.v_ins_reason else [])
     @
-    if v.v_elide && s.summary_dependent then
+    if List.mem Closed_world s.barrier.del_guards then
       [
         "the analysis consulted interprocedural callee summaries: \
          valid only while no class loads after compilation \

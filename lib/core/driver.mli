@@ -17,8 +17,6 @@ type site_verdict = {
           remark-repair flag (freshness proofs), the swap pair's
           tracing-state check and one lazy justification per elided
           half, e.g. ["ins-summary-fresh (guards: closed-world)"]. *)
-  summary_dependent : bool;
-      (** the method's analysis consulted a callee summary *)
 }
 
 type compiled = {

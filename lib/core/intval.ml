@@ -9,6 +9,11 @@
     (opaque but fixed values, e.g. the length of an argument array), and an
     integer literal [b].
 
+    Values are program ints, which wrap at 62 bits ({!Jir.Types.wrap}):
+    the literal [b] is kept wrapped, so a pure literal is exactly the
+    value the program computes.  Coefficients wrap at the machine's 63
+    bits, which agrees with 62-bit wrapping of the whole value.
+
     Symbolic arithmetic is performed where it makes sense; anything else
     (products of two symbolic values, division, …) yields ⊤. *)
 
@@ -23,7 +28,7 @@ and lin = {
 
 let top = Top
 let zero = Lin { var = None; consts = []; base = 0 }
-let const b = Lin { var = None; consts = []; base = b }
+let const b = Lin { var = None; consts = []; base = Jir.Types.wrap b }
 
 (** Fresh-unknown supply.  Constant unknowns are created per analyzed
     method (argument values, array-length parameters); variable unknowns
@@ -104,16 +109,17 @@ let merge_consts cs1 cs2 =
   go cs1 cs2
 
 let add_lin (a : lin) (b : lin) : t =
+  let base = Jir.Types.wrap (a.base + b.base) in
   match a.var, b.var with
   | Some (ka, va), Some (kb, vb) when va = vb ->
       let k = ka + kb in
       let var = if k = 0 then None else Some (k, va) in
-      Lin { var; consts = merge_consts a.consts b.consts; base = a.base + b.base }
+      Lin { var; consts = merge_consts a.consts b.consts; base }
   | Some _, Some _ -> Top  (* two distinct variable unknowns (§3.2) *)
   | (Some _ as v), None | None, (Some _ as v) ->
-      Lin { var = v; consts = merge_consts a.consts b.consts; base = a.base + b.base }
+      Lin { var = v; consts = merge_consts a.consts b.consts; base }
   | None, None ->
-      Lin { var = None; consts = merge_consts a.consts b.consts; base = a.base + b.base }
+      Lin { var = None; consts = merge_consts a.consts b.consts; base }
 
 let add a b =
   match a, b with Lin a, Lin b -> add_lin a b | (Top | Lin _), _ -> Top
@@ -127,7 +133,7 @@ let scale k = function
           {
             var = Option.map (fun (a, v) -> (k * a, v)) var;
             consts = List.map (fun (a, c) -> (k * a, c)) consts;
-            base = k * base;
+            base = Jir.Types.wrap (k * base);
           }
 
 let neg v = scale (-1) v
@@ -163,13 +169,24 @@ let var_term = function
 (** Is the value a pure integer literal? (paper's [int_const]) *)
 let is_literal v = to_literal v <> None
 
+(* [a - b] when the symbolic terms cancel exactly.  It orders the two
+   values rather than computing one, so it is not wrapped: the bases are
+   62-bit and their difference cannot overflow. *)
+let literal_diff a b =
+  match a, b with
+  | Lin a, Lin b
+    when Option.equal equal_term a.var b.var
+         && List.equal equal_term a.consts b.consts ->
+      Some (a.base - b.base)
+  | (Top | Lin _), _ -> None
+
 (** [provably_ge a b] — is [a - b] a non-negative literal?  Symbolic terms
     must cancel exactly for the comparison to be provable. *)
 let provably_ge a b =
-  match to_literal (sub a b) with Some d -> d >= 0 | None -> false
+  match literal_diff a b with Some d -> d >= 0 | None -> false
 
 let provably_gt a b =
-  match to_literal (sub a b) with Some d -> d > 0 | None -> false
+  match literal_diff a b with Some d -> d > 0 | None -> false
 
 (** [subst_var i ~v ~by] replaces variable unknown [v] in [i] by the IntVal
     [by] (the paper's substitution application μ[i]). *)

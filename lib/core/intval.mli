@@ -6,7 +6,8 @@
     unknown} (invented at control-flow merges to express values that vary
     with a common stride), any number of terms in {e constant unknowns}
     (opaque but fixed values such as argument-array lengths), and an
-    integer literal. *)
+    integer literal.  Literal arithmetic wraps at 62 bits, as the program's
+    own does ({!Jir.Types.wrap}). *)
 
 type t = Top | Lin of lin
 
@@ -57,7 +58,7 @@ val var_term : t -> (int * int) option
 
 val provably_ge : t -> t -> bool
 (** [provably_ge a b] — is [a - b] a non-negative literal?  Symbolic
-    terms must cancel exactly. *)
+    terms must cancel exactly; the difference is exact, not wrapped. *)
 
 val provably_gt : t -> t -> bool
 

@@ -13,8 +13,13 @@
     reference arguments escape), so dispatch precision is irrelevant. *)
 
 type ty =
-  | I  (** 32-bit-style integer (we use OCaml [int] underneath) *)
+  | I  (** 62-bit integer (see {!wrap}) *)
   | R  (** object or array reference *)
+
+(** [n] as a program int: 62-bit two's complement.  Both engines compute
+    in this width (the threaded engine's tagged encoding keeps 62 payload
+    bits), and so does the analysis's literal arithmetic. *)
+let[@inline] wrap n = (n lsl 1) asr 1
 
 let equal_ty a b =
   match a, b with

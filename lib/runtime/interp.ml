@@ -788,7 +788,7 @@ let step (m : t) (th : thread) : bool =
       try
         (match code.(fr.pc) with
         | Iconst n ->
-            push fr (Value.Int (Value.wrap n));
+            push fr (Value.Int (wrap n));
             next ()
         | Aconst_null ->
             push fr Value.Null;
@@ -804,7 +804,7 @@ let step (m : t) (th : thread) : bool =
             next ()
         | Iinc (i, d) ->
             (match fr.locals.(i) with
-            | Value.Int n -> fr.locals.(i) <- Value.Int (Value.wrap (n + d))
+            | Value.Int n -> fr.locals.(i) <- Value.Int (wrap (n + d))
             | v -> bugf "iinc of %a" Value.pp v);
             next ()
         | Ibin op ->
@@ -818,10 +818,10 @@ let step (m : t) (th : thread) : bool =
               | Div -> if b = 0 then jthrow Arith else a / b
               | Rem -> if b = 0 then jthrow Arith else a mod b
             in
-            push fr (Value.Int (Value.wrap r));
+            push fr (Value.Int (wrap r));
             next ()
         | Ineg ->
-            push fr (Value.Int (Value.wrap (-pop_int fr)));
+            push fr (Value.Int (wrap (-pop_int fr)));
             next ()
         | Dup ->
             let v = pop fr in

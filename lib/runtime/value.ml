@@ -3,10 +3,6 @@
 
 type t = Null | Int of int | Ref of int
 
-(* 62-bit two's complement: the threaded engine's tagged encoding keeps
-   62 payload bits, so the interpreter computes in the same width *)
-let wrap n = (n lsl 1) asr 1
-
 let equal a b =
   match a, b with
   | Null, Null -> true

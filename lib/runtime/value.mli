@@ -3,11 +3,6 @@
 
 type t = Null | Int of int | Ref of int
 
-val wrap : int -> int
-(** [n] as a program int: 62-bit two's complement, the width of every
-    [Int] under either engine (the threaded engine's tagged encoding
-    keeps 62 payload bits). *)
-
 val equal : t -> t -> bool
 val pp : t Fmt.t
 val is_ref : t -> bool

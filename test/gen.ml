@@ -158,7 +158,7 @@ let class_def =
   }
 
 (* straight-line snippets that leave the stack empty; locals: 0 = int,
-   1 = ref (initialized in the prologue) *)
+   1 = ref, 2 = ref array or null (initialized in the prologue) *)
 let snippets : string instr list list =
   [
     [ Iconst 7; Istore 0 ];
@@ -181,13 +181,44 @@ let snippets : string instr list list =
     [ Aload 1; Invoke { mclass = "C"; mname = "leak" } ];
     [ Aload 1; Invoke { mclass = "C"; mname = "get" }; Astore 1 ];
     [ Invoke { mclass = "C"; mname = "mk" }; Astore 1 ];
+    [ Aload 2; Iload 0; Aload 1; Aastore ];
   ]
+
+(* int constants: small, or near ±2^61 and ±2^62, where a literal or a
+   sum wraps at the programs' 62-bit int width, often into a valid array
+   index *)
+let gen_int : int Q.t =
+  Q.frequency
+    [
+      (3, Q.int_range (-1) 4);
+      ( 1,
+        Q.map2 ( + )
+          (Q.oneofl [ 1 lsl 61; -(1 lsl 61); max_int; min_int ])
+          (Q.int_range (-3) 3) );
+    ]
+
+(* snippets over one such constant, same locals *)
+let int_snippets : (int -> string instr list) list =
+  [
+    (fun n -> [ Iconst n; Istore 0 ]);
+    (fun n -> [ Iload 0; Iconst n; Ibin Add; Istore 0 ]);
+    (fun n -> [ Aload 2; Iconst n; Aload 1; Aastore ]);
+    (fun n -> [ Aload 2; Iconst n; Aconst_null; Aastore ]);
+  ]
+
+let gen_snippet : string instr list Q.t =
+  Q.frequency
+    [
+      (List.length snippets, Q.oneofl snippets);
+      ( List.length int_snippets,
+        Q.map2 (fun f n -> f n) (Q.oneofl int_snippets) gen_int );
+    ]
 
 let gen_method : meth Q.t =
   let open Q in
-  let* picks = list_size (int_range 1 8) (int_range 0 (List.length snippets - 1)) in
+  let* picks = list_size (int_range 1 8) gen_snippet in
   let* with_loop = bool in
-  let body = List.concat_map (fun i -> List.nth snippets i) picks in
+  let body = List.concat picks in
   let b =
     (* local 3 is the loop counter; snippets only touch locals 0-2 *)
     Jir.Builder.create ~name:"m" ~params:[] ~locals:4 ()

@@ -5,9 +5,8 @@
    change to the abstract domain or the fixpoint that moves a single
    verdict, an iteration count or an explanation shows up here.
 
-   The expected lines live in [analysis_golden.expected].  To regenerate
-   them after an intended analysis change, run the suite with
-   [ANALYSIS_GOLDEN_OUT=<file>] and copy that file over the expected one. *)
+   The expected lines live in [analysis_golden.expected]; {!Golden}
+   says how to regenerate them after an intended analysis change. *)
 
 open Satb_core
 
@@ -86,22 +85,8 @@ let lines () =
         limits)
     Workloads.Registry.all
 
-let read_lines path =
-  In_channel.with_open_bin path In_channel.input_all
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> l <> "")
-
 let test_golden () =
-  let got = lines () in
-  (match Sys.getenv_opt "ANALYSIS_GOLDEN_OUT" with
-  | Some path ->
-      Out_channel.with_open_bin path (fun oc ->
-          List.iter (fun l -> output_string oc (l ^ "\n")) got)
-  | None -> ());
-  let want = read_lines "analysis_golden.expected" in
-  Alcotest.(check int) "one line per compile" (List.length want)
-    (List.length got);
-  List.iter2 (fun w g -> Alcotest.(check string) "golden line" w g) want got
+  Golden.check ~expected:"analysis_golden.expected" ~what:"compile" (lines ())
 
 let tests =
   [ Alcotest.test_case "600 compiles match the golden" `Quick test_golden ]

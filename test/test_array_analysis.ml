@@ -383,6 +383,147 @@ end
   Alcotest.(check (list bool)) "no ref-store sites" []
     (elide_flags compiled ~meth:"m")
 
+(* A literal index that wraps at the programs' 62-bit int width is the
+   slot it wraps to.  Both programs store a fresh object at slot 1 of a
+   two-slot array through an index that is negative at 63 bits — the
+   literal -(2^62 - 1) and the sum -2^61 + (-2^61 + 1) — and then store
+   null at slot 1.  The first store is into a null slot and elides; the
+   second overwrites the object and must keep its barrier.  Run on both
+   engines, every elided store finds its slot null. *)
+let wrapped_index_src index =
+  hdr
+  ^ Printf.sprintf
+      {|
+class Main
+  method void m () locals 2
+    iconst 2
+    anewarray T
+    astore 0
+    iconst -2305843009213693952
+    istore 1
+    aload 0
+%s
+    new T
+    dup
+    invoke T.<init>
+    aastore
+    aload 0
+    iconst 1
+    aconst_null
+    aastore
+    return
+  end
+end
+|}
+      index
+
+let test_wrapped_index_contracts () =
+  List.iter
+    (fun (name, index) ->
+      let compiled = compile (wrapped_index_src index) in
+      Alcotest.(check (list bool))
+        (name ^ ": the overwrite keeps its barrier")
+        [ true; false ]
+        (elide_flags compiled ~meth:"m");
+      let policy site =
+        {
+          Jir.Types.keep with
+          del_elide = (Satb_core.Driver.barrier compiled site).del_elide;
+        }
+      in
+      List.iter
+        (fun engine ->
+          let r =
+            Jrt.Runner.run ~engine
+              ~cfg:{ Jrt.Interp.default_config with policy }
+              compiled.program
+              ~entry:{ Jir.Types.mclass = "Main"; mname = "m" }
+          in
+          Alcotest.(check (list (pair int string)))
+            (name ^ ": both stores succeed") [] r.thread_errors;
+          Hashtbl.iter
+            (fun site (st : Jrt.Interp.site_stats) ->
+              if Jrt.Interp.elided r.machine st then
+                Alcotest.(check int)
+                  (Printf.sprintf "%s: %s sees only null slots" name
+                     (Jir.Types.string_of_site site))
+                  st.execs st.pre_null_execs)
+            r.machine.Jrt.Interp.stats)
+        [ `Interp; `Threaded ])
+    [
+      ("iconst -(2^62 - 1)", "    iconst -4611686018427387903");
+      ( "-2^61 + (-2^61 + 1)",
+        "    iload 1\n    iconst -2305843009213693951\n    iadd" );
+    ]
+
+(* Random stores into a fresh four-slot array at literal indices: small
+   ones, and ones that wrap at 62 bits into (or past) the valid range —
+   a literal near -2^62, or the sum of two literals near -2^61.  Every
+   store the analysis elides must find its slot null on both engines. *)
+let wrapped_stores_gen =
+  let open QCheck2.Gen in
+  let index =
+    oneof
+      [
+        map (fun i -> [ Printf.sprintf "iconst %d" i ]) (int_range 0 4);
+        map
+          (fun i -> [ Printf.sprintf "iconst %d" (min_int + i) ])
+          (int_range 0 4);
+        map
+          (fun i ->
+            [ "iconst -2305843009213693952";
+              Printf.sprintf "iconst %d" (-(1 lsl 61) + i); "iadd" ])
+          (int_range 0 4);
+      ]
+  in
+  let value =
+    oneofl [ [ "aconst_null" ]; [ "new T"; "dup"; "invoke T.<init>" ] ]
+  in
+  let store =
+    map2 (fun i v -> ("aload 0" :: i) @ v @ [ "aastore" ]) index value
+  in
+  map
+    (fun stores ->
+      let body =
+        [ "iconst 4"; "anewarray T"; "astore 0" ] @ List.concat stores
+      in
+      hdr
+      ^ Printf.sprintf
+          "class Main\n\
+          \  method void m () locals 1\n\
+           %s\n\
+          \    return\n\
+          \  end\n\
+           end\n"
+          (String.concat "\n" (List.map (fun l -> "    " ^ l) body)))
+    (list_size (int_range 1 6) store)
+
+let prop_wrapped_stores =
+  QCheck2.Test.make ~name:"elided stores at wrapped indices see null"
+    ~count:200 ~print:Fun.id wrapped_stores_gen (fun src ->
+      let compiled = compile src in
+      let policy site =
+        {
+          Jir.Types.keep with
+          del_elide = (Satb_core.Driver.barrier compiled site).del_elide;
+        }
+      in
+      List.for_all
+        (fun engine ->
+          let r =
+            Jrt.Runner.run ~engine
+              ~cfg:{ Jrt.Interp.default_config with policy }
+              compiled.program
+              ~entry:{ Jir.Types.mclass = "Main"; mname = "m" }
+          in
+          Hashtbl.fold
+            (fun _ (st : Jrt.Interp.site_stats) ok ->
+              ok
+              && ((not (Jrt.Interp.elided r.machine st))
+                 || st.pre_null_execs = st.execs))
+            r.machine.Jrt.Interp.stats true)
+        [ `Interp; `Threaded ])
+
 let tests =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -401,4 +542,6 @@ let tests =
       ("length via argument unknown", test_length_via_argument_unknown);
       ("aaload neutral", test_aaload_does_not_contract);
       ("int arrays barrier-free", test_int_array_stores_have_no_barrier);
+      ("wrapped index contracts", test_wrapped_index_contracts);
     ]
+  @ [ QCheck_alcotest.to_alcotest prop_wrapped_stores ]

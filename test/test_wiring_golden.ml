@@ -6,9 +6,8 @@
    remark-repair flag, the tracing-state check and the deletion half's
    justification, forced.
 
-   The expected lines live in [wiring_golden.expected].  To regenerate
-   them after an intended wiring change, run the suite with
-   [WIRING_GOLDEN_OUT=<file>] and copy that file over the expected one. *)
+   The expected lines live in [wiring_golden.expected]; {!Golden} says
+   how to regenerate them after an intended wiring change. *)
 
 let limits = [ 0; 100 ]
 
@@ -92,22 +91,9 @@ let lines () =
         limits)
     Workloads.Registry.all
 
-let read_lines path =
-  In_channel.with_open_bin path In_channel.input_all
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> l <> "")
-
 let test_golden () =
-  let got = lines () in
-  (match Sys.getenv_opt "WIRING_GOLDEN_OUT" with
-  | Some path ->
-      Out_channel.with_open_bin path (fun oc ->
-          List.iter (fun l -> output_string oc (l ^ "\n")) got)
-  | None -> ());
-  let want = read_lines "wiring_golden.expected" in
-  Alcotest.(check int) "one line per configuration" (List.length want)
-    (List.length got);
-  List.iter2 (fun w g -> Alcotest.(check string) "golden line" w g) want got
+  Golden.check ~expected:"wiring_golden.expected" ~what:"configuration"
+    (lines ())
 
 let tests =
   [
