@@ -31,11 +31,15 @@ heap-smoke:
 	  --snapshot HEAP_db.json
 	dune exec bin/satbelim.exe -- heap diff HEAP_db.json HEAP_db.json
 
-# regression gate (what CI runs): regenerate every BENCH_*.json artifact,
-# then diff each committed baseline in bench/baseline/ against its fresh
-# counterpart; the first failing diff fails the target
+# the experiments behind the bench/baseline/ files
+GATED = table1 table2 summaries pause profile hybrid pacing engines flight heap
+
+# regression gate (what CI runs): measure every gated experiment once,
+# printing its tables and writing its BENCH_*.json from that one
+# measurement, then diff each committed baseline in bench/baseline/
+# against its fresh counterpart; the first failing diff fails the target
 gate:
-	dune exec bench/main.exe -- table1 --json
+	dune exec bench/main.exe -- $(GATED) --json
 	for f in bench/baseline/BENCH_*.json; do \
 	  dune exec bench/main.exe -- diff $$f $$(basename $$f) || exit 1; \
 	done

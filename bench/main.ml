@@ -4,106 +4,168 @@
    paper and every experiment after it (E1-E19, see EXPERIMENTS.md).
 
    `dune exec bench/main.exe -- table1 fig2 ...` runs a subset; an
-   unknown name is a usage error.  `-- --json` additionally writes the
-   BENCH_*.json machine-readable artifacts.  Timing lives in bench/perf,
-   whose gated metrics cover the compile and run calls. *)
+   unknown name is a usage error.  `-- --json` additionally writes every
+   BENCH_*.json machine-readable artifact, serialized from the same
+   measurement the tables print.  Timing lives in bench/perf, whose gated
+   metrics cover the compile and run calls. *)
+
+(* An experiment measured once: [run] measures it and returns how to
+   print what it measured and, for an experiment with a BENCH file, that
+   file's tables, serialized from the same rows. *)
+type measured = {
+  print : unit -> unit;
+  tables : (string * Telemetry.json) list;
+}
+
+(* an experiment without a BENCH file measures as it prints *)
+let printed print () = { print; tables = [] }
+
+(* an experiment measured into one BENCH table *)
+let one table measure print to_json () =
+  let rows = measure () in
+  { print = (fun () -> print rows); tables = [ (table, to_json rows) ] }
 
 let experiments =
   [
-    ("table1", "Table 1: dynamic barrier elimination", Harness.Table1.print);
-    ("table2", "Table 2: jbb end-to-end barrier cost", Harness.Table2.print);
+    ( "table1",
+      "Table 1: dynamic barrier elimination",
+      Some "BENCH_table1.json",
+      one "table1" Harness.Table1.rows
+        (fun rows -> print_endline (Harness.Table1.render rows))
+        Harness.Table1.to_json );
+    ( "table2",
+      "Table 2: jbb end-to-end barrier cost",
+      Some "BENCH_table2.json",
+      one "table2" Harness.Table2.measure
+        (fun rows -> print_endline (Harness.Table2.render rows))
+        Harness.Table2.to_json );
     ( "fig2",
       "Figure 2: inline limit vs effectiveness and compile time",
-      Harness.Fig2.print );
-    ("fig3", "Figure 3: effect on compiled code size", Harness.Fig3.print);
-    ("pause", "E5: SATB vs incremental-update final pause", Harness.Pause.print);
-    ("nullsame", "E6: null-or-same extension", Harness.Nullsame.print);
-    ("static", "E7: static elimination counts", Harness.Static_counts.print);
+      None,
+      printed Harness.Fig2.print );
+    ( "fig3",
+      "Figure 3: effect on compiled code size",
+      None,
+      printed Harness.Fig3.print );
+    ( "pause",
+      "E5: SATB vs incremental-update final pause",
+      Some "BENCH_pause.json",
+      one "pause" Harness.Pause.measure
+        (fun rows -> print_endline (Harness.Pause.render rows))
+        Harness.Pause.to_json );
+    ( "nullsame",
+      "E6: null-or-same extension",
+      None,
+      printed Harness.Nullsame.print );
+    ( "static",
+      "E7: static elimination counts",
+      None,
+      printed Harness.Static_counts.print );
     ( "movedown",
       "E8: move-down (delete-by-shift) elision",
-      Harness.Movedown.print );
-    ("ablation", "E9: design-choice ablations", Harness.Ablation.print);
+      None,
+      printed Harness.Movedown.print );
+    ( "ablation",
+      "E9: design-choice ablations",
+      None,
+      printed Harness.Ablation.print );
     ( "retrace",
       "E10: pairwise-swap elision under the retrace collector",
-      Harness.Retrace.print );
+      None,
+      printed Harness.Retrace.print );
     ( "revoke",
       "E11: guarded elision under chaos fault injection",
-      Harness.Revoke.print );
+      None,
+      printed Harness.Revoke.print );
     ( "summaries",
       "E12: interprocedural callee summaries vs the inline limit",
-      Harness.Summaries.print );
+      Some "BENCH_fig2.json",
+      one "fig2_summaries" Harness.Summaries.measure Harness.Summaries.print
+        Harness.Summaries.to_json );
     ( "profile",
       "E14: per-site hot-path attribution, plain vs full analysis on db",
-      Harness.Profiler.print );
+      Some "BENCH_profile.json",
+      one "profile" Harness.Profiler.measure
+        (fun r -> print_endline (Harness.Profiler.render r))
+        Harness.Profiler.to_json );
     ( "hybrid",
       "E15: hybrid write barrier, per-collector per-half elision + chaos \
        soundness",
-      Harness.Hybrid.print );
+      Some "BENCH_hybrid.json",
+      fun () ->
+        let rows = Harness.Hybrid.measure () in
+        let chaos = Harness.Hybrid.measure_chaos () in
+        {
+          print = (fun () -> Harness.Hybrid.print rows chaos);
+          tables =
+            [
+              ("hybrid", Harness.Hybrid.to_json rows);
+              ("hybrid_chaos", Harness.Hybrid.chaos_to_json chaos);
+            ];
+        } );
     ( "pacing",
       "E16: GC pacing sweep — goals, soft limits, auto-tuning + chaos \
        allocation faults",
-      Harness.Pacing.print );
+      Some "BENCH_pacing.json",
+      fun () ->
+        let rows = Harness.Pacing.measure () in
+        let summary = Harness.Pacing.summarize rows in
+        let chaos = Harness.Pacing.measure_chaos () in
+        {
+          print = (fun () -> Harness.Pacing.print rows summary chaos);
+          tables =
+            [
+              ("pacing", Harness.Pacing.to_json rows);
+              ("pacing_summary", Harness.Pacing.summary_to_json summary);
+              ("pacing_chaos", Harness.Pacing.chaos_to_json chaos);
+            ];
+        } );
     ( "engines",
       "E17: direct-threaded engine vs interpreter — steps/sec and \
        state-equality across the Table 1 workloads",
-      Harness.Engines.print );
+      Some "BENCH_engines.json",
+      one "engines" Harness.Engines.measure Harness.Engines.print
+        Harness.Engines.to_json );
     ( "flight",
       "E18: flight recorder — chaos-run timeline walkthrough and \
        always-on overhead (<2% gated)",
-      Harness.Flightexp.print );
+      Some "BENCH_flight.json",
+      one "flight" Harness.Flightexp.measure Harness.Flightexp.print
+        Harness.Flightexp.to_json );
     ( "heap",
       "E19: heap-state observatory — allocation-site census, dominator \
        retention, barrier-float accounting (<3% overhead gated)",
-      Harness.Heapexp.print );
+      Some "BENCH_heap.json",
+      fun () ->
+        let rows = Harness.Heapexp.measure () in
+        let overhead = Harness.Heapexp.measure_overhead () in
+        {
+          print = (fun () -> Harness.Heapexp.print rows overhead);
+          tables =
+            [
+              ("heap", Harness.Heapexp.to_json rows);
+              ("heap_overhead", Harness.Heapexp.overhead_to_json overhead);
+            ];
+        } );
   ]
 
 (* --- machine-readable artifacts (--json) ------------------------------ *)
 
-let write_file path content =
+(* Every artifact carries the table-file schema version so the gate
+   refuses to compare baselines written at a different layout. *)
+let write_artifact path tables =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc content);
+    (fun () ->
+      output_string oc
+        (Telemetry.json_to_string_pretty
+           (Telemetry.Obj
+              (( "schema_version",
+                 Telemetry.Int Profile.Gate.bench_schema_version )
+              :: tables))
+        ^ "\n"));
   Printf.printf "wrote %s\n%!" path
-
-(* The artifacts are serialized from the telemetry row tables the measure
-   functions populate, so the rendered tables, the harness output and the
-   BENCH_*.json files all share one source of truth. *)
-let emit_json () =
-  (* every artifact carries the table-file schema version so the gate
-     refuses to compare baselines written at a different layout *)
-  let emit path tables =
-    write_file path
-      (Telemetry.json_to_string_pretty
-         (Telemetry.Obj
-            (( "schema_version",
-               Telemetry.Int Profile.Gate.bench_schema_version )
-            :: List.map (fun t -> (t, Telemetry.table_to_json t)) tables))
-      ^ "\n")
-  in
-  ignore (Harness.Table1.rows ());
-  emit "BENCH_table1.json" [ "table1" ];
-  ignore (Harness.Table2.measure ());
-  emit "BENCH_table2.json" [ "table2" ];
-  ignore (Harness.Summaries.measure ());
-  emit "BENCH_fig2.json" [ "fig2_summaries" ];
-  ignore (Harness.Pause.measure ());
-  emit "BENCH_pause.json" [ "pause" ];
-  ignore (Harness.Profiler.measure ());
-  emit "BENCH_profile.json" [ "profile" ];
-  ignore (Harness.Hybrid.measure ());
-  ignore (Harness.Hybrid.measure_chaos ());
-  emit "BENCH_hybrid.json" [ "hybrid"; "hybrid_chaos" ];
-  ignore (Harness.Pacing.summarize (Harness.Pacing.measure ()));
-  ignore (Harness.Pacing.measure_chaos ());
-  emit "BENCH_pacing.json" [ "pacing"; "pacing_summary"; "pacing_chaos" ];
-  ignore (Harness.Engines.measure ());
-  emit "BENCH_engines.json" [ "engines" ];
-  ignore (Harness.Flightexp.measure ());
-  emit "BENCH_flight.json" [ "flight" ];
-  ignore (Harness.Heapexp.measure ());
-  ignore (Harness.Heapexp.measure_overhead ());
-  emit "BENCH_heap.json" [ "heap"; "heap_overhead" ]
 
 (* --- regression gate (`bench diff OLD.json NEW.json`) ----------------- *)
 
@@ -162,7 +224,7 @@ let usage =
     "usage: bench [--engine interp|threaded] [--json] [EXPERIMENT...]\n\
     \       bench diff OLD.json NEW.json [THRESHOLDS]\n\
      experiments: %s"
-    (String.concat " " (List.map (fun (name, _, _) -> name) experiments))
+    (String.concat " " (List.map (fun (name, _, _, _) -> name) experiments))
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -187,7 +249,8 @@ let () =
   let selected = List.filter (fun a -> a <> "--json") args in
   (match
      List.filter
-       (fun a -> not (List.exists (fun (name, _, _) -> name = a) experiments))
+       (fun a ->
+         not (List.exists (fun (name, _, _, _) -> name = a) experiments))
        selected
    with
   | [] -> ()
@@ -196,12 +259,23 @@ let () =
         (String.concat ", " unknown) usage;
       exit 2);
   let wanted name = selected = [] || List.mem name selected in
-  List.iter
-    (fun (name, title, print) ->
-      if wanted name then begin
-        Printf.printf "== %s: %s ==\n%!" name title;
-        print ();
-        print_newline ()
-      end)
-    experiments;
-  if json then emit_json ()
+  (* each experiment is measured at most once; under --json every BENCH
+     file is written, whichever experiments were named, from the same
+     measurement the named ones print *)
+  let written =
+    List.filter_map
+      (fun (name, title, artifact, run) ->
+        let artifact = if json then artifact else None in
+        if wanted name then Printf.printf "== %s: %s ==\n%!" name title;
+        if wanted name || artifact <> None then begin
+          let m = run () in
+          if wanted name then begin
+            m.print ();
+            print_newline ()
+          end;
+          Option.map (fun path -> (path, m.tables)) artifact
+        end
+        else None)
+      experiments
+  in
+  List.iter (fun (path, tables) -> write_artifact path tables) written

@@ -124,6 +124,21 @@ let refuse fmt =
 
 let or_die = function Ok v -> v | Error msg -> refuse "%s" msg
 
+(** Refuse, before any work, an output file that cannot be written — a
+    missing directory, a read-only file — in one stderr line, exit 1.
+    The probe opens each file without truncating it and removes a file
+    it created. *)
+let check_outputs paths =
+  List.iter
+    (Option.iter (fun path ->
+         let existed = Sys.file_exists path in
+         match open_out_gen [ Open_wronly; Open_creat ] 0o644 path with
+         | oc ->
+             close_out oc;
+             if not existed then Sys.remove path
+         | exception Sys_error msg -> refuse "cannot write %s" msg))
+    paths
+
 (** Load and verify a program; a program the verifier rejects is reported
     one diagnostic per line, exit 1. *)
 let load_verified path =
@@ -151,8 +166,9 @@ let metrics_arg =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "Write the final metrics snapshot (all counters, gauges and \
-           histograms, sorted) to $(docv) as JSON.")
+          "Write the command's metrics (the compile's and the runs' \
+           counters, the pacer gauges and the pass times, sorted) to \
+           $(docv) as JSON.")
 
 let chrome_arg =
   Arg.(
@@ -163,19 +179,26 @@ let chrome_arg =
           "Also export the event stream as a Chrome trace-event file \
            (load in about://tracing or Perfetto).")
 
-(** Run [f] with the requested telemetry outputs armed; the files are
-    written however [f] exits.  The registry is reset first so the
-    snapshot covers exactly this invocation. *)
-let with_telemetry ~trace ~metrics ~chrome f =
-  Telemetry.reset ();
+(** Run [f] with the requested event outputs armed; the files are
+    written however [f] exits. *)
+let with_telemetry ~trace ~chrome f =
   let sink = Option.map open_out trace in
   Option.iter Telemetry.attach_sink sink;
   if chrome <> None then Telemetry.set_recording true;
   Fun.protect f ~finally:(fun () ->
       Telemetry.detach_sink ();
       Option.iter close_out sink;
-      Option.iter Telemetry.write_metrics metrics;
       Option.iter Telemetry.write_chrome chrome)
+
+(** Write [--metrics], rendered from the command's compile, the reports
+    of its runs and its chaos plan. *)
+let write_metrics ?chaos metrics compiled reports =
+  Option.iter
+    (fun path ->
+      Telemetry.write_file path
+        (Telemetry.json_to_string_pretty
+           (Harness.Metrics.render ?chaos compiled reports)))
+    metrics
 
 (* verify *)
 
@@ -207,12 +230,14 @@ let disasm_cmd =
 let analyze_cmd =
   let run file limit mode nos md swap summaries debug verbose explain trace
       metrics chrome =
+    check_outputs [ trace; metrics; chrome ];
     let prog = load_verified file in
-    with_telemetry ~trace ~metrics ~chrome @@ fun () ->
+    with_telemetry ~trace ~chrome @@ fun () ->
     let compiled =
       Satb_core.Driver.compile ~inline_limit:limit
         ~conf:(conf_of mode nos md swap summaries debug) prog
     in
+    write_metrics metrics compiled [];
     if explain then begin
       (* provenance of every elided site, in site-id order *)
       List.iter
@@ -334,30 +359,24 @@ let compile_input spec prog ~limit conf : Harness.Exp.compiled_workload =
     compiled = Satb_core.Driver.compile ~inline_limit:limit ~conf prog;
   }
 
-type gc = [ `None | `Satb | `Incr | `Retrace | `Hybrid ]
-
-let collectors : (string * gc) list =
-  [
-    ("none", `None);
-    ("satb", `Satb);
-    ("incr", `Incr);
-    ("retrace", `Retrace);
-    ("hybrid", `Hybrid);
-  ]
+(** [--gc]: none, or one of the runtime's collectors by its short
+    name. *)
+let gc_flag_name = function
+  | None -> "none"
+  | Some c -> Jrt.Runner.collector_name c
 
 let gc_arg =
+  let choices = None :: List.map Option.some Jrt.Runner.collectors in
   Arg.(
     value
-    & opt (enum collectors) `Satb
+    & opt (enum (List.map (fun g -> (gc_flag_name g, g)) choices))
+        (Some Jrt.Runner.Satb)
     & info [ "gc" ] ~docv:"GC"
         ~doc:"Collector: none, satb, incr, retrace, or hybrid.")
 
-let gc_choice ~pacing : [< gc ] -> Jrt.Runner.gc_choice = function
-  | `None -> Jrt.Runner.No_gc
-  | `Satb -> Jrt.Runner.make_satb ~pacing ()
-  | `Incr -> Jrt.Runner.make_incr ~pacing ()
-  | `Retrace -> Jrt.Runner.make_retrace ~pacing ()
-  | `Hybrid -> Jrt.Runner.make_hybrid ~pacing ()
+let gc_choice ~pacing = function
+  | None -> Jrt.Runner.No_gc
+  | Some c -> Jrt.Runner.make ~pacing c
 
 (* Pacing flags, shared by run, profile and heap: they configure the
    {!Jrt.Pacer}.  Contradictory combinations are refused up front, in the
@@ -403,13 +422,13 @@ let pacer_arg =
            (the goal retuned every cycle from pause percentiles and \
            MMU).")
 
-let pacing_of ~(gc : gc) ~heap_goal ~soft_limit ~hard_limit ~pacer :
-    Jrt.Pacer.config =
+let pacing_of ~(gc : Jrt.Runner.collector option) ~heap_goal ~soft_limit
+    ~hard_limit ~pacer : Jrt.Pacer.config =
   let any_flag =
     heap_goal <> None || soft_limit <> None || hard_limit <> None
     || pacer <> None
   in
-  if gc = `None then begin
+  if gc = None then begin
     if any_flag then
       refuse
         "--gc none never starts a marking cycle, so pacing flags \
@@ -517,16 +536,16 @@ let refuse_unsound cmd ~allow_unsound ~md ~swap gc prog =
         anyway
   end
 
-(** Run a command body with flight auto-capture armed and the telemetry
+(** Run a command body with flight auto-capture armed and the event
     outputs open, report an auto-captured dump, then exit with the body's
     code. *)
-let with_capture ~trace ~metrics ~chrome f =
+let with_capture ~trace ~chrome f =
   (* auto-capture: oracle violations, hard stops and anomaly firings
      dump the flight recorder to a stable path (armed only on CLI/bench
      entry points, so `dune runtest`'s negative soundness runs don't
      spray dump files) *)
   Flight.arm_capture ();
-  let code = with_telemetry ~trace ~metrics ~chrome f in
+  let code = with_telemetry ~trace ~chrome f in
   (* the sink was flushed and closed by with_telemetry; only now is it
      safe to exit (Stdlib.exit does not unwind Fun.protect) *)
   (match Flight.captured () with
@@ -563,10 +582,11 @@ let run_cmd =
   let run file limit mode nos md swap summaries gc engine entry no_elim
       chaos_seed retrace_budget no_revoke allow_unsound pacing trace metrics
       chrome flight_dump =
+    check_outputs [ trace; metrics; chrome; flight_dump ];
     let spec, prog = load_input (File (file, entry)) in
     let gc_choice = gc_choice ~pacing:(pacing gc) gc in
     refuse_unsound `Run ~allow_unsound ~md ~swap gc_choice prog;
-    with_capture ~trace ~metrics ~chrome @@ fun () ->
+    with_capture ~trace ~chrome @@ fun () ->
     let cw =
       compile_input spec prog ~limit
         (conf_of mode nos md swap summaries false)
@@ -581,11 +601,12 @@ let run_cmd =
         ~guards:true ~revoke:(not no_revoke) ?chaos ?retrace_budget
         ~fail_on_thread_error:false cw
     in
+    write_metrics ?chaos metrics cw.compiled [ r ];
     Fmt.pr "steps: %d, cost units: %d (barriers: %d)@." r.steps r.cost_units
       r.barrier_units;
     Fmt.pr "%a@." Jrt.Interp.pp_dyn_stats r.dyn;
     (* under hybrid, "elided" above means both halves; show the split *)
-    if gc = `Hybrid then begin
+    if gc = Some Jrt.Runner.Hybrid then begin
       let sum f =
         Hashtbl.fold
           (fun _ st acc -> acc + f st)
@@ -705,6 +726,7 @@ let profile_cmd =
   let run file workload limit mode nos md swap summaries gc engine pacing
       entry json top baseline max_elision_drop max_pause_increase
       max_cost_increase allow_unsound trace metrics chrome =
+    check_outputs [ trace; metrics; chrome; json ];
     let spec, prog =
       load_input
         (match (file, workload) with
@@ -717,7 +739,7 @@ let profile_cmd =
     in
     let gc_choice = gc_choice ~pacing:(pacing gc) gc in
     refuse_unsound `Profile ~allow_unsound ~md ~swap gc_choice prog;
-    with_capture ~trace ~metrics ~chrome @@ fun () ->
+    with_capture ~trace ~chrome @@ fun () ->
     let cw =
       compile_input spec prog ~limit
         (conf_of mode nos md swap summaries false)
@@ -726,13 +748,12 @@ let profile_cmd =
       Harness.Exp.run ~gc:gc_choice ~engine ~guards:true
         ~fail_on_thread_error:false cw
     in
+    write_metrics metrics cw.compiled [ r ];
     print_thread_errors r;
     if r.hard_stop <> None || r.out_of_steps then stop_code r
     else
       let p =
-        Profile.Attr.of_report ~workload:spec.name
-          ~gc:(fst (List.find (fun (_, g) -> g = gc) collectors))
-          r
+        Profile.Attr.of_report ~workload:spec.name ~gc:(gc_flag_name gc) r
       in
       (* the profile must reconcile exactly with the interpreter's global
          counters (also what --metrics reports); a mismatch is a bug in the
@@ -867,6 +888,7 @@ let trace_file_arg =
 
 let validate_trace_cmd =
   let run file chrome =
+    check_outputs [ chrome ];
     let lines = String.split_on_char '\n' (read_file file) in
     match Telemetry.validate_trace_lines lines with
     | Error (0, msg) ->
@@ -962,6 +984,7 @@ let validate_trace_cmd =
 
 let timeline_cmd =
   let run file chrome =
+    check_outputs [ chrome ];
     match Telemetry.json_of_string (read_file file) with
     | Error e ->
         Fmt.epr "satbelim: %s: %s@." file e;
@@ -1016,16 +1039,17 @@ let timeline_cmd =
 let heap_report_term =
   let run workload limit mode nos summaries gc engine pacing top snapshot
       flight_dump trace metrics chrome =
+    check_outputs [ trace; metrics; chrome; snapshot; flight_dump ];
     let spec, prog =
       load_input
         (match workload with
         | Some n -> Workload n
         | None -> refuse "pass --workload NAME (try 'workloads' for the list)")
     in
-    (* `Satb stands in for "some collector": --gc here never names none,
+    (* satb stands in for "some collector": --gc here never names none,
        so pacing flags are always meaningful *)
-    let pacing = pacing `Satb in
-    with_capture ~trace ~metrics ~chrome @@ fun () ->
+    let pacing = pacing (Some Jrt.Runner.Satb) in
+    with_capture ~trace ~chrome @@ fun () ->
     let cw =
       compile_input spec prog ~limit
         (conf_of mode nos false false summaries false)
@@ -1033,7 +1057,7 @@ let heap_report_term =
     let run_one g =
       let obs = Heapscope.Observatory.create () in
       let r =
-        Harness.Exp.run ~gc:(gc_choice ~pacing g) ~engine ~guards:true
+        Harness.Exp.run ~gc:(Jrt.Runner.make ~pacing g) ~engine ~guards:true
           ~fail_on_thread_error:false
           ~observer:(Heapscope.Observatory.observe obs)
           cw
@@ -1041,13 +1065,10 @@ let heap_report_term =
       print_thread_errors r;
       (obs, r)
     in
-    let label g = Jrt.Runner.gc_name (gc_choice ~pacing g) in
-    let collectors =
-      match gc with
-      | `All -> [ `Satb; `Incr; `Retrace; `Hybrid ]
-      | (`Satb | `Incr | `Retrace | `Hybrid) as g -> [ g ]
-    in
-    let results = List.map (fun g -> (g, run_one g)) collectors in
+    let label g = Jrt.Runner.gc_name (Jrt.Runner.make g) in
+    let results = List.map (fun g -> (g, run_one g)) gc in
+    write_metrics metrics cw.compiled
+      (List.map (fun (_, (_, r)) -> r) results);
     (* the ring is reset per run, so the dump covers the last collector
        observed — with census events and the pending-census snapshot *)
     write_flight_dump flight_dump;
@@ -1087,14 +1108,11 @@ let heap_report_term =
       value
       & opt
           (enum
-             [
-               ("all", `All);
-               ("satb", `Satb);
-               ("incr", `Incr);
-               ("retrace", `Retrace);
-               ("hybrid", `Hybrid);
-             ])
-          `All
+             (("all", Jrt.Runner.collectors)
+             :: List.map
+                  (fun c -> (Jrt.Runner.collector_name c, [ c ]))
+                  Jrt.Runner.collectors))
+          Jrt.Runner.collectors
       & info [ "gc" ] ~docv:"GC"
           ~doc:
             "Collector(s) to observe: all (default — census and retention \

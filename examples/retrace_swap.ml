@@ -55,7 +55,8 @@ let sweep ~swap ~gc =
 
 let () =
   let retrace =
-    Jrt.Runner.Retrace { steps_per_increment = 1; pacing = Jrt.Pacer.config_of_trigger 8 }
+    Jrt.Runner.make_retrace ~steps_per_increment:1
+      ~pacing:(Jrt.Pacer.config_of_trigger 8) ()
   in
   Fmt.pr "db under the retrace collector:@.";
   describe "no swap analysis" (run ~swap:false ~gc:retrace ~gc_period:104);
@@ -69,6 +70,9 @@ let () =
     "@.Same elision under plain SATB (no tracing-state protocol) — the@.\
      oracle catches the pacings where the half-finished swap hides a@.\
      live element from the marker:@.";
-  let satb = Jrt.Runner.Satb { steps_per_increment = 1; pacing = Jrt.Pacer.config_of_trigger 8 } in
+  let satb =
+    Jrt.Runner.make_satb ~steps_per_increment:1
+      ~pacing:(Jrt.Pacer.config_of_trigger 8) ()
+  in
   let v, _ = sweep ~swap:true ~gc:satb in
   Fmt.pr "swap under plain SATB, 200 collector pacings: %d violations@." v

@@ -141,6 +141,8 @@ type method_result = {
   mr_method : method_name;
   verdicts : verdict list;  (** one per reference-store site, by pc *)
   iterations : int;  (** block visits until the fixed point *)
+  invoke_havocs : int;
+      (** blanket call havocs applied while reaching the fixed point *)
   mr_summary_dependent : bool;
       (** some callee summary was consulted while analyzing the method:
           its elisions additionally depend on the closed-world assumption
@@ -190,6 +192,7 @@ type env = {
       (** callee summaries; [Some] only when [conf.summaries] *)
   mutable used_summaries : bool;
       (** a summary was consulted on some path through this method *)
+  mutable invoke_havocs : int;  (** blanket call havocs applied so far *)
   summary_fresh_sites : (int, unit) Hashtbl.t;
       (** pcs whose allocation symbol was minted for a summary-proven
           fresh return ([Ret_fresh]) rather than a literal [New]:
@@ -361,10 +364,8 @@ let pop_call_args (s : State.t) (params : ty list) :
     everything reachable from one — escapes, and every must-alias fact
     dies.  Shared by [Invoke] (no summary available) and [Spawn] (a
     spawned thread runs concurrently, so summaries never apply). *)
-let c_invoke_havocs = Telemetry.counter "analysis.invoke_havocs"
-
-let havoc_call (s : State.t) (args : State.aval list) : State.t =
-  Telemetry.incr c_invoke_havocs;
+let havoc_call env (s : State.t) (args : State.aval list) : State.t =
+  env.invoke_havocs <- env.invoke_havocs + 1;
   State.kill_all_must_src (State.escape_args s args)
 
 let arg_refs (v : State.aval) : Rset.t =
@@ -1072,7 +1073,7 @@ let transfer env ~record (s : State.t) (pc : int) (instr : int instr) :
           env.used_summaries <- true;
           Fall (apply_summary env s pc callee sum (Array.of_list args))
       | None ->
-          let s = havoc_call s args in
+          let s = havoc_call env s args in
           let s =
             match callee.ret with
             | None -> s
@@ -1086,7 +1087,7 @@ let transfer env ~record (s : State.t) (pc : int) (instr : int instr) :
          sequential effects can bound what it does from here on *)
       let callee = Jir.Program.get_method env.prog mr in
       let args, s = pop_call_args s callee.params in
-      Fall (havoc_call s args)
+      Fall (havoc_call env s args)
   | Return | Ireturn | Areturn -> Stop
 
 (** Run the analysis on one method to its fixed point.
@@ -1128,6 +1129,7 @@ let analyze_method ?(conf = default_config) ?(single_mutator = false)
             })
           store_pcs;
       iterations = 0;
+      invoke_havocs = 0;
       mr_summary_dependent = false;
     }
   else begin
@@ -1154,6 +1156,7 @@ let analyze_method ?(conf = default_config) ?(single_mutator = false)
         swap_pending = None;
         summary_tbl = (if conf.summaries then summaries else None);
         used_summaries = false;
+        invoke_havocs = 0;
         summary_fresh_sites = Hashtbl.create 8;
       }
     in
@@ -1278,6 +1281,7 @@ let analyze_method ?(conf = default_config) ?(single_mutator = false)
       mr_method = meth.mname;
       verdicts;
       iterations = !iterations;
+      invoke_havocs = env.invoke_havocs;
       mr_summary_dependent = env.used_summaries;
     }
   end

@@ -81,6 +81,8 @@ type method_result = {
   mr_method : Jir.Types.method_name;
   verdicts : verdict list;  (** one per reference-store site, by pc *)
   iterations : int;  (** block visits until the fixed point *)
+  invoke_havocs : int;
+      (** blanket call havocs applied while reaching the fixed point *)
   mr_summary_dependent : bool;
       (** a callee summary was consulted: elisions in this method also
           depend on the closed-world assumption *)

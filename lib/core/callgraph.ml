@@ -63,8 +63,6 @@ let build (prog : Jir.Program.t) : t =
   let pred = Nmap.map (List.sort_uniq compare_node) pred in
   { nodes; succ; pred }
 
-let n_nodes t = List.length t.nodes
-
 let callees t n = Option.value (Nmap.find_opt n t.succ) ~default:[]
 let callers t n = Option.value (Nmap.find_opt n t.pred) ~default:[]
 

@@ -37,4 +37,3 @@ val sccs_bottom_up : t -> scc list
     share a component).  The order is deterministic for a given
     program. *)
 
-val n_nodes : t -> int

@@ -126,11 +126,12 @@ let barrier_of (v : Analysis.verdict) ~summary_dependent : verdict =
        else keep.ins_why);
   }
 
-(** One compilation pass, timed on the telemetry clock ({!Telemetry.time}
-    observes the [compile.<pass>_s] histogram) and mirrored as an
+(** One compilation pass, timed on the telemetry clock and mirrored as an
     [analysis.pass] trace event. *)
 let timed_pass (name : string) (f : unit -> 'a) : 'a * float =
-  let r, dt = Telemetry.time ("compile." ^ name ^ "_s") f in
+  let t0 = Telemetry.now_s () in
+  let r = f () in
+  let dt = Telemetry.now_s () -. t0 in
   Telemetry.emit "analysis.pass"
     [ ("pass", Telemetry.Str name); ("seconds", Telemetry.Float dt) ];
   (r, dt)
@@ -167,28 +168,6 @@ let compile ?(verify = true) ?(inline_limit = 100)
             })
         r.verdicts)
     results;
-  Telemetry.incr ~by:(List.length results) (Telemetry.counter "analysis.methods");
-  Telemetry.incr
-    ~by:
-      (List.fold_left
-         (fun acc (r : Analysis.method_result) -> acc + r.iterations)
-         0 results)
-    (Telemetry.counter "analysis.fixpoint_iterations");
-  Telemetry.incr ~by:(Hashtbl.length sites)
-    (Telemetry.counter "analysis.sites.total");
-  Telemetry.incr
-    ~by:
-      (Hashtbl.fold
-         (fun _ s n -> if s.analysis.v_elide then n + 1 else n)
-         sites 0)
-    (Telemetry.counter "analysis.sites.elided");
-  (match summaries with
-  | Some tbl ->
-      Telemetry.incr ~by:(Summary.n_methods tbl)
-        (Telemetry.counter "summary.methods");
-      Telemetry.incr ~by:(Summary.n_havoced tbl)
-        (Telemetry.counter "summary.havoced")
-  | None -> ());
   {
     program;
     results;

@@ -166,9 +166,6 @@ let var_term = function
   | Lin { var; _ } -> var
   | Top -> None
 
-(** Is the value a pure integer literal? (paper's [int_const]) *)
-let is_literal v = to_literal v <> None
-
 (* [a - b] when the symbolic terms cancel exactly.  It orders the two
    values rather than computing one, so it is not wrapped: the bases are
    62-bit and their difference cannot overflow. *)

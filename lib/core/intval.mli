@@ -38,7 +38,6 @@ val is_top : t -> bool
 val to_literal : t -> int option
 (** The literal integer, if the value is a pure literal. *)
 
-val is_literal : t -> bool
 val equal : t -> t -> bool
 val pp : t Fmt.t
 

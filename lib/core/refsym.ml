@@ -58,10 +58,6 @@ let summary site = Alloc { site; recent = false }
 
 let recent site = Alloc { site; recent = true }
 
-(** Substitution used by the [newinstance] transfer (§2.4): the paper's
-    [rngSubst]/[replS] replace [R_id/A] by [R_id/B]. *)
-let subst ~from_sym ~to_sym r = if equal r from_sym then to_sym else r
-
 module Set = struct
   include Stdlib.Set.Make (struct
     type nonrec t = t

@@ -29,9 +29,6 @@ val summary : int -> t
 val recent : int -> t
 (** [recent site] is [R_site/A]. *)
 
-val subst : from_sym:t -> to_sym:t -> t -> t
-(** Pointwise substitution, used by the [newinstance] transfer (§2.4). *)
-
 module Set : sig
   include Stdlib.Set.S with type elt = t
 

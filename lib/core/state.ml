@@ -140,8 +140,6 @@ type must_src = Mstatic of Jir.Types.class_name * Jir.Types.field_name
 let equal_must_src (Mstatic (c1, f1)) (Mstatic (c2, f2)) =
   String.equal c1 c2 && String.equal f1 f2
 
-let pp_must_src ppf (Mstatic (c, f)) = Fmt.pf ppf "%s.%s" c f
-
 (** Element provenance, for the §4.3 rearrangement (move-down and swap)
     extensions: the value was loaded from the array identified by
     [ep_src] at index [ep_idx].  While [ep_displaced] is false, no store

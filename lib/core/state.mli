@@ -18,7 +18,6 @@ module Nos : Set.S with type elt = Refsym.t * Field_id.t
 type must_src = Mstatic of Jir.Types.class_name * Jir.Types.field_name
 
 val equal_must_src : must_src -> must_src -> bool
-val pp_must_src : must_src Fmt.t
 
 type eprov = { ep_src : must_src; ep_idx : Intval.t; ep_displaced : bool }
 (** Element provenance (§4.3 rearrangements): the value was loaded from

@@ -943,10 +943,7 @@ let of_program ?(fixpoint_bound = 12) (prog : Jir.Program.t) : table =
             (* widen: past the bound the whole component degrades to the
                blanket havoc summary (the pre-summary behaviour) *)
             List.iter (fun n -> set n (havoc (meth_of n))) scc.members;
-            table.havoced <- table.havoced + List.length scc.members;
-            Telemetry.incr
-              (Telemetry.counter "summary.widened")
-              ~by:(List.length scc.members)
+            table.havoced <- table.havoced + List.length scc.members
           end
           else begin
             let changed =

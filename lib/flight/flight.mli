@@ -11,12 +11,12 @@
     detectors and the engine-parity diff read the same values, so a
     trace, a timeline and a Chrome view of one run cannot disagree.
 
-    The recorder is process-global, like the telemetry registry: the
-    runner resets it at run start ({!begin_run}), installs a step source
-    and per-site snapshot source, and polls the anomaly detectors at
-    safepoints.  A dump ({!dump_json}) is fully deterministic — events
-    carry mutator steps, never wall-clock — so `satbelim timeline` output
-    is byte-stable for a fixed seed.
+    The recorder is process-global, unlike a run's counts, which live in
+    its report: the runner resets it at run start ({!begin_run}),
+    installs a step source and per-site snapshot source, and polls the
+    anomaly detectors at safepoints.  A dump ({!dump_json}) is fully
+    deterministic — events carry mutator steps, never wall-clock — so
+    `satbelim timeline` output is byte-stable for a fixed seed.
 
     Auto-capture: when armed (CLI/bench entry points only, never under
     `dune runtest`), the first oracle violation, hard-limit abort,

@@ -206,23 +206,25 @@ let measure_one ~min_seconds (w : Workloads.Spec.t) : row =
   let speedup =
     if interp_steps_s = 0.0 then 0.0 else threaded_steps_s /. interp_steps_s
   in
-  let r =
-    { bench = w.name; steps; interp_steps_s; threaded_steps_s; speedup; equal }
-  in
-  Telemetry.add_row ~table:"engines"
-    [
-      ("benchmark", Telemetry.Str r.bench);
-      ("steps", Telemetry.Int r.steps);
-      ("interp_steps_s", Telemetry.Float r.interp_steps_s);
-      ("threaded_steps_s", Telemetry.Float r.threaded_steps_s);
-      ("speedup", Telemetry.Float r.speedup);
-      ("equal", Telemetry.Bool r.equal);
-    ];
-  r
+  { bench = w.name; steps; interp_steps_s; threaded_steps_s; speedup; equal }
 
 let measure ?(min_seconds = 0.2) () : row list =
-  Telemetry.clear_table "engines";
   List.map (measure_one ~min_seconds) Workloads.Registry.table1
+
+let to_json (rows : row list) : Telemetry.json =
+  Telemetry.List
+    (List.map
+       (fun r ->
+         Telemetry.Obj
+           [
+             ("benchmark", Str r.bench);
+             ("steps", Int r.steps);
+             ("interp_steps_s", Float r.interp_steps_s);
+             ("threaded_steps_s", Float r.threaded_steps_s);
+             ("speedup", Float r.speedup);
+             ("equal", Bool r.equal);
+           ])
+       rows)
 
 let render (rows : row list) : string =
   let body =
@@ -251,8 +253,8 @@ let render (rows : row list) : string =
     ~align:[ Tablefmt.L; R; R; R; R; R ]
     body
 
-let print () =
+let print (rows : row list) =
   print_endline
     "threaded engine vs interpreter (identical = counters, per-site \
      attribution, heap graph, statics and GC summary all byte-equal):";
-  print_endline (render (measure ()))
+  print_endline (render rows)

@@ -42,8 +42,11 @@ val measure : ?min_seconds:float -> unit -> row list
 (** Run every Table 1 workload under both engines (SATB collector,
     default pacing), fail loudly if any pair of runs diverges, then
     measure steps/sec per engine by repeating the deterministic run
-    until cumulative wall time reaches [min_seconds] (default 0.2s).
-    Fills the ["engines"] telemetry table behind BENCH_engines.json. *)
+    until cumulative wall time reaches [min_seconds] (default 0.2s). *)
+
+val to_json : row list -> Telemetry.json
+(** The [engines] table of BENCH_engines.json; the gate floors each
+    [speedup] at 3.0. *)
 
 val render : row list -> string
-val print : unit -> unit
+val print : row list -> unit

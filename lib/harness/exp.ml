@@ -28,7 +28,11 @@ let config ?(satb_mode = Jrt.Barrier_cost.Conditional) ?(use_policy = true)
     (cw : compiled_workload) : Jrt.Interp.config =
   (* The hybrid collector switches the runtime to the split-verdict
      barrier: both halves, and no tracing-state check. *)
-  let hybrid = match gc with Jrt.Runner.Hybrid _ -> true | _ -> false in
+  let hybrid =
+    match gc with
+    | Jrt.Runner.Gc { collector = Hybrid; _ } -> true
+    | Jrt.Runner.Gc _ | No_gc -> false
+  in
   (* Guards are opt-in: several negative soundness tests deliberately
      run unsound policy/collector combinations to show the oracle
      catching them, which wired guards would (correctly) neutralize.

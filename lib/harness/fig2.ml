@@ -35,27 +35,15 @@ let measure_one ?(reps = 5) (w : Workloads.Spec.t) ~limit ~mode : point =
     time := !time +. (!cw).compiled.analysis_seconds +. (!cw).compiled.inline_seconds
   done;
   let r = Exp.run !cw in
-  let p =
-    {
-      bench = w.name;
-      limit;
-      mode;
-      elim_pct = pct r.dyn.elided_execs r.dyn.total_execs;
-      compile_s = !time /. float_of_int reps;
-    }
-  in
-  Telemetry.add_row ~table:"fig2"
-    [
-      ("benchmark", Telemetry.Str p.bench);
-      ("inline_limit", Telemetry.Int p.limit);
-      ("mode", Telemetry.Str (Satb_core.Analysis.string_of_mode p.mode));
-      ("elim_pct", Telemetry.Float p.elim_pct);
-      ("compile_seconds", Telemetry.Float p.compile_s);
-    ];
-  p
+  {
+    bench = w.name;
+    limit;
+    mode;
+    elim_pct = pct r.dyn.elided_execs r.dyn.total_execs;
+    compile_s = !time /. float_of_int reps;
+  }
 
 let measure ?reps () : point list =
-  Telemetry.clear_table "fig2";
   List.concat_map
     (fun w ->
       List.concat_map

@@ -19,25 +19,14 @@ let measure_one ?(inline_limit = 100) (w : Workloads.Spec.t) : row =
   let size mode =
     Satb_core.Driver.code_size (Exp.compile ~inline_limit ~mode w).compiled
   in
-  let r =
-    {
-      bench = w.name;
-      size_b = size Satb_core.Analysis.B;
-      size_f = size F;
-      size_a = size A;
-    }
-  in
-  Telemetry.add_row ~table:"fig3"
-    [
-      ("benchmark", Telemetry.Str r.bench);
-      ("size_b", Telemetry.Int r.size_b);
-      ("size_f", Telemetry.Int r.size_f);
-      ("size_a", Telemetry.Int r.size_a);
-    ];
-  r
+  {
+    bench = w.name;
+    size_b = size Satb_core.Analysis.B;
+    size_f = size F;
+    size_a = size A;
+  }
 
 let measure ?inline_limit () : row list =
-  Telemetry.clear_table "fig3";
   List.map (measure_one ?inline_limit) Workloads.Registry.table1
 
 let render (rows : row list) : string =

@@ -96,30 +96,32 @@ let measure_one ~min_seconds ~min_pairs (w : Workloads.Spec.t) : row =
     if med_off <= 0.0 then 0.0 else 100.0 *. (med_on -. med_off) /. med_off
   in
   let per_sec t = if t <= 0.0 then 0.0 else float_of_int steps /. t in
-  let r =
-    {
-      bench = w.name;
-      steps;
-      on_steps_s = per_sec med_on;
-      off_steps_s = per_sec med_off;
-      overhead_pct;
-      events;
-    }
-  in
-  Telemetry.add_row ~table:"flight"
-    [
-      ("benchmark", Telemetry.Str r.bench);
-      ("steps", Telemetry.Int r.steps);
-      ("on_steps_s", Telemetry.Float r.on_steps_s);
-      ("off_steps_s", Telemetry.Float r.off_steps_s);
-      ("overhead_pct", Telemetry.Float r.overhead_pct);
-      ("events", Telemetry.Int r.events);
-    ];
-  r
+  {
+    bench = w.name;
+    steps;
+    on_steps_s = per_sec med_on;
+    off_steps_s = per_sec med_off;
+    overhead_pct;
+    events;
+  }
 
 let measure ?(min_seconds = 0.6) ?(min_pairs = 50) () : row list =
-  Telemetry.clear_table "flight";
   List.map (measure_one ~min_seconds ~min_pairs) Workloads.Registry.table1
+
+let to_json (rows : row list) : Telemetry.json =
+  Telemetry.List
+    (List.map
+       (fun r ->
+         Telemetry.Obj
+           [
+             ("benchmark", Str r.bench);
+             ("steps", Int r.steps);
+             ("on_steps_s", Float r.on_steps_s);
+             ("off_steps_s", Float r.off_steps_s);
+             ("overhead_pct", Float r.overhead_pct);
+             ("events", Int r.events);
+           ])
+       rows)
 
 (* ---- rendering ----------------------------------------------------------- *)
 
@@ -150,7 +152,7 @@ let render (rows : row list) : string =
     ~align:[ Tablefmt.L; R; R; R; R; R ]
     body
 
-let print () =
+let print (rows : row list) =
   print_endline
     "timeline walkthrough: db under retrace, late-spawn chaos, guards \
      wired (dump -> parse -> reconstruct, as `satbelim timeline` does):";
@@ -158,4 +160,4 @@ let print () =
   print_endline
     "recorder overhead, threaded engine at the E17 bench cadence (gated \
      at <2%):";
-  print_endline (render (measure ()))
+  print_endline (render rows)

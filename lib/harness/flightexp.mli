@@ -25,9 +25,14 @@ val measure : ?min_seconds:float -> ?min_pairs:int -> unit -> row list
     cumulative mutator time reaches [min_seconds] (default 0.6s) and at
     least [min_pairs] (default 50) pairs ran; each arm is summarized by
     its median per-run mutator time, so slow drift and scheduler spikes
-    cannot fake an overhead (A/A calibration: within +/-1.4%).  Fills
-    the ["flight"] telemetry table behind BENCH_flight.json; the gate
-    ceilings [overhead_pct] at 2.0. *)
+    cannot fake an overhead (A/A calibration: within +/-1.4%). *)
+
+val to_json : row list -> Telemetry.json
+(** The [flight] table of BENCH_flight.json; the gate ceilings
+    [overhead_pct] at 2.0. *)
 
 val render : row list -> string
-val print : unit -> unit
+
+val print : row list -> unit
+(** The timeline walkthrough, which this runs, then the overhead
+    table. *)

@@ -53,24 +53,16 @@ let walkthrough () : string =
 
 (* ---- the six-workload float table ---------------------------------------- *)
 
-let collectors =
-  [
-    ("satb", fun () -> Jrt.Runner.make_satb ());
-    ("incr", fun () -> Jrt.Runner.make_incr ());
-    ("retrace", fun () -> Jrt.Runner.make_retrace ());
-    ("hybrid", fun () -> Jrt.Runner.make_hybrid ());
-  ]
-
 (* Float counts are pure simulation state — pinned to the interpreter
    engine (the threaded engine is state-identical anyway, E17) so the
    table is byte-deterministic and the gate can diff it exactly. *)
 let measure_one (w : Workloads.Spec.t) : float_row list =
   let cw = Exp.compile w in
   List.map
-    (fun (cname, mk) ->
+    (fun coll ->
       let obs = Heapscope.Observatory.create () in
       ignore
-        (Exp.run ~gc:(mk ()) ~engine:`Interp
+        (Exp.run ~gc:(Jrt.Runner.make coll) ~engine:`Interp
            ~observer:(Heapscope.Observatory.observe obs)
            cw);
       let cycles = Heapscope.Observatory.cycles obs in
@@ -81,41 +73,43 @@ let measure_one (w : Workloads.Spec.t) : float_row list =
           0 cycles
       in
       let ou = Heapscope.Observatory.origin_unit_totals obs in
-      let r =
-        {
-          bench = w.name;
-          collector = cname;
-          cycles = List.length cycles;
-          float_objs = fo;
-          float_units = fu;
-          float_pct =
-            (if live_u = 0 then 0.0
-             else 100.0 *. float_of_int fu /. float_of_int live_u);
-          trace_u = ou.(Jrt.Heap.origin_trace);
-          log_u = ou.(Jrt.Heap.origin_log);
-          alloc_u = ou.(Jrt.Heap.origin_alloc);
-          repair_u = ou.(Jrt.Heap.origin_repair);
-        }
-      in
-      Telemetry.add_row ~table:"heap"
-        [
-          ("bench", Telemetry.Str r.bench);
-          ("collector", Telemetry.Str r.collector);
-          ("cycles", Telemetry.Int r.cycles);
-          ("float_objs", Telemetry.Int r.float_objs);
-          ("float_units", Telemetry.Int r.float_units);
-          ("float_pct", Telemetry.Float r.float_pct);
-          ("trace_units", Telemetry.Int r.trace_u);
-          ("log_units", Telemetry.Int r.log_u);
-          ("alloc_units", Telemetry.Int r.alloc_u);
-          ("repair_units", Telemetry.Int r.repair_u);
-        ];
-      r)
-    collectors
+      {
+        bench = w.name;
+        collector = Jrt.Runner.collector_name coll;
+        cycles = List.length cycles;
+        float_objs = fo;
+        float_units = fu;
+        float_pct =
+          (if live_u = 0 then 0.0
+           else 100.0 *. float_of_int fu /. float_of_int live_u);
+        trace_u = ou.(Jrt.Heap.origin_trace);
+        log_u = ou.(Jrt.Heap.origin_log);
+        alloc_u = ou.(Jrt.Heap.origin_alloc);
+        repair_u = ou.(Jrt.Heap.origin_repair);
+      })
+    Jrt.Runner.collectors
 
 let measure () : float_row list =
-  Telemetry.clear_table "heap";
   List.concat_map measure_one Workloads.Registry.table1
+
+let to_json (rows : float_row list) : Telemetry.json =
+  Telemetry.List
+    (List.map
+       (fun r ->
+         Telemetry.Obj
+           [
+             ("bench", Str r.bench);
+             ("collector", Str r.collector);
+             ("cycles", Int r.cycles);
+             ("float_objs", Int r.float_objs);
+             ("float_units", Int r.float_units);
+             ("float_pct", Float r.float_pct);
+             ("trace_units", Int r.trace_u);
+             ("log_units", Int r.log_u);
+             ("alloc_units", Int r.alloc_u);
+             ("repair_units", Int r.repair_u);
+           ])
+       rows)
 
 (* ---- census overhead ------------------------------------------------------ *)
 
@@ -194,33 +188,35 @@ let measure_overhead_one ~min_seconds ~min_pairs (w : Workloads.Spec.t) :
     if med_off <= 0.0 then 0.0 else 100.0 *. med_census /. med_off
   in
   let per_sec t = if t <= 0.0 then 0.0 else float_of_int steps /. t in
-  let r =
-    {
-      ov_bench = w.name;
-      ov_steps = steps;
-      ov_cycles = n_cycles;
-      on_steps_s = per_sec med_on;
-      off_steps_s = per_sec med_off;
-      overhead_pct;
-    }
-  in
-  Telemetry.add_row ~table:"heap_overhead"
-    [
-      ("benchmark", Telemetry.Str r.ov_bench);
-      ("steps", Telemetry.Int r.ov_steps);
-      ("cycles", Telemetry.Int r.ov_cycles);
-      ("off_steps_s", Telemetry.Float r.off_steps_s);
-      ("on_steps_s", Telemetry.Float r.on_steps_s);
-      ("overhead_pct", Telemetry.Float r.overhead_pct);
-    ];
-  r
+  {
+    ov_bench = w.name;
+    ov_steps = steps;
+    ov_cycles = n_cycles;
+    on_steps_s = per_sec med_on;
+    off_steps_s = per_sec med_off;
+    overhead_pct;
+  }
 
 let measure_overhead ?(min_seconds = 0.6) ?(min_pairs = 50) () :
     overhead_row list =
-  Telemetry.clear_table "heap_overhead";
   List.map
     (measure_overhead_one ~min_seconds ~min_pairs)
     Workloads.Registry.table1
+
+let overhead_to_json (rows : overhead_row list) : Telemetry.json =
+  Telemetry.List
+    (List.map
+       (fun r ->
+         Telemetry.Obj
+           [
+             ("benchmark", Str r.ov_bench);
+             ("steps", Int r.ov_steps);
+             ("cycles", Int r.ov_cycles);
+             ("off_steps_s", Float r.off_steps_s);
+             ("on_steps_s", Float r.on_steps_s);
+             ("overhead_pct", Float r.overhead_pct);
+           ])
+       rows)
 
 (* ---- rendering ------------------------------------------------------------ *)
 
@@ -286,7 +282,7 @@ let render_overhead (rows : overhead_row list) : string =
     ~align:[ Tablefmt.L; R; R; R; R; R ]
     body
 
-let print () =
+let print (rows : float_row list) (overhead : overhead_row list) =
   print_endline
     "observatory walkthrough (what `satbelim heap --workload db` reports):";
   print_endline (walkthrough ());
@@ -294,8 +290,8 @@ let print () =
     "barrier float across the Table 1 workloads, per collector (float = \
      survivors the exact-reachability oracle does not reach, attributed \
      to the mark origin that kept them):";
-  print_endline (render_float_table (measure ()));
+  print_endline (render_float_table rows);
   print_endline
     "observatory overhead, threaded engine at the E17 bench cadence \
      (gated at <3%):";
-  print_endline (render_overhead (measure_overhead ()))
+  print_endline (render_overhead overhead)

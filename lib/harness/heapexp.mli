@@ -36,9 +36,7 @@ val walkthrough : unit -> string
 
 val measure : unit -> float_row list
 (** The six-workload x four-collector float table, on the interpreter
-    engine so counts are byte-deterministic.  Fills the ["heap"]
-    telemetry table behind BENCH_heap.json; the gate diffs
-    [float_units] and [float_pct] per (bench, collector). *)
+    engine so counts are byte-deterministic. *)
 
 val measure_overhead :
   ?min_seconds:float -> ?min_pairs:int -> unit -> overhead_row list
@@ -47,10 +45,18 @@ val measure_overhead :
     hook runs inside the safepoint, where run-to-run loop-time noise
     swamps the E18 differential estimator on sub-millisecond runs, so
     the hook is timed directly: median per-run census seconds over the
-    median loop time of interleaved observer-free runs.  Fills the
-    ["heap_overhead"] telemetry table; the gate ceilings
+    median loop time of interleaved observer-free runs. *)
+
+val to_json : float_row list -> Telemetry.json
+(** The [heap] table of BENCH_heap.json; the gate diffs [float_units]
+    and [float_pct] per (bench, collector). *)
+
+val overhead_to_json : overhead_row list -> Telemetry.json
+(** The [heap_overhead] table of BENCH_heap.json; the gate ceilings
     [overhead_pct] at 3.0 absolute. *)
 
 val render_float_table : float_row list -> string
 val render_overhead : overhead_row list -> string
-val print : unit -> unit
+
+val print : float_row list -> overhead_row list -> unit
+(** The walkthrough, which this runs, then both tables. *)

@@ -30,24 +30,8 @@
     so unreachable at cycle end), which the hybrid collector's
     end-reachability check tolerates by design. *)
 
-type collector = Csatb | Cincr | Cretrace | Chybrid
-
-let collector_name = function
-  | Csatb -> "satb"
-  | Cincr -> "incr"
-  | Cretrace -> "retrace"
-  | Chybrid -> "hybrid"
-
-let all_collectors = [ Csatb; Cincr; Cretrace; Chybrid ]
-
 (* every collector cycles every 24 allocations *)
-let gc_of coll =
-  let pacing = Jrt.Pacer.config_of_trigger 24 in
-  match coll with
-  | Csatb -> Jrt.Runner.make_satb ~pacing ()
-  | Cincr -> Jrt.Runner.make_incr ~pacing ()
-  | Cretrace -> Jrt.Runner.make_retrace ~pacing ()
-  | Chybrid -> Jrt.Runner.make_hybrid ~pacing ()
+let gc_of coll = Jrt.Runner.make ~pacing:(Jrt.Pacer.config_of_trigger 24) coll
 
 type row = {
   bench : string;
@@ -87,12 +71,12 @@ let compile_all () =
     (fun w -> Exp.compile ~null_or_same:true ~summaries:true w)
     Workloads.Registry.table1
 
-let run_one ~(coll : collector) ?chaos ?seed (cw : Exp.compiled_workload) :
-    Jrt.Runner.report =
+let run_one ~(coll : Jrt.Runner.collector) ?chaos ?seed
+    (cw : Exp.compiled_workload) : Jrt.Runner.report =
   Exp.run ~gc:(gc_of coll) ~guards:true ~fail_on_thread_error:false ?chaos
     ?seed cw
 
-let row_of ~(coll : collector) (cw : Exp.compiled_workload)
+let row_of ~(coll : Jrt.Runner.collector) (cw : Exp.compiled_workload)
     (r : Jrt.Runner.report) : row =
   let m = r.Jrt.Runner.machine in
   let sum f =
@@ -104,13 +88,13 @@ let row_of ~(coll : collector) (cw : Exp.compiled_workload)
   (* Pure-deletion collectors: the whole barrier is the deletion half. *)
   let del_elided, del_paid, ins_elided, ins_paid, both_elided =
     match coll with
-    | Chybrid ->
+    | Hybrid ->
         ( sum (fun st -> st.Jrt.Interp.del_elided_execs),
           sum (fun st -> st.Jrt.Interp.del_paid_execs),
           sum (fun st -> st.Jrt.Interp.ins_elided_execs),
           sum (fun st -> st.Jrt.Interp.ins_paid_execs),
           legacy_elided )
-    | Csatb | Cincr | Cretrace ->
+    | Satb | Incr | Retrace ->
         (legacy_elided, legacy_paid, 0, 0, legacy_elided)
   in
   let cycles, violations =
@@ -120,7 +104,7 @@ let row_of ~(coll : collector) (cw : Exp.compiled_workload)
   in
   {
     bench = cw.Exp.workload.name;
-    collector = collector_name coll;
+    collector = Jrt.Runner.collector_name coll;
     stores;
     del_elided;
     del_paid;
@@ -134,34 +118,36 @@ let row_of ~(coll : collector) (cw : Exp.compiled_workload)
     violations;
   }
 
-let add_row (r : row) : row =
-  Telemetry.add_row ~table:"hybrid"
-    [
-      ("bench", Telemetry.Str r.bench);
-      ("collector", Telemetry.Str r.collector);
-      ("stores", Telemetry.Int r.stores);
-      ("del_elided", Telemetry.Int r.del_elided);
-      ("del_paid", Telemetry.Int r.del_paid);
-      ("ins_elided", Telemetry.Int r.ins_elided);
-      ("ins_paid", Telemetry.Int r.ins_paid);
-      ("both_elided", Telemetry.Int r.both_elided);
-      ("del_elide_pct", Telemetry.Float r.del_elide_pct);
-      ("ins_elide_pct", Telemetry.Float r.ins_elide_pct);
-      ("both_elide_pct", Telemetry.Float r.both_elide_pct);
-      ("cycles", Telemetry.Int r.cycles);
-      ("violations", Telemetry.Int r.violations);
-    ];
-  r
-
 let measure () : row list =
-  Telemetry.clear_table "hybrid";
   let compiled = compile_all () in
   List.concat_map
     (fun cw ->
       List.map
-        (fun coll -> add_row (row_of ~coll cw (run_one ~coll cw)))
-        all_collectors)
+        (fun coll -> row_of ~coll cw (run_one ~coll cw))
+        Jrt.Runner.collectors)
     compiled
+
+let to_json (rows : row list) : Telemetry.json =
+  Telemetry.List
+    (List.map
+       (fun r ->
+         Telemetry.Obj
+           [
+             ("bench", Str r.bench);
+             ("collector", Str r.collector);
+             ("stores", Int r.stores);
+             ("del_elided", Int r.del_elided);
+             ("del_paid", Int r.del_paid);
+             ("ins_elided", Int r.ins_elided);
+             ("ins_paid", Int r.ins_paid);
+             ("both_elided", Int r.both_elided);
+             ("del_elide_pct", Float r.del_elide_pct);
+             ("ins_elide_pct", Float r.ins_elide_pct);
+             ("both_elide_pct", Float r.both_elide_pct);
+             ("cycles", Int r.cycles);
+             ("violations", Int r.violations);
+           ])
+       rows)
 
 (** The chaos fault plans of the soundness sweep; each runs under the
     hybrid collector with guards wired and revocation on. *)
@@ -174,7 +160,6 @@ let chaos_plans : (string * Jrt.Chaos.fault list) list =
   ]
 
 let measure_chaos ?(seed = 1) () : chaos_row list =
-  Telemetry.clear_table "hybrid_chaos";
   let compiled = compile_all () in
   List.concat_map
     (fun (plan, faults) ->
@@ -184,7 +169,7 @@ let measure_chaos ?(seed = 1) () : chaos_row list =
             Jrt.Chaos.create
               { Jrt.Chaos.seed; faults; quantum = None; gc_period = None }
           in
-          let r = run_one ~coll:Chybrid ~chaos ~seed cw in
+          let r = run_one ~coll:Hybrid ~chaos ~seed cw in
           let violations, rescans =
             match r.Jrt.Runner.gc with
             | Some g ->
@@ -192,28 +177,31 @@ let measure_chaos ?(seed = 1) () : chaos_row list =
                   List.fold_left ( + ) 0 g.Jrt.Runner.retraced )
             | None -> (0, 0)
           in
-          let row =
-            {
-              c_plan = plan;
-              c_bench = cw.Exp.workload.name;
-              c_violations = violations;
-              c_revocations = r.machine.Jrt.Interp.revocation_events;
-              c_revoked_sites = r.machine.Jrt.Interp.revoked_sites;
-              c_rescans = rescans;
-            }
-          in
-          Telemetry.add_row ~table:"hybrid_chaos"
-            [
-              ("plan", Telemetry.Str row.c_plan);
-              ("bench", Telemetry.Str row.c_bench);
-              ("violations", Telemetry.Int row.c_violations);
-              ("revocations", Telemetry.Int row.c_revocations);
-              ("revoked_sites", Telemetry.Int row.c_revoked_sites);
-              ("rescans", Telemetry.Int row.c_rescans);
-            ];
-          row)
+          {
+            c_plan = plan;
+            c_bench = cw.Exp.workload.name;
+            c_violations = violations;
+            c_revocations = r.machine.Jrt.Interp.revocation_events;
+            c_revoked_sites = r.machine.Jrt.Interp.revoked_sites;
+            c_rescans = rescans;
+          })
         compiled)
     chaos_plans
+
+let chaos_to_json (rows : chaos_row list) : Telemetry.json =
+  Telemetry.List
+    (List.map
+       (fun r ->
+         Telemetry.Obj
+           [
+             ("plan", Str r.c_plan);
+             ("bench", Str r.c_bench);
+             ("violations", Int r.c_violations);
+             ("revocations", Int r.c_revocations);
+             ("revoked_sites", Int r.c_revoked_sites);
+             ("rescans", Int r.c_rescans);
+           ])
+       rows)
 
 let render (rows : row list) : string =
   let body =
@@ -266,11 +254,11 @@ let render_chaos (rows : chaos_row list) : string =
     ~align:[ Tablefmt.L; L; R; R; R; R ]
     body
 
-let print () =
+let print (rows : row list) (chaos : chaos_row list) =
   print_endline "per-collector, per-half dynamic elision:";
-  print_endline (render (measure ()));
+  print_endline (render rows);
   print_endline "";
   print_endline
     "chaos soundness sweep under hybrid (guards + revocation on; every \
      row must show 0 violations):";
-  print_endline (render_chaos (measure_chaos ()))
+  print_endline (render_chaos chaos)

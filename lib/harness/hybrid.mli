@@ -3,11 +3,6 @@
     sweep under the hybrid collector with guards and revocation on.
     See the implementation header for the full experimental setup. *)
 
-type collector = Csatb | Cincr | Cretrace | Chybrid
-
-val collector_name : collector -> string
-val all_collectors : collector list
-
 type row = {
   bench : string;
   collector : string;
@@ -34,14 +29,19 @@ type chaos_row = {
 }
 
 val measure : unit -> row list
-(** The elision table: four collectors crossed with the six workloads;
-    populates the ["hybrid"] telemetry table (gated per-half by the
-    bench regression gate). *)
+(** The elision table: four collectors crossed with the six
+    workloads. *)
 
 val measure_chaos : ?seed:int -> unit -> chaos_row list
 (** The soundness sweep: late-spawn, barrier-skip and class-load fault
-    plans under the hybrid collector; populates ["hybrid_chaos"]. *)
+    plans under the hybrid collector. *)
+
+val to_json : row list -> Telemetry.json
+(** The [hybrid] table of BENCH_hybrid.json, gated per half. *)
+
+val chaos_to_json : chaos_row list -> Telemetry.json
+(** The [hybrid_chaos] table of BENCH_hybrid.json. *)
 
 val render : row list -> string
 val render_chaos : chaos_row list -> string
-val print : unit -> unit
+val print : row list -> chaos_row list -> unit

@@ -108,26 +108,21 @@ let compile_all () =
     (fun w -> Exp.compile ~null_or_same:true ~summaries:true w)
     Workloads.Registry.table1
 
-let gc_of ~(pacing : Jrt.Pacer.config) = function
-  | Hybrid.Csatb -> Jrt.Runner.make_satb ~pacing ()
-  | Hybrid.Cincr -> Jrt.Runner.make_incr ~pacing ()
-  | Hybrid.Cretrace -> Jrt.Runner.make_retrace ~pacing ()
-  | Hybrid.Chybrid -> Jrt.Runner.make_hybrid ~pacing ()
-
-let run_one ~(coll : Hybrid.collector) ~(pacing : Jrt.Pacer.config) ?chaos
-    ?seed (cw : Exp.compiled_workload) : Jrt.Runner.report =
-  Exp.run ~gc:(gc_of ~pacing coll) ~guards:true ~fail_on_thread_error:false
-    ?chaos ?seed cw
+let run_one ~(coll : Jrt.Runner.collector) ~(pacing : Jrt.Pacer.config)
+    ?chaos ?seed (cw : Exp.compiled_workload) : Jrt.Runner.report =
+  Exp.run ~gc:(Jrt.Runner.make ~pacing coll) ~guards:true
+    ~fail_on_thread_error:false ?chaos ?seed cw
 
 (** Peak live units of a policy-free run — the yardstick the [soft]
     rows derive their limit from. *)
-let probe_peak ~(coll : Hybrid.collector) (cw : Exp.compiled_workload) : int =
+let probe_peak ~(coll : Jrt.Runner.collector) (cw : Exp.compiled_workload) :
+    int =
   let r = run_one ~coll ~pacing:Jrt.Pacer.default_config cw in
   match r.Jrt.Runner.pacer with
   | Some p -> max 1 p.Jrt.Pacer.p_max_live_units
   | None -> 1
 
-let row_of ~(coll : Hybrid.collector) ~(policy : string)
+let row_of ~(coll : Jrt.Runner.collector) ~(policy : string)
     (cw : Exp.compiled_workload) (r : Jrt.Runner.report) : row =
   let m = r.Jrt.Runner.machine in
   let sum f =
@@ -159,7 +154,7 @@ let row_of ~(coll : Hybrid.collector) ~(policy : string)
   let w10 = max 1 (Profile.Stats.total_time tl / 10) in
   {
     bench = cw.Exp.workload.name;
-    collector = Hybrid.collector_name coll;
+    collector = Jrt.Runner.collector_name coll;
     policy;
     stores;
     elide_pct = pct elided stores;
@@ -176,29 +171,7 @@ let row_of ~(coll : Hybrid.collector) ~(policy : string)
     pauses;
   }
 
-let add_row (r : row) : row =
-  Telemetry.add_row ~table:"pacing"
-    [
-      ("bench", Telemetry.Str r.bench);
-      ("collector", Telemetry.Str r.collector);
-      ("policy", Telemetry.Str r.policy);
-      ("stores", Telemetry.Int r.stores);
-      ("elide_pct", Telemetry.Float r.elide_pct);
-      ("cycles", Telemetry.Int r.cycles);
-      ("degraded_cycles", Telemetry.Int r.degraded_cycles);
-      ("assists", Telemetry.Int r.assists);
-      ("p50", Telemetry.Int r.p50);
-      ("p99", Telemetry.Int r.p99);
-      ("max_pause", Telemetry.Int r.max_pause);
-      ("mmu_10", Telemetry.Float r.mmu_10);
-      ("max_live", Telemetry.Int r.max_live);
-      ("violations", Telemetry.Int r.violations);
-      ("hard_stops", Telemetry.Int r.hard_stops);
-    ];
-  r
-
 let measure () : row list =
-  Telemetry.clear_table "pacing";
   let compiled = compile_all () in
   List.concat_map
     (fun (cw : Exp.compiled_workload) ->
@@ -211,12 +184,35 @@ let measure () : row list =
           in
           List.map
             (fun p ->
-              add_row
-                (row_of ~coll ~policy:p.p_name cw
-                   (run_one ~coll ~pacing:p.p_config cw)))
+              row_of ~coll ~policy:p.p_name cw
+                (run_one ~coll ~pacing:p.p_config cw))
             policies)
-        Hybrid.all_collectors)
+        Jrt.Runner.collectors)
     compiled
+
+let to_json (rows : row list) : Telemetry.json =
+  Telemetry.List
+    (List.map
+       (fun r ->
+         Telemetry.Obj
+           [
+             ("bench", Str r.bench);
+             ("collector", Str r.collector);
+             ("policy", Str r.policy);
+             ("stores", Int r.stores);
+             ("elide_pct", Float r.elide_pct);
+             ("cycles", Int r.cycles);
+             ("degraded_cycles", Int r.degraded_cycles);
+             ("assists", Int r.assists);
+             ("p50", Int r.p50);
+             ("p99", Int r.p99);
+             ("max_pause", Int r.max_pause);
+             ("mmu_10", Float r.mmu_10);
+             ("max_live", Int r.max_live);
+             ("violations", Int r.violations);
+             ("hard_stops", Int r.hard_stops);
+           ])
+       rows)
 
 (* ---- chaos sub-sweep ---------------------------------------------------- *)
 
@@ -229,7 +225,6 @@ let chaos_plans : (string * Jrt.Chaos.fault list) list =
   ]
 
 let measure_chaos ?(seed = 1) () : chaos_row list =
-  Telemetry.clear_table "pacing_chaos";
   let compiled = compile_all () in
   List.concat_map
     (fun (plan, faults) ->
@@ -259,35 +254,36 @@ let measure_chaos ?(seed = 1) () : chaos_row list =
                 | None -> 0
               in
               let cs = Jrt.Chaos.stats chaos in
-              let row =
-                {
-                  c_plan = plan;
-                  c_bench = cw.Exp.workload.name;
-                  c_collector = Hybrid.collector_name coll;
-                  c_violations = violations;
-                  c_degraded_cycles = degraded;
-                  c_injected =
-                    cs.Jrt.Chaos.spike_allocs + cs.Jrt.Chaos.ramp_allocs;
-                  c_hard_stops =
-                    (match r.Jrt.Runner.hard_stop with
-                    | Some _ -> 1
-                    | None -> 0);
-                }
-              in
-              Telemetry.add_row ~table:"pacing_chaos"
-                [
-                  ("plan", Telemetry.Str row.c_plan);
-                  ("bench", Telemetry.Str row.c_bench);
-                  ("collector", Telemetry.Str row.c_collector);
-                  ("violations", Telemetry.Int row.c_violations);
-                  ("degraded_cycles", Telemetry.Int row.c_degraded_cycles);
-                  ("injected", Telemetry.Int row.c_injected);
-                  ("hard_stops", Telemetry.Int row.c_hard_stops);
-                ];
-              row)
-            Hybrid.all_collectors)
+              {
+                c_plan = plan;
+                c_bench = cw.Exp.workload.name;
+                c_collector = Jrt.Runner.collector_name coll;
+                c_violations = violations;
+                c_degraded_cycles = degraded;
+                c_injected =
+                  cs.Jrt.Chaos.spike_allocs + cs.Jrt.Chaos.ramp_allocs;
+                c_hard_stops =
+                  (match r.Jrt.Runner.hard_stop with Some _ -> 1 | None -> 0);
+              })
+            Jrt.Runner.collectors)
         compiled)
     chaos_plans
+
+let chaos_to_json (rows : chaos_row list) : Telemetry.json =
+  Telemetry.List
+    (List.map
+       (fun r ->
+         Telemetry.Obj
+           [
+             ("plan", Str r.c_plan);
+             ("bench", Str r.c_bench);
+             ("collector", Str r.c_collector);
+             ("violations", Int r.c_violations);
+             ("degraded_cycles", Int r.c_degraded_cycles);
+             ("injected", Int r.c_injected);
+             ("hard_stops", Int r.c_hard_stops);
+           ])
+       rows)
 
 (* ---- the auto-vs-fixed summary ------------------------------------------ *)
 
@@ -314,54 +310,49 @@ let summarize (rows : row list) : summary_row list =
         not (r.bench = bench && r.policy = policy) || r.cycles > 0)
       rows
   in
-  let srows =
-    List.map
-      (fun bench ->
-        let candidates =
-          match
-            List.filter (fun p -> qualifies bench p.p_name) fixed_policies
-          with
-          | [] -> fixed_policies
-          | qs -> qs
-        in
-        let best_fixed, best_fixed_p99 =
-          List.fold_left
-            (fun (bn, bp) p ->
-              let v = pooled_p99 bench p.p_name in
-              if v < bp then (p.p_name, v) else (bn, bp))
-            ("?", max_int) candidates
-        in
-        let auto_p99 = pooled_p99 bench "auto" in
-        {
-          s_bench = bench;
-          s_best_fixed = best_fixed;
-          s_best_fixed_p99 = best_fixed_p99;
-          s_auto_p99 = auto_p99;
-          s_auto_win = auto_p99 <= best_fixed_p99;
-        })
-      benches
-  in
-  Telemetry.clear_table "pacing_summary";
-  List.iter
-    (fun s ->
-      Telemetry.add_row ~table:"pacing_summary"
-        [
-          ("bench", Telemetry.Str s.s_bench);
-          ("best_fixed", Telemetry.Str s.s_best_fixed);
-          ("best_fixed_p99", Telemetry.Int s.s_best_fixed_p99);
-          ("auto_p99", Telemetry.Int s.s_auto_p99);
-          ("auto_win", Telemetry.Int (if s.s_auto_win then 1 else 0));
-        ])
-    srows;
-  let losses =
-    List.length (List.filter (fun s -> not s.s_auto_win) srows)
-  in
-  Telemetry.add_row ~table:"pacing_summary"
-    [
-      ("bench", Telemetry.Str "TOTAL");
-      ("auto_losses", Telemetry.Int losses);
-    ];
-  srows
+  List.map
+    (fun bench ->
+      let candidates =
+        match
+          List.filter (fun p -> qualifies bench p.p_name) fixed_policies
+        with
+        | [] -> fixed_policies
+        | qs -> qs
+      in
+      let best_fixed, best_fixed_p99 =
+        List.fold_left
+          (fun (bn, bp) p ->
+            let v = pooled_p99 bench p.p_name in
+            if v < bp then (p.p_name, v) else (bn, bp))
+          ("?", max_int) candidates
+      in
+      let auto_p99 = pooled_p99 bench "auto" in
+      {
+        s_bench = bench;
+        s_best_fixed = best_fixed;
+        s_best_fixed_p99 = best_fixed_p99;
+        s_auto_p99 = auto_p99;
+        s_auto_win = auto_p99 <= best_fixed_p99;
+      })
+    benches
+
+(* the [pacing_summary] table: one row per bench, then a TOTAL row
+   carrying the number of losing benches, which the gate bounds *)
+let summary_to_json (srows : summary_row list) : Telemetry.json =
+  let losses = List.length (List.filter (fun s -> not s.s_auto_win) srows) in
+  Telemetry.List
+    (List.map
+       (fun s ->
+         Telemetry.Obj
+           [
+             ("bench", Str s.s_bench);
+             ("best_fixed", Str s.s_best_fixed);
+             ("best_fixed_p99", Int s.s_best_fixed_p99);
+             ("auto_p99", Int s.s_auto_p99);
+             ("auto_win", Int (if s.s_auto_win then 1 else 0));
+           ])
+       srows
+    @ [ Telemetry.Obj [ ("bench", Str "TOTAL"); ("auto_losses", Int losses) ] ])
 
 (* ---- rendering ---------------------------------------------------------- *)
 
@@ -451,17 +442,17 @@ let render_summary (rows : summary_row list) : string =
     ~align:[ Tablefmt.L; L; R; R; L ]
     body
 
-let print () =
-  let rows = measure () in
+let print (rows : row list) (summary : summary_row list)
+    (chaos : chaos_row list) =
   print_endline
     "pacing sweep (all rows must show 0 violations and 0 hard stops; \
      'soft' rows must degrade, not die):";
   print_endline (render rows);
   print_endline "";
   print_endline "auto vs best fixed trigger (pauses pooled per bench):";
-  print_endline (render_summary (summarize rows));
+  print_endline (render_summary summary);
   print_endline "";
   print_endline
     "chaos allocation faults on top of the soft limit (0 violations \
      required):";
-  print_endline (render_chaos (measure_chaos ()))
+  print_endline (render_chaos chaos)

@@ -2,8 +2,8 @@
     goals, soft limits (degrade-don't-die) and MMU-driven auto-tuning
     across the Table 1 workloads and all four collectors; plus a chaos
     sub-sweep injecting allocation spikes and memory-pressure ramps on
-    top of the soft limit.  Fills the [pacing], [pacing_chaos] and
-    [pacing_summary] telemetry tables the bench gate checks. *)
+    top of the soft limit.  BENCH_pacing.json holds the three tables the
+    bench gate checks: [pacing], [pacing_summary] and [pacing_chaos]. *)
 
 type policy = { p_name : string; p_config : Jrt.Pacer.config }
 
@@ -52,7 +52,7 @@ type summary_row = {
   s_auto_win : bool;
 }
 
-val probe_peak : coll:Hybrid.collector -> Exp.compiled_workload -> int
+val probe_peak : coll:Jrt.Runner.collector -> Exp.compiled_workload -> int
 (** Peak live units of a policy-free run — the yardstick the [soft]
     rows derive their limit from. *)
 
@@ -64,11 +64,16 @@ val measure_chaos : ?seed:int -> unit -> chaos_row list
 
 val summarize : row list -> summary_row list
 (** Pool each bench's pauses across collectors; compare auto's p99 to
-    the best fixed trigger's.  Appends a TOTAL row carrying
-    [auto_losses] for the gate. *)
+    the best fixed trigger's. *)
+
+val to_json : row list -> Telemetry.json
+val chaos_to_json : chaos_row list -> Telemetry.json
+
+val summary_to_json : summary_row list -> Telemetry.json
+(** The summary rows, then a TOTAL row carrying [auto_losses] for the
+    gate. *)
 
 val render : row list -> string
 val render_chaos : chaos_row list -> string
 val render_summary : summary_row list -> string
-
-val print : unit -> unit
+val print : row list -> summary_row list -> chaos_row list -> unit

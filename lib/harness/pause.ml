@@ -35,11 +35,16 @@ let measure_one (w : Workloads.Spec.t) : row =
      about stores of fresh pointers into already-scanned objects even when
      the overwritten value was null.  The retrace run adds the §4.3
      swap/move-down elisions the retrace protocol exists for. *)
-  let go ~use_policy ~swap name gc =
+  let go (coll : Jrt.Runner.collector) (use_policy, swap) =
+    let name = Jrt.Runner.collector_name coll in
     let cw =
       if swap then Exp.compile ~move_down:true ~swap:true w else Exp.compile w
     in
-    let r = Exp.run ~use_policy ~gc cw in
+    let r =
+      Exp.run ~use_policy
+        ~gc:(Jrt.Runner.make ~steps_per_increment ~pacing coll)
+        cw
+    in
     match r.Jrt.Runner.gc with
     | Some g ->
         if g.Jrt.Runner.total_violations > 0 then
@@ -65,53 +70,56 @@ let measure_one (w : Workloads.Spec.t) : row =
           utilization = 1.0;
         }
   in
-  let satb =
-    go ~use_policy:true ~swap:false "satb"
-      (Jrt.Runner.Satb { steps_per_increment; pacing })
+  (* elision policy and the swap/move-down compile, per collector; the
+     hybrid barrier has its own experiment (E15) *)
+  let settings : Jrt.Runner.collector -> (bool * bool) option = function
+    | Satb -> Some (true, false)
+    | Incr -> Some (false, false)
+    | Retrace -> Some (true, true)
+    | Hybrid -> None
   in
-  let incr =
-    go ~use_policy:false ~swap:false "incr"
-      (Jrt.Runner.Incr { steps_per_increment; pacing })
+  let collectors =
+    List.filter_map
+      (fun c -> Option.map (go c) (settings c))
+      Jrt.Runner.collectors
   in
-  let retrace =
-    go ~use_policy:true ~swap:true "retrace"
-      (Jrt.Runner.Retrace { steps_per_increment; pacing })
+  let max_pause name =
+    (List.find (fun c -> c.collector = name) collectors).pauses
+      .Profile.Stats.d_max
   in
   {
     bench = w.name;
-    collectors = [ satb; incr; retrace ];
+    collectors;
     ratio =
       (* a zero SATB pause is reported as if it cost one unit *)
-      float_of_int incr.pauses.Profile.Stats.d_max
-      /. float_of_int (max 1 satb.pauses.Profile.Stats.d_max);
+      float_of_int (max_pause "incr")
+      /. float_of_int (max 1 (max_pause "satb"));
   }
 
-let measure () : row list =
-  (* the shared row table is the single source of truth behind the
-     rendered table, BENCH_pause.json and the regression gate *)
-  Telemetry.clear_table "pause";
-  let rows = List.map measure_one Workloads.Registry.table1 in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun c ->
-          let d = c.pauses in
-          Telemetry.add_row ~table:"pause"
-            [
-              ("bench", Telemetry.Str r.bench);
-              ("collector", Telemetry.Str c.collector);
-              ("cycles", Telemetry.Int c.cycles);
-              ("pauses", Telemetry.Int d.Profile.Stats.d_count);
-              ("p50", Telemetry.Int d.Profile.Stats.d_p50);
-              ("p90", Telemetry.Int d.Profile.Stats.d_p90);
-              ("p99", Telemetry.Int d.Profile.Stats.d_p99);
-              ("max", Telemetry.Int d.Profile.Stats.d_max);
-              ("mmu_10", Telemetry.Float c.mmu_10);
-              ("utilization", Telemetry.Float c.utilization);
-            ])
-        r.collectors)
-    rows;
-  rows
+let measure () : row list = List.map measure_one Workloads.Registry.table1
+
+let to_json (rows : row list) : Telemetry.json =
+  Telemetry.List
+    (List.concat_map
+       (fun r ->
+         List.map
+           (fun c ->
+             let d = c.pauses in
+             Telemetry.Obj
+               [
+                 ("bench", Str r.bench);
+                 ("collector", Str c.collector);
+                 ("cycles", Int c.cycles);
+                 ("pauses", Int d.Profile.Stats.d_count);
+                 ("p50", Int d.Profile.Stats.d_p50);
+                 ("p90", Int d.Profile.Stats.d_p90);
+                 ("p99", Int d.Profile.Stats.d_p99);
+                 ("max", Int d.Profile.Stats.d_max);
+                 ("mmu_10", Float c.mmu_10);
+                 ("utilization", Float c.utilization);
+               ])
+           r.collectors)
+       rows)
 
 let render (rows : row list) : string =
   let body =
@@ -156,5 +164,3 @@ let render (rows : row list) : string =
       ]
     ~align:[ Tablefmt.L; L; R; R; R; R; R; R; R; R; R ]
     body
-
-let print () = print_endline (render (measure ()))

@@ -7,9 +7,7 @@
     SATB-specific) and the retrace collector (swap + move-down
     elision).  Instead of the old max-only view, each run reports the
     full pause distribution (p50/p90/p99/max), MMU at a 10% window and
-    overall mutator utilization, via the shared [Profile.Stats] code.
-    Rows feed the ["pause"] telemetry table behind BENCH_pause.json and
-    the bench regression gate. *)
+    overall mutator utilization, via the shared [Profile.Stats] code. *)
 
 type coll = {
   collector : string;  (** ["satb"], ["incr"] or ["retrace"] *)
@@ -33,7 +31,10 @@ val measure_one : Workloads.Spec.t -> row
     increment. *)
 
 val measure : unit -> row list
-(** All Table-1 workloads; repopulates the ["pause"] telemetry table. *)
+(** All Table-1 workloads. *)
+
+val to_json : row list -> Telemetry.json
+(** The [pause] table of BENCH_pause.json and the regression gate: one
+    row per benchmark and collector. *)
 
 val render : row list -> string
-val print : unit -> unit

@@ -36,22 +36,24 @@ let measure ?(workload = Workloads.Db.t) () : result =
   (* the "diff" direction is full-vs-baseline, so an *improvement* shows
      up as a (desired) elision-rate gain, not a regression *)
   let diff = Profile.Attr.diff ~baseline full in
-  Telemetry.clear_table "profile";
-  List.iter
-    (fun (variant, p) ->
-      Telemetry.add_row ~table:"profile"
-        [
-          ("workload", Telemetry.Str workload.Workloads.Spec.name);
-          ("variant", Telemetry.Str variant);
-          ("elision_pct", Telemetry.Float (Profile.Attr.elision_rate p));
-          ("barrier_units", Telemetry.Int p.Profile.Attr.p_totals.t_barrier_units);
-          ("units_per_kstep", Telemetry.Float (Profile.Attr.units_per_kstep p));
-          ("pause_p99", Telemetry.Int p.Profile.Attr.p_pauses.Profile.Stats.d_p99);
-          ("pause_max", Telemetry.Int p.Profile.Attr.p_pauses.Profile.Stats.d_max);
-          ("utilization", Telemetry.Float p.Profile.Attr.p_utilization);
-        ])
-    [ ("plain", baseline); ("full", full) ];
   { workload = workload.Workloads.Spec.name; baseline; full; diff }
+
+let to_json (r : result) : Telemetry.json =
+  Telemetry.List
+    (List.map
+       (fun (variant, p) ->
+         Telemetry.Obj
+           [
+             ("workload", Str r.workload);
+             ("variant", Str variant);
+             ("elision_pct", Float (Profile.Attr.elision_rate p));
+             ("barrier_units", Int p.Profile.Attr.p_totals.t_barrier_units);
+             ("units_per_kstep", Float (Profile.Attr.units_per_kstep p));
+             ("pause_p99", Int p.Profile.Attr.p_pauses.Profile.Stats.d_p99);
+             ("pause_max", Int p.Profile.Attr.p_pauses.Profile.Stats.d_max);
+             ("utilization", Float p.Profile.Attr.p_utilization);
+           ])
+       [ ("plain", r.baseline); ("full", r.full) ])
 
 let render (r : result) : string =
   let b = Buffer.create 4096 in
@@ -65,5 +67,3 @@ let render (r : result) : string =
   Buffer.add_string b "\n-- full vs plain --\n";
   Buffer.add_string b (Profile.Attr.render_diff r.diff);
   Buffer.contents b
-
-let print () = print_endline (render (measure ()))

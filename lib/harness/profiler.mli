@@ -8,8 +8,7 @@
     [db]'s shell-sort swap loop; the full run elides them pairwise and
     the hot-site table shows the same sites flip from paid to elided,
     with the analysis provenance inlined.  Both profiles are self-checked
-    against the interpreter counters ({!Profile.Attr.reconciles}) and
-    feed the ["profile"] telemetry table. *)
+    against the interpreter counters ({!Profile.Attr.reconciles}). *)
 
 type result = {
   workload : string;
@@ -22,5 +21,7 @@ val measure : ?workload:Workloads.Spec.t -> unit -> result
 (** Defaults to [db].  Fails if either profile does not reconcile with
     the interpreter's global counters. *)
 
+val to_json : result -> Telemetry.json
+(** The [profile] table of BENCH_profile.json: one row per variant. *)
+
 val render : result -> string
-val print : unit -> unit

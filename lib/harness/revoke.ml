@@ -17,15 +17,12 @@
     snapshot oracle, demonstrating both halves of the
     speculate-and-revoke contract. *)
 
-type collector = Csatb | Cretrace
-
-let collector_name = function Csatb -> "satb" | Cretrace -> "retrace"
+(* the SATB-family collectors, plain and retrace *)
+let collectors = Jrt.Runner.[ Satb; Retrace ]
 
 let gc_of ?(steps_per_increment = 8) coll =
-  let pacing = Jrt.Pacer.config_of_trigger 24 in
-  match coll with
-  | Csatb -> Jrt.Runner.make_satb ~pacing ~steps_per_increment ()
-  | Cretrace -> Jrt.Runner.make_retrace ~pacing ~steps_per_increment ()
+  Jrt.Runner.make ~pacing:(Jrt.Pacer.config_of_trigger 24)
+    ~steps_per_increment coll
 
 (** The fault plans of the revocation-enabled sweep.  [budget-overflow]
     drives the termination watchdog: marking is slowed to one gray entry
@@ -75,7 +72,7 @@ let compile_all () =
     Workloads.Registry.table1
 
 let run_one ~revoke ~plan_name ~faults ~budget ?steps_per_increment ~seed
-    ~(coll : collector) (cw : Exp.compiled_workload) : row =
+    ~(coll : Jrt.Runner.collector) (cw : Exp.compiled_workload) : row =
   let chaos =
     match faults with
     | [] -> None
@@ -104,7 +101,7 @@ let run_one ~revoke ~plan_name ~faults ~budget ?steps_per_increment ~seed
   in
   {
     plan = plan_name;
-    collector = collector_name coll;
+    collector = Jrt.Runner.collector_name coll;
     bench = cw.Exp.workload.name;
     violations;
     revocations = r.machine.Jrt.Interp.revocation_events;
@@ -114,24 +111,8 @@ let run_one ~revoke ~plan_name ~faults ~budget ?steps_per_increment ~seed
     retraces;
   }
 
-let add_row (r : row) : row =
-  Telemetry.add_row ~table:"revoke"
-    [
-      ("plan", Telemetry.Str r.plan);
-      ("collector", Telemetry.Str r.collector);
-      ("benchmark", Telemetry.Str r.bench);
-      ("violations", Telemetry.Int r.violations);
-      ("revocations", Telemetry.Int r.revocations);
-      ("revoked_sites", Telemetry.Int r.revoked_sites);
-      ("degradations", Telemetry.Int r.degradations);
-      ("damage", Telemetry.Int r.damage);
-      ("retraces", Telemetry.Int r.retraces);
-    ];
-  r
-
 (** The revocation-enabled sweep: every row must report 0 violations. *)
 let measure () : row list =
-  Telemetry.clear_table "revoke";
   let compiled = compile_all () in
   List.concat_map
     (fun (plan_name, faults, budget, steps_per_increment) ->
@@ -139,18 +120,16 @@ let measure () : row list =
         (fun coll ->
           List.map
             (fun cw ->
-              add_row
-                (run_one ~revoke:true ~plan_name ~faults ~budget
-                   ~steps_per_increment ~seed:1 ~coll cw))
+              run_one ~revoke:true ~plan_name ~faults ~budget
+                ~steps_per_increment ~seed:1 ~coll cw)
             compiled)
-        [ Csatb; Cretrace ])
+        collectors)
     plans
 
 (** The revocation-disabled counterpart on the workloads with guarded
     elisions: the oracle must catch the late spawn somewhere, and must
     catch every barrier skip (no guard covers it). *)
 let measure_caught ?(seeds = [ 1; 2 ]) () : caught_row list =
-  Telemetry.clear_table "revoke_caught";
   let guarded =
     List.filter
       (fun (cw : Exp.compiled_workload) ->
@@ -175,14 +154,6 @@ let measure_caught ?(seeds = [ 1; 2 ]) () : caught_row list =
                     run_one ~revoke:false ~plan_name ~faults ~budget:None
                       ~seed ~coll cw
                   in
-                  Telemetry.add_row ~table:"revoke_caught"
-                    [
-                      ("plan", Telemetry.Str plan_name);
-                      ("collector", Telemetry.Str r.collector);
-                      ("benchmark", Telemetry.Str r.bench);
-                      ("seed", Telemetry.Int seed);
-                      ("violations", Telemetry.Int r.violations);
-                    ];
                   {
                     c_plan = plan_name;
                     c_collector = r.collector;
@@ -192,7 +163,7 @@ let measure_caught ?(seeds = [ 1; 2 ]) () : caught_row list =
                   })
                 seeds)
             guarded)
-        [ Csatb; Cretrace ])
+        collectors)
     negative_plans
 
 let render (rows : row list) : string =

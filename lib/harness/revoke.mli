@@ -3,8 +3,6 @@
     expected violation-free) and its revocation-disabled counterpart
     (the oracle must catch late spawns and barrier skips). *)
 
-type collector = Csatb | Cretrace
-
 type row = {
   plan : string;
   collector : string;

@@ -56,38 +56,38 @@ let measure_one (w : Workloads.Spec.t) ~limit : point =
     | Some tbl -> (Satb_core.Summary.n_methods tbl, Satb_core.Summary.n_havoced tbl)
     | None -> (0, 0)
   in
-  let p =
-    {
-      bench = w.name;
-      limit;
-      static_off = stat off;
-      static_on = stat on;
-      elim_off = elim off;
-      elim_on = elim on;
-      sum_methods;
-      sum_havoced;
-    }
-  in
-  (* field names match the BENCH_fig2.json artifact, which is generated
-     straight from this table *)
-  Telemetry.add_row ~table:"fig2_summaries"
-    [
-      ("benchmark", Telemetry.Str p.bench);
-      ("inline_limit", Telemetry.Int p.limit);
-      ("static_elided_havoc", Telemetry.Int p.static_off);
-      ("static_elided_summaries", Telemetry.Int p.static_on);
-      ("elim_pct_havoc", Telemetry.Float p.elim_off);
-      ("elim_pct_summaries", Telemetry.Float p.elim_on);
-      ("summary_methods", Telemetry.Int p.sum_methods);
-      ("summary_havoced", Telemetry.Int p.sum_havoced);
-    ];
-  p
+  {
+    bench = w.name;
+    limit;
+    static_off = stat off;
+    static_on = stat on;
+    elim_off = elim off;
+    elim_on = elim on;
+    sum_methods;
+    sum_havoced;
+  }
 
 let measure () : point list =
-  Telemetry.clear_table "fig2_summaries";
   List.concat_map
     (fun w -> List.map (fun limit -> measure_one w ~limit) limits)
     Workloads.Registry.table1
+
+let to_json (points : point list) : Telemetry.json =
+  Telemetry.List
+    (List.map
+       (fun p ->
+         Telemetry.Obj
+           [
+             ("benchmark", Str p.bench);
+             ("inline_limit", Int p.limit);
+             ("static_elided_havoc", Int p.static_off);
+             ("static_elided_summaries", Int p.static_on);
+             ("elim_pct_havoc", Float p.elim_off);
+             ("elim_pct_summaries", Float p.elim_on);
+             ("summary_methods", Int p.sum_methods);
+             ("summary_havoced", Int p.sum_havoced);
+           ])
+       points)
 
 (** The chaos sweep: summary-compiled at inline limit 0, guards wired,
     plain SATB collector.  [seeded] exercises {!Jrt.Chaos.of_seed}'s
@@ -116,7 +116,6 @@ let chaos_plans ~seed : (string * Jrt.Chaos.plan) list =
   ]
 
 let measure_chaos ?(seeds = [ 1; 2; 3 ]) () : chaos_row list =
-  Telemetry.clear_table "summaries_chaos";
   let compiled =
     List.map
       (fun w -> Exp.compile ~inline_limit:0 ~summaries:true w)
@@ -139,18 +138,6 @@ let measure_chaos ?(seeds = [ 1; 2; 3 ]) () : chaos_row list =
                 match r.gc with Some g -> g.total_violations | None -> 0
               in
               let s = Jrt.Chaos.stats chaos in
-              Telemetry.add_row ~table:"summaries_chaos"
-                [
-                  ("benchmark", Telemetry.Str cw.Exp.workload.name);
-                  ("plan", Telemetry.Str plan_name);
-                  ("seed", Telemetry.Int seed);
-                  ("violations", Telemetry.Int violations);
-                  ( "revocations",
-                    Telemetry.Int r.machine.Jrt.Interp.revocation_events );
-                  ( "revoked_sites",
-                    Telemetry.Int r.machine.Jrt.Interp.revoked_sites );
-                  ("class_loads", Telemetry.Int s.Jrt.Chaos.class_loads);
-                ];
               {
                 c_bench = cw.Exp.workload.name;
                 c_plan = plan_name;
@@ -235,8 +222,7 @@ let render_chaos (rows : chaos_row list) : string =
     ~align:[ Tablefmt.L; L; R; R; R; R; R ]
     body
 
-let print () =
-  let points = measure () in
+let print (points : point list) =
   print_endline (render points);
   let gained =
     List.filter (fun p -> p.limit = 0 && p.static_on > p.static_off) points

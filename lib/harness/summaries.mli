@@ -36,6 +36,12 @@ val measure_chaos : ?seeds:int list -> unit -> chaos_row list
     workloads at inline limit 0 with guards wired: the [Closed_world]
     revocation must keep every run violation-free. *)
 
+val to_json : point list -> Telemetry.json
+(** The [fig2_summaries] table of BENCH_fig2.json. *)
+
 val render : point list -> string
 val render_chaos : chaos_row list -> string
-val print : unit -> unit
+
+val print : point list -> unit
+(** The sweep's table and its limit-0 line, then the chaos sweep, which
+    this measures. *)

@@ -12,6 +12,8 @@ type row = {
   name : string;
   dyn : Jrt.Interp.dyn_stats;
   paper : Workloads.Spec.paper_row option;
+  analysis_seconds : float;
+  inline_seconds : float;
 }
 
 let pct num den =
@@ -24,28 +26,37 @@ let measure ?(inline_limit = 100) (w : Workloads.Spec.t) : row =
   | Some g when g.total_violations > 0 ->
       Fmt.failwith "%s: SATB invariant violated under analysis policy" w.name
   | Some _ | None -> ());
-  let d = report.dyn in
-  (* the shared row table is the single source of truth behind both the
-     rendered table and the BENCH_table1.json artifact *)
-  Telemetry.add_row ~table:"table1"
-    [
-      ("benchmark", Telemetry.Str w.name);
-      ("total_execs", Telemetry.Int d.total_execs);
-      ("elided_execs", Telemetry.Int d.elided_execs);
-      ("elim_pct", Telemetry.Float (pct d.elided_execs d.total_execs));
-      ("field_execs", Telemetry.Int d.field_execs);
-      ("field_elided", Telemetry.Int d.field_elided);
-      ("array_execs", Telemetry.Int d.array_execs);
-      ("array_elided", Telemetry.Int d.array_elided);
-      ("static_execs", Telemetry.Int d.static_execs);
-      ("analysis_seconds", Telemetry.Float cw.Exp.compiled.analysis_seconds);
-      ("inline_seconds", Telemetry.Float cw.Exp.compiled.inline_seconds);
-    ];
-  { name = w.name; dyn = report.dyn; paper = w.paper_row }
+  {
+    name = w.name;
+    dyn = report.dyn;
+    paper = w.paper_row;
+    analysis_seconds = cw.compiled.analysis_seconds;
+    inline_seconds = cw.compiled.inline_seconds;
+  }
 
 let rows ?inline_limit () : row list =
-  Telemetry.clear_table "table1";
   List.map (measure ?inline_limit) Workloads.Registry.table1
+
+let to_json (rows : row list) : Telemetry.json =
+  Telemetry.List
+    (List.map
+       (fun r ->
+         let d = r.dyn in
+         Telemetry.Obj
+           [
+             ("benchmark", Str r.name);
+             ("total_execs", Int d.total_execs);
+             ("elided_execs", Int d.elided_execs);
+             ("elim_pct", Float (pct d.elided_execs d.total_execs));
+             ("field_execs", Int d.field_execs);
+             ("field_elided", Int d.field_elided);
+             ("array_execs", Int d.array_execs);
+             ("array_elided", Int d.array_elided);
+             ("static_execs", Int d.static_execs);
+             ("analysis_seconds", Float r.analysis_seconds);
+             ("inline_seconds", Float r.inline_seconds);
+           ])
+       rows)
 
 let render (rows : row list) : string =
   let pct = Tablefmt.pct in
@@ -105,5 +116,3 @@ let render (rows : row list) : string =
       ]
     ~align:[ Tablefmt.L; R; R; R; R; R; R ]
     body
-
-let print () = print_endline (render (rows ()))

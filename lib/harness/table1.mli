@@ -6,6 +6,8 @@ type row = {
   name : string;
   dyn : Jrt.Interp.dyn_stats;
   paper : Workloads.Spec.paper_row option;
+  analysis_seconds : float;  (** of the row's compile *)
+  inline_seconds : float;
 }
 
 val measure : ?inline_limit:int -> Workloads.Spec.t -> row
@@ -14,4 +16,6 @@ val measure : ?inline_limit:int -> Workloads.Spec.t -> row
 
 val rows : ?inline_limit:int -> unit -> row list
 val render : row list -> string
-val print : unit -> unit
+
+val to_json : row list -> Telemetry.json
+(** The [table1] table of BENCH_table1.json. *)

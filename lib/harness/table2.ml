@@ -34,28 +34,27 @@ let measure ?(workload = Workloads.Jbb.t) () : row list =
     run ~satb_mode:Jrt.Barrier_cost.Always_log ~use_policy:true
   in
   let rel c = float_of_int no_barrier /. float_of_int c in
-  let rows =
-    [
-      { mode = "no-barrier"; cost_units = no_barrier; relative = rel no_barrier };
-      { mode = "always-log"; cost_units = always_log; relative = rel always_log };
-      {
-        mode = "always-log-elim";
-        cost_units = always_log_elim;
-        relative = rel always_log_elim;
-      };
-    ]
-  in
-  Telemetry.clear_table "table2";
-  List.iter
-    (fun r ->
-      Telemetry.add_row ~table:"table2"
-        [
-          ("mode", Telemetry.Str r.mode);
-          ("cost_units", Telemetry.Int r.cost_units);
-          ("relative", Telemetry.Float r.relative);
-        ])
-    rows;
-  rows
+  [
+    { mode = "no-barrier"; cost_units = no_barrier; relative = rel no_barrier };
+    { mode = "always-log"; cost_units = always_log; relative = rel always_log };
+    {
+      mode = "always-log-elim";
+      cost_units = always_log_elim;
+      relative = rel always_log_elim;
+    };
+  ]
+
+let to_json (rows : row list) : Telemetry.json =
+  Telemetry.List
+    (List.map
+       (fun r ->
+         Telemetry.Obj
+           [
+             ("mode", Str r.mode);
+             ("cost_units", Int r.cost_units);
+             ("relative", Float r.relative);
+           ])
+       rows)
 
 let render (rows : row list) : string =
   let body =
@@ -78,5 +77,3 @@ let render (rows : row list) : string =
     ~header:[ "barrier mode"; "cost units"; "relative"; "paper relative" ]
     ~align:[ Tablefmt.L; R; R; R ]
     body
-
-let print () = print_endline (render (measure ()))

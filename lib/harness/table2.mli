@@ -7,4 +7,6 @@ type row = { mode : string; cost_units : int; relative : float }
 val paper : (string * float) list
 val measure : ?workload:Workloads.Spec.t -> unit -> row list
 val render : row list -> string
-val print : unit -> unit
+
+val to_json : row list -> Telemetry.json
+(** The [table2] table of BENCH_table2.json. *)

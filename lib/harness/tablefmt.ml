@@ -32,4 +32,3 @@ let pct num den =
   if den = 0 then "-" else Printf.sprintf "%.1f" (100.0 *. float_of_int num /. float_of_int den)
 
 let f1 v = Printf.sprintf "%.1f" v
-let f3 v = Printf.sprintf "%.3f" v

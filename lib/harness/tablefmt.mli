@@ -5,4 +5,3 @@ type align = L | R
 val render : header:string list -> align:align list -> string list list -> string
 val pct : int -> int -> string
 val f1 : float -> string
-val f3 : float -> string

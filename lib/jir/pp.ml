@@ -139,4 +139,3 @@ let pp_program ppf (p : program) =
   List.iter (fun c -> Fmt.pf ppf "%a@\n" pp_cls c) p.classes
 
 let program_to_string (p : program) = Fmt.str "%a" pp_program p
-let meth_to_string (m : meth) = Fmt.str "%a" pp_meth m

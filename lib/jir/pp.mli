@@ -28,4 +28,3 @@ val pp_meth : Types.meth Fmt.t
 val pp_cls : Types.cls Fmt.t
 val pp_program : Types.program Fmt.t
 val program_to_string : Types.program -> string
-val meth_to_string : Types.meth -> string

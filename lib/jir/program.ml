@@ -102,34 +102,6 @@ let all_methods t : (cls * meth) list =
     (fun c -> List.map (fun m -> (c, m)) c.methods)
     t.program.classes
 
-(** All static reference fields, used as GC roots. *)
-let all_static_refs t : field_ref list =
-  List.concat_map
-    (fun c ->
-      List.filter_map
-        (fun fd ->
-          match fd.fd_ty with
-          | R -> Some { fclass = c.cname; fname = fd.fd_name }
-          | I -> None)
-        c.statics)
-    t.program.classes
-
-(** Replace the body of one method, keeping everything else.  Used by the
-    inliner to produce an expanded program. *)
-let with_method t (mr : method_ref) (m : meth) : t =
-  let update_class c =
-    if not (String.equal c.cname mr.mclass) then c
-    else
-      {
-        c with
-        methods =
-          List.map
-            (fun m0 -> if String.equal m0.mname mr.mname then m else m0)
-            c.methods;
-      }
-  in
-  of_program { classes = List.map update_class t.program.classes }
-
 (** Total instruction count over all methods — the "code size" metric before
     barrier-footprint weighting (see Figure 3 harness). *)
 let total_instr_count t =

@@ -30,10 +30,6 @@ val field_index : t -> field_ref -> int
     runtime's object layout). *)
 
 val all_methods : t -> (cls * meth) list
-val all_static_refs : t -> field_ref list
-
-val with_method : t -> method_ref -> meth -> t
-(** Replace one method's body, re-linking the program. *)
 
 val total_instr_count : t -> int
 (** Total instruction count over all methods. *)

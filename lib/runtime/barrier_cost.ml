@@ -21,11 +21,6 @@ type satb_mode =
           pre-values are always logged, simulating fully incrementalized
           marking (§4.5) *)
 
-let string_of_satb_mode = function
-  | No_barrier -> "no-barrier"
-  | Conditional -> "conditional"
-  | Always_log -> "always-log"
-
 (* Component costs, in RISC instructions. *)
 let check_marking = 3  (* load flag, compare, branch *)
 let load_and_test_pre = 4  (* load pre-value, compare null, branch *)
@@ -44,15 +39,12 @@ let satb_cost ~(mode : satb_mode) ~(marking : bool) ~(pre_null : bool) : int =
   | Always_log ->
       load_and_test_pre + if pre_null then 0 else log_out_of_line
 
-(** Per-half costs of the hybrid (Yuasa + Dijkstra) barrier.  The
-    deletion half is the SATB shape: marking check, pre-value load/test,
-    out-of-line shade.  The insertion half shares the marking check with
-    the deletion half when both are compiled (the fused form), so on its
-    own it costs a stack-scan-state load/test plus the shade call; the
-    shade of an already-marked value stops at the test. *)
-let hybrid_del_cost ~(marking : bool) ~(pre_null : bool) : int =
-  satb_cost ~mode:Conditional ~marking ~pre_null
-
+(** Insertion (Dijkstra) half of the hybrid barrier; its deletion (Yuasa)
+    half is the SATB shape, {!satb_cost} [~mode:Conditional].  The
+    insertion half shares the marking check with the deletion half when
+    both are compiled (the fused form), so on its own it costs a
+    stack-scan-state load/test plus the shade call; the shade of an
+    already-marked value stops at the test. *)
 let hybrid_ins_cost ~(marking : bool) ~(stack_grey : bool) : int =
   if not marking then check_marking
   else check_marking + (2 (* load scan state, branch *))

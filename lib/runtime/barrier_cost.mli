@@ -8,14 +8,10 @@ type satb_mode =
   | Conditional  (** normal barrier: marking check first *)
   | Always_log  (** Table 2 "always-log": check elided (§4.5) *)
 
-val string_of_satb_mode : satb_mode -> string
 val check_marking : int
 val load_and_test_pre : int
 val log_out_of_line : int
 val satb_cost : mode:satb_mode -> marking:bool -> pre_null:bool -> int
-
-val hybrid_del_cost : marking:bool -> pre_null:bool -> int
-(** Deletion (Yuasa) half of the hybrid barrier: the SATB shape. *)
 
 val hybrid_ins_cost : marking:bool -> stack_grey:bool -> int
 (** Insertion (Dijkstra) half: marking check, stack-scan-state test,

@@ -298,8 +298,6 @@ let request_revoke (m : t) (a : assumption) : unit =
       (Flight.Revoke_request { assumption = string_of_assumption a })
   end
 
-let revocation_pending (m : t) : bool = m.pending_revocations <> []
-
 (** Atomically flip every half depending on a failed assumption back to a
     full barrier, then hand the cycle's guarded-write set to the
     collector for snapshot repair.  Must run at a safepoint: the runner

@@ -160,8 +160,6 @@ val request_revoke : t -> Jir.Types.assumption -> unit
 (** Note an assumption observed false; the revocation is applied at the
     next safepoint.  Deduplicated; inert unless [cfg.revoke] holds. *)
 
-val revocation_pending : t -> bool
-
 val apply_revocations : t -> unit
 (** Flip every half depending on a failed assumption back to a full
     barrier and hand the cycle's guarded-write set to the collector for

@@ -14,39 +14,57 @@
     ({!Interp.t.in_no_safepoint}) — the scheduling half of the retrace
     protocol's soundness argument (see {!Retrace_gc}). *)
 
+(** The four concurrent collectors. *)
+type collector = Satb | Incr | Retrace | Hybrid
+
+(** The one list of collectors, in the order every table, sweep and
+    command-line listing shows them. *)
+let collectors = [ Satb; Incr; Retrace; Hybrid ]
+
+let collector_name = function
+  | Satb -> "satb"
+  | Incr -> "incr"
+  | Retrace -> "retrace"
+  | Hybrid -> "hybrid"
+
+(** The policy each collector's marker runs: the single place a
+    collector's display name and capabilities are declared. *)
+let policy ?retrace_budget : collector -> Marker.policy = function
+  | Satb -> Satb_gc.policy ()
+  | Incr -> Incr_gc.policy
+  | Retrace -> Retrace_gc.policy ?retrace_budget ()
+  | Hybrid -> Hybrid_gc.policy
+
 type gc_choice =
   | No_gc
-  | Satb of { steps_per_increment : int; pacing : Pacer.config }
-  | Incr of { steps_per_increment : int; pacing : Pacer.config }
-  | Retrace of { steps_per_increment : int; pacing : Pacer.config }
-  | Hybrid of { steps_per_increment : int; pacing : Pacer.config }
+  | Gc of {
+      collector : collector;
+      steps_per_increment : int;
+      pacing : Pacer.config;
+    }
 
 (* Without [?pacing], {!Pacer.default_config}'s heap-growth goal paces
    the run — calibrated so every bundled workload cycles with no flags
    at all. *)
-let make_satb ?(steps_per_increment = 64) ?(pacing = Pacer.default_config) () =
-  Satb { steps_per_increment; pacing }
+let make ?(steps_per_increment = 64) ?(pacing = Pacer.default_config)
+    collector =
+  Gc { collector; steps_per_increment; pacing }
 
-let make_incr ?(steps_per_increment = 64) ?(pacing = Pacer.default_config) () =
-  Incr { steps_per_increment; pacing }
+let make_satb ?steps_per_increment ?pacing () =
+  make ?steps_per_increment ?pacing Satb
 
-let make_retrace ?(steps_per_increment = 64) ?(pacing = Pacer.default_config)
-    () =
-  Retrace { steps_per_increment; pacing }
+let make_incr ?steps_per_increment ?pacing () =
+  make ?steps_per_increment ?pacing Incr
 
-let make_hybrid ?(steps_per_increment = 64) ?(pacing = Pacer.default_config)
-    () =
-  Hybrid { steps_per_increment; pacing }
+let make_retrace ?steps_per_increment ?pacing () =
+  make ?steps_per_increment ?pacing Retrace
 
-(** The policy each choice's collector runs: the single place a
-    collector's name and capabilities are declared. *)
-let policy_of_choice ?retrace_budget : gc_choice -> Marker.policy option =
-  function
+let make_hybrid ?steps_per_increment ?pacing () =
+  make ?steps_per_increment ?pacing Hybrid
+
+let policy_of_choice ?retrace_budget = function
   | No_gc -> None
-  | Satb _ -> Some (Satb_gc.policy ())
-  | Incr _ -> Some Incr_gc.policy
-  | Retrace _ -> Some (Retrace_gc.policy ?retrace_budget ())
-  | Hybrid _ -> Some Hybrid_gc.policy
+  | Gc { collector; _ } -> Some (policy ?retrace_budget collector)
 
 let gc_name gc =
   match policy_of_choice gc with
@@ -118,99 +136,6 @@ let summary_of (t : Marker.t) ~pause_steps =
     retraced = per (fun r -> r.counts.rescans);
     reports = rs;
   }
-
-(* The machine, marker, pacer and chaos fields are the only home of a
-   run's counts.  The run adds its totals to the registry once, at
-   [run.finish] — hard-limit aborts included — and sets the pacer gauges
-   to their final values. *)
-let counters prefix fields =
-  List.map (fun (name, get) -> (Telemetry.counter (prefix ^ name), get)) fields
-
-let machine_counters =
-  counters "jrt."
-    [
-      ("barriers_executed", fun (m : Interp.t) -> m.barriers_executed);
-      ("elided_barrier_execs", fun m -> m.elided_barrier_execs);
-      ("retrace_checks", fun m -> m.retrace_checks);
-      ("revocation_events", fun m -> m.revocation_events);
-      ("revoked_sites", fun m -> m.revoked_sites);
-      ("degradations", fun m -> m.degradations);
-      ("degraded_swap_execs", fun m -> m.degraded_swap_execs);
-      ("assist_execs", fun m -> m.assist_execs);
-    ]
-
-(* gc.* is shared by every policy; retrace.* belongs to the retrace list
-   (under the hybrid policy [rescans] counts repair-set re-grays) *)
-let cycle_counters =
-  counters "gc."
-    [
-      ("cycles", fun (_ : Marker.cycle_report) -> 1);
-      ("violations", fun r -> r.violations);
-      ("restarts", fun r -> r.counts.restarts);
-    ]
-
-let retrace_counters =
-  counters "retrace."
-    [
-      ("rescans", fun (r : Marker.cycle_report) -> r.counts.rescans);
-      ("enqueues", fun r -> r.counts.enqueued);
-      ("repair_enqueues", fun r -> r.counts.repair_enqueues);
-      ("budget_overflows", fun r -> r.counts.budget_overflows);
-    ]
-
-let pacer_counters =
-  counters "pacer."
-    [
-      ("assists", fun (s : Pacer.stats) -> s.p_assists);
-      ("degraded_entries", fun s -> s.p_degraded_entries);
-      ("degraded_cycles", fun s -> s.p_degraded_cycles);
-      ("hard_stops", fun s -> if s.p_hard_stop = None then 0 else 1);
-    ]
-
-let chaos_counters =
-  counters "chaos."
-    [
-      ("spawns", fun (s : Chaos.stats) -> s.spawns);
-      ("damage_stores", fun s -> s.damage_stores);
-      ("skipped_barriers", fun s -> s.skipped_barriers);
-      ("preempted_increments", fun s -> s.preempted_increments);
-      ("pressure_remarks", fun s -> s.pressure_remarks);
-      ("class_loads", fun s -> s.class_loads);
-      ("spike_allocs", fun s -> s.spike_allocs);
-      ("ramp_allocs", fun s -> s.ramp_allocs);
-    ]
-
-let g_trigger = Telemetry.gauge "pacer.trigger_units"
-let g_goal = Telemetry.gauge "pacer.goal"
-let g_live = Telemetry.gauge "pacer.live_units"
-
-let add counters x =
-  List.iter (fun (c, get) -> Telemetry.incr c ~by:(get x)) counters
-
-let add_run_totals (m : Interp.t) (live : Marker.t option)
-    (pacer : Pacer.t option) (chaos : Chaos.t option) =
-  add machine_counters m;
-  Option.iter
-    (fun (t : Marker.t) ->
-      let retrace = (Marker.caps t.policy).Gc_hooks.retrace_protocol in
-      List.iter
-        (fun r ->
-          add cycle_counters r;
-          if retrace then add retrace_counters r)
-        t.reports)
-    live;
-  Option.iter
-    (fun p ->
-      let s = Pacer.stats p in
-      add pacer_counters s;
-      Telemetry.set_gauge g_trigger (float_of_int s.p_trigger_units);
-      Telemetry.set_gauge g_goal s.p_goal;
-      (* the live size at the last cycle end; a run without one leaves
-         the gauge alone *)
-      if s.p_cycles > 0 then
-        Telemetry.set_gauge g_live (float_of_int s.p_last_live_units))
-    pacer;
-  Option.iter (fun c -> add chaos_counters (Chaos.stats c)) chaos
 
 (** Simple deterministic PRNG for quantum jitter. *)
 let lcg seed =
@@ -324,12 +249,9 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
   (* collector wiring: the marker runs the choice's policy; the pacer
      shares its increment budget *)
   let live, pacer =
-    match gc, policy_of_choice ?retrace_budget gc with
-    | ( ( Satb { steps_per_increment; pacing }
-        | Incr { steps_per_increment; pacing }
-        | Retrace { steps_per_increment; pacing }
-        | Hybrid { steps_per_increment; pacing } ),
-        Some policy ) ->
+    match gc with
+    | No_gc -> (None, None)
+    | Gc { collector; steps_per_increment; pacing } ->
         let roots =
           {
             Marker.all = (fun () -> Interp.roots m);
@@ -338,7 +260,9 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
           }
         in
         let t =
-          Marker.create ~steps_per_increment policy m.Interp.heap ~roots
+          Marker.create ~steps_per_increment
+            (policy ?retrace_budget collector)
+            m.Interp.heap ~roots
         in
         Interp.set_collector m (Marker.hooks t);
         let p =
@@ -347,7 +271,6 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
         in
         Interp.set_pacer m p;
         (Some t, Some p)
-    | _ -> (None, None)
   in
   (* Capabilities are queried exactly once, here at run start, and
      asserted against the declared capability record for the chosen
@@ -550,7 +473,6 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
       gc_s := !gc_s +. (Telemetry.now_s () -. sp_t0)
   | Some _ | None -> ());
   let loop_s = Telemetry.now_s () -. loop_t0 in
-  add_run_totals m live pacer chaos;
   Telemetry.emit "run.finish"
     [
       ("hard_stop", Telemetry.Bool (!hard_stop <> None));

@@ -4,17 +4,32 @@
     soundness property tests sweep seeds to explore adversarial
     mutator/collector interleavings. *)
 
+(** The four concurrent collectors. *)
+type collector = Satb | Incr | Retrace | Hybrid
+
+val collectors : collector list
+(** The one list of collectors — satb, incr, retrace, hybrid — in the
+    order every table, sweep and command-line listing shows them. *)
+
+val collector_name : collector -> string
+(** The short name tables and command-line flags use: ["satb"],
+    ["incr"], ["retrace"], ["hybrid"]. *)
+
 type gc_choice =
   | No_gc
-  | Satb of { steps_per_increment : int; pacing : Pacer.config }
-  | Incr of { steps_per_increment : int; pacing : Pacer.config }
-  | Retrace of { steps_per_increment : int; pacing : Pacer.config }
-  | Hybrid of { steps_per_increment : int; pacing : Pacer.config }
+  | Gc of {
+      collector : collector;
+      steps_per_increment : int;
+      pacing : Pacer.config;
+    }
 
-(** The [make_*] constructors take the pacer configuration [?pacing]
-    (fixed allocation-count pacing is [Pacer.config_of_trigger n]);
-    without it {!Pacer.default_config}'s heap-growth goal paces the
-    run. *)
+val make :
+  ?steps_per_increment:int -> ?pacing:Pacer.config -> collector -> gc_choice
+(** [steps_per_increment] defaults to 64.  [pacing] is the pacer
+    configuration (fixed allocation-count pacing is
+    [Pacer.config_of_trigger n]); without it {!Pacer.default_config}'s
+    heap-growth goal paces the run.  The [make_*] functions are [make]
+    of one collector. *)
 
 val make_satb :
   ?steps_per_increment:int ->
@@ -67,7 +82,7 @@ type gc_summary = {
           under [Retrace], repair-set objects under [Hybrid], else 0 *)
   reports : Marker.cycle_report list;
       (** the marker's cycle reports, oldest first: the per-cycle counts
-          behind the [gc.*] and [retrace.*] registry counters *)
+          [--metrics] sums into its [gc.*] and [retrace.*] names *)
 }
 
 type report = {
@@ -133,9 +148,8 @@ val run :
     completed cycle's final pause — survivors still carry their mark
     origins and the cycle's elided-store log has not been reset yet.
 
-    At [run.finish] — hard-limit aborts included — the run adds its
-    totals to the registry counters once: [jrt.*] from the machine's
-    fields, [gc.*] and [retrace.*] from the marker's cycle reports,
-    [pacer.*] from {!Pacer.stats} and [chaos.*] from {!Chaos.stats}, and
-    sets the [pacer.*] gauges to their final values.  Those fields are
-    the counts' only home. *)
+    The report is the run's only record of its counts — hard-limit
+    aborts included: the machine's fields, the marker's cycle reports in
+    [gc] and the pacer's {!Pacer.stats}.  [--metrics] renders its
+    [jrt.*], [gc.*], [retrace.*] and [pacer.*] names from them, and its
+    [chaos.*] names from the plan's {!Chaos.stats}. *)

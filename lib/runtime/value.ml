@@ -17,4 +17,3 @@ let pp ppf = function
 
 let is_ref = function Ref _ -> true | Null | Int _ -> false
 
-let to_ref_opt = function Ref id -> Some id | Null | Int _ -> None

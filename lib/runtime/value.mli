@@ -6,4 +6,3 @@ type t = Null | Int of int | Ref of int
 val equal : t -> t -> bool
 val pp : t Fmt.t
 val is_ref : t -> bool
-val to_ref_opt : t -> int option

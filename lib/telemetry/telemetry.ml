@@ -1,14 +1,14 @@
-(** Unified telemetry: a process-wide registry of counters, gauges and
-    histograms, a structured JSONL event stream, and shared row tables —
-    the single measurement surface behind [--trace], [--metrics], the
-    harness experiments and the bench JSON artifacts.
+(** Telemetry plumbing: JSON, a monotonic clock, the structured JSONL
+    event stream behind [--trace] and its schema validation, the Chrome
+    trace-event exporter, and file writing.  It holds no numbers: a run's
+    counts live in its [Runner.report] and a compile's in its
+    [Driver.compiled], and [--metrics] is rendered from those values.
 
-    Counters are always live (plain [int ref] bumps).  Events are
-    recorded only while {e armed} — an in-memory recorder enabled
-    ({!set_recording}) or a JSONL sink attached ({!attach_sink}) — so the
-    hot paths pay nothing by default.  Runtime events reach the stream
-    through the flight recorder ([Flight.record]), which renders each
-    typed event with one schema; only the run envelope and analysis
+    Events are recorded only while {e armed} — an in-memory recorder
+    enabled ({!set_recording}) or a JSONL sink attached ({!attach_sink})
+    — so the hot paths pay nothing by default.  Runtime events reach the
+    stream through the flight recorder ([Flight.record]), which renders
+    each typed event with one schema; only the run envelope and analysis
     passes call {!emit} directly.
 
     Every emitted event carries a monotonic wall-clock timestamp
@@ -82,8 +82,8 @@ let json_to_string (j : json) : string =
   buf_add_json b j;
   Buffer.contents b
 
-(** Pretty printer with 2-space indentation, for the metrics snapshot and
-    chrome files (JSONL event lines stay compact). *)
+(** Pretty printer with 2-space indentation, for the metrics and chrome
+    files (JSONL event lines stay compact). *)
 let rec buf_add_json_pretty b ~indent = function
   | (Null | Bool _ | Int _ | Float _ | Str _) as j -> buf_add_json b j
   | List [] -> Buffer.add_string b "[]"
@@ -291,95 +291,6 @@ let now_s () : float =
   if t > !t_last then t_last := t;
   !t_last
 
-(* ---- metrics registry --------------------------------------------------- *)
-
-type counter = { c_name : string; mutable c_value : int }
-type gauge = { g_name : string; mutable g_value : float }
-
-type histo_stats = {
-  h_count : int;
-  h_sum : float;
-  h_min : float;  (** 0. when empty *)
-  h_max : float;  (** 0. when empty *)
-}
-
-type histogram = {
-  hg_name : string;
-  mutable hg_count : int;
-  mutable hg_sum : float;
-  mutable hg_min : float;
-  mutable hg_max : float;
-}
-
-let counters : (string, counter) Hashtbl.t = Hashtbl.create 64
-let gauges : (string, gauge) Hashtbl.t = Hashtbl.create 32
-let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 32
-
-let counter (name : string) : counter =
-  match Hashtbl.find_opt counters name with
-  | Some c -> c
-  | None ->
-      let c = { c_name = name; c_value = 0 } in
-      Hashtbl.replace counters name c;
-      c
-
-let incr ?(by = 1) (c : counter) = c.c_value <- c.c_value + by
-let counter_value (c : counter) = c.c_value
-let counter_name (c : counter) = c.c_name
-
-(** Current value of the named counter; 0 if it was never registered. *)
-let get_counter (name : string) : int =
-  match Hashtbl.find_opt counters name with Some c -> c.c_value | None -> 0
-
-let gauge (name : string) : gauge =
-  match Hashtbl.find_opt gauges name with
-  | Some g -> g
-  | None ->
-      let g = { g_name = name; g_value = 0.0 } in
-      Hashtbl.replace gauges name g;
-      g
-
-let set_gauge (g : gauge) (v : float) = g.g_value <- v
-let gauge_value (g : gauge) = g.g_value
-
-let get_gauge (name : string) : float =
-  match Hashtbl.find_opt gauges name with Some g -> g.g_value | None -> 0.0
-
-let histogram (name : string) : histogram =
-  match Hashtbl.find_opt histograms name with
-  | Some h -> h
-  | None ->
-      let h =
-        { hg_name = name; hg_count = 0; hg_sum = 0.0; hg_min = 0.0; hg_max = 0.0 }
-      in
-      Hashtbl.replace histograms name h;
-      h
-
-let observe (h : histogram) (v : float) =
-  if h.hg_count = 0 then begin
-    h.hg_min <- v;
-    h.hg_max <- v
-  end
-  else begin
-    if v < h.hg_min then h.hg_min <- v;
-    if v > h.hg_max then h.hg_max <- v
-  end;
-  h.hg_count <- h.hg_count + 1;
-  h.hg_sum <- h.hg_sum +. v
-
-let histo_stats (h : histogram) : histo_stats =
-  { h_count = h.hg_count; h_sum = h.hg_sum; h_min = h.hg_min; h_max = h.hg_max }
-
-(** Time a thunk, record the duration in the named histogram, and return
-    both the result and the duration. *)
-let time (name : string) (f : unit -> 'a) : 'a * float =
-  let h = histogram name in
-  let t0 = now_s () in
-  let r = f () in
-  let dt = now_s () -. t0 in
-  observe h dt;
-  (r, dt)
-
 (* ---- event stream ------------------------------------------------------- *)
 
 type event = {
@@ -415,7 +326,7 @@ let emit (kind : string) (fields : (string * json) list) : unit =
   if armed () then begin
     let e = { ev_seq = !seq; ev_ts = now_s (); ev_kind = kind; ev_fields = fields }
     in
-    Stdlib.incr seq;
+    incr seq;
     if !recording then recorded := e :: !recorded;
     match !sink with
     | Some oc ->
@@ -571,83 +482,6 @@ let chrome_of_events (evs : event list) : json =
       ("displayTimeUnit", Str "ms");
     ]
 
-(* ---- row tables (one source of truth for harness + bench JSON) ---------- *)
-
-type row = (string * json) list
-
-let tables : (string, row list ref) Hashtbl.t = Hashtbl.create 16
-
-let clear_table (name : string) = Hashtbl.remove tables name
-
-let add_row ~(table : string) (r : row) : unit =
-  match Hashtbl.find_opt tables table with
-  | Some rows -> rows := r :: !rows
-  | None -> Hashtbl.replace tables table (ref [ r ])
-
-(** Rows in insertion order. *)
-let rows ~(table : string) : row list =
-  match Hashtbl.find_opt tables table with
-  | Some rows -> List.rev !rows
-  | None -> []
-
-let table_to_json (name : string) : json =
-  List (List.map (fun r -> Obj r) (rows ~table:name))
-
-let table_names () : string list =
-  Hashtbl.fold (fun k _ acc -> k :: acc) tables [] |> List.sort compare
-
-(* ---- snapshots ---------------------------------------------------------- *)
-
-type snapshot = {
-  sn_counters : (string * int) list;  (** sorted by name *)
-  sn_gauges : (string * float) list;  (** sorted by name *)
-  sn_histograms : (string * histo_stats) list;  (** sorted by name *)
-}
-
-let snapshot () : snapshot =
-  {
-    sn_counters =
-      Hashtbl.fold (fun k c acc -> (k, c.c_value) :: acc) counters []
-      |> List.sort compare;
-    sn_gauges =
-      Hashtbl.fold (fun k g acc -> (k, g.g_value) :: acc) gauges []
-      |> List.sort compare;
-    sn_histograms =
-      Hashtbl.fold (fun k h acc -> (k, histo_stats h) :: acc) histograms []
-      |> List.sort compare;
-  }
-
-let snapshot_to_json (s : snapshot) : json =
-  Obj
-    [
-      ("counters", Obj (List.map (fun (k, v) -> (k, Int v)) s.sn_counters));
-      ("gauges", Obj (List.map (fun (k, v) -> (k, Float v)) s.sn_gauges));
-      ( "histograms",
-        Obj
-          (List.map
-             (fun (k, h) ->
-               ( k,
-                 Obj
-                   [
-                     ("count", Int h.h_count);
-                     ("sum", Float h.h_sum);
-                     ("min", Float h.h_min);
-                     ("max", Float h.h_max);
-                   ] ))
-             s.sn_histograms) );
-      ( "tables",
-        Obj (List.map (fun n -> (n, table_to_json n)) (table_names ())) );
-    ]
-
-let pp_snapshot ppf (s : snapshot) =
-  List.iter (fun (k, v) -> Fmt.pf ppf "%s %d@." k v) s.sn_counters;
-  List.iter (fun (k, v) -> Fmt.pf ppf "%s %g@." k v) s.sn_gauges;
-  List.iter
-    (fun (k, h) ->
-      Fmt.pf ppf "%s count=%d sum=%g min=%g max=%g@." k h.h_count h.h_sum
-        h.h_min h.h_max)
-    s.sn_histograms
-
 (* ---- file helpers ------------------------------------------------------- *)
 
 let write_file (path : string) (content : string) : unit =
@@ -656,31 +490,13 @@ let write_file (path : string) (content : string) : unit =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc content)
 
-(** Write the current metrics snapshot (sorted, deterministic key order)
-    as pretty JSON. *)
-let write_metrics (path : string) : unit =
-  write_file path (json_to_string_pretty (snapshot_to_json (snapshot ())))
-
 (** Write recorded events as a Chrome trace-event file. *)
 let write_chrome (path : string) : unit =
   write_file path (json_to_string_pretty (chrome_of_events (events ())))
 
 (* ---- reset -------------------------------------------------------------- *)
 
-(** Zero every metric, drop recorded events and row tables, and restart
-    the sequence counter.  Registered metric handles stay valid (they are
-    zeroed in place, not dropped), so cached counters in long-lived
-    structures keep working across resets. *)
+(** Drop recorded events and restart the sequence counter. *)
 let reset () : unit =
-  Hashtbl.iter (fun _ c -> c.c_value <- 0) counters;
-  Hashtbl.iter (fun _ g -> g.g_value <- 0.0) gauges;
-  Hashtbl.iter
-    (fun _ h ->
-      h.hg_count <- 0;
-      h.hg_sum <- 0.0;
-      h.hg_min <- 0.0;
-      h.hg_max <- 0.0)
-    histograms;
   recorded := [];
-  seq := 0;
-  Hashtbl.reset tables
+  seq := 0

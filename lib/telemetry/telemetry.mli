@@ -1,13 +1,13 @@
-(** Unified telemetry: a process-wide registry of counters, gauges and
-    histograms, a structured JSONL event stream with monotonic
-    timestamps, a Chrome trace-event exporter, and shared row tables —
-    the single measurement surface behind [--trace]/[--metrics], the
-    harness experiments and the bench JSON artifacts.
+(** Telemetry plumbing: JSON, a monotonic clock, the structured JSONL
+    event stream behind [--trace] with its schema validation, and a
+    Chrome trace-event exporter.  It holds no numbers: a run's counts
+    live in its [Runner.report], a compile's in its [Driver.compiled],
+    and [--metrics] is rendered from those values.
 
-    Counters are always live; events are recorded only while a recorder
-    or sink is armed, so hot paths pay nothing by default.  Runtime
-    events arrive through [Flight.record], which renders each typed
-    event with one schema and streams it here. *)
+    Events are recorded only while a recorder or sink is armed, so hot
+    paths pay nothing by default.  Runtime events arrive through
+    [Flight.record], which renders each typed event with one schema and
+    streams it here. *)
 
 (** {2 JSON} *)
 
@@ -34,42 +34,6 @@ val json_of_string : string -> (json, string) result
 val now_s : unit -> float
 (** Monotonic wall-clock seconds since process start
     ([Unix.gettimeofday] clamped to never decrease). *)
-
-(** {2 Metrics registry} *)
-
-type counter
-type gauge
-type histogram
-
-type histo_stats = {
-  h_count : int;
-  h_sum : float;
-  h_min : float;  (** 0. when empty *)
-  h_max : float;  (** 0. when empty *)
-}
-
-val counter : string -> counter
-(** Find-or-register; handles stay valid across {!reset}. *)
-
-val incr : ?by:int -> counter -> unit
-val counter_value : counter -> int
-val counter_name : counter -> string
-
-val get_counter : string -> int
-(** Value of the named counter; 0 if never registered. *)
-
-val gauge : string -> gauge
-val set_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
-val get_gauge : string -> float
-
-val histogram : string -> histogram
-val observe : histogram -> float -> unit
-val histo_stats : histogram -> histo_stats
-
-val time : string -> (unit -> 'a) -> 'a * float
-(** Run the thunk, record its duration ({!now_s}) in the named
-    histogram, return the result and the duration in seconds. *)
 
 (** {2 Event stream} *)
 
@@ -124,40 +88,12 @@ val validate_trace_lines : string list -> (int, int * string) result
 val chrome_of_events : event list -> json
 (** Trace-event format (load in about://tracing or Perfetto). *)
 
-(** {2 Row tables} *)
-
-type row = (string * json) list
-
-val clear_table : string -> unit
-val add_row : table:string -> row -> unit
-
-val rows : table:string -> row list
-(** Insertion order. *)
-
-val table_to_json : string -> json
-val table_names : unit -> string list
-
-(** {2 Snapshots} *)
-
-type snapshot = {
-  sn_counters : (string * int) list;  (** sorted by name *)
-  sn_gauges : (string * float) list;  (** sorted by name *)
-  sn_histograms : (string * histo_stats) list;  (** sorted by name *)
-}
-
-val snapshot : unit -> snapshot
-val snapshot_to_json : snapshot -> json
-val pp_snapshot : snapshot Fmt.t
-
 (** {2 Files} *)
 
 val write_file : string -> string -> unit
-val write_metrics : string -> unit
-(** Deterministic (sorted) metrics snapshot as pretty JSON. *)
 
 val write_chrome : string -> unit
 (** Recorded events as a Chrome trace-event file. *)
 
 val reset : unit -> unit
-(** Zero all metrics (handles stay valid), drop events and tables,
-    restart the sequence counter. *)
+(** Drop recorded events and restart the sequence counter. *)

@@ -59,8 +59,9 @@ let prop_satb_sound_on_generated =
       let r =
         Jrt.Runner.run ~cfg
           ~gc:
-            (Jrt.Runner.Satb
-               { steps_per_increment = 1 + (seed mod 8); pacing = Jrt.Pacer.config_of_trigger 2 })
+            (Jrt.Runner.make_satb
+               ~steps_per_increment:(1 + (seed mod 8))
+               ~pacing:(Jrt.Pacer.config_of_trigger 2) ())
           ~seed
           ~quantum:(1 + (seed mod 30))
           ~gc_period:(1 + (seed mod 10))

@@ -68,10 +68,12 @@ let run_churn ?(policy_from_analysis = true) ?(elide_all = false) gc =
     ~entry:{ Jir.Types.mclass = "Main"; mname = "main" }
 
 let satb ?(t = 16) ?(s = 8) () =
-  Jrt.Runner.Satb { steps_per_increment = s; pacing = Jrt.Pacer.config_of_trigger t }
+  Jrt.Runner.make_satb ~steps_per_increment:s
+    ~pacing:(Jrt.Pacer.config_of_trigger t) ()
 
 let incr ?(t = 16) ?(s = 8) () =
-  Jrt.Runner.Incr { steps_per_increment = s; pacing = Jrt.Pacer.config_of_trigger t }
+  Jrt.Runner.make_incr ~steps_per_increment:s
+    ~pacing:(Jrt.Pacer.config_of_trigger t) ()
 
 let gc_of (r : Jrt.Runner.report) =
   match r.gc with Some g -> g | None -> Alcotest.fail "expected gc summary"
@@ -115,7 +117,9 @@ let test_satb_catches_unsound_elision () =
   in
   let r =
     Jrt.Runner.run ~cfg
-      ~gc:(Jrt.Runner.Satb { steps_per_increment = 8; pacing = Jrt.Pacer.config_of_trigger 32 })
+      ~gc:
+        (Jrt.Runner.make_satb ~steps_per_increment:8
+           ~pacing:(Jrt.Pacer.config_of_trigger 32) ())
       cw.compiled.program ~entry:Workloads.Jess.t.entry
   in
   Alcotest.(check bool) "violations detected" true
@@ -130,7 +134,9 @@ let test_incr_breaks_under_satb_policy () =
   let cw = Harness.Exp.compile Workloads.Mtrt.t in
   let r =
     Harness.Exp.run
-      ~gc:(Jrt.Runner.Incr { steps_per_increment = 2; pacing = Jrt.Pacer.config_of_trigger 4 })
+      ~gc:
+        (Jrt.Runner.make_incr ~steps_per_increment:2
+           ~pacing:(Jrt.Pacer.config_of_trigger 4) ())
       ~use_policy:true ~seed:3 ~quantum:100 ~gc_period:16 cw
   in
   Alcotest.(check bool) "incremental update misses objects" true

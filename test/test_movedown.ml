@@ -333,7 +333,9 @@ let prop_movedown_sound =
       let steps = 1 + (seed mod 4) in
       let r =
         Harness.Exp.run
-          ~gc:(Jrt.Runner.Satb { steps_per_increment = steps; pacing = Jrt.Pacer.config_of_trigger 8 })
+          ~gc:
+            (Jrt.Runner.make_satb ~steps_per_increment:steps
+               ~pacing:(Jrt.Pacer.config_of_trigger 8) ())
           ~seed ~quantum ~gc_period cw
       in
       match r.gc with Some g -> g.total_violations = 0 | None -> false)

@@ -261,7 +261,9 @@ let test_unsound_under_plain_satb () =
      least one pacing *)
   let violations, _ =
     sweep_db ~gc_periods:periods
-      ~gc:(Jrt.Runner.Satb { steps_per_increment = 1; pacing = Jrt.Pacer.config_of_trigger 8 })
+      ~gc:
+        (Jrt.Runner.make_satb ~steps_per_increment:1
+           ~pacing:(Jrt.Pacer.config_of_trigger 8) ())
   in
   Alcotest.(check bool) "oracle catches swap elision under plain SATB" true
     (violations > 0)
@@ -269,7 +271,9 @@ let test_unsound_under_plain_satb () =
 let test_sound_and_retracing_under_retrace () =
   let violations, retraces =
     sweep_db ~gc_periods:periods
-      ~gc:(Jrt.Runner.Retrace { steps_per_increment = 1; pacing = Jrt.Pacer.config_of_trigger 8 })
+      ~gc:
+        (Jrt.Runner.make_retrace ~steps_per_increment:1
+           ~pacing:(Jrt.Pacer.config_of_trigger 8) ())
   in
   Alcotest.(check int) "no violations across the pacing sweep" 0 violations;
   Alcotest.(check bool) "forced re-scans observed" true (retraces > 0)
@@ -288,8 +292,8 @@ let prop_swap_sound_under_retrace =
       let r =
         Harness.Exp.run
           ~gc:
-            (Jrt.Runner.Retrace
-               { steps_per_increment = steps; pacing = Jrt.Pacer.config_of_trigger 8 })
+            (Jrt.Runner.make_retrace ~steps_per_increment:steps
+               ~pacing:(Jrt.Pacer.config_of_trigger 8) ())
           ~seed ~quantum ~gc_period cw
       in
       match r.gc with Some g -> g.total_violations = 0 | None -> false)

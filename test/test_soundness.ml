@@ -12,7 +12,9 @@ let run_one (w : Workloads.Spec.t) ~null_or_same ~seed ~quantum ~gc_period
   let cw = Harness.Exp.compile ~null_or_same w in
   let r =
     Harness.Exp.run
-      ~gc:(Jrt.Runner.Satb { steps_per_increment = steps; pacing = Jrt.Pacer.config_of_trigger trigger })
+      ~gc:
+        (Jrt.Runner.make_satb ~steps_per_increment:steps
+           ~pacing:(Jrt.Pacer.config_of_trigger trigger) ())
       ~seed ~quantum ~gc_period cw
   in
   match r.gc with

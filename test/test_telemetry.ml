@@ -1,67 +1,11 @@
-(* Tests for the unified telemetry layer: registry units, the JSONL
-   event stream and its schema validator, the Chrome exporter, the run
-   counters the registry reads from the machine, marker, pacer and chaos
-   fields, and the one event
+(* Tests for the telemetry layer: the JSONL event stream and its schema
+   validator, the Chrome exporter, the [--metrics] counts rendered from
+   a run's machine, marker, pacer and chaos fields, and the one event
    pipeline (the trace renders exactly the flight recorder's ring).
    Also the provenance ("explain") contract: every elided site names a
    rule chain and its guards on all six benchmark workloads. *)
 
 let reset () = Telemetry.reset ()
-
-(* --- registry units ---------------------------------------------------- *)
-
-let test_counter_basics () =
-  reset ();
-  let c = Telemetry.counter "test.counter" in
-  Alcotest.(check int) "starts at zero" 0 (Telemetry.counter_value c);
-  Telemetry.incr c;
-  Telemetry.incr c ~by:41;
-  Alcotest.(check int) "incr + by" 42 (Telemetry.counter_value c);
-  Alcotest.(check int) "by name" 42 (Telemetry.get_counter "test.counter");
-  Alcotest.(check int) "unknown name reads 0" 0
-    (Telemetry.get_counter "test.never-registered");
-  Alcotest.(check string) "name" "test.counter" (Telemetry.counter_name c)
-
-let test_reset_keeps_handles () =
-  reset ();
-  let c = Telemetry.counter "test.survivor" in
-  Telemetry.incr c ~by:7;
-  Telemetry.reset ();
-  Alcotest.(check int) "zeroed in place" 0 (Telemetry.counter_value c);
-  (* the cached handle must still be the registered counter *)
-  Telemetry.incr c;
-  Alcotest.(check int) "handle still live" 1
-    (Telemetry.get_counter "test.survivor")
-
-let test_gauge_histogram () =
-  reset ();
-  let g = Telemetry.gauge "test.gauge" in
-  Telemetry.set_gauge g 2.5;
-  Alcotest.(check (float 1e-9)) "gauge" 2.5 (Telemetry.gauge_value g);
-  let h = Telemetry.histogram "test.histo" in
-  List.iter (Telemetry.observe h) [ 1.0; 3.0; 2.0 ];
-  let s = Telemetry.histo_stats h in
-  Alcotest.(check int) "count" 3 s.Telemetry.h_count;
-  Alcotest.(check (float 1e-9)) "sum" 6.0 s.Telemetry.h_sum;
-  Alcotest.(check (float 1e-9)) "min" 1.0 s.Telemetry.h_min;
-  Alcotest.(check (float 1e-9)) "max" 3.0 s.Telemetry.h_max
-
-let test_time_records () =
-  reset ();
-  let x, dt = Telemetry.time "test.timed" (fun () -> 1 + 1) in
-  Alcotest.(check int) "thunk result" 2 x;
-  Alcotest.(check bool) "non-negative duration" true (dt >= 0.0);
-  let s = Telemetry.histo_stats (Telemetry.histogram "test.timed") in
-  Alcotest.(check int) "one observation" 1 s.Telemetry.h_count
-
-let test_snapshot_sorted () =
-  reset ();
-  Telemetry.incr (Telemetry.counter "z.last");
-  Telemetry.incr (Telemetry.counter "a.first");
-  let s = Telemetry.snapshot () in
-  let names = List.map fst s.Telemetry.sn_counters in
-  Alcotest.(check (list string)) "deterministic order" (List.sort compare names)
-    names
 
 (* --- event stream ------------------------------------------------------ *)
 
@@ -254,8 +198,8 @@ let test_run_trace_schema_valid () =
           "run.finish" ]
   | Error (line, msg) -> Alcotest.failf "line %d: %s" line msg
 
-(* --- run counters: machine, marker, pacer and chaos fields, added once
-   per run --------------------------------------------------------------- *)
+(* --- [--metrics] counts: machine, marker, pacer and chaos fields,
+   rendered from the run's report --------------------------------------- *)
 
 let jrt_fields (m : Jrt.Interp.t) =
   [
@@ -302,8 +246,8 @@ let run_fields (r : Jrt.Runner.report) chaos =
     ("chaos.ramp_allocs", c.ramp_allocs);
   ]
 
-(* the pacer gauges hold their final values; the live size is the last
-   cycle end's (the registry was reset before the run) *)
+(* the pacer gauges hold the run's final values; the live size is the
+   last cycle end's *)
 let pacer_gauges (r : Jrt.Runner.report) =
   let p = Option.get r.pacer in
   [
@@ -313,23 +257,45 @@ let pacer_gauges (r : Jrt.Runner.report) =
       if p.p_cycles = 0 then 0.0 else float_of_int p.p_last_live_units );
   ]
 
-let check_registry what (r : Jrt.Runner.report) chaos =
+(* a rendered metrics member, as a name -> value list *)
+let member (metrics : Telemetry.json) key =
+  match metrics with
+  | Telemetry.Obj kvs -> (
+      match List.assoc_opt key kvs with
+      | Some (Telemetry.Obj named) -> named
+      | _ -> Alcotest.failf "metrics have no %s object" key)
+  | _ -> Alcotest.fail "metrics are not an object"
+
+let counter metrics name =
+  match List.assoc_opt name (member metrics "counters") with
+  | Some (Telemetry.Int v) -> v
+  | _ -> Alcotest.failf "no counter %s" name
+
+let gauge metrics name =
+  match List.assoc_opt name (member metrics "gauges") with
+  | Some (Telemetry.Float v) -> v
+  | _ -> Alcotest.failf "no gauge %s" name
+
+(* the metrics of one run, as [satbelim run --metrics] renders them *)
+let metrics_of ~chaos (cw : Harness.Exp.compiled_workload) r =
+  Harness.Metrics.render ~chaos cw.compiled [ r ]
+
+let check_metrics what metrics (r : Jrt.Runner.report) chaos =
   List.iter
     (fun (name, v) ->
-      Alcotest.(check int) (what ^ ": " ^ name) v (Telemetry.get_counter name))
+      Alcotest.(check int) (what ^ ": " ^ name) v (counter metrics name))
     (jrt_fields r.machine @ run_fields r chaos);
   List.iter
     (fun (name, v) ->
-      Alcotest.(check (float 0.0)) (what ^ ": " ^ name) v
-        (Telemetry.get_gauge name))
+      Alcotest.(check (float 0.0)) (what ^ ": " ^ name) v (gauge metrics name))
     (pacer_gauges r)
 
 let chaos_of faults =
   Jrt.Chaos.create
     { Jrt.Chaos.seed = 1; faults; quantum = None; gc_period = None }
 
-(* The registry reads each run's totals once, at run.finish, so after
-   any chaos run it equals the report's machine, marker, pacer and chaos
+(* The rendered metrics read each run's totals from its report, so after
+   any chaos run they equal the report's machine, marker, pacer and chaos
    fields. *)
 let reconciliation_prop =
   QCheck2.Test.make
@@ -349,22 +315,22 @@ let reconciliation_prop =
           ~steps_per_increment:8 ()
       in
       let chaos = Jrt.Chaos.create (Jrt.Chaos.of_seed seed) in
-      Telemetry.reset ();
       let r =
         Harness.Exp.run ~gc ~guards:true ~chaos ~fail_on_thread_error:false
           ~seed cw
       in
+      let metrics = metrics_of ~chaos cw r in
       List.iter
         (fun (name, v) ->
-          if Telemetry.get_counter name <> v then
-            QCheck2.Test.fail_reportf "%s: telemetry %d <> run %d" name
-              (Telemetry.get_counter name) v)
+          if counter metrics name <> v then
+            QCheck2.Test.fail_reportf "%s: metrics %d <> run %d" name
+              (counter metrics name) v)
         (jrt_fields r.machine @ run_fields r chaos);
       List.iter
         (fun (name, v) ->
-          if Telemetry.get_gauge name <> v then
+          if gauge metrics name <> v then
             QCheck2.Test.fail_reportf "%s: gauge %g <> pacer %g" name
-              (Telemetry.get_gauge name) v)
+              (gauge metrics name) v)
         (pacer_gauges r);
       true)
 
@@ -372,7 +338,6 @@ let reconciliation_prop =
    pin it down deterministically, with a late spawn so the run also
    revokes *)
 let test_reconciliation_budget_overflow () =
-  Telemetry.reset ();
   let chaos =
     chaos_of
       [
@@ -380,23 +345,22 @@ let test_reconciliation_budget_overflow () =
         Jrt.Chaos.Late_spawn { at_instr = 3000; stores = 4 };
       ]
   in
+  let cw = compile_full Workloads.Db.t in
   let r =
     Harness.Exp.run
       ~gc:(Jrt.Runner.make_retrace ~pacing:(Jrt.Pacer.config_of_trigger 24)
         ~steps_per_increment:1 ())
-      ~guards:true ~chaos ~retrace_budget:0 ~fail_on_thread_error:false
-      (compile_full Workloads.Db.t)
+      ~guards:true ~chaos ~retrace_budget:0 ~fail_on_thread_error:false cw
   in
   let m = r.machine in
   Alcotest.(check bool) "chaos run revoked, checked and degraded" true
     (m.revocation_events > 0 && m.retrace_checks > 0
     && m.degradations > 0 && m.degraded_swap_execs > 0);
-  check_registry "chaos" r chaos
+  check_metrics "chaos" (metrics_of ~chaos cw r) r chaos
 
-(* a hard-limit abort that assisted first still reaches run.finish's
-   read of the machine; every name stays registered for --metrics *)
+(* a hard-limit abort that assisted first is still reported from its
+   machine; every name is present for --metrics *)
 let test_reconciliation_hard_limit () =
-  Telemetry.reset ();
   let pacing =
     {
       Jrt.Pacer.default_config with
@@ -407,21 +371,23 @@ let test_reconciliation_hard_limit () =
   let chaos =
     chaos_of [ Jrt.Chaos.Alloc_spike { at_instr = 2000; count = 400 } ]
   in
+  let cw = compile_full Workloads.Db.t in
   let r =
     Harness.Exp.run
       ~gc:(Jrt.Runner.make_satb ~pacing ~steps_per_increment:8 ())
-      ~guards:true ~chaos ~fail_on_thread_error:false
-      (compile_full Workloads.Db.t)
+      ~guards:true ~chaos ~fail_on_thread_error:false cw
   in
   Alcotest.(check bool) "hard-limit abort after assists" true
     (r.hard_stop <> None && r.machine.assist_execs > 0);
-  check_registry "hard-limit abort" r chaos;
-  let snap = Telemetry.snapshot () in
-  let registered = List.map fst snap.sn_counters @ List.map fst snap.sn_gauges in
+  let metrics = metrics_of ~chaos cw r in
+  check_metrics "hard-limit abort" metrics r chaos;
+  let present =
+    List.map fst (member metrics "counters")
+    @ List.map fst (member metrics "gauges")
+  in
   List.iter
     (fun name ->
-      Alcotest.(check bool) (name ^ " registered") true
-        (List.mem name registered))
+      Alcotest.(check bool) (name ^ " present") true (List.mem name present))
     (List.map fst (jrt_fields r.machine @ run_fields r chaos)
     @ List.map fst (pacer_gauges r))
 
@@ -547,12 +513,6 @@ let test_explanations_sorted () =
 
 let tests =
   [
-    Alcotest.test_case "counter basics" `Quick test_counter_basics;
-    Alcotest.test_case "reset keeps handles live" `Quick
-      test_reset_keeps_handles;
-    Alcotest.test_case "gauge and histogram" `Quick test_gauge_histogram;
-    Alcotest.test_case "time records a duration" `Quick test_time_records;
-    Alcotest.test_case "snapshot is sorted" `Quick test_snapshot_sorted;
     Alcotest.test_case "events drop when disarmed" `Quick
       test_events_noop_unless_armed;
     Alcotest.test_case "event ordering and JSON round-trip" `Quick
