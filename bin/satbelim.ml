@@ -529,7 +529,7 @@ let refuse_unsound cmd ~allow_unsound ~md ~swap gc prog =
          object arrays in descending index order (--gc satb or --gc \
          retrace); pass --allow-unsound to %s"
         anyway;
-    if (swap || md) && Satb_core.Analysis.program_spawns prog then
+    if (swap || md) && Jir.Program.spawns prog then
       refuse
         "--move-down/--swap elisions assume a single mutator but this \
          program spawns threads; pass --allow-unsound to %s"

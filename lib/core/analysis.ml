@@ -1286,23 +1286,12 @@ let analyze_method ?(conf = default_config) ?(single_mutator = false)
     }
   end
 
-(** Does the program ever start a second thread?  The move-down extension
-    is disabled for multi-threaded programs (§4.3: unsynchronized writes
-    by other mutators would invalidate it). *)
-let program_spawns (prog : Jir.Program.t) : bool =
-  List.exists
-    (fun (_, (m : meth)) ->
-      Array.exists
-        (function Spawn _ -> true | _ -> false)
-        m.code)
-    (Jir.Program.all_methods prog)
-
 (** Analyze every method of a program.  With [conf.summaries], the
     summary table is computed here (bottom-up over the call graph) unless
     the caller already has one to share. *)
 let analyze_program ?(conf = default_config) ?summaries
     (prog : Jir.Program.t) : method_result list =
-  let single_mutator = not (program_spawns prog) in
+  let single_mutator = not (Jir.Program.spawns prog) in
   let summaries =
     match summaries with
     | Some _ as t -> t

@@ -101,9 +101,6 @@ val analyze_method :
     only under [conf.summaries]) replaces the blanket [Invoke] havoc with
     the callee's summarized effects. *)
 
-val program_spawns : Jir.Program.t -> bool
-(** Does the program ever start a second thread? *)
-
 val analyze_program :
   ?conf:config ->
   ?summaries:Summary.table ->

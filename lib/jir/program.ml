@@ -10,6 +10,7 @@ type t = {
   method_tbl : (class_name * method_name, meth) Hashtbl.t;
   field_tbl : (class_name * field_name, field_decl) Hashtbl.t;
   static_tbl : (class_name * field_name, field_decl) Hashtbl.t;
+  spawns : bool Lazy.t;
 }
 
 exception Link_error of string
@@ -44,7 +45,17 @@ let of_program (program : program) : t =
     List.iter add_method c.methods
   in
   List.iter add_class program.classes;
-  { program; class_tbl; method_tbl; field_tbl; static_tbl }
+  let spawns =
+    lazy
+      (List.exists
+         (fun c ->
+           List.exists
+             (fun m ->
+               Array.exists (function Spawn _ -> true | _ -> false) m.code)
+             c.methods)
+         program.classes)
+  in
+  { program; class_tbl; method_tbl; field_tbl; static_tbl; spawns }
 
 let program t = t.program
 let classes t = t.program.classes
@@ -101,6 +112,10 @@ let all_methods t : (cls * meth) list =
   List.concat_map
     (fun c -> List.map (fun m -> (c, m)) c.methods)
     t.program.classes
+
+(** Does any method, called or not, hold a [spawn]?  Scanned on the first
+    call only. *)
+let spawns t = Lazy.force t.spawns
 
 (** Total instruction count over all methods — the "code size" metric before
     barrier-footprint weighting (see Figure 3 harness). *)

@@ -31,5 +31,12 @@ val field_index : t -> field_ref -> int
 
 val all_methods : t -> (cls * meth) list
 
+val spawns : t -> bool
+(** Does the program hold a [spawn] instruction in any method, called or
+    not?  When it does not, the program has one mutator thread for its
+    whole run: the analysis's single-mutator premise, and why the runner
+    cuts its slices only at safepoints.  Computed on the first call and
+    kept. *)
+
 val total_instr_count : t -> int
 (** Total instruction count over all methods. *)
