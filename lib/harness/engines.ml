@@ -153,13 +153,13 @@ let bench_gc_period = 512
 
 (** Repeat the deterministic run until cumulative mutator time reaches
     [min_seconds]; returns (steps per run, steps/sec).  Time is the sum
-    of each run's [loop_s -. gc_s]: the scheduling loop alone, minus
-    safepoint/GC work.  VM bring-up and the threaded engine's up-front
-    method compilation are outside [loop_s], and collector work is
-    engine-invariant by construction (the exhaustive equality check
-    proves the collector saw identical inputs), so what remains — and
-    what E17's ratio compares — is steady-state {e mutator} throughput,
-    the paper's quantity of interest. *)
+    of each run's [loop_s -. gc_s]: the scheduling loop alone, minus the
+    safepoints that ran collector work.  VM bring-up and the threaded
+    engine's up-front method compilation are outside [loop_s], and
+    collector work is engine-invariant by construction (the exhaustive
+    equality check proves the collector saw identical inputs), so what
+    remains — and what E17's ratio compares — is steady-state
+    {e mutator} throughput, the paper's quantity of interest. *)
 let steps_per_sec ~min_seconds ~engine (cw : Exp.compiled_workload) :
     int * float =
   let gc = Jrt.Runner.make_satb () in

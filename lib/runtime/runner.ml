@@ -4,9 +4,11 @@
 
     Scheduling is a round-robin over live threads with a fixed (optionally
     seed-jittered) quantum; collector increments run every
-    [gc_period] mutator instructions.  Everything is deterministic for a
-    given seed, which the soundness property tests exploit to explore many
-    adversarial mutator/collector interleavings.
+    [gc_period] mutator instructions.  A program with no [spawn]
+    ({!Jir.Program.spawns}) has one thread for its whole run and no
+    quanta: it runs from safepoint to safepoint.  Everything is
+    deterministic for a given seed, which the soundness property tests
+    exploit to explore many adversarial mutator/collector interleavings.
 
     Collector work (increments, cycle starts, remark) only runs at
     {e safepoints}: it is deferred while the interpreter is inside a
@@ -111,15 +113,17 @@ type report = {
   thread_errors : (int * string) list;
   loop_s : float;
       (** wall time of the scheduling loop alone — mutator slices plus
-          safepoint/GC work, excluding machine construction and
-          [Exec.create] (binding the shared code, and compiling it on
-          the content's first threaded run).  The steady-state number
-          benchmarks compare across engines. *)
+          safepoints, excluding machine construction and [Exec.create]
+          (binding the shared code, and compiling it on the content's
+          first threaded run).  The steady-state number benchmarks
+          compare across engines. *)
   gc_s : float;
-      (** portion of [loop_s] spent inside safepoint work — collector
-          increments, pauses, pacing, revocation — which is
-          engine-invariant by construction (the engines share every GC
-          hook).  [loop_s -. gc_s] is mutator time. *)
+      (** portion of [loop_s] spent in the safepoints that ran
+          collector, chaos or revocation work, and in the final pause of
+          a cycle still marking at the end; engine-invariant by
+          construction (the engines share every GC hook).  An idle
+          safepoint is not timed.  [loop_s -. gc_s] is mutator time,
+          idle safepoint polls included. *)
 }
 
 let summary_of (t : Marker.t) ~pause_steps =
@@ -148,6 +152,9 @@ let lcg seed =
 let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
     ?(quantum = 50) ?(seed = 0) ?(gc_period = 32) ?chaos ?retrace_budget
     ?observer (prog : Jir.Program.t) ~(entry : Jir.Types.method_ref) : report =
+  if quantum < 1 then
+    invalid_arg
+      (Printf.sprintf "Runner.run: quantum must be at least 1, got %d" quantum);
   let m = Interp.create ~cfg prog in
   (* heap observer: arm verdict logging before the first instruction so
      the first cycle's elided stores are attributed too *)
@@ -246,6 +253,11 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
           Option.value p.Chaos.gc_period ~default:gc_period )
   in
   let rand = lcg seed in
+  (* A program with no [spawn] has one mutator for its whole run: a
+     quantum end would hand the processor back to the same thread, so its
+     slices end only at safepoints.  A spawning program keeps its quanta
+     and their seed jitter. *)
+  let single_mutator = not (Jir.Program.spawns prog) in
   (* collector wiring: the marker runs the choice's policy; the pacer
      shares its increment budget *)
   let live, pacer =
@@ -354,6 +366,21 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
       m.Interp.gc.Gc_hooks.on_pressure ~degraded
     end
   in
+  (* Will this safepoint run collector, chaos or revocation work?  Only
+     then is it timed into [gc_s]: an idle one is a few loads and
+     branches, cheaper than the two clock reads that would time it.  The
+     marker and the pacer answer with the predicates the safepoint's
+     work consults ([should_start] also holds while the pacer is
+     degraded).  The answer picks the clock, never the work. *)
+  let has_work () =
+    chaos <> None
+    || m.Interp.pending_revocations <> []
+    ||
+    match (live, pacer) with
+    | Some t, Some p ->
+        Marker.is_marking t || Pacer.should_start p m.Interp.heap
+    | _ -> false
+  in
   (* Run up to [fuel] instructions of [th] on the selected engine,
      returning how many executed.  The interpreter path is the old
      step-at-a-time loop verbatim; the threaded engine dispatches the
@@ -385,10 +412,14 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
        else
          List.iter
            (fun th ->
-             let q = if seed = 0 then quantum else rand quantum in
+             let q =
+               if single_mutator then max_int
+               else if seed = 0 then quantum
+               else rand quantum
+             in
              let k = ref 0 in
              while !k < q && not th.Interp.finished do
-               (* run straight to the next safepoint boundary in one
+               (* run straight to the next safepoint or quantum end in one
                   slice — the cadence is identical to stepping one
                   instruction at a time because a safepoint can only
                   fire when [since_gc] reaches [gc_period].  While a
@@ -403,7 +434,8 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
                   store pair's window is open *)
                if !since_gc >= gc_period && not m.Interp.in_no_safepoint
                then begin
-                 let sp_t0 = Telemetry.now_s () in
+                 let timed = has_work () in
+                 let sp_t0 = if timed then Telemetry.now_s () else 0.0 in
                  since_gc := 0;
                  (* chaos faults fire first, so a late-spawn announcement's
                     revocation is applied below, before the fault's damage
@@ -449,7 +481,7 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
                           quiescent *)
                        if Marker.quiescent t then finish_cycle t
                      end);
-                 gc_s := !gc_s +. (Telemetry.now_s () -. sp_t0)
+                 if timed then gc_s := !gc_s +. (Telemetry.now_s () -. sp_t0)
                end
              done)
            runnable

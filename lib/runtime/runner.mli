@@ -2,7 +2,8 @@
     collector increments, triggers and finishes marking cycles, and
     produces a run report.  Deterministic for a given seed — the
     soundness property tests sweep seeds to explore adversarial
-    mutator/collector interleavings. *)
+    mutator/collector interleavings.  A program that never spawns runs
+    from safepoint to safepoint, with no quanta. *)
 
 (** The four concurrent collectors. *)
 type collector = Satb | Incr | Retrace | Hybrid
@@ -107,15 +108,20 @@ type report = {
   thread_errors : (int * string) list;
   loop_s : float;
       (** wall time of the scheduling loop alone — mutator slices plus
-          safepoint/GC work, excluding machine construction and, for the
+          safepoints, excluding machine construction and, for the
           threaded engine, {!Exec.create}: binding the shared code, and
           compiling it on the program content's first threaded run.  The
           steady-state number benchmarks compare across engines. *)
   gc_s : float;
-      (** portion of [loop_s] spent inside safepoint work — collector
-          increments, pauses, pacing, revocation — which is
-          engine-invariant by construction (the engines share every GC
-          hook).  [loop_s -. gc_s] is mutator time. *)
+      (** portion of [loop_s] spent in the safepoints that had collector,
+          chaos or revocation work — marking under way, a cycle due (the
+          pacer's trigger, or the pacer degraded), a chaos plan, or
+          revocations pending — and in the final pause of a cycle still
+          marking when the loop ends.  Engine-invariant by construction
+          (the engines share every GC hook).  An idle safepoint reads no
+          clock: 0.0 under [No_gc] without chaos.  [loop_s -. gc_s] is
+          mutator time, idle safepoint polls included, and
+          [gc_s <= loop_s] always. *)
 }
 
 val run :
@@ -135,6 +141,16 @@ val run :
     step-accurate tree-walking interpreter, or [`Threaded], the
     direct-threaded compiled engine ({!Exec}) — same safepoint cadence,
     counters, collectors and chaos faults, ≈10x the steps/sec.
+
+    Each live thread runs [quantum] instructions per turn (default 50;
+    with a nonzero [seed], a draw in [1, quantum]), and a safepoint
+    falls every [gc_period] mutator instructions (default 32).  A
+    program with no [spawn] instruction ({!Jir.Program.spawns}) has one
+    thread for its whole run, so it has no turns: its slices end only
+    at safepoints, and neither [quantum] nor [seed] changes what it
+    does.  A [quantum] below 1 raises [Invalid_argument] before the run
+    starts.
+
     [chaos] injects the given fault plan at safepoints (its plan may
     also override [quantum]/[gc_period]); [retrace_budget] bounds the
     retrace collector's per-cycle re-scan queue (see {!Retrace_gc}).

@@ -35,10 +35,10 @@ let events_digest () =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let cell cw ~gc_name ~gc ~quantum ~gc_period ~seed ~chaos ~engine =
+  let plan s = Jrt.Chaos.create (Jrt.Chaos.of_seed s) in
   let r =
     Harness.Exp.run ~gc ~guards:(chaos <> None) ~fail_on_thread_error:false
-      ?chaos:(Option.map (fun s -> Jrt.Chaos.create (Jrt.Chaos.of_seed s)) chaos)
-      ~seed ~quantum ~gc_period ~engine cw
+      ?chaos:(Option.map plan chaos) ~seed ~quantum ~gc_period ~engine cw
   in
   let m = r.Jrt.Runner.machine in
   let cycles, works, at =
