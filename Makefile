@@ -1,6 +1,7 @@
 # Convenience targets; the canonical CI entry point is `make check`.
 
-.PHONY: all check test gate compile-bench mutator-bench bench profile-smoke heap-smoke clean
+.PHONY: all check test gate compile-bench mutator-bench gc-churn-bench bench \
+  profile-smoke heap-smoke clean
 
 all:
 	dune build
@@ -56,6 +57,13 @@ compile-bench:
 # its end-to-end record to bench/perf/out/ci/runs.jsonl
 mutator-bench:
 	dune exec ./bench/perf/perf.exe -- run --workload mutator --seed 1 \
+	  --seconds 3 --out bench/perf/out/ci
+
+# GC-churn throughput: a short closed-loop gc-churn run (Exp.run of jbb, db
+# and jack under satb, incr, retrace and hybrid at the default cadence);
+# appends its end-to-end record to bench/perf/out/ci/runs.jsonl
+gc-churn-bench:
+	dune exec ./bench/perf/perf.exe -- run --workload gc-churn --seed 1 \
 	  --seconds 3 --out bench/perf/out/ci
 
 # full reproduction: every table, figure and experiment
