@@ -46,8 +46,6 @@ let test_quantum_refused () =
             (Harness.Exp.run ~gc:(Jrt.Runner.make_satb ()) ~quantum ~seed cw)))
     [ (0, 0); (0, 1); (-3, 0) ]
 
-let ring () = List.map (fun e -> Flight.to_json e) (Flight.events ())
-
 (* a spawn-free program has one mutator, so neither the quantum nor the
    seed's jitter of it moves anything the run records *)
 let test_single_mutator_ignores_quantum () =
@@ -60,7 +58,7 @@ let test_single_mutator_ignores_quantum () =
     ( r.Jrt.Runner.steps,
       r.cost_units,
       Option.map (fun (g : Jrt.Runner.gc_summary) -> g.pause_steps) r.gc,
-      ring () )
+      List.map Flight.to_json (Flight.events ()) )
   in
   let want = run ~quantum:1 ~seed:0 in
   List.iter
