@@ -16,13 +16,18 @@ test: check
 # profiler smoke: profile a micro workload under heap-growth pacing with
 # a soft limit low enough that the tiny heap still cycles (and degrades,
 # covering the degrade-don't-die path), then gate the result against
-# itself (must be a clean no-regression pass)
+# itself (must be a clean no-regression pass), and show the gate can
+# fail: the plain mode-B analysis against that baseline must exit 1 (a
+# pass, or an exit 2 error, fails the target)
 profile-smoke:
 	dune exec bin/satbelim.exe -- profile --workload micro-expand \
 	  --soft-limit 24 --json PROFILE_micro.json
 	dune exec bin/satbelim.exe -- profile --workload micro-expand \
 	  --soft-limit 24 --baseline PROFILE_micro.json
 	dune exec bench/main.exe -- diff PROFILE_micro.json PROFILE_micro.json
+	dune exec bin/satbelim.exe -- profile --workload micro-expand \
+	  --soft-limit 24 --mode B --baseline PROFILE_micro.json; \
+	  test $$? -eq 1
 
 # observatory smoke: the full heap report (census, dominator retention,
 # per-collector barrier float) on db, snapshot export, and a self-diff

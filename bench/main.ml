@@ -169,52 +169,18 @@ let write_artifact path tables =
 
 (* --- regression gate (`bench diff OLD.json NEW.json`) ----------------- *)
 
-let diff_usage =
-  "usage: bench diff OLD.json NEW.json [--max-elision-drop POINTS] \
-   [--max-pause-increase PCT] [--max-cost-increase PCT] [--max-mmu-drop ABS]"
+let diff_usage = "usage: bench diff OLD.json NEW.json"
 
 let run_diff (args : string list) : unit =
-  let float_arg flag v k =
-    match float_of_string_opt v with
-    | Some f -> k f
-    | None ->
-        Printf.eprintf "bench diff: %s expects a number, got %S\n" flag v;
-        exit 2
-  in
-  let rec parse th files = function
-    | [] -> (th, List.rev files)
-    | "--max-elision-drop" :: v :: rest ->
-        float_arg "--max-elision-drop" v (fun f ->
-            parse { th with Profile.Gate.max_elision_drop = f } files rest)
-    | "--max-pause-increase" :: v :: rest ->
-        float_arg "--max-pause-increase" v (fun f ->
-            parse { th with Profile.Gate.max_pause_increase_pct = f } files rest)
-    | "--max-cost-increase" :: v :: rest ->
-        float_arg "--max-cost-increase" v (fun f ->
-            parse { th with Profile.Gate.max_cost_increase_pct = f } files rest)
-    | "--max-mmu-drop" :: v :: rest ->
-        float_arg "--max-mmu-drop" v (fun f ->
-            parse { th with Profile.Gate.max_mmu_drop = f } files rest)
-    | a :: rest when String.length a > 0 && a.[0] <> '-' ->
-        parse th (a :: files) rest
-    | a :: _ ->
-        Printf.eprintf "bench diff: unknown flag %s\n%s\n" a diff_usage;
-        exit 2
-  in
-  match parse Profile.Gate.default_thresholds [] args with
-  | thresholds, [ old_path; new_path ] -> (
-      match Profile.Gate.diff_files ~thresholds ~old_path new_path with
+  match args with
+  | [ old_path; new_path ] -> (
+      match Profile.Gate.diff_files ~old_path new_path with
       | Error e ->
           Printf.eprintf "bench diff: %s\n" e;
           exit 2
       | Ok o ->
           print_string (Profile.Gate.render o);
-          if Profile.Gate.regressed o then begin
-            Printf.printf "FAIL: %d regression(s)\n"
-              (List.length o.Profile.Gate.o_regressions);
-            exit 1
-          end
-          else print_endline "OK: no regressions")
+          if Profile.Gate.regressed o then exit 1)
   | _ ->
       prerr_endline diff_usage;
       exit 2
@@ -222,7 +188,7 @@ let run_diff (args : string list) : unit =
 let usage =
   Printf.sprintf
     "usage: bench [--engine interp|threaded] [--json] [EXPERIMENT...]\n\
-    \       bench diff OLD.json NEW.json [THRESHOLDS]\n\
+    \       bench diff OLD.json NEW.json\n\
      experiments: %s"
     (String.concat " " (List.map (fun (name, _, _, _) -> name) experiments))
 

@@ -584,7 +584,14 @@ let run_cmd =
       chrome flight_dump =
     check_outputs [ trace; metrics; chrome; flight_dump ];
     let spec, prog = load_input (File (file, entry)) in
-    let gc_choice = gc_choice ~pacing:(pacing gc) gc in
+    let gc_choice =
+      match (gc_choice ~pacing:(pacing gc) gc, retrace_budget) with
+      | Jrt.Runner.Gc g, Some retrace_budget when gc = Some Jrt.Runner.Retrace
+        ->
+          Jrt.Runner.Gc
+            { g with policy = Jrt.Retrace_gc.policy ~retrace_budget () }
+      | choice, _ -> choice
+    in
     refuse_unsound `Run ~allow_unsound ~md ~swap gc_choice prog;
     with_capture ~trace ~chrome @@ fun () ->
     let cw =
@@ -598,8 +605,8 @@ let run_cmd =
     in
     let r =
       Harness.Exp.run ~gc:gc_choice ~engine ~use_policy:(not no_elim)
-        ~guards:true ~revoke:(not no_revoke) ?chaos ?retrace_budget
-        ~fail_on_thread_error:false cw
+        ~guards:true ~revoke:(not no_revoke) ?chaos ~fail_on_thread_error:false
+        cw
     in
     write_metrics ?chaos metrics cw.compiled [ r ];
     Fmt.pr "steps: %d, cost units: %d (barriers: %d)@." r.steps r.cost_units
@@ -724,8 +731,7 @@ let run_cmd =
 
 let profile_cmd =
   let run file workload limit mode nos md swap summaries gc engine pacing
-      entry json top baseline max_elision_drop max_pause_increase
-      max_cost_increase allow_unsound trace metrics chrome =
+      entry json top baseline allow_unsound trace metrics chrome =
     check_outputs [ trace; metrics; chrome; json ];
     let spec, prog =
       load_input
@@ -765,46 +771,32 @@ let profile_cmd =
           3
       | Ok () -> (
           print_string (Profile.Attr.render ~top p);
+          let j = Profile.Attr.to_json p in
           Option.iter
             (fun path ->
-              Telemetry.write_file path
-                (Telemetry.json_to_string_pretty (Profile.Attr.to_json p));
+              Telemetry.write_file path (Telemetry.json_to_string_pretty j);
               Fmt.pr "wrote %s@." path)
             json;
           match baseline with
           | None -> 0
           | Some path -> (
-              let parsed =
-                match Telemetry.json_of_string (read_file path) with
-                | Error e -> Error (Fmt.str "%s: %s" path e)
-                | Ok j -> (
-                    match Profile.Attr.of_json j with
-                    | Error e -> Error (Fmt.str "%s: %s" path e)
-                    | Ok b -> Ok b)
-              in
-              match parsed with
+              match
+                Result.bind
+                  (Telemetry.json_of_string (read_file path))
+                  (fun old_ -> Profile.Gate.diff_json ~old_ j)
+              with
               | Error e ->
-                  Fmt.epr "satbelim: %s@." e;
+                  Fmt.epr "satbelim: %s: %s@." path e;
                   2
-              | Ok baseline ->
-                  let d =
-                    Profile.Attr.diff ~max_elision_drop
-                      ~max_pause_increase_pct:max_pause_increase
-                      ~max_cost_increase_pct:max_cost_increase ~baseline p
-                  in
-                  Fmt.pr "@.-- vs baseline %s --@." path;
-                  print_string (Profile.Attr.render_diff d);
-                  if Profile.Attr.regressed d then begin
-                    Fmt.pr "FAIL: %d regression(s)@."
-                      (List.length d.Profile.Attr.df_regressions);
+              | Ok o ->
+                  Fmt.pr "@.-- vs baseline %s --@.%s@?" path
+                    (Profile.Gate.render o);
+                  if Profile.Gate.regressed o then begin
                     (* keep the evidence: the run's ring is still live *)
                     ignore (Flight.capture ~reason:"profile-gate");
                     1
                   end
-                  else begin
-                    Fmt.pr "OK: no regressions@.";
-                    0
-                  end))
+                  else 0))
   in
   let file_opt_arg =
     Arg.(
@@ -819,9 +811,10 @@ let profile_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
           ~doc:
-            "Write the profile as deterministic JSON (sorted keys, sites in \
-             site-id order) — the format `profile --baseline` and `bench \
-             diff` consume.")
+            "Write the profile as deterministic JSON: a BENCH table file \
+             whose `profile` table is the summary row `profile --baseline` \
+             and `bench diff` gate, beside the full record (sites in site-id \
+             order).")
   in
   let top_arg =
     Arg.(
@@ -838,33 +831,6 @@ let profile_cmd =
             "Compare against a previously saved profile JSON and exit \
              nonzero on regression.")
   in
-  let elision_drop_arg =
-    Arg.(
-      value
-      & opt float 2.0
-      & info [ "max-elision-drop" ] ~docv:"POINTS"
-          ~doc:
-            "Allowed drop of the dynamic elision rate vs the baseline, in \
-             percentage points (default 2.0).")
-  in
-  let pause_increase_arg =
-    Arg.(
-      value
-      & opt float 25.0
-      & info [ "max-pause-increase" ] ~docv:"PCT"
-          ~doc:
-            "Allowed growth of the p99/max pause vs the baseline, in \
-             percent (default 25).")
-  in
-  let cost_increase_arg =
-    Arg.(
-      value
-      & opt float 10.0
-      & info [ "max-cost-increase" ] ~docv:"PCT"
-          ~doc:
-            "Allowed growth of the modelled barrier cost per kilostep vs \
-             the baseline, in percent (default 10).")
-  in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
@@ -874,8 +840,7 @@ let profile_cmd =
       const run $ file_opt_arg $ workload_arg $ inline_limit_arg $ mode_arg
       $ nos_arg $ movedown_arg $ swap_arg $ summaries_arg $ gc_arg
       $ engine_arg $ pacing_arg $ entry_arg $ json_arg $ top_arg
-      $ baseline_arg $ elision_drop_arg $ pause_increase_arg
-      $ cost_increase_arg $ allow_unsound_arg $ trace_arg $ metrics_arg
+      $ baseline_arg $ allow_unsound_arg $ trace_arg $ metrics_arg
       $ chrome_arg)
 
 (* validate-trace *)
@@ -898,68 +863,48 @@ let validate_trace_cmd =
     | Error (line, msg) ->
         Fmt.epr "%s:%d: %s@." file line msg;
         exit 1
-    | Ok n -> (
-        Fmt.pr "%s: %d events, schema OK@." file n;
+    | Ok events -> (
+        Fmt.pr "%s: %d events, schema OK@." file (List.length events);
         (* semantic post-pass: every heap.census event must reconcile the
            census fold with the heap's own counters, to the unit — a
            mismatch is a bug in the observatory's accounting *)
         let censuses = ref 0 in
         List.iteri
-          (fun i l ->
-            if String.trim l <> "" then
-              match Telemetry.json_of_string l with
-              | Error _ -> ()
-              | Ok j -> (
-                  match Telemetry.event_of_json j with
-                  | Error _ -> ()
-                  | Ok e
-                    when e.Telemetry.ev_kind = "heap.census"
-                         (* sampled counters-only ticks (the always-on
-                            telemetry path between full censuses) carry
-                            no census fold to reconcile *)
-                         && List.mem_assoc "census_live" e.Telemetry.ev_fields
-                    ->
-                      incr censuses;
-                      let geti name =
-                        match List.assoc_opt name e.Telemetry.ev_fields with
-                        | Some (Telemetry.Int n) -> n
-                        | _ ->
-                            Fmt.epr "%s:%d: heap.census missing field %s@."
-                              file (i + 1) name;
-                            exit 1
-                      in
-                      let cl = geti "census_live"
-                      and cu = geti "census_units"
-                      and hl = geti "heap_live"
-                      and hu = geti "heap_units" in
-                      if cl <> hl || cu <> hu then begin
-                        Fmt.epr
-                          "%s:%d: heap.census does not reconcile: census \
-                           %d objects/%d units vs heap counters %d/%d@."
-                          file (i + 1) cl cu hl hu;
-                        exit 1
-                      end
-                  | Ok _ -> ()))
-          lines;
+          (fun i (e : Telemetry.event) ->
+            if
+              e.ev_kind = "heap.census"
+              (* sampled counters-only ticks (the always-on telemetry path
+                 between full censuses) carry no census fold to reconcile *)
+              && List.mem_assoc "census_live" e.ev_fields
+            then begin
+              incr censuses;
+              let geti name =
+                match List.assoc_opt name e.ev_fields with
+                | Some (Telemetry.Int n) -> n
+                | _ ->
+                    Fmt.epr "%s:%d: heap.census missing field %s@." file
+                      (i + 1) name;
+                    exit 1
+              in
+              let cl = geti "census_live"
+              and cu = geti "census_units"
+              and hl = geti "heap_live"
+              and hu = geti "heap_units" in
+              if cl <> hl || cu <> hu then begin
+                Fmt.epr
+                  "%s:%d: heap.census does not reconcile: census %d \
+                   objects/%d units vs heap counters %d/%d@."
+                  file (i + 1) cl cu hl hu;
+                exit 1
+              end
+            end)
+          events;
         if !censuses > 0 then
           Fmt.pr "%s: %d heap.census event(s) reconcile with heap counters@."
             file !censuses;
         match chrome with
         | None -> ()
         | Some out ->
-            let events =
-              List.filter_map
-                (fun l ->
-                  if String.trim l = "" then None
-                  else
-                    match Telemetry.json_of_string l with
-                    | Ok j -> (
-                        match Telemetry.event_of_json j with
-                        | Ok e -> Some e
-                        | Error _ -> None)
-                    | Error _ -> None)
-                lines
-            in
             Telemetry.write_file out
               (Telemetry.json_to_string (Telemetry.chrome_of_events events));
             Fmt.pr "%s: wrote Chrome trace (%d events)@." out

@@ -26,12 +26,13 @@ let compile ?(inline_limit = 100) ?(mode = Satb_core.Analysis.A)
 let config ?(satb_mode = Jrt.Barrier_cost.Conditional) ?(use_policy = true)
     ?(guards = false) ?(revoke = true) ~(gc : Jrt.Runner.gc_choice)
     (cw : compiled_workload) : Jrt.Interp.config =
-  (* The hybrid collector switches the runtime to the split-verdict
-     barrier: both halves, and no tracing-state check. *)
+  (* A collector with the insertion half (hybrid) switches the runtime to
+     the split-verdict barrier: both halves, and no tracing-state check.
+     No collector claims every capability but runs no barrier. *)
   let hybrid =
     match gc with
-    | Jrt.Runner.Gc { collector = Hybrid; _ } -> true
-    | Jrt.Runner.Gc _ | No_gc -> false
+    | Jrt.Runner.No_gc -> false
+    | Gc _ -> (Jrt.Runner.caps_of_choice gc).Jrt.Gc_hooks.insertion_half
   in
   (* Guards are opt-in: several negative soundness tests deliberately
      run unsound policy/collector combinations to show the oracle
@@ -81,13 +82,13 @@ let default_engine : [ `Interp | `Threaded ] ref =
     | Some _ | None -> `Interp)
 
 let run ?(gc = Jrt.Runner.No_gc) ?satb_mode ?use_policy ?guards ?revoke ?chaos
-    ?retrace_budget ?(fail_on_thread_error = true) ?(seed = 0) ?quantum
-    ?gc_period ?engine ?observer (cw : compiled_workload) : Jrt.Runner.report =
+    ?(fail_on_thread_error = true) ?(seed = 0) ?quantum ?gc_period ?engine
+    ?observer (cw : compiled_workload) : Jrt.Runner.report =
   let engine = match engine with Some e -> e | None -> !default_engine in
   let cfg = config ?satb_mode ?use_policy ?guards ?revoke ~gc cw in
   let report =
-    Jrt.Runner.run ~cfg ~gc ~engine ~seed ?quantum ?gc_period ?chaos
-      ?retrace_budget ?observer cw.compiled.program ~entry:cw.workload.entry
+    Jrt.Runner.run ~cfg ~gc ~engine ~seed ?quantum ?gc_period ?chaos ?observer
+      cw.compiled.program ~entry:cw.workload.entry
   in
   (if fail_on_thread_error then
      match report.thread_errors with

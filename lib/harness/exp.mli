@@ -60,7 +60,6 @@ val run :
   ?guards:bool ->
   ?revoke:bool ->
   ?chaos:Jrt.Chaos.t ->
-  ?retrace_budget:int ->
   ?fail_on_thread_error:bool ->
   ?seed:int ->
   ?quantum:int ->

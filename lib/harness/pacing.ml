@@ -146,12 +146,7 @@ let row_of ~(coll : Jrt.Runner.collector) ~(policy : string)
           p.Jrt.Pacer.p_max_live_units )
     | None -> (0, 0, 0)
   in
-  let dist = Profile.Stats.dist_of pauses in
-  let tl =
-    Profile.Stats.timeline_of_summary ~steps:r.Jrt.Runner.steps
-      r.Jrt.Runner.gc
-  in
-  let w10 = max 1 (Profile.Stats.total_time tl / 10) in
+  let s = Profile.Stats.of_report r in
   {
     bench = cw.Exp.workload.name;
     collector = Jrt.Runner.collector_name coll;
@@ -161,10 +156,10 @@ let row_of ~(coll : Jrt.Runner.collector) ~(policy : string)
     cycles;
     degraded_cycles;
     assists;
-    p50 = dist.Profile.Stats.d_p50;
-    p99 = dist.Profile.Stats.d_p99;
-    max_pause = dist.Profile.Stats.d_max;
-    mmu_10 = Profile.Stats.mmu tl ~window:w10;
+    p50 = s.Profile.Stats.dist.d_p50;
+    p99 = s.Profile.Stats.dist.d_p99;
+    max_pause = s.Profile.Stats.dist.d_max;
+    mmu_10 = s.Profile.Stats.mmu_10;
     max_live;
     violations;
     hard_stops = (match r.Jrt.Runner.hard_stop with Some _ -> 1 | None -> 0);

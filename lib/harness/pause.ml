@@ -45,30 +45,22 @@ let measure_one (w : Workloads.Spec.t) : row =
         ~gc:(Jrt.Runner.make ~steps_per_increment ~pacing coll)
         cw
     in
-    match r.Jrt.Runner.gc with
-    | Some g ->
-        if g.Jrt.Runner.total_violations > 0 then
-          Fmt.failwith "%s/%s: marking invariant violated" w.name name;
-        let tl =
-          Profile.Stats.timeline_of_summary ~steps:r.Jrt.Runner.steps
-            r.Jrt.Runner.gc
-        in
-        let w10 = max 1 (Profile.Stats.total_time tl / 10) in
-        {
-          collector = name;
-          cycles = g.Jrt.Runner.cycles;
-          pauses = Profile.Stats.dist_of g.Jrt.Runner.final_pause_works;
-          mmu_10 = Profile.Stats.mmu tl ~window:w10;
-          utilization = Profile.Stats.utilization tl;
-        }
-    | None ->
-        {
-          collector = name;
-          cycles = 0;
-          pauses = Profile.Stats.dist_of [];
-          mmu_10 = 1.0;
-          utilization = 1.0;
-        }
+    let cycles =
+      match r.Jrt.Runner.gc with
+      | Some g ->
+          if g.Jrt.Runner.total_violations > 0 then
+            Fmt.failwith "%s/%s: marking invariant violated" w.name name;
+          g.Jrt.Runner.cycles
+      | None -> 0
+    in
+    let s = Profile.Stats.of_report r in
+    {
+      collector = name;
+      cycles;
+      pauses = s.Profile.Stats.dist;
+      mmu_10 = s.Profile.Stats.mmu_10;
+      utilization = s.Profile.Stats.utilization;
+    }
   in
   (* elision policy and the swap/move-down compile, per collector; the
      hybrid barrier has its own experiment (E15) *)

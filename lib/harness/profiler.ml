@@ -4,7 +4,7 @@ type result = {
   workload : string;
   baseline : Profile.Attr.t;
   full : Profile.Attr.t;
-  diff : Profile.Attr.diff;
+  diff : Profile.Gate.outcome;
 }
 
 let profile_run ~(label : string) ~(gc : Jrt.Runner.gc_choice)
@@ -35,24 +35,24 @@ let measure ?(workload = Workloads.Db.t) () : result =
   in
   (* the "diff" direction is full-vs-baseline, so an *improvement* shows
      up as a (desired) elision-rate gain, not a regression *)
-  let diff = Profile.Attr.diff ~baseline full in
+  let diff =
+    match
+      Profile.Gate.diff_json
+        ~old_:(Profile.Attr.to_json baseline)
+        (Profile.Attr.to_json full)
+    with
+    | Ok o -> o
+    | Error e -> Fmt.failwith "%s: full vs plain: %s" workload.name e
+  in
   { workload = workload.Workloads.Spec.name; baseline; full; diff }
 
 let to_json (r : result) : Telemetry.json =
   Telemetry.List
     (List.map
        (fun (variant, p) ->
-         Telemetry.Obj
-           [
-             ("workload", Str r.workload);
-             ("variant", Str variant);
-             ("elision_pct", Float (Profile.Attr.elision_rate p));
-             ("barrier_units", Int p.Profile.Attr.p_totals.t_barrier_units);
-             ("units_per_kstep", Float (Profile.Attr.units_per_kstep p));
-             ("pause_p99", Int p.Profile.Attr.p_pauses.Profile.Stats.d_p99);
-             ("pause_max", Int p.Profile.Attr.p_pauses.Profile.Stats.d_max);
-             ("utilization", Float p.Profile.Attr.p_utilization);
-           ])
+         Profile.Attr.summary_row
+           ~ids:[ ("workload", Str r.workload); ("variant", Str variant) ]
+           p)
        [ ("plain", r.baseline); ("full", r.full) ])
 
 let render (r : result) : string =
@@ -65,5 +65,5 @@ let render (r : result) : string =
        r.workload);
   Buffer.add_string b (Profile.Attr.render ~top:5 r.full);
   Buffer.add_string b "\n-- full vs plain --\n";
-  Buffer.add_string b (Profile.Attr.render_diff r.diff);
+  Buffer.add_string b (Profile.Gate.render r.diff);
   Buffer.contents b

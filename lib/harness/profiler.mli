@@ -14,7 +14,7 @@ type result = {
   workload : string;
   baseline : Profile.Attr.t;  (** plain mode-A analysis *)
   full : Profile.Attr.t;  (** + null-or-same, move-down, swap, summaries *)
-  diff : Profile.Attr.diff;  (** full vs the baseline *)
+  diff : Profile.Gate.outcome;  (** full vs the baseline *)
 }
 
 val measure : ?workload:Workloads.Spec.t -> unit -> result
@@ -22,6 +22,7 @@ val measure : ?workload:Workloads.Spec.t -> unit -> result
     the interpreter's global counters. *)
 
 val to_json : result -> Telemetry.json
-(** The [profile] table of BENCH_profile.json: one row per variant. *)
+(** The [profile] table of BENCH_profile.json: one
+    {!Profile.Attr.summary_row} per variant. *)
 
 val render : result -> string

@@ -20,9 +20,17 @@
 (* the SATB-family collectors, plain and retrace *)
 let collectors = Jrt.Runner.[ Satb; Retrace ]
 
-let gc_of ?(steps_per_increment = 8) coll =
-  Jrt.Runner.make ~pacing:(Jrt.Pacer.config_of_trigger 24)
-    ~steps_per_increment coll
+(* [budget] bounds the retrace collector's per-cycle re-scan queue;
+   plain SATB has none *)
+let gc_of ~budget ?(steps_per_increment = 8) coll =
+  match
+    ( Jrt.Runner.make ~pacing:(Jrt.Pacer.config_of_trigger 24)
+        ~steps_per_increment coll,
+      budget )
+  with
+  | Jrt.Runner.Gc g, Some retrace_budget when coll = Jrt.Runner.Retrace ->
+      Jrt.Runner.Gc { g with policy = Jrt.Retrace_gc.policy ~retrace_budget () }
+  | gc, _ -> gc
 
 (** The fault plans of the revocation-enabled sweep.  [budget-overflow]
     drives the termination watchdog: marking is slowed to one gray entry
@@ -83,9 +91,8 @@ let run_one ~revoke ~plan_name ~faults ~budget ?steps_per_increment ~seed
   in
   let r =
     Exp.run
-      ~gc:(gc_of ?steps_per_increment coll)
-      ~guards:true ~revoke ?chaos ?retrace_budget:budget
-      ~fail_on_thread_error:false ~seed cw
+      ~gc:(gc_of ~budget ?steps_per_increment coll)
+      ~guards:true ~revoke ?chaos ~fail_on_thread_error:false ~seed cw
   in
   let violations, retraces =
     match r.gc with

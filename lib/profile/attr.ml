@@ -2,11 +2,6 @@
 
 module J = Telemetry
 
-(* Bumped whenever the JSON layout changes incompatibly; {!of_json}
-   refuses files written at any other version so the regression gate
-   never silently compares mismatched layouts. *)
-let schema_version = 2
-
 type site_row = {
   r_site : string;
   r_kind : string;
@@ -106,16 +101,11 @@ let of_report ~workload ~gc (r : Jrt.Runner.report) : t =
       t_revoked_sites = m.Jrt.Interp.revoked_sites;
     }
   in
-  let timeline =
-    Stats.timeline_of_summary ~steps:r.Jrt.Runner.steps r.Jrt.Runner.gc
-  in
-  let cycles, violations, pause_works =
+  let pauses = Stats.of_report r in
+  let cycles, violations =
     match r.Jrt.Runner.gc with
-    | None -> (0, 0, [])
-    | Some g ->
-        ( g.Jrt.Runner.cycles,
-          g.Jrt.Runner.total_violations,
-          g.Jrt.Runner.final_pause_works )
+    | None -> (0, 0)
+    | Some g -> (g.Jrt.Runner.cycles, g.Jrt.Runner.total_violations)
   in
   {
     p_workload = workload;
@@ -125,9 +115,9 @@ let of_report ~workload ~gc (r : Jrt.Runner.report) : t =
     p_violations = violations;
     p_sites = sites;
     p_totals = totals;
-    p_pauses = Stats.dist_of pause_works;
-    p_mmu = Stats.mmu_curve timeline;
-    p_utilization = Stats.utilization timeline;
+    p_pauses = pauses.Stats.dist;
+    p_mmu = Stats.mmu_curve pauses.Stats.timeline;
+    p_utilization = pauses.Stats.utilization;
   }
 
 let elision_rate (p : t) : float =
@@ -243,6 +233,27 @@ let site_to_json (s : site_row) : J.json =
       ("why", match s.r_why with None -> J.Null | Some w -> J.Str w);
     ]
 
+let summary_row ~(ids : (string * J.json) list) (p : t) : J.json =
+  let halves =
+    if has_halves p then
+      [
+        ("del_elision_pct", J.Float (del_elision_rate p));
+        ("ins_elision_pct", J.Float (ins_elision_rate p));
+      ]
+    else []
+  in
+  J.Obj
+    (ids
+    @ (("elision_pct", J.Float (elision_rate p)) :: halves)
+    @ [
+        ("barrier_units", J.Int p.p_totals.t_barrier_units);
+        ("units_per_kstep", J.Float (units_per_kstep p));
+        ("pause_p99", J.Int p.p_pauses.Stats.d_p99);
+        ("pause_max", J.Int p.p_pauses.Stats.d_max);
+        ("utilization", J.Float p.p_utilization);
+        ("violations", J.Int p.p_violations);
+      ])
+
 let to_json (p : t) : J.json =
   J.Obj
     [
@@ -264,7 +275,14 @@ let to_json (p : t) : J.json =
             ("p99", J.Int p.p_pauses.Stats.d_p99);
             ("total", J.Int p.p_pauses.Stats.d_total);
           ] );
-      ("schema_version", J.Int schema_version);
+      ( "profile",
+        J.List
+          [
+            summary_row
+              ~ids:[ ("workload", J.Str p.p_workload); ("gc", J.Str p.p_gc) ]
+              p;
+          ] );
+      ("schema_version", J.Int Gate.bench_schema_version);
       ("sites", J.List (List.map site_to_json p.p_sites));
       ("steps", J.Int p.p_steps);
       ( "totals",
@@ -287,202 +305,6 @@ let to_json (p : t) : J.json =
       ("violations", J.Int p.p_violations);
       ("workload", J.Str p.p_workload);
     ]
-
-(* -- parsing back -- *)
-
-let field (o : (string * J.json) list) (k : string) : (J.json, string) result =
-  match List.assoc_opt k o with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing key %S" k)
-
-let as_obj = function
-  | J.Obj o -> Ok o
-  | _ -> Error "expected an object"
-
-let as_int k = function
-  | J.Int i -> Ok i
-  | _ -> Error (Printf.sprintf "key %S: expected an integer" k)
-
-let as_float k = function
-  | J.Float f -> Ok f
-  | J.Int i -> Ok (float_of_int i)
-  | _ -> Error (Printf.sprintf "key %S: expected a number" k)
-
-let as_str k = function
-  | J.Str s -> Ok s
-  | _ -> Error (Printf.sprintf "key %S: expected a string" k)
-
-let as_bool k = function
-  | J.Bool b -> Ok b
-  | _ -> Error (Printf.sprintf "key %S: expected a bool" k)
-
-let ( let* ) = Result.bind
-
-let int_field o k =
-  let* v = field o k in
-  as_int k v
-
-let float_field o k =
-  let* v = field o k in
-  as_float k v
-
-let str_field o k =
-  let* v = field o k in
-  as_str k v
-
-let bool_field o k =
-  let* v = field o k in
-  as_bool k v
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: xs ->
-      let* y = f x in
-      let* ys = map_result f xs in
-      Ok (y :: ys)
-
-let site_of_json (j : J.json) : (site_row, string) result =
-  let* o = as_obj j in
-  let* r_barrier_units = int_field o "barrier_units" in
-  let* r_elided = bool_field o "elided" in
-  let* r_elided_execs = int_field o "elided_execs" in
-  let* r_execs = int_field o "execs" in
-  let* guards = field o "guards" in
-  let* r_guards =
-    match guards with
-    | J.List gs -> map_result (as_str "guards") gs
-    | _ -> Error "key \"guards\": expected a list"
-  in
-  let* r_del_elided = bool_field o "del_elided" in
-  let* r_del_elided_execs = int_field o "del_elided_execs" in
-  let* r_del_paid_execs = int_field o "del_paid_execs" in
-  let* r_ins_elided = bool_field o "ins_elided" in
-  let* r_ins_elided_execs = int_field o "ins_elided_execs" in
-  let* r_ins_paid_execs = int_field o "ins_paid_execs" in
-  let* r_kind = str_field o "kind" in
-  let* r_paid_execs = int_field o "paid_execs" in
-  let* r_revocations = int_field o "revocations" in
-  let* r_site = str_field o "site" in
-  let* r_why =
-    match field o "why" with
-    | Ok J.Null | Error _ -> Ok None
-    | Ok (J.Str w) -> Ok (Some w)
-    | Ok _ -> Error "key \"why\": expected a string or null"
-  in
-  Ok
-    {
-      r_site;
-      r_kind;
-      r_elided;
-      r_execs;
-      r_elided_execs;
-      r_paid_execs;
-      r_del_elided;
-      r_ins_elided;
-      r_del_elided_execs;
-      r_del_paid_execs;
-      r_ins_elided_execs;
-      r_ins_paid_execs;
-      r_barrier_units;
-      r_revocations;
-      r_guards;
-      r_why;
-    }
-
-let of_json (j : J.json) : (t, string) result =
-  let* o = as_obj j in
-  let* () =
-    match List.assoc_opt "schema_version" o with
-    | None ->
-        Error
-          (Printf.sprintf
-             "profile has no schema_version (predates v%d); regenerate it \
-              with this build"
-             schema_version)
-    | Some v -> (
-        let* v = as_int "schema_version" v in
-        if v = schema_version then Ok ()
-        else
-          Error
-            (Printf.sprintf
-               "profile schema_version %d, but this build reads v%d; \
-                regenerate the file"
-               v schema_version))
-  in
-  let* p_cycles = int_field o "cycles" in
-  let* p_gc = str_field o "gc" in
-  let* mmu = field o "mmu" in
-  let* p_mmu =
-    match mmu with
-    | J.List ms ->
-        map_result
-          (fun m ->
-            let* mo = as_obj m in
-            let* u = float_field mo "mmu" in
-            let* w = int_field mo "window" in
-            Ok (w, u))
-          ms
-    | _ -> Error "key \"mmu\": expected a list"
-  in
-  let* pauses = field o "pauses" in
-  let* po = as_obj pauses in
-  let* d_count = int_field po "count" in
-  let* d_max = int_field po "max" in
-  let* d_p50 = int_field po "p50" in
-  let* d_p90 = int_field po "p90" in
-  let* d_p99 = int_field po "p99" in
-  let* d_total = int_field po "total" in
-  let* sites = field o "sites" in
-  let* p_sites =
-    match sites with
-    | J.List ss -> map_result site_of_json ss
-    | _ -> Error "key \"sites\": expected a list"
-  in
-  let* p_steps = int_field o "steps" in
-  let* totals = field o "totals" in
-  let* t_o = as_obj totals in
-  let* t_barrier_units = int_field t_o "barrier_units" in
-  let* t_del_elided_execs = int_field t_o "del_elided_execs" in
-  let* t_del_paid_execs = int_field t_o "del_paid_execs" in
-  let* t_elided_execs = int_field t_o "elided_execs" in
-  let* t_execs = int_field t_o "execs" in
-  let* t_external_elided = int_field t_o "external_elided" in
-  let* t_external_paid = int_field t_o "external_paid" in
-  let* t_ins_elided_execs = int_field t_o "ins_elided_execs" in
-  let* t_ins_paid_execs = int_field t_o "ins_paid_execs" in
-  let* t_paid_execs = int_field t_o "paid_execs" in
-  let* t_revocation_events = int_field t_o "revocation_events" in
-  let* t_revoked_sites = int_field t_o "revoked_sites" in
-  let* p_utilization = float_field o "utilization" in
-  let* p_violations = int_field o "violations" in
-  let* p_workload = str_field o "workload" in
-  Ok
-    {
-      p_workload;
-      p_gc;
-      p_steps;
-      p_cycles;
-      p_violations;
-      p_sites;
-      p_totals =
-        {
-          t_execs;
-          t_elided_execs;
-          t_paid_execs;
-          t_del_elided_execs;
-          t_del_paid_execs;
-          t_ins_elided_execs;
-          t_ins_paid_execs;
-          t_barrier_units;
-          t_external_paid;
-          t_external_elided;
-          t_revocation_events;
-          t_revoked_sites;
-        };
-      p_pauses = { Stats.d_count; d_total; d_p50; d_p90; d_p99; d_max };
-      p_mmu;
-      p_utilization;
-    }
 
 (* ---- rendering ---------------------------------------------------------- *)
 
@@ -552,84 +374,3 @@ let render ?(top = 10) (p : t) : string =
       sites
   end;
   Buffer.contents b
-
-(* ---- baseline comparison ------------------------------------------------ *)
-
-type diff = { df_lines : string list; df_regressions : string list }
-
-let diff ?(max_elision_drop = 2.0) ?(max_pause_increase_pct = 25.0)
-    ?(max_cost_increase_pct = 10.0) ~(baseline : t) (p : t) : diff =
-  let lines = ref [] in
-  let regressions = ref [] in
-  let note fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
-  let regress fmt =
-    Printf.ksprintf
-      (fun s ->
-        lines := ("REGRESSION: " ^ s) :: !lines;
-        regressions := s :: !regressions)
-      fmt
-  in
-  let old_rate = elision_rate baseline and new_rate = elision_rate p in
-  let drop = old_rate -. new_rate in
-  if drop > max_elision_drop then
-    regress "elision rate fell %.1f points (%.1f%% -> %.1f%%, allowed drop %.1f)"
-      drop old_rate new_rate max_elision_drop
-  else note "elision rate %.1f%% -> %.1f%%" old_rate new_rate;
-  (* Per-half elision rates, gated independently when both profiles carry
-     hybrid half data: a deletion-half drop can hide behind an unchanged
-     both-halves rate and vice versa. *)
-  if has_halves baseline && has_halves p then begin
-    let half what old_r new_r =
-      let d = old_r -. new_r in
-      if d > max_elision_drop then
-        regress "%s elision rate fell %.1f points (%.1f%% -> %.1f%%, \
-                 allowed drop %.1f)"
-          what d old_r new_r max_elision_drop
-      else note "%s elision rate %.1f%% -> %.1f%%" what old_r new_r
-    in
-    half "deletion-half" (del_elision_rate baseline) (del_elision_rate p);
-    half "insertion-half" (ins_elision_rate baseline) (ins_elision_rate p)
-  end;
-  let pause_check what old_v new_v =
-    if new_v > old_v then begin
-      let pct =
-        100.0 *. float_of_int (new_v - old_v) /. float_of_int (max 1 old_v)
-      in
-      if pct > max_pause_increase_pct then
-        regress "pause %s grew %.0f%% (%d -> %d, allowed %.0f%%)" what pct
-          old_v new_v max_pause_increase_pct
-      else note "pause %s %d -> %d (+%.0f%%)" what old_v new_v pct
-    end
-    else note "pause %s %d -> %d" what old_v new_v
-  in
-  pause_check "p99" baseline.p_pauses.Stats.d_p99 p.p_pauses.Stats.d_p99;
-  pause_check "max" baseline.p_pauses.Stats.d_max p.p_pauses.Stats.d_max;
-  let old_cost = units_per_kstep baseline and new_cost = units_per_kstep p in
-  if new_cost > old_cost then begin
-    let pct = 100.0 *. (new_cost -. old_cost) /. Float.max 1e-9 old_cost in
-    if pct > max_cost_increase_pct then
-      regress
-        "barrier cost grew %.0f%% (%.2f -> %.2f units/kstep, allowed %.0f%%)"
-        pct old_cost new_cost max_cost_increase_pct
-    else note "barrier cost %.2f -> %.2f units/kstep" old_cost new_cost
-  end
-  else note "barrier cost %.2f -> %.2f units/kstep" old_cost new_cost;
-  if p.p_violations > baseline.p_violations then
-    regress "snapshot violations %d -> %d" baseline.p_violations p.p_violations;
-  (* Newly-paying sites: elided in the baseline, kept (or revoked) now. *)
-  let baseline_elided =
-    List.filter_map
-      (fun s -> if s.r_elided then Some s.r_site else None)
-      baseline.p_sites
-  in
-  List.iter
-    (fun s ->
-      if (not s.r_elided) && List.mem s.r_site baseline_elided then
-        note "site %s no longer elided (%d paid execs)" s.r_site s.r_paid_execs)
-    p.p_sites;
-  { df_lines = List.rev !lines; df_regressions = List.rev !regressions }
-
-let regressed (d : diff) : bool = d.df_regressions <> []
-
-let render_diff (d : diff) : string =
-  String.concat "" (List.map (fun l -> l ^ "\n") d.df_lines)

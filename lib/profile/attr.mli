@@ -9,11 +9,6 @@
     [barrier_units] sum to the machine total.  {!reconciles} checks
     this; the CLI runs it as a self-check on every [profile] run. *)
 
-val schema_version : int
-(** Version stamp written into every profile JSON ({!to_json}) and
-    required to match on read ({!of_json}), so the regression gate never
-    silently compares files with different layouts. *)
-
 type site_row = {
   r_site : string;  (** ["Class.method\@pc"] *)
   r_kind : string;  (** ["field"], ["array"] or ["static"] *)
@@ -73,22 +68,6 @@ val of_report :
     the justification its verdict carries (wired by
     [Harness.Exp.config ~guards:true]). *)
 
-val elision_rate : t -> float
-(** Dynamic elision rate in percent over {e all} reference stores,
-    external ones included; 0 when nothing executed. *)
-
-val units_per_kstep : t -> float
-(** Modelled barrier cost per 1000 mutator instructions. *)
-
-val has_halves : t -> bool
-(** Does the profile carry hybrid per-half execution data? *)
-
-val del_elision_rate : t -> float
-(** Deletion-half dynamic elision rate in percent; 0 outside hybrid. *)
-
-val ins_elision_rate : t -> float
-(** Insertion-half dynamic elision rate in percent; 0 outside hybrid. *)
-
 val reconciles : t -> Jrt.Runner.report -> (unit, string) result
 (** Check the profile's sums against the interpreter counters; the
     error names the first mismatching quantity. *)
@@ -98,37 +77,24 @@ val hot : ?top:int -> t -> site_row list
     executions (descending) then site id (ascending) so the order is
     deterministic. *)
 
-val to_json : t -> Telemetry.json
-(** Deterministic: object keys emitted in sorted order, sites sorted by
-    id, so equal profiles serialize byte-identically. *)
+val summary_row : ids:(string * Telemetry.json) list -> t -> Telemetry.json
+(** The row the regression gate reads ({!Gate}'s [profile] table):
+    [ids] (workload and gc for the CLI, workload and variant for E14),
+    then [elision_pct] — the dynamic elision rate in percent over all
+    reference stores, external ones included — and, when the run carries
+    hybrid per-half data, [del_elision_pct]/[ins_elision_pct]; then
+    [barrier_units], [units_per_kstep] (modelled barrier cost per 1000
+    mutator instructions), [pause_p99], [pause_max], [utilization] and
+    [violations]. *)
 
-val of_json : Telemetry.json -> (t, string) result
+val to_json : t -> Telemetry.json
+(** A BENCH table file: the [profile] table holds the one
+    {!summary_row} (ids workload and gc), beside the run's full record —
+    sites, totals, pauses, MMU curve — and {!Gate.bench_schema_version}.
+    Deterministic: the record's keys in sorted order, sites sorted by
+    id, so equal profiles serialize byte-identically. *)
 
 val render : ?top:int -> t -> string
 (** Human-readable report: run header, pause percentiles, MMU curve and
     the hot-site table, with provenance inlined under each of the top
     offenders that has one. *)
-
-(** {2 Baseline comparison} *)
-
-type diff = {
-  df_lines : string list;  (** full comparison, one metric per line *)
-  df_regressions : string list;  (** threshold breaches, subset of above *)
-}
-
-val diff :
-  ?max_elision_drop:float ->
-  ?max_pause_increase_pct:float ->
-  ?max_cost_increase_pct:float ->
-  baseline:t ->
-  t ->
-  diff
-(** Compare against a baseline profile.  Regressions: dynamic elision
-    rate dropping more than [max_elision_drop] percentage points
-    (default 2.0), pause p99 or max growing more than
-    [max_pause_increase_pct] percent (default 25.0), or modelled cost
-    per kilostep growing more than [max_cost_increase_pct] percent
-    (default 10.0). *)
-
-val regressed : diff -> bool
-val render_diff : diff -> string

@@ -1,42 +1,29 @@
-(** The bench regression gate: compare two machine-readable artifacts —
-    either BENCH table files ([{"table1": [rows]}] as written by
-    [bench --json]) or profiler JSON files (as written by
-    [satbelim profile --json]) — and flag threshold breaches.
+(** The regression gate: compare two BENCH table files
+    ([{"schema_version": 1, "table1": [rows], ...}]) and flag threshold
+    breaches.  [bench --json] writes them, and so does
+    [satbelim profile --json]: a profile file carries its summary in a
+    [profile] table.
 
-    Known tables and their gated metrics:
-    - [table1]: [elim_pct] per benchmark (points drop);
-    - [fig2_summaries]: [elim_pct_havoc] / [elim_pct_summaries] per
-      (benchmark, inline limit) (points drop);
-    - [table2]: [cost_units] per mode (percent increase);
-    - [pause]: [p99] / [max] per (bench, collector) (percent increase)
-      and [mmu_10] (absolute drop);
-    - [hybrid]: [del_elide_pct] / [ins_elide_pct] / [both_elide_pct]
-      per (bench, collector) (points drop) — each half of the hybrid
-      barrier is gated independently;
-    - [engines]: [speedup] per benchmark (absolute floor, 3.0x) — the
-      threaded engine's advantage over the interpreter may not fall
-      below the floor even if a slow run was accidentally baselined.
+    [known_tables] in gate.ml is the one list of gated tables: each
+    table's key fields and its gated metrics, with the direction and
+    limit each one regresses by.  Relative metrics share four limits: an
+    elimination percentage may drop 2.0 points, a pause may grow 25%, a
+    modelled cost 10%, an MMU 0.05 absolute.
 
     A key present in the old file but missing from the new one is a
     regression (a benchmark or collector silently disappearing must not
-    pass the gate); unknown tables are noted and skipped.  Both file
-    formats carry a [schema_version]; comparing files written at
-    different versions is an error, not a silent diff. *)
-
-type thresholds = {
-  max_elision_drop : float;
-      (** allowed drop in any elimination percentage, in points *)
-  max_pause_increase_pct : float;  (** allowed growth of p99/max pauses *)
-  max_cost_increase_pct : float;  (** allowed growth of modelled cost *)
-  max_mmu_drop : float;  (** allowed absolute drop of MMU\@10% *)
-}
-
-val default_thresholds : thresholds
-(** 2.0 points, 25%, 10%, 0.05. *)
+    pass the gate); a list-valued member no entry names is noted as "not
+    gated, skipped".  A gated metric absent from either row is skipped; a
+    gated metric that is present but not a number, or a gated table that
+    is not a list of row objects, is an error.  Both files must carry
+    this build's [schema_version]; comparing files written at different
+    versions is an error, not a silent diff (files predating versioning
+    only compare with each other). *)
 
 val bench_schema_version : int
-(** Version stamp of the BENCH table-file layout; [bench --json] writes
-    it and {!diff_json} refuses to compare files at different versions. *)
+(** Version stamp of the table-file layout; [bench --json] and
+    [profile --json] write it and {!diff_json} refuses to compare files
+    at any other version. *)
 
 type outcome = {
   o_lines : string list;  (** full comparison log *)
@@ -46,17 +33,14 @@ type outcome = {
 val regressed : outcome -> bool
 
 val diff_json :
-  ?thresholds:thresholds ->
-  old_:Telemetry.json ->
-  Telemetry.json ->
-  (outcome, string) result
-(** [diff_json ~old_ new_] dispatches on shape: a top-level ["sites"]
-    key means profiler files (delegates to {!Attr.diff}); otherwise
-    BENCH table files. *)
+  old_:Telemetry.json -> Telemetry.json -> (outcome, string) result
+(** [diff_json ~old_ new_] compares every table of [old_] with its
+    counterpart in [new_]. *)
 
-val diff_files :
-  ?thresholds:thresholds -> old_path:string -> string -> (outcome, string) result
+val diff_files : old_path:string -> string -> (outcome, string) result
 (** [diff_files ~old_path new_path] reads, parses and compares two
-    artifact files. *)
+    table files. *)
 
 val render : outcome -> string
+(** The comparison log, one line each, then the verdict line:
+    ["FAIL: n regression(s)"] or ["OK: no regressions"]. *)

@@ -9,7 +9,7 @@
     utilization model consistent with how E5 compares collectors.
 
     The math is {!Jrt.Mmu}, re-exported (the pacer's auto mode shares
-    it); only {!timeline_of_summary} is native to this module. *)
+    it); only {!of_report} is native to this module. *)
 
 (** {2 Percentiles} *)
 
@@ -41,10 +41,6 @@ type timeline = Jrt.Mmu.timeline = {
   pauses : pause list;  (** in timeline order *)
 }
 
-val timeline_of_summary : steps:int -> Jrt.Runner.gc_summary option -> timeline
-(** Build the MMU timeline from a run report: the final-pause works and
-    the steps at which they occurred. *)
-
 val total_time : timeline -> int
 (** Combined length: mutator steps plus all pause work. *)
 
@@ -63,3 +59,18 @@ val mmu_curve : ?fractions:float list -> timeline -> (int * float) list
 val utilization : timeline -> float
 (** Overall mutator utilization: steps / (steps + total pause work);
     1.0 for an empty run. *)
+
+(** {2 A run's pauses} *)
+
+type summary = {
+  timeline : timeline;
+      (** the final-pause works (zero-work pauses dropped) at the steps
+          they began *)
+  dist : dist;  (** percentiles of every cycle's final-pause work *)
+  mmu_10 : float;  (** MMU at a window of a tenth of the timeline *)
+  utilization : float;
+}
+
+val of_report : Jrt.Runner.report -> summary
+(** The one pause summary of a run, which E5, E16 and the profiler all
+    read. *)

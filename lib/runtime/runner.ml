@@ -31,16 +31,16 @@ let collector_name = function
 
 (** The policy each collector's marker runs: the single place a
     collector's display name and capabilities are declared. *)
-let policy ?retrace_budget : collector -> Marker.policy = function
+let policy : collector -> Marker.policy = function
   | Satb -> Satb_gc.policy ()
   | Incr -> Incr_gc.policy
-  | Retrace -> Retrace_gc.policy ?retrace_budget ()
+  | Retrace -> Retrace_gc.policy ()
   | Hybrid -> Hybrid_gc.policy
 
 type gc_choice =
   | No_gc
   | Gc of {
-      collector : collector;
+      policy : Marker.policy;
       steps_per_increment : int;
       pacing : Pacer.config;
     }
@@ -50,7 +50,7 @@ type gc_choice =
    at all. *)
 let make ?(steps_per_increment = 64) ?(pacing = Pacer.default_config)
     collector =
-  Gc { collector; steps_per_increment; pacing }
+  Gc { policy = policy collector; steps_per_increment; pacing }
 
 let make_satb ?steps_per_increment ?pacing () =
   make ?steps_per_increment ?pacing Satb
@@ -64,19 +64,13 @@ let make_retrace ?steps_per_increment ?pacing () =
 let make_hybrid ?steps_per_increment ?pacing () =
   make ?steps_per_increment ?pacing Hybrid
 
-let policy_of_choice ?retrace_budget = function
-  | No_gc -> None
-  | Gc { collector; _ } -> Some (policy ?retrace_budget collector)
+let gc_name = function
+  | Gc { policy; _ } -> policy.Marker.name
+  | No_gc -> Gc_hooks.none.Gc_hooks.name
 
-let gc_name gc =
-  match policy_of_choice gc with
-  | Some p -> p.Marker.name
-  | None -> Gc_hooks.none.Gc_hooks.name
-
-let caps_of_choice gc =
-  match policy_of_choice gc with
-  | Some p -> Marker.caps p
-  | None -> Gc_hooks.none.Gc_hooks.caps
+let caps_of_choice = function
+  | Gc { policy; _ } -> Marker.caps policy
+  | No_gc -> Gc_hooks.none.Gc_hooks.caps
 
 type gc_summary = {
   cycles : int;
@@ -150,8 +144,7 @@ let lcg seed =
     1 + (v mod bound)
 
 let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
-    ?(quantum = 50) ?(seed = 0) ?(gc_period = 32) ?chaos ?retrace_budget
-    ?observer (prog : Jir.Program.t) ~(entry : Jir.Types.method_ref) : report =
+    ?(quantum = 50) ?(seed = 0) ?(gc_period = 32) ?chaos ?observer (prog : Jir.Program.t) ~(entry : Jir.Types.method_ref) : report =
   if quantum < 1 then
     invalid_arg
       (Printf.sprintf "Runner.run: quantum must be at least 1, got %d" quantum);
@@ -263,7 +256,7 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
   let live, pacer =
     match gc with
     | No_gc -> (None, None)
-    | Gc { collector; steps_per_increment; pacing } ->
+    | Gc { policy; steps_per_increment; pacing } ->
         let roots =
           {
             Marker.all = (fun () -> Interp.roots m);
@@ -271,11 +264,7 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
             stacks = (fun () -> Interp.thread_roots m);
           }
         in
-        let t =
-          Marker.create ~steps_per_increment
-            (policy ?retrace_budget collector)
-            m.Interp.heap ~roots
-        in
+        let t = Marker.create ~steps_per_increment policy m.Interp.heap ~roots in
         Interp.set_collector m (Marker.hooks t);
         let p =
           Pacer.create ~collector:gc_name

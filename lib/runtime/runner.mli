@@ -19,18 +19,19 @@ val collector_name : collector -> string
 type gc_choice =
   | No_gc
   | Gc of {
-      collector : collector;
+      policy : Marker.policy;  (** what the run's marker runs *)
       steps_per_increment : int;
       pacing : Pacer.config;
     }
 
 val make :
   ?steps_per_increment:int -> ?pacing:Pacer.config -> collector -> gc_choice
-(** [steps_per_increment] defaults to 64.  [pacing] is the pacer
-    configuration (fixed allocation-count pacing is
-    [Pacer.config_of_trigger n]); without it {!Pacer.default_config}'s
-    heap-growth goal paces the run.  The [make_*] functions are [make]
-    of one collector. *)
+(** The collector's default policy.  [steps_per_increment] defaults to
+    64.  [pacing] is the pacer configuration (fixed allocation-count
+    pacing is [Pacer.config_of_trigger n]); without it
+    {!Pacer.default_config}'s heap-growth goal paces the run.  The
+    [make_*] functions are [make] of one collector.  Any other policy
+    (a retrace budget, an ascending scan) is a [Gc] built directly. *)
 
 val make_satb :
   ?steps_per_increment:int ->
@@ -132,7 +133,6 @@ val run :
   ?seed:int ->
   ?gc_period:int ->
   ?chaos:Chaos.t ->
-  ?retrace_budget:int ->
   ?observer:(Interp.t -> unit) ->
   Jir.Program.t ->
   entry:Jir.Types.method_ref ->
@@ -152,8 +152,7 @@ val run :
     starts.
 
     [chaos] injects the given fault plan at safepoints (its plan may
-    also override [quantum]/[gc_period]); [retrace_budget] bounds the
-    retrace collector's per-cycle re-scan queue (see {!Retrace_gc}).
+    also override [quantum]/[gc_period]).
     Startup capability guards and mid-run guard failures revoke
     dependent elisions when [cfg.revoke] holds.
 

@@ -340,13 +340,12 @@ let events () : event list = List.rev !recorded
 
 (* ---- JSONL schema validation -------------------------------------------- *)
 
-(** Schema of one trace line: a JSON object whose reserved keys are a
+(** Schema of one trace event: a JSON object whose reserved keys are a
     non-negative number ["ts"], a non-negative integer ["seq"] and a
     non-empty string ["kind"]; no key may repeat. *)
-let validate_event_line (line : string) : (unit, string) result =
-  match json_of_string line with
-  | Error e -> Error ("not valid JSON: " ^ e)
-  | Ok (Obj kvs) -> (
+let event_of_json (j : json) : (event, string) result =
+  match j with
+  | Obj kvs -> (
       let keys = List.map fst kvs in
       let dup =
         List.find_opt (fun k -> List.length (List.filter (( = ) k) keys) > 1) keys
@@ -363,89 +362,68 @@ let validate_event_line (line : string) : (unit, string) result =
           | _, None, _ -> Error "missing \"seq\""
           | _, _, None -> Error "missing \"kind\""
           | Some ts, Some sq, Some kind -> (
-              let ts_ok =
+              let ts =
                 match ts with
-                | Float f -> f >= 0.0
-                | Int i -> i >= 0
-                | _ -> false
+                | Float f when f >= 0.0 -> Some f
+                | Int i when i >= 0 -> Some (float_of_int i)
+                | _ -> None
               in
-              if not ts_ok then Error "\"ts\" must be a non-negative number"
-              else
-                match sq with
-                | Int i when i >= 0 -> (
-                    ignore i;
-                    match kind with
-                    | Str "" -> Error "\"kind\" must be non-empty"
-                    | Str _ -> Ok ()
-                    | _ -> Error "\"kind\" must be a string")
-                | _ -> Error "\"seq\" must be a non-negative integer")))
-  | Ok _ -> Error "not a JSON object"
-
-let event_of_json (j : json) : (event, string) result =
-  match j with
-  | Obj kvs -> (
-      match
-        ( List.assoc_opt "ts" kvs,
-          List.assoc_opt "seq" kvs,
-          List.assoc_opt "kind" kvs )
-      with
-      | Some ts, Some (Int sq), Some (Str kind) ->
-          let ts =
-            match ts with Float f -> f | Int i -> float_of_int i | _ -> -1.0
-          in
-          if ts < 0.0 then Error "bad ts"
-          else
-            Ok
-              {
-                ev_seq = sq;
-                ev_ts = ts;
-                ev_kind = kind;
-                ev_fields =
-                  List.filter
-                    (fun (k, _) -> k <> "ts" && k <> "seq" && k <> "kind")
-                    kvs;
-              }
-      | _ -> Error "missing ts/seq/kind")
+              match (ts, sq, kind) with
+              | None, _, _ -> Error "\"ts\" must be a non-negative number"
+              | Some _, Int sq, Str "" when sq >= 0 ->
+                  Error "\"kind\" must be non-empty"
+              | Some ts, Int sq, Str kind when sq >= 0 ->
+                  Ok
+                    {
+                      ev_seq = sq;
+                      ev_ts = ts;
+                      ev_kind = kind;
+                      ev_fields =
+                        List.filter
+                          (fun (k, _) -> k <> "ts" && k <> "seq" && k <> "kind")
+                          kvs;
+                    }
+              | Some _, Int sq, _ when sq >= 0 ->
+                  Error "\"kind\" must be a string"
+              | Some _, _, _ -> Error "\"seq\" must be a non-negative integer")))
   | _ -> Error "not a JSON object"
+
+let validate_event_line (line : string) : (event, string) result =
+  match json_of_string line with
+  | Error e -> Error ("not valid JSON: " ^ e)
+  | Ok j -> event_of_json j
 
 (** Validate a whole trace: every line schema-valid, timestamps
     non-decreasing, sequence numbers strictly increasing, and run
     envelopes well-bracketed (every [run.finish] closes a distinct
     preceding [run.start] — a duplicated or orphaned finish envelope is
-    rejected).  Returns the number of events on success, or
+    rejected).  Returns the decoded events on success, or
     [(line_number, message)] for the first offending line. *)
-let validate_trace_lines (lines : string list) : (int, int * string) result =
-  let rec go i prev_ts prev_seq ~starts ~finishes = function
-    | [] -> Ok (i - 1)
+let validate_trace_lines (lines : string list) :
+    (event list, int * string) result =
+  let rec go i prev_ts prev_seq ~starts ~finishes acc = function
+    | [] -> Ok (List.rev acc)
     | line :: rest -> (
         match validate_event_line line with
         | Error e -> Error (i, e)
-        | Ok () -> (
-            match json_of_string line with
-            | Error e -> Error (i, e)
-            | Ok j -> (
-                match event_of_json j with
-                | Error e -> Error (i, e)
-                | Ok e ->
-                    if e.ev_ts < prev_ts then
-                      Error (i, "timestamp went backwards")
-                    else if e.ev_seq <= prev_seq then
-                      Error (i, "sequence number did not increase")
-                    else
-                      let starts =
-                        if e.ev_kind = "run.start" then starts + 1 else starts
-                      in
-                      if e.ev_kind = "run.finish" && finishes >= starts then
-                        Error
-                          ( i,
-                            "duplicate \"run.finish\" envelope (no matching \
-                             \"run.start\")" )
-                      else
-                        let finishes =
-                          if e.ev_kind = "run.finish" then finishes + 1
-                          else finishes
-                        in
-                        go (i + 1) e.ev_ts e.ev_seq ~starts ~finishes rest)))
+        | Ok e ->
+            if e.ev_ts < prev_ts then Error (i, "timestamp went backwards")
+            else if e.ev_seq <= prev_seq then
+              Error (i, "sequence number did not increase")
+            else
+              let starts =
+                if e.ev_kind = "run.start" then starts + 1 else starts
+              in
+              if e.ev_kind = "run.finish" && finishes >= starts then
+                Error
+                  ( i,
+                    "duplicate \"run.finish\" envelope (no matching \
+                     \"run.start\")" )
+              else
+                let finishes =
+                  if e.ev_kind = "run.finish" then finishes + 1 else finishes
+                in
+                go (i + 1) e.ev_ts e.ev_seq ~starts ~finishes (e :: acc) rest)
   in
   match List.filter (fun l -> String.trim l <> "") lines with
   | [] ->
@@ -453,7 +431,7 @@ let validate_trace_lines (lines : string list) : (int, int * string) result =
          but never flushed, a truncated file) — report it as such, not
          as "0 events, schema OK" and not as malformed JSON *)
       Error (0, "empty trace (no events)")
-  | nonblank -> go 1 0.0 (-1) ~starts:0 ~finishes:0 nonblank
+  | nonblank -> go 1 0.0 (-1) ~starts:0 ~finishes:0 [] nonblank
 
 (* ---- chrome trace-event exporter ---------------------------------------- *)
 

@@ -64,22 +64,24 @@ val events : unit -> event list
 (** Recorded events, oldest first. *)
 
 val event_to_json : event -> json
-val event_of_json : json -> (event, string) result
 
 (** {2 JSONL schema validation} *)
 
-val validate_event_line : string -> (unit, string) result
-(** One line: a JSON object with a non-negative number ["ts"], a
+val event_of_json : json -> (event, string) result
+(** One event: a JSON object with a non-negative number ["ts"], a
     non-negative integer ["seq"], a non-empty string ["kind"], and no
-    duplicate keys. *)
+    duplicate keys; the other keys are its fields. *)
 
-val validate_trace_lines : string list -> (int, int * string) result
+val validate_event_line : string -> (event, string) result
+(** One line, parsed once and decoded by {!event_of_json}. *)
+
+val validate_trace_lines : string list -> (event list, int * string) result
 (** Whole trace (blank lines skipped): every line schema-valid,
     timestamps non-decreasing, sequence numbers strictly increasing, and
     run envelopes well-bracketed — a [run.finish] with no distinct
     preceding [run.start] (duplicated or orphaned) is rejected.
-    [Ok n] is the event count; [Error (line, msg)] names the first
-    offender.  A trace with no events at all is rejected distinctly as
+    [Ok events] are the decoded events, in order; [Error (line, msg)]
+    names the first offender (its number among the non-blank lines).  A trace with no events at all is rejected distinctly as
     [Error (0, "empty trace (no events)")] — line 0 means the file as a
     whole, not a malformed line. *)
 

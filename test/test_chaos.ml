@@ -13,9 +13,9 @@ let chaos_of faults =
 let satb () = Jrt.Runner.make_satb ~pacing:(Jrt.Pacer.config_of_trigger 24)
   ~steps_per_increment:8 ()
 
-let retrace ?(steps_per_increment = 8) () =
+let retrace () =
   Jrt.Runner.make_retrace ~pacing:(Jrt.Pacer.config_of_trigger 24)
-    ~steps_per_increment ()
+    ~steps_per_increment:8 ()
 
 let violations (r : Jrt.Runner.report) =
   match r.gc with Some g -> g.total_violations | None -> 0
@@ -122,8 +122,14 @@ let test_budget_overflow_degrades () =
   in
   let r =
     Harness.Exp.run
-      ~gc:(retrace ~steps_per_increment:1 ())
-      ~guards:true ~chaos ~retrace_budget:0 ~fail_on_thread_error:false
+      ~gc:
+        (Jrt.Runner.Gc
+           {
+             policy = Jrt.Retrace_gc.policy ~retrace_budget:0 ();
+             steps_per_increment = 1;
+             pacing = Jrt.Pacer.config_of_trigger 24;
+           })
+      ~guards:true ~chaos ~fail_on_thread_error:false
       (compile Workloads.Db.t)
   in
   Alcotest.(check int) "no violations" 0 (violations r);

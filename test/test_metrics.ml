@@ -116,9 +116,13 @@ let budget_overflow () =
   let r =
     Harness.Exp.run
       ~gc:
-        (Jrt.Runner.make_retrace ~pacing:(Jrt.Pacer.config_of_trigger 24)
-           ~steps_per_increment:1 ())
-      ~guards:true ~chaos ~retrace_budget:0 ~fail_on_thread_error:false cw
+        (Jrt.Runner.Gc
+           {
+             policy = Jrt.Retrace_gc.policy ~retrace_budget:0 ();
+             steps_per_increment = 1;
+             pacing = Jrt.Pacer.config_of_trigger 24;
+           })
+      ~guards:true ~chaos ~fail_on_thread_error:false cw
   in
   { chaos = Some chaos; compiled = cw.compiled; reports = [ r ] }
 

@@ -1,6 +1,6 @@
 (* The profiler layer: percentile units, MMU windowing edge cases, the
    per-site-sums-reconcile-exactly property under chaos, deterministic
-   JSON round-trips, and the regression gate's thresholds. *)
+   profile JSON, and the regression gate's thresholds. *)
 
 module Stats = Profile.Stats
 module Attr = Profile.Attr
@@ -149,7 +149,7 @@ let reconcile_prop =
       then QCheck2.Test.fail_reportf "elided split diverged";
       true)
 
-(* --- JSON round-trip is exact and deterministic -------------------------- *)
+(* --- the profile and its JSON are deterministic ----------------------------- *)
 
 let db_profile () =
   let cw = compile_full Workloads.Db.t in
@@ -159,22 +159,6 @@ let db_profile () =
       ~guards:true cw
   in
   profile_of_report ~cw ~gc:"retrace" r
-
-let test_json_roundtrip () =
-  let p = db_profile () in
-  let s = Telemetry.json_to_string (Attr.to_json p) in
-  match Telemetry.json_of_string s with
-  | Error e -> Alcotest.failf "re-parse failed: %s" e
-  | Ok j -> (
-      match Attr.of_json j with
-      | Error e -> Alcotest.failf "of_json failed: %s" e
-      | Ok p' ->
-          Alcotest.(check string)
-            "byte-identical after a round-trip" s
-            (Telemetry.json_to_string (Attr.to_json p'));
-          Alcotest.(check int)
-            "sites survive" (List.length p.p_sites)
-            (List.length p'.Attr.p_sites))
 
 let test_hot_deterministic () =
   let p = db_profile () in
@@ -222,23 +206,39 @@ let test_json_byte_stable () =
 
 (* --- profile diff and the bench gate ------------------------------------- *)
 
+let plain_profile () =
+  let cw = Harness.Exp.compile Workloads.Db.t in
+  profile_of_report ~cw ~gc:"retrace"
+    (Harness.Exp.run
+       ~gc:(Jrt.Runner.make_retrace ~pacing:(Jrt.Pacer.config_of_trigger 24) ())
+       ~guards:true cw)
+
+(* [Gate.diff_json ~old_:baseline p]'s verdict; an error fails the test *)
+let gate_regresses ~baseline p =
+  match Gate.diff_json ~old_:(Attr.to_json baseline) (Attr.to_json p) with
+  | Ok o -> Gate.regressed o
+  | Error e -> Alcotest.fail e
+
 let test_profile_diff_regression () =
-  let cw_plain = Harness.Exp.compile Workloads.Db.t in
-  let gc = Jrt.Runner.make_retrace ~pacing:(Jrt.Pacer.config_of_trigger 24) () in
-  let plain =
-    profile_of_report ~cw:cw_plain ~gc:"retrace"
-      (Harness.Exp.run ~gc ~guards:true cw_plain)
-  in
-  let full = db_profile () in
+  let plain = plain_profile () and full = db_profile () in
   (* losing the extension stack drops the elision rate by ~70 points *)
-  let d = Attr.diff ~baseline:full plain in
-  Alcotest.(check bool) "plain-vs-full regresses" true (Attr.regressed d);
+  Alcotest.(check bool)
+    "plain-vs-full regresses" true
+    (gate_regresses ~baseline:full plain);
   (* the other direction is an improvement, not a regression *)
-  let d = Attr.diff ~baseline:plain full in
-  Alcotest.(check bool) "full-vs-plain passes" false (Attr.regressed d);
-  (* self-diff is clean *)
-  let d = Attr.diff ~baseline:full full in
-  Alcotest.(check bool) "self-diff passes" false (Attr.regressed d)
+  Alcotest.(check bool)
+    "full-vs-plain passes" false
+    (gate_regresses ~baseline:plain full);
+  Alcotest.(check bool)
+    "self-diff passes" false
+    (gate_regresses ~baseline:full full)
+
+let set_version v = function
+  | Telemetry.Obj o ->
+      Telemetry.Obj
+        (("schema_version", Telemetry.Int v)
+        :: List.filter (fun (k, _) -> k <> "schema_version") o)
+  | j -> j
 
 let table1_json elim_pct =
   Telemetry.Obj
@@ -301,49 +301,41 @@ let test_gate_engine_speedup_floor () =
         (Gate.regressed o)
   | Error e -> Alcotest.fail e
 
+(* a profile file and a table1 file share no gated table: each direction
+   reports the old file's table missing from the new one *)
 let test_gate_profile_files () =
-  let full = db_profile () in
-  let cw_plain = Harness.Exp.compile Workloads.Db.t in
-  let plain =
-    profile_of_report ~cw:cw_plain ~gc:"retrace"
-      (Harness.Exp.run
-         ~gc:(Jrt.Runner.make_retrace ~pacing:(Jrt.Pacer.config_of_trigger 24) ())
-         ~guards:true cw_plain)
-  in
-  (match Gate.diff_json ~old_:(Attr.to_json full) (Attr.to_json plain) with
-  | Ok o ->
-      Alcotest.(check bool) "gate sees profile regression" true
-        (Gate.regressed o)
-  | Error e -> Alcotest.fail e);
-  match Gate.diff_json ~old_:(Attr.to_json full) (table1_json 9.0) with
-  | Ok _ -> Alcotest.fail "mixed formats must not compare"
-  | Error _ -> ()
+  let j = Attr.to_json (db_profile ()) in
+  let v = set_version Gate.bench_schema_version (table1_json 9.0) in
+  List.iter
+    (fun (what, old_, new_) ->
+      match Gate.diff_json ~old_ new_ with
+      | Ok o -> Alcotest.(check bool) what true (Gate.regressed o)
+      | Error _ -> ())
+    [ ("profile vs table1 fails", j, v); ("table1 vs profile fails", v, j) ]
 
 (* --- schema versioning --------------------------------------------------- *)
-
-let set_version v = function
-  | Telemetry.Obj o ->
-      Telemetry.Obj
-        (("schema_version", Telemetry.Int v)
-        :: List.filter (fun (k, _) -> k <> "schema_version") o)
-  | j -> j
 
 let strip_version = function
   | Telemetry.Obj o ->
       Telemetry.Obj (List.filter (fun (k, _) -> k <> "schema_version") o)
   | j -> j
 
+(* a profile baseline written at any other version (v2 profiles, the
+   layout before the [profile] table) or at none never passes *)
 let test_profile_schema_version () =
   let j = Attr.to_json (db_profile ()) in
-  (match Attr.of_json j with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "current version must parse: %s" e);
-  (match Attr.of_json (strip_version j) with
-  | Ok _ -> Alcotest.fail "profile without schema_version must not parse"
-  | Error _ -> ());
-  match Attr.of_json (set_version (Attr.schema_version + 1) j) with
-  | Ok _ -> Alcotest.fail "future schema_version must not parse"
-  | Error _ -> ()
+  let v2 = set_version 2 j in
+  List.iter
+    (fun (what, old_, new_) ->
+      match Gate.diff_json ~old_ new_ with
+      | Ok _ -> Alcotest.failf "%s compared" what
+      | Error _ -> ())
+    [
+      ("v2 baseline", v2, j);
+      ("v2 against v2", v2, v2);
+      ("unversioned baseline", strip_version j, j);
+      ("future baseline", set_version (Gate.bench_schema_version + 1) j, j);
+    ]
 
 let test_gate_bench_schema_version () =
   let v = set_version Gate.bench_schema_version in
@@ -372,6 +364,96 @@ let test_gate_bench_schema_version () =
   | Ok _ -> Alcotest.fail "versioned old vs unversioned new must not compare"
   | Error _ -> ()
 
+(* A gated metric that is present but not a number is an error, never a
+   skip; one that is absent from a row (pacing_summary's per-workload
+   rows carry no auto_losses) is skipped. *)
+let test_gate_metric_types () =
+  let table1 elim =
+    Telemetry.Obj
+      [
+        ( "table1",
+          Telemetry.List
+            [
+              Telemetry.Obj
+                (("benchmark", Telemetry.Str "db")
+                :: Option.to_list (Option.map (fun v -> ("elim_pct", v)) elim));
+            ] );
+      ]
+  in
+  let good = table1 (Some (Telemetry.Float 9.0)) in
+  (match Gate.diff_json ~old_:(table1 (Some (Telemetry.Str "9.0"))) good with
+  | Ok _ -> Alcotest.fail "a non-numeric baseline metric compared"
+  | Error _ -> ());
+  (match Gate.diff_json ~old_:good (table1 (Some Telemetry.Null)) with
+  | Ok _ -> Alcotest.fail "a non-numeric new metric compared"
+  | Error _ -> ());
+  match Gate.diff_json ~old_:(table1 None) good with
+  | Ok o -> Alcotest.(check bool) "absent metric skipped" false (Gate.regressed o)
+  | Error e -> Alcotest.fail e
+
+(* Every committed baseline gates every table it carries: a self-diff
+   passes, no table is "not gated, skipped", and a table whose rows record
+   oracle violations fails once one row reads 1. *)
+let test_baselines_fully_gated () =
+  let dir = "../bench/baseline" in
+  let files =
+    List.filter
+      (fun f -> Filename.check_suffix f ".json")
+      (List.sort compare (Array.to_list (Sys.readdir dir)))
+  in
+  Alcotest.(check bool) "baselines found" true (files <> []);
+  let diff f old_ new_ =
+    match Gate.diff_json ~old_ new_ with
+    | Ok o -> o
+    | Error e -> Alcotest.failf "%s: %s" f e
+  in
+  List.iter
+    (fun f ->
+      let j =
+        match
+          Telemetry.json_of_string
+            (In_channel.with_open_text (Filename.concat dir f)
+               In_channel.input_all)
+        with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "%s: %s" f e
+      in
+      let o = diff f j j in
+      Alcotest.(check bool) (f ^ " self-diff passes") false (Gate.regressed o);
+      List.iter
+        (fun l ->
+          if String.ends_with ~suffix:"not gated, skipped" l then
+            Alcotest.failf "%s: %s" f l)
+        o.Gate.o_lines;
+      match j with
+      | Telemetry.Obj tables ->
+          List.iter
+            (fun (table, rows) ->
+              match rows with
+              | Telemetry.List (Telemetry.Obj row :: rest)
+                when List.mem_assoc "violations" row ->
+                  let doctored =
+                    Telemetry.Obj
+                      (( "violations", Telemetry.Int 1 )
+                      :: List.remove_assoc "violations" row)
+                  in
+                  let j' =
+                    Telemetry.Obj
+                      (List.map
+                         (fun (t, v) ->
+                           if t = table then (t, Telemetry.List (doctored :: rest))
+                           else (t, v))
+                         tables)
+                  in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: a %s violation fails" f table)
+                    true
+                    (Gate.regressed (diff f j j'))
+              | _ -> ())
+            tables
+      | _ -> Alcotest.failf "%s: not an object" f)
+    files
+
 let tests =
   [
     Alcotest.test_case "nearest-rank percentiles" `Quick test_percentiles;
@@ -384,8 +466,6 @@ let tests =
     QCheck_alcotest.to_alcotest reconcile_prop;
     Alcotest.test_case "profile reconciles under a degraded pacer" `Quick
       test_reconcile_under_degraded_pacer;
-    Alcotest.test_case "profile JSON round-trips byte-identically" `Quick
-      test_json_roundtrip;
     Alcotest.test_case "hot-site ranking is deterministic" `Quick
       test_hot_deterministic;
     Alcotest.test_case "hot-site ties break on site id" `Quick
@@ -404,4 +484,8 @@ let tests =
       test_profile_schema_version;
     Alcotest.test_case "bench gate refuses cross-version comparisons" `Quick
       test_gate_bench_schema_version;
+    Alcotest.test_case "gate refuses non-numeric metrics" `Quick
+      test_gate_metric_types;
+    Alcotest.test_case "every baseline table is gated" `Quick
+      test_baselines_fully_gated;
   ]

@@ -82,95 +82,51 @@ let compiled =
      let conf = { Satb_core.Analysis.default_config with move_down = true } in
      Satb_core.Driver.compile ~conf prog)
 
-(* a hand-rolled scheduler loop so the scan direction is configurable *)
-let run_with ~direction ~seed ~quantum ~gc_period ~steps ~chunk : int =
+(* One run under SATB marking with the given array-scan direction, a
+   cycle due at every safepoint (trigger 0); the oracle's violation
+   count.  The program never spawns, so a schedule is its safepoint
+   cadence and marking budget. *)
+let run_with ~direction ~gc_period ~steps ~chunk : int =
   let compiled = Lazy.force compiled in
   let policy site =
     {
       Jir.Types.keep with
-      del_elide =
-        (Satb_core.Driver.barrier compiled site).del_elide;
+      del_elide = (Satb_core.Driver.barrier compiled site).del_elide;
     }
   in
-  let cfg = { Jrt.Interp.default_config with policy } in
-  let m = Jrt.Interp.create ~cfg compiled.program in
-  let _ =
-    Jrt.Interp.spawn_thread m { Jir.Types.mclass = "Main"; mname = "main" } []
+  let r =
+    Jrt.Runner.run
+      ~cfg:{ Jrt.Interp.default_config with policy }
+      ~gc:
+        (Jrt.Runner.Gc
+           {
+             policy = Jrt.Satb_gc.policy ~array_chunk:chunk ~direction ();
+             steps_per_increment = steps;
+             pacing = Jrt.Pacer.config_of_trigger 0;
+           })
+      ~gc_period compiled.program
+      ~entry:{ Jir.Types.mclass = "Main"; mname = "main" }
   in
-  let gc =
-    Jrt.Marker.create ~steps_per_increment:steps
-      (Jrt.Satb_gc.policy ~array_chunk:chunk ~direction ())
-      m.Jrt.Interp.heap
-      ~roots:(Jrt.Marker.fixed_roots (fun () -> Jrt.Interp.roots m))
-  in
-  Jrt.Interp.set_collector m (Jrt.Marker.hooks gc);
-  let violations = ref 0 in
-  let since = ref 0 in
-  let lcg = ref (if seed = 0 then 1 else seed) in
-  let rand b =
-    lcg := (!lcg * 1103515245) + 12345;
-    1 + (((!lcg lsr 16) land 0x3FFF) mod b)
-  in
-  let continue_ = ref true in
-  while !continue_ do
-    let runnable =
-      List.filter (fun th -> not th.Jrt.Interp.finished) m.Jrt.Interp.threads
-    in
-    if runnable = [] then continue_ := false
-    else
-      List.iter
-        (fun th ->
-          let q = if seed = 0 then quantum else rand quantum in
-          let k = ref 0 in
-          while !k < q && not th.Jrt.Interp.finished do
-            ignore (Jrt.Interp.step m th);
-            incr k;
-            incr since;
-            if !since >= gc_period then begin
-              since := 0;
-              Jrt.Marker.step gc;
-              if
-                (not (Jrt.Marker.is_marking gc))
-                && m.Jrt.Interp.heap.Jrt.Heap.total_allocated > 8
-              then Jrt.Marker.start_cycle gc;
-              if Jrt.Marker.quiescent gc then
-                violations :=
-                  !violations + (Jrt.Marker.finish_cycle gc).violations
-            end
-          done)
-        runnable
-  done;
-  if Jrt.Marker.is_marking gc then
-    violations := !violations + (Jrt.Marker.finish_cycle gc).violations;
-  !violations
+  match r.gc with Some g -> g.total_violations | None -> 0
 
-let params seed =
-  ( 1 + (seed * 7 mod 50),
-    1 + (seed * 13 mod 24),
-    1 + (seed mod 3),
-    1 + (seed mod 2) )
+(* schedule [seed]: (gc_period, steps per increment, array chunk) *)
+let params seed = (1 + (seed * 13 mod 24), 1 + (seed mod 3), 1 + (seed mod 2))
 
 let test_descending_always_sound () =
   for seed = 1 to 60 do
-    let quantum, gc_period, steps, chunk = params seed in
-    let v =
-      run_with ~direction:Jrt.Marker.Descending ~seed ~quantum ~gc_period
-        ~steps ~chunk
-    in
+    let gc_period, steps, chunk = params seed in
+    let v = run_with ~direction:Jrt.Marker.Descending ~gc_period ~steps ~chunk in
     if v > 0 then
       Alcotest.failf "descending scan violated at seed %d (%d misses)" seed v
   done
 
 let test_ascending_breaks () =
   (* the wrong direction must lose snapshot objects on at least some
-     schedules — seed 7 and friends do it deterministically *)
+     schedules *)
   let broke = ref false in
   for seed = 1 to 60 do
-    let quantum, gc_period, steps, chunk = params seed in
-    if
-      run_with ~direction:Jrt.Marker.Ascending ~seed ~quantum ~gc_period
-        ~steps ~chunk
-      > 0
+    let gc_period, steps, chunk = params seed in
+    if run_with ~direction:Jrt.Marker.Ascending ~gc_period ~steps ~chunk > 0
     then broke := true
   done;
   Alcotest.(check bool)

@@ -50,12 +50,12 @@ let test_event_ordering_and_roundtrip () =
 let test_validate_event_line () =
   let ok = {|{"ts": 0.5, "seq": 3, "kind": "gc.cycle.start", "cycle": 1}|} in
   (match Telemetry.validate_event_line ok with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "valid line rejected: %s" e);
   List.iter
     (fun (what, line) ->
       match Telemetry.validate_event_line line with
-      | Ok () -> Alcotest.failf "accepted %s" what
+      | Ok _ -> Alcotest.failf "accepted %s" what
       | Error _ -> ())
     [
       ("junk", "not json");
@@ -81,7 +81,7 @@ let test_validate_trace_rejects_broken () =
          line ~ts:0.4 ~seq:3 "run.finish";
        ]
    with
-  | Ok n -> Alcotest.(check int) "two runs accepted" 4 n
+  | Ok evs -> Alcotest.(check int) "two runs accepted" 4 (List.length evs)
   | Error (l, msg) -> Alcotest.failf "valid trace rejected at %d: %s" l msg);
   let broken =
     [
@@ -121,7 +121,7 @@ let test_validate_trace_empty () =
   List.iter
     (fun (what, lines) ->
       match Telemetry.validate_trace_lines lines with
-      | Ok n -> Alcotest.failf "%s accepted (%d events)" what n
+      | Ok evs -> Alcotest.failf "%s accepted (%d events)" what (List.length evs)
       | Error (l, msg) ->
           Alcotest.(check int) (what ^ " flagged as whole-file") 0 l;
           Alcotest.(check string)
@@ -188,8 +188,8 @@ let test_run_trace_schema_valid () =
   let lines = read_lines path in
   Sys.remove path;
   match Telemetry.validate_trace_lines lines with
-  | Ok n ->
-      Alcotest.(check bool) "trace is non-trivial" true (n > 0);
+  | Ok evs ->
+      Alcotest.(check bool) "trace is non-trivial" true (evs <> []);
       let kinds = List.map kind_of lines in
       List.iter
         (fun k ->
@@ -348,9 +348,14 @@ let test_reconciliation_budget_overflow () =
   let cw = compile_full Workloads.Db.t in
   let r =
     Harness.Exp.run
-      ~gc:(Jrt.Runner.make_retrace ~pacing:(Jrt.Pacer.config_of_trigger 24)
-        ~steps_per_increment:1 ())
-      ~guards:true ~chaos ~retrace_budget:0 ~fail_on_thread_error:false cw
+      ~gc:
+        (Jrt.Runner.Gc
+           {
+             policy = Jrt.Retrace_gc.policy ~retrace_budget:0 ();
+             steps_per_increment = 1;
+             pacing = Jrt.Pacer.config_of_trigger 24;
+           })
+      ~guards:true ~chaos ~fail_on_thread_error:false cw
   in
   let m = r.machine in
   Alcotest.(check bool) "chaos run revoked, checked and degraded" true
