@@ -8,8 +8,8 @@
     basic block and collapses producer chains into their consumers — so
     [getstatic; iload; aaload; astore] becomes one closure that reads
     the static slot, indexes the array and writes the local, with no
-    operand-stack traffic and a single dispatch.  A fused opcode may
-    cover several such statements, up to the block's terminating branch.
+    operand-stack traffic and a single dispatch.  A fused block runs
+    several such statements, up to the block's terminating branch.
 
     {b Compile once, bind per run.}  Compiled {e code} is machine-free
     and shared: one code per distinct program content
@@ -31,13 +31,19 @@
     event at the same step.  Revocation and degraded mode change what
     the record says, never which code runs.
 
-    Fused opcodes execute only when they fit {e entirely} inside the
-    current slice's fuel; near a safepoint boundary the engine falls
-    back to the single-op array.  This is what keeps the two engines
-    bit-identical: a safepoint can interrupt the interpreter mid-pattern
-    with partial results on the operand stack, and in exactly those
-    schedules the threaded engine ran the same instructions one op at a
-    time, leaving an identical stack for root enumeration.
+    {b Statements are the unit of resumption.}  Every statement leaves
+    [epc] at its successor, so one closure runs inside a block or alone,
+    and every statement start is an entry point: the fused block from
+    there on, and the lone statement.  A slice runs the longest unit
+    that fits {e entirely} in its remaining fuel — the block from the
+    pc, else the lone statement (inside a same-local [iinc] run, a
+    chunk of at most [iinc_chunk]), else the single op — and the next
+    slice resumes fused wherever the last one stopped.  This is what
+    keeps the two engines bit-identical: a safepoint can interrupt the
+    interpreter mid-pattern with partial results on the operand stack,
+    and in exactly those schedules the threaded engine ran that
+    statement's instructions one op at a time, leaving an identical
+    stack for root enumeration.
 
     The engine shares the interpreter's whole substrate — heap, statics
     table (written through), counters, site stats, GC hooks, pacer,
@@ -104,6 +110,11 @@ let[@inline] wrap n = (n lsl 1) asr 1
 
 (* ---- compiled code ----------------------------------------------------- *)
 
+(* The longest piece of a same-local [iinc] run a slice tail runs as one
+   unit; a tail then single-steps at most [iinc_chunk - 1] of a run.  A
+   fused block folds a whole run whatever its length. *)
+let iinc_chunk = 8
+
 (* a growable array: the code's site, static and method tables, which
    grow while methods compile; [items] beyond [len] are filler *)
 type 'a vec = { mutable items : 'a array; mutable len : int }
@@ -124,8 +135,15 @@ type site_desc = { sd_site : site; sd_kind : store_kind }
 type eframe = {
   ef_home : cmeth;  (** owning compiled method — names, handlers, pool *)
   ef_ops : op array;  (** one op per bytecode *)
-  ef_fuse : op array;  (** fused op starting at each pc (= single if none) *)
-  ef_klen : int array;  (** instructions the fused op at each pc covers *)
+  ef_fuse : op array;
+      (** the longest unit starting at each pc: the fused block from a
+          statement start, else the pc's slice-tail unit *)
+  ef_klen : int array;  (** instructions the unit in [ef_fuse] covers *)
+  ef_tail : op array;
+      (** the unit a slice tail falls back to at each pc when the block
+          does not fit: the lone statement, or a chunk of a same-local
+          [iinc] run, or the single op *)
+  ef_tlen : int array;  (** instructions the unit in [ef_tail] covers *)
   ef_pooled : bool;
       (** engine-created (recyclable); adopted frames were sized from an
           interpreter frame and never recycle *)
@@ -156,6 +174,8 @@ and cmeth = {
   mutable cm_ops : op array;
   mutable cm_fuse : op array;
   mutable cm_klen : int array;
+  mutable cm_tail : op array;
+  mutable cm_tlen : int array;
       (** arrays filled after the record is memoized, so recursive and
           mutually recursive calls can link against the record itself *)
   cm_nargs : int;
@@ -302,6 +322,8 @@ let fresh_frame (cm : cmeth) : eframe =
     ef_ops = cm.cm_ops;
     ef_fuse = cm.cm_fuse;
     ef_klen = cm.cm_klen;
+    ef_tail = cm.cm_tail;
+    ef_tlen = cm.cm_tlen;
     ef_pooled = true;
     epc = 0;
     elocals = Array.make cm.cm_max_locals 0;
@@ -448,6 +470,8 @@ let rec get_cmeth (k : code) (prog : Jir.Program.t) (mclass : class_name)
           cm_ops = [||];
           cm_fuse = [||];
           cm_klen = [||];
+          cm_tail = [||];
+          cm_tlen = [||];
           cm_nargs = List.length meth.params;
           cm_max_locals = meth.max_locals;
           cm_stack_cap = stack_cap_of prog meth;
@@ -753,8 +777,9 @@ and compile_op (k : code) (prog : Jir.Program.t) (c : cmeth) (pc : int)
    A {e statement} is a producer-fed sink (branch, local store, heap or
    static store, return, invoke), a folded run of [iinc]s, a [goto], or
    — when no sink matches — a plain push of the parsed producers, so
-   blocks keep going through argument setup.  A fused opcode covers a
-   run of statements ending at the block's terminator.  Calls fuse too:
+   blocks keep going through argument setup.  A fused block runs the
+   statements from one statement start to the block's terminator, and
+   every start has one.  Calls fuse too:
    an [invoke] sink writes producer-fed arguments straight into the
    callee's (pooled) frame, and [return]s recycle the frame and resume
    the caller, so a small method body costs one dispatch per call.
@@ -1064,22 +1089,72 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
                       (q2 + 1)
                 | _ -> Some (p0, q)))
   in
-  (* ---- statements: (run, next_pc, terminal).  Terminal statements
-     set [epc] themselves (absolute target, fallthrough, or call/return
-     bookkeeping); non-terminal ones leave it to the block epilogue. *)
-  let store_local i p0 : op =
+  (* ---- statements: (run, next_pc, terminal).  Every statement leaves
+     [epc] where execution continues: its successor [next_pc], or, for a
+     terminal one, the branch target, the fallthrough or the call/return
+     bookkeeping.  So one closure runs alike inside a block or alone. *)
+  let store_local i p0 nx : op =
     match p0 with
     | P_val (VP_local j) | P_int (IP_local j) ->
-        fun _ fr -> fr.elocals.(i) <- fr.elocals.(j)
+        fun _ fr ->
+          fr.elocals.(i) <- fr.elocals.(j);
+          fr.epc <- nx
     | P_val (VP_static s) ->
-        fun eth fr -> fr.elocals.(i) <- eth.run.static_encs.(s)
-    | P_val VP_null -> fun _ fr -> fr.elocals.(i) <- 0
-    | P_val (VP_fun f) -> fun eth fr -> fr.elocals.(i) <- f eth fr
+        fun eth fr ->
+          fr.elocals.(i) <- eth.run.static_encs.(s);
+          fr.epc <- nx
+    | P_val VP_null ->
+        fun _ fr ->
+          fr.elocals.(i) <- 0;
+          fr.epc <- nx
+    | P_val (VP_fun f) ->
+        fun eth fr ->
+          fr.elocals.(i) <- f eth fr;
+          fr.epc <- nx
     | P_int (IP_const n) ->
         let v = enc_int n in
-        fun _ fr -> fr.elocals.(i) <- v
+        fun _ fr ->
+          fr.elocals.(i) <- v;
+          fr.epc <- nx
     | P_int (IP_fun f) ->
-        fun eth fr -> fr.elocals.(i) <- enc_int (f eth fr)
+        fun eth fr ->
+          fr.elocals.(i) <- enc_int (f eth fr);
+          fr.epc <- nx
+  in
+  (* [n] same-local iincs adding [total] in all.  It moves [epc] by [n]
+     rather than to a fixed pc, so the slice-tail chunks of one run that
+     add the same amount are one closure. *)
+  let iinc_units = Hashtbl.create 8 in
+  let iinc_unit i total n : op =
+    let key = (i, wrap total, n) in
+    match Hashtbl.find_opt iinc_units key with
+    | Some op -> op
+    | None ->
+        let total2 = total lsl 1 in
+        let op _ fr =
+          let v = fr.elocals.(i) in
+          if v land 1 = 0 then bugf "iinc of %a" Value.pp (decode v);
+          fr.elocals.(i) <- v + total2;
+          fr.epc <- fr.epc + n
+        in
+        Hashtbl.add iinc_units key op;
+        op
+  in
+  (* the same-local iincs from [q] on: (local, deltas' sum, count) over
+     at most [cap] of them *)
+  let iinc_run q cap =
+    match code.(q) with
+    | Iinc (i, d) ->
+        let q' = ref (q + 1) and total = ref d in
+        while
+          !q' < len && !q' - q < cap
+          && match code.(!q') with Iinc (i', _) -> i' = i | _ -> false
+        do
+          (match code.(!q') with Iinc (_, d') -> total := !total + d' | _ -> ());
+          incr q'
+        done;
+        Some (i, !total, !q' - q)
+    | _ -> None
   in
   let if_i_stmt cond ipa l fall : op =
     let cmp = cmp_of cond in
@@ -1210,12 +1285,19 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
   in
   let push_stmt ps q' : (op * int * bool) option =
     match List.map (fun p -> vfun (vprod_of p)) ps with
-    | [ fa ] -> Some ((fun eth fr -> push fr (fa eth fr)), q', false)
+    | [ fa ] ->
+        Some
+          ( (fun eth fr ->
+              push fr (fa eth fr);
+              fr.epc <- q'),
+            q',
+            false )
     | [ fa; fb ] ->
         Some
           ( (fun eth fr ->
               push fr (fa eth fr);
-              push fr (fb eth fr)),
+              push fr (fb eth fr);
+              fr.epc <- q'),
             q',
             false )
     | [ fa; fb; fv ] ->
@@ -1223,7 +1305,8 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
           ( (fun eth fr ->
               push fr (fa eth fr);
               push fr (fb eth fr);
-              push fr (fv eth fr)),
+              push fr (fv eth fr);
+              fr.epc <- q'),
             q',
             false )
     | _ -> None
@@ -1232,28 +1315,13 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
     if q >= len then None
     else
       match code.(q) with
-      | Iinc (i, d) ->
+      | Iinc _ -> (
           (* fold a run of same-local iincs (workloads use these as
              padding) into one add; intermediate values are unobservable
-             inside a slice *)
-          let q' = ref (q + 1) in
-          let total = ref d in
-          let scanning = ref true in
-          while !scanning && !q' < len do
-            match code.(!q') with
-            | Iinc (i', d') when i' = i ->
-                total := !total + d';
-                incr q'
-            | _ -> scanning := false
-          done;
-          let total2 = !total lsl 1 in
-          Some
-            ( (fun _ fr ->
-                let v = fr.elocals.(i) in
-                if v land 1 = 0 then bugf "iinc of %a" Value.pp (decode v);
-                fr.elocals.(i) <- v + total2),
-              !q',
-              false )
+             inside a unit *)
+          match iinc_run q max_int with
+          | Some (i, total, n) -> Some (iinc_unit i total n, q + n, false)
+          | None -> None)
       | Goto l -> Some ((fun _ fr -> fr.epc <- l), q + 1, true)
       | Return -> Some (return_stmt, q + 1, true)
       | Ireturn | Areturn ->
@@ -1283,7 +1351,8 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
                       ( if_null_stmt false (vprod_of pa) l (q1 + 1),
                         q1 + 1,
                         true )
-                | Istore i | Astore i -> Some (store_local i pa, q1 + 1, false)
+                | Istore i | Astore i ->
+                    Some (store_local i pa (q1 + 1), q1 + 1, false)
                 | Ireturn | Areturn ->
                     Some (vreturn_stmt (vfun (vprod_of pa)), q1 + 1, true)
                 | Invoke mr ->
@@ -1304,14 +1373,16 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
                             I.store_barrier run.m (site_of run s)
                               ~tid:eth.ith.I.tid ~obj:(-1)
                               ~pre:run.static_vals.(i) ~nv:v;
-                            set_static run i v ev),
+                            set_static run i v ev;
+                            fr.epc <- q1 + 1),
                           q1 + 1,
                           false )
                     else
                       Some
                         ( (fun eth fr ->
                             let ev = fa eth fr in
-                            set_static eth.run i (decode ev) ev),
+                            set_static eth.run i (decode ev) ev;
+                            fr.epc <- q1 + 1),
                           q1 + 1,
                           false )
                 (* ---- arity-2 sinks ---- *)
@@ -1370,7 +1441,8 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
                                         I.store_barrier run.m (site_of run s)
                                           ~tid:eth.ith.I.tid ~obj:o.Heap.id
                                           ~pre:fs.(idx) ~nv:v;
-                                        fs.(idx) <- v
+                                        fs.(idx) <- v;
+                                        fr.epc <- q2 + 1
                                   | vo ->
                                       let fo = vfun vo in
                                       fun eth fr ->
@@ -1384,7 +1456,8 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
                                         I.store_barrier run.m (site_of run s)
                                           ~tid:eth.ith.I.tid ~obj:o.Heap.id
                                           ~pre:fs.(idx) ~nv:v;
-                                        fs.(idx) <- v
+                                        fs.(idx) <- v;
+                                        fr.epc <- q2 + 1
                                 else
                                   match vo with
                                   | VP_local i ->
@@ -1392,7 +1465,8 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
                                         let v = decode (fv eth fr) in
                                         fr.epc <- q2;
                                         let o = deref eth fr fr.elocals.(i) in
-                                        (fields_of o).(idx) <- v
+                                        (fields_of o).(idx) <- v;
+                                        fr.epc <- q2 + 1
                                   | vo ->
                                       let fo = vfun vo in
                                       fun eth fr ->
@@ -1400,7 +1474,8 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
                                         let v = decode (fv eth fr) in
                                         fr.epc <- q2;
                                         (fields_of (deref eth fr ov)).(idx) <-
-                                          v
+                                          v;
+                                        fr.epc <- q2 + 1
                               in
                               Some (run, q2 + 1, false)
                           (* ---- arity-3 sinks ---- *)
@@ -1447,7 +1522,8 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
                                                 ~tid:eth.ith.I.tid
                                                 ~obj:o.Heap.id ~pre:es.(i)
                                                 ~nv:v;
-                                              es.(i) <- v),
+                                              es.(i) <- v;
+                                              fr.epc <- q3 + 1),
                                             q3 + 1,
                                             false )
                                     | Iastore ->
@@ -1467,65 +1543,25 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
                                                 i < 0
                                                 || i >= Array.length es
                                               then I.jthrow Bounds;
-                                              es.(i) <- v),
+                                              es.(i) <- v;
+                                              fr.epc <- q3 + 1),
                                             q3 + 1,
                                             false )
                                     | _ -> push_stmt [ pa; pb; pv ] q3))))))
   in
-  let block_at p : (op * int) option =
-    let stmts = ref [] in
-    let q = ref p in
-    let terminal = ref false in
-    let stop = ref false in
-    while not !stop do
-      match parse_stmt !q with
-      | None -> stop := true
-      | Some (run, q', term) ->
-          stmts := run :: !stmts;
-          q := q';
-          if term then begin
-            terminal := true;
-            stop := true
-          end
-    done;
-    let k = !q - p in
-    if k < 2 then None
-    else
-      let all = Array.of_list (List.rev !stmts) in
-      let nst = Array.length all in
-      let body, tail =
-        if !terminal then (Array.sub all 0 (nst - 1), all.(nst - 1))
-        else
-          let e = p + k in
-          (all, fun _ fr -> fr.epc <- e)
-      in
-      let run =
-        match body with
-        | [||] -> tail
-        | [| s0 |] ->
-            fun eth fr ->
-              s0 eth fr;
-              tail eth fr
-        | [| s0; s1 |] ->
-            fun eth fr ->
-              s0 eth fr;
-              s1 eth fr;
-              tail eth fr
-        | [| s0; s1; s2 |] ->
-            fun eth fr ->
-              s0 eth fr;
-              s1 eth fr;
-              s2 eth fr;
-              tail eth fr
-        | ss ->
-            let n = Array.length ss in
-            fun eth fr ->
-              for i = 0 to n - 1 do
-                ss.(i) eth fr
-              done;
-              tail eth fr
-      in
-      Some (run, k)
+  (* each pc's statement, parsed once: a parse numbers the store sites
+     it meets, and blocks, entries and the slice-tail table share the
+     closure it builds *)
+  let parsed = Array.make len None and seen = Array.make len false in
+  let stmt q =
+    if q >= len then None
+    else begin
+      if not seen.(q) then begin
+        seen.(q) <- true;
+        parsed.(q) <- parse_stmt q
+      end;
+      parsed.(q)
+    end
   in
   (* block leader pcs: method entry, branch targets, fallthroughs of
      branches/returns/calls, handler targets, and resumption points
@@ -1551,20 +1587,121 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
       | _ -> ())
     code;
   List.iter (fun (h : int handler) -> mark h.target) c.cm_meth.handlers;
+  (* statement starts: the pcs a chain of statements from a leader, or
+     from a pc no chain covers, steps through.  A chain ends at a
+     terminal statement, at a pc with no statement, or where an earlier
+     chain already went on from. *)
+  let start = Array.make len false in
   let cover = ref 0 in
   for p = 0 to len - 1 do
     if p >= !cover || leaders.(p) then begin
-      (match block_at p with
-      | Some (op, k) ->
-          fuse.(p) <- op;
-          klen.(p) <- k;
-          if p + k > !cover then cover := p + k
-      | None -> ());
+      let q = ref p in
+      while !q < len && not start.(!q) do
+        match stmt !q with
+        | None -> q := len
+        | Some (_, q', term) ->
+            start.(!q) <- true;
+            if q' > !cover then cover := q';
+            q := if term then len else q'
+      done;
       if p >= !cover then cover := p + 1
     end
   done;
+  (* the fused block from each statement start runs its statements up
+     to a terminal one or to a pc with no statement.  Three statements
+     are unrolled and the fourth on is the block from the fourth start,
+     built first (starts go in decreasing pc order), so a block's
+     entries share one chain of closures. *)
+  let op_at q =
+    match parsed.(q) with Some (run, _, _) -> run | None -> assert false
+  in
+  let next_pc q =
+    match parsed.(q) with Some (_, q', _) -> q' | None -> assert false
+  in
+  (* the next statement start inside the block, or -1 *)
+  let succ q =
+    match parsed.(q) with
+    | Some (_, q', false) when q' < len && start.(q') -> q'
+    | _ -> -1
+  in
+  let block_end = Array.make len 0 in
+  for p = len - 1 downto 0 do
+    if start.(p) then begin
+      let s1 = succ p in
+      block_end.(p) <- (if s1 >= 0 then block_end.(s1) else next_pc p);
+      let a = op_at p in
+      let run =
+        if s1 < 0 then a
+        else
+          let b = op_at s1 and s2 = succ s1 in
+          if s2 < 0 then
+            (fun eth fr ->
+              a eth fr;
+              b eth fr)
+          else
+            let c = op_at s2 and s3 = succ s2 in
+            if s3 < 0 then
+              (fun eth fr ->
+                a eth fr;
+                b eth fr;
+                c eth fr)
+            else
+              let rest = fuse.(s3) in
+              fun eth fr ->
+                a eth fr;
+                b eth fr;
+                c eth fr;
+                rest eth fr
+      in
+      let k = block_end.(p) - p in
+      if k >= 2 then begin
+        fuse.(p) <- run;
+        klen.(p) <- k
+      end
+    end
+  done;
+  (* the slice tail's unit at each pc: at most [iinc_chunk] iincs inside
+     a same-local run, else the lone statement starting there, else the
+     single op *)
+  let tail = Array.copy c.cm_ops and tlen = Array.make len 1 in
+  for p = 0 to len - 1 do
+    match iinc_run p iinc_chunk with
+    | Some (i, total, n) when n >= 2 ->
+        tail.(p) <- iinc_unit i total n;
+        tlen.(p) <- n
+    | Some _ | None -> (
+        match parsed.(p) with
+        | Some (run, q', _) when start.(p) && q' - p >= 2 ->
+            tail.(p) <- run;
+            tlen.(p) <- q' - p
+        | Some _ | None -> ())
+  done;
+  (* a pc inside a same-local iinc run, past the statement that folds
+     it, enters the block too: the rest of the run, then the block from
+     the run's end, where a slice cut inside the run resumes *)
+  for p = 0 to len - 1 do
+    if not start.(p) then
+      match iinc_run p max_int with
+      | Some (i, total, n) ->
+          let e = p + n in
+          if e < len && start.(e) then begin
+            let fold = iinc_unit i total n and rest = fuse.(e) in
+            fuse.(p) <-
+              (fun eth fr ->
+                fold eth fr;
+                rest eth fr);
+            klen.(p) <- n + klen.(e)
+          end
+          else begin
+            fuse.(p) <- iinc_unit i total n;
+            klen.(p) <- n
+          end
+      | None -> ()
+  done;
   c.cm_fuse <- fuse;
-  c.cm_klen <- klen
+  c.cm_klen <- klen;
+  c.cm_tail <- tail;
+  c.cm_tlen <- tlen
 
 (* ---- threads ----------------------------------------------------------- *)
 
@@ -1590,6 +1727,8 @@ and adopt (t : t) (ith : I.thread) : ethread =
             ef_ops = cm.cm_ops;
             ef_fuse = cm.cm_fuse;
             ef_klen = cm.cm_klen;
+            ef_tail = cm.cm_tail;
+            ef_tlen = cm.cm_tlen;
             ef_pooled = false;
             epc = fr.I.pc;
             elocals = Array.map encode fr.I.locals;
@@ -1874,9 +2013,13 @@ let inflight (t : t) : int =
     publish the block's consumed prefix first, so recorded steps match
     the interpreter's exactly everywhere.
 
-    Fused opcodes run only while they fit in the remaining fuel; the
-    tail of a slice single-steps, which keeps safepoint-time operand
-    stacks identical to the interpreter's. *)
+    Each dispatch runs the longest unit that fits in the remaining
+    fuel: the fused block from the pc, else the slice tail's unit there
+    (the lone statement, or a chunk of a same-local [iinc] run), else
+    the single op.  A slice therefore ends between statements or
+    single-stepping inside one, which keeps safepoint-time operand
+    stacks identical to the interpreter's, and the next slice resumes
+    fused from any statement start. *)
 let flush (t : t) : unit =
   let m = t.m in
   m.I.instr_count <- m.I.instr_count + t.slice_n;
@@ -1902,12 +2045,16 @@ let slice (t : t) (ith : I.thread) ~(fuel : int) : int =
         bugf "pc out of range in %s.%s" fr.ef_home.cm_class
           fr.ef_home.cm_meth.mname
       end;
+      (* the longest unit that fits: the block from [p], else the slice
+         tail's unit there, else the single op *)
       let k = fr.ef_klen.(p) in
+      let fits = t.slice_n + k <= efuel in
+      let k = if fits then k else fr.ef_tlen.(p) in
       if k > 1 && t.slice_n + k <= efuel then (
         t.fuse_start <- p;
         t.fuse_ep <- -1;
         try
-          fr.ef_fuse.(p) eth fr;
+          (if fits then fr.ef_fuse.(p) else fr.ef_tail.(p)) eth fr;
           t.fuse_start <- -1;
           t.slice_n <- t.slice_n + k
         with

@@ -152,6 +152,40 @@ let test_bench_cadence () =
           Alcotest.failf "%s (bench cadence): engines diverge — %s" w.name m)
     Workloads.Registry.table1
 
+(* Slice offsets: a safepoint every gc_period instructions cuts the
+   threaded engine's fused blocks at a different offset for each period,
+   so sweeping 1..40 lands slice ends at every position inside the
+   blocks (and inside the iinc runs) of every bundled workload, where
+   the two engines must still agree record for record. *)
+let test_slice_offsets () =
+  let gcs =
+    [
+      ("none", Jrt.Runner.No_gc);
+      ("satb", Jrt.Runner.make_satb ());
+      ("hybrid", Jrt.Runner.make_hybrid ());
+    ]
+  in
+  List.iter
+    (fun (w : Workloads.Spec.t) ->
+      let cw = Harness.Exp.compile w in
+      List.iter
+        (fun (gc_name, gc) ->
+          for gc_period = 1 to 40 do
+            let run engine =
+              let r = Harness.Exp.run ~gc ~gc_period ~engine cw in
+              (r, Flight.events ())
+            in
+            let ri, ei = run `Interp in
+            let rt, et = run `Threaded in
+            match Harness.Engines.diff ~flight:(ei, et) ri rt with
+            | None -> ()
+            | Some m ->
+                Alcotest.failf "%s/%s, gc_period %d: engines diverge — %s"
+                  w.name gc_name gc_period m
+          done)
+        gcs)
+    Workloads.Registry.all
+
 (* A verified program that outlives its instruction budget stops
    cleanly under either engine, at the same step: the in-flight cycle
    is finished and checked, and it is no pacer hard stop. *)
@@ -477,10 +511,12 @@ let test_int_width () =
 
 (* Random straight-line programs over operands near ±2^60: locals,
    statics, an int array with computed indices, every arithmetic op,
-   iinc and forward branches on comparisons.  Both engines at five
-   safepoint cadences (gc_period 1 single-steps every op; 1000 runs
-   every fused block whole) must end with the same statics, the same
-   array and the same thread errors. *)
+   iinc, same-local iinc runs of 2-40 (whose chunks a slice tail runs,
+   so a chunk boundary can fall across a wrap) and forward branches on
+   comparisons.  Both engines at every gc_period in 1-12 and at 32 and
+   1000 (gc_period 1 single-steps every op; 1000 runs every fused block
+   whole) must end with the same statics, the same array and the same
+   thread errors. *)
 let width_gen =
   let open QCheck2.Gen in
   let near =
@@ -553,6 +589,10 @@ let width_gen =
         map2
           (fun k d _ -> [ Printf.sprintf "iinc %d %d" k d ])
           (int_range 0 2) near;
+        map2
+          (fun k ds _ -> List.map (Printf.sprintf "iinc %d %d" k) ds)
+          (int_range 0 2)
+          (list_size (int_range 2 40) near);
         map3
           (fun a b c l ->
             a @ b @ [ Printf.sprintf "if_icmp%s %s" c l; "iinc 0 1"; l ^ ":" ])
@@ -605,8 +645,10 @@ let width_prop =
       let want = outcome `Interp 1 in
       List.for_all
         (fun (engine, gc_period) -> outcome engine gc_period = want)
-        [ (`Interp, 1000); (`Threaded, 1); (`Threaded, 2); (`Threaded, 3);
-          (`Threaded, 32); (`Threaded, 1000) ])
+        ((`Interp, 1000)
+        :: List.map
+             (fun p -> (`Threaded, p))
+             (List.init 12 (fun i -> i + 1) @ [ 32; 1000 ])))
 
 let tests =
   [
@@ -617,6 +659,8 @@ let tests =
     QCheck_alcotest.to_alcotest flight_parity_prop;
     Alcotest.test_case "engines identical at the bench cadence" `Quick
       test_bench_cadence;
+    Alcotest.test_case "engines identical at slice offsets 1-40" `Quick
+      test_slice_offsets;
     Alcotest.test_case "budget stop: same step, same outcome" `Quick
       test_budget_stop;
     Alcotest.test_case "array length maximum: bounds on both engines" `Quick
