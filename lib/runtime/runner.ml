@@ -355,12 +355,13 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
       m.Interp.gc.Gc_hooks.on_pressure ~degraded
     end
   in
-  (* Will this safepoint run collector, chaos or revocation work?  Only
-     then is it timed into [gc_s]: an idle one is a few loads and
-     branches, cheaper than the two clock reads that would time it.  The
+  (* Will this safepoint run collector, chaos or revocation work?  The
      marker and the pacer answer with the predicates the safepoint's
      work consults ([should_start] also holds while the pacer is
-     degraded).  The answer picks the clock, never the work. *)
+     degraded).  Only a busy safepoint runs the whole body and is timed
+     into [gc_s]; an idle one runs the few steps that can change state
+     there (see the safepoint below), cheaper than the two clock reads
+     that would time it.  Both paths leave the same state behind. *)
   let has_work () =
     chaos <> None
     || m.Interp.pending_revocations <> []
@@ -369,6 +370,35 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
     | Some t, Some p ->
         Marker.is_marking t || Pacer.should_start p m.Interp.heap
     | _ -> false
+  in
+  (* poll the pacer's state machine; while degraded it asks for extra
+     increments on top of the boosted budgets *)
+  let pacer_poll () =
+    match pacer with Some p -> Pacer.at_safepoint p m.Interp.heap | None -> 0
+  in
+  (* the collector's part of a safepoint, after the pacer's poll asked
+     for [extra] increments *)
+  let collector_work (action : Chaos.action) extra =
+    sync_pressure ();
+    (* anomaly detectors sweep the ring's new events *)
+    Flight.poll ();
+    if not action.Chaos.defer_increment then begin
+      m.Interp.gc.Gc_hooks.step ();
+      for _ = 1 to extra do
+        m.Interp.gc.Gc_hooks.step ()
+      done
+    end;
+    match live with
+    | None -> ()
+    | Some t ->
+        if action.Chaos.force_remark && Marker.is_marking t then
+          (* chaos heap pressure: emergency remark now *)
+          finish_cycle t
+        else begin
+          maybe_start_cycle t;
+          (* finish once the concurrent phase has gone quiescent *)
+          if Marker.quiescent t then finish_cycle t
+        end
   in
   (* Run up to [fuel] instructions of [th] on the selected engine,
      returning how many executed.  The interpreter path is the old
@@ -423,54 +453,51 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
                   store pair's window is open *)
                if !since_gc >= gc_period && not m.Interp.in_no_safepoint
                then begin
-                 let timed = has_work () in
-                 let sp_t0 = if timed then Telemetry.now_s () else 0.0 in
                  since_gc := 0;
-                 (* chaos faults fire first, so a late-spawn announcement's
-                    revocation is applied below, before the fault's damage
-                    stores (which run at later safepoints) *)
-                 let action =
-                   match chaos with
-                   | Some c -> Chaos.at_safepoint c m
-                   | None -> Chaos.no_action
-                 in
-                 (* guard failures noticed since the last safepoint patch
-                    their dependent sites atomically here *)
-                 Interp.apply_revocations m;
-                 (* retrace-budget watchdog: a degraded cycle disables swap
-                    elision for its remainder *)
-                 (match live with
-                 | Some t when t.Marker.degraded -> Interp.set_swap_degraded m
-                 | Some _ | None -> ());
-                 (* poll the pacer's state machine; while degraded it asks
-                    for extra increments on top of the boosted budgets *)
-                 let extra =
-                   match pacer with
-                   | Some p -> Pacer.at_safepoint p m.Interp.heap
-                   | None -> 0
-                 in
-                 sync_pressure ();
-                 (* anomaly detectors sweep the ring's new events *)
-                 Flight.poll ();
-                 if not action.Chaos.defer_increment then begin
-                   m.Interp.gc.Gc_hooks.step ();
-                   for _ = 1 to extra do
-                     m.Interp.gc.Gc_hooks.step ()
-                   done
-                 end;
-                 (match live with
-                 | None -> ()
-                 | Some t ->
-                     if action.Chaos.force_remark && Marker.is_marking t then
-                       (* chaos heap pressure: emergency remark now *)
-                       finish_cycle t
-                     else begin
-                       maybe_start_cycle t;
-                       (* finish once the concurrent phase has gone
-                          quiescent *)
-                       if Marker.quiescent t then finish_cycle t
-                     end);
-                 if timed then gc_s := !gc_s +. (Telemetry.now_s () -. sp_t0)
+                 if has_work () then begin
+                   let sp_t0 = Telemetry.now_s () in
+                   (* chaos faults fire first, so a late-spawn
+                      announcement's revocation is applied below, before
+                      the fault's damage stores (which run at later
+                      safepoints) *)
+                   let action =
+                     match chaos with
+                     | Some c -> Chaos.at_safepoint c m
+                     | None -> Chaos.no_action
+                   in
+                   (* guard failures noticed since the last safepoint
+                      patch their dependent sites atomically here *)
+                   Interp.apply_revocations m;
+                   (* retrace-budget watchdog: a degraded cycle disables
+                      swap elision for its remainder *)
+                   (match live with
+                   | Some t when t.Marker.degraded ->
+                       Interp.set_swap_degraded m
+                   | Some _ | None -> ());
+                   collector_work action (pacer_poll ());
+                   gc_s := !gc_s +. (Telemetry.now_s () -. sp_t0)
+                 end
+                 else
+                   (* Idle: no chaos, no revocation pending, not marking
+                      (so the marker is not degraded and its increments
+                      do nothing) and no cycle due.  Only the pacer's
+                      live-size sample, the pressure sync (the pacer may
+                      have left degraded mode at the previous, busy
+                      safepoint) and the detectors' poll can change
+                      anything here.  The sample's soft-limit check does
+                      not newly degrade, and so make a cycle due: every
+                      allocation already ran it on the live size it left
+                      behind, and only allocations grow that size (a
+                      soft limit of 0 or less, which the CLI refuses, is
+                      the exception before the first one).  A degraded
+                      pacer asks for extra increments, and then the
+                      safepoint runs the collector's part in full. *)
+                   let extra = pacer_poll () in
+                   if extra > 0 then collector_work Chaos.no_action extra
+                   else begin
+                     sync_pressure ();
+                     Flight.poll ()
+                   end
                end
              done)
            runnable
