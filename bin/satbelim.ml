@@ -863,14 +863,14 @@ let validate_trace_cmd =
     | Error (line, msg) ->
         Fmt.epr "%s:%d: %s@." file line msg;
         exit 1
-    | Ok events -> (
-        Fmt.pr "%s: %d events, schema OK@." file (List.length events);
+    | Ok numbered -> (
+        Fmt.pr "%s: %d events, schema OK@." file (List.length numbered);
         (* semantic post-pass: every heap.census event must reconcile the
            census fold with the heap's own counters, to the unit — a
            mismatch is a bug in the observatory's accounting *)
         let censuses = ref 0 in
-        List.iteri
-          (fun i (e : Telemetry.event) ->
+        List.iter
+          (fun (line, (e : Telemetry.event)) ->
             if
               e.ev_kind = "heap.census"
               (* sampled counters-only ticks (the always-on telemetry path
@@ -883,7 +883,7 @@ let validate_trace_cmd =
                 | Some (Telemetry.Int n) -> n
                 | _ ->
                     Fmt.epr "%s:%d: heap.census missing field %s@." file
-                      (i + 1) name;
+                      line name;
                     exit 1
               in
               let cl = geti "census_live"
@@ -894,17 +894,18 @@ let validate_trace_cmd =
                 Fmt.epr
                   "%s:%d: heap.census does not reconcile: census %d \
                    objects/%d units vs heap counters %d/%d@."
-                  file (i + 1) cl cu hl hu;
+                  file line cl cu hl hu;
                 exit 1
               end
             end)
-          events;
+          numbered;
         if !censuses > 0 then
           Fmt.pr "%s: %d heap.census event(s) reconcile with heap counters@."
             file !censuses;
         match chrome with
         | None -> ()
         | Some out ->
+            let events = List.map snd numbered in
             Telemetry.write_file out
               (Telemetry.json_to_string (Telemetry.chrome_of_events events));
             Fmt.pr "%s: wrote Chrome trace (%d events)@." out

@@ -397,41 +397,45 @@ let validate_event_line (line : string) : (event, string) result =
     non-decreasing, sequence numbers strictly increasing, and run
     envelopes well-bracketed (every [run.finish] closes a distinct
     preceding [run.start] — a duplicated or orphaned finish envelope is
-    rejected).  Returns the decoded events on success, or
-    [(line_number, message)] for the first offending line. *)
+    rejected).  Blank lines are skipped but counted, so a line number is
+    the file's own.  Returns each decoded event with its line number on
+    success, or [(line_number, message)] for the first offending
+    line. *)
 let validate_trace_lines (lines : string list) :
-    (event list, int * string) result =
-  let rec go i prev_ts prev_seq ~starts ~finishes acc = function
+    ((int * event) list, int * string) result =
+  let rec go n prev_ts prev_seq ~starts ~finishes acc = function
+    | [] when acc = [] ->
+        (* an empty trace is its own failure mode (a sink that was armed
+           but never flushed, a truncated file) — report it as such, not
+           as "0 events, schema OK" and not as malformed JSON *)
+        Error (0, "empty trace (no events)")
     | [] -> Ok (List.rev acc)
+    | line :: rest when String.trim line = "" ->
+        go (n + 1) prev_ts prev_seq ~starts ~finishes acc rest
     | line :: rest -> (
         match validate_event_line line with
-        | Error e -> Error (i, e)
+        | Error e -> Error (n, e)
         | Ok e ->
-            if e.ev_ts < prev_ts then Error (i, "timestamp went backwards")
+            if e.ev_ts < prev_ts then Error (n, "timestamp went backwards")
             else if e.ev_seq <= prev_seq then
-              Error (i, "sequence number did not increase")
+              Error (n, "sequence number did not increase")
             else
               let starts =
                 if e.ev_kind = "run.start" then starts + 1 else starts
               in
               if e.ev_kind = "run.finish" && finishes >= starts then
                 Error
-                  ( i,
+                  ( n,
                     "duplicate \"run.finish\" envelope (no matching \
                      \"run.start\")" )
               else
                 let finishes =
                   if e.ev_kind = "run.finish" then finishes + 1 else finishes
                 in
-                go (i + 1) e.ev_ts e.ev_seq ~starts ~finishes (e :: acc) rest)
+                go (n + 1) e.ev_ts e.ev_seq ~starts ~finishes ((n, e) :: acc)
+                  rest)
   in
-  match List.filter (fun l -> String.trim l <> "") lines with
-  | [] ->
-      (* an empty trace is its own failure mode (a sink that was armed
-         but never flushed, a truncated file) — report it as such, not
-         as "0 events, schema OK" and not as malformed JSON *)
-      Error (0, "empty trace (no events)")
-  | nonblank -> go 1 0.0 (-1) ~starts:0 ~finishes:0 [] nonblank
+  go 1 0.0 (-1) ~starts:0 ~finishes:0 [] lines
 
 (* ---- chrome trace-event exporter ---------------------------------------- *)
 

@@ -75,7 +75,8 @@ val event_of_json : json -> (event, string) result
 val validate_event_line : string -> (event, string) result
 (** One line, parsed once and decoded by {!event_of_json}. *)
 
-val validate_trace_lines : string list -> (event list, int * string) result
+val validate_trace_lines :
+  string list -> ((int * event) list, int * string) result
 (** Whole trace (blank lines skipped): every line schema-valid,
     timestamps non-decreasing, sequence numbers strictly increasing, and
     run envelopes well-bracketed — a [run.finish] with no distinct
