@@ -1145,15 +1145,15 @@ and compile_blocks (k : code) (prog : Jir.Program.t) (c : cmeth) : unit =
   let iinc_run q cap =
     match code.(q) with
     | Iinc (i, d) ->
-        let q' = ref (q + 1) and total = ref d in
-        while
-          !q' < len && !q' - q < cap
-          && match code.(!q') with Iinc (i', _) -> i' = i | _ -> false
-        do
-          (match code.(!q') with Iinc (_, d') -> total := !total + d' | _ -> ());
-          incr q'
-        done;
-        Some (i, !total, !q' - q)
+        let rec go q' total =
+          if q' < len && q' - q < cap then
+            match code.(q') with
+            | Iinc (i', d') when i' = i -> go (q' + 1) (total + d')
+            | _ -> (q', total)
+          else (q', total)
+        in
+        let q', total = go (q + 1) d in
+        Some (i, total, q' - q)
     | _ -> None
   in
   let if_i_stmt cond ipa l fall : op =
