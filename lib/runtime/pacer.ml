@@ -254,7 +254,7 @@ let before_alloc (t : t) (heap : Heap.t) ~(units : int) : unit =
       raise (Hard_limit msg)
   | _ -> ());
   check_soft t ~live:(live + units);
-  t.max_live_units <- max t.max_live_units (live + units)
+  t.max_live_units <- Int.max t.max_live_units (live + units)
 
 (** An allocating thread performed one bounded increment of marking on
     the collector's behalf (degraded mode only; the interpreter runs the
@@ -343,7 +343,9 @@ let note_cycle_end (t : t) (heap : Heap.t) ~(at_step : int)
     increments to run right now (the shortened-mark-budget half of
     degraded mode; 0 while normal). *)
 let at_safepoint (t : t) (heap : Heap.t) : int =
-  t.max_live_units <- max t.max_live_units heap.Heap.live_units;
+  (* [Int.max], not the polymorphic [max], a C call: this runs at every
+     safepoint, and [before_alloc]'s at every allocation *)
+  t.max_live_units <- Int.max t.max_live_units heap.Heap.live_units;
   check_soft t ~live:heap.Heap.live_units;
   if t.state = Degraded then 1 else 0
 

@@ -444,8 +444,10 @@ let run ?(cfg = Interp.default_config) ?(gc = No_gc) ?(engine = `Interp)
                   fire when [since_gc] reaches [gc_period].  While a
                   swap-elided pair's window holds the safepoint open the
                   bound degenerates to single-stepping, exactly like the
-                  per-instruction loop it replaces. *)
-               let fuel = max 1 (min (q - !k) (gc_period - !since_gc)) in
+                  per-instruction loop it replaces.  [Int]'s min and max
+                  are two compares; the polymorphic ones would call the
+                  C comparison on every slice. *)
+               let fuel = Int.max 1 (Int.min (q - !k) (gc_period - !since_gc)) in
                let n = step_slice th ~fuel in
                k := !k + n;
                since_gc := !since_gc + n;
