@@ -38,7 +38,7 @@
     that fits {e entirely} in its remaining fuel — the block from the
     pc, else the lone statement (inside a same-local [iinc] run, a
     chunk of at most [iinc_chunk]), else the single op — and the next
-    slice resumes fused wherever the last one stopped.  This is what
+    slice resumes fused from the next statement start.  This is what
     keeps the two engines bit-identical: a safepoint can interrupt the
     interpreter mid-pattern with partial results on the operand stack,
     and in exactly those schedules the threaded engine ran that

@@ -403,7 +403,7 @@ let validate_event_line (line : string) : (event, string) result =
     line. *)
 let validate_trace_lines (lines : string list) :
     ((int * event) list, int * string) result =
-  let rec go n prev_ts prev_seq ~starts ~finishes acc = function
+  let rec go i prev_ts prev_seq ~starts ~finishes acc = function
     | [] when acc = [] ->
         (* an empty trace is its own failure mode (a sink that was armed
            but never flushed, a truncated file) — report it as such, not
@@ -411,28 +411,28 @@ let validate_trace_lines (lines : string list) :
         Error (0, "empty trace (no events)")
     | [] -> Ok (List.rev acc)
     | line :: rest when String.trim line = "" ->
-        go (n + 1) prev_ts prev_seq ~starts ~finishes acc rest
+        go (i + 1) prev_ts prev_seq ~starts ~finishes acc rest
     | line :: rest -> (
         match validate_event_line line with
-        | Error e -> Error (n, e)
+        | Error e -> Error (i, e)
         | Ok e ->
-            if e.ev_ts < prev_ts then Error (n, "timestamp went backwards")
+            if e.ev_ts < prev_ts then Error (i, "timestamp went backwards")
             else if e.ev_seq <= prev_seq then
-              Error (n, "sequence number did not increase")
+              Error (i, "sequence number did not increase")
             else
               let starts =
                 if e.ev_kind = "run.start" then starts + 1 else starts
               in
               if e.ev_kind = "run.finish" && finishes >= starts then
                 Error
-                  ( n,
+                  ( i,
                     "duplicate \"run.finish\" envelope (no matching \
                      \"run.start\")" )
               else
                 let finishes =
                   if e.ev_kind = "run.finish" then finishes + 1 else finishes
                 in
-                go (n + 1) e.ev_ts e.ev_seq ~starts ~finishes ((n, e) :: acc)
+                go (i + 1) e.ev_ts e.ev_seq ~starts ~finishes ((i, e) :: acc)
                   rest)
   in
   go 1 0.0 (-1) ~starts:0 ~finishes:0 [] lines
