@@ -52,10 +52,14 @@ gate:
 
 # compile throughput: a short closed-loop jit-compile run (Exp.compile of
 # the six Table-1 programs at inline limits 100 and 200 and 0+summaries);
-# appends its end-to-end record to bench/perf/out/ci/runs.jsonl
+# appends its end-to-end record to bench/perf/out/ci/runs.jsonl, then runs
+# the same pass traced, writing the per-layer compile ledger (analysis,
+# allocation, block visits, ...) to bench/perf/out/ci/jit-compile.trace.json
 compile-bench:
 	dune exec ./bench/perf/perf.exe -- run --workload jit-compile --seed 1 \
 	  --seconds 3 --out bench/perf/out/ci
+	dune exec ./bench/perf/perf.exe -- run --workload jit-compile --seed 1 \
+	  --seconds 3 --out bench/perf/out/ci --trace
 
 # mutator throughput: a short closed-loop mutator run (Exp.run of the six
 # Table-1 programs on the threaded engine, SATB, E17's cadence); appends

@@ -169,6 +169,20 @@ type swap_pend = {
           [Swap_first] verdict should overwrite it *)
 }
 
+(** What the instruction at a pc names in the class table, looked up at
+    its first visit instead of at every one. *)
+type resolved =
+  | Unresolved
+  | Field of (Field_id.t * bool)
+      (** a [getfield]/[putfield]'s field, and whether it holds a
+          reference *)
+  | Fresh of (Field_id.t * ty) list
+      (** the ids and types of the fields a [new] initializes *)
+  | Static of bool  (** a [getstatic]/[putstatic]'s field holds a reference *)
+  | Call of (meth * Summary.t option)
+      (** an [invoke]'s callee and the summary to apply, or a [spawn]'s
+          callee *)
+
 type env = {
   conf : config;
   prog : Jir.Program.t;
@@ -185,6 +199,11 @@ type env = {
   swap : bool;
       (** §4.3 swap elision, gated on single-mutator, mode [A], and the
           absence of bounds handlers *)
+  rearrange : bool;
+      (** [move_down || swap]: only then does a value carry a must-source
+          or an element provenance, or the state a shift chain, so only
+          then can their kills change anything *)
+  resolved : resolved array;  (** per pc *)
   mutable swap_pending : swap_pend option;
       (** block-local: reset at block entry, killed by any instruction
           outside the swap-window whitelist *)
@@ -206,9 +225,57 @@ type outcome =
   | Branch of { taken : int * State.t; fall : State.t }
   | Stop
 
-let is_ref_field env fr = Jir.Types.equal_ty (Jir.Program.field_ty env.prog fr) R
-
 let int_top = State.Int Intval.top
+
+let field_at env pc (fr : field_ref) : Field_id.t * bool =
+  match env.resolved.(pc) with
+  | Field f -> f
+  | Unresolved | Fresh _ | Static _ | Call _ ->
+      let f =
+        ( Field_id.of_field_ref env.prog fr,
+          Jir.Types.equal_ty (Jir.Program.field_ty env.prog fr) R )
+      in
+      env.resolved.(pc) <- Field f;
+      f
+
+(** The ids and types of class [c]'s declared fields. *)
+let declared_fields prog (c : cls) : (Field_id.t * ty) list =
+  List.map
+    (fun fd ->
+      ( Field_id.of_field_ref prog { fclass = c.cname; fname = fd.fd_name },
+        fd.fd_ty ))
+    c.fields
+
+let fresh_at env pc (cn : class_name) : (Field_id.t * ty) list =
+  match env.resolved.(pc) with
+  | Fresh fs -> fs
+  | Unresolved | Field _ | Static _ | Call _ ->
+      let fs = declared_fields env.prog (Jir.Program.get_class env.prog cn) in
+      env.resolved.(pc) <- Fresh fs;
+      fs
+
+let static_is_ref env pc (fr : field_ref) : bool =
+  match env.resolved.(pc) with
+  | Static r -> r
+  | Unresolved | Field _ | Fresh _ | Call _ ->
+      let r = Jir.Types.equal_ty (Jir.Program.static_ty env.prog fr) R in
+      env.resolved.(pc) <- Static r;
+      r
+
+(** The callee of the call at [pc], with the summary to apply when the
+    analysis consults them ([None] for a spawn). *)
+let call_at env pc ~spawn (mr : method_ref) : meth * Summary.t option =
+  match env.resolved.(pc) with
+  | Call c -> c
+  | Unresolved | Field _ | Fresh _ | Static _ ->
+      let summary =
+        match env.summary_tbl with
+        | Some tbl when not spawn -> Summary.find tbl mr
+        | Some _ | None -> None
+      in
+      let c = (Jir.Program.get_method env.prog mr, summary) in
+      env.resolved.(pc) <- Call c;
+      c
 
 (** Entry state (§2.3, §3.4): reference arguments hold their [Arg i]
     symbols (all non-thread-local except a constructor's receiver); integer
@@ -217,14 +284,14 @@ let int_top = State.Int Intval.top
 let entry_state (env : env) : State.t =
   let m = env.meth in
   let rho = Array.make m.max_locals State.Bot in
-  let nl = ref (Rset.singleton Refsym.Global) in
+  let nl = ref (Rset.singleton Refsym.global) in
   let len = ref State.Rmap.empty in
-  let sigma = ref State.Sigma.empty in
+  let sigma = ref Ptmap.empty in
   List.iteri
     (fun i ty ->
       match ty with
       | R ->
-          let sym = Refsym.Arg i in
+          let sym = Refsym.arg i in
           rho.(i) <- State.ref_of (Rset.singleton sym);
           if not (env.in_ctor && i = 0) then nl := Rset.add sym !nl;
           if env.track_ints then
@@ -242,13 +309,16 @@ let entry_state (env : env) : State.t =
   if env.in_ctor then
     List.iter
       (fun fd ->
-        let key = (Refsym.Arg 0, Field_id.F (env.cls.cname, fd.fd_name)) in
+        let f =
+          Field_id.of_field_ref env.prog
+            { fclass = env.cls.cname; fname = fd.fd_name }
+        in
         let v =
           match fd.fd_ty with
           | R -> State.null_v
           | I -> State.Int (Intval.const 0)
         in
-        sigma := State.Sigma.add key v !sigma)
+        sigma := Ptmap.add (State.Loc.make (Refsym.arg 0) f) v !sigma)
       env.cls.fields;
   {
     rho;
@@ -279,7 +349,7 @@ let field_store_elidable (s : State.t) (objs : Rset.t) (f : Field_id.t) : bool
     (fun ot ->
       (not (Rset.mem ot s.State.nl))
       &&
-      match State.Sigma.find_opt (ot, f) s.State.sigma with
+      match Ptmap.find_opt (State.Loc.make ot f) s.State.sigma with
       | Some (State.Ref { refs; _ }) -> Rset.is_empty refs
       | Some (State.Bot | State.Clash | State.Int _) | None -> false)
     objs
@@ -306,7 +376,7 @@ let null_or_same_elidable env (s : State.t) (objs : Rset.t)
   | [ r ] ->
       Refsym.unique ~in_ctor:env.in_ctor r
       && (not (Rset.mem r s.State.nl))
-      && State.Nos.mem (r, f) value.State.nos
+      && State.Nos.mem (State.Loc.make r f) value.State.nos
   | [] | _ :: _ :: _ -> false
 
 (** Insertion-half verdict for the stored value: provably null (nothing
@@ -321,11 +391,15 @@ let ins_verdict env (value : State.aval) : ins_reason =
   | State.Ref { refs; _ } when Rset.is_empty refs -> Ins_null
   | State.Ref { refs; _ }
     when Rset.for_all
-           (function Refsym.Alloc _ -> true | Refsym.Global | Refsym.Arg _ -> false)
+           (fun r ->
+             match Refsym.view r with
+             | Refsym.Alloc _ -> true
+             | Refsym.Global | Refsym.Arg _ -> false)
            refs ->
       if
         Rset.exists
-          (function
+          (fun r ->
+            match Refsym.view r with
             | Refsym.Alloc { site; _ } ->
                 Hashtbl.mem env.summary_fresh_sites site
             | Refsym.Global | Refsym.Arg _ -> false)
@@ -342,10 +416,10 @@ let refine_on_null env (s : State.t) (ri : State.refinfo) : State.t =
   if not env.conf.null_or_same then s
   else
     State.Nos.fold
-      (fun (r, f) (s : State.t) ->
+      (fun l (s : State.t) ->
+        let r = State.Loc.sym l in
         if Refsym.unique ~in_ctor:env.in_ctor r && not (Rset.mem r s.State.nl)
-        then
-          { s with sigma = State.Sigma.add (r, f) State.null_v s.State.sigma }
+        then { s with sigma = Ptmap.add l State.null_v s.State.sigma }
         else s)
       ri.nos s
 
@@ -366,7 +440,8 @@ let pop_call_args (s : State.t) (params : ty list) :
     spawned thread runs concurrently, so summaries never apply). *)
 let havoc_call env (s : State.t) (args : State.aval list) : State.t =
   env.invoke_havocs <- env.invoke_havocs + 1;
-  State.kill_all_must_src (State.escape_args s args)
+  let s = State.escape_args s args in
+  if env.rearrange then State.kill_all_must_src s else s
 
 let arg_refs (v : State.aval) : Rset.t =
   match v with
@@ -389,19 +464,19 @@ let apply_summary env (s : State.t) pc (callee : meth) (sum : Summary.t)
   let shape_refs (s : State.t) (vs : Summary.vshape) : Rset.t =
     let base =
       if vs.Summary.vs_fresh || vs.Summary.vs_global then
-        Rset.singleton Refsym.Global
+        Rset.singleton Refsym.global
       else Rset.empty
     in
     let rs =
       Summary.Iset.fold
         (fun p acc ->
           if p < Array.length closures then Rset.union closures.(p) acc
-          else Rset.add Refsym.Global acc)
+          else Rset.add Refsym.global acc)
         vs.Summary.vs_params base
     in
     (* a non-thread-local member's reachable set is not fully named by σ *)
     if Rset.exists (fun r -> Rset.mem r s.State.nl) rs then
-      Rset.add Refsym.Global rs
+      Rset.add Refsym.global rs
     else rs
   in
   (* 1. unknown-field writes force the full havoc escape: any argument may
@@ -439,31 +514,34 @@ let apply_summary env (s : State.t) pc (callee : meth) (sum : Summary.t)
       (* value stored into an escaped object escapes with it *)
       let s =
         if Rset.exists (fun r -> Rset.mem r s.State.nl) receivers then begin
-          (if Field_id.equal f Field_id.Elems && not (Rset.is_empty mapped)
+          (if Field_id.equal f Field_id.elems && not (Rset.is_empty mapped)
            then kill_eprov := true);
           State.all_non_tl s mapped
         end
         else s
       in
-      let locs = List.map (fun r -> (r, f)) (Rset.elements receivers) in
-      let s = State.kill_nos s locs in
+      let s =
+        if env.conf.null_or_same then
+          State.kill_nos s
+            (List.map (fun r -> State.Loc.make r f) (Rset.elements receivers))
+        else s
+      in
+      let is_elems = Field_id.equal f Field_id.elems in
       (* strong update when the write provably targets the argument object
          itself on every normal return; array elements always merge weakly
          (one element written says nothing about the others) *)
       let strong_sym =
-        match f, Rset.elements (arg_refs args.(i)) with
-        | Field_id.F _, [ r ]
-          when w.Summary.w_must && Refsym.unique ~in_ctor:env.in_ctor r ->
+        match Rset.elements (arg_refs args.(i)) with
+        | [ r ]
+          when (not is_elems) && w.Summary.w_must
+               && Refsym.unique ~in_ctor:env.in_ctor r ->
             Some r
-        | _, _ -> None
+        | _ -> None
       in
       let field_is_int =
-        match f with
-        | Field_id.F (c, fn) ->
-            Jir.Types.equal_ty
-              (Jir.Program.field_ty env.prog { fclass = c; fname = fn })
-              I
-        | Field_id.Elems -> false
+        (not is_elems)
+        && Jir.Types.equal_ty
+             (snd (Jir.Program.field_of_id env.prog (f :> int))).fd_ty I
       in
       let update s r =
         if Rset.mem r s.State.nl then s
@@ -473,7 +551,7 @@ let apply_summary env (s : State.t) pc (callee : meth) (sum : Summary.t)
           | None -> false
         then
           let v = if field_is_int then int_top else State.ref_of mapped in
-          { s with State.sigma = State.Sigma.add (r, f) v s.State.sigma }
+          { s with State.sigma = Ptmap.add (State.Loc.make r f) v s.State.sigma }
         else
           let old = State.lookup_field s r f in
           let merged =
@@ -484,12 +562,15 @@ let apply_summary env (s : State.t) pc (callee : meth) (sum : Summary.t)
                 else State.Ref (State.mk_refinfo (Rset.union ri.State.refs mapped))
             | State.Bot | State.Clash -> State.ref_of mapped
           in
-          { s with State.sigma = State.Sigma.add (r, f) merged s.State.sigma }
+          {
+            s with
+            State.sigma = Ptmap.add (State.Loc.make r f) merged s.State.sigma;
+          }
       in
       let s = Rset.fold (fun r s -> update s r) receivers s in
       (* a possibly-non-null element write at an unknown index empties the
          array's null range *)
-      if Field_id.equal f Field_id.Elems && not (Rset.is_empty mapped) then
+      if is_elems && not (Rset.is_empty mapped) then
         Rset.fold
           (fun r s ->
             if Rset.mem r s.State.nl then s
@@ -512,6 +593,7 @@ let apply_summary env (s : State.t) pc (callee : meth) (sum : Summary.t)
      them; everything else survives *)
   let s =
     match sum.Summary.s_statics with
+    | _ when not env.rearrange -> s
     | Summary.Sw_top -> State.kill_all_must_src s
     | Summary.Sw_set [] -> s
     | Summary.Sw_set frs ->
@@ -524,7 +606,8 @@ let apply_summary env (s : State.t) pc (callee : meth) (sum : Summary.t)
   (* 5. element writes to caller-visible arrays kill element provenances
      and any active shift chain (the arrays may alias the must-source) *)
   let s =
-    if !kill_eprov then { (State.kill_all_eprov s) with State.shift = None }
+    if !kill_eprov && env.rearrange then
+      { (State.kill_all_eprov s) with State.shift = None }
     else s
   in
   (* 6. return value *)
@@ -548,27 +631,19 @@ let apply_summary env (s : State.t) pc (callee : meth) (sum : Summary.t)
               let strong = Refsym.unique ~in_ctor:false sym in
               let sigma =
                 List.fold_left
-                  (fun sg (fd : field_decl) ->
-                    let key = (sym, Field_id.F (cn, fd.fd_name)) in
+                  (fun sg (f, ty) ->
+                    let key = State.Loc.make sym f in
                     let fresh_v =
-                      match fd.fd_ty with
+                      match ty with
                       | R ->
                           let refs =
-                            match
-                              Summary.Fmap.find_opt
-                                (Field_id.F (cn, fd.fd_name))
-                                fields
-                            with
+                            match Summary.Fmap.find_opt f fields with
                             | Some (vs, _) -> shape_refs s vs
                             | None -> Rset.empty
                           in
                           State.ref_of refs
                       | I -> (
-                          match
-                            Summary.Fmap.find_opt
-                              (Field_id.F (cn, fd.fd_name))
-                              fields
-                          with
+                          match Summary.Fmap.find_opt f fields with
                           | Some _ -> int_top
                           | None ->
                               if env.track_ints && strong then
@@ -578,7 +653,7 @@ let apply_summary env (s : State.t) pc (callee : meth) (sum : Summary.t)
                     let v =
                       if strong then fresh_v
                       else
-                        match State.Sigma.find_opt key sg, fresh_v with
+                        match Ptmap.find_opt key sg, fresh_v with
                         | Some (State.Ref a), State.Ref b ->
                             State.Ref
                               (State.mk_refinfo
@@ -586,8 +661,8 @@ let apply_summary env (s : State.t) pc (callee : meth) (sum : Summary.t)
                         | Some (State.Int _), _ | _, State.Int _ -> int_top
                         | (Some _ | None), v -> v
                     in
-                    State.Sigma.add key v sg)
-                  s.State.sigma c.fields
+                    Ptmap.add key v sg)
+                  s.State.sigma (declared_fields env.prog c)
               in
               State.push
                 (State.ref_of (Rset.singleton sym))
@@ -689,25 +764,22 @@ let transfer env ~record (s : State.t) (pc : int) (instr : int instr) :
       let _, s = State.pop_ref s in
       let _, s = State.pop_ref s in
       Branch { taken = (l, s); fall = s }
-  | Getstatic fr -> (
-      match Jir.Program.static_ty env.prog fr with
-      | R ->
-          (* the loaded value is exactly the static's current content: a
-             must-alias source for the §4.3 rearrangement extensions *)
-          let msrc =
-            if env.move_down || env.swap then
-              Some (State.Mstatic (fr.fclass, fr.fname))
-            else None
-          in
-          Fall
-            (State.push
-               (State.Ref
-                  (State.mk_refinfo ?msrc (Rset.singleton Refsym.Global)))
-               s)
-      | I -> Fall (push_int env Intval.top s))
+  | Getstatic fr ->
+      if static_is_ref env pc fr then
+        (* the loaded value is exactly the static's current content: a
+           must-alias source for the §4.3 rearrangement extensions *)
+        let msrc =
+          if env.rearrange then Some (State.Mstatic (fr.fclass, fr.fname))
+          else None
+        in
+        Fall
+          (State.push
+             (State.Ref (State.mk_refinfo ?msrc (Rset.singleton Refsym.global)))
+             s)
+      else Fall (push_int env Intval.top s)
   | Putstatic fr ->
       let v, s = State.pop s in
-      if Jir.Types.equal_ty (Jir.Program.static_ty env.prog fr) R then begin
+      if static_is_ref env pc fr then begin
         (* static stores always escape the value and always need their
            deletion half (the receiver is GlobalRef, the overwritten
            value unknowable); the insertion half judges the stored value
@@ -721,16 +793,18 @@ let transfer env ~record (s : State.t) (pc : int) (instr : int instr) :
         (* the static now holds a different object: must-alias facts
            derived from it are stale *)
         let s =
-          State.kill_must_src s (fun m ->
-              State.equal_must_src m (State.Mstatic (fr.fclass, fr.fname)))
+          if env.rearrange then
+            State.kill_must_src s (fun m ->
+                State.equal_must_src m (State.Mstatic (fr.fclass, fr.fname)))
+          else s
         in
         Fall s
       end
       else Fall s
   | Getfield fr ->
       let obj, s = State.pop_ref s in
-      let f = Field_id.of_field_ref fr in
-      if is_ref_field env fr then begin
+      let f, is_ref = field_at env pc fr in
+      if is_ref then begin
         let ri = State.lookup_ref_field s obj.refs f in
         let nos =
           match Rset.elements obj.refs with
@@ -738,7 +812,7 @@ let transfer env ~record (s : State.t) (pc : int) (instr : int instr) :
             when env.conf.null_or_same
                  && Refsym.unique ~in_ctor:env.in_ctor r
                  && not (Rset.mem r s.nl) ->
-              State.Nos.add (r, f) ri.nos
+              State.Nos.add (State.Loc.make r f) ri.nos
           | _ -> ri.nos
         in
         Fall (State.push (State.Ref { ri with nos }) s)
@@ -747,15 +821,14 @@ let transfer env ~record (s : State.t) (pc : int) (instr : int instr) :
   | Putfield fr ->
       let value, s = State.pop s in
       let obj, s = State.pop_ref s in
-      let f = Field_id.of_field_ref fr in
-      let is_ref = is_ref_field env fr in
+      let f, is_ref = field_at env pc fr in
       (* verdict first, against the pre-store state *)
       if is_ref then begin
         let vri =
           match value with
           | State.Ref ri -> ri
           | State.Bot | State.Clash | State.Int _ ->
-              State.mk_refinfo (Rset.singleton Refsym.Global)
+              State.mk_refinfo (Rset.singleton Refsym.global)
         in
         let ins = Some (ins_verdict env value) in
         if Rset.is_empty obj.refs then
@@ -770,18 +843,22 @@ let transfer env ~record (s : State.t) (pc : int) (instr : int instr) :
       (* σ update: strong for a unique singleton receiver, weak merge
          otherwise (§2.4) *)
       let store_val =
-        match Jir.Program.field_ty env.prog fr, value with
-        | R, State.Ref _ -> value
-        | R, (State.Bot | State.Clash | State.Int _) -> State.global_v
-        | I, State.Int _ when env.track_ints -> value
-        | I, _ -> int_top
+        match is_ref, value with
+        | true, State.Ref _ -> value
+        | true, (State.Bot | State.Clash | State.Int _) -> State.global_v
+        | false, State.Int _ when env.track_ints -> value
+        | false, _ -> int_top
       in
-      let locs = List.map (fun ot -> (ot, f)) (Rset.elements obj.refs) in
-      let s = State.kill_nos s locs in
+      let s =
+        if env.conf.null_or_same then
+          State.kill_nos s
+            (List.map (fun ot -> State.Loc.make ot f) (Rset.elements obj.refs))
+        else s
+      in
       let s =
         match Rset.elements obj.refs with
         | [ r ] when Refsym.unique ~in_ctor:env.in_ctor r ->
-            { s with sigma = State.Sigma.add (r, f) store_val s.sigma }
+            { s with sigma = Ptmap.add (State.Loc.make r f) store_val s.sigma }
         | receivers ->
             List.fold_left
               (fun s ot ->
@@ -797,13 +874,16 @@ let transfer env ~record (s : State.t) (pc : int) (instr : int instr) :
                         State.Int (Intval.merge_flat a b)
                     | _, v -> v
                   in
-                  { s with sigma = State.Sigma.add (ot, f) merged s.sigma })
+                  {
+                    s with
+                    sigma = Ptmap.add (State.Loc.make ot f) merged s.sigma;
+                  })
               s receivers
       in
       Fall (State.all_non_tl_cond s ~objs:obj.refs ~value)
   | New cn ->
+      let fields = fresh_at env pc cn in
       let sym, s = fresh_alloc env pc s in
-      let c = Jir.Program.get_class env.prog cn in
       (* the fresh object's fields are zeroed; when the symbol is unique
          this is a strong fact, but for the ablated single-name mode the
          summary also covers older objects, so existing knowledge must be
@@ -811,19 +891,19 @@ let transfer env ~record (s : State.t) (pc : int) (instr : int instr) :
       let strong = Refsym.unique ~in_ctor:false sym in
       let sigma =
         List.fold_left
-          (fun sg fd ->
-            let key = (sym, Field_id.F (cn, fd.fd_name)) in
-            if (not strong) && State.Sigma.mem key sg then sg
+          (fun sg (f, ty) ->
+            let key = State.Loc.make sym f in
+            if (not strong) && Ptmap.mem key sg then sg
             else
               let v =
-                match fd.fd_ty with
+                match ty with
                 | R -> State.null_v
                 | I ->
                     if env.track_ints && strong then State.Int (Intval.const 0)
                     else int_top
               in
-              State.Sigma.add key v sg)
-          s.State.sigma c.fields
+              Ptmap.add key v sg)
+          s.State.sigma fields
       in
       Fall (State.push (State.ref_of (Rset.singleton sym)) { s with sigma })
   | Newarray ety ->
@@ -838,9 +918,9 @@ let transfer env ~record (s : State.t) (pc : int) (instr : int instr) :
             else int_top
       in
       let sigma =
-        let key = (sym, Field_id.Elems) in
-        if (not strong) && State.Sigma.mem key s.State.sigma then s.State.sigma
-        else State.Sigma.add key elem_val s.State.sigma
+        let key = State.Loc.first sym in
+        if (not strong) && Ptmap.mem key s.State.sigma then s.State.sigma
+        else Ptmap.add key elem_val s.State.sigma
       in
       let len =
         if not env.track_ints then s.State.len
@@ -864,14 +944,12 @@ let transfer env ~record (s : State.t) (pc : int) (instr : int instr) :
   | Aaload ->
       let ind, s = State.pop_int s in
       let arr, s = State.pop_ref s in
-      let ri = State.lookup_ref_field s arr.refs Field_id.Elems in
+      let ri = State.lookup_ref_field s arr.refs Field_id.elems in
       (* remember where the element came from when the array itself is
          must-identified (§4.3 rearrangements) *)
       let eprov =
         match arr.State.msrc with
-        | Some m
-          when (env.move_down || env.swap) && not (Intval.is_top ind) ->
-            Some { State.ep_src = m; ep_idx = ind; ep_displaced = false }
+        | Some m when env.rearrange -> State.loaded m ind
         | Some _ | None -> None
       in
       Fall (State.push (State.Ref { ri with eprov }) s)
@@ -989,34 +1067,40 @@ let transfer env ~record (s : State.t) (pc : int) (instr : int instr) :
          for its slot; everything else (unknown or other sources may
          alias this array) dies *)
       let s =
-        State.eprov_after_store s ~src:arr.State.msrc ~idx:ind
-          ~displace:(Option.is_some open_pending)
+        if env.rearrange then
+          State.eprov_after_store s ~src:arr.State.msrc ~idx:ind
+            ~displace:(Option.is_some open_pending)
+        else s
       in
       env.swap_pending <- open_pending;
-      let s = { s with State.shift = next_shift } in
+      let s =
+        if next_shift == s.State.shift then s
+        else { s with State.shift = next_shift }
+      in
       (* element update is always weak (§2.4) *)
       let store_val =
         match value with
         | State.Ref _ -> value
         | State.Bot | State.Clash | State.Int _ -> State.global_v
       in
-      let locs =
-        List.map (fun at -> (at, Field_id.Elems)) (Rset.elements arr.refs)
+      let s =
+        if env.conf.null_or_same then
+          State.kill_nos s (List.map State.Loc.first (Rset.elements arr.refs))
+        else s
       in
-      let s = State.kill_nos s locs in
       let s =
         List.fold_left
           (fun s at ->
             if Rset.mem at s.State.nl then s
             else
-              let old = State.lookup_field s at Field_id.Elems in
+              let old = State.lookup_field s at Field_id.elems in
               let merged =
                 match old, store_val with
                 | State.Ref a, State.Ref b ->
                     State.Ref (State.mk_refinfo (Rset.union a.refs b.refs))
                 | _, v -> v
               in
-              { s with sigma = State.Sigma.add (at, Field_id.Elems) merged s.sigma })
+              { s with sigma = Ptmap.add (State.Loc.first at) merged s.sigma })
           s (Rset.elements arr.refs)
       in
       (* null ranges contract (§3.3) *)
@@ -1037,7 +1121,7 @@ let transfer env ~record (s : State.t) (pc : int) (instr : int instr) :
   | Iaload ->
       let _, s = State.pop_int s in
       let arr, s = State.pop_ref s in
-      Fall (push_int env (State.lookup_int_field s arr.refs Field_id.Elems) s)
+      Fall (push_int env (State.lookup_int_field s arr.refs Field_id.elems) s)
   | Iastore ->
       let v, s = State.pop_int s in
       let _, s = State.pop_int s in
@@ -1047,12 +1131,15 @@ let transfer env ~record (s : State.t) (pc : int) (instr : int instr) :
           (fun s at ->
             if Rset.mem at s.State.nl then s
             else
-              let old = State.lookup_int_field s (Rset.singleton at) Field_id.Elems in
-              { s with
+              let old =
+                State.lookup_int_field s (Rset.singleton at) Field_id.elems
+              in
+              {
+                s with
                 State.sigma =
-                  State.Sigma.add (at, Field_id.Elems)
+                  Ptmap.add (State.Loc.first at)
                     (State.Int (Intval.merge_flat old v))
-                    s.State.sigma
+                    s.State.sigma;
               })
           s (Rset.elements arr.refs)
       in
@@ -1061,13 +1148,8 @@ let transfer env ~record (s : State.t) (pc : int) (instr : int instr) :
       let arr, s = State.pop_ref s in
       Fall (push_int env (State.lookup_len s arr.refs) s)
   | Invoke mr -> (
-      let callee = Jir.Program.get_method env.prog mr in
+      let callee, summary = call_at env pc ~spawn:false mr in
       let args, s = pop_call_args s callee.params in
-      let summary =
-        match env.summary_tbl with
-        | Some tbl -> Summary.find tbl mr
-        | None -> None
-      in
       match summary with
       | Some sum ->
           env.used_summaries <- true;
@@ -1085,7 +1167,7 @@ let transfer env ~record (s : State.t) (pc : int) (instr : int instr) :
       (* same argument path as [Invoke], but always the full havoc: the
          spawned thread runs concurrently, so no summary of its
          sequential effects can bound what it does from here on *)
-      let callee = Jir.Program.get_method env.prog mr in
+      let callee, _ = call_at env pc ~spawn:true mr in
       let args, s = pop_call_args s callee.params in
       Fall (havoc_call env s args)
   | Return | Ireturn | Areturn -> Stop
@@ -1139,6 +1221,10 @@ let analyze_method ?(conf = default_config) ?(single_mutator = false)
           match h.kind with Bounds | Any -> true | Null_deref | Arith -> false)
         meth.handlers
     in
+    let move_down = conf.move_down && single_mutator && conf.mode = A in
+    let swap =
+      conf.swap && single_mutator && conf.mode = A && not catches_bounds
+    in
     let env =
       {
         conf;
@@ -1149,10 +1235,10 @@ let analyze_method ?(conf = default_config) ?(single_mutator = false)
         in_ctor = meth.is_constructor;
         catches_bounds;
         track_ints = conf.mode = A;
-        move_down = conf.move_down && single_mutator && conf.mode = A;
-        swap =
-          conf.swap && single_mutator && conf.mode = A
-          && not catches_bounds;
+        move_down;
+        swap;
+        rearrange = move_down || swap;
+        resolved = Array.make n Unresolved;
         swap_pending = None;
         summary_tbl = (if conf.summaries then summaries else None);
         used_summaries = false;
@@ -1219,7 +1305,7 @@ let analyze_method ?(conf = default_config) ?(single_mutator = false)
           if conf.debug then
             Fmt.epr "@[<v2>-- %s.%s block %d (pc %d..%d) visit %d:@,%a@]@."
               cls.cname meth.mname id b.start_pc b.end_pc visits.(id)
-              State.pp s0;
+              (State.pp prog) s0;
           (* pending swap facts never cross a block boundary *)
           env.swap_pending <- None;
           let rec go pc s =

@@ -1,30 +1,23 @@
-(** Identifiers of abstract heap locations within an object: a named field
-    of a class, or the paper's pseudo-field [f_elems] that collapses all
-    elements of an object array (§2.4: "we treat an object array as an
-    object with a single field f_elems"). *)
+(** Identifiers of abstract heap locations within an object: a declared
+    instance field, or the paper's pseudo-field [f_elems] that collapses
+    all elements of an object array (§2.4: "we treat an object array as
+    an object with a single field f_elems").
 
-type t =
-  | F of Jir.Types.class_name * Jir.Types.field_name
-  | Elems
+    A field id is one int: 0 is [f_elems], and the program's instance
+    fields are {!Jir.Program.field_id}'s 1..n, in (class, name) order. *)
 
-(* Monomorphic, with exactly [Stdlib.compare]'s order: [Elems] (a
-   constant constructor) first, then fields by class, then by name. *)
-let compare (a : t) (b : t) =
-  match a, b with
-  | Elems, Elems -> 0
-  | Elems, F _ -> -1
-  | F _, Elems -> 1
-  | F (c1, f1), F (c2, f2) -> (
-      match String.compare c1 c2 with 0 -> String.compare f1 f2 | c -> c)
+type t = int
 
-let equal (a : t) (b : t) =
-  match a, b with
-  | Elems, Elems -> true
-  | F (c1, f1), F (c2, f2) -> String.equal c1 c2 && String.equal f1 f2
-  | (Elems | F _), _ -> false
+let elems = 0
+let of_field_ref = Jir.Program.field_id
+let of_code c = c
+let compare = Int.compare
+let equal = Int.equal
 
-let of_field_ref (fr : Jir.Types.field_ref) = F (fr.fclass, fr.fname)
+let pp prog ppf f =
+  if f = elems then Fmt.string ppf "elems"
+  else
+    let c, (fd : Jir.Types.field_decl) = Jir.Program.field_of_id prog f in
+    Fmt.pf ppf "%s.%s" c fd.fd_name
 
-let pp ppf = function
-  | F (c, f) -> Fmt.pf ppf "%s.%s" c f
-  | Elems -> Fmt.string ppf "elems"
+module Map = Stdlib.Map.Make (Int)

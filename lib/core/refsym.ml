@@ -9,37 +9,44 @@
 
     [Arg i] is the initial value of reference argument [i]; [Global]
     ("GlobalRef") stands for every object allocated outside the method and
-    not passed to it. *)
+    not passed to it.
 
-type t =
+    A symbol is one int that orders like the variant: [Global] is 0,
+    [Arg i] is [1 + i], and [Alloc] is [alloc_base + 2·site + recent],
+    above every parameter {!Jir.Program.of_program} admits.  Set and map
+    iteration order feeds symbol recycling, stride discovery and
+    explanations, so it must stay the variant's. *)
+
+type t = int
+
+type view =
   | Global
   | Arg of int
   | Alloc of { site : int; recent : bool }
 
-(* Monomorphic, with exactly [Stdlib.compare]'s order (constant
-   constructors first, then blocks by tag, then fields left to right): set
-   and map iteration order feeds symbol recycling and explanations. *)
-let compare (a : t) (b : t) =
-  match a, b with
-  | Global, Global -> 0
-  | Global, (Arg _ | Alloc _) -> -1
-  | (Arg _ | Alloc _), Global -> 1
-  | Arg i, Arg j -> Int.compare i j
-  | Arg _, Alloc _ -> -1
-  | Alloc _, Arg _ -> 1
-  | Alloc a, Alloc b -> (
-      match Int.compare a.site b.site with
-      | 0 -> Bool.compare a.recent b.recent
-      | c -> c)
+let alloc_base = Jir.Program.max_params + 1
+let global = 0
+let arg i = 1 + i
+let summary site = alloc_base + (2 * site)
+let recent site = summary site + 1
 
-let equal (a : t) (b : t) =
-  match a, b with
-  | Global, Global -> true
-  | Arg i, Arg j -> i = j
-  | Alloc a, Alloc b -> a.site = b.site && Bool.equal a.recent b.recent
-  | (Global | Arg _ | Alloc _), _ -> false
+let of_view = function
+  | Global -> global
+  | Arg i -> arg i
+  | Alloc { site; recent = true } -> recent site
+  | Alloc { site; recent = false } -> summary site
 
-let pp ppf = function
+let view r =
+  if r = global then Global
+  else if r < alloc_base then Arg (r - 1)
+  else Alloc { site = (r - alloc_base) / 2; recent = r land 1 = 1 }
+
+let of_code c = c
+let compare = Int.compare
+let equal = Int.equal
+
+let pp ppf r =
+  match view r with
   | Global -> Fmt.string ppf "G"
   | Arg i -> Fmt.pf ppf "arg%d" i
   | Alloc { site; recent = true } -> Fmt.pf ppf "R%d/A" site
@@ -48,23 +55,14 @@ let pp ppf = function
 (** [unique ~in_ctor r] — does [r] denote exactly one concrete reference?
     [R_id/A] always does; the receiver argument does inside a constructor
     (§2.3).  Unique references admit strong update (§2.4). *)
-let unique ~in_ctor = function
-  | Alloc { recent; _ } -> recent
-  | Arg 0 -> in_ctor
-  | Arg _ | Global -> false
-
-(** The older-objects summary symbol for an allocation site. *)
-let summary site = Alloc { site; recent = false }
-
-let recent site = Alloc { site; recent = true }
+let unique ~in_ctor r =
+  if r >= alloc_base then r land 1 = 1 else r = arg 0 && in_ctor
 
 module Set = struct
-  include Stdlib.Set.Make (struct
-    type nonrec t = t
-
-    let compare = compare
-  end)
+  include Stdlib.Set.Make (Int)
 
   let pp ppf s =
     Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma pp) (elements s)
 end
+
+module Map = Stdlib.Map.Make (Int)

@@ -17,16 +17,36 @@
 
 module Rset = Refsym.Set
 
-module Sigma = Map.Make (struct
-  type t = Refsym.t * Field_id.t
+(** Abstract locations: a field of the object a symbol names.  A location
+    is one int, the symbol shifted past [field_bits] bits that hold the
+    field id, so int order is (symbol, field) order and a symbol's
+    locations are one contiguous range, starting at its [elems].
+    {!Jir.Program.of_program}'s bounds keep every key distinct and
+    non-negative. *)
+module Loc = struct
+  type t = int
 
-  let compare (r1, f1) (r2, f2) =
-    match Refsym.compare r1 r2 with
-    | 0 -> Field_id.compare f1 f2
-    | c -> c
-end)
+  let field_bits = 16
+  let field_mask = (1 lsl field_bits) - 1
 
-module Rmap = Map.Make (Refsym)
+  let () =
+    assert (Jir.Program.max_instance_fields <= field_mask);
+    assert (
+      (Refsym.recent Jir.Program.max_code_length :> int)
+      < max_int lsr field_bits)
+
+  let make (r : Refsym.t) (f : Field_id.t) : t =
+    ((r :> int) lsl field_bits) lor (f :> int)
+
+  let sym (l : t) : Refsym.t =
+    Refsym.of_code (l lsr field_bits)
+
+  let field (l : t) : Field_id.t = Field_id.of_code (l land field_mask)
+  let first (r : Refsym.t) = make r Field_id.elems
+  let last (r : Refsym.t) = first r lor field_mask
+end
+
+module Rmap = Refsym.Map
 
 (* ---- sharing-preserving traversals -------------------------------------- *)
 
@@ -36,54 +56,78 @@ module Rmap = Map.Make (Refsym)
    every result is equal to theirs, and every function with a side effect
    (the merge context) is called in the same order. *)
 
-(** [map2_array f a b]: [Array.map2 f a b] (same call order), or [a] when
-    every result is the element of [a]. *)
-let map2_array f a b =
-  let n = Array.length a in
-  if Array.length b <> n then invalid_arg "State.map2_array";
+let map_array f a =
   let rec scan i =
-    if i = n then a
+    if i = Array.length a then a
     else
-      let v = f a.(i) b.(i) in
+      let v = f a.(i) in
       if v == a.(i) then scan (i + 1)
       else begin
         let c = Array.copy a in
         c.(i) <- v;
-        for j = i + 1 to n - 1 do
-          c.(j) <- f a.(j) b.(j)
+        for j = i + 1 to Array.length a - 1 do
+          c.(j) <- f a.(j)
         done;
         c
       end
   in
   scan 0
 
-let map_array f a = map2_array (fun v _ -> f v) a a
+(** [Array.map2 f a b] (same call order) but skipping the pairs that are
+    physically equal, whose [f a a] must be [a]; [a] itself when every
+    result is the element of [a]. *)
+let merge_array f a b =
+  let n = Array.length a in
+  if Array.length b <> n then invalid_arg "State.merge_array";
+  let g i = if a.(i) == b.(i) then a.(i) else f a.(i) b.(i) in
+  let rec scan i =
+    if i = n then a
+    else
+      let v = g i in
+      if v == a.(i) then scan (i + 1)
+      else begin
+        let c = Array.copy a in
+        c.(i) <- v;
+        for j = i + 1 to n - 1 do
+          c.(j) <- g j
+        done;
+        c
+      end
+  in
+  scan 0
 
-(** [List.map2 f l1 l2] from the front, or [l1] when nothing changes. *)
-let rec map2_list f l1 l2 =
+let rec map_list f l =
+  match l with
+  | [] -> l
+  | a :: r ->
+      let a' = f a in
+      let r' = map_list f r in
+      if a' == a && r' == r then l else a' :: r'
+
+(** [List.map2 f l1 l2] from the front, skipping physically equal pairs
+    like {!merge_array}; [l1] when nothing changes. *)
+let rec merge_list f l1 l2 =
   match l1, l2 with
   | [], [] -> l1
   | a :: r1, b :: r2 ->
-      let a' = f a b in
-      let r' = map2_list f r1 r2 in
+      let a' = if a == b then a else f a b in
+      let r' = merge_list f r1 r2 in
       if a' == a && r' == r1 then l1 else a' :: r'
-  | _ :: _, [] | [], _ :: _ -> invalid_arg "State.map2_list"
+  | _ :: _, [] | [], _ :: _ -> invalid_arg "State.merge_list"
 
-let map_list f l = map2_list (fun v _ -> f v) l l
-
-module Lean (M : Map.S) = struct
-  (** [M.mapi f m], or [m] itself when [f] changes no binding. *)
+module Lean_rmap = struct
+  (** [Rmap.mapi f m], or [m] itself when [f] changes no binding. *)
   let map f m =
-    M.fold
+    Rmap.fold
       (fun k v acc ->
         let v' = f k v in
-        if v' == v then acc else M.add k v' acc)
+        if v' == v then acc else Rmap.add k v' acc)
       m m
 
-  type 'a rev = Nil | Cons of M.key * 'a * 'a rev
+  type 'a rev = Nil | Cons of Rmap.key * 'a * 'a rev
 
   (** [merge f m1 m2]: the union of the bindings, [f k a b] on common keys,
-      called in descending key order exactly like [M.merge] calls its
+      called in descending key order exactly like [Rmap.merge] calls its
       function; [m1] itself when the result equals it binding for binding.
       Two physically equal maps are merged in ascending order, so [f k a a]
       must not have side effects. *)
@@ -94,19 +138,16 @@ module Lean (M : Map.S) = struct
         | Nil -> acc
         | Cons (k, b, rest) ->
             let acc =
-              match M.find k m1 with
-              | exception Not_found -> M.add k b acc
+              match Rmap.find k m1 with
+              | exception Not_found -> Rmap.add k b acc
               | a ->
                   let v = f k a b in
-                  if v == a then acc else M.add k v acc
+                  if v == a then acc else Rmap.add k v acc
             in
             go acc rest
       in
-      go m1 (M.fold (fun k b rest -> Cons (k, b, rest)) m2 Nil)
+      go m1 (Rmap.fold (fun k b rest -> Cons (k, b, rest)) m2 Nil)
 end
-
-module Lean_sigma = Lean (Sigma)
-module Lean_rmap = Lean (Rmap)
 
 (** [Rset.union], sharing [a] when [b] adds nothing. *)
 let union_rset a b =
@@ -121,14 +162,7 @@ let union_rset a b =
     barrier for [r.f ← v] unnecessary (§4.3).  Facts are killed eagerly
     (from every abstract value in the state) whenever the location may be
     written, so a surviving fact always refers to the current content. *)
-module Nos = Set.Make (struct
-  type t = Refsym.t * Field_id.t
-
-  let compare (r1, f1) (r2, f2) =
-    match Refsym.compare r1 r2 with
-    | 0 -> Field_id.compare f1 f2
-    | c -> c
-end)
+module Nos = Set.Make (Int)
 
 (** Must-alias value sources, for the §4.3 array-rearrangement extension:
     two values carrying the same source are {e the same concrete
@@ -148,8 +182,13 @@ let equal_must_src (Mstatic (c1, f1)) (Mstatic (c2, f2)) =
     provenance (swap analysis) instead means the slot was just
     overwritten by the first store of a pending swap: the value is no
     longer in the array, but is known to be the unique element displaced
-    from [ep_idx]. *)
+    from [ep_idx].  The index is never ⊤: {!loaded} refuses one, and
+    every other provenance is derived from one it built. *)
 type eprov = { ep_src : must_src; ep_idx : Intval.t; ep_displaced : bool }
+
+let loaded ep_src ep_idx =
+  if Intval.is_top ep_idx then None
+  else Some { ep_src; ep_idx; ep_displaced = false }
 
 type refinfo = {
   refs : Rset.t;
@@ -169,7 +208,7 @@ type t = {
   rho : aval array;
   stk : aval list;
   nl : Rset.t;
-  sigma : aval Sigma.t;
+  sigma : aval Ptmap.t;
   len : Intval.t Rmap.t;
   nr : Intrange.t Rmap.t;
   shift : (must_src * Intval.t) option;
@@ -183,7 +222,7 @@ let mk_refinfo ?msrc ?eprov ?(nos = Nos.empty) refs =
 
 let ref_of refs = Ref (mk_refinfo refs)
 let null_v = ref_of Rset.empty
-let global_v = ref_of (Rset.singleton Refsym.Global)
+let global_v = ref_of (Rset.singleton Refsym.global)
 
 let pp_aval ppf = function
   | Bot -> Fmt.string ppf "⊥"
@@ -192,16 +231,17 @@ let pp_aval ppf = function
   | Ref { refs; _ } ->
       if Rset.is_empty refs then Fmt.string ppf "null" else Rset.pp ppf refs
 
-let pp ppf (s : t) =
+let pp prog ppf (s : t) =
   Fmt.pf ppf "@[<v>rho: %a@,stk: %a@,NL: %a@,sigma: %a@,len: %a@,nr: %a@]"
     Fmt.(array ~sep:sp pp_aval)
     s.rho
     Fmt.(list ~sep:sp pp_aval)
     s.stk Rset.pp s.nl
     Fmt.(
-      list ~sep:sp (fun ppf ((r, f), v) ->
-          pf ppf "%a.%a=%a" Refsym.pp r Field_id.pp f pp_aval v))
-    (Sigma.bindings s.sigma)
+      list ~sep:sp (fun ppf (l, v) ->
+          pf ppf "%a.%a=%a" Refsym.pp (Loc.sym l) (Field_id.pp prog)
+            (Loc.field l) pp_aval v))
+    (Ptmap.bindings s.sigma)
     Fmt.(
       list ~sep:sp (fun ppf (r, v) ->
           pf ppf "len(%a)=%a" Refsym.pp r Intval.pp v))
@@ -252,7 +292,7 @@ let equal (a : t) (b : t) =
         || List.length a.stk = List.length b.stk
            && List.for_all2 equal_aval a.stk b.stk)
      && (a.nl == b.nl || Rset.equal a.nl b.nl)
-     && (a.sigma == b.sigma || Sigma.equal equal_aval a.sigma b.sigma)
+     && Ptmap.equal equal_aval a.sigma b.sigma
      && (a.len == b.len || Rmap.equal Intval.equal a.len b.len)
      && (a.nr == b.nr || Rmap.equal Intrange.equal a.nr b.nr)
      && equal_opt equal_shift a.shift b.shift
@@ -264,9 +304,9 @@ let equal (a : t) (b : t) =
     means the location was never populated on any path reaching here; for
     reference fields we conservatively answer {GlobalRef}. *)
 let lookup_field (s : t) (r : Refsym.t) (f : Field_id.t) : aval =
-  if Rset.mem r s.nl || Refsym.equal r Refsym.Global then global_v
+  if Rset.mem r s.nl || Refsym.equal r Refsym.global then global_v
   else
-    match Sigma.find_opt (r, f) s.sigma with
+    match Ptmap.find_opt (Loc.make r f) s.sigma with
     | Some v -> v
     | None -> global_v
 
@@ -278,7 +318,7 @@ let lookup_ref_field (s : t) (objs : Rset.t) (f : Field_id.t) : refinfo =
       match lookup_field s r f with
       | Ref ri -> { acc with refs = Rset.union acc.refs ri.refs }
       | Bot -> acc
-      | Clash | Int _ -> { acc with refs = Rset.add Refsym.Global acc.refs })
+      | Clash | Int _ -> { acc with refs = Rset.add Refsym.global acc.refs })
     objs (mk_refinfo Rset.empty)
 
 let lookup_int_field (s : t) (objs : Rset.t) (f : Field_id.t) : Intval.t =
@@ -320,30 +360,31 @@ let lookup_nr (s : t) (r : Refsym.t) : Intrange.t =
 
 (* ---- escape (non-thread-locality) ------------------------------------- *)
 
+(* [seen] extended with [frontier] and every symbol reachable from it
+   through σ's entries *)
+let rec close (s : t) seen frontier =
+  match Rset.choose_opt frontier with
+  | None -> seen
+  | Some r ->
+      let frontier = Rset.remove r frontier in
+      if Rset.mem r seen then close s seen frontier
+      else
+        let seen = Rset.add r seen in
+        let reachable =
+          Ptmap.fold_range (Loc.first r) (Loc.last r)
+            (fun _ v acc ->
+              match v with
+              | Ref { refs; _ } -> Rset.union refs acc
+              | Bot | Clash | Int _ -> acc)
+            s.sigma Rset.empty
+        in
+        close s seen (Rset.union frontier (Rset.diff reachable seen))
+
 (** The paper's AllNonTL(NL, RS, σ): extend NL with [rs] and everything
     transitively reachable from [rs] via σ. *)
 let all_non_tl (s : t) (rs : Rset.t) : t =
-  let rec close nl frontier =
-    match Rset.choose_opt frontier with
-    | None -> nl
-    | Some r ->
-        let frontier = Rset.remove r frontier in
-        if Rset.mem r nl then close nl frontier
-        else
-          let nl = Rset.add r nl in
-          let reachable =
-            Sigma.fold
-              (fun (r', _) v acc ->
-                if Refsym.equal r' r then
-                  match v with
-                  | Ref { refs; _ } -> Rset.union refs acc
-                  | Bot | Clash | Int _ -> acc
-                else acc)
-              s.sigma Rset.empty
-          in
-          close nl (Rset.union frontier (Rset.diff reachable nl))
-  in
-  { s with nl = close s.nl rs }
+  let nl = close s s.nl rs in
+  if nl == s.nl then s else { s with nl }
 
 (** Every symbol reachable from [rs] through explicit σ entries, [rs]
     included — the universe of objects a callee can reach from an
@@ -351,28 +392,7 @@ let all_non_tl (s : t) (rs : Rset.t) : t =
     non-thread-local.  Sound because a thread-local symbol's absent σ
     entries denote never-stored (hence initial, null) locations, and
     entries of non-thread-local members only over-approximate. *)
-let reach_closure (s : t) (rs : Rset.t) : Rset.t =
-  let rec close seen frontier =
-    match Rset.choose_opt frontier with
-    | None -> seen
-    | Some r ->
-        let frontier = Rset.remove r frontier in
-        if Rset.mem r seen then close seen frontier
-        else
-          let seen = Rset.add r seen in
-          let reachable =
-            Sigma.fold
-              (fun (r', _) v acc ->
-                if Refsym.equal r' r then
-                  match v with
-                  | Ref { refs; _ } -> Rset.union refs acc
-                  | Bot | Clash | Int _ -> acc
-                else acc)
-              s.sigma Rset.empty
-          in
-          close seen (Rset.union frontier (Rset.diff reachable seen))
-  in
-  close Rset.empty rs
+let reach_closure (s : t) (rs : Rset.t) : Rset.t = close s Rset.empty rs
 
 (** AllNonTLCond(NL, RS, val, σ): if any possible receiver is already
     non-thread-local, the stored value (and everything reachable from it)
@@ -408,7 +428,7 @@ let retire_site (s : t) (site : int) : t =
   let subst_set rs =
     if Rset.mem a_sym rs then Rset.add b_sym (Rset.remove a_sym rs) else rs
   in
-  let other_site (r, _) = not (Refsym.equal r a_sym) in
+  let other_site l = l < Loc.first a_sym || l > Loc.last a_sym in
   let subst_aval = function
     | Ref ri as v ->
         let refs = subst_set ri.refs in
@@ -417,20 +437,15 @@ let retire_site (s : t) (site : int) : t =
     | (Bot | Clash | Int _) as v -> v
   in
   (* σ keys on R_site/A move to R_site/B, merging with any binding there;
-     they are contiguous, starting at the least field id [Elems] *)
+     they are one contiguous key range *)
   let sigma =
-    let moved =
-      Seq.take_while
-        (fun ((r, _), _) -> Refsym.equal r a_sym)
-        (Sigma.to_seq_from (a_sym, Field_id.Elems) s.sigma)
-    in
-    Seq.fold_left
-      (fun acc (((_, f) as key), _) ->
-        let v = Sigma.find key acc in
-        let acc = Sigma.remove key acc in
-        let key = (b_sym, f) in
-        match Sigma.find_opt key acc with
-        | None -> Sigma.add key v acc
+    let substituted = Ptmap.map (fun _ -> subst_aval) s.sigma in
+    Ptmap.fold_range (Loc.first a_sym) (Loc.last a_sym)
+      (fun key v acc ->
+        let acc = Ptmap.remove key acc in
+        let key = Loc.make b_sym (Loc.field key) in
+        match Ptmap.find_opt key acc with
+        | None -> Ptmap.add key v acc
         | Some old ->
             let merged =
               match old, v with
@@ -443,9 +458,8 @@ let retire_site (s : t) (site : int) : t =
               | Bot, x | x, Bot -> x
               | _ -> Clash
             in
-            Sigma.add key merged acc)
-      (Lean_sigma.map (fun _ -> subst_aval) s.sigma)
-      moved
+            Ptmap.add key merged acc)
+      substituted substituted
   in
   let remap_rmap merge m =
     match Rmap.find_opt a_sym m with
@@ -478,11 +492,11 @@ let merge_nos (s1 : t) (s2 : t) (r1 : refinfo) (r2 : refinfo) : Nos.t =
     else if Nos.is_empty r1.nos then r2.nos
     else Nos.union r1.nos r2.nos
   in
-  let side_ok (s : t) (ri : refinfo) ((r, f) : Refsym.t * Field_id.t) =
-    Nos.mem (r, f) ri.nos
-    || ((not (Rset.mem r s.nl))
+  let side_ok (s : t) (ri : refinfo) (l : Loc.t) =
+    Nos.mem l ri.nos
+    || ((not (Rset.mem (Loc.sym l) s.nl))
        &&
-       match Sigma.find_opt (r, f) s.sigma with
+       match Ptmap.find_opt l s.sigma with
        | Some (Ref { refs; _ }) -> Rset.is_empty refs
        | Some (Bot | Clash | Int _) | None -> false)
   in
@@ -497,7 +511,8 @@ let merge_msrc a b =
 
 (** Merge element provenances: same array source and same displacement
     status, indices merged as integer state components (they stride with
-    loop counters). *)
+    loop counters).  A merged index at ⊤ drops the provenance, so no
+    index is ever ⊤ and merging a provenance with itself returns it. *)
 let merge_eprov ctx a b =
   match a, b with
   | Some e1, Some e2
@@ -536,15 +551,20 @@ let merge_aval (ctx : Intval.Ctx.ctx) (s1 : t) (s2 : t) (a : aval) (b : aval)
     in a fixed order — σ, Len and NR in descending key order, the shift,
     the stack from the top, then ρ from local 0 — because the shared
     context's mutation order decides which variable unknown a stride gets.
-    Merging a value with itself never touches the context, but is not the
-    identity: it drops an element provenance, a shift or a null-range
-    bound at ⊤. *)
+
+    Merging a value with itself never touches the context.  For an
+    abstract value it is the identity: no element provenance or shift
+    index is ever ⊤, so nothing drops.  That is what lets σ's merge, ρ and
+    the stack skip what the two states share physically.  A null range
+    merged with itself is not the identity — a [Full (0, ⊤)] bound (the
+    range of an array of unknown length) drops to [Empty] — so Len and NR
+    keep their full merge. *)
 let merge ?(widen = false) ~(gen : Intval.Gen.t) (s1 : t) (s2 : t) : t =
   let ctx = Intval.Ctx.create ~widen gen in
   let mav = merge_aval ctx s1 s2 in
   if List.length s1.stk <> List.length s2.stk then
     invalid_arg "State.merge: operand stack mismatch";
-  let sigma = Lean_sigma.merge (fun _ -> mav) s1.sigma s2.sigma in
+  let sigma = Ptmap.merge (fun _ -> mav) s1.sigma s2.sigma in
   let len = Lean_rmap.merge (fun _ -> Intval.merge ctx) s1.len s2.len in
   let nr =
     let len_of (s : t) r =
@@ -564,8 +584,8 @@ let merge ?(widen = false) ~(gen : Intval.Gen.t) (s1 : t) (s2 : t) : t =
     | Some _, Some _ | None, _ | _, None -> None
   in
   let nl = union_rset s1.nl s2.nl in
-  let stk = map2_list mav s1.stk s2.stk in
-  let rho = map2_array mav s1.rho s2.rho in
+  let stk = merge_list mav s1.stk s2.stk in
+  let rho = merge_array mav s1.rho s2.rho in
   if
     rho == s1.rho && stk == s1.stk && nl == s1.nl && sigma == s1.sigma
     && len == s1.len && nr == s1.nr && shift == s1.shift
@@ -579,7 +599,7 @@ let merge ?(widen = false) ~(gen : Intval.Gen.t) (s1 : t) (s2 : t) : t =
 let map_values f (s : t) : t =
   let rho = map_array f s.rho in
   let stk = map_list f s.stk in
-  let sigma = Lean_sigma.map (fun _ -> f) s.sigma in
+  let sigma = Ptmap.map (fun _ -> f) s.sigma in
   if rho == s.rho && stk == s.stk && sigma == s.sigma then s
   else { s with rho; stk; sigma }
 
@@ -587,18 +607,15 @@ let map_values f (s : t) : t =
     [locs] from every abstract value in the state.  Called whenever a
     location may have been written, so surviving facts always describe the
     current content. *)
-let kill_nos (s : t) (locs : (Refsym.t * Field_id.t) list) : t =
+let kill_nos (s : t) (locs : Loc.t list) : t =
   if locs = [] then s
   else
-    let dead (r, f) =
-      List.exists
-        (fun (r', f') -> Refsym.equal r r' && Field_id.equal f f')
-        locs
-    in
     map_values
       (function
         | Ref ri as v ->
-            let nos = Nos.filter (fun l -> not (dead l)) ri.nos in
+            let nos =
+              Nos.filter (fun l -> not (List.exists (Int.equal l) locs)) ri.nos
+            in
             if nos == ri.nos then v else Ref { ri with nos }
         | (Bot | Clash | Int _) as v -> v)
       s
@@ -695,7 +712,7 @@ let pop_int s =
 let pop_ref s =
   match pop s with
   | Ref ri, s -> (ri, s)
-  | (Bot | Clash), s -> (mk_refinfo (Rset.singleton Refsym.Global), s)
+  | (Bot | Clash), s -> (mk_refinfo (Rset.singleton Refsym.global), s)
   | Int _, _ -> bugf "expected abstract ref on stack"
 
 let set_local s i v =

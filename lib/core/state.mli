@@ -5,13 +5,32 @@
 
 module Rset = Refsym.Set
 
-module Sigma : Map.S with type key = Refsym.t * Field_id.t
+(** Abstract locations (symbol, field) as one int: the symbol's code
+    shifted past [field_bits] bits that hold the field id.  Int order is
+    (symbol, field) order, and a symbol's locations are the contiguous
+    range [first r .. last r].  {!Jir.Program.of_program}'s bounds keep
+    every key distinct and non-negative.  This module owns the layout. *)
+module Loc : sig
+  type t = int
+
+  val field_bits : int
+  val make : Refsym.t -> Field_id.t -> t
+  val sym : t -> Refsym.t
+  val field : t -> Field_id.t
+
+  val first : Refsym.t -> t
+  (** The symbol's least location, its [elems]. *)
+
+  val last : Refsym.t -> t
+  (** The symbol's greatest possible location. *)
+end
+
 module Rmap : Map.S with type key = Refsym.t
 
-(** Null-or-same facts: [(r, f)] ∈ [nos v] means [v] equals the current
-    content of [r.f] or that content is null — either way an SATB barrier
-    for [r.f ← v] is unnecessary (§4.3). *)
-module Nos : Set.S with type elt = Refsym.t * Field_id.t
+(** Null-or-same facts: [l] ∈ [nos v] for the location [l] of [r.f] means
+    [v] equals the current content of [r.f] or that content is null —
+    either way an SATB barrier for [r.f ← v] is unnecessary (§4.3). *)
+module Nos : Set.S with type elt = Loc.t
 
 (** Must-alias value sources: two values carrying the same source are the
     same concrete reference (used by the §4.3 move-down extension). *)
@@ -19,12 +38,21 @@ type must_src = Mstatic of Jir.Types.class_name * Jir.Types.field_name
 
 val equal_must_src : must_src -> must_src -> bool
 
-type eprov = { ep_src : must_src; ep_idx : Intval.t; ep_displaced : bool }
+type eprov = private {
+  ep_src : must_src;
+  ep_idx : Intval.t;
+  ep_displaced : bool;
+}
 (** Element provenance (§4.3 rearrangements): the value was loaded from
     the array identified by [ep_src] at [ep_idx] and, unless displaced,
     still is that slot's current content.  A displaced provenance means
     the slot was just overwritten by the first store of a pending swap:
-    the value is the unique element pushed out of [ep_idx]. *)
+    the value is the unique element pushed out of [ep_idx].  The index
+    is never ⊤. *)
+
+val loaded : must_src -> Intval.t -> eprov option
+(** The provenance of an element just loaded from the array at the index;
+    [None] when the index is ⊤.  The one way to make a provenance. *)
 
 val equal_eprov : eprov -> eprov -> bool
 
@@ -44,7 +72,7 @@ type t = {
   rho : aval array;  (** locals *)
   stk : aval list;  (** operand stack, top first *)
   nl : Rset.t;  (** non-thread-local symbols *)
-  sigma : aval Sigma.t;  (** abstract store *)
+  sigma : aval Ptmap.t;  (** abstract store, keyed by {!Loc.t} *)
   len : Intval.t Rmap.t;  (** array lengths *)
   nr : Intrange.t Rmap.t;  (** null ranges *)
   shift : (must_src * Intval.t) option;
@@ -59,7 +87,9 @@ val ref_of : Rset.t -> aval
 val null_v : aval
 val global_v : aval
 val pp_aval : aval Fmt.t
-val pp : t Fmt.t
+val pp : Jir.Program.t -> t Fmt.t
+(** Field names come from the program's numbering. *)
+
 val equal_aval : aval -> aval -> bool
 val equal : t -> t -> bool
 
@@ -121,7 +151,7 @@ val merge : ?widen:bool -> gen:Intval.Gen.t -> t -> t -> t
 
 (** {2 Fact invalidation} *)
 
-val kill_nos : t -> (Refsym.t * Field_id.t) list -> t
+val kill_nos : t -> Loc.t list -> t
 (** Remove null-or-same facts about possibly-written locations from every
     value in the state. *)
 

@@ -13,7 +13,7 @@ open Jir.Types
 
 module Iset = Set.Make (Int)
 module Cset = Set.Make (String)
-module Fmap = Map.Make (Field_id)
+module Fmap = Field_id.Map
 
 (** Set of (parameter, field) must-written locations. *)
 module Pf = Set.Make (struct
@@ -160,14 +160,14 @@ let pp_vshape ppf (v : vshape) =
       (if v.vs_fresh then ";fresh" else "")
       (if v.vs_global then ";glob" else "")
 
-let pp ppf (s : t) =
+let pp prog ppf (s : t) =
   let pp_param ppf (i, p) =
     Fmt.pf ppf "p%d:%s%s[%a]" i
       (if p.ps_escapes then "esc" else "-")
       (if p.ps_writes_top then "!top" else "")
       Fmt.(
         list ~sep:comma (fun ppf (f, w) ->
-            pf ppf "%a%s=%a%s" Field_id.pp f
+            pf ppf "%a%s=%a%s" (Field_id.pp prog) f
               (if w.w_must then "!" else "?")
               pp_vshape w.w_val
               (if w.w_int then "i" else "")))
@@ -415,7 +415,7 @@ let dispatch_write (e : senv) (rv : sv) (f : Field_id.t) (v : sv)
   end;
   if rv.global then begin
     note_flag a (fun () -> a.a_global_heap) (fun () -> a.a_global_heap <- true);
-    if Field_id.equal f Field_id.Elems && not int_w then
+    if Field_id.equal f Field_id.elems && not int_w then
       note_flag a
         (fun () -> a.a_elems_global)
         (fun () -> a.a_elems_global <- true);
@@ -523,7 +523,7 @@ let apply_call (e : senv) (callee : meth) (summary : t option) (st : st) :
         (fun v ->
           esc_sv a v;
           Iset.iter
-            (fun q -> note_write a a.a_writes (q, Field_id.Elems) sv_global ~int_w:true)
+            (fun q -> note_write a a.a_writes (q, Field_id.elems) sv_global ~int_w:true)
             v.params;
           if not (Iset.subset v.params a.a_writes_top) then begin
             a.a_writes_top <- Iset.union v.params a.a_writes_top;
@@ -676,13 +676,13 @@ let transfer (e : senv) (st : st) (instr : int instr) : outcome =
       Fall st
   | Getfield fr ->
       let rv, st = pop st in
-      let f = Field_id.of_field_ref fr in
+      let f = Field_id.of_field_ref e.prog fr in
       if is_ref_field e fr then Fall (push (read_field e rv f) st)
       else Fall (push sv_bot st)
   | Putfield fr ->
       let v, st = pop st in
       let rv, st = pop st in
-      let f = Field_id.of_field_ref fr in
+      let f = Field_id.of_field_ref e.prog fr in
       let int_w = not (is_ref_field e fr) in
       let v = if int_w then sv_bot else v in
       let must = dispatch_write e rv f v ~int_w st.must in
@@ -697,12 +697,12 @@ let transfer (e : senv) (st : st) (instr : int instr) : outcome =
   | Aaload ->
       let _, st = pop st in
       let rv, st = pop st in
-      Fall (push (read_field e rv Field_id.Elems) st)
+      Fall (push (read_field e rv Field_id.elems) st)
   | Aastore ->
       let v, st = pop st in
       let _, st = pop st in
       let rv, st = pop st in
-      let must = dispatch_write e rv Field_id.Elems v ~int_w:false st.must in
+      let must = dispatch_write e rv Field_id.elems v ~int_w:false st.must in
       Fall { st with must }
   | Iaload ->
       let _, st = pop st in
@@ -712,7 +712,7 @@ let transfer (e : senv) (st : st) (instr : int instr) : outcome =
       let _, st = pop st in
       let _, st = pop st in
       let rv, st = pop st in
-      let must = dispatch_write e rv Field_id.Elems sv_bot ~int_w:true st.must in
+      let must = dispatch_write e rv Field_id.elems sv_bot ~int_w:true st.must in
       Fall { st with must }
   | Arraylength ->
       let _, st = pop st in
@@ -828,7 +828,7 @@ let finalize (e : senv) : t =
       (fun f ((v : sv), _) ->
         esc_params a v.params;
         a.a_global_heap <- true;
-        if Field_id.equal f Field_id.Elems then a.a_elems_global <- true)
+        if Field_id.equal f Field_id.elems then a.a_elems_global <- true)
       a.a_fresh;
     if a.a_fresh_top then begin
       a.a_global_heap <- true;

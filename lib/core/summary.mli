@@ -89,7 +89,9 @@ val havoc : meth -> t
     writes, all statics written, global return. *)
 
 val equal : t -> t -> bool
-val pp : t Fmt.t
+
+val pp : Jir.Program.t -> t Fmt.t
+(** Field names come from the program's numbering. *)
 
 (** {2 Summary tables} *)
 

@@ -11,14 +11,42 @@ type t = {
   field_tbl : (class_name * field_name, field_decl) Hashtbl.t;
   static_tbl : (class_name * field_name, field_decl) Hashtbl.t;
   spawns : bool Lazy.t;
+  numbering : numbering Lazy.t;
+}
+
+(* the instance fields numbered 1..n in (class, name) order *)
+and numbering = {
+  ids : (class_name * field_name, int) Hashtbl.t;
+  decls : (class_name * field_decl) array;  (** field [i] at [i - 1] *)
 }
 
 exception Link_error of string
 
 let link_errorf fmt = Fmt.kstr (fun s -> raise (Link_error s)) fmt
 
+(* The analysis names every abstract location with one int: a symbol
+   code (1 + a parameter index, or a base above the parameters plus
+   twice an allocation pc) shifted past 16 bits that hold the field
+   number.  These bounds keep the ints distinct and non-negative. *)
+let max_instance_fields = 0xFFFF
+let max_params = 0xFFFF
+let max_code_length = 1 lsl 40
+
+let number_fields classes : numbering =
+  let fields =
+    List.concat_map (fun c -> List.map (fun fd -> (c.cname, fd)) c.fields) classes
+    |> List.sort (fun (c1, f1) (c2, f2) ->
+           match String.compare c1 c2 with
+           | 0 -> String.compare f1.fd_name f2.fd_name
+           | c -> c)
+  in
+  let decls = Array.of_list fields in
+  let ids = Hashtbl.create (Array.length decls) in
+  Array.iteri (fun i (c, fd) -> Hashtbl.replace ids (c, fd.fd_name) (i + 1)) decls;
+  { ids; decls }
+
 (** [of_program p] indexes [p].  Raises {!Link_error} on duplicate class,
-    field or method names. *)
+    field or method names, and on a program past the location bounds. *)
 let of_program (program : program) : t =
   let class_tbl = Hashtbl.create 16 in
   let method_tbl = Hashtbl.create 64 in
@@ -40,11 +68,20 @@ let of_program (program : program) : t =
       let key = (c.cname, m.mname) in
       if Hashtbl.mem method_tbl key then
         link_errorf "duplicate method %s.%s" c.cname m.mname;
+      if List.length m.params > max_params then
+        link_errorf "method %s.%s takes %d parameters, more than %d"
+          c.cname m.mname (List.length m.params) max_params;
+      if Array.length m.code > max_code_length then
+        link_errorf "method %s.%s has %d instructions, more than %d" c.cname
+          m.mname (Array.length m.code) max_code_length;
       Hashtbl.replace method_tbl key m
     in
     List.iter add_method c.methods
   in
   List.iter add_class program.classes;
+  if Hashtbl.length field_tbl > max_instance_fields then
+    link_errorf "the program declares %d instance fields, more than %d"
+      (Hashtbl.length field_tbl) max_instance_fields;
   let spawns =
     lazy
       (List.exists
@@ -55,7 +92,8 @@ let of_program (program : program) : t =
              c.methods)
          program.classes)
   in
-  { program; class_tbl; method_tbl; field_tbl; static_tbl; spawns }
+  let numbering = lazy (number_fields program.classes) in
+  { program; class_tbl; method_tbl; field_tbl; static_tbl; spawns; numbering }
 
 let program t = t.program
 let classes t = t.program.classes
@@ -106,6 +144,18 @@ let field_index t (fr : field_ref) : int =
         if String.equal fd.fd_name fr.fname then i else find (i + 1) rest
   in
   find 0 c.fields
+
+(** The instance field's number: 1..n in (class, name) order.  Numbered
+    on the first call and kept. *)
+let field_id t (fr : field_ref) : int =
+  match Hashtbl.find_opt (Lazy.force t.numbering).ids (fr.fclass, fr.fname) with
+  | Some i -> i
+  | None -> link_errorf "unknown field %a" pp_field_ref fr
+
+let field_of_id t i : class_name * field_decl =
+  let decls = (Lazy.force t.numbering).decls in
+  if i < 1 || i > Array.length decls then invalid_arg "Program.field_of_id";
+  decls.(i - 1)
 
 (** All (class, method) pairs of the program, in declaration order. *)
 let all_methods t : (cls * meth) list =

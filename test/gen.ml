@@ -55,7 +55,7 @@ let intrange : Satb_core.Intrange.t Q.t =
 
 (* ---- Refsym ----------------------------------------------------------- *)
 
-let refsym : Satb_core.Refsym.t Q.t =
+let refsym_view : Satb_core.Refsym.view Q.t =
   let open Q in
   oneof
     [
@@ -66,22 +66,46 @@ let refsym : Satb_core.Refsym.t Q.t =
         (int_range 0 5) bool;
     ]
 
+let refsym : Satb_core.Refsym.t Q.t = Q.map Satb_core.Refsym.of_view refsym_view
+
 let refset : Satb_core.Refsym.Set.t Q.t =
   Q.map Satb_core.Refsym.Set.of_list (Q.list_size (Q.int_range 0 4) refsym)
 
-(* ---- Field_id --------------------------------------------------------- *)
+(* ---- class tables ------------------------------------------------------ *)
 
 (* names that share prefixes and differ in length, so the lexicographic
    order's corner cases come up *)
 let member_name = Q.oneofl [ ""; "a"; "ab"; "b"; "ba"; "C"; "Ca"; "next" ]
 
-let field_id : Satb_core.Field_id.t Q.t =
+(* distinct names, in a random declaration order *)
+let distinct_names =
+  Q.map
+    (List.fold_left (fun acc n -> if List.mem n acc then acc else n :: acc) [])
+    (Q.list_size (Q.int_range 0 6) member_name)
+
+(** A method-free program: classes with distinct names, each declaring
+    distinct instance fields of either type. *)
+let class_table : Jir.Types.program Q.t =
   let open Q in
-  frequency
-    [
-      (1, return Satb_core.Field_id.Elems);
-      (6, map2 (fun c f -> Satb_core.Field_id.F (c, f)) member_name member_name);
-    ]
+  let* cnames = distinct_names in
+  let+ classes =
+    flatten_l
+      (List.map
+         (fun cname ->
+           let* fnames = distinct_names in
+           let+ tys = list_repeat (List.length fnames) (oneofl Jir.Types.[ R; I ]) in
+           {
+             Jir.Types.cname;
+             fields =
+               List.map2
+                 (fun fd_name fd_ty -> { Jir.Types.fd_name; fd_ty })
+                 fnames tys;
+             statics = [];
+             methods = [];
+           })
+         cnames)
+  in
+  { Jir.Types.classes }
 
 (* ---- random straight-line + loop programs for round-trip tests ------- *)
 

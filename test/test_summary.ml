@@ -94,6 +94,10 @@ let find tbl c m =
   | Some s -> s
   | None -> Alcotest.failf "no summary for %s.%s" c m
 
+(* the id the program numbers a field of src_lib's class T with *)
+let lib_field fname =
+  Satb_core.Field_id.of_field_ref (parse src_lib) { fclass = "T"; fname }
+
 let test_int_write_must () =
   (* seti writes T.i of its receiver on every path: an integer w_must
      write, nothing escapes *)
@@ -102,7 +106,7 @@ let test_int_write_must () =
     s.S.s_params.(0).ps_escapes;
   Alcotest.(check bool) "no unknown writes" false
     s.S.s_params.(0).ps_writes_top;
-  match S.Fmap.find_opt (Satb_core.Field_id.F ("T", "i")) s.S.s_params.(0).ps_writes with
+  match S.Fmap.find_opt (lib_field "i") s.S.s_params.(0).ps_writes with
   | Some w ->
       Alcotest.(check bool) "integer write" true w.S.w_int;
       Alcotest.(check bool) "definite on return" true w.S.w_must
@@ -116,7 +120,7 @@ let test_ref_write_recorded () =
     s.S.s_params.(0).ps_escapes;
   Alcotest.(check bool) "stored value does not escape" false
     s.S.s_params.(1).ps_escapes;
-  match S.Fmap.find_opt (Satb_core.Field_id.F ("T", "f")) s.S.s_params.(0).ps_writes with
+  match S.Fmap.find_opt (lib_field "f") s.S.s_params.(0).ps_writes with
   | Some w ->
       Alcotest.(check bool) "value may be param 1" true
         (S.Iset.mem 1 w.S.w_val.vs_params);
