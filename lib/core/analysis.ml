@@ -423,6 +423,14 @@ let refine_on_null env (s : State.t) (ri : State.refinfo) : State.t =
         else s)
       ri.nos s
 
+(** Kill the null-or-same facts about field [f] of every receiver: the
+    field may have been written.  Only the extension makes such facts. *)
+let kill_nos env (s : State.t) (receivers : Rset.t) (f : Field_id.t) : State.t =
+  if env.conf.null_or_same then
+    State.kill_nos s
+      (List.map (fun r -> State.Loc.make r f) (Rset.elements receivers))
+  else s
+
 (* ---- calls ------------------------------------------------------------ *)
 
 (** Pop a callee's arguments off the stack, returned in parameter order. *)
@@ -520,12 +528,7 @@ let apply_summary env (s : State.t) pc (callee : meth) (sum : Summary.t)
         end
         else s
       in
-      let s =
-        if env.conf.null_or_same then
-          State.kill_nos s
-            (List.map (fun r -> State.Loc.make r f) (Rset.elements receivers))
-        else s
-      in
+      let s = kill_nos env s receivers f in
       let is_elems = Field_id.equal f Field_id.elems in
       (* strong update when the write provably targets the argument object
          itself on every normal return; array elements always merge weakly
@@ -849,12 +852,7 @@ let transfer env ~record (s : State.t) (pc : int) (instr : int instr) :
         | false, State.Int _ when env.track_ints -> value
         | false, _ -> int_top
       in
-      let s =
-        if env.conf.null_or_same then
-          State.kill_nos s
-            (List.map (fun ot -> State.Loc.make ot f) (Rset.elements obj.refs))
-        else s
-      in
+      let s = kill_nos env s obj.refs f in
       let s =
         match Rset.elements obj.refs with
         | [ r ] when Refsym.unique ~in_ctor:env.in_ctor r ->
@@ -1083,11 +1081,7 @@ let transfer env ~record (s : State.t) (pc : int) (instr : int instr) :
         | State.Ref _ -> value
         | State.Bot | State.Clash | State.Int _ -> State.global_v
       in
-      let s =
-        if env.conf.null_or_same then
-          State.kill_nos s (List.map State.Loc.first (Rset.elements arr.refs))
-        else s
-      in
+      let s = kill_nos env s arr.refs Field_id.elems in
       let s =
         List.fold_left
           (fun s at ->

@@ -15,7 +15,6 @@ type 'a t =
           subtree with that bit clear, subtree with it set *)
 
 let empty = Empty
-let is_empty = function Empty -> true | Leaf _ | Branch _ -> false
 
 let zero_bit k m = k land m = 0
 

@@ -11,7 +11,6 @@
 type 'a t
 
 val empty : 'a t
-val is_empty : 'a t -> bool
 val find_opt : int -> 'a t -> 'a option
 
 val find : int -> 'a t -> 'a

@@ -42,7 +42,6 @@ let view r =
   else Alloc { site = (r - alloc_base) / 2; recent = r land 1 = 1 }
 
 let of_code c = c
-let compare = Int.compare
 let equal = Int.equal
 
 let pp ppf r =

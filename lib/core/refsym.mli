@@ -36,7 +36,6 @@ val of_code : int -> t
 (** The symbol whose code is the int, unchecked: the inverse of the
     coercion, for {!State.Loc}'s layout. *)
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : t Fmt.t
 

@@ -56,64 +56,40 @@ module Rmap = Refsym.Map
    every result is equal to theirs, and every function with a side effect
    (the merge context) is called in the same order. *)
 
-let map_array f a =
-  let rec scan i =
-    if i = Array.length a then a
-    else
-      let v = f a.(i) in
-      if v == a.(i) then scan (i + 1)
-      else begin
-        let c = Array.copy a in
-        c.(i) <- v;
-        for j = i + 1 to Array.length a - 1 do
-          c.(j) <- f a.(j)
-        done;
-        c
-      end
-  in
-  scan 0
-
-(** [Array.map2 f a b] (same call order) but skipping the pairs that are
-    physically equal, whose [f a a] must be [a]; [a] itself when every
-    result is the element of [a]. *)
-let merge_array f a b =
+(** [map2_array f a b]: [Array.map2 f a b] (same call order), or [a] when
+    every result is the element of [a]. *)
+let map2_array f a b =
   let n = Array.length a in
-  if Array.length b <> n then invalid_arg "State.merge_array";
-  let g i = if a.(i) == b.(i) then a.(i) else f a.(i) b.(i) in
+  if Array.length b <> n then invalid_arg "State.map2_array";
   let rec scan i =
     if i = n then a
     else
-      let v = g i in
+      let v = f a.(i) b.(i) in
       if v == a.(i) then scan (i + 1)
       else begin
         let c = Array.copy a in
         c.(i) <- v;
         for j = i + 1 to n - 1 do
-          c.(j) <- g j
+          c.(j) <- f a.(j) b.(j)
         done;
         c
       end
   in
   scan 0
 
-let rec map_list f l =
-  match l with
-  | [] -> l
-  | a :: r ->
-      let a' = f a in
-      let r' = map_list f r in
-      if a' == a && r' == r then l else a' :: r'
+let map_array f a = map2_array (fun v _ -> f v) a a
 
-(** [List.map2 f l1 l2] from the front, skipping physically equal pairs
-    like {!merge_array}; [l1] when nothing changes. *)
-let rec merge_list f l1 l2 =
+(** [List.map2 f l1 l2] from the front, or [l1] when nothing changes. *)
+let rec map2_list f l1 l2 =
   match l1, l2 with
   | [], [] -> l1
   | a :: r1, b :: r2 ->
-      let a' = if a == b then a else f a b in
-      let r' = merge_list f r1 r2 in
+      let a' = f a b in
+      let r' = map2_list f r1 r2 in
       if a' == a && r' == r1 then l1 else a' :: r'
-  | _ :: _, [] | [], _ :: _ -> invalid_arg "State.merge_list"
+  | _ :: _, [] | [], _ :: _ -> invalid_arg "State.map2_list"
+
+let map_list f l = map2_list (fun v _ -> f v) l l
 
 module Lean_rmap = struct
   (** [Rmap.mapi f m], or [m] itself when [f] changes no binding. *)
@@ -584,8 +560,10 @@ let merge ?(widen = false) ~(gen : Intval.Gen.t) (s1 : t) (s2 : t) : t =
     | Some _, Some _ | None, _ | _, None -> None
   in
   let nl = union_rset s1.nl s2.nl in
-  let stk = merge_list mav s1.stk s2.stk in
-  let rho = merge_array mav s1.rho s2.rho in
+  (* a slot both states share physically merges to itself *)
+  let mav_slot a b = if a == b then a else mav a b in
+  let stk = map2_list mav_slot s1.stk s2.stk in
+  let rho = map2_array mav_slot s1.rho s2.rho in
   if
     rho == s1.rho && stk == s1.stk && nl == s1.nl && sigma == s1.sigma
     && len == s1.len && nr == s1.nr && shift == s1.shift

@@ -53,7 +53,7 @@ let updates =
             else (P.remove k p, M.remove k m))
           (P.empty, M.empty) ops
       in
-      agrees p m && P.is_empty p = M.is_empty m)
+      agrees p m)
 
 let unchanged =
   prop "add of the bound value and remove of an absent key share"
